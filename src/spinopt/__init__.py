@@ -64,8 +64,6 @@ from .optimize import (
     OptConfig,
     OptRun,
     TrialStats,
-    baseline_optimize,
-    bpm_optimize,
     build_valid_surrogate,
     run_single,
     run_trials,
@@ -90,8 +88,6 @@ __all__ = [
     "RamseyTrace",
     "T2Estimate",
     "TrialStats",
-    "baseline_optimize",
-    "bpm_optimize",
     "build_valid_surrogate",
     "build_xy8",
     "constant_drive",

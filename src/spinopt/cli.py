@@ -32,6 +32,7 @@ from .config import (
     opt_config_from,
 )
 from .dynamics import NoiseGrid, ensemble_objective, state_fidelity_many
+from .fields import PM
 from .kriging import fit, jittered_grid, surrogate_objective
 from .magnetometry import (
     RECT,
@@ -41,7 +42,14 @@ from .magnetometry import (
     fringe_window,
     simulate_ramsey,
 )
-from .optimize import run_single, run_to_record, run_trials, stats_to_record
+from .optimize import (
+    draw_initial_params,
+    feasible_field,
+    run_single,
+    run_to_record,
+    run_trials,
+    stats_to_record,
+)
 
 OUT_ENV_VAR = "SPINOPT_OUT"
 
@@ -134,7 +142,7 @@ def _fidelity_map_rows(field, grid: NoiseGrid, n_steps: int):
     ]
 
 
-def cmd_optimize(cfg: dict, out: Path, seed, threads: int) -> int:
+def cmd_optimize(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     oc = opt_config_from(cfg, seed=seed)
     run = run_single(oc)
@@ -154,11 +162,11 @@ def cmd_optimize(cfg: dict, out: Path, seed, threads: int) -> int:
     return 0
 
 
-def cmd_trials(cfg: dict, out: Path, seed, threads: int) -> int:
+def cmd_trials(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     oc = opt_config_from(cfg, seed=seed)
     n_trials = int(cfg["optimize"]["n_trials"])
-    stats = run_trials(oc, n_trials, threads=threads)
+    stats = run_trials(oc, n_trials)
     _write_csv(out / "results.csv", TRIAL_FIELDS, _trial_rows(stats.runs))
     _write_csv(
         out / "timings.csv",
@@ -183,7 +191,7 @@ def cmd_trials(cfg: dict, out: Path, seed, threads: int) -> int:
     return 0
 
 
-def cmd_compare(cfg: dict, out: Path, seed, threads: int) -> int:
+def cmd_compare(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     n_trials = int(cfg["compare"]["n_trials"])
     primary = opt_config_from(cfg, seed=seed)
@@ -194,7 +202,7 @@ def cmd_compare(cfg: dict, out: Path, seed, threads: int) -> int:
     )
     rows = []
     for oc in (primary, baseline):
-        stats = run_trials(oc, n_trials, threads=threads)
+        stats = run_trials(oc, n_trials)
         _write_csv(
             out / f"results_{oc.method}.csv", TRIAL_FIELDS, _trial_rows(stats.runs)
         )
@@ -219,7 +227,7 @@ def cmd_compare(cfg: dict, out: Path, seed, threads: int) -> int:
     return 0
 
 
-def cmd_surrogate_demo(cfg: dict, out: Path, seed, threads: int) -> int:
+def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     oc = opt_config_from(cfg, seed=seed)
     sd = cfg["surrogate_demo"]
@@ -262,20 +270,9 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed, threads: int) -> int:
     surr_dev = np.zeros(len(mn_list))
     true_time = np.zeros(len(mn_list))
     surr_time = np.zeros(len(mn_list))
-    base_freq = 2 * np.pi / oc.duration
+    pulse = (1, oc.duration, oc.amp_limit)
     for _ in range(n_fields):
-        params = np.concatenate(
-            [
-                rng.uniform(0, oc.amp_limit, 1),
-                rng.uniform(0, base_freq, 1),
-                rng.uniform(0, base_freq, 1),
-            ]
-        )
-        from .fields import enforce_amplitude_constraint, pm_field as _pm
-
-        fld = enforce_amplitude_constraint(
-            _pm(params[:1], params[1:2], params[2:3], oc.duration, oc.amp_limit)
-        )
+        fld = feasible_field(PM, draw_initial_params(rng, PM, *pulse), *pulse)
         reference, _ = ensemble_objective(fld, truth_grid, oc.n_steps)
         pts = jittered_grid(region, 16, rng)
         model = fit(pts, truth_values(fld, pts), rng, bounds=region)
@@ -313,7 +310,7 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed, threads: int) -> int:
     return 0
 
 
-def cmd_magnetometry(cfg: dict, out: Path, seed, threads: int) -> int:
+def cmd_magnetometry(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     rect_cfg, shaped_cfg, signal, noise, run_cfg = magnetometry_from(cfg, seed=seed)
     t_max = run_cfg["t_max"]
@@ -395,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (defaults built in)")
     common.add_argument("--seed", type=int, help="master seed override")
-    common.add_argument("--threads", type=int, default=None, help="worker threads")
     common.add_argument(
         "--out",
         help=f"output directory (default ${OUT_ENV_VAR} or ./spinopt_out)",
@@ -415,14 +411,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         _apply_flag_overrides(cfg, args)
-        threads = args.threads if args.threads is not None else int(cfg["threads"])
         out = Path(
             args.out
             if args.out
             else os.environ.get(OUT_ENV_VAR, "spinopt_out")
         )
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out, args.seed, threads)
+        return COMMANDS[args.command](cfg, out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

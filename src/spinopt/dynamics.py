@@ -39,6 +39,9 @@ DEFAULT_KAPPA_RANGE = (0.5, 1.5)
 DEFAULT_DELTA_FWHM = TWO_PI * 26.5e6
 DEFAULT_KAPPA_FWHM = 0.5
 DEFAULT_KAPPA_MEAN = 1.0
+# Reference pulse: 100 ns long with amplitude limit 2*pi*10 MHz.
+DEFAULT_AMP_LIMIT = TWO_PI * 10e6
+DEFAULT_DURATION = 100e-9
 
 
 def gaussian_weight(x, mean, fwhm):
@@ -142,13 +145,28 @@ _CF4_W1 = 0.25 + np.sqrt(3.0) / 6.0
 _CF4_W2 = 0.25 - np.sqrt(3.0) / 6.0
 
 
-def _cf4_stack(h1, h2, dt):
-    """Interleaved factor stack of the fourth-order scheme.
+def cf4_times(n_steps: int, dt: float):
+    """Sample times (early, late) of the fourth-order scheme, each shape (S,).
 
-    ``h1``/``h2`` are (hx, hy, hz) coefficient triples sampled at the early
-    and late Gauss point of each step, each of shape (S, ...).  Returns the
-    (2 S, ..., 2, 2) time-ordered stack of exponential factors.
+    Step k spans [k dt, (k + 1) dt); the Hamiltonian of each step is sampled
+    at its two Gauss points.
     """
+    base = np.arange(n_steps) * dt
+    return base + _GAUSS_LO * dt, base + _GAUSS_HI * dt
+
+
+def cf4_propagator(h1, h2, dt):
+    """Propagator of the fourth-order scheme, shape (..., 2, 2).
+
+    ``h1``/``h2`` are (hx, hy, hz) coefficient triples of
+    hx sigma_x + hy sigma_y + hz sigma_z at the early and late sample times
+    of ``cf4_times``, each of shape (S, ...).
+    """
+    return _ordered_product(_cf4_stack(h1, h2, dt))
+
+
+def _cf4_stack(h1, h2, dt):
+    """Interleaved (2 S, ..., 2, 2) time-ordered stack of exponential factors."""
     first = _step_matrices(
         _CF4_W1 * h1[0] + _CF4_W2 * h2[0],
         _CF4_W1 * h1[1] + _CF4_W2 * h2[1],
@@ -181,9 +199,9 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000, chu
     flat_d = deltas.ravel()
     flat_k = kappas.ravel()
     dt = field.duration / n_steps
-    base = np.arange(n_steps) * dt
-    wx1, wy1 = quadratures(field, base + _GAUSS_LO * dt)
-    wx2, wy2 = quadratures(field, base + _GAUSS_HI * dt)
+    t1, t2 = cf4_times(n_steps, dt)
+    wx1, wy1 = quadratures(field, t1)
+    wx2, wy2 = quadratures(field, t2)
     if chunk is None:
         chunk = max(1, 200_000 // n_steps)
     out = np.empty((flat_d.size, 2, 2), dtype=complex)
@@ -193,7 +211,7 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000, chu
         hz = np.broadcast_to(0.5 * flat_d[lo:hi][None, :], (n_steps, hi - lo))
         h1 = (kap[None, :] * wx1[:, None], kap[None, :] * wy1[:, None], hz)
         h2 = (kap[None, :] * wx2[:, None], kap[None, :] * wy2[:, None], hz)
-        out[lo:hi] = _ordered_product(_cf4_stack(h1, h2, dt))
+        out[lo:hi] = cf4_propagator(h1, h2, dt)
     return out.reshape(deltas.shape + (2, 2))
 
 

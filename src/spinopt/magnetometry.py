@@ -15,15 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    DEFAULT_AMP_LIMIT,
     DEFAULT_DELTA_FWHM,
     FWHM_TO_SIGMA,
-    _GAUSS_HI,
-    _GAUSS_LO,
-    _cf4_stack,
-    _ordered_product,
+    cf4_propagator,
+    cf4_times,
 )
 from .fields import ControlField, pm_field, quadratures
-from .optimize import DEFAULT_AMP_LIMIT
 
 RECT = "rect"
 SHAPED = "shaped"
@@ -215,7 +213,6 @@ def _pulse_unitaries(seq, signal, pulse_index, delta_total, n_sub, kappa):
     t_center = (pulse_index + 0.5) * seq.spacing
     t_start = t_center - 0.5 * seq.t_pulse
     dt = seq.t_pulse / n_sub
-    base = np.arange(n_sub) * dt
 
     def coefficients(t_local):
         if seq.kind == RECT:
@@ -238,9 +235,8 @@ def _pulse_unitaries(seq, signal, pulse_index, delta_total, n_sub, kappa):
             hz,
         )
 
-    h1 = coefficients(base + _GAUSS_LO * dt)
-    h2 = coefficients(base + _GAUSS_HI * dt)
-    return _ordered_product(_cf4_stack(h1, h2, dt))
+    t1, t2 = cf4_times(n_sub, dt)
+    return cf4_propagator(coefficients(t1), coefficients(t2), dt)
 
 
 def _free_phase(signal, delta_total, t0, t1):

@@ -1,8 +1,9 @@
-"""Search pipelines for robust ensemble control fields.
+"""Search pipeline for robust ensemble control fields.
 
-Four methods share one skeleton: draw a random initial parameter vector,
-minimize 1 - F with Nelder-Mead under amplitude/range constraints, then
-verify the winner on the dense 50 x 50 truth grid.
+Four methods share one pipeline and differ only in basis (PM or SFB) and
+objective: start from a random initial parameter vector, minimize 1 - F
+with Nelder-Mead under amplitude/range constraints, then verify the winner
+on the dense 50 x 50 truth grid.
 
 * ``bpm`` / ``bsfb``: the search objective is the Kriging estimate of the
   noise-averaged fidelity.  One validated model is built per run from a
@@ -18,6 +19,7 @@ verification; the final dense verification is reported separately.
 """
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -25,8 +27,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
+    DEFAULT_AMP_LIMIT,
     DEFAULT_DELTA_FWHM,
     DEFAULT_DELTA_RANGE,
+    DEFAULT_DURATION,
     DEFAULT_KAPPA_FWHM,
     DEFAULT_KAPPA_MEAN,
     DEFAULT_KAPPA_RANGE,
@@ -37,14 +41,21 @@ from .dynamics import (
     state_fidelity_many,
 )
 from .fields import PM, SFB, ControlField, enforce_amplitude_constraint, pm_field, sfb_field
-from .kriging import KrigingModel, fit, jittered_grid, loo_validate, surrogate_objective
+from .kriging import (
+    DegenerateDesignError,
+    DegenerateValidationError,
+    FitError,
+    KrigingModel,
+    fit,
+    jittered_grid,
+    loo_validate,
+    surrogate_objective,
+)
 from .neldermead import NMResult, nelder_mead
 
 METHODS = ("bpm", "pm", "bsfb", "sfb")
 SURROGATE_METHODS = ("bpm", "bsfb")
 P_FIT_THRESHOLD = 0.6
-DEFAULT_AMP_LIMIT = 2.0 * np.pi * 10e6
-DEFAULT_DURATION = 100e-9
 
 
 class ModelValidationError(RuntimeError):
@@ -82,6 +93,23 @@ class OptConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.n_sets < 1:
             raise ValueError("n_sets must be at least 1")
+        if self.uses_surrogate and (
+            self.n_samples < 4 or math.isqrt(self.n_samples) ** 2 != self.n_samples
+        ):
+            raise ValueError(f"n_samples={self.n_samples} is not a perfect square of at least 4")
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be at least 1")
+        if self.max_model_attempts < 1:
+            raise ValueError("max_model_attempts must be at least 1")
+        for name in ("delta_range", "kappa_range"):
+            lo, hi = getattr(self, name)
+            if not lo < hi:
+                raise ValueError(f"{name} must be an increasing (low, high) pair")
+        for name in ("nm_f_tol", "delta_fwhm", "kappa_fwhm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if min(self.search_grid) < 1 or min(self.verify_grid) < 1:
+            raise ValueError("grid dimensions must be at least 1")
         if self.uses_surrogate and self.n_samples not in (9, 16):
             warnings.warn(
                 f"n_samples={self.n_samples} is outside the benchmarked "
@@ -184,6 +212,12 @@ def unpack_params(basis, params, n_sets, duration, amp_limit) -> ControlField:
     )
 
 
+def feasible_field(basis, params, n_sets, duration, amp_limit) -> ControlField:
+    """Field from packed parameters, clamped and rescaled by
+    ``enforce_amplitude_constraint`` into the feasible set."""
+    return enforce_amplitude_constraint(unpack_params(basis, params, n_sets, duration, amp_limit))
+
+
 def draw_initial_params(rng, basis, n_sets, duration, amp_limit) -> np.ndarray:
     """Random start: a in [0, amp_limit], frequency-like in [0, 2 pi / T],
     phases in [0, 2 pi]."""
@@ -211,18 +245,6 @@ def _simplex_steps(basis, n_sets, duration, amp_limit) -> np.ndarray:
             + [2.0 * np.pi] * (2 * n_sets)
         )
     return 0.05 * np.asarray(ranges)
-
-
-def _point_evaluator(config: OptConfig):
-    """Single-point true fidelity at an array of (delta, kappa) points."""
-    target = config.target()
-
-    def evaluate(fld: ControlField, points: np.ndarray) -> np.ndarray:
-        if target is None:
-            return state_fidelity_many(fld, points[:, 0], points[:, 1], config.n_steps)
-        return gate_fidelity_many(fld, target, points[:, 0], points[:, 1], config.n_steps)
-
-    return evaluate
 
 
 def build_valid_surrogate(
@@ -253,7 +275,12 @@ def build_valid_surrogate(
         try:
             model = fit(points, values, rng, bounds=region, n_restarts=fit_restarts)
             p_fit = loo_validate(model)
-        except Exception as exc:  # degenerate design/validation: try again
+        except (
+            DegenerateDesignError,
+            DegenerateValidationError,
+            FitError,
+            np.linalg.LinAlgError,
+        ) as exc:  # degenerate design/validation: try again
             last_error = exc
             continue
         if p_fit > P_FIT_THRESHOLD:
@@ -285,94 +312,66 @@ def _search(config: OptConfig, objective, x0):
     )
 
 
-def bpm_optimize(config: OptConfig) -> OptRun:
-    """Surrogate-assisted optimization (methods ``bpm`` and ``bsfb``)."""
-    if not config.uses_surrogate:
-        raise ValueError("bpm_optimize handles the surrogate methods only")
+def run_single(config: OptConfig) -> OptRun:
+    """One trial of any method: start point, Nelder-Mead search, dense verification.
+
+    Surrogate methods start from the field of the first validated model and
+    search the Kriging estimate refreshed from n true calls per evaluation;
+    direct methods start from a random draw and search the true average on
+    the coarse search grid.
+    """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     verify = config.noise_grid(config.verify_grid)
-    region = verify.bounds()
-    evaluate = _point_evaluator(config)
-
-    def sampler(r):
-        raw = draw_initial_params(r, config.basis, config.n_sets, config.duration, config.amp_limit)
-        return enforce_amplitude_constraint(
-            unpack_params(config.basis, raw, config.n_sets, config.duration, config.amp_limit)
-        )
-
-    built = build_valid_surrogate(
-        sampler,
-        region,
-        config.n_samples,
-        config.max_model_attempts,
-        rng,
-        evaluate,
-        fit_restarts=config.fit_restarts,
-    )
-    true_calls = built.true_calls
-    base_model = built.model
-    sample_points = base_model.samples
-
-    def objective(params):
-        nonlocal true_calls
-        fld = enforce_amplitude_constraint(
-            unpack_params(config.basis, params, config.n_sets, config.duration, config.amp_limit)
-        )
-        values = evaluate(fld, sample_points)
-        true_calls += sample_points.shape[0]
-        return 1.0 - surrogate_objective(base_model.with_values(values), verify)
-
-    result = _search(config, objective, pack_params(built.field))
-    best_field = enforce_amplitude_constraint(
-        unpack_params(config.basis, result.x, config.n_sets, config.duration, config.amp_limit)
-    )
-    f_verified, _ = ensemble_objective(best_field, verify, config.n_steps, config.target())
-    return OptRun(
-        method=config.method,
-        n_sets=config.n_sets,
-        seed=config.seed,
-        field=best_field,
-        params=pack_params(best_field),
-        f_search=1.0 - result.fun,
-        f_verified=f_verified,
-        true_calls=true_calls,
-        model_attempts=built.attempts,
-        nm_evals=result.n_evals,
-        nm_iters=result.n_iter,
-        p_fit=built.p_fit,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-    )
-
-
-def baseline_optimize(config: OptConfig) -> OptRun:
-    """Direct search on the coarse true objective (methods ``pm``/``sfb``),
-    or the surrogate pipeline for ``bsfb``."""
-    if config.method == "bpm":
-        raise ValueError("baseline_optimize compares against bpm; use bpm_optimize")
-    if config.method == "bsfb":
-        return bpm_optimize(config)
-    start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    verify = config.noise_grid(config.verify_grid)
-    search_grid = config.noise_grid(config.search_grid)
     target = config.target()
-    true_calls = 0
+    pulse = (config.n_sets, config.duration, config.amp_limit)
+
+    def draw(r):
+        return draw_initial_params(r, config.basis, *pulse)
+
+    def field(params):
+        return feasible_field(config.basis, params, *pulse)
+
+    if config.uses_surrogate:
+
+        def evaluate(fld, points):
+            if target is None:
+                return state_fidelity_many(fld, points[:, 0], points[:, 1], config.n_steps)
+            return gate_fidelity_many(fld, target, points[:, 0], points[:, 1], config.n_steps)
+
+        built = build_valid_surrogate(
+            lambda r: field(draw(r)),
+            verify.bounds(),
+            config.n_samples,
+            config.max_model_attempts,
+            rng,
+            evaluate,
+            fit_restarts=config.fit_restarts,
+        )
+        x0 = pack_params(built.field)
+        true_calls, model_attempts, p_fit = built.true_calls, built.attempts, built.p_fit
+        points = built.model.samples
+
+        def estimate(fld):
+            values = evaluate(fld, points)
+            return surrogate_objective(built.model.with_values(values), verify), points.shape[0]
+
+    else:
+        x0 = draw(rng)
+        true_calls, model_attempts, p_fit = 0, 0, None
+        search_grid = config.noise_grid(config.search_grid)
+
+        def estimate(fld):
+            return ensemble_objective(fld, search_grid, config.n_steps, target)
 
     def objective(params):
         nonlocal true_calls
-        fld = enforce_amplitude_constraint(
-            unpack_params(config.basis, params, config.n_sets, config.duration, config.amp_limit)
-        )
-        value, calls = ensemble_objective(fld, search_grid, config.n_steps, target)
+        value, calls = estimate(field(params))
         true_calls += calls
         return 1.0 - value
 
-    x0 = draw_initial_params(rng, config.basis, config.n_sets, config.duration, config.amp_limit)
     result = _search(config, objective, x0)
-    best_field = enforce_amplitude_constraint(
-        unpack_params(config.basis, result.x, config.n_sets, config.duration, config.amp_limit)
-    )
+    best_field = field(result.x)
     f_verified, _ = ensemble_objective(best_field, verify, config.n_steps, target)
     return OptRun(
         method=config.method,
@@ -383,18 +382,12 @@ def baseline_optimize(config: OptConfig) -> OptRun:
         f_search=1.0 - result.fun,
         f_verified=f_verified,
         true_calls=true_calls,
-        model_attempts=0,
+        model_attempts=model_attempts,
         nm_evals=result.n_evals,
         nm_iters=result.n_iter,
-        p_fit=None,
+        p_fit=p_fit,
         wall_ms=(time.perf_counter() - start) * 1e3,
     )
-
-
-def run_single(config: OptConfig) -> OptRun:
-    if config.uses_surrogate:
-        return bpm_optimize(config)
-    return baseline_optimize(config)
 
 
 def trial_seeds(master_seed: int, n_trials: int) -> np.ndarray:
@@ -402,7 +395,7 @@ def trial_seeds(master_seed: int, n_trials: int) -> np.ndarray:
     return np.random.SeedSequence(master_seed).generate_state(n_trials, dtype=np.uint64)
 
 
-def run_trials(config: OptConfig, n_trials: int, threads: int = 1) -> TrialStats:
+def run_trials(config: OptConfig, n_trials: int) -> TrialStats:
     """Independent trials with per-trial seeds spawned from ``config.seed``.
 
     Individual trial failures are recorded and skipped; the call fails only
@@ -410,28 +403,13 @@ def run_trials(config: OptConfig, n_trials: int, threads: int = 1) -> TrialStats
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    seeds = trial_seeds(config.seed, n_trials)
-    configs = [replace(config, seed=int(s)) for s in seeds]
-
-    runs: list = [None] * n_trials
+    runs = []
     failures = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(run_single, cfg): i for i, cfg in enumerate(configs)}
-            for fut, i in futures.items():
-                try:
-                    runs[i] = fut.result()
-                except Exception as exc:
-                    failures.append((i, f"{type(exc).__name__}: {exc}"))
-    else:
-        for i, cfg in enumerate(configs):
-            try:
-                runs[i] = run_single(cfg)
-            except Exception as exc:
-                failures.append((i, f"{type(exc).__name__}: {exc}"))
-    runs = [r for r in runs if r is not None]
+    for i, seed in enumerate(trial_seeds(config.seed, n_trials)):
+        try:
+            runs.append(run_single(replace(config, seed=int(seed))))
+        except Exception as exc:
+            failures.append((i, f"{type(exc).__name__}: {exc}"))
     if not runs:
         raise RuntimeError(f"all {n_trials} trials failed: {failures}")
 

@@ -92,6 +92,15 @@ class TestExitCodes:
         code = main(["optimize", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload", [{"optimize": {"n_samples": 10}}, {"threads": 2}]
+    )
+    def test_rejected_config_exits_2(self, tmp_path, capsys, payload):
+        path = write_config(tmp_path, payload)
+        code = main(["trials", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # a magnetometry window shorter than two XY-8 blocks cannot run
         path = write_config(

@@ -7,11 +7,10 @@ import spinopt.optimize as opt
 from spinopt import (
     ModelValidationError,
     OptConfig,
-    baseline_optimize,
-    bpm_optimize,
     build_valid_surrogate,
     ensemble_objective,
     pm_field,
+    run_single,
     run_trials,
 )
 from spinopt.fields import peak_amplitude
@@ -115,6 +114,24 @@ class TestBuildValidSurrogate:
                 self.smooth_evaluator(),
             )
 
+    def test_unexpected_error_propagates_without_retry(self, monkeypatch):
+        calls = {"sampler": 0, "loo": 0}
+
+        def sampler(r):
+            calls["sampler"] += 1
+            return self.smooth_field()
+
+        def broken(model):
+            calls["loo"] += 1
+            raise TypeError("bug in validation")
+
+        monkeypatch.setattr(opt, "loo_validate", broken)
+        with pytest.raises(TypeError, match="bug in validation"):
+            build_valid_surrogate(
+                sampler, self.region, 9, 5, np.random.default_rng(5), self.smooth_evaluator()
+            )
+        assert calls == {"sampler": 1, "loo": 1}
+
     def test_invalid_attempt_budget(self):
         with pytest.raises(ValueError):
             build_valid_surrogate(
@@ -128,21 +145,31 @@ class TestBuildValidSurrogate:
 
 
 class TestBpmOptimize:
-    def test_run_is_deterministic(self):
-        cfg = fast_config(seed=7)
-        a = bpm_optimize(cfg)
-        b = bpm_optimize(cfg)
+    @pytest.mark.parametrize("method", ["bpm", "pm", "bsfb", "sfb"])
+    def test_run_is_deterministic(self, method):
+        cfg = fast_config(method=method, seed=7)
+        a = run_single(cfg)
+        b = run_single(cfg)
         np.testing.assert_array_equal(a.params, b.params)
         assert a.f_verified == b.f_verified
         assert a.true_calls == b.true_calls
         assert a.nm_evals == b.nm_evals
 
-    def test_call_accounting_identity(self):
-        run = bpm_optimize(fast_config(seed=3))
-        assert run.true_calls == 9 * (run.model_attempts + run.nm_evals)
+    @pytest.mark.parametrize("method", ["bpm", "pm", "bsfb", "sfb"])
+    def test_call_accounting_identity(self, method):
+        cfg = fast_config(method=method, seed=3)
+        run = run_single(cfg)
+        if cfg.uses_surrogate:
+            assert run.true_calls == cfg.n_samples * (run.model_attempts + run.nm_evals)
+            assert run.p_fit is not None
+        else:
+            m, n = cfg.search_grid
+            assert run.true_calls == m * n * run.nm_evals
+            assert run.model_attempts == 0
+            assert run.p_fit is None
 
     def test_final_field_is_feasible(self):
-        run = bpm_optimize(fast_config(seed=5))
+        run = run_single(fast_config(seed=5))
         assert peak_amplitude(run.field) <= OMEGA_MAX * (1 + 1e-9)
         cap = 5 * TWO_PI / T
         assert np.all(run.field.mod_depths >= 0) and np.all(run.field.mod_depths <= cap)
@@ -150,20 +177,16 @@ class TestBpmOptimize:
 
     def test_verification_consistency_cold_start(self):
         cfg = fast_config(seed=11)
-        run = bpm_optimize(cfg)
+        run = run_single(cfg)
         fld = unpack_params(cfg.basis, run.params, cfg.n_sets, cfg.duration, cfg.amp_limit)
         grid = cfg.noise_grid(cfg.verify_grid)
         value, _ = ensemble_objective(fld, grid, cfg.n_steps, cfg.target())
         assert abs(value - run.f_verified) < 1e-12
 
     def test_objective_bounds(self):
-        run = bpm_optimize(fast_config(seed=2))
+        run = run_single(fast_config(seed=2))
         assert 0.0 <= run.f_verified <= 1.0
         assert 0.0 <= run.f_search <= 1.0
-
-    def test_rejects_baseline_methods(self):
-        with pytest.raises(ValueError):
-            bpm_optimize(fast_config(method="sfb", search_grid=(4, 4)))
 
 
 class TestBaselineOptimize:
@@ -172,8 +195,8 @@ class TestBaselineOptimize:
         # the coarse-grid true objective spends more single-point calls
         f_pm, f_bpm, calls_pm, calls_bpm = [], [], 0, 0
         for seed in (1, 2, 3, 4, 5):
-            pm_run = baseline_optimize(fast_config(method="pm", seed=seed))
-            bpm_run = bpm_optimize(fast_config(seed=seed))
+            pm_run = run_single(fast_config(method="pm", seed=seed))
+            bpm_run = run_single(fast_config(seed=seed))
             assert pm_run.true_calls == 16 * pm_run.nm_evals
             calls_pm += pm_run.true_calls
             calls_bpm += bpm_run.true_calls
@@ -183,19 +206,15 @@ class TestBaselineOptimize:
         assert abs(np.mean(f_pm) - np.mean(f_bpm)) < 0.15
 
     def test_sfb_method_runs(self):
-        run = baseline_optimize(fast_config(method="sfb", n_sets=1, seed=4))
+        run = run_single(fast_config(method="sfb", n_sets=1, seed=4))
         assert run.method == "sfb"
         assert run.field.basis == "sfb"
         assert 0.0 <= run.f_verified <= 1.0
 
     def test_bsfb_uses_surrogate(self):
-        run = baseline_optimize(fast_config(method="bsfb", n_sets=1, seed=5))
+        run = run_single(fast_config(method="bsfb", n_sets=1, seed=5))
         assert run.p_fit is not None
         assert run.true_calls == 9 * (run.model_attempts + run.nm_evals)
-
-    def test_rejects_bpm(self):
-        with pytest.raises(ValueError):
-            baseline_optimize(fast_config())
 
 
 class TestRunTrials:
@@ -203,7 +222,7 @@ class TestRunTrials:
         cfg = fast_config(seed=13)
         stats = run_trials(cfg, 1)
         seed0 = int(trial_seeds(13, 1)[0])
-        direct = bpm_optimize(dataclasses.replace(cfg, seed=seed0))
+        direct = run_single(dataclasses.replace(cfg, seed=seed0))
         assert stats.runs[0].f_verified == direct.f_verified
         assert stats.f_best == direct.f_verified
         assert stats.mean_true_calls == direct.true_calls
@@ -214,14 +233,6 @@ class TestRunTrials:
         b = run_trials(cfg, 3)
         assert [r.f_verified for r in a.runs] == [r.f_verified for r in b.runs]
         np.testing.assert_array_equal(a.hist_counts, b.hist_counts)
-
-    def test_threaded_matches_serial(self):
-        cfg = fast_config(seed=19)
-        serial = run_trials(cfg, 3, threads=1)
-        threaded = run_trials(cfg, 3, threads=3)
-        assert [r.f_verified for r in serial.runs] == [
-            r.f_verified for r in threaded.runs
-        ]
 
     def test_individual_failures_recorded(self, monkeypatch):
         real = opt.run_single
@@ -253,7 +264,7 @@ class TestRunTrials:
 
 class TestRecords:
     def test_record_fields(self):
-        run = bpm_optimize(fast_config(seed=31))
+        run = run_single(fast_config(seed=31))
         rec = run_to_record(run)
         for key in (
             "method",
@@ -277,6 +288,26 @@ class TestConfigValidation:
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
             OptConfig(objective="gate_z")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(n_samples=10),
+            dict(method="bsfb", n_samples=1),
+            dict(n_steps=0),
+            dict(max_model_attempts=0),
+            dict(delta_range=(1.0, -1.0)),
+            dict(kappa_range=(1.0, 1.0)),
+            dict(nm_f_tol=0.0),
+            dict(delta_fwhm=-1.0),
+            dict(kappa_fwhm=0.0),
+            dict(search_grid=(0, 4)),
+            dict(verify_grid=(50, 0)),
+        ],
+    )
+    def test_invalid_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            OptConfig(**bad)
 
     def test_non_reference_sample_count_warns(self):
         with pytest.warns(UserWarning):
