@@ -115,21 +115,7 @@ def _trial_rows(runs, start_index=0):
     rows = []
     for i, run in enumerate(runs, start=start_index):
         rec = run_to_record(run)
-        rows.append(
-            [
-                i,
-                rec["method"],
-                rec["n_sets"],
-                rec["seed"],
-                rec["f_search"],
-                rec["f_verified"],
-                rec["true_calls"],
-                rec["model_attempts"],
-                rec["nm_evals"],
-                rec["p_fit"],
-                json.dumps(rec["lambda_opt"]),
-            ]
-        )
+        rows.append([i, *(rec[k] for k in TRIAL_FIELDS[1:-1]), json.dumps(rec["lambda_opt"])])
     return rows
 
 

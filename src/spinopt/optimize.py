@@ -101,6 +101,11 @@ class OptConfig:
             raise ValueError("n_steps must be at least 1")
         if self.max_model_attempts < 1:
             raise ValueError("max_model_attempts must be at least 1")
+        if self.fit_restarts < 1:
+            raise ValueError("fit_restarts must be at least 1")
+        for name in ("duration", "amp_limit"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         for name in ("delta_range", "kappa_range"):
             lo, hi = getattr(self, name)
             if not lo < hi:

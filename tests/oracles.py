@@ -90,6 +90,43 @@ def gp_log_likelihood(values, corr, mu, sigma2):
     return -0.5 * (n * math.log(2.0 * math.pi * sigma2) + logdet + quad / sigma2)
 
 
+def loo_predictions_direct(samples, values, params, bounds, nugget):
+    """Leave-one-out Kriging predictions by n explicit refits.
+
+    For each i the n-1 kept samples get their own correlation matrix, GLS
+    mean and weights from ``np.linalg.solve``; sample i is predicted from
+    them.  Coordinates are scaled to the unit box given by ``bounds``.
+    """
+    samples = np.asarray(samples, dtype=float)
+    values = np.asarray(values, dtype=float)
+    bounds = np.asarray(bounds, dtype=float)
+    n, k = samples.shape
+    scaled = [
+        [(samples[i, h] - bounds[h, 0]) / (bounds[h, 1] - bounds[h, 0]) for h in range(k)]
+        for i in range(n)
+    ]
+
+    def corr(a, b):
+        d = 0.0
+        for h in range(k):
+            d += params.alpha[h] * abs(a[h] - b[h]) ** params.power[h]
+        return math.exp(-d)
+
+    preds = np.empty(n)
+    for i in range(n):
+        kept = [j for j in range(n) if j != i]
+        r_mat = np.array([[corr(scaled[a], scaled[b]) for b in kept] for a in kept])
+        for a in range(n - 1):
+            r_mat[a, a] += nugget
+        y = np.array([values[j] for j in kept])
+        ones = np.ones(n - 1)
+        mu = float(ones @ np.linalg.solve(r_mat, y)) / float(ones @ np.linalg.solve(r_mat, ones))
+        weights = np.linalg.solve(r_mat, y - mu)
+        r_vec = np.array([corr(scaled[i], scaled[j]) for j in kept])
+        preds[i] = mu + float(r_vec @ weights)
+    return preds
+
+
 def abs_cos_integral(g_ac, omega_s, t):
     """Adaptive quadrature of int_0^t g |cos(w u)| du, split at the kinks."""
     from scipy.integrate import quad

@@ -204,7 +204,7 @@ def test_c6_baseline_gap(bpm_stats, sfb_stats):
         ok,
         f"call ratio = {ratio:.1f}, mean F: sfb = {sfb.f_mean:.4f} "
         f"vs bpm = {bpm.f_mean:.4f}, {sfb_elapsed:.0f} s; "
-        "see the decisions ledger for the quality-clause analysis",
+        "see README.md, Install and test, for the quality-clause analysis",
     )
 
 
@@ -295,7 +295,7 @@ def test_c9_magnetometry_contrast():
         ok,
         f"T2 rect = {rect_us:.0f} us (target [100, 300]), "
         f"shaped = {t2[SHAPED].t2*1e6:.0f} us, ratio = {ratio:.2f} (target >= 3), "
-        f"{elapsed:.0f} s; see the decisions ledger for the blocking analysis",
+        f"{elapsed:.0f} s; see README.md, Install and test, for the blocking analysis",
     )
 
 

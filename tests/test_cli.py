@@ -93,7 +93,8 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "payload", [{"optimize": {"n_samples": 10}}, {"threads": 2}]
+        "payload",
+        [{"optimize": {"n_samples": 10}}, {"threads": 2}, {"optimize": {"duration_ns": 0}}],
     )
     def test_rejected_config_exits_2(self, tmp_path, capsys, payload):
         path = write_config(tmp_path, payload)

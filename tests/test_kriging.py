@@ -18,7 +18,7 @@ from spinopt import (
 )
 from spinopt.kriging import _cross_corr
 
-from oracles import gp_log_likelihood
+from oracles import gp_log_likelihood, loo_predictions_direct
 
 TWO_PI = 2 * np.pi
 REGION = np.array([[-TWO_PI * 10e6, TWO_PI * 10e6], [0.5, 1.5]])
@@ -225,7 +225,50 @@ class TestPredict:
                 )
 
 
+class TestWithValues:
+    def test_matches_fresh_model(self):
+        rng = np.random.default_rng(19)
+        pts = jittered_grid(UNIT, 16, rng)
+        model = fit(pts, quadratic(pts), rng, bounds=UNIT)
+        mu_before = model.mu_hat
+        new_values = np.sin(3.0 * pts[:, 0]) * pts[:, 1]
+        swapped = model.with_values(new_values)
+        fresh = KrigingModel(pts, new_values, model.params, UNIT, model.nugget)
+        assert swapped.mu_hat == pytest.approx(fresh.mu_hat, abs=1e-12)
+        assert swapped.sigma2_hat == pytest.approx(fresh.sigma2_hat, abs=1e-12)
+        axis = np.linspace(0, 1, 9)
+        np.testing.assert_allclose(
+            swapped.predict_grid(axis, axis), fresh.predict_grid(axis, axis), rtol=0, atol=1e-12
+        )
+        assert model.mu_hat == mu_before
+        constant = model.with_values(np.full(16, 0.3))
+        assert constant.sigma2_hat == 0.0
+        assert constant.mu_hat == 0.3
+
+
 class TestLooValidate:
+    @staticmethod
+    def make_model(case):
+        if case == "white_noise":
+            rng = np.random.default_rng(23)
+            pts = jittered_grid(UNIT, 16, rng)
+            return KrigingModel(
+                pts, rng.standard_normal(16), CorrelationParams([30.0, 30.0], [2.0, 2.0]), UNIT
+            )
+        n = 9 if case == "fit9" else 16
+        rng = np.random.default_rng(n)
+        pts = jittered_grid(UNIT, n, rng)
+        return fit(pts, quadratic(pts) + 0.02 * rng.standard_normal(n), rng, bounds=UNIT)
+
+    @pytest.mark.parametrize("case", ["fit9", "fit16", "white_noise"])
+    def test_matches_direct_refits(self, case):
+        model = self.make_model(case)
+        preds = loo_predictions_direct(
+            model.samples, model.values, model.params, model.bounds, model.nugget
+        )
+        slope = np.polyfit(model.values, preds, 1)[0]
+        assert loo_validate(model) == pytest.approx(slope, abs=1e-10)
+
     def test_linear_data_scores_near_one(self):
         rng = np.random.default_rng(17)
         pts = jittered_grid(UNIT, 16, rng)

@@ -303,6 +303,13 @@ class TestConfigValidation:
             dict(kappa_fwhm=0.0),
             dict(search_grid=(0, 4)),
             dict(verify_grid=(50, 0)),
+            dict(fit_restarts=0),
+            dict(duration=0.0),
+            dict(duration=float("nan")),
+            dict(duration=float("inf")),
+            dict(amp_limit=-1.0),
+            dict(amp_limit=float("nan")),
+            dict(amp_limit=float("inf")),
         ],
     )
     def test_invalid_values_rejected(self, bad):
