@@ -7,7 +7,9 @@ The rotating-frame Hamiltonian of one ensemble member is
 with static detuning ``delta`` and amplitude drift factor ``kappa``.  The
 propagator is a time-ordered product of closed-form axis-angle exponentials,
 two per step with the Hamiltonian sampled at the Gauss-Legendre points of
-each step (fourth-order commutator-free scheme).  Every factor is exactly
+each step (fourth-order commutator-free scheme).  Every factor is in SU(2)
+and is carried as its Cayley-Klein pair (a, b), U = [[a, -b*], [b, a*]], so
+products are elementwise complex arithmetic.  Every factor is exactly
 unitary, and the step-halving error sits far below all fidelity tolerances
 at the default step count.  Ensemble averages weight a rectangular
 (delta, kappa) grid by the product of two Gaussians specified through their
@@ -23,7 +25,6 @@ from .fields import ControlField, quadratures
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
 # FWHM = 2 * sqrt(2 ln 2) * sigma for a Gaussian.
@@ -110,29 +111,21 @@ class NoiseGrid:
         return np.array([self.delta_range, self.kappa_range], dtype=float)
 
 
-def _step_matrices(hx, hy, hz, dt):
-    """Axis-angle exponentials exp(-i dt (hx sx + hy sy + hz sz)), batched."""
+def _su2_factor(hx, hy, hz, dt):
+    """Cayley-Klein pair (a, b) of exp(-i dt (hx sx + hy sy + hz sz)), batched.
+
+    The pair stands for the SU(2) matrix [[a, -b*], [b, a*]].
+    """
     ang = np.sqrt(hx * hx + hy * hy + hz * hz) * dt
-    c = np.cos(ang)
     f = dt * np.sinc(ang / np.pi)  # sin(|h| dt) / |h|, finite at |h| = 0
-    out = np.empty(np.broadcast(hx, hy, hz).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c - 1j * f * hz
-    out[..., 0, 1] = -f * hy - 1j * f * hx
-    out[..., 1, 0] = f * hy - 1j * f * hx
-    out[..., 1, 1] = c + 1j * f * hz
-    return out
+    return np.cos(ang) - 1j * f * hz, f * (hy - 1j * hx)
 
 
-def _ordered_product(mats):
-    """Time-ordered product M[-1] @ ... @ M[0] by pairwise reduction."""
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2:
-            tail = mats[-1:]
-            pairs = np.matmul(mats[1:-1:2], mats[0:-1:2])
-            mats = np.concatenate([pairs, tail], axis=0)
-        else:
-            mats = np.matmul(mats[1::2], mats[0::2])
-    return mats[0]
+def _compose(later, earlier):
+    """Cayley-Klein pair of the product U_later @ U_earlier."""
+    a2, b2 = later
+    a1, b1 = earlier
+    return a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
 
 
 # Gauss-Legendre sampling offsets (fractions of a step) and the mixing
@@ -143,6 +136,9 @@ _GAUSS_LO = 0.5 - np.sqrt(3.0) / 6.0
 _GAUSS_HI = 0.5 + np.sqrt(3.0) / 6.0
 _CF4_W1 = 0.25 + np.sqrt(3.0) / 6.0
 _CF4_W2 = 0.25 - np.sqrt(3.0) / 6.0
+
+# Point-steps propagated at once by ``propagate_many``; bounds peak memory.
+_CHUNK_POINT_STEPS = 200_000
 
 
 def cf4_times(n_steps: int, dt: float):
@@ -156,40 +152,31 @@ def cf4_times(n_steps: int, dt: float):
 
 
 def cf4_propagator(h1, h2, dt):
-    """Propagator of the fourth-order scheme, shape (..., 2, 2).
+    """Cayley-Klein pair (a, b) of the fourth-order propagator, each shape (...).
 
     ``h1``/``h2`` are (hx, hy, hz) coefficient triples of
     hx sigma_x + hy sigma_y + hz sigma_z at the early and late sample times
-    of ``cf4_times``, each of shape (S, ...).
+    of ``cf4_times``, each of shape (S, ...).  The propagator is
+    [[a, -b*], [b, a*]].
     """
-    return _ordered_product(_cf4_stack(h1, h2, dt))
+    first = _su2_factor(*(_CF4_W1 * x1 + _CF4_W2 * x2 for x1, x2 in zip(h1, h2)), dt)
+    second = _su2_factor(*(_CF4_W2 * x1 + _CF4_W1 * x2 for x1, x2 in zip(h1, h2)), dt)
+    a, b = _compose(second, first)
+    # Time-ordered product of the steps by pairwise reduction, later on the left.
+    while a.shape[0] > 1:
+        even = a.shape[0] // 2 * 2
+        pa, pb = _compose((a[1:even:2], b[1:even:2]), (a[0:even:2], b[0:even:2]))
+        if even < a.shape[0]:
+            pa = np.concatenate([pa, a[-1:]])
+            pb = np.concatenate([pb, b[-1:]])
+        a, b = pa, pb
+    return a[0], b[0]
 
 
-def _cf4_stack(h1, h2, dt):
-    """Interleaved (2 S, ..., 2, 2) time-ordered stack of exponential factors."""
-    first = _step_matrices(
-        _CF4_W1 * h1[0] + _CF4_W2 * h2[0],
-        _CF4_W1 * h1[1] + _CF4_W2 * h2[1],
-        _CF4_W1 * h1[2] + _CF4_W2 * h2[2],
-        dt,
-    )
-    second = _step_matrices(
-        _CF4_W2 * h1[0] + _CF4_W1 * h2[0],
-        _CF4_W2 * h1[1] + _CF4_W1 * h2[1],
-        _CF4_W2 * h1[2] + _CF4_W1 * h2[2],
-        dt,
-    )
-    stack = np.empty((first.shape[0] * 2,) + first.shape[1:], dtype=complex)
-    stack[0::2] = first
-    stack[1::2] = second
-    return stack
-
-
-def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000, chunk: int | None = None):
+def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
     """Propagators for a batch of (delta, kappa) pairs, shape (P, 2, 2).
 
-    ``deltas`` and ``kappas`` broadcast against each other.  ``chunk`` bounds
-    the number of grid points propagated at once to limit peak memory.
+    ``deltas`` and ``kappas`` broadcast against each other.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -202,8 +189,7 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000, chu
     t1, t2 = cf4_times(n_steps, dt)
     wx1, wy1 = quadratures(field, t1)
     wx2, wy2 = quadratures(field, t2)
-    if chunk is None:
-        chunk = max(1, 200_000 // n_steps)
+    chunk = max(1, _CHUNK_POINT_STEPS // n_steps)
     out = np.empty((flat_d.size, 2, 2), dtype=complex)
     for lo in range(0, flat_d.size, chunk):
         hi = min(lo + chunk, flat_d.size)
@@ -211,7 +197,11 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000, chu
         hz = np.broadcast_to(0.5 * flat_d[lo:hi][None, :], (n_steps, hi - lo))
         h1 = (kap[None, :] * wx1[:, None], kap[None, :] * wy1[:, None], hz)
         h2 = (kap[None, :] * wx2[:, None], kap[None, :] * wy2[:, None], hz)
-        out[lo:hi] = cf4_propagator(h1, h2, dt)
+        a, b = cf4_propagator(h1, h2, dt)
+        out[lo:hi, 0, 0] = a
+        out[lo:hi, 0, 1] = -b.conj()
+        out[lo:hi, 1, 0] = b
+        out[lo:hi, 1, 1] = a.conj()
     return out.reshape(deltas.shape + (2, 2))
 
 
@@ -240,17 +230,13 @@ def _check_unitary(u, tol=1e-10):
 def gate_fidelity_many(field: ControlField, target, deltas, kappas, n_steps: int = 1000):
     """Average gate fidelity of U against a target unitary, batched.
 
-    f_g = 1/2 + (1/3) sum_e Tr(T (s_e/2) T^dag U (s_e/2) U^dag) over e = x, y, z.
+    f_g = (2 + |Tr(T^dag U)|^2) / 6, the closed form for one qubit.
     """
     target = np.asarray(target, dtype=complex)
     _check_unitary(target)
     u = propagate_many(field, deltas, kappas, n_steps)
-    total = np.zeros(u.shape[:-2])
-    for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-        a = target @ sigma @ target.conj().T
-        m = np.einsum("...ab,bc,...dc->...ad", u, sigma, u.conj())
-        total = total + np.real(np.einsum("ab,...ba->...", a, m))
-    return 0.5 + total / 12.0
+    overlap = np.einsum("ij,...ij->...", target.conj(), u)
+    return (2.0 + np.abs(overlap) ** 2) / 6.0
 
 
 def gate_fidelity(field: ControlField, target, delta: float, kappa: float, n_steps: int = 1000) -> float:

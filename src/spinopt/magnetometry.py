@@ -201,10 +201,14 @@ class T2Estimate:
 # terminal.  Prep column: exp(-i (pi / 4) sigma_y) |0>.
 _PREP = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)], dtype=complex)
 _READ_ROW = np.array([np.cos(3 * np.pi / 4), -np.sin(3 * np.pi / 4)], dtype=complex)
+# Cayley-Klein pairs (a, b) of the instantaneous pi pulses exp(-i pi/2 sigma_x)
+# and exp(-i pi/2 sigma_y).
+_IDEAL_PI = {"x": (0j, -1j), "y": (0j, 1 + 0j)}
 
 
 def _pulse_unitaries(seq, signal, pulse_index, delta_total, n_sub, kappa):
-    """Pi-pulse propagators for every realization, shape (R, 2, 2).
+    """Pi-pulse propagators for every realization as Cayley-Klein pairs (a, b),
+    each shape (R,).
 
     ``delta_total`` holds delta + delta_d per realization; the dynamic part
     is frozen for the pulse duration.
@@ -279,22 +283,20 @@ def simulate_ramsey(
     else:
         delta_d = np.zeros(r)
 
-    state = np.tile(_PREP, (r, 1))
+    up = np.full(r, _PREP[0])
+    dn = np.full(r, _PREP[1])
     times = np.empty(n_blocks)
     p0_mean = np.empty(n_blocks)
     p0_err = np.empty(n_blocks)
 
-    ideal_x = np.array([[0.0, -1.0j], [-1.0j, 0.0]])  # exp(-i pi/2 sigma_x)
-    ideal_y = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)  # exp(-i pi/2 sigma_y)
-
     def advance_free(t0, t1):
-        nonlocal delta_d, state
+        nonlocal delta_d, up, dn
         if t1 <= t0:
             return
         phase = _free_phase(signal, delta + delta_d, t0, t1)
         rot = np.exp(-0.5j * phase)
-        state[:, 0] *= rot
-        state[:, 1] *= np.conj(rot)
+        up *= rot
+        dn *= np.conj(rot)
         delta_d = ou_step(delta_d, t1 - t0, noise.tau, noise.c, rng) if noise.c > 0 else delta_d
 
     half_pulse = 0.0 if seq.kind == IDEAL else 0.5 * seq.t_pulse
@@ -305,24 +307,20 @@ def simulate_ramsey(
             t_center = (pulse_index + 0.5) * seq.spacing
             advance_free(t_now, t_center - half_pulse)
             if seq.kind == IDEAL:
-                axis = XY8_AXES[pulse_index % 8]
-                op = ideal_x if axis == "x" else ideal_y
-                state = state @ op.T
-                t_now = t_center
+                a, b = _IDEAL_PI[XY8_AXES[pulse_index % 8]]
             else:
-                total = delta + delta_d
-                pulse_u = _pulse_unitaries(
-                    seq, signal, pulse_index, total, n_steps_per_pulse, kappa
+                a, b = _pulse_unitaries(
+                    seq, signal, pulse_index, delta + delta_d, n_steps_per_pulse, kappa
                 )
-                state = np.einsum("rij,rj->ri", pulse_u, state)
                 if noise.c > 0:
                     delta_d = ou_step(delta_d, seq.t_pulse, noise.tau, noise.c, rng)
-                t_now = t_center + half_pulse
+            up, dn = a * up - np.conj(b) * dn, b * up + np.conj(a) * dn
+            t_now = t_center + half_pulse
             pulse_index += 1
         t_block = (block + 1) * seq.period
         advance_free(t_now, t_block)
         t_now = t_block
-        amp = state @ _READ_ROW
+        amp = _READ_ROW[0] * up + _READ_ROW[1] * dn
         p0 = np.abs(amp) ** 2
         times[block] = t_block
         p0_mean[block] = p0.mean()

@@ -403,8 +403,10 @@ def trial_seeds(master_seed: int, n_trials: int) -> np.ndarray:
 def run_trials(config: OptConfig, n_trials: int) -> TrialStats:
     """Independent trials with per-trial seeds spawned from ``config.seed``.
 
-    Individual trial failures are recorded and skipped; the call fails only
-    if every trial fails.
+    Individual trial failures (``RuntimeError``, which covers
+    ``ModelValidationError`` and a non-finite Nelder-Mead objective) are
+    recorded and skipped; the call fails only if every trial fails.  Any
+    other exception is a bug and propagates.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -413,7 +415,7 @@ def run_trials(config: OptConfig, n_trials: int) -> TrialStats:
     for i, seed in enumerate(trial_seeds(config.seed, n_trials)):
         try:
             runs.append(run_single(replace(config, seed=int(seed))))
-        except Exception as exc:
+        except RuntimeError as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     if not runs:
         raise RuntimeError(f"all {n_trials} trials failed: {failures}")

@@ -47,6 +47,58 @@ def sfb_quadratures_direct(amps, freqs, phases, quad_angles, t):
     return wx, wy
 
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def cf4_propagator_direct(field, delta, kappa, n_steps):
+    """Fourth-order commutator-free propagator by a plain loop over steps.
+
+    Each step is expm(-i dt (w2 H1 + w1 H2)) expm(-i dt (w1 H1 + w2 H2)),
+    multiplied onto the left, with H1 and H2 the explicit 2x2 Hamiltonians
+    (delta / 2) sz + kappa (Omega_x sx + Omega_y sy) at the two
+    Gauss-Legendre points of the step and the quadratures from the plain-loop
+    functions above.
+    """
+    from scipy.linalg import expm
+
+    dt = field.duration / n_steps
+    r = math.sqrt(3.0) / 6.0
+    w1, w2 = 0.25 + r, 0.25 - r
+
+    def hamiltonian(t):
+        if field.basis == "pm":
+            ox, oy = pm_quadratures_direct(field.amplitudes, field.mod_depths, field.mod_freqs, t)
+        else:
+            ox, oy = sfb_quadratures_direct(
+                field.amplitudes, field.freqs, field.phases, field.quad_angles, t
+            )
+        return 0.5 * delta * SIGMA_Z + kappa * (ox * SIGMA_X + oy * SIGMA_Y)
+
+    u = np.eye(2, dtype=complex)
+    for k in range(n_steps):
+        h1 = hamiltonian((k + 0.5 - r) * dt)
+        h2 = hamiltonian((k + 0.5 + r) * dt)
+        first = expm(-1j * dt * (w1 * h1 + w2 * h2))
+        second = expm(-1j * dt * (w2 * h1 + w1 * h2))
+        u = second @ first @ u
+    return u
+
+
+def gate_fidelity_pauli_sum(u, target):
+    """Average gate fidelity of one 2x2 U against a target by the Pauli sum
+
+    f_g = 1/2 + (1/3) sum_e Tr(T (s_e/2) T^dag U (s_e/2) U^dag), e = x, y, z.
+    """
+    total = 0.0
+    for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+        a = target @ sigma @ target.conj().T
+        m = u @ sigma @ u.conj().T
+        total += float(np.real(np.trace(a @ m)))
+    return 0.5 + total / 12.0
+
+
 def gaussian_density(x, mean, fwhm):
     sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     return math.exp(-0.5 * ((x - mean) / sigma) ** 2) / (

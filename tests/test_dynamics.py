@@ -7,6 +7,7 @@ from spinopt import (
     default_shaped_pi_field,
     ensemble_objective,
     gate_fidelity,
+    gate_fidelity_many,
     gaussian_weight,
     pm_field,
     propagate,
@@ -17,7 +18,13 @@ from spinopt import (
 )
 from spinopt.dynamics import IDENTITY, SIGMA_X, SIGMA_Y
 
-from oracles import brute_force_objective, gaussian_density, rabi_probability
+from oracles import (
+    brute_force_objective,
+    cf4_propagator_direct,
+    gate_fidelity_pauli_sum,
+    gaussian_density,
+    rabi_probability,
+)
 
 TWO_PI = 2 * np.pi
 OMEGA_MAX = TWO_PI * 10e6
@@ -30,6 +37,12 @@ DEMO_FIELD = pm_field([0.0332e9], [0.0104e9], [0.0378e9], T, OMEGA_MAX)
 # Noise-averaged state fidelity of the resonant 50 ns pi pulse on the 50x50
 # reference grid, frozen from the brute-force oracle below.
 RECT_PI_FOBJ_50X50 = 0.6792797663900694
+
+
+# Two SFB sets with distinct quadrature angles, so both quadratures vary.
+SFB_FIELD = sfb_field([0.05e9, 0.03e9], [0.02e9, 0.07e9], [0.7, 1.9], [0.0, 1.2], T, OMEGA_MAX)
+
+DETUNED_POINTS = ((TWO_PI * 7e6, 0.6), (-TWO_PI * 4e6, 1.0), (TWO_PI * 10e6, 1.4))
 
 
 def rect_pi():
@@ -138,6 +151,19 @@ class TestPropagate:
                     f2 = state_fidelity(fld, delta, kappa, 2000)
                     assert abs(f1 - f2) < 1e-8
 
+    @pytest.mark.parametrize(
+        "fld",
+        [DEMO_FIELD, default_shaped_pi_field(), SFB_FIELD],
+        ids=["demo_pm", "shaped_pi", "sfb"],
+    )
+    def test_matches_direct_oracle(self, fld):
+        # 201 steps: an odd count also exercises the unpaired tail of the reduction
+        deltas, kappas = zip(*DETUNED_POINTS)
+        us = propagate_many(fld, deltas, kappas, 201)
+        for u, (delta, kappa) in zip(us, DETUNED_POINTS):
+            expected = cf4_propagator_direct(fld, delta, kappa, 201)
+            np.testing.assert_allclose(u, expected, rtol=0, atol=1e-12)
+
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
             propagate(DEMO_FIELD, 0.0, 1.0, 0)
@@ -183,6 +209,23 @@ class TestGateFidelity:
     def test_non_unitary_target_rejected(self):
         with pytest.raises(ValueError):
             gate_fidelity(rect_pi(), np.array([[1.0, 0.0], [0.0, 0.5]]), 0.0, 1.0)
+
+    @pytest.mark.parametrize("target_name", ["sigma_x", "sigma_y", "random_with_phase"])
+    def test_matches_pauli_sum_oracle(self, target_name):
+        if target_name == "sigma_x":
+            target = SIGMA_X
+        elif target_name == "sigma_y":
+            target = SIGMA_Y
+        else:
+            rng = np.random.default_rng(17)
+            q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            target = np.exp(0.9j) * q
+        fld = default_shaped_pi_field()
+        deltas, kappas = zip(*DETUNED_POINTS)
+        f = gate_fidelity_many(fld, target, deltas, kappas, 300)
+        us = propagate_many(fld, deltas, kappas, 300)
+        expected = [gate_fidelity_pauli_sum(u, target) for u in us]
+        np.testing.assert_allclose(f, expected, rtol=0, atol=1e-12)
 
     def test_y_gate_target(self):
         omega = TWO_PI * 5e6

@@ -143,7 +143,7 @@ class TestFit:
         values = quadratic(pts)
         model = fit(pts, values, rng, bounds=UNIT)
         scaled = (pts - UNIT[:, 0]) / (UNIT[:, 1] - UNIT[:, 0])
-        corr = _cross_corr(scaled, scaled, model.params)
+        corr = _cross_corr(scaled, scaled, model.params.alpha, model.params.power)
         corr[np.diag_indices_from(corr)] += model.nugget
         rinv_one = np.linalg.solve(corr, np.ones(9))
         mu = rinv_one @ values / rinv_one.sum()
@@ -155,7 +155,7 @@ class TestFit:
         values = quadratic(pts) + 0.01 * rng.standard_normal(16)
         model = fit(pts, values, rng, bounds=UNIT)
         scaled = (pts - UNIT[:, 0]) / (UNIT[:, 1] - UNIT[:, 0])
-        corr = _cross_corr(scaled, scaled, model.params)
+        corr = _cross_corr(scaled, scaled, model.params.alpha, model.params.power)
         corr[np.diag_indices_from(corr)] += model.nugget
         best = gp_log_likelihood(values, corr, model.mu_hat, model.sigma2_hat)
         for eps in (1e-3, -1e-3):

@@ -257,6 +257,14 @@ class TestRunTrials:
         with pytest.raises(RuntimeError):
             run_trials(fast_config(seed=29), 2)
 
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(cfg):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(opt, "run_single", broken)
+        with pytest.raises(TypeError, match="bug"):
+            run_trials(fast_config(seed=31), 2)
+
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             run_trials(fast_config(), 0)
