@@ -4,9 +4,10 @@ Subcommands: ``optimize``, ``trials``, ``surrogate-demo``, ``magnetometry``,
 ``compare``.  Every command reads an optional JSON config (defaults carry the
 reference values), writes CSV data files plus a ``*_meta.json`` sidecar to
 the output directory, and returns exit code 0 on success, 1 on a runtime
-failure, 2 on a usage or config error.  Data files depend only on the config
-and seed; timestamps and wall times live in the sidecar, so repeated runs
-are byte-identical.
+failure (``RuntimeError``, ``ValueError`` or ``OSError``), 2 on a usage or
+config error; any other exception is a bug and propagates with its
+traceback.  Data files depend only on the config and seed; timestamps and
+wall times live in the sidecar, so repeated runs are byte-identical.
 """
 from __future__ import annotations
 
@@ -53,19 +54,22 @@ from .optimize import (
 
 OUT_ENV_VAR = "SPINOPT_OUT"
 
-TRIAL_FIELDS = [
-    "trial",
-    "method",
-    "n_sets",
-    "seed",
-    "f_search",
-    "f_verified",
-    "true_calls",
-    "model_attempts",
-    "nm_evals",
-    "p_fit",
-    "lambda_opt",
-]
+# Columns of a trial results CSV, in order, each with the parser that reads
+# its cell back into a record value.
+TRIAL_COLUMNS = {
+    "trial": int,
+    "method": str,
+    "n_sets": int,
+    "seed": int,
+    "f_search": float,
+    "f_verified": float,
+    "true_calls": int,
+    "model_attempts": int,
+    "nm_evals": int,
+    "p_fit": lambda cell: None if cell == "" else float(cell),
+    "lambda_opt": json.loads,
+}
+TRIAL_FIELDS = list(TRIAL_COLUMNS)
 
 
 def _write_csv(path: Path, header, rows):
@@ -90,32 +94,19 @@ def _write_meta(out: Path, command: str, wall_s: float, extra=None):
 
 def read_trial_records(path) -> list[dict]:
     """Parse a trial results CSV back into typed records."""
-    records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                {
-                    "trial": int(row["trial"]),
-                    "method": row["method"],
-                    "n_sets": int(row["n_sets"]),
-                    "seed": int(row["seed"]),
-                    "f_search": float(row["f_search"]),
-                    "f_verified": float(row["f_verified"]),
-                    "true_calls": int(row["true_calls"]),
-                    "model_attempts": int(row["model_attempts"]),
-                    "nm_evals": int(row["nm_evals"]),
-                    "p_fit": None if row["p_fit"] == "" else float(row["p_fit"]),
-                    "lambda_opt": json.loads(row["lambda_opt"]),
-                }
-            )
-    return records
+        return [
+            {name: parse(row[name]) for name, parse in TRIAL_COLUMNS.items()}
+            for row in csv.DictReader(fh)
+        ]
 
 
 def _trial_rows(runs, start_index=0):
     rows = []
     for i, run in enumerate(runs, start=start_index):
-        rec = run_to_record(run)
-        rows.append([i, *(rec[k] for k in TRIAL_FIELDS[1:-1]), json.dumps(rec["lambda_opt"])])
+        rec = {"trial": i, **run_to_record(run)}
+        rec["lambda_opt"] = json.dumps(rec["lambda_opt"])
+        rows.append([rec[name] for name in TRIAL_FIELDS])
     return rows
 
 
@@ -407,7 +398,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failure
+    except (RuntimeError, ValueError, OSError) as exc:  # declared runtime failures
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

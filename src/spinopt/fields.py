@@ -17,8 +17,18 @@ import numpy as np
 SFB = "sfb"
 PM = "pm"
 
+AMPLITUDE = "amplitude"
+RATE = "rate"
+ANGLE = "angle"
+
+# The parameter vectors of each basis, in packed order, with their kinds.
+LAYOUT = {
+    PM: {"amplitudes": AMPLITUDE, "mod_depths": RATE, "mod_freqs": RATE},
+    SFB: {"amplitudes": AMPLITUDE, "freqs": RATE, "phases": ANGLE, "quad_angles": ANGLE},
+}
+
 # Frequency-like parameters are kept within [0, FREQ_CAP_CYCLES * 2*pi / T]
-# and phases within [0, 2*pi] by enforce_amplitude_constraint.
+# and angles within [0, 2*pi] by enforce_amplitude_constraint.
 FREQ_CAP_CYCLES = 5.0
 
 
@@ -55,24 +65,15 @@ class ControlField:
     quad_angles: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.basis not in (SFB, PM):
+        if self.basis not in LAYOUT:
             raise InvalidFieldError(f"unknown basis {self.basis!r}")
-        amps = _vector(self.amplitudes, "amplitudes")
-        object.__setattr__(self, "amplitudes", amps)
         if not (np.isfinite(self.duration) and self.duration > 0):
             raise InvalidFieldError("duration must be positive and finite")
         if not (np.isfinite(self.amp_limit) and self.amp_limit > 0):
             raise InvalidFieldError("amp_limit must be positive and finite")
-        n = amps.size
-        if self.basis == PM:
-            needed = {"mod_depths": self.mod_depths, "mod_freqs": self.mod_freqs}
-        else:
-            needed = {
-                "freqs": self.freqs,
-                "phases": self.phases,
-                "quad_angles": self.quad_angles,
-            }
-        for name, value in needed.items():
+        n = np.size(self.amplitudes)
+        for name in LAYOUT[self.basis]:
+            value = getattr(self, name)
             if value is None:
                 raise InvalidFieldError(f"{self.basis} basis requires {name}")
             vec = _vector(value, name)
@@ -108,6 +109,22 @@ def sfb_field(amplitudes, freqs, phases, quad_angles, duration, amp_limit) -> Co
         phases=phases,
         quad_angles=quad_angles,
     )
+
+
+def parameter_ranges(basis, duration, amp_limit):
+    """(name, initial, bounds) of each vector of ``basis``, in packed order.
+
+    Random starts draw every entry uniformly from [0, initial]: amp_limit for
+    amplitudes, 2*pi / T for rates and 2*pi for angles.  ``bounds`` is the
+    (low, high) range that enforce_amplitude_constraint clamps the vector
+    into, or None for amplitudes, which the envelope rescale bounds instead.
+    """
+    by_kind = {
+        AMPLITUDE: (amp_limit, None),
+        RATE: (2.0 * np.pi / duration, (0.0, FREQ_CAP_CYCLES * 2.0 * np.pi / duration)),
+        ANGLE: (2.0 * np.pi, (0.0, 2.0 * np.pi)),
+    }
+    return [(name, *by_kind[kind]) for name, kind in LAYOUT[basis].items()]
 
 
 def constant_drive(rotation_rate, duration, amp_limit) -> ControlField:
@@ -152,27 +169,19 @@ def peak_amplitude(field: ControlField, n_grid: int = 2001) -> float:
 def enforce_amplitude_constraint(field: ControlField, n_grid: int = 2001) -> ControlField:
     """Clamp frequency/phase parameters and rescale amplitudes to the limit.
 
-    Frequencies are clamped into [0, 5 * 2*pi / T] and phases into [0, 2*pi].
+    Rates are clamped into [0, 5 * 2*pi / T] and angles into [0, 2*pi].
     If the dense-grid peak envelope exceeds amp_limit, every amplitude is
     scaled by amp_limit / peak; the envelope is linear in the amplitudes, so
     the rescaled peak equals amp_limit exactly.
     """
-    freq_cap = FREQ_CAP_CYCLES * 2.0 * np.pi / field.duration
     updates = {}
-    if field.basis == PM:
-        clamped = {
-            "mod_depths": np.clip(field.mod_depths, 0.0, freq_cap),
-            "mod_freqs": np.clip(field.mod_freqs, 0.0, freq_cap),
-        }
-    else:
-        clamped = {
-            "freqs": np.clip(field.freqs, 0.0, freq_cap),
-            "phases": np.clip(field.phases, 0.0, 2.0 * np.pi),
-            "quad_angles": np.clip(field.quad_angles, 0.0, 2.0 * np.pi),
-        }
-    for name, value in clamped.items():
-        if not np.array_equal(value, getattr(field, name)):
-            updates[name] = value
+    for name, _, bounds in parameter_ranges(field.basis, field.duration, field.amp_limit):
+        if bounds is None:
+            continue
+        value = getattr(field, name)
+        clamped = np.clip(value, *bounds)
+        if not np.array_equal(clamped, value):
+            updates[name] = clamped
     candidate = dataclasses.replace(field, **updates) if updates else field
     peak = peak_amplitude(candidate, n_grid)
     if peak > candidate.amp_limit:

@@ -28,6 +28,8 @@ from .neldermead import nelder_mead
 DEFAULT_NUGGET = 1e-10
 LOG_ALPHA_RANGE = (-6.0, 6.0)
 POWER_RANGE = (1.0, 2.0)
+# Nelder-Mead starts per likelihood fit, each from a uniform draw of (log alpha, p).
+FIT_RESTARTS = 5
 # Sample pairs closer than this fraction of the scaled region diagonal make
 # the correlation matrix numerically singular regardless of the nugget.
 SEPARATION_FLOOR = 1e-6
@@ -298,7 +300,6 @@ def fit(
     values,
     rng: np.random.Generator | None = None,
     bounds=None,
-    n_restarts: int = 5,
     nugget: float = DEFAULT_NUGGET,
 ) -> KrigingModel:
     """Fit correlation parameters by maximum likelihood and build the model.
@@ -345,7 +346,7 @@ def fit(
     best_theta = None
     best_nll = np.inf
     steps = np.concatenate([np.full(k, 0.6), np.full(k, 0.05)])
-    for _ in range(n_restarts):
+    for _ in range(FIT_RESTARTS):
         theta0 = np.concatenate(
             [rng.uniform(*LOG_ALPHA_RANGE, size=k), rng.uniform(*POWER_RANGE, size=k)]
         )

@@ -21,7 +21,7 @@ from .dynamics import (
     cf4_propagator,
     cf4_times,
 )
-from .fields import ControlField, pm_field, quadratures
+from .fields import ControlField, constant_drive, pm_field, quadratures
 
 RECT = "rect"
 SHAPED = "shaped"
@@ -127,8 +127,9 @@ class PulseSequence:
 def build_xy8(kind, t_pulse, tau_pulse, n_periods, x_field=None, y_field=None) -> PulseSequence:
     """Construct an XY-8 sequence (pulse order X Y X Y Y X Y X per block).
 
-    Rectangular pulses drive a pi rotation in t_pulse (constant quadrature
-    pi / (2 t_pulse), i.e. Bloch rotation rate pi / t_pulse).  Shaped pulses
+    Rectangular pulses drive a pi rotation in t_pulse: both axes carry
+    ``constant_drive(pi / t_pulse, ...)``, a constant quadrature
+    pi / (2 t_pulse), i.e. Bloch rotation rate pi / t_pulse.  Shaped pulses
     take their quadratures from the supplied phase-modulated field(s); the
     Y pulse reuses the X field with the quadratures swapped onto (y, -x)
     unless a dedicated y_field is given.
@@ -147,9 +148,10 @@ def build_xy8(kind, t_pulse, tau_pulse, n_periods, x_field=None, y_field=None) -
         for fld in (x_field, y_field):
             if abs(fld.duration - t_pulse) > 1e-15:
                 raise ValueError("shaped field duration must equal t_pulse")
+    elif kind == RECT:
+        x_field = y_field = constant_drive(np.pi / t_pulse, t_pulse, np.pi / t_pulse)
     else:
-        x_field = None
-        y_field = None
+        x_field = y_field = None
     return PulseSequence(
         kind=kind,
         t_pulse=float(t_pulse),
@@ -206,30 +208,30 @@ _READ_ROW = np.array([np.cos(3 * np.pi / 4), -np.sin(3 * np.pi / 4)], dtype=comp
 _IDEAL_PI = {"x": (0j, -1j), "y": (0j, 1 + 0j)}
 
 
-def _pulse_unitaries(seq, signal, pulse_index, delta_total, n_sub, kappa):
-    """Pi-pulse propagators for every realization as Cayley-Klein pairs (a, b),
-    each shape (R,).
-
-    ``delta_total`` holds delta + delta_d per realization; the dynamic part
-    is frozen for the pulse duration.
-    """
-    axis = XY8_AXES[pulse_index % 8]
-    t_center = (pulse_index + 0.5) * seq.spacing
-    t_start = t_center - 0.5 * seq.t_pulse
-    dt = seq.t_pulse / n_sub
-
-    def coefficients(t_local):
-        if seq.kind == RECT:
-            rate = np.pi / (2.0 * seq.t_pulse)  # quadrature of an exact pi pulse
-            w1 = np.full(n_sub, rate)
-            w2 = np.zeros(n_sub)
-        else:
-            fld = seq.x_field if axis == "x" else seq.y_field
+def _axis_drives(seq, times, kappa):
+    """Transverse drive of each XY-8 axis as ``(hx, hy, t_local)`` at each of
+    the two CF4 sample ``times`` (arrays of shape (n_sub,)).  The Y pulse
+    puts the y field's quadratures (w1, w2) on (-w2, w1)."""
+    drives = {}
+    for axis, fld in (("x", seq.x_field), ("y", seq.y_field)):
+        drives[axis] = []
+        for t_local in times:
             w1, w2 = quadratures(fld, t_local)
-        if axis == "x":
-            hx, hy = kappa * w1, kappa * w2
-        else:
-            hx, hy = -kappa * w2, kappa * w1
+            hx, hy = (kappa * w1, kappa * w2) if axis == "x" else (-kappa * w2, kappa * w1)
+            drives[axis].append((hx, hy, t_local))
+    return drives
+
+
+def _pulse_unitaries(signal, t_start, delta_total, drive, dt):
+    """Propagators of the pi pulse starting at ``t_start`` for every
+    realization as Cayley-Klein pairs (a, b), each shape (R,).
+
+    ``drive`` is the pulse axis's entry of ``_axis_drives``.  ``delta_total``
+    holds delta + delta_d per realization; the dynamic part is frozen for the
+    pulse duration.
+    """
+
+    def coefficients(hx, hy, t_local):
         hz = 0.5 * delta_total[None, :] + signal.g_ac * np.cos(
             signal.omega_s * (t_start + t_local)
         )[:, None]
@@ -239,8 +241,7 @@ def _pulse_unitaries(seq, signal, pulse_index, delta_total, n_sub, kappa):
             hz,
         )
 
-    t1, t2 = cf4_times(n_sub, dt)
-    return cf4_propagator(coefficients(t1), coefficients(t2), dt)
+    return cf4_propagator(*(coefficients(*d) for d in drive), dt)
 
 
 def _free_phase(signal, delta_total, t0, t1):
@@ -300,18 +301,21 @@ def simulate_ramsey(
         delta_d = ou_step(delta_d, t1 - t0, noise.tau, noise.c, rng) if noise.c > 0 else delta_d
 
     half_pulse = 0.0 if seq.kind == IDEAL else 0.5 * seq.t_pulse
+    dt = seq.t_pulse / n_steps_per_pulse
+    if seq.kind != IDEAL:
+        drives = _axis_drives(seq, cf4_times(n_steps_per_pulse, dt), kappa)
     t_now = 0.0
     pulse_index = 0
     for block in range(n_blocks):
         for _ in range(8):
             t_center = (pulse_index + 0.5) * seq.spacing
-            advance_free(t_now, t_center - half_pulse)
+            t_start = t_center - half_pulse
+            advance_free(t_now, t_start)
+            axis = XY8_AXES[pulse_index % 8]
             if seq.kind == IDEAL:
-                a, b = _IDEAL_PI[XY8_AXES[pulse_index % 8]]
+                a, b = _IDEAL_PI[axis]
             else:
-                a, b = _pulse_unitaries(
-                    seq, signal, pulse_index, delta + delta_d, n_steps_per_pulse, kappa
-                )
+                a, b = _pulse_unitaries(signal, t_start, delta + delta_d, drives[axis], dt)
                 if noise.c > 0:
                     delta_d = ou_step(delta_d, seq.t_pulse, noise.tau, noise.c, rng)
             up, dn = a * up - np.conj(b) * dn, b * up + np.conj(a) * dn

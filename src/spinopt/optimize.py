@@ -40,7 +40,14 @@ from .dynamics import (
     gate_fidelity_many,
     state_fidelity_many,
 )
-from .fields import PM, SFB, ControlField, enforce_amplitude_constraint, pm_field, sfb_field
+from .fields import (
+    LAYOUT,
+    PM,
+    SFB,
+    ControlField,
+    enforce_amplitude_constraint,
+    parameter_ranges,
+)
 from .kriging import (
     DegenerateDesignError,
     DegenerateValidationError,
@@ -84,7 +91,6 @@ class OptConfig:
     kappa_mean: float = DEFAULT_KAPPA_MEAN
     nm_f_tol: float = 1e-5
     nm_max_iter: int | None = None
-    fit_restarts: int = 5
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -101,8 +107,6 @@ class OptConfig:
             raise ValueError("n_steps must be at least 1")
         if self.max_model_attempts < 1:
             raise ValueError("max_model_attempts must be at least 1")
-        if self.fit_restarts < 1:
-            raise ValueError("fit_restarts must be at least 1")
         for name in ("duration", "amp_limit"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
@@ -193,27 +197,17 @@ class TrialStats:
 
 
 def pack_params(fld: ControlField) -> np.ndarray:
-    if fld.basis == PM:
-        return np.concatenate([fld.amplitudes, fld.mod_depths, fld.mod_freqs])
-    return np.concatenate([fld.amplitudes, fld.freqs, fld.phases, fld.quad_angles])
+    return np.concatenate([getattr(fld, name) for name in LAYOUT[fld.basis]])
 
 
 def unpack_params(basis, params, n_sets, duration, amp_limit) -> ControlField:
     params = np.asarray(params, dtype=float)
-    n = n_sets
-    if basis == PM:
-        if params.size != 3 * n:
-            raise ValueError("PM parameter vector must have 3 * n_sets entries")
-        return pm_field(params[:n], params[n : 2 * n], params[2 * n :], duration, amp_limit)
-    if params.size != 4 * n:
-        raise ValueError("SFB parameter vector must have 4 * n_sets entries")
-    return sfb_field(
-        params[:n],
-        params[n : 2 * n],
-        params[2 * n : 3 * n],
-        params[3 * n :],
-        duration,
-        amp_limit,
+    names = LAYOUT[basis]
+    if params.size != len(names) * n_sets:
+        raise ValueError(f"{basis} parameter vector must have {len(names)} * n_sets entries")
+    vectors = params.reshape(len(names), n_sets)
+    return ControlField(
+        basis=basis, duration=duration, amp_limit=amp_limit, **dict(zip(names, vectors))
     )
 
 
@@ -224,32 +218,20 @@ def feasible_field(basis, params, n_sets, duration, amp_limit) -> ControlField:
 
 
 def draw_initial_params(rng, basis, n_sets, duration, amp_limit) -> np.ndarray:
-    """Random start: a in [0, amp_limit], frequency-like in [0, 2 pi / T],
-    phases in [0, 2 pi]."""
-    base_freq = 2.0 * np.pi / duration
-    amps = rng.uniform(0.0, amp_limit, n_sets)
-    if basis == PM:
-        depths = rng.uniform(0.0, base_freq, n_sets)
-        mods = rng.uniform(0.0, base_freq, n_sets)
-        return np.concatenate([amps, depths, mods])
-    freqs = rng.uniform(0.0, base_freq, n_sets)
-    phases = rng.uniform(0.0, 2.0 * np.pi, n_sets)
-    quads = rng.uniform(0.0, 2.0 * np.pi, n_sets)
-    return np.concatenate([amps, freqs, phases, quads])
+    """Random start, one vector after another in packed order, each entry
+    uniform on its vector's initial range (``fields.parameter_ranges``)."""
+    return np.concatenate(
+        [
+            rng.uniform(0.0, initial, n_sets)
+            for _, initial, _ in parameter_ranges(basis, duration, amp_limit)
+        ]
+    )
 
 
 def _simplex_steps(basis, n_sets, duration, amp_limit) -> np.ndarray:
     """Initial simplex offsets: 5 percent of each parameter's initial range."""
-    base_freq = 2.0 * np.pi / duration
-    if basis == PM:
-        ranges = [amp_limit] * n_sets + [base_freq] * (2 * n_sets)
-    else:
-        ranges = (
-            [amp_limit] * n_sets
-            + [base_freq] * n_sets
-            + [2.0 * np.pi] * (2 * n_sets)
-        )
-    return 0.05 * np.asarray(ranges)
+    spans = [initial for _, initial, _ in parameter_ranges(basis, duration, amp_limit)]
+    return 0.05 * np.repeat(spans, n_sets)
 
 
 def build_valid_surrogate(
@@ -259,7 +241,6 @@ def build_valid_surrogate(
     max_attempts: int,
     rng: np.random.Generator,
     evaluator,
-    fit_restarts: int = 5,
 ) -> BuildResult:
     """Repeat {sample field, jittered design, fit, cross-validate} until a
     model passes the p_fit gate.
@@ -278,7 +259,7 @@ def build_valid_surrogate(
         values = np.asarray(evaluator(fld, points), dtype=float)
         true_calls += n
         try:
-            model = fit(points, values, rng, bounds=region, n_restarts=fit_restarts)
+            model = fit(points, values, rng, bounds=region)
             p_fit = loo_validate(model)
         except (
             DegenerateDesignError,
@@ -351,7 +332,6 @@ def run_single(config: OptConfig) -> OptRun:
             config.max_model_attempts,
             rng,
             evaluate,
-            fit_restarts=config.fit_restarts,
         )
         x0 = pack_params(built.field)
         true_calls, model_attempts, p_fit = built.true_calls, built.attempts, built.p_fit

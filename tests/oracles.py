@@ -52,30 +52,19 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def cf4_propagator_direct(field, delta, kappa, n_steps):
-    """Fourth-order commutator-free propagator by a plain loop over steps.
+def _cf4_direct(hamiltonian, duration, n_steps):
+    """Fourth-order commutator-free propagator of ``hamiltonian(t)`` (an
+    explicit 2x2 matrix) over [0, duration] by a plain loop over steps.
 
     Each step is expm(-i dt (w2 H1 + w1 H2)) expm(-i dt (w1 H1 + w2 H2)),
-    multiplied onto the left, with H1 and H2 the explicit 2x2 Hamiltonians
-    (delta / 2) sz + kappa (Omega_x sx + Omega_y sy) at the two
-    Gauss-Legendre points of the step and the quadratures from the plain-loop
-    functions above.
+    multiplied onto the left, with H1 and H2 sampled at the two
+    Gauss-Legendre points of the step.
     """
     from scipy.linalg import expm
 
-    dt = field.duration / n_steps
+    dt = duration / n_steps
     r = math.sqrt(3.0) / 6.0
     w1, w2 = 0.25 + r, 0.25 - r
-
-    def hamiltonian(t):
-        if field.basis == "pm":
-            ox, oy = pm_quadratures_direct(field.amplitudes, field.mod_depths, field.mod_freqs, t)
-        else:
-            ox, oy = sfb_quadratures_direct(
-                field.amplitudes, field.freqs, field.phases, field.quad_angles, t
-            )
-        return 0.5 * delta * SIGMA_Z + kappa * (ox * SIGMA_X + oy * SIGMA_Y)
-
     u = np.eye(2, dtype=complex)
     for k in range(n_steps):
         h1 = hamiltonian((k + 0.5 - r) * dt)
@@ -84,6 +73,78 @@ def cf4_propagator_direct(field, delta, kappa, n_steps):
         second = expm(-1j * dt * (w2 * h1 + w1 * h2))
         u = second @ first @ u
     return u
+
+
+def _quadratures_direct(field, t):
+    if field.basis == "pm":
+        return pm_quadratures_direct(field.amplitudes, field.mod_depths, field.mod_freqs, t)
+    return sfb_quadratures_direct(
+        field.amplitudes, field.freqs, field.phases, field.quad_angles, t
+    )
+
+
+def cf4_propagator_direct(field, delta, kappa, n_steps):
+    """CF4 propagator of (delta / 2) sz + kappa (Omega_x sx + Omega_y sy) with
+    the quadratures from the plain-loop functions above."""
+
+    def hamiltonian(t):
+        ox, oy = _quadratures_direct(field, t)
+        return 0.5 * delta * SIGMA_Z + kappa * (ox * SIGMA_X + oy * SIGMA_Y)
+
+    return _cf4_direct(hamiltonian, field.duration, n_steps)
+
+
+def xy8_populations_direct(
+    x_field, y_field, t_pulse, tau_pulse, n_blocks, deltas, g_ac, omega_s, kappa, n_sub
+):
+    """Readout population P0 at each XY-8 block terminal, one row per static
+    detuning in ``deltas`` (no dynamic noise), shape (len(deltas), n_blocks).
+
+    The state starts at expm(-i pi/4 sy)|0>.  Pulse k (axes X Y X Y Y X Y X)
+    is centered at (k + 1/2)(t_pulse + tau_pulse) and propagated by
+    ``_cf4_direct`` with hz(t) = delta / 2 + g_ac cos(omega_s t); an X pulse
+    drives (Omega_x, Omega_y) of x_field, a Y pulse (-Omega_y, Omega_x) of
+    y_field.  Between pulses the state turns by the exact z rotation
+    exp(-i (phi / 2) sz), phi = int (delta + 2 g_ac cos(omega_s t)) dt.  Each
+    terminal reads |<0| expm(-i 3 pi/4 sy) psi|^2.
+    """
+    from scipy.linalg import expm
+
+    spacing = t_pulse + tau_pulse
+    prep = expm(-1j * math.pi / 4 * SIGMA_Y) @ np.array([1.0, 0.0])
+    readout = np.array([1.0, 0.0]) @ expm(-1j * 3 * math.pi / 4 * SIGMA_Y)
+    axes = "XYXYYXYX"
+    out = np.empty((len(deltas), n_blocks))
+    for i, delta in enumerate(deltas):
+
+        def free(t0, t1):
+            phi = delta * (t1 - t0) + 2.0 * g_ac / omega_s * (
+                math.sin(omega_s * t1) - math.sin(omega_s * t0)
+            )
+            return np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+
+        psi = prep
+        t_now = 0.0
+        for block in range(n_blocks):
+            for j in range(8):
+                k = 8 * block + j
+                t_start = (k + 0.5) * spacing - 0.5 * t_pulse
+                psi = free(t_now, t_start) @ psi
+                fld = x_field if axes[j] == "X" else y_field
+
+                def hamiltonian(t, fld=fld, axis=axes[j], t_start=t_start):
+                    ox, oy = _quadratures_direct(fld, t)
+                    hx, hy = (ox, oy) if axis == "X" else (-oy, ox)
+                    hz = 0.5 * delta + g_ac * math.cos(omega_s * (t_start + t))
+                    return hz * SIGMA_Z + kappa * (hx * SIGMA_X + hy * SIGMA_Y)
+
+                psi = _cf4_direct(hamiltonian, t_pulse, n_sub) @ psi
+                t_now = t_start + t_pulse
+            t_block = (block + 1) * 8 * spacing
+            psi = free(t_now, t_block) @ psi
+            t_now = t_block
+            out[i, block] = abs(readout @ psi) ** 2
+    return out
 
 
 def gate_fidelity_pauli_sum(u, target):

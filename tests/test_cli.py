@@ -111,6 +111,19 @@ class TestExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only declared runtime failures become "error:" lines; a bug keeps
+        # its traceback
+        import spinopt.optimize as opt
+
+        def broken(config):
+            raise TypeError("bug in trial")
+
+        monkeypatch.setattr(opt, "run_single", broken)
+        path = write_config(tmp_path, FAST_OPT)
+        with pytest.raises(TypeError, match="bug in trial"):
+            main(["trials", "--config", path, "--out", str(tmp_path / "o")])
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["optimize", "--method", "annealing"])

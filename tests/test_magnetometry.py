@@ -6,6 +6,7 @@ from spinopt import (
     NoiseGrid,
     NoiseSettings,
     build_xy8,
+    constant_drive,
     default_shaped_pi_field,
     ensemble_objective,
     estimate_t2,
@@ -15,11 +16,11 @@ from spinopt import (
     ou_step,
     simulate_ramsey,
 )
-from spinopt.dynamics import SIGMA_X
+from spinopt.dynamics import FWHM_TO_SIGMA, SIGMA_X
 from spinopt.fields import peak_amplitude
 from spinopt.magnetometry import XY8_AXES
 
-from oracles import abs_cos_integral
+from oracles import abs_cos_integral, xy8_populations_direct
 
 TWO_PI = 2 * np.pi
 OMEGA_MAX = TWO_PI * 10e6
@@ -147,6 +148,33 @@ class TestSimulateRamsey:
         trace = simulate_ramsey(seq, SIGNAL, noise, 6 * 3.2e-6, n_steps_per_pulse=24)
         assert np.all(trace.p0_mean >= 0) and np.all(trace.p0_mean <= 1)
         assert trace.times.size == 6
+
+    @pytest.mark.parametrize(
+        "kind, t_pulse, tau_pulse",
+        [("rect", 50e-9, 350e-9), ("shaped", 100e-9, 300e-9)],
+    )
+    def test_matches_direct_oracle(self, kind, t_pulse, tau_pulse):
+        # two blocks, three static detunings, no dynamic noise
+        x_field = (
+            default_shaped_pi_field()
+            if kind == "shaped"
+            else constant_drive(np.pi / t_pulse, t_pulse, np.pi / t_pulse)
+        )
+        seq = build_xy8(kind, t_pulse, tau_pulse, 2, x_field=x_field)
+        noise = NoiseSettings(c=0.0, n_realizations=3, seed=5)
+        kappa, n_sub = 0.9, 20
+        trace = simulate_ramsey(
+            seq, SIGNAL, noise, 2 * seq.period, n_steps_per_pulse=n_sub, kappa=kappa
+        )
+        deltas = np.random.default_rng(5).normal(0.0, noise.delta_fwhm * FWHM_TO_SIGMA, 3)
+        p0 = xy8_populations_direct(
+            x_field, x_field, t_pulse, tau_pulse, 2, deltas,
+            SIGNAL.g_ac, SIGNAL.omega_s, kappa, n_sub,
+        )
+        np.testing.assert_allclose(trace.p0_mean, p0.mean(axis=0), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            trace.p0_stderr, p0.std(axis=0, ddof=1) / np.sqrt(3), rtol=0, atol=1e-10
+        )
 
     def test_deterministic_for_fixed_seed(self):
         seq = build_xy8("rect", 50e-9, 350e-9, 5)

@@ -54,6 +54,8 @@ class TestParamPacking:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             unpack_params("pm", np.zeros(4), 1, T, OMEGA_MAX)
+        with pytest.raises(ValueError):
+            unpack_params("sfb", np.zeros(6), 2, T, OMEGA_MAX)
 
     def test_initial_draw_ranges(self):
         rng = np.random.default_rng(0)
@@ -65,6 +67,27 @@ class TestParamPacking:
             sfb = draw_initial_params(rng, "sfb", 1, T, OMEGA_MAX)
             assert 0 <= sfb[1] <= base_freq
             assert 0 <= sfb[2] <= TWO_PI and 0 <= sfb[3] <= TWO_PI
+
+    # initial range of each vector in packed order, with an amplitude limit
+    # unequal to 2 pi / T so that amplitudes and rates tell apart
+    AMP_LIMIT = 0.7 * OMEGA_MAX
+    INITIAL_RANGES = {
+        "pm": [AMP_LIMIT, TWO_PI / T, TWO_PI / T],
+        "sfb": [AMP_LIMIT, TWO_PI / T, TWO_PI, TWO_PI],
+    }
+
+    @pytest.mark.parametrize("basis", ["pm", "sfb"])
+    def test_initial_draw_in_packed_order(self, basis):
+        drawn = draw_initial_params(np.random.default_rng(11), basis, 2, T, self.AMP_LIMIT)
+        twin = np.random.default_rng(11)
+        expected = [twin.uniform(0.0, high, 2) for high in self.INITIAL_RANGES[basis]]
+        np.testing.assert_array_equal(drawn, np.concatenate(expected))
+
+    @pytest.mark.parametrize("basis", ["pm", "sfb"])
+    def test_simplex_steps_are_five_percent_of_initial_ranges(self, basis):
+        steps = opt._simplex_steps(basis, 2, T, self.AMP_LIMIT)
+        expected = 0.05 * np.repeat(self.INITIAL_RANGES[basis], 2)
+        np.testing.assert_allclose(steps, expected, rtol=1e-15)
 
 
 class TestBuildValidSurrogate:
@@ -311,7 +334,6 @@ class TestConfigValidation:
             dict(kappa_fwhm=0.0),
             dict(search_grid=(0, 4)),
             dict(verify_grid=(50, 0)),
-            dict(fit_restarts=0),
             dict(duration=0.0),
             dict(duration=float("nan")),
             dict(duration=float("inf")),
