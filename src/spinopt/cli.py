@@ -70,6 +70,9 @@ TRIAL_COLUMNS = {
     "lambda_opt": json.loads,
 }
 TRIAL_FIELDS = list(TRIAL_COLUMNS)
+# Columns of timings.csv: each trial's wall time and pulse-search
+# diagnostics, kept out of the byte-reproducible data files.
+TIMING_FIELDS = ["trial", "wall_ms", "nm_iters", "nm_converged"]
 
 
 def _write_csv(path: Path, header, rows):
@@ -110,6 +113,10 @@ def _trial_rows(runs, start_index=0):
     return rows
 
 
+def _timing_rows(runs):
+    return [[i, r.wall_ms, r.nm_iters, int(r.nm_converged)] for i, r in enumerate(runs)]
+
+
 def _fidelity_map_rows(field, grid: NoiseGrid, n_steps: int):
     pts = grid.points()
     f = state_fidelity_many(field, pts[:, 0], pts[:, 1], n_steps)
@@ -124,7 +131,7 @@ def cmd_optimize(cfg: dict, out: Path, seed) -> int:
     oc = opt_config_from(cfg, seed=seed)
     run = run_single(oc)
     _write_csv(out / "results.csv", TRIAL_FIELDS, _trial_rows([run]))
-    _write_csv(out / "timings.csv", ["trial", "wall_ms"], [[0, run.wall_ms]])
+    _write_csv(out / "timings.csv", TIMING_FIELDS, _timing_rows([run]))
     grid = oc.noise_grid(oc.verify_grid)
     _write_csv(
         out / "field_map.csv",
@@ -145,11 +152,7 @@ def cmd_trials(cfg: dict, out: Path, seed) -> int:
     n_trials = int(cfg["optimize"]["n_trials"])
     stats = run_trials(oc, n_trials)
     _write_csv(out / "results.csv", TRIAL_FIELDS, _trial_rows(stats.runs))
-    _write_csv(
-        out / "timings.csv",
-        ["trial", "wall_ms"],
-        [[i, r.wall_ms] for i, r in enumerate(stats.runs)],
-    )
+    _write_csv(out / "timings.csv", TIMING_FIELDS, _timing_rows(stats.runs))
     summary = stats_to_record(oc, n_trials, stats)
     _write_csv(out / "summary.csv", list(summary.keys()), [list(summary.values())])
     _write_csv(

@@ -27,6 +27,9 @@ LAYOUT = {
     SFB: {"amplitudes": AMPLITUDE, "freqs": RATE, "phases": ANGLE, "quad_angles": ANGLE},
 }
 
+# Every parameter vector of any basis, in first-seen packed order.
+_VECTORS = tuple(dict.fromkeys(name for layout in LAYOUT.values() for name in layout))
+
 # Frequency-like parameters are kept within [0, FREQ_CAP_CYCLES * 2*pi / T]
 # and angles within [0, 2*pi] by enforce_amplitude_constraint.
 FREQ_CAP_CYCLES = 5.0
@@ -71,6 +74,9 @@ class ControlField:
             raise InvalidFieldError("duration must be positive and finite")
         if not (np.isfinite(self.amp_limit) and self.amp_limit > 0):
             raise InvalidFieldError("amp_limit must be positive and finite")
+        for name in _VECTORS:
+            if name not in LAYOUT[self.basis] and getattr(self, name) is not None:
+                raise InvalidFieldError(f"{self.basis} basis takes no {name}")
         n = np.size(self.amplitudes)
         for name in LAYOUT[self.basis]:
             value = getattr(self, name)

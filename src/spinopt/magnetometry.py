@@ -18,6 +18,7 @@ from .dynamics import (
     DEFAULT_AMP_LIMIT,
     DEFAULT_DELTA_FWHM,
     FWHM_TO_SIGMA,
+    cf4_mix,
     cf4_propagator,
     cf4_times,
 )
@@ -209,39 +210,39 @@ _IDEAL_PI = {"x": (0j, -1j), "y": (0j, 1 + 0j)}
 
 
 def _axis_drives(seq, times, kappa):
-    """Transverse drive of each XY-8 axis as ``(hx, hy, t_local)`` at each of
-    the two CF4 sample ``times`` (arrays of shape (n_sub,)).  The Y pulse
-    puts the y field's quadratures (w1, w2) on (-w2, w1)."""
+    """Transverse drive of each XY-8 axis as ``((hx, hy), (hx, hy))`` for the
+    two CF4 exponents of each substep, from the quadratures at the (2, n_sub)
+    sample ``times``.  The Y pulse puts the y field's quadratures (w1, w2)
+    on (-w2, w1)."""
     drives = {}
     for axis, fld in (("x", seq.x_field), ("y", seq.y_field)):
-        drives[axis] = []
-        for t_local in times:
-            w1, w2 = quadratures(fld, t_local)
-            hx, hy = (kappa * w1, kappa * w2) if axis == "x" else (-kappa * w2, kappa * w1)
-            drives[axis].append((hx, hy, t_local))
+        w1, w2 = quadratures(fld, times)
+        hx, hy = (kappa * w1, kappa * w2) if axis == "x" else (-kappa * w2, kappa * w1)
+        drives[axis] = tuple(zip(cf4_mix(*hx), cf4_mix(*hy)))
     return drives
 
 
-def _pulse_unitaries(signal, t_start, delta_total, drive, dt):
+def _pulse_unitaries(signal, t_start, delta_total, drive, times, dt):
     """Propagators of the pi pulse starting at ``t_start`` for every
     realization as Cayley-Klein pairs (a, b), each shape (R,).
 
-    ``drive`` is the pulse axis's entry of ``_axis_drives``.  ``delta_total``
-    holds delta + delta_d per realization; the dynamic part is frozen for the
-    pulse duration.
+    ``drive`` is the pulse axis's entry of ``_axis_drives`` and ``times`` the
+    local sample times it was built on.  ``delta_total`` holds
+    delta + delta_d per realization; the dynamic part is frozen for the
+    pulse duration.  The z coefficient is mixed on the time axis and the
+    static detuning added per realization, giving (R, n_sub) arrays.
     """
-
-    def coefficients(hx, hy, t_local):
-        hz = 0.5 * delta_total[None, :] + signal.g_ac * np.cos(
-            signal.omega_s * (t_start + t_local)
-        )[:, None]
-        return (
-            np.broadcast_to(hx[:, None], hz.shape),
-            np.broadcast_to(hy[:, None], hz.shape),
-            hz,
-        )
-
-    return cf4_propagator(*(coefficients(*d) for d in drive), dt)
+    signal_first, signal_second = cf4_mix(
+        *(signal.g_ac * np.cos(signal.omega_s * (t_start + times)))
+    )
+    static = 0.5 * delta_total[:, None]
+    static_first, static_second = cf4_mix(static, static)
+    (hx_first, hy_first), (hx_second, hy_second) = drive
+    return cf4_propagator(
+        (hx_first, hy_first, static_first + signal_first),
+        (hx_second, hy_second, static_second + signal_second),
+        dt,
+    )
 
 
 def _free_phase(signal, delta_total, t0, t1):
@@ -303,7 +304,8 @@ def simulate_ramsey(
     half_pulse = 0.0 if seq.kind == IDEAL else 0.5 * seq.t_pulse
     dt = seq.t_pulse / n_steps_per_pulse
     if seq.kind != IDEAL:
-        drives = _axis_drives(seq, cf4_times(n_steps_per_pulse, dt), kappa)
+        sample_times = np.stack(cf4_times(n_steps_per_pulse, dt))
+        drives = _axis_drives(seq, sample_times, kappa)
     t_now = 0.0
     pulse_index = 0
     for block in range(n_blocks):
@@ -315,7 +317,9 @@ def simulate_ramsey(
             if seq.kind == IDEAL:
                 a, b = _IDEAL_PI[axis]
             else:
-                a, b = _pulse_unitaries(signal, t_start, delta + delta_d, drives[axis], dt)
+                a, b = _pulse_unitaries(
+                    signal, t_start, delta + delta_d, drives[axis], sample_times, dt
+                )
                 if noise.c > 0:
                     delta_d = ou_step(delta_d, seq.t_pulse, noise.tau, noise.c, rng)
             up, dn = a * up - np.conj(b) * dn, b * up + np.conj(a) * dn

@@ -170,6 +170,7 @@ class OptRun:
     model_attempts: int
     nm_evals: int
     nm_iters: int
+    nm_converged: bool
     p_fit: float | None
     wall_ms: float
 
@@ -370,6 +371,7 @@ def run_single(config: OptConfig) -> OptRun:
         model_attempts=model_attempts,
         nm_evals=result.n_evals,
         nm_iters=result.n_iter,
+        nm_converged=result.converged,
         p_fit=p_fit,
         wall_ms=(time.perf_counter() - start) * 1e3,
     )

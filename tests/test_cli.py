@@ -144,7 +144,12 @@ class TestOptimizeCommand:
         field_map = (out / "field_map.csv").read_text().splitlines()
         assert field_map[0] == "delta_mhz,kappa,fidelity"
         assert len(field_map) == 1 + 15 * 15
-        assert (out / "timings.csv").exists()
+        timings = (out / "timings.csv").read_text().splitlines()
+        assert timings[0] == "trial,wall_ms,nm_iters,nm_converged"
+        trial, wall_ms, nm_iters, converged = timings[1].split(",")
+        assert trial == "0" and float(wall_ms) > 0
+        assert 0 < int(nm_iters) <= rec["nm_evals"]
+        assert converged in ("0", "1")
 
     def test_method_flag_produces_sfb_record(self, tmp_path):
         cfg = write_config(tmp_path, FAST_OPT)
@@ -204,6 +209,9 @@ class TestTrialsCommand:
         assert hist[0] == "bin_lo,bin_hi,count"
         counts = sum(int(line.split(",")[2]) for line in hist[1:])
         assert counts == 2
+        timings = (out / "timings.csv").read_text().splitlines()
+        assert timings[0] == "trial,wall_ms,nm_iters,nm_converged"
+        assert [line.split(",")[0] for line in timings[1:]] == ["0", "1"]
 
 
 class TestCompareCommand:

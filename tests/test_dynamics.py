@@ -16,7 +16,7 @@ from spinopt import (
     state_fidelity,
     state_fidelity_many,
 )
-from spinopt.dynamics import IDENTITY, SIGMA_X, SIGMA_Y
+from spinopt.dynamics import _CHUNK_POINT_STEPS, IDENTITY, SIGMA_X, SIGMA_Y
 
 from oracles import (
     brute_force_objective,
@@ -43,6 +43,10 @@ RECT_PI_FOBJ_50X50 = 0.6792797663900694
 SFB_FIELD = sfb_field([0.05e9, 0.03e9], [0.02e9, 0.07e9], [0.7, 1.9], [0.0, 1.2], T, OMEGA_MAX)
 
 DETUNED_POINTS = ((TWO_PI * 7e6, 0.6), (-TWO_PI * 4e6, 1.0), (TWO_PI * 10e6, 1.4))
+
+# A drive and detunings an order of magnitude beyond the reference ensemble.
+STRONG_FIELD = pm_field([TWO_PI * 60e6], [TWO_PI * 20e6], [TWO_PI * 15e6], T, OMEGA_MAX)
+STRONG_POINTS = ((TWO_PI * 40e6, 1.3), (-TWO_PI * 55e6, 0.7))
 
 
 def rect_pi():
@@ -152,17 +156,42 @@ class TestPropagate:
                     assert abs(f1 - f2) < 1e-8
 
     @pytest.mark.parametrize(
-        "fld",
-        [DEMO_FIELD, default_shaped_pi_field(), SFB_FIELD],
-        ids=["demo_pm", "shaped_pi", "sfb"],
+        "fld, points, n_steps",
+        [
+            (DEMO_FIELD, DETUNED_POINTS, 201),
+            (default_shaped_pi_field(), DETUNED_POINTS, 201),
+            (SFB_FIELD, DETUNED_POINTS, 201),
+            (STRONG_FIELD, STRONG_POINTS, 1),
+            (STRONG_FIELD, STRONG_POINTS, 2),
+            (STRONG_FIELD, STRONG_POINTS, 3),
+        ],
+        ids=["demo_pm", "shaped_pi", "sfb", "strong_1", "strong_2", "strong_3"],
     )
-    def test_matches_direct_oracle(self, fld):
-        # 201 steps: an odd count also exercises the unpaired tail of the reduction
-        deltas, kappas = zip(*DETUNED_POINTS)
-        us = propagate_many(fld, deltas, kappas, 201)
-        for u, (delta, kappa) in zip(us, DETUNED_POINTS):
-            expected = cf4_propagator_direct(fld, delta, kappa, 201)
+    def test_matches_direct_oracle(self, fld, points, n_steps):
+        # 201 steps: an odd count also exercises the unpaired tail of the
+        # reduction.  The strong inputs turn each factor by more than 1 rad
+        # (the detuning alone gives |delta| T / (4 n_steps) >= 2 rad), so the
+        # factors are scaled and squared back.
+        deltas, kappas = zip(*points)
+        us = propagate_many(fld, deltas, kappas, n_steps)
+        for u, (delta, kappa) in zip(us, points):
+            expected = cf4_propagator_direct(fld, delta, kappa, n_steps)
             np.testing.assert_allclose(u, expected, rtol=0, atol=1e-12)
+
+    def test_chunked_batch_matches_single_points(self):
+        # one point more than a chunk, so the last chunk holds a single point
+        n_steps = 500
+        n_points = _CHUNK_POINT_STEPS // n_steps + 1
+        rng = np.random.default_rng(3)
+        deltas = rng.uniform(-TWO_PI * 10e6, TWO_PI * 10e6, n_points)
+        kappas = rng.uniform(0.5, 1.5, n_points)
+        fld = default_shaped_pi_field()
+        us = propagate_many(fld, deltas, kappas, n_steps)
+        for u, delta, kappa in zip(us, deltas, kappas):
+            np.testing.assert_allclose(u, propagate(fld, delta, kappa, n_steps), rtol=0, atol=1e-14)
+
+    def test_empty_batch(self):
+        assert propagate_many(DEMO_FIELD, [], []).shape == (0, 2, 2)
 
     def test_invalid_steps(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinopt import (
+    ControlField,
     InvalidFieldError,
     constant_drive,
     enforce_amplitude_constraint,
@@ -93,6 +94,18 @@ def test_non_finite_parameters_rejected():
         pm_field([1e7], [np.inf], [0.0], T, OMEGA_MAX)
     with pytest.raises(InvalidFieldError):
         sfb_field([1e7], [0.0], [0.0], [0.0], -1e-9, OMEGA_MAX)
+    # a vector outside the basis's layout is rejected, not kept as passed
+    with pytest.raises(InvalidFieldError):
+        ControlField(
+            basis="sfb", amplitudes=[1e7, 2e7], duration=T, amp_limit=OMEGA_MAX,
+            freqs=[0.0, 0.0], phases=[0.0, 0.0], quad_angles=[0.0, 0.0],
+            mod_depths=[np.nan, 1.0],
+        )
+    with pytest.raises(InvalidFieldError):
+        ControlField(
+            basis="pm", amplitudes=[1e7], duration=T, amp_limit=OMEGA_MAX,
+            mod_depths=[0.0], mod_freqs=[0.0], phases=[0.0],
+        )
 
 
 def test_parameter_length_mismatch_rejected():
