@@ -170,7 +170,7 @@ def _su2_factor(hx, hy, hz, dt, out, scratch):
     where both functions of theta are Taylor series in x cut at the fewest
     terms that are exact to rounding at the batch's largest x.  A batch with
     theta above 1 is evaluated at theta / 2^s and squared back s times
-    (scaling and squaring).
+    (scaling and squaring; Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
     """
     a, b = out
     x, y = scratch
