@@ -41,7 +41,6 @@ from .kriging import (
     fit,
     jittered_grid,
     loo_validate,
-    predict,
     surrogate_objective,
 )
 from .magnetometry import (
@@ -109,7 +108,6 @@ __all__ = [
     "ou_step",
     "peak_amplitude",
     "pm_field",
-    "predict",
     "propagate",
     "propagate_many",
     "quadratures",

@@ -129,7 +129,9 @@ def opt_config_from(cfg: dict, seed: int | None = None, **overrides) -> OptConfi
 
 
 def magnetometry_from(cfg: dict, seed: int | None = None):
-    """(rect sequence settings, shaped settings, signal, noise) from config."""
+    """(rect sequence settings, shaped settings, signal, noise, run settings)
+    from config; invalid signal, noise or realization values raise
+    ConfigError."""
     m = cfg["magnetometry"]
     amp_limit = rad_s_from_mhz(cfg["optimize"]["amp_limit_mhz"])
     rect = {
@@ -152,22 +154,24 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
         raise ConfigError(
             "rectangular and shaped sequences must share one signal frequency"
         )
-    signal = AcSignal(g_ac=float(rad_s_from_mhz(m["g_ac_mhz"])), omega_s=omega_rect)
     base_seed = int(cfg["seed"] if seed is None else seed)
-    if m["noise_enabled"]:
-        std = float(rad_s_from_khz(m["ou_stationary_khz"]))
-        tau = float(s_from_us(m["ou_tau_us"]))
-        noise = NoiseSettings(
-            delta_fwhm=float(rad_s_from_mhz(m["delta_fwhm_mhz"])),
-            tau=tau,
-            c=2.0 * std**2 / tau,
-            n_realizations=int(m["n_realizations"]),
-            seed=base_seed,
-        )
-    else:
-        noise = NoiseSettings.disabled(
-            n_realizations=int(m["n_realizations"]), seed=base_seed
-        )
+    n_realizations = int(m["n_realizations"])
+    if n_realizations < 1:
+        raise ConfigError("magnetometry.n_realizations must be at least 1")
+    try:
+        signal = AcSignal(g_ac=float(rad_s_from_mhz(m["g_ac_mhz"])), omega_s=omega_rect)
+        if m["noise_enabled"]:
+            noise = NoiseSettings.from_stationary_std(
+                float(rad_s_from_khz(m["ou_stationary_khz"])),
+                tau=float(s_from_us(m["ou_tau_us"])),
+                delta_fwhm=float(rad_s_from_mhz(m["delta_fwhm_mhz"])),
+                n_realizations=n_realizations,
+                seed=base_seed,
+            )
+        else:
+            noise = NoiseSettings.disabled(n_realizations=n_realizations, seed=base_seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     run = {
         "t_max": float(s_from_us(m["t_max_us"])),
         "n_steps_per_pulse": int(m["n_steps_per_pulse"]),

@@ -33,6 +33,8 @@ _VECTORS = tuple(dict.fromkeys(name for layout in LAYOUT.values() for name in la
 # Frequency-like parameters are kept within [0, FREQ_CAP_CYCLES * 2*pi / T]
 # and angles within [0, 2*pi] by enforce_amplitude_constraint.
 FREQ_CAP_CYCLES = 5.0
+# Time samples on [0, T] at which peak_amplitude looks for the envelope maximum.
+PEAK_GRID_POINTS = 2001
 
 
 class InvalidFieldError(ValueError):
@@ -146,16 +148,19 @@ def quadratures(field: ControlField, t):
     nu_j -> 0.
     """
     t_arr = np.asarray(t, dtype=float)
-    tt = t_arr[..., None]
-    half = 0.5 * field.amplitudes
+    # Parameter sets on the leading axis, so each per-set sum is a row add.
+    column = (-1,) + (1,) * t_arr.ndim
+    half = 0.5 * field.amplitudes.reshape(column)
     if field.basis == PM:
-        phase = field.mod_depths * tt * np.sinc(field.mod_freqs * tt / np.pi)
-        wx = np.sum(half * np.cos(phase), axis=-1)
-        wy = np.sum(half * np.sin(phase), axis=-1)
+        depths = field.mod_depths.reshape(column)
+        phase = depths * t_arr * np.sinc(field.mod_freqs.reshape(column) * t_arr / np.pi)
+        wx = np.sum(half * np.cos(phase), axis=0)
+        wy = np.sum(half * np.sin(phase), axis=0)
     else:
-        env = half * np.cos(field.freqs * tt + field.phases)
-        wx = np.sum(env * np.cos(field.quad_angles), axis=-1)
-        wy = np.sum(env * np.sin(field.quad_angles), axis=-1)
+        env = half * np.cos(field.freqs.reshape(column) * t_arr + field.phases.reshape(column))
+        angles = field.quad_angles.reshape(column)
+        wx = np.sum(env * np.cos(angles), axis=0)
+        wy = np.sum(env * np.sin(angles), axis=0)
     if t_arr.ndim == 0:
         return float(wx), float(wy)
     return wx, wy
@@ -166,13 +171,13 @@ def envelope(field: ControlField, t):
     return np.hypot(wx, wy)
 
 
-def peak_amplitude(field: ControlField, n_grid: int = 2001) -> float:
+def peak_amplitude(field: ControlField) -> float:
     """Max of sqrt(Omega_x^2 + Omega_y^2) on a dense time grid."""
-    ts = np.linspace(0.0, field.duration, n_grid)
+    ts = np.linspace(0.0, field.duration, PEAK_GRID_POINTS)
     return float(np.max(envelope(field, ts)))
 
 
-def enforce_amplitude_constraint(field: ControlField, n_grid: int = 2001) -> ControlField:
+def enforce_amplitude_constraint(field: ControlField) -> ControlField:
     """Clamp frequency/phase parameters and rescale amplitudes to the limit.
 
     Rates are clamped into [0, 5 * 2*pi / T] and angles into [0, 2*pi].
@@ -189,7 +194,7 @@ def enforce_amplitude_constraint(field: ControlField, n_grid: int = 2001) -> Con
         if not np.array_equal(clamped, value):
             updates[name] = clamped
     candidate = dataclasses.replace(field, **updates) if updates else field
-    peak = peak_amplitude(candidate, n_grid)
+    peak = peak_amplitude(candidate)
     if peak > candidate.amp_limit:
         updates["amplitudes"] = candidate.amplitudes * (candidate.amp_limit / peak)
     if not updates:

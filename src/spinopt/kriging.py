@@ -77,18 +77,25 @@ class CorrelationParams:
 
 def correlation(x_i, x_j, params: CorrelationParams) -> float:
     """Kernel value for one pair of points (already in scaled coordinates)."""
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    d = np.sum(params.alpha * np.abs(x_i - x_j) ** params.power)
-    return float(np.exp(-d))
+    dist = np.abs(np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float))
+    return float(_kernel(dist, params.alpha, params.power))
 
 
-def _cross_corr(a, b, alpha, power):
-    """Kernel matrix between scaled point sets a (m, k) and b (n, k), for
-    per-dimension ``alpha`` and ``power`` arrays of shape (k,)."""
-    diff = np.abs(a[:, None, :] - b[None, :, :])
-    d = np.sum(alpha * diff**power, axis=-1)
-    return np.exp(-d)
+def _scale(x, bounds):
+    """Coordinates of ``x`` in the unit box whose (low, high) rows are ``bounds``."""
+    return (np.asarray(x, dtype=float) - bounds[..., 0]) / (bounds[..., 1] - bounds[..., 0])
+
+
+def _distances(a, b):
+    """Per-axis distances |a_i - b_j|, shape (m, n, k), between scaled point
+    sets a (m, k) and b (n, k)."""
+    return np.abs(a[:, None, :] - b[None, :, :])
+
+
+def _kernel(dist, alpha, power):
+    """Correlation of per-axis distances ``dist`` (..., k) for per-dimension
+    ``alpha`` and ``power`` arrays of shape (k,)."""
+    return np.exp(-np.sum(alpha * dist**power, axis=-1))
 
 
 def jittered_grid(region, n: int, rng: np.random.Generator, jitter: float = 1.0):
@@ -120,13 +127,14 @@ def jittered_grid(region, n: int, rng: np.random.Generator, jitter: float = 1.0)
     return pts.reshape(n, k)
 
 
-def _gls_maps(scaled, alpha, power, nugget):
-    """Cholesky factor of R = corr + nugget I and the two GLS linear maps.
+def _gls_maps(dist, alpha, power, nugget):
+    """Cholesky factor of R = corr + nugget I and the two GLS linear maps,
+    from the samples' per-axis distances ``dist`` (n, n, k).
 
     mean_map = R^-1 1 / (1' R^-1 1) gives mu_hat = mean_map @ y, and
     weight_map = R^-1 - (R^-1 1) mean_map' gives R^-1 (y - 1 mu_hat) = weight_map @ y.
     """
-    corr = _cross_corr(scaled, scaled, alpha, power)
+    corr = _kernel(dist, alpha, power)
     # The strided diagonal view is ~15 us cheaper per likelihood evaluation
     # than fancy indexing, and adds the same values.
     corr.flat[:: len(corr) + 1] += nugget
@@ -161,9 +169,9 @@ class KrigingModel:
         self.params = params
         self.bounds = bounds
         self.nugget = float(nugget)
-        self._scaled = self._scale(samples)
+        self._scaled = _scale(samples, bounds)
         _, self._mean_map, self._weight_map = _gls_maps(
-            self._scaled, params.alpha, params.power, self.nugget
+            _distances(self._scaled, self._scaled), params.alpha, params.power, self.nugget
         )
         self._set_values(values)
 
@@ -189,10 +197,6 @@ class KrigingModel:
     def n(self) -> int:
         return self.values.size
 
-    def _scale(self, x):
-        x = np.asarray(x, dtype=float)
-        return (x - self.bounds[:, 0]) / (self.bounds[:, 1] - self.bounds[:, 0])
-
     def with_values(self, values) -> "KrigingModel":
         """Same sample positions and correlation structure, new responses."""
         model = copy.copy(self)
@@ -203,8 +207,8 @@ class KrigingModel:
         """BLUP prediction at one point (k,) or a batch (m, k)."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        pts = self._scale(np.atleast_2d(x))
-        r = _cross_corr(pts, self._scaled, self.params.alpha, self.params.power)
+        pts = _scale(np.atleast_2d(x), self.bounds)
+        r = _kernel(_distances(pts, self._scaled), self.params.alpha, self.params.power)
         out = self.mu_hat + r @ self._weights
         return float(out[0]) if single else out
 
@@ -214,12 +218,8 @@ class KrigingModel:
         The kernel factorizes over dimensions, so the grid prediction needs
         only one kernel block per axis instead of one per grid point.
         """
-        sd = (np.asarray(deltas, float) - self.bounds[0, 0]) / (
-            self.bounds[0, 1] - self.bounds[0, 0]
-        )
-        sk = (np.asarray(kappas, float) - self.bounds[1, 0]) / (
-            self.bounds[1, 1] - self.bounds[1, 0]
-        )
+        sd = _scale(deltas, self.bounds[0])
+        sk = _scale(kappas, self.bounds[1])
         pa = self.params
         a = np.exp(-pa.alpha[0] * np.abs(sd[:, None] - self._scaled[None, :, 0]) ** pa.power[0])
         b = np.exp(-pa.alpha[1] * np.abs(sk[:, None] - self._scaled[None, :, 1]) ** pa.power[1])
@@ -255,29 +255,20 @@ class KrigingModel:
         return cls.from_dict(json.loads(text))
 
 
-def predict(model: KrigingModel, x):
-    return model.predict(x)
-
-
-def _concentrated_nll(theta, scaled, values, nugget):
-    """Negative concentrated log-likelihood over (log alpha, p)."""
-    k = scaled.shape[1]
+def _concentrated_nll(theta, dist, values, nugget, low, high):
+    """Negative concentrated log-likelihood over theta = (log alpha, p), for
+    the samples' per-axis distances ``dist`` (n, n, k).  Outside the box
+    [low, high] it is the value at the clipped theta plus a quadratic
+    penalty on the excess."""
     n = values.size
-    log_alpha = theta[:k]
-    power = theta[k:]
-    penalty = 0.0
-    lo, hi = LOG_ALPHA_RANGE
-    penalty += 1e3 * float(np.sum(np.clip(log_alpha - hi, 0, None) ** 2))
-    penalty += 1e3 * float(np.sum(np.clip(lo - log_alpha, 0, None) ** 2))
-    penalty += 1e3 * float(np.sum(np.clip(power - POWER_RANGE[1], 0, None) ** 2))
-    penalty += 1e3 * float(np.sum(np.clip(POWER_RANGE[0] - power, 0, None) ** 2))
+    clipped = np.clip(theta, low, high)
+    penalty = 1e3 * float(np.sum((theta - clipped) ** 2))
+    k = dist.shape[-1]
     # The clipped values are in range by construction; building a validated
     # CorrelationParams here would re-check them on every evaluation.
-    alpha = np.exp(np.clip(log_alpha, lo, hi))
+    alpha = np.exp(clipped[:k])
     try:
-        chol, mean_map, weight_map = _gls_maps(
-            scaled, alpha, np.clip(power, *POWER_RANGE), nugget
-        )
+        chol, mean_map, weight_map = _gls_maps(dist, alpha, clipped[k:], nugget)
     except np.linalg.LinAlgError:
         return 1e12 + penalty
     diag = np.diag(chol)
@@ -327,12 +318,12 @@ def fit(
     if np.any(bounds[:, 1] <= bounds[:, 0]):
         raise ValueError("bounds are empty along some dimension")
 
-    scaled = (samples - bounds[:, 0]) / (bounds[:, 1] - bounds[:, 0])
-    diff = scaled[:, None, :] - scaled[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    dist[np.diag_indices_from(dist)] = np.inf
+    scaled = _scale(samples, bounds)
+    dist = _distances(scaled, scaled)
+    separation = np.sqrt(np.sum(dist**2, axis=-1))
+    separation[np.diag_indices_from(separation)] = np.inf
     floor = SEPARATION_FLOOR * np.sqrt(k)
-    if np.min(dist) < floor:
+    if np.min(separation) < floor:
         raise DegenerateDesignError(
             f"sample pair closer than {floor:.1e} of the scaled region"
         )
@@ -345,13 +336,13 @@ def fit(
 
     best_theta = None
     best_nll = np.inf
+    # Box of theta = (log alpha, p), k entries of each.
+    low, high = np.repeat([LOG_ALPHA_RANGE, POWER_RANGE], k, axis=0).T
     steps = np.concatenate([np.full(k, 0.6), np.full(k, 0.05)])
     for _ in range(FIT_RESTARTS):
-        theta0 = np.concatenate(
-            [rng.uniform(*LOG_ALPHA_RANGE, size=k), rng.uniform(*POWER_RANGE, size=k)]
-        )
+        theta0 = rng.uniform(low, high)
         result = nelder_mead(
-            lambda th: _concentrated_nll(th, scaled, values, nugget),
+            lambda th: _concentrated_nll(th, dist, values, nugget, low, high),
             theta0,
             steps,
             f_tol=1e-7,
@@ -362,10 +353,8 @@ def fit(
             best_theta = result.x
     if best_theta is None or best_nll >= 1e11:
         raise FitError("likelihood optimization failed on every restart")
-    params = CorrelationParams(
-        np.exp(np.clip(best_theta[:k], *LOG_ALPHA_RANGE)),
-        np.clip(best_theta[k:], *POWER_RANGE),
-    )
+    best_theta = np.clip(best_theta, low, high)
+    params = CorrelationParams(np.exp(best_theta[:k]), best_theta[k:])
     return KrigingModel(samples, values, params, bounds, nugget)
 
 

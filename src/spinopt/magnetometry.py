@@ -34,6 +34,8 @@ DEFAULT_OU_TAU = 20e-6
 # Stationary standard deviation sqrt(c * tau / 2) of the dynamic detuning.
 DEFAULT_OU_STD = 2.0 * np.pi * 50e3
 DEFAULT_G_AC = 2.0 * np.pi * 0.1e6
+# Fewest readout intervals in one T2 envelope window (see fringe_window).
+FRINGE_WINDOW_READOUTS = 4
 
 # Robust pi-pulse found by the surrogate-assisted gate optimizer at the
 # reference ensemble settings (100 ns, two PM parameter sets).  Its average
@@ -66,6 +68,8 @@ class NoiseSettings:
     seed: int = 0
 
     def __post_init__(self):
+        if self.delta_fwhm < 0:
+            raise ValueError("delta_fwhm must be nonnegative")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.c < 0:
@@ -77,6 +81,8 @@ class NoiseSettings:
 
     @classmethod
     def from_stationary_std(cls, std, tau=DEFAULT_OU_TAU, **kwargs) -> "NoiseSettings":
+        if tau <= 0:
+            raise ValueError("tau must be positive")
         return cls(tau=tau, c=2.0 * std**2 / tau, **kwargs)
 
     @classmethod
@@ -110,7 +116,6 @@ class PulseSequence:
     tau_pulse: float
     n_periods: int
     x_field: ControlField | None = None
-    y_field: ControlField | None = None
 
     @property
     def omega_s(self) -> float:
@@ -125,15 +130,15 @@ class PulseSequence:
         return 8.0 * self.spacing
 
 
-def build_xy8(kind, t_pulse, tau_pulse, n_periods, x_field=None, y_field=None) -> PulseSequence:
+def build_xy8(kind, t_pulse, tau_pulse, n_periods, x_field=None) -> PulseSequence:
     """Construct an XY-8 sequence (pulse order X Y X Y Y X Y X per block).
 
-    Rectangular pulses drive a pi rotation in t_pulse: both axes carry
+    Rectangular pulses drive a pi rotation in t_pulse: the X pulse carries
     ``constant_drive(pi / t_pulse, ...)``, a constant quadrature
     pi / (2 t_pulse), i.e. Bloch rotation rate pi / t_pulse.  Shaped pulses
-    take their quadratures from the supplied phase-modulated field(s); the
-    Y pulse reuses the X field with the quadratures swapped onto (y, -x)
-    unless a dedicated y_field is given.
+    take their quadratures from the supplied phase-modulated field.  The Y
+    pulse is the X pulse turned by 90 degrees about z: its drive puts the
+    quadratures (w1, w2) on (-w2, w1).
     """
     if kind not in (RECT, SHAPED, IDEAL):
         raise ValueError(f"unknown pulse kind {kind!r}")
@@ -144,22 +149,18 @@ def build_xy8(kind, t_pulse, tau_pulse, n_periods, x_field=None, y_field=None) -
     if kind == SHAPED:
         if x_field is None:
             raise ValueError("shaped sequences need an x_field")
-        if y_field is None:
-            y_field = x_field
-        for fld in (x_field, y_field):
-            if abs(fld.duration - t_pulse) > 1e-15:
-                raise ValueError("shaped field duration must equal t_pulse")
+        if abs(x_field.duration - t_pulse) > 1e-15:
+            raise ValueError("shaped field duration must equal t_pulse")
     elif kind == RECT:
-        x_field = y_field = constant_drive(np.pi / t_pulse, t_pulse, np.pi / t_pulse)
+        x_field = constant_drive(np.pi / t_pulse, t_pulse, np.pi / t_pulse)
     else:
-        x_field = y_field = None
+        x_field = None
     return PulseSequence(
         kind=kind,
         t_pulse=float(t_pulse),
         tau_pulse=float(tau_pulse),
         n_periods=int(n_periods),
         x_field=x_field,
-        y_field=y_field,
     )
 
 
@@ -204,30 +205,26 @@ class T2Estimate:
 # terminal.  Prep column: exp(-i (pi / 4) sigma_y) |0>.
 _PREP = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)], dtype=complex)
 _READ_ROW = np.array([np.cos(3 * np.pi / 4), -np.sin(3 * np.pi / 4)], dtype=complex)
-# Cayley-Klein pairs (a, b) of the instantaneous pi pulses exp(-i pi/2 sigma_x)
-# and exp(-i pi/2 sigma_y).
-_IDEAL_PI = {"x": (0j, -1j), "y": (0j, 1 + 0j)}
+# Cayley-Klein pair (a, b) of the instantaneous pi pulse exp(-i pi/2 sigma_x).
+# Turning any X pulse by 90 degrees about z gives its Y pulse, whose pair is
+# (a, 1j * b).
+_IDEAL_PI = (0j, -1j)
 
 
-def _axis_drives(seq, times, kappa):
-    """Transverse drive of each XY-8 axis as ``((hx, hy), (hx, hy))`` for the
+def _x_drive(seq, times, kappa):
+    """Transverse drive of the X pulse as ``((hx, hy), (hx, hy))`` for the
     two CF4 exponents of each substep, from the quadratures at the (2, n_sub)
-    sample ``times``.  The Y pulse puts the y field's quadratures (w1, w2)
-    on (-w2, w1)."""
-    drives = {}
-    for axis, fld in (("x", seq.x_field), ("y", seq.y_field)):
-        w1, w2 = quadratures(fld, times)
-        hx, hy = (kappa * w1, kappa * w2) if axis == "x" else (-kappa * w2, kappa * w1)
-        drives[axis] = tuple(zip(cf4_mix(*hx), cf4_mix(*hy)))
-    return drives
+    sample ``times``."""
+    w1, w2 = quadratures(seq.x_field, times)
+    return tuple(zip(cf4_mix(*(kappa * w1)), cf4_mix(*(kappa * w2))))
 
 
 def _pulse_unitaries(signal, t_start, delta_total, drive, times, dt):
     """Propagators of the pi pulse starting at ``t_start`` for every
     realization as Cayley-Klein pairs (a, b), each shape (R,).
 
-    ``drive`` is the pulse axis's entry of ``_axis_drives`` and ``times`` the
-    local sample times it was built on.  ``delta_total`` holds
+    ``drive`` comes from ``_x_drive`` and ``times`` are the local sample
+    times it was built on.  ``delta_total`` holds
     delta + delta_d per realization; the dynamic part is frozen for the
     pulse duration.  The z coefficient is mixed on the time axis and the
     static detuning added per realization, giving (R, n_sub) arrays.
@@ -305,7 +302,7 @@ def simulate_ramsey(
     dt = seq.t_pulse / n_steps_per_pulse
     if seq.kind != IDEAL:
         sample_times = np.stack(cf4_times(n_steps_per_pulse, dt))
-        drives = _axis_drives(seq, sample_times, kappa)
+        drive = _x_drive(seq, sample_times, kappa)
     t_now = 0.0
     pulse_index = 0
     for block in range(n_blocks):
@@ -313,15 +310,16 @@ def simulate_ramsey(
             t_center = (pulse_index + 0.5) * seq.spacing
             t_start = t_center - half_pulse
             advance_free(t_now, t_start)
-            axis = XY8_AXES[pulse_index % 8]
             if seq.kind == IDEAL:
-                a, b = _IDEAL_PI[axis]
+                a, b = _IDEAL_PI
             else:
                 a, b = _pulse_unitaries(
-                    signal, t_start, delta + delta_d, drives[axis], sample_times, dt
+                    signal, t_start, delta + delta_d, drive, sample_times, dt
                 )
                 if noise.c > 0:
                     delta_d = ou_step(delta_d, seq.t_pulse, noise.tau, noise.c, rng)
+            if XY8_AXES[pulse_index % 8] == "y":
+                b = 1j * b
             up, dn = a * up - np.conj(b) * dn, b * up + np.conj(a) * dn
             t_now = t_center + half_pulse
             pulse_index += 1
@@ -381,8 +379,9 @@ def estimate_t2(
     return T2Estimate(t2=float(-1.0 / slope), lower_bound=False)
 
 
-def fringe_window(signal: AcSignal, n_points: int = 4, readout_dt: float | None = None) -> float:
-    """Envelope window: a few readout intervals, at least one |cos| fringe.
+def fringe_window(signal: AcSignal, readout_dt: float | None = None) -> float:
+    """Envelope window: FRINGE_WINDOW_READOUTS readout intervals, at least
+    one |cos| fringe.
 
     The accumulated phase 2*chi grows at mean rate 4 g_ac / pi, so one
     envelope fringe of |cos(2 chi)| lasts about pi^2 / (4 g_ac).  Without a
@@ -394,4 +393,4 @@ def fringe_window(signal: AcSignal, n_points: int = 4, readout_dt: float | None 
     fringe = np.pi**2 / (4.0 * signal.g_ac)
     if readout_dt is None:
         return fringe
-    return max(n_points * readout_dt, fringe)
+    return max(FRINGE_WINDOW_READOUTS * readout_dt, fringe)

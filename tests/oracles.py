@@ -203,6 +203,46 @@ def gp_log_likelihood(values, corr, mu, sigma2):
     return -0.5 * (n * math.log(2.0 * math.pi * sigma2) + logdet + quad / sigma2)
 
 
+def concentrated_nll_direct(theta, scaled, values, nugget, log_alpha_range, power_range):
+    """Negative concentrated log-likelihood by explicit loops and solves.
+
+    theta holds (log alpha_1..k, p_1..k) for the k columns of the unit-box
+    ``scaled`` samples.  Each coordinate outside its range is clamped into
+    it and adds 1e3 times its squared excess, summed separately for each
+    side of each range.  mu and sigma^2 take their GLS optima, computed with
+    ``np.linalg.solve``; log det R comes from ``np.linalg.slogdet``.
+    """
+    theta = np.asarray(theta, dtype=float)
+    scaled = np.asarray(scaled, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n, k = scaled.shape
+    lo, hi = log_alpha_range
+    p_lo, p_hi = power_range
+    log_alpha, power = list(theta[:k]), list(theta[k:])
+    penalty = 0.0
+    penalty += 1e3 * sum(max(x - hi, 0.0) ** 2 for x in log_alpha)
+    penalty += 1e3 * sum(max(lo - x, 0.0) ** 2 for x in log_alpha)
+    penalty += 1e3 * sum(max(p - p_hi, 0.0) ** 2 for p in power)
+    penalty += 1e3 * sum(max(p_lo - p, 0.0) ** 2 for p in power)
+    alpha = [math.exp(min(max(x, lo), hi)) for x in log_alpha]
+    power = [min(max(p, p_lo), p_hi) for p in power]
+    corr = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            d = 0.0
+            for h in range(k):
+                d += alpha[h] * abs(scaled[i, h] - scaled[j, h]) ** power[h]
+            corr[i, j] = math.exp(-d)
+        corr[i, i] += nugget
+    ones = np.ones(n)
+    mu = float(ones @ np.linalg.solve(corr, values)) / float(ones @ np.linalg.solve(corr, ones))
+    resid = values - mu
+    sigma2 = float(resid @ np.linalg.solve(corr, resid)) / n
+    sign, log_det = np.linalg.slogdet(corr)
+    assert sign > 0
+    return 0.5 * (n * math.log(2.0 * math.pi * sigma2) + log_det + n) + penalty
+
+
 def loo_predictions_direct(samples, values, params, bounds, nugget):
     """Leave-one-out Kriging predictions by n explicit refits.
 

@@ -94,11 +94,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "payload",
-        [{"optimize": {"n_samples": 10}}, {"threads": 2}, {"optimize": {"duration_ns": 0}}],
+        [
+            {"optimize": {"n_samples": 10}},
+            {"threads": 2},
+            {"optimize": {"duration_ns": 0}},
+            {"magnetometry": {"ou_tau_us": 0}},
+            {"magnetometry": {"delta_fwhm_mhz": -26.5}},
+            {"magnetometry": {"g_ac_mhz": -0.1}},
+            {"magnetometry": {"n_realizations": 0}},
+        ],
     )
     def test_rejected_config_exits_2(self, tmp_path, capsys, payload):
         path = write_config(tmp_path, payload)
-        code = main(["trials", "--config", path, "--out", str(tmp_path / "o")])
+        command = "magnetometry" if "magnetometry" in payload else "trials"
+        code = main([command, "--config", path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
 

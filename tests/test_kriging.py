@@ -13,12 +13,17 @@ from spinopt import (
     fit,
     jittered_grid,
     loo_validate,
-    predict,
     surrogate_objective,
 )
-from spinopt.kriging import _cross_corr
+from spinopt.kriging import (
+    LOG_ALPHA_RANGE,
+    POWER_RANGE,
+    _concentrated_nll,
+    _distances,
+    _kernel,
+)
 
-from oracles import gp_log_likelihood, loo_predictions_direct
+from oracles import concentrated_nll_direct, gp_log_likelihood, loo_predictions_direct
 
 TWO_PI = 2 * np.pi
 REGION = np.array([[-TWO_PI * 10e6, TWO_PI * 10e6], [0.5, 1.5]])
@@ -143,7 +148,7 @@ class TestFit:
         values = quadratic(pts)
         model = fit(pts, values, rng, bounds=UNIT)
         scaled = (pts - UNIT[:, 0]) / (UNIT[:, 1] - UNIT[:, 0])
-        corr = _cross_corr(scaled, scaled, model.params.alpha, model.params.power)
+        corr = _kernel(_distances(scaled, scaled), model.params.alpha, model.params.power)
         corr[np.diag_indices_from(corr)] += model.nugget
         rinv_one = np.linalg.solve(corr, np.ones(9))
         mu = rinv_one @ values / rinv_one.sum()
@@ -155,7 +160,7 @@ class TestFit:
         values = quadratic(pts) + 0.01 * rng.standard_normal(16)
         model = fit(pts, values, rng, bounds=UNIT)
         scaled = (pts - UNIT[:, 0]) / (UNIT[:, 1] - UNIT[:, 0])
-        corr = _cross_corr(scaled, scaled, model.params.alpha, model.params.power)
+        corr = _kernel(_distances(scaled, scaled), model.params.alpha, model.params.power)
         corr[np.diag_indices_from(corr)] += model.nugget
         best = gp_log_likelihood(values, corr, model.mu_hat, model.sigma2_hat)
         for eps in (1e-3, -1e-3):
@@ -193,6 +198,29 @@ class TestFit:
         assert m1.mu_hat == m2.mu_hat
 
 
+class TestConcentratedNll:
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            [1.0, 2.5, 1.3, 1.8],  # inside the box
+            [2.0, 0.5, 2.0, 1.0],  # on its faces
+            [7.5, 2.0, 1.5, 1.5],  # one coordinate out
+            [1.5, 6.4, 1.2, 2.3],  # two out
+            [6.8, 7.2, 0.7, 2.6],  # four out
+        ],
+    )
+    def test_matches_direct_oracle(self, theta):
+        rng = np.random.default_rng(29)
+        pts = jittered_grid(UNIT, 16, rng)
+        values = quadratic(pts) + 0.01 * rng.standard_normal(16)
+        theta = np.array(theta)
+        low, high = np.array([LOG_ALPHA_RANGE] * 2 + [POWER_RANGE] * 2).T
+        value = _concentrated_nll(theta, _distances(pts, pts), values, 1e-10, low, high)
+        assert value < 1e11  # no conditioning guard
+        expected = concentrated_nll_direct(theta, pts, values, 1e-10, LOG_ALPHA_RANGE, POWER_RANGE)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 class TestPredict:
     def make_model(self):
         rng = np.random.default_rng(2)
@@ -202,7 +230,7 @@ class TestPredict:
     def test_interpolates_samples(self):
         model, pts = self.make_model()
         for p in pts:
-            assert abs(predict(model, p) - quadratic(p[None, :])[0]) < 1e-8
+            assert abs(model.predict(p) - quadratic(p[None, :])[0]) < 1e-8
 
     def test_reverts_to_mean_far_away(self):
         # fixed kernel parameters so the far-field limit is controlled
@@ -211,7 +239,7 @@ class TestPredict:
             pts, quadratic(pts), CorrelationParams([5.0, 5.0], [2.0, 2.0]), UNIT
         )
         far = np.array([60.0, -60.0])
-        assert predict(model, far) == pytest.approx(model.mu_hat, abs=1e-12)
+        assert model.predict(far) == pytest.approx(model.mu_hat, abs=1e-12)
 
     def test_grid_path_matches_generic_path(self):
         model, _ = self.make_model()
@@ -221,7 +249,7 @@ class TestPredict:
         for i, d in enumerate(deltas):
             for j, k in enumerate(kappas):
                 assert grid_pred[i, j] == pytest.approx(
-                    predict(model, np.array([d, k])), rel=1e-12, abs=1e-12
+                    model.predict(np.array([d, k])), rel=1e-12, abs=1e-12
                 )
 
 

@@ -75,6 +75,10 @@ class TestNoiseSettings:
             NoiseSettings(tau=0.0)
         with pytest.raises(ValueError):
             NoiseSettings(c=-1.0)
+        with pytest.raises(ValueError):
+            NoiseSettings(delta_fwhm=-1.0)
+        with pytest.raises(ValueError):
+            NoiseSettings.from_stationary_std(TWO_PI * 50e3, tau=0.0)
 
 
 class TestBuildXy8:
