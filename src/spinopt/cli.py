@@ -70,9 +70,9 @@ TRIAL_COLUMNS = {
     "lambda_opt": json.loads,
 }
 TRIAL_FIELDS = list(TRIAL_COLUMNS)
-# Columns of timings.csv: each trial's wall time and pulse-search
-# diagnostics, kept out of the byte-reproducible data files.
-TIMING_FIELDS = ["trial", "wall_ms", "nm_iters", "nm_converged"]
+# Columns of timings.csv: each trial's wall time, pulse-search and Kriging
+# likelihood diagnostics, kept out of the byte-reproducible data files.
+TIMING_FIELDS = ["trial", "wall_ms", "nm_iters", "nm_converged", "nll_evals"]
 
 
 def _write_csv(path: Path, header, rows):
@@ -114,7 +114,9 @@ def _trial_rows(runs, start_index=0):
 
 
 def _timing_rows(runs):
-    return [[i, r.wall_ms, r.nm_iters, int(r.nm_converged)] for i, r in enumerate(runs)]
+    return [
+        [i, r.wall_ms, r.nm_iters, int(r.nm_converged), r.nll_evals] for i, r in enumerate(runs)
+    ]
 
 
 def _fidelity_map_rows(field, grid: NoiseGrid, n_steps: int):

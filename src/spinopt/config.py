@@ -158,6 +158,9 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
     n_realizations = int(m["n_realizations"])
     if n_realizations < 1:
         raise ConfigError("magnetometry.n_realizations must be at least 1")
+    n_steps_per_pulse = int(m["n_steps_per_pulse"])
+    if n_steps_per_pulse < 1:
+        raise ConfigError("magnetometry.n_steps_per_pulse must be at least 1")
     try:
         signal = AcSignal(g_ac=float(rad_s_from_mhz(m["g_ac_mhz"])), omega_s=omega_rect)
         if m["noise_enabled"]:
@@ -174,6 +177,6 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
         raise ConfigError(str(exc)) from exc
     run = {
         "t_max": float(s_from_us(m["t_max_us"])),
-        "n_steps_per_pulse": int(m["n_steps_per_pulse"]),
+        "n_steps_per_pulse": n_steps_per_pulse,
     }
     return rect, shaped, signal, noise, run

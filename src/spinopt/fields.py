@@ -184,6 +184,11 @@ def enforce_amplitude_constraint(field: ControlField) -> ControlField:
     If the dense-grid peak envelope exceeds amp_limit, every amplitude is
     scaled by amp_limit / peak; the envelope is linear in the amplitudes, so
     the rescaled peak equals amp_limit exactly.
+
+    Each parameter set adds a quadrature vector of length at most
+    |a_j| / 2, so the envelope never exceeds sum(|a_j|) / 2.  When that
+    bound sits below amp_limit by more than rounding can close, the grid
+    peak cannot exceed the limit and is not evaluated.
     """
     updates = {}
     for name, _, bounds in parameter_ranges(field.basis, field.duration, field.amp_limit):
@@ -194,9 +199,11 @@ def enforce_amplitude_constraint(field: ControlField) -> ControlField:
         if not np.array_equal(clamped, value):
             updates[name] = clamped
     candidate = dataclasses.replace(field, **updates) if updates else field
-    peak = peak_amplitude(candidate)
-    if peak > candidate.amp_limit:
-        updates["amplitudes"] = candidate.amplitudes * (candidate.amp_limit / peak)
+    bound = 0.5 * float(np.sum(np.abs(candidate.amplitudes)))
+    if bound > candidate.amp_limit * (1.0 - 1e-12):
+        peak = peak_amplitude(candidate)
+        if peak > candidate.amp_limit:
+            updates["amplitudes"] = candidate.amplitudes * (candidate.amp_limit / peak)
     if not updates:
         return field
     return dataclasses.replace(field, **updates)

@@ -267,6 +267,8 @@ def simulate_ramsey(
     """
     if noise.n_realizations < 1:
         raise ValueError("n_realizations must be positive")
+    if n_steps_per_pulse < 1:
+        raise ValueError("n_steps_per_pulse must be at least 1")
     n_blocks = min(seq.n_periods, int(np.floor(t_max / seq.period + 1e-9)))
     if n_blocks < 2:
         raise ValueError("t_max must span at least 2 XY-8 periods")

@@ -4,9 +4,15 @@ Plain implementation with the standard reflection/expansion/contraction/
 shrink coefficients (1, 2, 0.5, 0.5).  The search stops when the spread of
 the simplex function values falls below ``f_tol`` or after ``max_iter``
 iterations (default 200 per dimension).  Every objective call is counted.
+
+The algorithm is the generator ``nelder_mead_batches``: it asks for values
+at a batch of points and is told them, so a caller can advance several
+searches together and evaluate all their pending points at once.
+``nelder_mead`` drives one search with a plain objective function.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +27,18 @@ class NMResult:
     converged: bool
 
 
-def nelder_mead(fn, x0, step, f_tol: float = 1e-4, max_iter: int | None = None) -> NMResult:
-    """Minimize ``fn`` from ``x0`` with per-coordinate initial steps ``step``.
+def nelder_mead_batches(x0, step, f_tol: float = 1e-4, max_iter: int | None = None):
+    """Nelder-Mead from ``x0`` with per-coordinate initial steps ``step``, as
+    an ask/tell generator.
 
-    Raises RuntimeError if the objective returns a non-finite value.
+    Each ``yield`` is an (m, dim) batch of points: the dim + 1 start
+    vertices, one reflected, expanded or contracted point, or the dim points
+    of a shrink.  The caller sends back their m values in order; the
+    generator returns the ``NMResult`` (``StopIteration.value``).  The
+    yielded arrays are the caller's to keep.
+
+    Raises RuntimeError if a value sent back is not finite and ValueError if
+    their count is not m.
     """
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
@@ -34,27 +48,30 @@ def nelder_mead(fn, x0, step, f_tol: float = 1e-4, max_iter: int | None = None) 
 
     evals = 0
 
-    def call(x):
+    def told(points, sent):
         nonlocal evals
-        evals += 1
-        value = float(fn(x))
-        if not np.isfinite(value):
-            raise RuntimeError(
-                f"objective returned non-finite value {value} at x={x.tolist()}"
-            )
-        return value
+        evals += len(points)
+        values = np.array(sent, dtype=float)
+        if values.shape != (len(points),):
+            raise ValueError(f"expected {len(points)} values, got shape {values.shape}")
+        for x, value in zip(points, values.tolist()):
+            if not math.isfinite(value):
+                raise RuntimeError(
+                    f"objective returned non-finite value {value} at x={x.tolist()}"
+                )
+        return values
 
     simplex = np.empty((dim + 1, dim))
     simplex[0] = x0
     for i in range(dim):
         simplex[i + 1] = x0
         simplex[i + 1, i] += step[i]
-    values = np.array([call(v) for v in simplex])
+    values = told(simplex, (yield simplex.copy()))
 
     n_iter = 0
     converged = False
     while n_iter < max_iter:
-        order = np.argsort(values, kind="stable")
+        order = values.argsort(kind="stable")
         simplex = simplex[order]
         values = values[order]
         if values[-1] - values[0] < f_tol:
@@ -62,13 +79,14 @@ def nelder_mead(fn, x0, step, f_tol: float = 1e-4, max_iter: int | None = None) 
             break
         n_iter += 1
 
-        centroid = simplex[:-1].mean(axis=0)
+        # The sum over dim, as simplex[:-1].mean(axis=0) computes it.
+        centroid = simplex[:-1].sum(axis=0) / dim
         worst = simplex[-1]
         reflected = centroid + (centroid - worst)
-        f_ref = call(reflected)
+        (f_ref,) = told(reflected[None], (yield reflected[None]))
         if f_ref < values[0]:
             expanded = centroid + 2.0 * (centroid - worst)
-            f_exp = call(expanded)
+            (f_exp,) = told(expanded[None], (yield expanded[None]))
             if f_exp < f_ref:
                 simplex[-1], values[-1] = expanded, f_exp
             else:
@@ -81,14 +99,13 @@ def nelder_mead(fn, x0, step, f_tol: float = 1e-4, max_iter: int | None = None) 
             contracted = centroid + 0.5 * (reflected - centroid)
         else:
             contracted = centroid - 0.5 * (centroid - worst)
-        f_con = call(contracted)
+        (f_con,) = told(contracted[None], (yield contracted[None]))
         if f_con < min(f_ref, values[-1]):
             simplex[-1], values[-1] = contracted, f_con
             continue
         # Shrink toward the best vertex.
-        for i in range(1, dim + 1):
-            simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-            values[i] = call(simplex[i])
+        simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+        values[1:] = told(simplex[1:], (yield simplex[1:].copy()))
 
     best = int(np.argmin(values))
     return NMResult(
@@ -98,3 +115,18 @@ def nelder_mead(fn, x0, step, f_tol: float = 1e-4, max_iter: int | None = None) 
         n_iter=n_iter,
         converged=converged,
     )
+
+
+def nelder_mead(fn, x0, step, f_tol: float = 1e-4, max_iter: int | None = None) -> NMResult:
+    """Minimize ``fn`` from ``x0`` with per-coordinate initial steps ``step``,
+    one call per point of each ``nelder_mead_batches`` batch.
+
+    Raises RuntimeError if the objective returns a non-finite value.
+    """
+    search = nelder_mead_batches(x0, step, f_tol, max_iter)
+    batch = next(search)
+    while True:
+        try:
+            batch = search.send([float(fn(x)) for x in batch])
+        except StopIteration as stop:
+            return stop.value

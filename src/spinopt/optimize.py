@@ -171,6 +171,7 @@ class OptRun:
     nm_evals: int
     nm_iters: int
     nm_converged: bool
+    nll_evals: int  # Kriging likelihood evaluations over every fit (0 for direct methods)
     p_fit: float | None
     wall_ms: float
 
@@ -182,6 +183,7 @@ class BuildResult:
     attempts: int
     true_calls: int
     p_fit: float
+    nll_evals: int
 
 
 @dataclass
@@ -249,10 +251,13 @@ def build_valid_surrogate(
     ``field_sampler(rng)`` provides the candidate initial field for each
     attempt; the accepted attempt's field is returned alongside the model so
     callers can start the search from it.  Each attempt spends n true calls.
+    ``nll_evals`` sums the likelihood evaluations of every fit that returned
+    a model.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     true_calls = 0
+    nll_evals = 0
     last_error = None
     for attempt in range(1, max_attempts + 1):
         fld = field_sampler(rng)
@@ -261,6 +266,7 @@ def build_valid_surrogate(
         true_calls += n
         try:
             model = fit(points, values, rng, bounds=region)
+            nll_evals += model.nll_evals
             p_fit = loo_validate(model)
         except (
             DegenerateDesignError,
@@ -271,7 +277,7 @@ def build_valid_surrogate(
             last_error = exc
             continue
         if p_fit > P_FIT_THRESHOLD:
-            return BuildResult(model, fld, attempt, true_calls, p_fit)
+            return BuildResult(model, fld, attempt, true_calls, p_fit, nll_evals)
     detail = f" (last failure: {last_error})" if last_error is not None else ""
     raise ModelValidationError(
         f"no model passed p_fit > {P_FIT_THRESHOLD} in {max_attempts} attempts{detail}"
@@ -336,6 +342,7 @@ def run_single(config: OptConfig) -> OptRun:
         )
         x0 = pack_params(built.field)
         true_calls, model_attempts, p_fit = built.true_calls, built.attempts, built.p_fit
+        nll_evals = built.nll_evals
         points = built.model.samples
 
         def estimate(fld):
@@ -344,7 +351,7 @@ def run_single(config: OptConfig) -> OptRun:
 
     else:
         x0 = draw(rng)
-        true_calls, model_attempts, p_fit = 0, 0, None
+        true_calls, model_attempts, p_fit, nll_evals = 0, 0, None, 0
         search_grid = config.noise_grid(config.search_grid)
 
         def estimate(fld):
@@ -372,6 +379,7 @@ def run_single(config: OptConfig) -> OptRun:
         nm_evals=result.n_evals,
         nm_iters=result.n_iter,
         nm_converged=result.converged,
+        nll_evals=nll_evals,
         p_fit=p_fit,
         wall_ms=(time.perf_counter() - start) * 1e3,
     )

@@ -243,6 +243,50 @@ def concentrated_nll_direct(theta, scaled, values, nugget, log_alpha_range, powe
     return 0.5 * (n * math.log(2.0 * math.pi * sigma2) + log_det + n) + penalty
 
 
+def fit_serial_direct(samples, values, rng, bounds, nugget):
+    """Correlation parameters (alpha, power) and likelihood evaluation count
+    of ``kriging.fit``'s restarts run one after another.
+
+    Each of the ``FIT_RESTARTS`` starts draws its theta and runs its own
+    ``nelder_mead`` to the end, calling the likelihood on one theta at a
+    time; the best restart wins, ties going to the earlier one.  The
+    library's one-theta likelihood is reused, so the result must match the
+    lockstep fit exactly.
+    """
+    from spinopt.kriging import (
+        FIT_RESTARTS,
+        LOG_ALPHA_RANGE,
+        POWER_RANGE,
+        _concentrated_nll,
+        _distances,
+        _scale,
+    )
+    from spinopt.neldermead import nelder_mead
+
+    samples = np.asarray(samples, dtype=float)
+    values = np.asarray(values, dtype=float)
+    k = samples.shape[1]
+    scaled = _scale(samples, np.asarray(bounds, dtype=float))
+    dist = _distances(scaled, scaled)
+    low, high = np.repeat([LOG_ALPHA_RANGE, POWER_RANGE], k, axis=0).T
+    steps = np.concatenate([np.full(k, 0.6), np.full(k, 0.05)])
+    best_theta, best_nll, evals = None, np.inf, 0
+    for _ in range(FIT_RESTARTS):
+        theta0 = rng.uniform(low, high)
+        result = nelder_mead(
+            lambda th: _concentrated_nll(th[None], dist, values, nugget, low, high)[0],
+            theta0,
+            steps,
+            f_tol=1e-7,
+            max_iter=500,
+        )
+        evals += result.n_evals
+        if result.fun < best_nll:
+            best_nll, best_theta = result.fun, result.x
+    best_theta = np.clip(best_theta, low, high)
+    return np.exp(best_theta[:k]), best_theta[k:], evals
+
+
 def loo_predictions_direct(samples, values, params, bounds, nugget):
     """Leave-one-out Kriging predictions by n explicit refits.
 

@@ -102,6 +102,7 @@ class TestExitCodes:
             {"magnetometry": {"delta_fwhm_mhz": -26.5}},
             {"magnetometry": {"g_ac_mhz": -0.1}},
             {"magnetometry": {"n_realizations": 0}},
+            {"magnetometry": {"n_steps_per_pulse": 0}},
         ],
     )
     def test_rejected_config_exits_2(self, tmp_path, capsys, payload):
@@ -154,11 +155,14 @@ class TestOptimizeCommand:
         assert field_map[0] == "delta_mhz,kappa,fidelity"
         assert len(field_map) == 1 + 15 * 15
         timings = (out / "timings.csv").read_text().splitlines()
-        assert timings[0] == "trial,wall_ms,nm_iters,nm_converged"
-        trial, wall_ms, nm_iters, converged = timings[1].split(",")
+        assert timings[0] == "trial,wall_ms,nm_iters,nm_converged,nll_evals"
+        trial, wall_ms, nm_iters, converged, nll_evals = timings[1].split(",")
         assert trial == "0" and float(wall_ms) > 0
         assert 0 < int(nm_iters) <= rec["nm_evals"]
         assert converged in ("0", "1")
+        # the accepted model's fit alone runs 5 likelihood restarts of at
+        # least 5 evaluations each
+        assert int(nll_evals) >= 25
 
     def test_method_flag_produces_sfb_record(self, tmp_path):
         cfg = write_config(tmp_path, FAST_OPT)
@@ -219,7 +223,7 @@ class TestTrialsCommand:
         counts = sum(int(line.split(",")[2]) for line in hist[1:])
         assert counts == 2
         timings = (out / "timings.csv").read_text().splitlines()
-        assert timings[0] == "trial,wall_ms,nm_iters,nm_converged"
+        assert timings[0] == "trial,wall_ms,nm_iters,nm_converged,nll_evals"
         assert [line.split(",")[0] for line in timings[1:]] == ["0", "1"]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from spinopt import (
     quadratures,
     sfb_field,
 )
+
+from spinopt.fields import LAYOUT, parameter_ranges
 
 from oracles import pm_quadratures_direct, sfb_quadratures_direct
 
@@ -161,3 +165,77 @@ def test_constant_drive_rotation_rate_convention():
     wx, wy = quadratures(fld, 25e-9)
     assert wx == pytest.approx(rate / 2, rel=1e-12)
     assert wy == 0.0
+
+
+def enforce_on_grid(fld):
+    """enforce_amplitude_constraint's clamps, then the grid peak rescale
+    whatever the amplitude bound says."""
+    updates = {}
+    for name, _, bounds in parameter_ranges(fld.basis, fld.duration, fld.amp_limit):
+        if bounds is not None:
+            updates[name] = np.clip(getattr(fld, name), *bounds)
+    clamped = dataclasses.replace(fld, **updates)
+    peak = peak_amplitude(clamped)
+    if peak > fld.amp_limit:
+        return dataclasses.replace(clamped, amplitudes=clamped.amplitudes * (fld.amp_limit / peak))
+    return clamped
+
+
+def random_fields(seed, count):
+    rng = np.random.default_rng(seed)
+    rate = 2 * TWO_PI / T
+    fields = []
+    for i in range(count):
+        n_sets = 1 + i % 3
+        amps = rng.uniform(0.0, 2.5 * OMEGA_MAX / n_sets, n_sets)
+        if i % 2:
+            fields.append(
+                pm_field(amps, rng.uniform(0, rate, n_sets), rng.uniform(0, rate, n_sets), T, OMEGA_MAX)
+            )
+        else:
+            fields.append(
+                sfb_field(
+                    amps,
+                    rng.uniform(0, rate, n_sets),
+                    rng.uniform(0, TWO_PI, n_sets),
+                    rng.uniform(0, TWO_PI, n_sets),
+                    T,
+                    OMEGA_MAX,
+                )
+            )
+    return fields
+
+
+def assert_same_field(a, b):
+    assert a.basis == b.basis
+    for name in LAYOUT[a.basis]:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_enforce_matches_grid_path():
+    fields = random_fields(4, 60)
+    # fields already rescaled onto the limit by the grid, and single sets
+    # whose amplitude bound equals the limit exactly
+    fields += [enforce_on_grid(fld) for fld in fields]
+    fields += [
+        pm_field([2 * OMEGA_MAX], [0.0], [0.0], T, OMEGA_MAX),
+        sfb_field([2 * OMEGA_MAX], [0.3e9], [0.4], [1.1], T, OMEGA_MAX),
+        pm_field([2 * OMEGA_MAX * (1 - 1e-12)], [0.02e9], [0.03e9], T, OMEGA_MAX),
+    ]
+    skipped = 0
+    for fld in fields:
+        out = enforce_amplitude_constraint(fld)
+        assert_same_field(out, enforce_on_grid(fld))
+        skipped += 0.5 * np.sum(np.abs(fld.amplitudes)) <= OMEGA_MAX * (1 - 1e-12)
+    assert 0 < skipped < len(fields)
+
+
+def test_enforce_skips_grid_below_amplitude_bound(monkeypatch):
+    import spinopt.fields as fields_module
+
+    def no_grid(fld):
+        raise AssertionError("peak grid evaluated")
+
+    monkeypatch.setattr(fields_module, "peak_amplitude", no_grid)
+    fld = sfb_field([0.7 * OMEGA_MAX, 1.2 * OMEGA_MAX], [1e7, 3e7], [0.1, 0.2], [0.3, 0.4], T, OMEGA_MAX)
+    assert enforce_amplitude_constraint(fld) is fld

@@ -16,14 +16,21 @@ from spinopt import (
     surrogate_objective,
 )
 from spinopt.kriging import (
+    COND_GUARD,
     LOG_ALPHA_RANGE,
     POWER_RANGE,
     _concentrated_nll,
     _distances,
+    _gls_maps,
     _kernel,
 )
 
-from oracles import concentrated_nll_direct, gp_log_likelihood, loo_predictions_direct
+from oracles import (
+    concentrated_nll_direct,
+    fit_serial_direct,
+    gp_log_likelihood,
+    loo_predictions_direct,
+)
 
 TWO_PI = 2 * np.pi
 REGION = np.array([[-TWO_PI * 10e6, TWO_PI * 10e6], [0.5, 1.5]])
@@ -120,6 +127,7 @@ class TestFit:
         pts = jittered_grid(UNIT, 9, rng)
         model = fit(pts, np.full(9, 0.42), rng, bounds=UNIT)
         assert model.sigma2_hat == 0.0
+        assert model.nll_evals == 0
         assert model.mu_hat == pytest.approx(0.42, abs=1e-12)
         assert model.predict(np.array([0.17, 0.93])) == pytest.approx(0.42, abs=1e-10)
 
@@ -171,6 +179,22 @@ class TestFit:
                 values, corr, model.mu_hat, model.sigma2_hat * (1 + eps)
             )
 
+    @pytest.mark.parametrize("n", [9, 16])
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_lockstep_matches_serial_restarts(self, n, seed):
+        rng = np.random.default_rng(seed)
+        pts = jittered_grid(REGION, n, rng)
+        scaled = (pts - REGION[:, 0]) / (REGION[:, 1] - REGION[:, 0])
+        values = quadratic(scaled) + 0.02 * rng.standard_normal(n)
+        model = fit(pts, values, np.random.default_rng(seed + 1), bounds=REGION)
+        alpha, power, evals = fit_serial_direct(
+            pts, values, np.random.default_rng(seed + 1), REGION, model.nugget
+        )
+        assert model.params.alpha.tobytes() == alpha.tobytes()
+        assert model.params.power.tobytes() == power.tobytes()
+        assert model.nll_evals == evals
+        assert 0 <= model.nll_converged <= 5
+
     def test_duplicate_samples_rejected(self):
         pts = np.array([[0.1, 0.1], [0.1, 0.1], [0.5, 0.6], [0.9, 0.2]])
         with pytest.raises(DegenerateDesignError):
@@ -215,10 +239,47 @@ class TestConcentratedNll:
         values = quadratic(pts) + 0.01 * rng.standard_normal(16)
         theta = np.array(theta)
         low, high = np.array([LOG_ALPHA_RANGE] * 2 + [POWER_RANGE] * 2).T
-        value = _concentrated_nll(theta, _distances(pts, pts), values, 1e-10, low, high)
+        value = _concentrated_nll(theta[None], _distances(pts, pts), values, 1e-10, low, high)[0]
         assert value < 1e11  # no conditioning guard
         expected = concentrated_nll_direct(theta, pts, values, 1e-10, LOG_ALPHA_RANGE, POWER_RANGE)
         assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+    def test_stack_matches_one_theta_calls(self):
+        # nugget 0 lets the smoothest, flattest kernel fail its Cholesky
+        rng = np.random.default_rng(29)
+        pts = jittered_grid(UNIT, 16, rng)
+        values = quadratic(pts) + 0.01 * rng.standard_normal(16)
+        dist = _distances(pts, pts)
+        low, high = np.array([LOG_ALPHA_RANGE] * 2 + [POWER_RANGE] * 2).T
+        thetas = np.array(
+            [
+                [1.0, 2.5, 1.3, 1.8],  # inside the box
+                [-6.0, -6.0, 2.0, 2.0],  # Cholesky fails
+                [7.5, 2.0, 1.5, 0.5],  # outside the box
+                [-3.0, -2.5, 1.9, 1.7],  # conditioning guard
+                [-7.0, -6.5, 2.4, 2.0],  # outside, clipped onto the failing corner
+                [0.5, 1.0, 1.0, 1.2],
+            ]
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            _gls_maps(dist, np.exp(thetas[1, :2]), thetas[1, 2:], 0.0)
+        chol, _, _ = _gls_maps(dist, np.exp(thetas[3, :2]), thetas[3, 2:], 0.0)
+        assert chol.diagonal().min() < COND_GUARD * chol.diagonal().max()
+
+        stacked = _concentrated_nll(thetas, dist, values, 0.0, low, high)
+        single = [_concentrated_nll(th[None], dist, values, 0.0, low, high)[0] for th in thetas]
+        assert stacked.shape == (len(thetas),)
+        np.testing.assert_array_equal(stacked, single)
+        assert stacked[1] == 1e12
+        assert stacked[3] == 1e12
+        assert stacked[4] > 1e12
+        assert np.all(stacked[[0, 2, 5]] < 1e11)
+        # without the failing thetas the stack is factored in one call
+        good = thetas[[0, 2, 3, 5]]
+        np.testing.assert_array_equal(
+            _concentrated_nll(good, dist, values, 0.0, low, high), stacked[[0, 2, 3, 5]]
+        )
 
 
 class TestPredict:

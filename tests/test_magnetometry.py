@@ -210,6 +210,11 @@ class TestSimulateRamsey:
         with pytest.raises(ValueError):
             simulate_ramsey(seq, SIGNAL, noise, 4 * 3.2e-6)
 
+    def test_invalid_step_count(self):
+        seq = build_xy8("rect", 50e-9, 350e-9, 4)
+        with pytest.raises(ValueError, match="n_steps_per_pulse"):
+            simulate_ramsey(seq, SIGNAL, NoiseSettings.disabled(), 4 * 3.2e-6, n_steps_per_pulse=0)
+
 
 class TestEstimateT2:
     def test_recovers_synthetic_exponential(self):

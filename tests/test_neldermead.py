@@ -2,25 +2,25 @@ import numpy as np
 import pytest
 
 from spinopt import nelder_mead
+from spinopt.neldermead import nelder_mead_batches
+
+
+def rosen(x):
+    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+
+def bowl(x):
+    return float(np.sum((x - 3.0) ** 2))
 
 
 def test_convex_bowl():
-    result = nelder_mead(
-        lambda x: float(np.sum((x - 3.0) ** 2)),
-        np.zeros(3),
-        step=0.5,
-        f_tol=1e-12,
-        max_iter=2000,
-    )
+    result = nelder_mead(bowl, np.zeros(3), step=0.5, f_tol=1e-12, max_iter=2000)
     assert result.fun < 1e-8
     np.testing.assert_allclose(result.x, 3.0, atol=1e-4)
     assert result.converged
 
 
 def test_rosenbrock():
-    def rosen(x):
-        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-
     result = nelder_mead(
         rosen, np.array([-1.2, 1.0]), step=0.1, f_tol=1e-10, max_iter=1000
     )
@@ -52,7 +52,7 @@ def test_non_finite_objective_aborts():
 def test_iteration_cap():
     # a narrow valley that cannot converge in two iterations
     result = nelder_mead(
-        lambda x: float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2),
+        rosen,
         np.array([-1.2, 1.0]),
         step=0.1,
         f_tol=1e-14,
@@ -60,3 +60,66 @@ def test_iteration_cap():
     )
     assert not result.converged
     assert result.n_iter == 2
+
+
+@pytest.mark.parametrize(
+    "fn, x0, step, f_tol, max_iter",
+    [
+        (bowl, np.zeros(3), 0.5, 1e-12, 2000),
+        (rosen, np.array([-1.2, 1.0]), 0.1, 1e-10, 1000),
+        (lambda x: float(np.sum(x**2)), np.array([1.0, 2.0]), 0.3, 1e-4, 50),
+        (rosen, np.array([-1.2, 1.0]), 0.1, 1e-14, 2),
+    ],
+    ids=["bowl", "rosenbrock", "eval_count", "iteration_cap"],
+)
+def test_driver_matches_generator(fn, x0, step, f_tol, max_iter):
+    search = nelder_mead_batches(x0, step, f_tol, max_iter)
+    batch = next(search)
+    batch_sizes = set()
+    try:
+        while True:
+            batch_sizes.add(batch.shape)
+            batch = search.send(np.array([fn(x) for x in batch]))
+    except StopIteration as stop:
+        told = stop.value
+    driven = nelder_mead(fn, x0, step, f_tol, max_iter)
+    np.testing.assert_array_equal(driven.x, told.x)
+    assert (driven.fun, driven.n_evals, driven.n_iter, driven.converged) == (
+        told.fun,
+        told.n_evals,
+        told.n_iter,
+        told.converged,
+    )
+    dim = x0.size
+    assert batch_sizes <= {(dim + 1, dim), (1, dim), (dim, dim)}
+
+
+def test_shrink_asks_for_one_batch_of_dim_points():
+    dim = 3
+    search = nelder_mead_batches(np.zeros(dim), 1.0, f_tol=1e-9, max_iter=10)
+    start = next(search)
+    assert start.shape == (dim + 1, dim)
+    reflected = search.send(np.arange(dim + 1.0))
+    assert reflected.shape == (1, dim)
+    # the reflected point is no better than the worst vertex, and neither is
+    # the inside contraction that follows, so the simplex shrinks
+    contracted = search.send([10.0 * dim])
+    assert contracted.shape == (1, dim)
+    shrink = search.send([10.0 * dim])
+    assert shrink.shape == (dim, dim)
+    # every vertex but the best moves halfway toward it (the origin)
+    np.testing.assert_array_equal(shrink, 0.5 * start[1:])
+
+
+def test_generator_rejects_non_finite_value():
+    search = nelder_mead_batches(np.zeros(2), 0.5)
+    next(search)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        search.send([0.0, np.inf, 1.0])
+
+
+def test_generator_rejects_wrong_value_count():
+    search = nelder_mead_batches(np.zeros(2), 0.5)
+    next(search)
+    with pytest.raises(ValueError, match="expected 3 values"):
+        search.send([0.0, 1.0])

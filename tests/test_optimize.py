@@ -185,11 +185,14 @@ class TestBpmOptimize:
         if cfg.uses_surrogate:
             assert run.true_calls == cfg.n_samples * (run.model_attempts + run.nm_evals)
             assert run.p_fit is not None
+            # each fit starts 5 restarts at the 5 vertices of a 4-d simplex
+            assert run.nll_evals >= 25 * run.model_attempts
         else:
             m, n = cfg.search_grid
             assert run.true_calls == m * n * run.nm_evals
             assert run.model_attempts == 0
             assert run.p_fit is None
+            assert run.nll_evals == 0
 
     def test_final_field_is_feasible(self):
         run = run_single(fast_config(seed=5))
