@@ -149,19 +149,29 @@ def test_c4_objective_cost_scaling():
     values = state_fidelity_many(DEMO_FIELD, samples[:, 0], samples[:, 1])
     model = fit(samples, values, rng, bounds=region)
 
-    def best_time(fn, reps=9):
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return float(np.min(times))
+    def best_times(small, large, reps=9):
+        """Best times of ``small()`` and ``large()`` over ``reps`` rounds that
+        call them in turn, so that a change in the machine's load between
+        two timing windows does not enter their ratio."""
+        times = np.empty((reps, 2))
+        for rep in range(reps):
+            for col, fn in enumerate((small, large)):
+                t0 = time.perf_counter()
+                fn()
+                times[rep, col] = time.perf_counter() - t0
+        return times.min(axis=0)
 
-    surrogate_objective(model, grid_small)  # warm up
-    t_surr_small = best_time(lambda: surrogate_objective(model, grid_small))
-    t_surr_large = best_time(lambda: surrogate_objective(model, grid_large))
-    t_true_small = best_time(lambda: ensemble_objective(DEMO_FIELD, grid_small), reps=3)
-    t_true_large = best_time(lambda: ensemble_objective(DEMO_FIELD, grid_large), reps=3)
+    # warm up
+    surrogate_objective(model, grid_small)
+    ensemble_objective(DEMO_FIELD, grid_small)
+    t_surr_small, t_surr_large = best_times(
+        lambda: surrogate_objective(model, grid_small),
+        lambda: surrogate_objective(model, grid_large),
+    )
+    t_true_small, t_true_large = best_times(
+        lambda: ensemble_objective(DEMO_FIELD, grid_small),
+        lambda: ensemble_objective(DEMO_FIELD, grid_large),
+    )
     surr_ratio = t_surr_large / t_surr_small
     true_ratio = t_true_large / t_true_small
     ok = surr_ratio < 3.0 and true_ratio >= 20.0
