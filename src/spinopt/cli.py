@@ -41,6 +41,7 @@ from .magnetometry import (
     build_xy8,
     estimate_t2,
     fringe_window,
+    periods_within,
     simulate_ramsey,
 )
 from .optimize import (
@@ -300,12 +301,11 @@ def cmd_magnetometry(cfg: dict, out: Path, seed) -> int:
     t2 = {}
     for kind, settings in ((RECT, rect_cfg), (SHAPED, shaped_cfg)):
         period = 8 * (settings["t_pulse"] + settings["tau_pulse"])
-        n_periods = int(np.floor(t_max / period + 1e-9))
         seq = build_xy8(
             kind,
             settings["t_pulse"],
             settings["tau_pulse"],
-            n_periods,
+            periods_within(t_max, period),
             x_field=settings.get("x_field"),
         )
         trace = simulate_ramsey(

@@ -15,7 +15,13 @@ from importlib import resources
 import numpy as np
 
 from .fields import ControlField, pm_field
-from .magnetometry import AcSignal, NoiseSettings, default_shaped_pi_field
+from .magnetometry import (
+    MIN_T2_POINTS,
+    AcSignal,
+    NoiseSettings,
+    default_shaped_pi_field,
+    periods_within,
+)
 from .optimize import OptConfig
 
 TWO_PI = 2.0 * np.pi
@@ -130,7 +136,8 @@ def opt_config_from(cfg: dict, seed: int | None = None, **overrides) -> OptConfi
 
 def magnetometry_from(cfg: dict, seed: int | None = None):
     """(rect sequence settings, shaped settings, signal, noise, run settings)
-    from config; invalid signal, noise or realization values raise
+    from config; invalid signal, noise or realization values, and a
+    ``t_max_us`` too short for a T2 fit of either sequence, raise
     ConfigError."""
     m = cfg["magnetometry"]
     amp_limit = rad_s_from_mhz(cfg["optimize"]["amp_limit_mhz"])
@@ -154,10 +161,17 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
         raise ConfigError(
             "rectangular and shaped sequences must share one signal frequency"
         )
+    t_max = float(s_from_us(m["t_max_us"]))
+    for settings in (rect, shaped):
+        period = 8.0 * (settings["t_pulse"] + settings["tau_pulse"])
+        if periods_within(t_max, period) < MIN_T2_POINTS:
+            raise ConfigError(
+                f"magnetometry.t_max_us must span at least {MIN_T2_POINTS} XY-8 "
+                f"periods ({MIN_T2_POINTS * period / 1e-6:g} us), the fewest "
+                "readouts a T2 fit takes"
+            )
     base_seed = int(cfg["seed"] if seed is None else seed)
     n_realizations = int(m["n_realizations"])
-    if n_realizations < 1:
-        raise ConfigError("magnetometry.n_realizations must be at least 1")
     n_steps_per_pulse = int(m["n_steps_per_pulse"])
     if n_steps_per_pulse < 1:
         raise ConfigError("magnetometry.n_steps_per_pulse must be at least 1")
@@ -176,7 +190,7 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     run = {
-        "t_max": float(s_from_us(m["t_max_us"])),
+        "t_max": t_max,
         "n_steps_per_pulse": n_steps_per_pulse,
     }
     return rect, shaped, signal, noise, run

@@ -36,6 +36,8 @@ DEFAULT_OU_STD = 2.0 * np.pi * 50e3
 DEFAULT_G_AC = 2.0 * np.pi * 0.1e6
 # Fewest readout intervals in one T2 envelope window (see fringe_window).
 FRINGE_WINDOW_READOUTS = 4
+# Fewest trace points (block terminals) estimate_t2 fits.
+MIN_T2_POINTS = 10
 
 # Robust pi-pulse found by the surrogate-assisted gate optimizer at the
 # reference ensemble settings (100 ns, two PM parameter sets).  Its average
@@ -74,6 +76,8 @@ class NoiseSettings:
             raise ValueError("tau must be positive")
         if self.c < 0:
             raise ValueError("c must be nonnegative")
+        if self.n_realizations < 1:
+            raise ValueError("n_realizations must be at least 1")
 
     @property
     def stationary_std(self) -> float:
@@ -219,20 +223,22 @@ def _x_drive(seq, times, kappa):
     return tuple(zip(cf4_mix(*(kappa * w1)), cf4_mix(*(kappa * w2))))
 
 
-def _pulse_unitaries(signal, t_start, delta_total, drive, times, dt):
-    """Propagators of the pi pulse starting at ``t_start`` for every
-    realization as Cayley-Klein pairs (a, b), each shape (R,).
+def _pulse_unitaries(signal, t_starts, delta_totals, drive, times, dt):
+    """Propagators of a group of K pi pulses for every realization as
+    Cayley-Klein pairs (a, b), each shape (K, R), from one kernel call.
 
-    ``drive`` comes from ``_x_drive`` and ``times`` are the local sample
-    times it was built on.  ``delta_total`` holds
+    Pulse k starts at ``t_starts[k]`` with ``delta_totals[k]`` holding
     delta + delta_d per realization; the dynamic part is frozen for the
-    pulse duration.  The z coefficient is mixed on the time axis and the
-    static detuning added per realization, giving (R, n_sub) arrays.
+    pulse duration.  ``drive`` comes from ``_x_drive`` and ``times`` are the
+    local sample times it was built on.  The z coefficient is the AC signal
+    of each pulse, (K, 1, n_sub), plus its static detuning per realization,
+    (K, R, 1), both mixed on the time axis; the drive broadcasts over both.
     """
-    signal_first, signal_second = cf4_mix(
-        *(signal.g_ac * np.cos(signal.omega_s * (t_start + times)))
+    early, late = signal.g_ac * np.cos(
+        signal.omega_s * (t_starts[:, None, None] + times[:, None, None, :])
     )
-    static = 0.5 * delta_total[:, None]
+    signal_first, signal_second = cf4_mix(early, late)
+    static = 0.5 * delta_totals[:, :, None]
     static_first, static_second = cf4_mix(static, static)
     (hx_first, hy_first), (hx_second, hy_second) = drive
     return cf4_propagator(
@@ -250,6 +256,26 @@ def _free_phase(signal, delta_total, t0, t1):
     return delta_total * (t1 - t0) + sig
 
 
+def periods_within(t_max, period) -> int:
+    """Whole XY-8 periods that fit in ``t_max`` (rounding slack 1e-9)."""
+    return int(np.floor(t_max / period + 1e-9))
+
+
+# Point-steps (pulses x realizations x substeps) propagated per kernel call
+# by ``simulate_ramsey``: 4 pulses at the default 100 realizations and 50
+# substeps, one pulse from 400 realizations up.  Kernel rate (best of 7) and
+# best-of-15 time of one default rect + shaped pair, by pulses per call
+# (2-core Xeon with 2 MB L2, Python 3.11.7, numpy 2.4.6):
+#
+#   pulses           1     2     3     4     6     8     16
+#   point-steps/us   10.6  13.8  14.5  14.2  11.9  13.5  11.2
+#   pair s           1.03  0.77  0.76  0.73  0.80  0.83  -
+#
+# One pulse leaves the kernel's per-call overhead exposed; past ~400 rows
+# the working block (128 bytes per point-step) outgrows the L2 cache.
+_PULSE_POINT_STEPS = 20_000
+
+
 def simulate_ramsey(
     seq: PulseSequence,
     signal: AcSignal,
@@ -264,12 +290,15 @@ def simulate_ramsey(
     superposition through the pulse schedule with the OU detuning updated
     once per pulse/gap segment, and record the readout population at every
     block terminal.  Preparation and readout pulses are ideal.
+
+    The OU path does not depend on the spin state, so the schedule is
+    walked in groups of pulses: the group's noise is drawn first (in
+    schedule order), its pulses are propagated in one kernel call, and then
+    its free rotations, pulses and readouts are applied in order.
     """
-    if noise.n_realizations < 1:
-        raise ValueError("n_realizations must be positive")
     if n_steps_per_pulse < 1:
         raise ValueError("n_steps_per_pulse must be at least 1")
-    n_blocks = min(seq.n_periods, int(np.floor(t_max / seq.period + 1e-9)))
+    n_blocks = min(seq.n_periods, periods_within(t_max, seq.period))
     if n_blocks < 2:
         raise ValueError("t_max must span at least 2 XY-8 periods")
 
@@ -290,49 +319,81 @@ def simulate_ramsey(
     p0_mean = np.empty(n_blocks)
     p0_err = np.empty(n_blocks)
 
-    def advance_free(t0, t1):
-        nonlocal delta_d, up, dn
-        if t1 <= t0:
-            return
-        phase = _free_phase(signal, delta + delta_d, t0, t1)
-        rot = np.exp(-0.5j * phase)
-        up *= rot
-        dn *= np.conj(rot)
-        delta_d = ou_step(delta_d, t1 - t0, noise.tau, noise.c, rng) if noise.c > 0 else delta_d
-
     half_pulse = 0.0 if seq.kind == IDEAL else 0.5 * seq.t_pulse
     dt = seq.t_pulse / n_steps_per_pulse
     if seq.kind != IDEAL:
         sample_times = np.stack(cf4_times(n_steps_per_pulse, dt))
         drive = _x_drive(seq, sample_times, kappa)
+    group_size = max(1, _PULSE_POINT_STEPS // (r * n_steps_per_pulse))
+
+    # The group's schedule in time order: ("free", phase), ("pulse", is_y)
+    # or ("read", block); pulse k of the group starts at t_starts[k] with
+    # detuning totals[k].
+    events = []
+    t_starts = []
+    totals = []
+
+    def draw_free(t0, t1):
+        nonlocal delta_d
+        if t1 <= t0:
+            return
+        events.append(("free", _free_phase(signal, delta + delta_d, t0, t1)))
+        if noise.c > 0:
+            delta_d = ou_step(delta_d, t1 - t0, noise.tau, noise.c, rng)
+
+    def apply_group():
+        nonlocal up, dn
+        if t_starts:  # empty for ideal pulses and for a group of trailing events
+            group_a, group_b = _pulse_unitaries(
+                signal, np.array(t_starts), np.stack(totals), drive, sample_times, dt
+            )
+        k = 0
+        for kind, value in events:
+            if kind == "free":
+                rot = np.exp(-0.5j * value)
+                up *= rot
+                dn *= np.conj(rot)
+            elif kind == "pulse":
+                if seq.kind == IDEAL:
+                    a, b = _IDEAL_PI
+                else:
+                    a, b = group_a[k], group_b[k]
+                k += 1
+                if value:
+                    b = 1j * b
+                up, dn = a * up - np.conj(b) * dn, b * up + np.conj(a) * dn
+            else:
+                amp = _READ_ROW[0] * up + _READ_ROW[1] * dn
+                p0 = np.abs(amp) ** 2
+                p0_mean[value] = p0.mean()
+                p0_err[value] = p0.std(ddof=1) / np.sqrt(r) if r > 1 else 0.0
+        events.clear()
+        t_starts.clear()
+        totals.clear()
+
     t_now = 0.0
     pulse_index = 0
     for block in range(n_blocks):
         for _ in range(8):
             t_center = (pulse_index + 0.5) * seq.spacing
             t_start = t_center - half_pulse
-            advance_free(t_now, t_start)
-            if seq.kind == IDEAL:
-                a, b = _IDEAL_PI
-            else:
-                a, b = _pulse_unitaries(
-                    signal, t_start, delta + delta_d, drive, sample_times, dt
-                )
+            draw_free(t_now, t_start)
+            events.append(("pulse", XY8_AXES[pulse_index % 8] == "y"))
+            if seq.kind != IDEAL:
+                t_starts.append(t_start)
+                totals.append(delta + delta_d)
                 if noise.c > 0:
                     delta_d = ou_step(delta_d, seq.t_pulse, noise.tau, noise.c, rng)
-            if XY8_AXES[pulse_index % 8] == "y":
-                b = 1j * b
-            up, dn = a * up - np.conj(b) * dn, b * up + np.conj(a) * dn
             t_now = t_center + half_pulse
             pulse_index += 1
+            if pulse_index % group_size == 0:
+                apply_group()
         t_block = (block + 1) * seq.period
-        advance_free(t_now, t_block)
+        draw_free(t_now, t_block)
         t_now = t_block
-        amp = _READ_ROW[0] * up + _READ_ROW[1] * dn
-        p0 = np.abs(amp) ** 2
         times[block] = t_block
-        p0_mean[block] = p0.mean()
-        p0_err[block] = p0.std(ddof=1) / np.sqrt(r) if r > 1 else 0.0
+        events.append(("read", block))
+    apply_group()
     return RamseyTrace(times=times, p0_mean=p0_mean, p0_stderr=p0_err, pulse_kind=seq.kind)
 
 
@@ -352,8 +413,8 @@ def estimate_t2(
     """
     times = np.asarray(times, dtype=float)
     p0 = np.asarray(p0, dtype=float)
-    if times.size < 10:
-        raise ValueError("trace must contain at least 10 points")
+    if times.size < MIN_T2_POINTS:
+        raise ValueError(f"trace must contain at least {MIN_T2_POINTS} points")
     env = np.abs(2.0 * p0 - 1.0)
     if envelope_window > 0:
         sel_t, sel_e = [], []

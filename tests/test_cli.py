@@ -112,12 +112,25 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_runtime_failure_exits_1(self, tmp_path, capsys):
-        # a magnetometry window shorter than two XY-8 blocks cannot run
+    @pytest.mark.parametrize("t_max_us", [20.0, 5.0, -1.0])
+    def test_short_magnetometry_window_exits_2(self, tmp_path, capsys, t_max_us):
+        # fewer than 10 XY-8 periods (32 us) leave too few readouts for the
+        # T2 fit: rejected with the config, before any trace runs
         path = write_config(
-            tmp_path, {"magnetometry": {"t_max_us": 3.2, "n_realizations": 2}}
+            tmp_path, {"magnetometry": {"t_max_us": t_max_us, "n_realizations": 2}}
         )
-        code = main(["magnetometry", "--config", path, "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main(["magnetometry", "--config", path, "--out", str(out)])
+        assert code == 2
+        assert "t_max_us" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
+    def test_runtime_failure_exits_1(self, tmp_path, capsys):
+        # an output directory that cannot be made (a file sits at its path)
+        path = write_config(tmp_path, {"magnetometry": {"n_realizations": 2}})
+        blocker = tmp_path / "o"
+        blocker.write_text("")
+        code = main(["magnetometry", "--config", path, "--out", str(blocker)])
         assert code == 1
         assert "error" in capsys.readouterr().err
 

@@ -20,7 +20,7 @@ from spinopt.dynamics import FWHM_TO_SIGMA, SIGMA_X
 from spinopt.fields import peak_amplitude
 from spinopt.magnetometry import XY8_AXES
 
-from oracles import abs_cos_integral, xy8_populations_direct
+from oracles import abs_cos_integral, simulate_ramsey_per_pulse, xy8_populations_direct
 
 TWO_PI = 2 * np.pi
 OMEGA_MAX = TWO_PI * 10e6
@@ -131,6 +131,12 @@ class TestIdealPhase:
             ideal_phase(1.0, 0.0, 1e-6)
 
 
+def _sequence(kind, n_blocks):
+    if kind == "shaped":
+        return build_xy8(kind, 100e-9, 300e-9, n_blocks, x_field=default_shaped_pi_field())
+    return build_xy8(kind, 50e-9, 350e-9, n_blocks)
+
+
 class TestSimulateRamsey:
     def test_ideal_pulses_match_closed_form(self):
         seq = build_xy8("ideal", 50e-9, 350e-9, 12)
@@ -180,6 +186,46 @@ class TestSimulateRamsey:
             trace.p0_stderr, p0.std(axis=0, ddof=1) / np.sqrt(3), rtol=0, atol=1e-10
         )
 
+    @pytest.mark.parametrize(
+        "kind, n_realizations, n_blocks",
+        [
+            ("rect", 100, 5),
+            ("shaped", 100, 5),
+            ("rect", 30, 5),
+            ("shaped", 30, 5),
+            ("rect", 1, 5),
+            ("shaped", 1, 5),
+            ("ideal", 30, 5),
+        ],
+    )
+    def test_pulse_groups_match_per_pulse_oracle(self, kind, n_realizations, n_blocks):
+        # OU noise on, 50 substeps: groups of 4, 13 and 400 pulses at 100, 30
+        # and 1 realizations, so 5 blocks (40 pulses) end on a short group at
+        # 30 and 1.  Each group's noise is drawn in the per-pulse order
+        # before it propagates, so every bit agrees.
+        seq = _sequence(kind, n_blocks)
+        noise = NoiseSettings(n_realizations=n_realizations, seed=11)
+        trace = simulate_ramsey(seq, SIGNAL, noise, n_blocks * seq.period)
+        p0_mean, p0_stderr = simulate_ramsey_per_pulse(
+            seq, SIGNAL, noise, n_blocks * seq.period
+        )
+        np.testing.assert_array_equal(trace.p0_mean, p0_mean)
+        np.testing.assert_array_equal(trace.p0_stderr, p0_stderr)
+
+    def test_mixed_term_counts_stay_within_rounding(self):
+        # A signal 100x the default with 6 substeps gives the pulses of one
+        # group different series term counts; the group's shared (larger)
+        # count then moves P0 by rounding only.
+        strong = AcSignal(g_ac=TWO_PI * 10e6, omega_s=OMEGA_S)
+        seq = _sequence("rect", 12)
+        noise = NoiseSettings(n_realizations=1, seed=2)
+        trace = simulate_ramsey(seq, strong, noise, 12 * seq.period, n_steps_per_pulse=6)
+        p0_mean, p0_stderr = simulate_ramsey_per_pulse(
+            seq, strong, noise, 12 * seq.period, n_steps_per_pulse=6
+        )
+        np.testing.assert_allclose(trace.p0_mean, p0_mean, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(trace.p0_stderr, p0_stderr)
+
     def test_deterministic_for_fixed_seed(self):
         seq = build_xy8("rect", 50e-9, 350e-9, 5)
         noise = NoiseSettings(n_realizations=15, seed=12)
@@ -205,10 +251,10 @@ class TestSimulateRamsey:
             simulate_ramsey(seq, SIGNAL, NoiseSettings.disabled(), 3.2e-6)
 
     def test_invalid_realization_count(self):
-        seq = build_xy8("rect", 50e-9, 350e-9, 4)
-        noise = NoiseSettings(n_realizations=0)
-        with pytest.raises(ValueError):
-            simulate_ramsey(seq, SIGNAL, noise, 4 * 3.2e-6)
+        with pytest.raises(ValueError, match="n_realizations"):
+            NoiseSettings(n_realizations=0)
+        with pytest.raises(ValueError, match="n_realizations"):
+            NoiseSettings.disabled(n_realizations=0)
 
     def test_invalid_step_count(self):
         seq = build_xy8("rect", 50e-9, 350e-9, 4)
