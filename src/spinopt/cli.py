@@ -120,13 +120,14 @@ def _timing_rows(runs):
     ]
 
 
+def _map_rows(points, values):
+    """``[delta_mhz, kappa, value]`` rows of (delta, kappa) points."""
+    return [[float(mhz_from_rad_s(d)), k, v] for (d, k), v in zip(points, values)]
+
+
 def _fidelity_map_rows(field, grid: NoiseGrid, n_steps: int):
     pts = grid.points()
-    f = state_fidelity_many(field, pts[:, 0], pts[:, 1], n_steps)
-    return [
-        [float(mhz_from_rad_s(d)), k, v]
-        for (d, k), v in zip(pts, f)
-    ]
+    return _map_rows(pts, state_fidelity_many(field, pts[:, 0], pts[:, 1], n_steps))
 
 
 def cmd_optimize(cfg: dict, out: Path, seed) -> int:
@@ -233,15 +234,15 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
         _write_csv(
             out / f"samples_{n}.csv",
             ["delta_mhz", "kappa", "fidelity"],
-            [[float(mhz_from_rad_s(p[0])), p[1], v] for p, v in zip(pts, vals)],
+            _map_rows(pts, vals),
         )
         model = fit(pts, vals, rng, bounds=region)
         pred = np.clip(model.predict_grid(truth_grid.deltas, truth_grid.kappas), 0, 1)
-        rows = []
-        for i, d in enumerate(truth_grid.deltas):
-            for j, k in enumerate(truth_grid.kappas):
-                rows.append([float(mhz_from_rad_s(d)), k, pred[i, j]])
-        _write_csv(out / f"prediction_map_{n}.csv", ["delta_mhz", "kappa", "fidelity"], rows)
+        _write_csv(
+            out / f"prediction_map_{n}.csv",
+            ["delta_mhz", "kappa", "fidelity"],
+            _map_rows(truth_grid.points(), pred.ravel()),
+        )
 
     # Timing and deviation versus the number of objective grid points, for
     # the true objective and for a 16-sample surrogate, averaged over random

@@ -112,7 +112,9 @@ class PulseSequence:
 
     One block spans 8 * (t_pulse + tau_pulse); pulse k is centered at
     (k + 1/2) * (t_pulse + tau_pulse), a zero crossing of the matched AC
-    signal with omega_s = pi / (t_pulse + tau_pulse).
+    signal with omega_s = pi / (t_pulse + tau_pulse).  Rect and shaped
+    sequences carry their X pulse as ``x_field``, of duration t_pulse;
+    ideal pulses have none.  A sequence is validated when it is built.
     """
 
     kind: str
@@ -120,6 +122,19 @@ class PulseSequence:
     tau_pulse: float
     n_periods: int
     x_field: ControlField | None = None
+
+    def __post_init__(self):
+        if self.kind not in (RECT, SHAPED, IDEAL):
+            raise ValueError(f"unknown pulse kind {self.kind!r}")
+        if self.t_pulse <= 0 or self.tau_pulse <= 0:
+            raise ValueError("t_pulse and tau_pulse must be positive")
+        if self.n_periods < 1:
+            raise ValueError("n_periods must be at least 1")
+        if self.kind != IDEAL:
+            if self.x_field is None:
+                raise ValueError(f"{self.kind} sequences need an x_field")
+            if abs(self.x_field.duration - self.t_pulse) > 1e-15:
+                raise ValueError("x_field duration must equal t_pulse")
 
     @property
     def omega_s(self) -> float:
@@ -144,20 +159,9 @@ def build_xy8(kind, t_pulse, tau_pulse, n_periods, x_field=None) -> PulseSequenc
     pulse is the X pulse turned by 90 degrees about z: its drive puts the
     quadratures (w1, w2) on (-w2, w1).
     """
-    if kind not in (RECT, SHAPED, IDEAL):
-        raise ValueError(f"unknown pulse kind {kind!r}")
-    if t_pulse <= 0 or tau_pulse <= 0:
-        raise ValueError("t_pulse and tau_pulse must be positive")
-    if n_periods < 1:
-        raise ValueError("n_periods must be at least 1")
-    if kind == SHAPED:
-        if x_field is None:
-            raise ValueError("shaped sequences need an x_field")
-        if abs(x_field.duration - t_pulse) > 1e-15:
-            raise ValueError("shaped field duration must equal t_pulse")
-    elif kind == RECT:
+    if kind == RECT and t_pulse > 0:  # PulseSequence rejects t_pulse <= 0
         x_field = constant_drive(np.pi / t_pulse, t_pulse, np.pi / t_pulse)
-    else:
+    elif kind == IDEAL:
         x_field = None
     return PulseSequence(
         kind=kind,
@@ -226,6 +230,9 @@ def _x_drive(seq, times, kappa):
 def _pulse_unitaries(signal, t_starts, delta_totals, drive, times, dt):
     """Propagators of a group of K pi pulses for every realization as
     Cayley-Klein pairs (a, b), each shape (K, R), from one kernel call.
+    ``simulate_ramsey``'s pulse pass calls it once per group of
+    consecutive pulses, after the whole noise path has been drawn; the
+    group shares one series term count, the largest its pulses need.
 
     Pulse k starts at ``t_starts[k]`` with ``delta_totals[k]`` holding
     delta + delta_d per realization; the dynamic part is frozen for the
@@ -291,10 +298,10 @@ def simulate_ramsey(
     once per pulse/gap segment, and record the readout population at every
     block terminal.  Preparation and readout pulses are ideal.
 
-    The OU path does not depend on the spin state, so the schedule is
-    walked in groups of pulses: the group's noise is drawn first (in
-    schedule order), its pulses are propagated in one kernel call, and then
-    its free rotations, pulses and readouts are applied in order.
+    The OU path does not depend on the spin state, so the trace runs in
+    three passes: the noise of every segment is drawn in schedule order,
+    every pulse is propagated (several per kernel call), and the spin walks
+    the free rotations and pulses, read out at each block terminal.
     """
     if n_steps_per_pulse < 1:
         raise ValueError("n_steps_per_pulse must be at least 1")
@@ -313,88 +320,66 @@ def simulate_ramsey(
     else:
         delta_d = np.zeros(r)
 
-    up = np.full(r, _PREP[0])
-    dn = np.full(r, _PREP[1])
-    times = np.empty(n_blocks)
-    p0_mean = np.empty(n_blocks)
-    p0_err = np.empty(n_blocks)
+    # Block b holds 17 segments, gap, pulse, gap, ..., pulse, gap; segment j
+    # spans bounds[b, j] to bounds[b, j + 1].
+    t_pulse = 0.0 if seq.kind == IDEAL else seq.t_pulse
+    centres = ((np.arange(8 * n_blocks) + 0.5) * seq.spacing).reshape(n_blocks, 8)
+    edges = np.arange(n_blocks + 1) * seq.period
+    bounds = np.empty((n_blocks, 18))
+    bounds[:, 0] = edges[:-1]
+    bounds[:, 1:-1:2] = centres - 0.5 * t_pulse
+    bounds[:, 2:-1:2] = centres + 0.5 * t_pulse
+    bounds[:, -1] = edges[1:]
+    lengths = np.diff(bounds)
+    lengths[:, 1::2] = t_pulse
 
-    half_pulse = 0.0 if seq.kind == IDEAL else 0.5 * seq.t_pulse
-    dt = seq.t_pulse / n_steps_per_pulse
-    if seq.kind != IDEAL:
+    # Noise pass: delta + delta_d at the start of every segment.
+    totals = np.empty((n_blocks, 17, r))
+    for total, length in zip(totals.reshape(-1, r), lengths.ravel().tolist()):
+        total[:] = delta + delta_d
+        if noise.c > 0 and length > 0:
+            delta_d = ou_step(delta_d, length, noise.tau, noise.c, rng)
+    rot = np.exp(
+        -0.5j * _free_phase(signal, totals[:, ::2], bounds[:, ::2, None], bounds[:, 1::2, None])
+    )
+    rot_conj = np.conj(rot)
+
+    # Pulse pass: Cayley-Klein pairs (a, b) of every pulse.
+    pairs = np.empty((2, 8 * n_blocks, 1 if seq.kind == IDEAL else r), dtype=complex)
+    if seq.kind == IDEAL:
+        pairs[0], pairs[1] = _IDEAL_PI
+    else:
+        dt = seq.t_pulse / n_steps_per_pulse
         sample_times = np.stack(cf4_times(n_steps_per_pulse, dt))
         drive = _x_drive(seq, sample_times, kappa)
-    group_size = max(1, _PULSE_POINT_STEPS // (r * n_steps_per_pulse))
-
-    # The group's schedule in time order: ("free", phase), ("pulse", is_y)
-    # or ("read", block); pulse k of the group starts at t_starts[k] with
-    # detuning totals[k].
-    events = []
-    t_starts = []
-    totals = []
-
-    def draw_free(t0, t1):
-        nonlocal delta_d
-        if t1 <= t0:
-            return
-        events.append(("free", _free_phase(signal, delta + delta_d, t0, t1)))
-        if noise.c > 0:
-            delta_d = ou_step(delta_d, t1 - t0, noise.tau, noise.c, rng)
-
-    def apply_group():
-        nonlocal up, dn
-        if t_starts:  # empty for ideal pulses and for a group of trailing events
-            group_a, group_b = _pulse_unitaries(
-                signal, np.array(t_starts), np.stack(totals), drive, sample_times, dt
+        starts = bounds[:, 1:-1:2].ravel()
+        pulse_totals = totals[:, 1::2].reshape(-1, r)
+        group = max(1, _PULSE_POINT_STEPS // (r * n_steps_per_pulse))
+        for i in range(0, 8 * n_blocks, group):
+            pairs[:, i : i + group] = _pulse_unitaries(
+                signal, starts[i : i + group], pulse_totals[i : i + group], drive, sample_times, dt
             )
-        k = 0
-        for kind, value in events:
-            if kind == "free":
-                rot = np.exp(-0.5j * value)
-                up *= rot
-                dn *= np.conj(rot)
-            elif kind == "pulse":
-                if seq.kind == IDEAL:
-                    a, b = _IDEAL_PI
-                else:
-                    a, b = group_a[k], group_b[k]
-                k += 1
-                if value:
-                    b = 1j * b
-                up, dn = a * up - np.conj(b) * dn, b * up + np.conj(a) * dn
-            else:
-                amp = _READ_ROW[0] * up + _READ_ROW[1] * dn
-                p0 = np.abs(amp) ** 2
-                p0_mean[value] = p0.mean()
-                p0_err[value] = p0.std(ddof=1) / np.sqrt(r) if r > 1 else 0.0
-        events.clear()
-        t_starts.clear()
-        totals.clear()
+    a, b = pairs.reshape(2, n_blocks, 8, -1)
+    b[:, np.array(XY8_AXES) == "y"] *= 1j
 
-    t_now = 0.0
-    pulse_index = 0
+    # Spin walk.
+    up = np.full(r, _PREP[0])
+    dn = np.full(r, _PREP[1])
+    amp = np.empty((n_blocks, r), dtype=complex)
     for block in range(n_blocks):
-        for _ in range(8):
-            t_center = (pulse_index + 0.5) * seq.spacing
-            t_start = t_center - half_pulse
-            draw_free(t_now, t_start)
-            events.append(("pulse", XY8_AXES[pulse_index % 8] == "y"))
-            if seq.kind != IDEAL:
-                t_starts.append(t_start)
-                totals.append(delta + delta_d)
-                if noise.c > 0:
-                    delta_d = ou_step(delta_d, seq.t_pulse, noise.tau, noise.c, rng)
-            t_now = t_center + half_pulse
-            pulse_index += 1
-            if pulse_index % group_size == 0:
-                apply_group()
-        t_block = (block + 1) * seq.period
-        draw_free(t_now, t_block)
-        t_now = t_block
-        times[block] = t_block
-        events.append(("read", block))
-    apply_group()
-    return RamseyTrace(times=times, p0_mean=p0_mean, p0_stderr=p0_err, pulse_kind=seq.kind)
+        for k in range(8):
+            up *= rot[block, k]
+            dn *= rot_conj[block, k]
+            a_k, b_k = a[block, k], b[block, k]
+            up, dn = a_k * up - np.conj(b_k) * dn, b_k * up + np.conj(a_k) * dn
+        up *= rot[block, 8]
+        dn *= rot_conj[block, 8]
+        amp[block] = _READ_ROW[0] * up + _READ_ROW[1] * dn
+    p0 = np.abs(amp) ** 2
+    p0_err = p0.std(axis=1, ddof=1) / np.sqrt(r) if r > 1 else np.zeros(n_blocks)
+    return RamseyTrace(
+        times=edges[1:], p0_mean=p0.mean(axis=1), p0_stderr=p0_err, pulse_kind=seq.kind
+    )
 
 
 def estimate_t2(

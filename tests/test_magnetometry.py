@@ -5,6 +5,7 @@ from spinopt import (
     AcSignal,
     NoiseGrid,
     NoiseSettings,
+    PulseSequence,
     build_xy8,
     constant_drive,
     default_shaped_pi_field,
@@ -18,6 +19,7 @@ from spinopt import (
 )
 from spinopt.dynamics import FWHM_TO_SIGMA, SIGMA_X
 from spinopt.fields import peak_amplitude
+from spinopt import magnetometry
 from spinopt.magnetometry import XY8_AXES
 
 from oracles import abs_cos_integral, simulate_ramsey_per_pulse, xy8_populations_direct
@@ -27,6 +29,10 @@ OMEGA_MAX = TWO_PI * 10e6
 OMEGA_S = np.pi / 400e-9
 SIGNAL = AcSignal(g_ac=TWO_PI * 0.1e6, omega_s=OMEGA_S)
 NO_SIGNAL = AcSignal(g_ac=0.0, omega_s=OMEGA_S)
+
+
+def _rect_drive(t_pulse):
+    return constant_drive(np.pi / t_pulse, t_pulse, np.pi / t_pulse)
 
 
 class TestOuStep:
@@ -93,20 +99,28 @@ class TestBuildXy8:
         assert XY8_AXES == ("x", "y", "x", "y", "y", "x", "y", "x")
 
     def test_shaped_requires_field(self):
-        with pytest.raises(ValueError):
-            build_xy8("shaped", 100e-9, 300e-9, 2)
+        for make in (build_xy8, PulseSequence):
+            with pytest.raises(ValueError, match="x_field"):
+                make("shaped", 100e-9, 300e-9, 2)
+        with pytest.raises(ValueError, match="x_field"):
+            PulseSequence("rect", 50e-9, 350e-9, 2)
 
     def test_shaped_duration_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            build_xy8("shaped", 50e-9, 350e-9, 2, x_field=default_shaped_pi_field())
+        for make in (build_xy8, PulseSequence):
+            with pytest.raises(ValueError, match="duration"):
+                make("shaped", 50e-9, 350e-9, 2, x_field=default_shaped_pi_field())
+        with pytest.raises(ValueError, match="duration"):
+            PulseSequence("rect", 50e-9, 350e-9, 2, x_field=_rect_drive(100e-9))
 
     def test_invalid_kind_and_counts(self):
-        with pytest.raises(ValueError):
-            build_xy8("gauss", 50e-9, 350e-9, 2)
-        with pytest.raises(ValueError):
-            build_xy8("rect", 0.0, 350e-9, 2)
-        with pytest.raises(ValueError):
-            build_xy8("rect", 50e-9, 350e-9, 0)
+        for make in (build_xy8, PulseSequence):
+            with pytest.raises(ValueError, match="kind"):
+                make("gauss", 50e-9, 350e-9, 2, x_field=_rect_drive(50e-9))
+            for t_pulse, tau_pulse in ((0.0, 350e-9), (50e-9, 0.0), (50e-9, -10e-9)):
+                with pytest.raises(ValueError, match="positive"):
+                    make("rect", t_pulse, tau_pulse, 2, x_field=_rect_drive(50e-9))
+            with pytest.raises(ValueError, match="n_periods"):
+                make("rect", 50e-9, 350e-9, 0, x_field=_rect_drive(50e-9))
 
 
 class TestIdealPhase:
@@ -165,11 +179,7 @@ class TestSimulateRamsey:
     )
     def test_matches_direct_oracle(self, kind, t_pulse, tau_pulse):
         # two blocks, three static detunings, no dynamic noise
-        x_field = (
-            default_shaped_pi_field()
-            if kind == "shaped"
-            else constant_drive(np.pi / t_pulse, t_pulse, np.pi / t_pulse)
-        )
+        x_field = default_shaped_pi_field() if kind == "shaped" else _rect_drive(t_pulse)
         seq = build_xy8(kind, t_pulse, tau_pulse, 2, x_field=x_field)
         noise = NoiseSettings(c=0.0, n_realizations=3, seed=5)
         kappa, n_sub = 0.9, 20
@@ -187,30 +197,62 @@ class TestSimulateRamsey:
         )
 
     @pytest.mark.parametrize(
-        "kind, n_realizations, n_blocks",
+        "kind, n_realizations, n_blocks, ou, n_sub",
         [
-            ("rect", 100, 5),
-            ("shaped", 100, 5),
-            ("rect", 30, 5),
-            ("shaped", 30, 5),
-            ("rect", 1, 5),
-            ("shaped", 1, 5),
-            ("ideal", 30, 5),
+            pytest.param("rect", 100, 5, True, 50, id="rect-100-5"),
+            pytest.param("shaped", 100, 5, True, 50, id="shaped-100-5"),
+            pytest.param("rect", 30, 5, True, 50, id="rect-30-5"),
+            pytest.param("shaped", 30, 5, True, 50, id="shaped-30-5"),
+            pytest.param("rect", 1, 5, True, 50, id="rect-1-5"),
+            pytest.param("shaped", 1, 5, True, 50, id="shaped-1-5"),
+            pytest.param("ideal", 30, 5, True, 50, id="ideal-30-5"),
+            pytest.param("rect", 100, 5, False, 50, id="rect-100-5-ou_off"),
+            pytest.param("shaped", 100, 5, False, 50, id="shaped-100-5-ou_off"),
+            pytest.param("rect", 400, 5, True, 50, id="rect-400-5"),
+            pytest.param("shaped", 400, 5, True, 50, id="shaped-400-5"),
+            pytest.param("rect", 100, 5, True, 12, id="rect-100-5-12_substeps"),
+            pytest.param("shaped", 30, 5, True, 12, id="shaped-30-5-12_substeps"),
         ],
     )
-    def test_pulse_groups_match_per_pulse_oracle(self, kind, n_realizations, n_blocks):
-        # OU noise on, 50 substeps: groups of 4, 13 and 400 pulses at 100, 30
-        # and 1 realizations, so 5 blocks (40 pulses) end on a short group at
-        # 30 and 1.  Each group's noise is drawn in the per-pulse order
-        # before it propagates, so every bit agrees.
+    def test_pulse_groups_match_per_pulse_oracle(self, kind, n_realizations, n_blocks, ou, n_sub):
+        # Groups of 4, 13, 400 and 1 pulses at 100, 30, 1 and 400
+        # realizations with 50 substeps, and of 16 and 55 at 100 and 30 with
+        # 12, so 5 blocks (40 pulses) end on a short group at 30 and 1
+        # realizations and at 12 substeps.  The noise path is drawn in the
+        # per-pulse order before any pulse propagates, so every bit agrees.
         seq = _sequence(kind, n_blocks)
-        noise = NoiseSettings(n_realizations=n_realizations, seed=11)
-        trace = simulate_ramsey(seq, SIGNAL, noise, n_blocks * seq.period)
+        noise = NoiseSettings(n_realizations=n_realizations, seed=11, **({} if ou else {"c": 0.0}))
+        trace = simulate_ramsey(seq, SIGNAL, noise, n_blocks * seq.period, n_steps_per_pulse=n_sub)
         p0_mean, p0_stderr = simulate_ramsey_per_pulse(
-            seq, SIGNAL, noise, n_blocks * seq.period
+            seq, SIGNAL, noise, n_blocks * seq.period, n_steps_per_pulse=n_sub
         )
         np.testing.assert_array_equal(trace.p0_mean, p0_mean)
         np.testing.assert_array_equal(trace.p0_stderr, p0_stderr)
+
+    @pytest.mark.parametrize(
+        "kind, ou, ou_per_block, quadrature_calls",
+        [
+            ("rect", True, 17, 1),
+            ("shaped", True, 17, 1),
+            ("ideal", True, 9, 0),
+            ("rect", False, 0, 1),
+        ],
+    )
+    def test_traced_call_counts(self, monkeypatch, kind, ou, ou_per_block, quadrature_calls):
+        # The benchmark's tracer reads these counts through the module
+        # attributes (magnetometry.ou_calls: 2125 per default trace of 125
+        # blocks, and fields.quadratures time), so they must not move.
+        counts = {"ou_step": 0, "quadratures": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(magnetometry, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(magnetometry, name, counted)
+        seq = _sequence(kind, 3)
+        noise = NoiseSettings(n_realizations=5, seed=1, **({} if ou else {"c": 0.0}))
+        simulate_ramsey(seq, SIGNAL, noise, 3 * seq.period, n_steps_per_pulse=12)
+        assert counts == {"ou_step": 3 * ou_per_block, "quadratures": quadrature_calls}
 
     def test_mixed_term_counts_stay_within_rounding(self):
         # A signal 100x the default with 6 substeps gives the pulses of one
