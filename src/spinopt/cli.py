@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
+    config_int,
     field_from_config,
     load_config,
     magnetometry_from,
@@ -153,7 +154,7 @@ def cmd_optimize(cfg: dict, out: Path, seed) -> int:
 def cmd_trials(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     oc = opt_config_from(cfg, seed=seed)
-    n_trials = int(cfg["optimize"]["n_trials"])
+    n_trials = config_int(cfg["optimize"]["n_trials"], "optimize.n_trials")
     stats = run_trials(oc, n_trials)
     _write_csv(out / "results.csv", TRIAL_FIELDS, _trial_rows(stats.runs))
     _write_csv(out / "timings.csv", TIMING_FIELDS, _timing_rows(stats.runs))
@@ -177,12 +178,12 @@ def cmd_trials(cfg: dict, out: Path, seed) -> int:
 
 def cmd_compare(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
-    n_trials = int(cfg["compare"]["n_trials"])
+    n_trials = config_int(cfg["compare"]["n_trials"], "compare.n_trials")
     primary = opt_config_from(cfg, seed=seed)
     baseline = replace(
         primary,
         method=cfg["compare"]["baseline_method"],
-        n_sets=int(cfg["compare"]["baseline_n_sets"]),
+        n_sets=config_int(cfg["compare"]["baseline_n_sets"], "compare.baseline_n_sets"),
     )
     rows = []
     for oc in (primary, baseline):
@@ -215,6 +216,10 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     oc = opt_config_from(cfg, seed=seed)
     sd = cfg["surrogate_demo"]
+    sample_counts = [config_int(v, "surrogate_demo.sample_counts") for v in sd["sample_counts"]]
+    mn_list = [config_int(v, "surrogate_demo.grid_sizes_mn") for v in sd["grid_sizes_mn"]]
+    reps = config_int(sd["timing_reps"], "surrogate_demo.timing_reps")
+    n_fields = config_int(sd["n_fields"], "surrogate_demo.n_fields")
     rng = np.random.default_rng(oc.seed)
     demo_field = field_from_config(sd["field"], oc.duration, oc.amp_limit)
     truth_grid = oc.noise_grid(oc.verify_grid)
@@ -228,8 +233,8 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
         ["delta_mhz", "kappa", "fidelity"],
         _fidelity_map_rows(demo_field, truth_grid, oc.n_steps),
     )
-    for n in sd["sample_counts"]:
-        pts = jittered_grid(region, int(n), rng)
+    for n in sample_counts:
+        pts = jittered_grid(region, n, rng)
         vals = truth_values(demo_field, pts)
         _write_csv(
             out / f"samples_{n}.csv",
@@ -247,9 +252,6 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
     # Timing and deviation versus the number of objective grid points, for
     # the true objective and for a 16-sample surrogate, averaged over random
     # fields.  The reference value is the dense true objective per field.
-    mn_list = [int(v) for v in sd["grid_sizes_mn"]]
-    reps = int(sd["timing_reps"])
-    n_fields = int(sd["n_fields"])
     true_dev = np.zeros(len(mn_list))
     surr_dev = np.zeros(len(mn_list))
     true_time = np.zeros(len(mn_list))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import numbers
 from importlib import resources
 
 import numpy as np
@@ -91,6 +92,26 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def config_int(value, key: str) -> int:
+    """``value`` of config key ``key`` as an int.
+
+    JSON integers and integral floats such as ``200.0`` pass; booleans,
+    ``null``, strings and non-integral numbers raise ConfigError, where a
+    bare ``int()`` would truncate them or fail with a TypeError.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"config key {key} must be an integer, not {value!r}")
+
+
+def _int_pair(value, key: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"config key {key} must be a pair of integers, not {value!r}")
+    return tuple(config_int(v, key) for v in value)
+
+
 def field_from_config(params: dict, duration: float, amp_limit: float) -> ControlField:
     try:
         return pm_field(
@@ -110,22 +131,26 @@ def opt_config_from(cfg: dict, seed: int | None = None, **overrides) -> OptConfi
     kwargs = dict(
         method=o["method"],
         objective=o["objective"],
-        n_sets=int(o["n_sets"]),
-        n_samples=int(o["n_samples"]),
-        search_grid=tuple(o["search_grid"]),
-        verify_grid=tuple(o["verify_grid"]),
+        n_sets=config_int(o["n_sets"], "optimize.n_sets"),
+        n_samples=config_int(o["n_samples"], "optimize.n_samples"),
+        search_grid=_int_pair(o["search_grid"], "optimize.search_grid"),
+        verify_grid=_int_pair(o["verify_grid"], "optimize.verify_grid"),
         duration=float(s_from_ns(o["duration_ns"])),
         amp_limit=float(rad_s_from_mhz(o["amp_limit_mhz"])),
-        n_steps=int(o["n_steps"]),
-        seed=int(cfg["seed"] if seed is None else seed),
-        max_model_attempts=int(o["max_model_attempts"]),
+        n_steps=config_int(o["n_steps"], "optimize.n_steps"),
+        seed=config_int(cfg["seed"] if seed is None else seed, "seed"),
+        max_model_attempts=config_int(o["max_model_attempts"], "optimize.max_model_attempts"),
         delta_range=(float(rad_s_from_mhz(dmin)), float(rad_s_from_mhz(dmax))),
         kappa_range=tuple(float(x) for x in o["kappa_range"]),
         delta_fwhm=float(rad_s_from_mhz(o["delta_fwhm_mhz"])),
         kappa_fwhm=float(o["kappa_fwhm"]),
         kappa_mean=float(o["kappa_mean"]),
         nm_f_tol=float(o["nm_f_tol"]),
-        nm_max_iter=None if o["nm_max_iter"] is None else int(o["nm_max_iter"]),
+        nm_max_iter=(
+            None
+            if o["nm_max_iter"] is None
+            else config_int(o["nm_max_iter"], "optimize.nm_max_iter")
+        ),
     )
     kwargs.update(overrides)
     try:
@@ -170,9 +195,9 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
                 f"periods ({MIN_T2_POINTS * period / 1e-6:g} us), the fewest "
                 "readouts a T2 fit takes"
             )
-    base_seed = int(cfg["seed"] if seed is None else seed)
-    n_realizations = int(m["n_realizations"])
-    n_steps_per_pulse = int(m["n_steps_per_pulse"])
+    base_seed = config_int(cfg["seed"] if seed is None else seed, "seed")
+    n_realizations = config_int(m["n_realizations"], "magnetometry.n_realizations")
+    n_steps_per_pulse = config_int(m["n_steps_per_pulse"], "magnetometry.n_steps_per_pulse")
     if n_steps_per_pulse < 1:
         raise ConfigError("magnetometry.n_steps_per_pulse must be at least 1")
     try:

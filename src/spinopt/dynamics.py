@@ -17,8 +17,15 @@ function is called per factor; a batch with theta above 1 is scaled down by
 steps on the last axis, the two Gauss-point drives are mixed on the time
 axis before they are broadcast over points, and ``propagate_many`` works
 through its points in chunks of ``_CHUNK_POINT_STEPS`` point-steps, sized
-so that one chunk's working block stays near the L2 cache.  The step-halving
-error sits far below all fidelity tolerances at the default step count.
+so that one chunk's working block stays near the L2 cache.  The time-step
+error falls as steps^-4.  Max |dF| against 4000 steps of the 4x4 ensemble
+objective and of single points at the corners and centre of the default
+box, over 24 feasible fields with rates in the top half of the cap and the
+peak envelope at the amplitude limit, state and gate fidelities:
+
+    steps      50      100     200     400     1000
+    max |dF|   6.8e-5  4.3e-6  2.7e-7  1.7e-8  4.2e-10
+
 Ensemble averages weight a rectangular (delta, kappa) grid by the product
 of two Gaussians specified through their FWHM.
 """

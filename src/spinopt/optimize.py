@@ -16,10 +16,18 @@ on the dense 50 x 50 truth grid.
 
 ``true_calls`` counts every single-point fidelity evaluation made before
 verification; the final dense verification is reported separately.
+
+Every true call before verification propagates at
+``min(n_steps, _SEARCH_STEPS)`` CF4 steps, and the verification at
+``n_steps``.  At 200 steps the time-step error of the search values stays
+below 1e-6, a tenth of the default ``nm_f_tol`` and far below the search
+grid's own quadrature error, so the full count is spent on ``f_verified``
+alone.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -64,6 +72,28 @@ METHODS = ("bpm", "pm", "bsfb", "sfb")
 SURROGATE_METHODS = ("bpm", "bsfb")
 P_FIT_THRESHOLD = 0.6
 
+# CF4 steps of every true call before verification (capped at n_steps).
+# The error falls as steps^-4.  Max |dF| against 4000 steps of the 4x4 search
+# objective and of single-point fidelities at the corners and centre of the
+# verify box, over 24 feasible fields (SFB n_sets=2 and PM, rates in the top
+# half of the cap, peak envelope at the amplitude limit), state and gate
+# objectives; and the median time of one state_fidelity_many call (2-core
+# AMD EPYC, Python 3.11.7, numpy 2.4.6):
+#
+#   steps          50      100     200     400     1000
+#   max |dF|       6.8e-5  4.3e-6  2.7e-7  1.7e-8  4.2e-10
+#   us, P = 9      175     175     215     285     405
+#   us, P = 16     170     200     245     310     510
+#
+# 200 is the fewest of these whose error stays below 1e-6, a tenth of the
+# default nm_f_tol; below it a call costs little less, being mostly per-call
+# overhead.
+_SEARCH_STEPS = 200
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
 
 class ModelValidationError(RuntimeError):
     """No surrogate model passed cross-validation within the attempt budget."""
@@ -81,6 +111,7 @@ class OptConfig:
     verify_grid: tuple = (50, 50)
     duration: float = DEFAULT_DURATION
     amp_limit: float = DEFAULT_AMP_LIMIT
+    # CF4 steps of the verification; the search uses min(n_steps, _SEARCH_STEPS).
     n_steps: int = 1000
     seed: int = 0
     max_model_attempts: int = 10
@@ -93,6 +124,15 @@ class OptConfig:
     nm_max_iter: int | None = None
 
     def __post_init__(self):
+        for name in ("n_sets", "n_samples", "n_steps", "seed", "max_model_attempts", "nm_max_iter"):
+            value = getattr(self, name)
+            if not (_is_integer(value) or (name == "nm_max_iter" and value is None)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        for name in ("search_grid", "verify_grid"):
+            grid = getattr(self, name)
+            pair = isinstance(grid, (tuple, list)) and len(grid) == 2
+            if not (pair and all(map(_is_integer, grid))):
+                raise ValueError(f"{name} must be a pair of integers, not {grid!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.objective not in ("state", "gate_x"):
@@ -317,6 +357,7 @@ def run_single(config: OptConfig) -> OptRun:
     rng = np.random.default_rng(config.seed)
     verify = config.noise_grid(config.verify_grid)
     target = config.target()
+    search_steps = min(config.n_steps, _SEARCH_STEPS)
     pulse = (config.n_sets, config.duration, config.amp_limit)
 
     def draw(r):
@@ -329,8 +370,8 @@ def run_single(config: OptConfig) -> OptRun:
 
         def evaluate(fld, points):
             if target is None:
-                return state_fidelity_many(fld, points[:, 0], points[:, 1], config.n_steps)
-            return gate_fidelity_many(fld, target, points[:, 0], points[:, 1], config.n_steps)
+                return state_fidelity_many(fld, points[:, 0], points[:, 1], search_steps)
+            return gate_fidelity_many(fld, target, points[:, 0], points[:, 1], search_steps)
 
         built = build_valid_surrogate(
             lambda r: field(draw(r)),
@@ -355,7 +396,7 @@ def run_single(config: OptConfig) -> OptRun:
         search_grid = config.noise_grid(config.search_grid)
 
         def estimate(fld):
-            return ensemble_objective(fld, search_grid, config.n_steps, target)
+            return ensemble_objective(fld, search_grid, search_steps, target)
 
     def objective(params):
         nonlocal true_calls

@@ -8,6 +8,7 @@ from spinopt.config import (
     ConfigError,
     load_config,
     mhz_from_rad_s,
+    opt_config_from,
     rad_s_from_khz,
     rad_s_from_mhz,
     rad_s_from_rad_ns,
@@ -72,6 +73,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="wavelength_nm"):
             load_config(path)
 
+    def test_integral_float_reads_as_int(self, tmp_path):
+        path = write_config(tmp_path, {"optimize": {"n_steps": 200.0, "search_grid": [4.0, 4]}})
+        oc = opt_config_from(load_config(path))
+        assert oc.n_steps == 200 and isinstance(oc.n_steps, int)
+        assert oc.search_grid == (4, 4)
+
     def test_override_merges(self, tmp_path):
         path = write_config(tmp_path, {"optimize": {"n_steps": 123}})
         cfg = load_config(path)
@@ -111,6 +118,36 @@ class TestExitCodes:
         code = main([command, "--config", path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("trials", {"optimize": {"n_steps": 200.7}}),
+            ("trials", {"optimize": {"n_steps": True}}),
+            ("trials", {"optimize": {"n_sets": 1.9}}),
+            ("trials", {"optimize": {"n_samples": None}}),
+            ("trials", {"optimize": {"max_model_attempts": "abc"}}),
+            ("trials", {"optimize": {"nm_max_iter": 10.5}}),
+            ("trials", {"optimize": {"search_grid": [4.5, 4]}}),
+            ("trials", {"optimize": {"verify_grid": [50]}}),
+            ("trials", {"optimize": {"n_trials": 2.5}}),
+            ("trials", {"seed": 1.5}),
+            ("compare", {"compare": {"n_trials": True}}),
+            ("compare", {"compare": {"baseline_n_sets": "2"}}),
+            ("magnetometry", {"magnetometry": {"n_realizations": 2.5}}),
+            ("magnetometry", {"magnetometry": {"n_steps_per_pulse": None}}),
+            ("surrogate-demo", {"surrogate_demo": {"sample_counts": [9, 16.5]}}),
+            ("surrogate-demo", {"surrogate_demo": {"timing_reps": 1.5}}),
+        ],
+    )
+    def test_non_integer_setting_exits_2(self, tmp_path, capsys, command, payload):
+        # no truncation to the integer below, and no TypeError escaping
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        code = main([command, "--config", path, "--out", str(out)])
+        assert code == 2
+        assert "must be" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("t_max_us", [20.0, 5.0, -1.0])
     def test_short_magnetometry_window_exits_2(self, tmp_path, capsys, t_max_us):

@@ -9,11 +9,18 @@ from spinopt import (
     OptConfig,
     build_valid_surrogate,
     ensemble_objective,
+    gate_fidelity_many,
     pm_field,
     run_single,
     run_trials,
+    state_fidelity_many,
 )
-from spinopt.fields import peak_amplitude
+from spinopt.fields import (
+    FREQ_CAP_CYCLES,
+    enforce_amplitude_constraint,
+    peak_amplitude,
+    sfb_field,
+)
 from spinopt.optimize import (
     draw_initial_params,
     pack_params,
@@ -343,6 +350,17 @@ class TestConfigValidation:
             dict(amp_limit=-1.0),
             dict(amp_limit=float("nan")),
             dict(amp_limit=float("inf")),
+            dict(n_steps=200.5),
+            dict(n_steps=200.0),
+            dict(n_steps=True),
+            dict(n_sets=None),
+            dict(n_samples="9"),
+            dict(max_model_attempts=2.5),
+            dict(nm_max_iter=10.5),
+            dict(seed=1.5),
+            dict(search_grid=(4.5, 4)),
+            dict(search_grid=(4, True)),
+            dict(verify_grid=(50,)),
         ],
     )
     def test_invalid_values_rejected(self, bad):
@@ -357,3 +375,79 @@ class TestConfigValidation:
         stats = run_trials(fast_config(seed=37), 2)
         assert stats.mean_search_gap >= 0.0
         assert stats.mean_search_gap < 0.2
+
+
+class TestSearchSteps:
+    """Every true call before verification propagates at
+    min(n_steps, _SEARCH_STEPS) steps; the verification at n_steps."""
+
+    REFERENCE_STEPS = 4000
+    TOL = 1e-6  # a tenth of the default nm_f_tol
+
+    @staticmethod
+    def strong_fields():
+        # rates in the top half of the cap and the peak envelope at the
+        # amplitude limit: the fields whose time-step error is largest
+        rng = np.random.default_rng(0)
+        cap = FREQ_CAP_CYCLES * TWO_PI / T
+        fields = []
+        for _ in range(3):
+            fields.append(
+                sfb_field(
+                    rng.uniform(1, 2, 2) * OMEGA_MAX,
+                    rng.uniform(0.5, 1, 2) * cap,
+                    rng.uniform(0, TWO_PI, 2),
+                    rng.uniform(0, TWO_PI, 2),
+                    T,
+                    OMEGA_MAX,
+                )
+            )
+            fields.append(
+                pm_field(
+                    rng.uniform(1, 2, 1) * OMEGA_MAX,
+                    rng.uniform(0.5, 1, 1) * cap,
+                    rng.uniform(0.5, 1, 1) * cap,
+                    T,
+                    OMEGA_MAX,
+                )
+            )
+        return [enforce_amplitude_constraint(f) for f in fields]
+
+    @pytest.mark.parametrize("objective", ["state", "gate_x"])
+    def test_search_values_within_tolerance(self, objective):
+        cfg = OptConfig(method="sfb", n_sets=2, objective=objective)
+        target = cfg.target()
+        search = cfg.noise_grid(cfg.search_grid)
+        (d0, d1), (k0, k1) = cfg.noise_grid(cfg.verify_grid).bounds()
+        deltas = np.array([d0, d0, d1, d1, 0.5 * (d0 + d1)])
+        kappas = np.array([k0, k1, k0, k1, 0.5 * (k0 + k1)])
+
+        def values(fld, n_steps):
+            grid_value, _ = ensemble_objective(fld, search, n_steps, target)
+            if target is None:
+                points = state_fidelity_many(fld, deltas, kappas, n_steps)
+            else:
+                points = gate_fidelity_many(fld, target, deltas, kappas, n_steps)
+            return np.append(points, grid_value)
+
+        worst = max(
+            np.max(np.abs(values(f, opt._SEARCH_STEPS) - values(f, self.REFERENCE_STEPS)))
+            for f in self.strong_fields()
+        )
+        assert worst < self.TOL
+
+    @pytest.mark.parametrize(
+        "kw", [dict(method="bpm", n_sets=1), dict(method="sfb", n_sets=2)]
+    )
+    def test_trial_matches_search_at_n_steps(self, kw, monkeypatch):
+        # the search's step count moves f_search and p_fit by rounding-level
+        # amounts, but not the path of the search
+        cfg = OptConfig(verify_grid=(20, 20), seed=1, **kw)
+        fast = run_single(cfg)
+        monkeypatch.setattr(opt, "_SEARCH_STEPS", cfg.n_steps)
+        full = run_single(cfg)
+        assert fast.true_calls == full.true_calls
+        assert fast.nm_evals == full.nm_evals
+        assert fast.model_attempts == full.model_attempts
+        np.testing.assert_array_equal(fast.params, full.params)
+        assert fast.f_verified == full.f_verified
