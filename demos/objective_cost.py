@@ -29,7 +29,7 @@ rng = np.random.default_rng(3)
 samples = jittered_grid(region, 16, rng)
 values = state_fidelity_many(field, samples[:, 0], samples[:, 1])
 model = fit(samples, values, rng, bounds=region)
-reference, _ = ensemble_objective(field, reference_grid)
+reference = ensemble_objective(field, reference_grid)
 
 print(f"reference dense average (50x50): {reference:.5f}")
 print(f"surrogate built from 16 true samples\n")
@@ -37,7 +37,7 @@ print(f"{'MxN':>6} {'true [ms]':>10} {'surr [us]':>10} {'true dev':>9} {'surr de
 for m, n in ((4, 4), (8, 8), (10, 10), (15, 15), (20, 20), (30, 30), (50, 50)):
     grid = NoiseGrid.regular(m, n)
     t0 = time.perf_counter()
-    true_value, _ = ensemble_objective(field, grid)
+    true_value = ensemble_objective(field, grid)
     t_true = time.perf_counter() - t0
     t0 = time.perf_counter()
     for _ in range(5):

@@ -12,12 +12,9 @@ __version__ = "0.1.0"
 from .dynamics import (
     NoiseGrid,
     ensemble_objective,
-    gate_fidelity,
     gate_fidelity_many,
     gaussian_weight,
-    propagate,
     propagate_many,
-    state_fidelity,
     state_fidelity_many,
 )
 from .fields import (
@@ -37,7 +34,6 @@ from .kriging import (
     DegenerateValidationError,
     FitError,
     KrigingModel,
-    correlation,
     fit,
     jittered_grid,
     loo_validate,
@@ -90,7 +86,6 @@ __all__ = [
     "build_valid_surrogate",
     "build_xy8",
     "constant_drive",
-    "correlation",
     "default_shaped_pi_field",
     "enforce_amplitude_constraint",
     "ensemble_objective",
@@ -98,7 +93,6 @@ __all__ = [
     "estimate_t2",
     "fit",
     "fringe_window",
-    "gate_fidelity",
     "gate_fidelity_many",
     "gaussian_weight",
     "ideal_phase",
@@ -108,14 +102,12 @@ __all__ = [
     "ou_step",
     "peak_amplitude",
     "pm_field",
-    "propagate",
     "propagate_many",
     "quadratures",
     "run_single",
     "run_trials",
     "sfb_field",
     "simulate_ramsey",
-    "state_fidelity",
     "state_fidelity_many",
     "surrogate_objective",
 ]

@@ -6,8 +6,9 @@ reference values), writes CSV data files plus a ``*_meta.json`` sidecar to
 the output directory, and returns exit code 0 on success, 1 on a runtime
 failure (``RuntimeError``, ``ValueError`` or ``OSError``), 2 on a usage or
 config error; any other exception is a bug and propagates with its
-traceback.  Data files depend only on the config and seed; timestamps and
-wall times live in the sidecar, so repeated runs are byte-identical.
+traceback.  Data files depend only on the config and seed, so repeated runs
+give byte-identical data files; timestamps live in the sidecar, and wall
+times in it, ``timings.csv`` and ``objective_timing.csv``.
 """
 from __future__ import annotations
 
@@ -259,7 +260,7 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
     pulse = (1, oc.duration, oc.amp_limit)
     for _ in range(n_fields):
         fld = feasible_field(PM, draw_initial_params(rng, PM, *pulse), *pulse)
-        reference, _ = ensemble_objective(fld, truth_grid, oc.n_steps)
+        reference = ensemble_objective(fld, truth_grid, oc.n_steps)
         pts = jittered_grid(region, 16, rng)
         model = fit(pts, truth_values(fld, pts), rng, bounds=region)
         for i, mn in enumerate(mn_list):
@@ -267,7 +268,7 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
             grid = oc.noise_grid((m, max(1, mn // m)))
             t0 = time.perf_counter()
             for _ in range(reps):
-                value, _ = ensemble_objective(fld, grid, oc.n_steps)
+                value = ensemble_objective(fld, grid, oc.n_steps)
             true_time[i] += (time.perf_counter() - t0) / reps
             true_dev[i] += abs(value - reference)
             t0 = time.perf_counter()

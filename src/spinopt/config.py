@@ -106,13 +106,32 @@ def config_int(value, key: str) -> int:
     raise ConfigError(f"config key {key} must be an integer, not {value!r}")
 
 
-def _int_pair(value, key: str) -> tuple:
+def config_float(value, key: str) -> float:
+    """``value`` of config key ``key`` as a float: JSON numbers pass, and
+    anything else raises ConfigError, where a bare ``float()`` would read a
+    string such as ``"1e3"`` or fail with a TypeError or ValueError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"config key {key} must be a number, not {value!r}")
+
+
+def config_pair(value, key: str, read) -> tuple:
+    """``value`` of config key ``key`` as a pair, each entry read by
+    ``read`` (``config_int`` or ``config_float``)."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"config key {key} must be a pair of integers, not {value!r}")
-    return tuple(config_int(v, key) for v in value)
+        raise ConfigError(f"config key {key} must be a pair, not {value!r}")
+    return tuple(read(v, key) for v in value)
+
+
+def _number(cfg: dict, key: str) -> float:
+    """Numeric setting at dotted path ``key``, e.g. ``"optimize.nm_f_tol"``."""
+    section, name = key.split(".")
+    return config_float(cfg[section][name], key)
 
 
 def field_from_config(params: dict, duration: float, amp_limit: float) -> ControlField:
+    if not isinstance(params, dict):
+        raise ConfigError(f"field parameters must be an object, not {params!r}")
     try:
         return pm_field(
             rad_s_from_rad_ns(params["amplitudes_rad_ns"]),
@@ -127,25 +146,25 @@ def field_from_config(params: dict, duration: float, amp_limit: float) -> Contro
 
 def opt_config_from(cfg: dict, seed: int | None = None, **overrides) -> OptConfig:
     o = cfg["optimize"]
-    dmin, dmax = o["delta_range_mhz"]
+    dmin, dmax = config_pair(o["delta_range_mhz"], "optimize.delta_range_mhz", config_float)
     kwargs = dict(
         method=o["method"],
         objective=o["objective"],
         n_sets=config_int(o["n_sets"], "optimize.n_sets"),
         n_samples=config_int(o["n_samples"], "optimize.n_samples"),
-        search_grid=_int_pair(o["search_grid"], "optimize.search_grid"),
-        verify_grid=_int_pair(o["verify_grid"], "optimize.verify_grid"),
-        duration=float(s_from_ns(o["duration_ns"])),
-        amp_limit=float(rad_s_from_mhz(o["amp_limit_mhz"])),
+        search_grid=config_pair(o["search_grid"], "optimize.search_grid", config_int),
+        verify_grid=config_pair(o["verify_grid"], "optimize.verify_grid", config_int),
+        duration=float(s_from_ns(_number(cfg, "optimize.duration_ns"))),
+        amp_limit=float(rad_s_from_mhz(_number(cfg, "optimize.amp_limit_mhz"))),
         n_steps=config_int(o["n_steps"], "optimize.n_steps"),
         seed=config_int(cfg["seed"] if seed is None else seed, "seed"),
         max_model_attempts=config_int(o["max_model_attempts"], "optimize.max_model_attempts"),
         delta_range=(float(rad_s_from_mhz(dmin)), float(rad_s_from_mhz(dmax))),
-        kappa_range=tuple(float(x) for x in o["kappa_range"]),
-        delta_fwhm=float(rad_s_from_mhz(o["delta_fwhm_mhz"])),
-        kappa_fwhm=float(o["kappa_fwhm"]),
-        kappa_mean=float(o["kappa_mean"]),
-        nm_f_tol=float(o["nm_f_tol"]),
+        kappa_range=config_pair(o["kappa_range"], "optimize.kappa_range", config_float),
+        delta_fwhm=float(rad_s_from_mhz(_number(cfg, "optimize.delta_fwhm_mhz"))),
+        kappa_fwhm=_number(cfg, "optimize.kappa_fwhm"),
+        kappa_mean=_number(cfg, "optimize.kappa_mean"),
+        nm_f_tol=_number(cfg, "optimize.nm_f_tol"),
         nm_max_iter=(
             None
             if o["nm_max_iter"] is None
@@ -165,19 +184,19 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
     ``t_max_us`` too short for a T2 fit of either sequence, raise
     ConfigError."""
     m = cfg["magnetometry"]
-    amp_limit = rad_s_from_mhz(cfg["optimize"]["amp_limit_mhz"])
+    amp_limit = float(rad_s_from_mhz(_number(cfg, "optimize.amp_limit_mhz")))
     rect = {
-        "t_pulse": float(s_from_ns(m["rect_pulse_ns"])),
-        "tau_pulse": float(s_from_ns(m["rect_gap_ns"])),
+        "t_pulse": float(s_from_ns(_number(cfg, "magnetometry.rect_pulse_ns"))),
+        "tau_pulse": float(s_from_ns(_number(cfg, "magnetometry.rect_gap_ns"))),
     }
-    shaped_pulse = float(s_from_ns(m["shaped_pulse_ns"]))
+    shaped_pulse = float(s_from_ns(_number(cfg, "magnetometry.shaped_pulse_ns")))
     shaped = {
         "t_pulse": shaped_pulse,
-        "tau_pulse": float(s_from_ns(m["shaped_gap_ns"])),
+        "tau_pulse": float(s_from_ns(_number(cfg, "magnetometry.shaped_gap_ns"))),
         "x_field": (
-            field_from_config(m["shaped_field"], shaped_pulse, float(amp_limit))
-            if m.get("shaped_field")
-            else default_shaped_pi_field(shaped_pulse, float(amp_limit))
+            default_shaped_pi_field(shaped_pulse, amp_limit)
+            if m["shaped_field"] is None
+            else field_from_config(m["shaped_field"], shaped_pulse, amp_limit)
         ),
     }
     omega_rect = np.pi / (rect["t_pulse"] + rect["tau_pulse"])
@@ -186,7 +205,7 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
         raise ConfigError(
             "rectangular and shaped sequences must share one signal frequency"
         )
-    t_max = float(s_from_us(m["t_max_us"]))
+    t_max = float(s_from_us(_number(cfg, "magnetometry.t_max_us")))
     for settings in (rect, shaped):
         period = 8.0 * (settings["t_pulse"] + settings["tau_pulse"])
         if periods_within(t_max, period) < MIN_T2_POINTS:
@@ -200,13 +219,17 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
     n_steps_per_pulse = config_int(m["n_steps_per_pulse"], "magnetometry.n_steps_per_pulse")
     if n_steps_per_pulse < 1:
         raise ConfigError("magnetometry.n_steps_per_pulse must be at least 1")
+    noise_enabled = m["noise_enabled"]
+    if not isinstance(noise_enabled, bool):
+        raise ConfigError(f"magnetometry.noise_enabled must be a boolean, not {noise_enabled!r}")
     try:
-        signal = AcSignal(g_ac=float(rad_s_from_mhz(m["g_ac_mhz"])), omega_s=omega_rect)
-        if m["noise_enabled"]:
+        g_ac = float(rad_s_from_mhz(_number(cfg, "magnetometry.g_ac_mhz")))
+        signal = AcSignal(g_ac=g_ac, omega_s=omega_rect)
+        if noise_enabled:
             noise = NoiseSettings.from_stationary_std(
-                float(rad_s_from_khz(m["ou_stationary_khz"])),
-                tau=float(s_from_us(m["ou_tau_us"])),
-                delta_fwhm=float(rad_s_from_mhz(m["delta_fwhm_mhz"])),
+                float(rad_s_from_khz(_number(cfg, "magnetometry.ou_stationary_khz"))),
+                tau=float(s_from_us(_number(cfg, "magnetometry.ou_tau_us"))),
+                delta_fwhm=float(rad_s_from_mhz(_number(cfg, "magnetometry.delta_fwhm_mhz"))),
                 n_realizations=n_realizations,
                 seed=base_seed,
             )

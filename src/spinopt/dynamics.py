@@ -78,9 +78,6 @@ class NoiseGrid:
     weights: np.ndarray  # (M, N), sums to 1
     delta_range: tuple
     kappa_range: tuple
-    delta_fwhm: float
-    kappa_fwhm: float
-    kappa_mean: float
 
     @classmethod
     def regular(
@@ -107,14 +104,7 @@ class NoiseGrid:
             weights=weights,
             delta_range=tuple(delta_range),
             kappa_range=tuple(kappa_range),
-            delta_fwhm=float(delta_fwhm),
-            kappa_fwhm=float(kappa_fwhm),
-            kappa_mean=float(kappa_mean),
         )
-
-    @property
-    def shape(self):
-        return self.deltas.size, self.kappas.size
 
     def points(self) -> np.ndarray:
         """All (delta, kappa) pairs, row-major over (deltas, kappas), shape (M*N, 2)."""
@@ -348,20 +338,11 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
     return out.reshape(deltas.shape + (2, 2))
 
 
-def propagate(field: ControlField, delta: float, kappa: float, n_steps: int = 1000):
-    """Propagator U for one (delta, kappa) pair."""
-    return propagate_many(field, [delta], [kappa], n_steps)[0]
-
-
 def state_fidelity_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
     """|<1| U |0>|^2 for a batch of (delta, kappa) pairs."""
     u = propagate_many(field, deltas, kappas, n_steps)
     amp = u[..., 1, 0]
     return np.abs(amp) ** 2
-
-
-def state_fidelity(field: ControlField, delta: float, kappa: float, n_steps: int = 1000) -> float:
-    return float(state_fidelity_many(field, [delta], [kappa], n_steps)[0])
 
 
 def _check_unitary(u, tol=1e-10):
@@ -382,26 +363,21 @@ def gate_fidelity_many(field: ControlField, target, deltas, kappas, n_steps: int
     return (2.0 + np.abs(overlap) ** 2) / 6.0
 
 
-def gate_fidelity(field: ControlField, target, delta: float, kappa: float, n_steps: int = 1000) -> float:
-    return float(gate_fidelity_many(field, target, [delta], [kappa], n_steps)[0])
-
-
 def ensemble_objective(
     field: ControlField,
     grid: NoiseGrid,
     n_steps: int = 1000,
     target=None,
-):
-    """Noise-weighted average fidelity over the grid.
+) -> float:
+    """Noise-weighted average fidelity over the grid, from M * N
+    single-point fidelity evaluations.
 
     Averages the state-transfer fidelity |<1|U|0>|^2, or the gate fidelity
-    against ``target`` when one is given.  Returns (value, evaluation count);
-    the count is the number of single-point fidelity evaluations, M * N.
+    against ``target`` when one is given.
     """
     pts = grid.points()
     if target is None:
         f = state_fidelity_many(field, pts[:, 0], pts[:, 1], n_steps)
     else:
         f = gate_fidelity_many(field, target, pts[:, 0], pts[:, 1], n_steps)
-    value = float(np.dot(grid.weights.ravel(), f))
-    return value, pts.shape[0]
+    return float(np.dot(grid.weights.ravel(), f))

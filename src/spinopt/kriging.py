@@ -17,7 +17,6 @@ best linear unbiased interpolator
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import dataclass
 
@@ -70,16 +69,6 @@ class CorrelationParams:
             raise ValueError("power entries must lie in [1, 2]")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "power", power)
-
-    @property
-    def k(self) -> int:
-        return self.alpha.size
-
-
-def correlation(x_i, x_j, params: CorrelationParams) -> float:
-    """Kernel value for one pair of points (already in scaled coordinates)."""
-    dist = np.abs(np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float))
-    return float(_kernel(dist[:, None, None], params.alpha, params.power)[0, 0])
 
 
 def _scale(x, bounds):
@@ -242,35 +231,6 @@ class KrigingModel:
         b = np.exp(-pa.alpha[1] * np.abs(sk[:, None] - self._scaled[None, :, 1]) ** pa.power[1])
         return self.mu_hat + a @ (b * self._weights).T
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples.tolist(),
-            "values": self.values.tolist(),
-            "alpha": self.params.alpha.tolist(),
-            "power": self.params.power.tolist(),
-            "mu_hat": self.mu_hat,
-            "sigma2_hat": self.sigma2_hat,
-            "bounds": self.bounds.tolist(),
-            "nugget": self.nugget,
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KrigingModel":
-        return cls(
-            np.asarray(data["samples"], dtype=float),
-            np.asarray(data["values"], dtype=float),
-            CorrelationParams(np.asarray(data["alpha"]), np.asarray(data["power"])),
-            np.asarray(data["bounds"], dtype=float),
-            nugget=data.get("nugget", DEFAULT_NUGGET),
-        )
-
-    @classmethod
-    def loads(cls, text: str) -> "KrigingModel":
-        return cls.from_dict(json.loads(text))
-
 
 def _concentrated_nll(thetas, dist, values, nugget, low, high):
     """Negative concentrated log-likelihood, shape (B,), of a (B, 2k) stack
@@ -317,17 +277,11 @@ def _concentrated_nll(thetas, dist, values, nugget, low, high):
     return out
 
 
-def fit(
-    samples,
-    values,
-    rng: np.random.Generator | None = None,
-    bounds=None,
-    nugget: float = DEFAULT_NUGGET,
-) -> KrigingModel:
+def fit(samples, values, rng: np.random.Generator, bounds, nugget=DEFAULT_NUGGET) -> KrigingModel:
     """Fit correlation parameters by maximum likelihood and build the model.
 
-    ``bounds`` gives the (k, 2) axis ranges used to rescale coordinates; it
-    defaults to the sample bounding box.  Raises DegenerateDesignError for
+    ``rng`` draws the restart points and ``bounds`` gives the (k, 2) axis
+    ranges used to rescale coordinates.  Raises DegenerateDesignError for
     near-duplicate samples and FitError when every restart fails.
     """
     samples = np.asarray(samples, dtype=float)
@@ -341,10 +295,6 @@ def fit(
         raise ValueError("samples contain non-finite entries")
     if not np.all(np.isfinite(values)):
         raise ValueError("sample values contain non-finite entries")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if bounds is None:
-        bounds = np.column_stack([samples.min(axis=0), samples.max(axis=0)])
     bounds = np.asarray(bounds, dtype=float)
     if np.any(bounds[:, 1] <= bounds[:, 0]):
         raise ValueError("bounds are empty along some dimension")

@@ -15,7 +15,9 @@ on the dense 50 x 50 truth grid.
   costs M x N true calls.
 
 ``true_calls`` counts every single-point fidelity evaluation made before
-verification; the final dense verification is reported separately.
+verification: the model-build samples plus, per Nelder-Mead evaluation, n
+(surrogate) or M x N (direct) points.  The final dense verification is
+reported separately.
 
 Every true call before verification propagates at
 ``min(n_steps, _SEARCH_STEPS)`` CF4 steps, and the verification at
@@ -382,31 +384,26 @@ def run_single(config: OptConfig) -> OptRun:
             evaluate,
         )
         x0 = pack_params(built.field)
-        true_calls, model_attempts, p_fit = built.true_calls, built.attempts, built.p_fit
+        build_calls, model_attempts, p_fit = built.true_calls, built.attempts, built.p_fit
         nll_evals = built.nll_evals
         points = built.model.samples
+        calls_per_eval = points.shape[0]
 
         def estimate(fld):
-            values = evaluate(fld, points)
-            return surrogate_objective(built.model.with_values(values), verify), points.shape[0]
+            return surrogate_objective(built.model.with_values(evaluate(fld, points)), verify)
 
     else:
         x0 = draw(rng)
-        true_calls, model_attempts, p_fit, nll_evals = 0, 0, None, 0
+        build_calls, model_attempts, p_fit, nll_evals = 0, 0, None, 0
         search_grid = config.noise_grid(config.search_grid)
+        calls_per_eval = search_grid.weights.size
 
         def estimate(fld):
             return ensemble_objective(fld, search_grid, search_steps, target)
 
-    def objective(params):
-        nonlocal true_calls
-        value, calls = estimate(field(params))
-        true_calls += calls
-        return 1.0 - value
-
-    result = _search(config, objective, x0)
+    result = _search(config, lambda params: 1.0 - estimate(field(params)), x0)
     best_field = field(result.x)
-    f_verified, _ = ensemble_objective(best_field, verify, config.n_steps, target)
+    f_verified = ensemble_objective(best_field, verify, config.n_steps, target)
     return OptRun(
         method=config.method,
         n_sets=config.n_sets,
@@ -415,7 +412,7 @@ def run_single(config: OptConfig) -> OptRun:
         params=pack_params(best_field),
         f_search=1.0 - result.fun,
         f_verified=f_verified,
-        true_calls=true_calls,
+        true_calls=build_calls + result.n_evals * calls_per_eval,
         model_attempts=model_attempts,
         nm_evals=result.n_evals,
         nm_iters=result.n_iter,

@@ -20,7 +20,7 @@ from spinopt import (
     estimate_t2,
     fit,
     fringe_window,
-    gate_fidelity,
+    gate_fidelity_many,
     ideal_phase,
     jittered_grid,
     ou_step,
@@ -221,9 +221,9 @@ def test_c6_baseline_gap(bpm_stats, sfb_stats):
 def test_c7_gate_fidelity_identities():
     fld = constant_drive(TWO_PI * 10e6, 50e-9, OMEGA_MAX)
     u = propagate_many(fld, [TWO_PI * 3e6], [1.1])[0]
-    f_self = gate_fidelity(fld, u, TWO_PI * 3e6, 1.1)
+    f_self = gate_fidelity_many(fld, u, [TWO_PI * 3e6], [1.1])[0]
     zero = pm_field([0.0], [0.0], [0.0], T, OMEGA_MAX)
-    f_third = gate_fidelity(zero, SIGMA_X, 0.0, 1.0)
+    f_third = gate_fidelity_many(zero, SIGMA_X, [0.0], [1.0])[0]
     ok = abs(f_self - 1.0) < 1e-12 and abs(f_third - 1.0 / 3.0) < 1e-12
     assert report(
         7,

@@ -42,6 +42,17 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+def assert_reproducible(tmp_path, command, payload, names):
+    """Run ``command`` twice on one config and seed; the named data files
+    must be byte-identical."""
+    cfg = write_config(tmp_path, payload)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    for out in (out_a, out_b):
+        assert main([command, "--config", cfg, "--seed", "9", "--out", str(out)]) == 0
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
 class TestUnitConversions:
     def test_conversion_vector(self):
         assert rad_s_from_mhz(10.0) == pytest.approx(TWO_PI * 1e7, rel=1e-15)
@@ -138,10 +149,19 @@ class TestExitCodes:
             ("magnetometry", {"magnetometry": {"n_steps_per_pulse": None}}),
             ("surrogate-demo", {"surrogate_demo": {"sample_counts": [9, 16.5]}}),
             ("surrogate-demo", {"surrogate_demo": {"timing_reps": 1.5}}),
+            ("trials", {"optimize": {"delta_range_mhz": 5}}),
+            ("trials", {"optimize": {"kappa_range": 5}}),
+            ("trials", {"optimize": {"duration_ns": "abc"}}),
+            ("trials", {"optimize": {"nm_f_tol": "x"}}),
+            ("trials", {"optimize": {"delta_range_mhz": [1, 2, 3]}}),
+            ("magnetometry", {"magnetometry": {"t_max_us": "x"}}),
+            ("magnetometry", {"magnetometry": {"shaped_field": 5}}),
+            ("magnetometry", {"magnetometry": {"noise_enabled": "no"}}),
         ],
     )
     def test_non_integer_setting_exits_2(self, tmp_path, capsys, command, payload):
-        # no truncation to the integer below, and no TypeError escaping
+        # no truncation to the integer below, and no TypeError escaping; the
+        # same for malformed numbers, pairs, switches and field objects
         path = write_config(tmp_path, payload)
         out = tmp_path / "o"
         code = main([command, "--config", path, "--out", str(out)])
@@ -244,12 +264,7 @@ class TestOptimizeCommand:
         assert sfb["true_calls"] > bpm["true_calls"]
 
     def test_reproducible_bytes(self, tmp_path):
-        cfg = write_config(tmp_path, FAST_OPT)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["optimize", "--config", cfg, "--seed", "9", "--out", str(out_a)]) == 0
-        assert main(["optimize", "--config", cfg, "--seed", "9", "--out", str(out_b)]) == 0
-        assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
-        assert (out_a / "field_map.csv").read_bytes() == (out_b / "field_map.csv").read_bytes()
+        assert_reproducible(tmp_path, "optimize", FAST_OPT, ("results.csv", "field_map.csv"))
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, FAST_OPT)
@@ -275,6 +290,10 @@ class TestTrialsCommand:
         timings = (out / "timings.csv").read_text().splitlines()
         assert timings[0] == "trial,wall_ms,nm_iters,nm_converged,nll_evals"
         assert [line.split(",")[0] for line in timings[1:]] == ["0", "1"]
+
+    def test_reproducible_bytes(self, tmp_path):
+        names = ("results.csv", "summary.csv", "histogram.csv")
+        assert_reproducible(tmp_path, "trials", FAST_OPT, names)
 
 
 class TestCompareCommand:
@@ -348,6 +367,10 @@ class TestMagnetometryCommand:
         assert main(["magnetometry", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "trace.csv").exists()
 
+    def test_reproducible_bytes(self, tmp_path):
+        payload = {"magnetometry": {**FAST_MAG["magnetometry"], "n_realizations": 4}}
+        assert_reproducible(tmp_path, "magnetometry", payload, ("trace.csv", "t2_report.csv"))
+
 
 class TestSurrogateDemoCommand:
     def test_outputs_and_deviation_trend(self, tmp_path):
@@ -376,3 +399,19 @@ class TestSurrogateDemoCommand:
         true_dev = [float(r.split(",")[1]) for r in rows]
         # truth-based deviation shrinks as the grid refines
         assert true_dev[0] > true_dev[-1]
+
+    def test_reproducible_bytes(self, tmp_path):
+        # objective_timing.csv holds wall times and is left out
+        payload = {
+            "optimize": {"n_steps": 200, "verify_grid": [15, 15]},
+            "surrogate_demo": {"grid_sizes_mn": [16, 100], "n_fields": 2, "timing_reps": 1},
+        }
+        names = (
+            "truth_map.csv",
+            "samples_9.csv",
+            "samples_16.csv",
+            "prediction_map_9.csv",
+            "prediction_map_16.csv",
+            "objective_deviation.csv",
+        )
+        assert_reproducible(tmp_path, "surrogate-demo", payload, names)

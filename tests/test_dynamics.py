@@ -6,14 +6,11 @@ from spinopt import (
     constant_drive,
     default_shaped_pi_field,
     ensemble_objective,
-    gate_fidelity,
     gate_fidelity_many,
     gaussian_weight,
     pm_field,
-    propagate,
     propagate_many,
     sfb_field,
-    state_fidelity,
     state_fidelity_many,
 )
 from spinopt.dynamics import _CHUNK_POINT_STEPS, IDENTITY, SIGMA_X, SIGMA_Y
@@ -104,17 +101,17 @@ class TestNoiseGrid:
 class TestPropagate:
     def test_zero_field_identity(self):
         fld = pm_field([0.0], [0.0], [0.0], T, OMEGA_MAX)
-        u = propagate(fld, 0.0, 1.0)
+        u = propagate_many(fld, [0.0], [1.0])[0]
         np.testing.assert_allclose(u, IDENTITY, atol=1e-12)
 
     def test_resonant_pi_rotation(self):
         # quadrature Omega held for T = pi/(2 Omega) flips |0> to |1>
         omega = TWO_PI * 5e6
         fld = constant_drive(2 * omega, np.pi / (2 * omega), OMEGA_MAX)
-        u = propagate(fld, 0.0, 1.0)
+        u = propagate_many(fld, [0.0], [1.0])[0]
         expected = -1j * SIGMA_X  # exp(-i pi/2 sx)
         np.testing.assert_allclose(u, expected, atol=1e-10)
-        assert state_fidelity(fld, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert state_fidelity_many(fld, [0.0], [1.0])[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_rabi_formula_detuned(self):
         fld = rect_pi()
@@ -122,7 +119,7 @@ class TestPropagate:
         for delta in (TWO_PI * 3e6, -TWO_PI * 7e6, TWO_PI * 10e6):
             for kappa in (0.6, 1.0, 1.45):
                 expected = rabi_probability(quad, delta, kappa, 50e-9)
-                assert state_fidelity(fld, delta, kappa) == pytest.approx(
+                assert state_fidelity_many(fld, [delta], [kappa])[0] == pytest.approx(
                     expected, abs=1e-10
                 )
 
@@ -151,8 +148,8 @@ class TestPropagate:
         for fld in fields:
             for delta in (TWO_PI * 7e6, -TWO_PI * 10e6):
                 for kappa in (0.5, 1.5):
-                    f1 = state_fidelity(fld, delta, kappa, 1000)
-                    f2 = state_fidelity(fld, delta, kappa, 2000)
+                    f1 = state_fidelity_many(fld, [delta], [kappa], 1000)[0]
+                    f2 = state_fidelity_many(fld, [delta], [kappa], 2000)[0]
                     assert abs(f1 - f2) < 1e-8
 
     @pytest.mark.parametrize(
@@ -188,26 +185,27 @@ class TestPropagate:
         fld = default_shaped_pi_field()
         us = propagate_many(fld, deltas, kappas, n_steps)
         for u, delta, kappa in zip(us, deltas, kappas):
-            np.testing.assert_allclose(u, propagate(fld, delta, kappa, n_steps), rtol=0, atol=1e-14)
+            single = propagate_many(fld, [delta], [kappa], n_steps)[0]
+            np.testing.assert_allclose(u, single, rtol=0, atol=1e-14)
 
     def test_empty_batch(self):
         assert propagate_many(DEMO_FIELD, [], []).shape == (0, 2, 2)
 
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
-            propagate(DEMO_FIELD, 0.0, 1.0, 0)
+            propagate_many(DEMO_FIELD, [0.0], [1.0], 0)
 
 
 class TestStateFidelity:
     def test_zero_field_no_transition(self):
         fld = pm_field([0.0], [0.0], [0.0], T, OMEGA_MAX)
-        assert state_fidelity(fld, TWO_PI * 2e6, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert state_fidelity_many(fld, [TWO_PI * 2e6], [1.0])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_detuned_rect_pulse_matches_oracle(self):
         # rotation rate 2*pi*10 MHz, detuning equal to the rotation rate
         fld = rect_pi()
         expected = rabi_probability(TWO_PI * 5e6, TWO_PI * 10e6, 1.0, 50e-9)
-        assert state_fidelity(fld, TWO_PI * 10e6, 1.0) == pytest.approx(
+        assert state_fidelity_many(fld, [TWO_PI * 10e6], [1.0])[0] == pytest.approx(
             expected, abs=1e-10
         )
 
@@ -221,23 +219,23 @@ class TestStateFidelity:
 class TestGateFidelity:
     def test_target_equals_propagator(self):
         fld = rect_pi()
-        u = propagate(fld, 0.0, 1.0)
-        assert gate_fidelity(fld, u, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+        u = propagate_many(fld, [0.0], [1.0])[0]
+        assert gate_fidelity_many(fld, u, [0.0], [1.0])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_pauli_x_vs_identity(self):
         # U = I against target sigma_x evaluates to exactly 1/3
         fld = pm_field([0.0], [0.0], [0.0], T, OMEGA_MAX)
-        assert gate_fidelity(fld, SIGMA_X, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-12)
+        assert gate_fidelity_many(fld, SIGMA_X, [0.0], [1.0])[0] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_step_halving_oracle_on_shaped_pulse(self):
         fld = default_shaped_pi_field()
-        coarse = gate_fidelity(fld, SIGMA_X, TWO_PI * 5e6, 1.0, 1000)
-        dense = gate_fidelity(fld, SIGMA_X, TWO_PI * 5e6, 1.0, 8000)
+        coarse = gate_fidelity_many(fld, SIGMA_X, [TWO_PI * 5e6], [1.0], 1000)[0]
+        dense = gate_fidelity_many(fld, SIGMA_X, [TWO_PI * 5e6], [1.0], 8000)[0]
         assert coarse == pytest.approx(dense, abs=1e-9)
 
     def test_non_unitary_target_rejected(self):
         with pytest.raises(ValueError):
-            gate_fidelity(rect_pi(), np.array([[1.0, 0.0], [0.0, 0.5]]), 0.0, 1.0)
+            gate_fidelity_many(rect_pi(), np.array([[1.0, 0.0], [0.0, 0.5]]), [0.0], [1.0])[0]
 
     @pytest.mark.parametrize("target_name", ["sigma_x", "sigma_y", "random_with_phase"])
     def test_matches_pauli_sum_oracle(self, target_name):
@@ -259,16 +257,16 @@ class TestGateFidelity:
     def test_y_gate_target(self):
         omega = TWO_PI * 5e6
         fld = sfb_field([2 * omega], [0.0], [0.0], [np.pi / 2], np.pi / (2 * omega), OMEGA_MAX)
-        assert gate_fidelity(fld, SIGMA_Y, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert gate_fidelity_many(fld, SIGMA_Y, [0.0], [1.0])[0] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestEnsembleObjective:
     def test_constant_zero_fidelity(self):
         fld = pm_field([0.0], [0.0], [0.0], T, OMEGA_MAX)
         grid = NoiseGrid.regular(10, 10)
-        value, calls = ensemble_objective(fld, grid)
+        value = ensemble_objective(fld, grid)
         assert value == pytest.approx(0.0, abs=1e-12)
-        assert calls == 100
+        assert grid.weights.size == 100
 
     def test_rect_pi_matches_brute_force(self):
         fld = rect_pi()
@@ -284,21 +282,22 @@ class TestEnsembleObjective:
             1.0,
         )
         assert oracle == pytest.approx(RECT_PI_FOBJ_50X50, abs=1e-10)
-        value, calls = ensemble_objective(fld, NoiseGrid.regular(50, 50))
-        assert calls == 2500
+        grid = NoiseGrid.regular(50, 50)
+        value = ensemble_objective(fld, grid)
+        assert grid.weights.size == 2500
         assert value == pytest.approx(oracle, abs=1e-8)
 
     def test_bounded_by_pointwise_extremes(self):
         grid = NoiseGrid.regular(8, 8)
         pts = grid.points()
         f = state_fidelity_many(DEMO_FIELD, pts[:, 0], pts[:, 1], 400)
-        value, _ = ensemble_objective(DEMO_FIELD, grid, 400)
+        value = ensemble_objective(DEMO_FIELD, grid, 400)
         assert f.min() - 1e-12 <= value <= f.max() + 1e-12
 
     def test_gate_objective_uses_target(self):
         grid = NoiseGrid.regular(5, 5)
         fld = default_shaped_pi_field()
-        v_gate, _ = ensemble_objective(fld, grid, 500, target=SIGMA_X)
-        v_state, _ = ensemble_objective(fld, grid, 500)
+        v_gate = ensemble_objective(fld, grid, 500, target=SIGMA_X)
+        v_state = ensemble_objective(fld, grid, 500)
         assert v_gate != pytest.approx(v_state, abs=1e-6)
         assert 0.0 <= v_gate <= 1.0

@@ -201,6 +201,27 @@ class TestBpmOptimize:
             assert run.p_fit is None
             assert run.nll_evals == 0
 
+    @pytest.mark.parametrize("method", ["bpm", "pm", "bsfb", "sfb"])
+    def test_true_calls_match_propagated_points(self, method, monkeypatch):
+        # true_calls is derived from the accounting identity, so count the
+        # points actually propagated; the rest are the verification's
+        import spinopt.dynamics as dyn
+
+        propagated = []
+        original = dyn.propagate_many
+
+        def counting(field, deltas, kappas, n_steps=1000):
+            u = original(field, deltas, kappas, n_steps)
+            propagated.append(u.shape[0])
+            return u
+
+        monkeypatch.setattr(dyn, "propagate_many", counting)
+        cfg = fast_config(method=method, seed=3)
+        run = run_single(cfg)
+        verify_points = cfg.verify_grid[0] * cfg.verify_grid[1]
+        assert propagated[-1] == verify_points
+        assert run.true_calls == sum(propagated) - verify_points
+
     def test_final_field_is_feasible(self):
         run = run_single(fast_config(seed=5))
         assert peak_amplitude(run.field) <= OMEGA_MAX * (1 + 1e-9)
@@ -213,7 +234,7 @@ class TestBpmOptimize:
         run = run_single(cfg)
         fld = unpack_params(cfg.basis, run.params, cfg.n_sets, cfg.duration, cfg.amp_limit)
         grid = cfg.noise_grid(cfg.verify_grid)
-        value, _ = ensemble_objective(fld, grid, cfg.n_steps, cfg.target())
+        value = ensemble_objective(fld, grid, cfg.n_steps, cfg.target())
         assert abs(value - run.f_verified) < 1e-12
 
     def test_objective_bounds(self):
@@ -423,7 +444,7 @@ class TestSearchSteps:
         kappas = np.array([k0, k1, k0, k1, 0.5 * (k0 + k1)])
 
         def values(fld, n_steps):
-            grid_value, _ = ensemble_objective(fld, search, n_steps, target)
+            grid_value = ensemble_objective(fld, search, n_steps, target)
             if target is None:
                 points = state_fidelity_many(fld, deltas, kappas, n_steps)
             else:
