@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -181,8 +180,9 @@ def cmd_compare(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     n_trials = config_int(cfg["compare"]["n_trials"], "compare.n_trials")
     primary = opt_config_from(cfg, seed=seed)
-    baseline = replace(
-        primary,
+    baseline = opt_config_from(
+        cfg,
+        seed=seed,
         method=cfg["compare"]["baseline_method"],
         n_sets=config_int(cfg["compare"]["baseline_n_sets"], "compare.baseline_n_sets"),
     )

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .fields import ControlField, pm_field
+from .fields import ControlField, InvalidFieldError, pm_field
 from .magnetometry import (
     MIN_T2_POINTS,
     AcSignal,
@@ -129,19 +129,32 @@ def _number(cfg: dict, key: str) -> float:
     return config_float(cfg[section][name], key)
 
 
+def _field_vector(params: dict, name: str) -> np.ndarray:
+    """Field vector ``params[name]`` in rad/s: a number or a flat list of
+    numbers, each finite once converted."""
+    value = params[name]
+    entries = value if isinstance(value, list) else [value]
+    with np.errstate(over="ignore"):  # an overflow is reported as non-finite
+        rad_s = rad_s_from_rad_ns([config_float(v, name) for v in entries])
+    if not np.isfinite(rad_s).all():
+        raise ConfigError(f"config key {name} must be finite, not {value!r}")
+    return rad_s
+
+
 def field_from_config(params: dict, duration: float, amp_limit: float) -> ControlField:
     if not isinstance(params, dict):
         raise ConfigError(f"field parameters must be an object, not {params!r}")
     try:
-        return pm_field(
-            rad_s_from_rad_ns(params["amplitudes_rad_ns"]),
-            rad_s_from_rad_ns(params["mod_depths_rad_ns"]),
-            rad_s_from_rad_ns(params["mod_freqs_rad_ns"]),
-            duration,
-            amp_limit,
-        )
+        vectors = [
+            _field_vector(params, name)
+            for name in ("amplitudes_rad_ns", "mod_depths_rad_ns", "mod_freqs_rad_ns")
+        ]
     except KeyError as exc:
         raise ConfigError(f"field parameters are missing key {exc}") from exc
+    try:
+        return pm_field(*vectors, duration, amp_limit)
+    except InvalidFieldError as exc:
+        raise ConfigError(f"field parameters: {exc}") from exc
 
 
 def opt_config_from(cfg: dict, seed: int | None = None, **overrides) -> OptConfig:

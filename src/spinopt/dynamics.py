@@ -17,8 +17,11 @@ function is called per factor; a batch with theta above 1 is scaled down by
 steps on the last axis, the two Gauss-point drives are mixed on the time
 axis before they are broadcast over points, and ``propagate_many`` works
 through its points in chunks of ``_CHUNK_POINT_STEPS`` point-steps, sized
-so that one chunk's working block stays near the L2 cache.  The time-step
-error falls as steps^-4.  Max |dF| against 4000 steps of the 4x4 ensemble
+so that one chunk's working block stays near the L2 cache.  Each thread
+keeps the working blocks of the last few shapes it propagated, each with
+the views of its whole reduction built in advance (``_Plan``), so a
+repeated shape allocates no working memory and builds no views.  The
+time-step error falls as steps^-4.  Max |dF| against 4000 steps of the 4x4 ensemble
 objective and of single points at the corners and centre of the default
 box, over 24 feasible fields with rates in the top half of the cap and the
 peak envelope at the amplitude limit, state and gate fidelities:
@@ -31,7 +34,9 @@ of two Gaussians specified through their FWHM.
 """
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +112,15 @@ class NoiseGrid:
         )
 
     def points(self) -> np.ndarray:
-        """All (delta, kappa) pairs, row-major over (deltas, kappas), shape (M*N, 2)."""
-        dd, kk = np.meshgrid(self.deltas, self.kappas, indexing="ij")
-        return np.column_stack([dd.ravel(), kk.ravel()])
+        """All (delta, kappa) pairs, row-major over (deltas, kappas), shape
+        (M*N, 2); built on the first call and returned read-only."""
+        pts = self.__dict__.get("_points")
+        if pts is None:
+            dd, kk = np.meshgrid(self.deltas, self.kappas, indexing="ij")
+            pts = np.column_stack([dd.ravel(), kk.ravel()])
+            pts.flags.writeable = False
+            object.__setattr__(self, "_points", pts)
+        return pts
 
     def bounds(self) -> np.ndarray:
         """Axis ranges as a (2, 2) array of (low, high) rows."""
@@ -146,30 +157,30 @@ def _series_terms(x_max):
     return n
 
 
-def _horner(x, coeffs, out):
-    """Write sum_k coeffs[k] x^k into ``out`` by Horner's rule; returns ``out``."""
-    np.multiply(x, coeffs[-1], out=out)
-    out += coeffs[-2]
-    for c in coeffs[-3::-1]:
-        out *= x
-        out += c
-    return out
+def _horner(x, coeffs, work, out):
+    """Write sum_k coeffs[k] x^k into ``out`` by Horner's rule, with the
+    partial sums in ``work`` (which may be ``out``); returns ``out``."""
+    np.multiply(x, coeffs[-1], out=work)
+    for c in coeffs[-2:0:-1]:
+        work += c
+        work *= x
+    return np.add(work, coeffs[0], out=out)
 
 
 def _su2_factor(hx, hy, hz, dt, out, scratch):
     """Write the Cayley-Klein pair (a, b) of exp(-i dt (hx sx + hy sy + hz sz))
-    into ``out`` = (a, b), batched; ``scratch`` is two real arrays of their
-    shape.
+    into ``out``, batched; ``scratch`` is two real arrays of their shape.
 
-    The pair stands for the SU(2) matrix [[a, -b*], [b, a*]]; the inputs
-    broadcast to the shape of ``out``.  With theta = |h| dt and x = theta^2,
+    ``out`` is ``_factor_views`` of a pair array of shape (2, ...): the pair
+    stands for the SU(2) matrix [[a, -b*], [b, a*]], and the inputs broadcast
+    to the shape of a.  With theta = |h| dt and x = theta^2,
     a = cos(theta) - i f hz and b = f (hy - i hx), f = dt sin(theta) / theta,
     where both functions of theta are Taylor series in x cut at the fewest
     terms that are exact to rounding at the batch's largest x.  A batch with
     theta above 1 is evaluated at theta / 2^s and squared back s times
     (scaling and squaring; Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
     """
-    a, b = out
+    pair, a_real, a_imag, b_real, b_imag = out
     x, y = scratch
     np.multiply(hx, hx, out=x)
     x += np.multiply(hy, hy, out=y)
@@ -183,39 +194,124 @@ def _su2_factor(hx, hy, hz, dt, out, scratch):
         x_max *= 0.25**squarings
         dt = dt * 0.5**squarings
     n = _series_terms(x_max)
-    a.real = _horner(x, _COS_SERIES[:n], y)
+    _horner(x, _COS_SERIES[:n], y, a_real)
     # g = -f, so that two of the three products need no sign flip.
-    g = _horner(x, _SINC_SERIES[:n] * -dt, y)
-    np.multiply(g, hz, out=a.imag)
-    np.multiply(g, hx, out=b.imag)
-    np.multiply(np.negative(g, out=x), hy, out=b.real)
+    g = _horner(x, _SINC_SERIES[:n] * -dt, y, y)
+    np.multiply(g, hz, out=a_imag)
+    np.multiply(g, hx, out=b_imag)
+    np.multiply(np.negative(g, out=x), hy, out=b_real)
     for _ in range(squarings):
-        out[...] = _compose(out, out)
+        pair[...] = _compose(pair, pair)
 
 
-def _compose(later, earlier, out=None, tmp=None):
-    """Cayley-Klein pair of the product U_later @ U_earlier.
+def _factor_views(pair):
+    """The views of a pair array (a, b) that ``_su2_factor`` writes."""
+    a, b = pair
+    return pair, a.real, a.imag, b.real, b.imag
 
-    Pairs are stacked as arrays of shape (2, ...), a first.  The result goes
-    into ``out``, which overlaps neither input, and ``tmp`` is scratch of the
-    same shape; both are allocated when not given.
+
+def _compose_views(later, earlier, out, tmp):
+    """The operands of ``_apply_compose`` for U_later @ U_earlier, with the
+    result in ``out`` and ``tmp`` as scratch."""
+    return (
+        later, earlier[0], out, later[::-1], tmp, earlier[1], out[0], tmp[0], out[1], tmp[1]
+    )
+
+
+def _apply_compose(views):
+    """Cayley-Klein pair of a product, as laid out by ``_compose_views``:
+    (a2 a1 - b2* b1, b2 a1 + a2* b1) in five ufunc calls."""
+    later, earlier_a, out, later_swapped, tmp, earlier_b, out_a, tmp_a, out_b, tmp_b = views
+    np.multiply(later, earlier_a, out=out)
+    np.conjugate(later_swapped, out=tmp)
+    np.multiply(tmp, earlier_b, out=tmp)
+    np.subtract(out_a, tmp_a, out=out_a)
+    np.add(out_b, tmp_b, out=out_b)
+
+
+def _compose(later, earlier):
+    """Cayley-Klein pair of the product U_later @ U_earlier, in a new array.
+
+    Pairs are stacked as arrays of shape (2, ...), a first.
     """
-    if out is None:
-        out = np.empty(earlier.shape, dtype=complex)
-    if tmp is None:
-        tmp = np.empty(earlier.shape, dtype=complex)
-    # (a2 a1 - b2* b1, b2 a1 + a2* b1)
-    np.multiply(later, earlier[0], out=out)
-    np.conjugate(later[::-1], out=tmp)
-    tmp *= earlier[1]
-    out[0] -= tmp[0]
-    out[1] += tmp[1]
+    out = np.empty(earlier.shape, dtype=complex)
+    _apply_compose(_compose_views(later, earlier, out, np.empty(earlier.shape, dtype=complex)))
     return out
 
 
 def _leading(buf, shape):
     """Contiguous view of the first prod(shape) elements of ``buf``."""
     return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+class _Plan:
+    """The working block of ``cf4_propagator`` for one broadcast shape, with
+    every view its factor pass and reduction use.
+
+    Slots of the block: the two factors, the first level's product, and its
+    scratch, whose real view also serves the factors.  The reduction's
+    levels alternate between the product's and the first factor's slots,
+    and the second factor's slot is every later level's scratch.  A level
+    is one ``_apply_compose`` and, for an odd number of columns, the copy
+    of the unpaired last one.  ``drive`` is kept beside the block for
+    ``propagate_many``, which allocates it on first use.
+    """
+
+    def __init__(self, shape):
+        work = np.empty((4, 2) + shape, dtype=complex)
+        fac1, fac2, prod, tmp = work
+        size = math.prod(shape)
+        flat = tmp.view(float).reshape(-1)
+        self.scratch = (flat[:size].reshape(shape), flat[size : 2 * size].reshape(shape))
+        self.drive = None
+        self.factors = (_factor_views(fac1), _factor_views(fac2))
+        self.levels = [(_compose_views(fac2, fac1, prod, tmp), None)]
+        slots = (prod, fac1)
+        pair = prod
+        while pair.shape[-1] > 1:
+            n = pair.shape[-1]
+            half = n // 2
+            nxt = _leading(slots[len(self.levels) % 2], pair.shape[:-1] + (n - half,))
+            views = _compose_views(
+                pair[..., 1 : 2 * half : 2],
+                pair[..., 0 : 2 * half : 2],
+                nxt[..., :half],
+                _leading(fac2, pair.shape[:-1] + (half,)),
+            )
+            self.levels.append((views, (nxt[..., -1], pair[..., -1]) if n % 2 else None))
+            pair = nxt
+        self.result = (pair[0, ..., 0], pair[1, ..., 0])
+
+    def run(self, first, second, dt):
+        """The propagator's pair (a, b) as views into the block, valid until
+        the plan's next run."""
+        _su2_factor(*first, dt, out=self.factors[0], scratch=self.scratch)
+        _su2_factor(*second, dt, out=self.factors[1], scratch=self.scratch)
+        for views, odd in self.levels:
+            _apply_compose(views)
+            if odd is not None:
+                np.copyto(*odd)
+        return self.result
+
+
+# Plans kept per thread, so concurrent callers never share a block; the
+# least recently used shape is dropped past the bound.  One trial needs
+# three: its search batch and the 50x50 verification's full and remainder
+# chunks.
+_PLAN_SHAPES = 4
+_plans = threading.local()
+
+
+def _plan(shape):
+    """The calling thread's plan for ``shape``, built on first use."""
+    plans = _plans.__dict__.setdefault("by_shape", {})
+    plan = plans.pop(shape, None)
+    if plan is None:
+        plan = _Plan(shape)
+        if len(plans) >= _PLAN_SHAPES:
+            del plans[next(iter(plans))]
+    plans[shape] = plan
+    return plan
 
 
 # Gauss-Legendre sampling offsets (fractions of a step) and the mixing
@@ -228,15 +324,17 @@ _CF4_W1 = 0.25 + np.sqrt(3.0) / 6.0
 _CF4_W2 = 0.25 - np.sqrt(3.0) / 6.0
 
 # Point-steps propagated at once by ``propagate_many``.  Median time of one
-# 50x50 propagation at 1000 steps over 15 interleaved rounds, by points per
-# chunk (2-core Xeon with 2 MB L2, Python 3.11.7, numpy 2.4.6):
+# 50x50 propagation at 1000 steps over 21 interleaved rounds, by points per
+# chunk, every chunk's plan warm (2-core AMD EPYC with 1 MB L2 per core,
+# Python 3.11.7, numpy 2.4.6):
 #
 #   points  8    12   16   20   25   32   50   100  200
-#   ms      258  218  201  184  176  174  174  188  247
+#   ms      61   52   49   47   46   45   43   45   51
 #
 # Below ~25 points the per-call overhead of the reduction's short levels
-# dominates; above ~50 the working block (128 bytes per point-step, of which
-# the first level reads and writes half) outgrows the L2 cache.
+# dominates; past ~100 the working block (128 bytes per point-step) and the
+# drive (32 more) outgrow the L2 cache.  An earlier table on a 2-core Xeon
+# with 2 MB L2 had its optimum at 25-50 points, and fell off faster above it.
 _CHUNK_POINT_STEPS = 32_000
 
 
@@ -248,6 +346,15 @@ def cf4_times(n_steps: int, dt: float):
     """
     base = np.arange(n_steps) * dt
     return base + _GAUSS_LO * dt, base + _GAUSS_HI * dt
+
+
+@functools.lru_cache(maxsize=8)
+def _sample_times(n_steps, duration):
+    """``cf4_times`` of a pulse of ``n_steps`` steps over ``duration``,
+    stacked as one read-only (2, S) array."""
+    times = np.stack(cf4_times(n_steps, duration / n_steps))
+    times.flags.writeable = False
+    return times
 
 
 def cf4_mix(early, late):
@@ -267,39 +374,8 @@ def cf4_propagator(first, second, dt):
     axis.  The propagator is [[a, -b*], [b, a*]].
     """
     shape = np.broadcast_shapes(*(np.shape(h) for h in (*first, *second)))
-    # Every working array is a slice of one block, allocated once per call:
-    # touching fresh pages costs more than the arithmetic done on them.
-    # Slots: the two factors, the first level's product, and its scratch,
-    # whose real view also serves the factors.
-    work = np.empty((4, 2) + shape, dtype=complex)
-    fac1, fac2, prod, tmp = work
-    size = math.prod(shape)
-    flat = tmp.view(float).reshape(-1)
-    scratch = (flat[:size].reshape(shape), flat[size : 2 * size].reshape(shape))
-    _su2_factor(*first, dt, out=fac1, scratch=scratch)
-    _su2_factor(*second, dt, out=fac2, scratch=scratch)
-    _compose(fac2, fac1, out=prod, tmp=tmp)
-    # Time-ordered product of the steps by pairwise reduction, later on the
-    # left.  Levels alternate between two slots, and the second factor's
-    # slot is every later level's scratch.
-    slots = (prod, fac1)
-    pair = prod
-    level = 0
-    while pair.shape[-1] > 1:
-        n = pair.shape[-1]
-        half = n // 2
-        nxt = _leading(slots[1 - level % 2], pair.shape[:-1] + (n - half,))
-        _compose(
-            pair[..., 1 : 2 * half : 2],
-            pair[..., 0 : 2 * half : 2],
-            out=nxt[..., :half],
-            tmp=_leading(fac2, pair.shape[:-1] + (half,)),
-        )
-        if n % 2:
-            nxt[..., -1] = pair[..., -1]
-        pair = nxt
-        level += 1
-    return pair[0, ..., 0].copy(), pair[1, ..., 0].copy()
+    a, b = _plan(shape).run(first, second, dt)
+    return a.copy(), b.copy()
 
 
 def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
@@ -315,22 +391,28 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
     flat_d = deltas.ravel()
     flat_k = kappas.ravel()
     dt = field.duration / n_steps
-    # Quadratures at the early and late sample times, (2, S) each, mixed
-    # into the two exponents before they are scaled by kappa.
-    wx, wy = quadratures(field, np.stack(cf4_times(n_steps, dt)))
-    (x_first, x_second), (y_first, y_second) = cf4_mix(*wx), cf4_mix(*wy)
+    # Quadratures at the early and late sample times, stacked as (x, y) rows
+    # of shape (2, 1, S) and mixed into the two exponents before they are
+    # scaled by kappa.
+    quads = np.array(quadratures(field, _sample_times(n_steps, field.duration)))
+    drive_first, drive_second = cf4_mix(quads[:, 0, None], quads[:, 1, None])
+    half_d = 0.5 * flat_d[:, None]
+    hz_first, hz_second = cf4_mix(half_d, half_d)
     chunk = max(1, _CHUNK_POINT_STEPS // n_steps)
     out = np.empty((flat_d.size, 2, 2), dtype=complex)
     for lo in range(0, flat_d.size, chunk):
         hi = min(lo + chunk, flat_d.size)
         kap = flat_k[lo:hi, None]
-        hz = 0.5 * flat_d[lo:hi, None]
-        hz_first, hz_second = cf4_mix(hz, hz)
-        a, b = cf4_propagator(
-            (kap * x_first, kap * y_first, hz_first),
-            (kap * x_second, kap * y_second, hz_second),
-            dt,
-        )
+        # The drive, the real (hx, hy) pair of each exponent, is kept with
+        # the plan: a fresh array per chunk would be returned to the system
+        # and faulted back in on every one.
+        plan = _plan((hi - lo, n_steps))
+        if plan.drive is None:
+            plan.drive = np.empty((2, 2, hi - lo, n_steps))
+        first, second = plan.drive
+        np.multiply(kap, drive_first, out=first)
+        np.multiply(kap, drive_second, out=second)
+        a, b = plan.run((*first, hz_first[lo:hi]), (*second, hz_second[lo:hi]), dt)
         out[lo:hi, 0, 0] = a
         out[lo:hi, 0, 1] = -b.conj()
         out[lo:hi, 1, 0] = b

@@ -10,6 +10,8 @@ at ``a / 2``, so its Bloch rotation rate is ``a``.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +44,12 @@ class InvalidFieldError(ValueError):
 
 
 def _vector(x, name):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
-        raise InvalidFieldError(f"{name} must be a scalar or 1-d sequence")
-    if not np.all(np.isfinite(arr)):
+        if arr.ndim:
+            raise InvalidFieldError(f"{name} must be a scalar or 1-d sequence")
+        arr = arr.reshape(1)
+    if not np.isfinite(arr).all():
         raise InvalidFieldError(f"{name} contains non-finite entries")
     return arr
 
@@ -72,9 +76,9 @@ class ControlField:
     def __post_init__(self):
         if self.basis not in LAYOUT:
             raise InvalidFieldError(f"unknown basis {self.basis!r}")
-        if not (np.isfinite(self.duration) and self.duration > 0):
+        if not (math.isfinite(self.duration) and self.duration > 0):
             raise InvalidFieldError("duration must be positive and finite")
-        if not (np.isfinite(self.amp_limit) and self.amp_limit > 0):
+        if not (math.isfinite(self.amp_limit) and self.amp_limit > 0):
             raise InvalidFieldError("amp_limit must be positive and finite")
         for name in _VECTORS:
             if name not in LAYOUT[self.basis] and getattr(self, name) is not None:
@@ -171,10 +175,17 @@ def envelope(field: ControlField, t):
     return np.hypot(wx, wy)
 
 
+@functools.lru_cache(maxsize=8)
+def _peak_times(duration):
+    """The read-only grid of ``PEAK_GRID_POINTS`` times on [0, duration]."""
+    ts = np.linspace(0.0, duration, PEAK_GRID_POINTS)
+    ts.flags.writeable = False
+    return ts
+
+
 def peak_amplitude(field: ControlField) -> float:
     """Max of sqrt(Omega_x^2 + Omega_y^2) on a dense time grid."""
-    ts = np.linspace(0.0, field.duration, PEAK_GRID_POINTS)
-    return float(np.max(envelope(field, ts)))
+    return float(np.max(envelope(field, _peak_times(field.duration))))
 
 
 def enforce_amplitude_constraint(field: ControlField) -> ControlField:
@@ -195,15 +206,13 @@ def enforce_amplitude_constraint(field: ControlField) -> ControlField:
         if bounds is None:
             continue
         value = getattr(field, name)
-        clamped = np.clip(value, *bounds)
-        if not np.array_equal(clamped, value):
-            updates[name] = clamped
+        if value.size and not bounds[0] <= value.min() <= value.max() <= bounds[1]:
+            updates[name] = np.clip(value, *bounds)
     candidate = dataclasses.replace(field, **updates) if updates else field
     bound = 0.5 * float(np.sum(np.abs(candidate.amplitudes)))
     if bound > candidate.amp_limit * (1.0 - 1e-12):
         peak = peak_amplitude(candidate)
         if peak > candidate.amp_limit:
             updates["amplitudes"] = candidate.amplitudes * (candidate.amp_limit / peak)
-    if not updates:
-        return field
-    return dataclasses.replace(field, **updates)
+            return dataclasses.replace(field, **updates)
+    return candidate

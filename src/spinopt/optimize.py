@@ -79,13 +79,13 @@ P_FIT_THRESHOLD = 0.6
 # objective and of single-point fidelities at the corners and centre of the
 # verify box, over 24 feasible fields (SFB n_sets=2 and PM, rates in the top
 # half of the cap, peak envelope at the amplitude limit), state and gate
-# objectives; and the median time of one state_fidelity_many call (2-core
-# AMD EPYC, Python 3.11.7, numpy 2.4.6):
+# objectives; and the median time of one state_fidelity_many call on the
+# bundled shaped pi pulse (2-core AMD EPYC, Python 3.11.7, numpy 2.4.6):
 #
 #   steps          50      100     200     400     1000
 #   max |dF|       6.8e-5  4.3e-6  2.7e-7  1.7e-8  4.2e-10
-#   us, P = 9      175     175     215     285     405
-#   us, P = 16     170     200     245     310     510
+#   us, P = 9      104     119     147     203     336
+#   us, P = 16     114     133     175     240     462
 #
 # 200 is the fewest of these whose error stays below 1e-6, a tenth of the
 # default nm_f_tol; below it a call costs little less, being mostly per-call

@@ -36,6 +36,24 @@ FAST_MAG = {
 }
 
 
+def _field(**vectors):
+    """A field object with ``vectors`` in place of the well-formed ones."""
+    return {
+        "amplitudes_rad_ns": [0.06],
+        "mod_depths_rad_ns": [0.01],
+        "mod_freqs_rad_ns": [0.02],
+        **vectors,
+    }
+
+
+def shaped_field(**vectors):
+    return {"magnetometry": {"shaped_field": _field(**vectors)}}
+
+
+def demo_field(**vectors):
+    return {"surrogate_demo": {"field": _field(**vectors)}}
+
+
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -121,14 +139,18 @@ class TestExitCodes:
             {"magnetometry": {"g_ac_mhz": -0.1}},
             {"magnetometry": {"n_realizations": 0}},
             {"magnetometry": {"n_steps_per_pulse": 0}},
+            {"compare": {"baseline_method": "annealing"}},
+            {"compare": {"baseline_n_sets": 0}},
         ],
     )
     def test_rejected_config_exits_2(self, tmp_path, capsys, payload):
         path = write_config(tmp_path, payload)
-        command = "magnetometry" if "magnetometry" in payload else "trials"
-        code = main([command, "--config", path, "--out", str(tmp_path / "o")])
+        command = next((c for c in ("magnetometry", "compare") if c in payload), "trials")
+        out = tmp_path / "o"
+        code = main([command, "--config", path, "--out", str(out)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -157,6 +179,12 @@ class TestExitCodes:
             ("magnetometry", {"magnetometry": {"t_max_us": "x"}}),
             ("magnetometry", {"magnetometry": {"shaped_field": 5}}),
             ("magnetometry", {"magnetometry": {"noise_enabled": "no"}}),
+            ("magnetometry", shaped_field(amplitudes_rad_ns="x")),
+            ("magnetometry", shaped_field(mod_depths_rad_ns=[[0.1]])),
+            ("magnetometry", shaped_field(mod_freqs_rad_ns=[float("nan")])),
+            ("surrogate-demo", demo_field(amplitudes_rad_ns=["0.03"])),
+            ("surrogate-demo", demo_field(mod_depths_rad_ns=[True])),
+            ("surrogate-demo", demo_field(mod_freqs_rad_ns=1e300)),
         ],
     )
     def test_non_integer_setting_exits_2(self, tmp_path, capsys, command, payload):

@@ -1,3 +1,7 @@
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,17 @@ from spinopt import (
     sfb_field,
     state_fidelity_many,
 )
-from spinopt.dynamics import _CHUNK_POINT_STEPS, IDENTITY, SIGMA_X, SIGMA_Y
+from spinopt import dynamics
+from spinopt.dynamics import (
+    _CHUNK_POINT_STEPS,
+    IDENTITY,
+    SIGMA_X,
+    SIGMA_Y,
+    cf4_mix,
+    cf4_propagator,
+    cf4_times,
+)
+from spinopt.fields import quadratures
 
 from oracles import (
     brute_force_objective,
@@ -301,3 +315,254 @@ class TestEnsembleObjective:
         v_state = ensemble_objective(fld, grid, 500)
         assert v_gate != pytest.approx(v_state, abs=1e-6)
         assert 0.0 <= v_gate <= 1.0
+
+
+# A frozen copy of the CF4 kernel as it stood before its reduction plans:
+# every call allocates its block and builds each level's views.  The
+# kernel must keep matching it bit for bit.
+def _frozen_series(n, odd):
+    return np.array([(-1.0) ** k / math.factorial(2 * k + odd) for k in range(n)])
+
+
+_FROZEN_COS = _frozen_series(11, False)
+_FROZEN_SINC = _frozen_series(11, True)
+
+
+def _frozen_terms(x_max):
+    n = 2
+    while n < 11 and x_max**n / math.factorial(2 * n) > 2.0**-62:
+        n += 1
+    return n
+
+
+def _frozen_horner(x, coeffs, out):
+    np.multiply(x, coeffs[-1], out=out)
+    out += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        out *= x
+        out += c
+    return out
+
+
+def _frozen_factor(hx, hy, hz, dt, out, scratch):
+    a, b = out
+    x, y = scratch
+    np.multiply(hx, hx, out=x)
+    x += np.multiply(hy, hy, out=y)
+    x += np.multiply(hz, hz, out=y)
+    x *= dt * dt
+    x_max = float(x.max()) if x.size else 0.0
+    squarings = 0
+    if 1.0 < x_max < np.inf:
+        squarings = math.ceil(0.5 * math.log2(x_max))
+        x *= 0.25**squarings
+        x_max *= 0.25**squarings
+        dt = dt * 0.5**squarings
+    n = _frozen_terms(x_max)
+    a.real = _frozen_horner(x, _FROZEN_COS[:n], y)
+    g = _frozen_horner(x, _FROZEN_SINC[:n] * -dt, y)
+    np.multiply(g, hz, out=a.imag)
+    np.multiply(g, hx, out=b.imag)
+    np.multiply(np.negative(g, out=x), hy, out=b.real)
+    for _ in range(squarings):
+        out[...] = _frozen_compose(out, out)
+
+
+def _frozen_compose(later, earlier, out=None, tmp=None):
+    if out is None:
+        out = np.empty(earlier.shape, dtype=complex)
+    if tmp is None:
+        tmp = np.empty(earlier.shape, dtype=complex)
+    np.multiply(later, earlier[0], out=out)
+    np.conjugate(later[::-1], out=tmp)
+    tmp *= earlier[1]
+    out[0] -= tmp[0]
+    out[1] += tmp[1]
+    return out
+
+
+def _frozen_leading(buf, shape):
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def frozen_cf4_propagator(first, second, dt):
+    shape = np.broadcast_shapes(*(np.shape(h) for h in (*first, *second)))
+    work = np.empty((4, 2) + shape, dtype=complex)
+    fac1, fac2, prod, tmp = work
+    size = math.prod(shape)
+    flat = tmp.view(float).reshape(-1)
+    scratch = (flat[:size].reshape(shape), flat[size : 2 * size].reshape(shape))
+    _frozen_factor(*first, dt, out=fac1, scratch=scratch)
+    _frozen_factor(*second, dt, out=fac2, scratch=scratch)
+    _frozen_compose(fac2, fac1, out=prod, tmp=tmp)
+    slots = (prod, fac1)
+    pair = prod
+    level = 0
+    while pair.shape[-1] > 1:
+        n = pair.shape[-1]
+        half = n // 2
+        nxt = _frozen_leading(slots[1 - level % 2], pair.shape[:-1] + (n - half,))
+        _frozen_compose(
+            pair[..., 1 : 2 * half : 2],
+            pair[..., 0 : 2 * half : 2],
+            out=nxt[..., :half],
+            tmp=_frozen_leading(fac2, pair.shape[:-1] + (half,)),
+        )
+        if n % 2:
+            nxt[..., -1] = pair[..., -1]
+        pair = nxt
+        level += 1
+    return pair[0, ..., 0].copy(), pair[1, ..., 0].copy()
+
+
+def frozen_propagate_many(field, deltas, kappas, n_steps):
+    flat_d = np.asarray(deltas, dtype=float).ravel()
+    flat_k = np.asarray(kappas, dtype=float).ravel()
+    dt = field.duration / n_steps
+    wx, wy = quadratures(field, np.stack(cf4_times(n_steps, dt)))
+    (x_first, x_second), (y_first, y_second) = cf4_mix(*wx), cf4_mix(*wy)
+    chunk = max(1, _CHUNK_POINT_STEPS // n_steps)
+    out = np.empty((flat_d.size, 2, 2), dtype=complex)
+    for lo in range(0, flat_d.size, chunk):
+        hi = min(lo + chunk, flat_d.size)
+        kap = flat_k[lo:hi, None]
+        hz = 0.5 * flat_d[lo:hi, None]
+        hz_first, hz_second = cf4_mix(hz, hz)
+        a, b = frozen_cf4_propagator(
+            (kap * x_first, kap * y_first, hz_first),
+            (kap * x_second, kap * y_second, hz_second),
+            dt,
+        )
+        out[lo:hi, 0, 0] = a
+        out[lo:hi, 0, 1] = -b.conj()
+        out[lo:hi, 1, 0] = b
+        out[lo:hi, 1, 1] = a.conj()
+    return out
+
+
+def _grid_points(m, n):
+    pts = NoiseGrid.regular(m, n).points()
+    return pts[:, 0], pts[:, 1]
+
+
+def _xy8_group(seed, shape=(4, 100, 50)):
+    """Coefficient triples shaped like one group of XY-8 pulses: a drive per
+    substep and a z coefficient per pulse, realization and substep."""
+    rng = np.random.default_rng(seed)
+    drive = rng.uniform(-TWO_PI * 5e6, TWO_PI * 5e6, (4, shape[-1]))
+    hz = rng.normal(0.0, TWO_PI * 3e6, (2,) + shape)
+    return (drive[0], drive[1], hz[0]), (drive[2], drive[3], hz[1]), 2e-9
+
+
+def _assert_pairs_equal(got, expected):
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)
+
+
+class TestReductionPlans:
+    @pytest.mark.parametrize(
+        "fld, points, n_steps",
+        [
+            (DEMO_FIELD, (3, 3), 200),
+            (SFB_FIELD, (4, 4), 200),
+            (default_shaped_pi_field(), (10, 10), 1000),
+            (STRONG_FIELD, STRONG_POINTS, 1),
+            (STRONG_FIELD, STRONG_POINTS, 3),
+        ],
+        ids=["p9_200", "p16_200", "p100_1000", "strong_1", "strong_3"],
+    )
+    def test_propagate_many_matches_frozen_kernel(self, fld, points, n_steps):
+        # 100 points at 1000 steps take the (32, 1000) and (4, 1000) chunks;
+        # the strong inputs are scaled and squared back
+        if points is STRONG_POINTS:
+            deltas, kappas = (np.array(v) for v in zip(*points))
+        else:
+            deltas, kappas = _grid_points(*points)
+        expected = frozen_propagate_many(fld, deltas, kappas, n_steps)
+        assert np.array_equal(propagate_many(fld, deltas, kappas, n_steps), expected)
+
+    def test_xy8_group_matches_frozen_kernel(self):
+        first, second, dt = _xy8_group(0)
+        _assert_pairs_equal(
+            cf4_propagator(first, second, dt), frozen_cf4_propagator(first, second, dt)
+        )
+
+    def test_exponents_with_different_term_counts(self):
+        first, second, dt = _xy8_group(1, (3, 5, 40))
+        second = tuple(20.0 * h for h in second)
+        x_first = max(float(np.max(h * h)) for h in first) * dt * dt
+        x_second = max(float(np.max(h * h)) for h in second) * dt * dt
+        assert dynamics._series_terms(x_first) < dynamics._series_terms(x_second)
+        _assert_pairs_equal(
+            cf4_propagator(first, second, dt), frozen_cf4_propagator(first, second, dt)
+        )
+
+    def test_repeated_calls_are_identical(self):
+        first, second, dt = _xy8_group(2, (6, 77))
+        once = cf4_propagator(first, second, dt)
+        _assert_pairs_equal(cf4_propagator(first, second, dt), once)
+
+    def test_returned_arrays_are_independent_of_the_plan(self):
+        first, second, dt = _xy8_group(3, (5, 64))
+        other = _xy8_group(5, (5, 64))
+        expected = frozen_cf4_propagator(first, second, dt)
+        a, b = cf4_propagator(first, second, dt)
+        # a later call of the same shape leaves an earlier result alone
+        cf4_propagator(*other)
+        _assert_pairs_equal((a, b), expected)
+        # and writing to a result does not reach the next call
+        a[...] = 0.0
+        b[...] = np.nan
+        _assert_pairs_equal(cf4_propagator(first, second, dt), expected)
+
+    def test_threads_get_the_same_bits(self):
+        # more callers than cores on one shape at once, each with its own
+        # inputs, switching often: a shared block would mix their factors
+        n_threads = 4
+        inputs = [_xy8_group(10 + i, (8, 300)) for i in range(n_threads)]
+        expected = [frozen_cf4_propagator(*args) for args in inputs]
+        start = threading.Barrier(n_threads, timeout=30)
+        mismatches = []
+
+        def work(i):
+            start.wait()
+            for _ in range(30):
+                got = cf4_propagator(*inputs[i])
+                if not all(np.array_equal(g, e) for g, e in zip(got, expected[i])):
+                    mismatches.append(i)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_plan_cache_is_bounded(self):
+        for n_steps in range(10, 30):
+            first, second, dt = _xy8_group(4, (2, n_steps))
+            cf4_propagator(first, second, dt)
+        assert len(dynamics._plans.by_shape) <= dynamics._PLAN_SHAPES
+
+
+class TestCachedInputs:
+    def test_grid_points_are_cached_and_read_only(self):
+        grid = NoiseGrid.regular(4, 3)
+        pts = grid.points()
+        dd, kk = np.meshgrid(grid.deltas, grid.kappas, indexing="ij")
+        assert np.array_equal(pts, np.column_stack([dd.ravel(), kk.ravel()]))
+        assert grid.points() is pts
+        with pytest.raises(ValueError):
+            pts[0, 0] = 1.0
+
+    def test_sample_times_are_read_only(self):
+        times = dynamics._sample_times(200, T)
+        assert np.array_equal(times, np.stack(cf4_times(200, T / 200)))
+        with pytest.raises(ValueError):
+            times[0, 0] = 1.0

@@ -15,7 +15,7 @@ from spinopt import (
     sfb_field,
 )
 
-from spinopt.fields import LAYOUT, parameter_ranges
+from spinopt.fields import LAYOUT, PEAK_GRID_POINTS, _peak_times, parameter_ranges
 
 from oracles import pm_quadratures_direct, sfb_quadratures_direct
 
@@ -110,6 +110,14 @@ def test_non_finite_parameters_rejected():
             basis="pm", amplitudes=[1e7], duration=T, amp_limit=OMEGA_MAX,
             mod_depths=[0.0], mod_freqs=[0.0], phases=[0.0],
         )
+
+
+def test_vector_shapes():
+    # a scalar is one set; anything deeper than a flat sequence is rejected
+    fld = pm_field(1e7, 0.0, 0.0, T, OMEGA_MAX)
+    assert fld.amplitudes.shape == fld.mod_depths.shape == (1,)
+    with pytest.raises(InvalidFieldError):
+        pm_field([[1e7]], [0.0], [0.0], T, OMEGA_MAX)
 
 
 def test_parameter_length_mismatch_rejected():
@@ -239,3 +247,11 @@ def test_enforce_skips_grid_below_amplitude_bound(monkeypatch):
     monkeypatch.setattr(fields_module, "peak_amplitude", no_grid)
     fld = sfb_field([0.7 * OMEGA_MAX, 1.2 * OMEGA_MAX], [1e7, 3e7], [0.1, 0.2], [0.3, 0.4], T, OMEGA_MAX)
     assert enforce_amplitude_constraint(fld) is fld
+
+
+def test_peak_grid_is_cached_and_read_only():
+    ts = _peak_times(T)
+    assert np.array_equal(ts, np.linspace(0.0, T, PEAK_GRID_POINTS))
+    assert _peak_times(T) is ts
+    with pytest.raises(ValueError):
+        ts[0] = 1.0
