@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -26,6 +27,8 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
+    config_count,
+    config_counts,
     config_int,
     field_from_config,
     load_config,
@@ -154,7 +157,7 @@ def cmd_optimize(cfg: dict, out: Path, seed) -> int:
 def cmd_trials(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     oc = opt_config_from(cfg, seed=seed)
-    n_trials = config_int(cfg["optimize"]["n_trials"], "optimize.n_trials")
+    n_trials = config_count(cfg["optimize"]["n_trials"], "optimize.n_trials")
     stats = run_trials(oc, n_trials)
     _write_csv(out / "results.csv", TRIAL_FIELDS, _trial_rows(stats.runs))
     _write_csv(out / "timings.csv", TIMING_FIELDS, _timing_rows(stats.runs))
@@ -178,7 +181,7 @@ def cmd_trials(cfg: dict, out: Path, seed) -> int:
 
 def cmd_compare(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
-    n_trials = config_int(cfg["compare"]["n_trials"], "compare.n_trials")
+    n_trials = config_count(cfg["compare"]["n_trials"], "compare.n_trials")
     primary = opt_config_from(cfg, seed=seed)
     baseline = opt_config_from(
         cfg,
@@ -217,10 +220,15 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     oc = opt_config_from(cfg, seed=seed)
     sd = cfg["surrogate_demo"]
-    sample_counts = [config_int(v, "surrogate_demo.sample_counts") for v in sd["sample_counts"]]
-    mn_list = [config_int(v, "surrogate_demo.grid_sizes_mn") for v in sd["grid_sizes_mn"]]
-    reps = config_int(sd["timing_reps"], "surrogate_demo.timing_reps")
-    n_fields = config_int(sd["n_fields"], "surrogate_demo.n_fields")
+    sample_counts = config_counts(sd["sample_counts"], "surrogate_demo.sample_counts")
+    if any(n < 4 or math.isqrt(n) ** 2 != n for n in sample_counts):
+        raise ConfigError(
+            "config key surrogate_demo.sample_counts must be perfect squares of at "
+            f"least 4, not {sample_counts}"
+        )
+    mn_list = config_counts(sd["grid_sizes_mn"], "surrogate_demo.grid_sizes_mn")
+    reps = config_count(sd["timing_reps"], "surrogate_demo.timing_reps")
+    n_fields = config_count(sd["n_fields"], "surrogate_demo.n_fields")
     rng = np.random.default_rng(oc.seed)
     demo_field = field_from_config(sd["field"], oc.duration, oc.amp_limit)
     truth_grid = oc.noise_grid(oc.verify_grid)

@@ -106,6 +106,21 @@ def config_int(value, key: str) -> int:
     raise ConfigError(f"config key {key} must be an integer, not {value!r}")
 
 
+def config_count(value, key: str) -> int:
+    """``value`` of config key ``key`` as an int of at least 1."""
+    count = config_int(value, key)
+    if count < 1:
+        raise ConfigError(f"config key {key} must be at least 1, not {count}")
+    return count
+
+
+def config_counts(value, key: str) -> list:
+    """``value`` of config key ``key`` as a list of ints of at least 1."""
+    if not isinstance(value, list):
+        raise ConfigError(f"config key {key} must be a list of integers, not {value!r}")
+    return [config_count(v, key) for v in value]
+
+
 def config_float(value, key: str) -> float:
     """``value`` of config key ``key`` as a float: JSON numbers pass, and
     anything else raises ConfigError, where a bare ``float()`` would read a
@@ -229,9 +244,7 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
             )
     base_seed = config_int(cfg["seed"] if seed is None else seed, "seed")
     n_realizations = config_int(m["n_realizations"], "magnetometry.n_realizations")
-    n_steps_per_pulse = config_int(m["n_steps_per_pulse"], "magnetometry.n_steps_per_pulse")
-    if n_steps_per_pulse < 1:
-        raise ConfigError("magnetometry.n_steps_per_pulse must be at least 1")
+    n_steps_per_pulse = config_count(m["n_steps_per_pulse"], "magnetometry.n_steps_per_pulse")
     noise_enabled = m["noise_enabled"]
     if not isinstance(noise_enabled, bool):
         raise ConfigError(f"magnetometry.noise_enabled must be a boolean, not {noise_enabled!r}")

@@ -15,10 +15,10 @@ terms that are exact to rounding for the batch, so no trigonometric
 function is called per factor; a batch with theta above 1 is scaled down by
 2^s and squared back s times.  Arrays hold points on the leading axes and
 steps on the last axis, the two Gauss-point drives are mixed on the time
-axis before they are broadcast over points, and ``propagate_many`` works
-through its points in chunks of ``_CHUNK_POINT_STEPS`` point-steps, sized
-so that one chunk's working block stays near the L2 cache.  Each thread
-keeps the working blocks of the last few shapes it propagated, each with
+axis before they are broadcast over points, and every kernel caller
+splits its rows into calls of at most ``_KERNEL_POINT_STEPS`` point-steps
+(``kernel_slices``), a budget measured on both callers' traffic.  Each
+thread keeps the working blocks of the last few shapes it propagated, each with
 the views of its whole reduction built in advance (``_Plan``), so a
 repeated shape allocates no working memory and builds no views.  The
 time-step error falls as steps^-4.  Max |dF| against 4000 steps of the 4x4 ensemble
@@ -253,8 +253,7 @@ class _Plan:
     levels alternate between the product's and the first factor's slots,
     and the second factor's slot is every later level's scratch.  A level
     is one ``_apply_compose`` and, for an odd number of columns, the copy
-    of the unpaired last one.  ``drive`` is kept beside the block for
-    ``propagate_many``, which allocates it on first use.
+    of the unpaired last one.
     """
 
     def __init__(self, shape):
@@ -263,7 +262,6 @@ class _Plan:
         size = math.prod(shape)
         flat = tmp.view(float).reshape(-1)
         self.scratch = (flat[:size].reshape(shape), flat[size : 2 * size].reshape(shape))
-        self.drive = None
         self.factors = (_factor_views(fac1), _factor_views(fac2))
         self.levels = [(_compose_views(fac2, fac1, prod, tmp), None)]
         slots = (prod, fac1)
@@ -323,36 +321,50 @@ _GAUSS_HI = 0.5 + np.sqrt(3.0) / 6.0
 _CF4_W1 = 0.25 + np.sqrt(3.0) / 6.0
 _CF4_W2 = 0.25 - np.sqrt(3.0) / 6.0
 
-# Point-steps propagated at once by ``propagate_many``.  Median time of one
-# 50x50 propagation at 1000 steps over 21 interleaved rounds, by points per
-# chunk, every chunk's plan warm (2-core AMD EPYC with 1 MB L2 per core,
-# Python 3.11.7, numpy 2.4.6):
+# Point-steps per kernel call, the one budget of both kernel callers:
+# ``propagate_many`` takes its points, and ``magnetometry.simulate_ramsey``
+# its pulses, in slices from ``kernel_slices``.  Best and median time of the
+# two traffic shapes, one 50x50 propagation at 1000 steps (21 interleaved
+# rounds) and one default XY-8 rect + shaped pair, 100 realizations x 50
+# substeps per pulse (11 rounds), by rows per call (2-core AMD EPYC with
+# 1 MB L2 per core, Python 3.11.7, numpy 2.4.6):
 #
-#   points  8    12   16   20   25   32   50   100  200
-#   ms      61   52   49   47   46   45   43   45   51
+#   50x50, points    8     12    16    20    25    32    50    100   200
+#   ms, best         55.7  48.3  45.3  42.8  41.6  40.5  39.3  40.5  47.2
+#   ms, median       57.7  50.5  47.1  44.1  42.8  42.4  40.4  43.6  49.5
 #
-# Below ~25 points the per-call overhead of the reduction's short levels
-# dominates; past ~100 the working block (128 bytes per point-step) and the
-# drive (32 more) outgrow the L2 cache.  An earlier table on a 2-core Xeon
-# with 2 MB L2 had its optimum at 25-50 points, and fell off faster above it.
-_CHUNK_POINT_STEPS = 32_000
+#   XY-8, pulses     1     2     4     6     8     16
+#   ms, best         311   259   218   217   215   218
+#   ms, median       343   269   231   237   239   242
+#
+# Below ~20,000 point-steps per call the per-call overhead of the
+# reduction's short levels dominates, and past ~100,000 the time rises
+# again as the working block (128 bytes per point-step) grows.  The budget
+# gives 32 points at 1000 steps and 6 pulses of 100 x 50.  50 points time a
+# little faster, but a call's points share one series term count, so
+# another split would change the bits of the verification.
+_KERNEL_POINT_STEPS = 32_000
 
 
-def cf4_times(n_steps: int, dt: float):
-    """Sample times (early, late) of the fourth-order scheme, each shape (S,).
-
-    Step k spans [k dt, (k + 1) dt); the Hamiltonian of each step is sampled
-    at its two Gauss points.
-    """
-    base = np.arange(n_steps) * dt
-    return base + _GAUSS_LO * dt, base + _GAUSS_HI * dt
+def kernel_slices(n_rows: int, row_steps: int) -> list:
+    """Slices of ``n_rows`` rows of ``row_steps`` point-steps each, one per
+    kernel call: full ones of at most ``_KERNEL_POINT_STEPS`` point-steps
+    (at least one row), then the remainder."""
+    rows = max(1, _KERNEL_POINT_STEPS // row_steps)
+    return [slice(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
 
 
 @functools.lru_cache(maxsize=8)
-def _sample_times(n_steps, duration):
-    """``cf4_times`` of a pulse of ``n_steps`` steps over ``duration``,
-    stacked as one read-only (2, S) array."""
-    times = np.stack(cf4_times(n_steps, duration / n_steps))
+def cf4_times(n_steps: int, dt: float) -> np.ndarray:
+    """Sample times of the fourth-order scheme, shape (2, S): the early
+    then the late time of each step.
+
+    Step k spans [k dt, (k + 1) dt); the Hamiltonian of each step is sampled
+    at its two Gauss points.  The array is built once per (n_steps, dt) and
+    is read-only, as every caller shares it.
+    """
+    base = np.arange(n_steps) * dt
+    times = np.stack((base + _GAUSS_LO * dt, base + _GAUSS_HI * dt))
     times.flags.writeable = False
     return times
 
@@ -394,29 +406,27 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
     # Quadratures at the early and late sample times, stacked as (x, y) rows
     # of shape (2, 1, S) and mixed into the two exponents before they are
     # scaled by kappa.
-    quads = np.array(quadratures(field, _sample_times(n_steps, field.duration)))
+    quads = np.array(quadratures(field, cf4_times(n_steps, dt)))
     drive_first, drive_second = cf4_mix(quads[:, 0, None], quads[:, 1, None])
+    # A constant sample mixes to the same bits in both exponents, because
+    # IEEE addition commutes, so one array serves both.
     half_d = 0.5 * flat_d[:, None]
-    hz_first, hz_second = cf4_mix(half_d, half_d)
-    chunk = max(1, _CHUNK_POINT_STEPS // n_steps)
+    hz = cf4_mix(half_d, half_d)[0]
+    slices = kernel_slices(flat_d.size, n_steps)
+    # The real (hx, hy) drive of each exponent, in one block per call sized
+    # to the largest slice.
+    drive = np.empty((2, 2, max((s.stop - s.start for s in slices), default=0), n_steps))
     out = np.empty((flat_d.size, 2, 2), dtype=complex)
-    for lo in range(0, flat_d.size, chunk):
-        hi = min(lo + chunk, flat_d.size)
-        kap = flat_k[lo:hi, None]
-        # The drive, the real (hx, hy) pair of each exponent, is kept with
-        # the plan: a fresh array per chunk would be returned to the system
-        # and faulted back in on every one.
-        plan = _plan((hi - lo, n_steps))
-        if plan.drive is None:
-            plan.drive = np.empty((2, 2, hi - lo, n_steps))
-        first, second = plan.drive
+    for rows in slices:
+        kap = flat_k[rows, None]
+        first, second = drive[:, :, : len(kap)]
         np.multiply(kap, drive_first, out=first)
         np.multiply(kap, drive_second, out=second)
-        a, b = plan.run((*first, hz_first[lo:hi]), (*second, hz_second[lo:hi]), dt)
-        out[lo:hi, 0, 0] = a
-        out[lo:hi, 0, 1] = -b.conj()
-        out[lo:hi, 1, 0] = b
-        out[lo:hi, 1, 1] = a.conj()
+        a, b = _plan(first.shape[1:]).run((*first, hz[rows]), (*second, hz[rows]), dt)
+        out[rows, 0, 0] = a
+        out[rows, 0, 1] = -b.conj()
+        out[rows, 1, 0] = b
+        out[rows, 1, 1] = a.conj()
     return out.reshape(deltas.shape + (2, 2))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # ``nelder_mead`` is unused here; bench/tracing.py wraps ``kriging.nelder_mead``.
-from .neldermead import nelder_mead, nelder_mead_batches  # noqa: F401
+from .neldermead import nelder_mead, nelder_mead_batches, run_lockstep  # noqa: F401
 
 DEFAULT_NUGGET = 1e-10
 LOG_ALPHA_RANGE = (-6.0, 6.0)
@@ -318,37 +318,22 @@ def fit(samples, values, rng: np.random.Generator, bounds, nugget=DEFAULT_NUGGET
     # Box of theta = (log alpha, p), k entries of each.
     low, high = np.repeat([LOG_ALPHA_RANGE, POWER_RANGE], k, axis=0).T
     steps = np.concatenate([np.full(k, 0.6), np.full(k, 0.05)])
-    searches = [
-        nelder_mead_batches(rng.uniform(low, high), steps, f_tol=1e-7, max_iter=500)
-        for _ in range(FIT_RESTARTS)
-    ]
     # The restarts advance in lockstep: each round evaluates the pending
     # points of every live restart in one stacked likelihood call.
-    pending = {i: next(search) for i, search in enumerate(searches)}
-    results = [None] * FIT_RESTARTS
-    while pending:
-        nll = _concentrated_nll(
-            np.concatenate(list(pending.values())), dist, values, nugget, low, high
-        )
-        start = 0
-        for i, batch in list(pending.items()):
-            stop = start + len(batch)
-            try:
-                pending[i] = searches[i].send(nll[start:stop])
-            except StopIteration as done:
-                results[i] = done.value
-                del pending[i]
-            start = stop
+    results = run_lockstep(
+        [
+            nelder_mead_batches(rng.uniform(low, high), steps, f_tol=1e-7, max_iter=500)
+            for _ in range(FIT_RESTARTS)
+        ],
+        lambda thetas: _concentrated_nll(thetas, dist, values, nugget, low, high),
+    )
 
-    best_theta = None
-    best_nll = np.inf
-    for result in results:
-        if result.fun < best_nll:
-            best_nll = result.fun
-            best_theta = result.x
-    if best_theta is None or best_nll >= 1e11:
+    # The searches reject non-finite values, so every restart has a finite
+    # best value; the first lowest wins.
+    best = min(results, key=lambda result: result.fun)
+    if best.fun >= 1e11:
         raise FitError("likelihood optimization failed on every restart")
-    best_theta = np.clip(best_theta, low, high)
+    best_theta = np.clip(best.x, low, high)
     params = CorrelationParams(np.exp(best_theta[:k]), best_theta[k:])
     model = KrigingModel(samples, values, params, bounds, nugget)
     model.nll_evals = sum(result.n_evals for result in results)

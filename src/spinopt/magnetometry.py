@@ -21,6 +21,7 @@ from .dynamics import (
     cf4_mix,
     cf4_propagator,
     cf4_times,
+    kernel_slices,
 )
 from .fields import ControlField, constant_drive, pm_field, quadratures
 
@@ -78,6 +79,8 @@ class NoiseSettings:
             raise ValueError("c must be nonnegative")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
 
     @property
     def stationary_std(self) -> float:
@@ -245,14 +248,12 @@ def _pulse_unitaries(signal, t_starts, delta_totals, drive, times, dt):
         signal.omega_s * (t_starts[:, None, None] + times[:, None, None, :])
     )
     signal_first, signal_second = cf4_mix(early, late)
-    static = 0.5 * delta_totals[:, :, None]
-    static_first, static_second = cf4_mix(static, static)
-    (hx_first, hy_first), (hx_second, hy_second) = drive
-    return cf4_propagator(
-        (hx_first, hy_first, static_first + signal_first),
-        (hx_second, hy_second, static_second + signal_second),
-        dt,
-    )
+    # The static detuning is one sample for both Gauss points, so its mix is
+    # the same bits in both exponents (IEEE addition commutes).
+    half = 0.5 * delta_totals[:, :, None]
+    static = cf4_mix(half, half)[0]
+    first, second = drive
+    return cf4_propagator((*first, static + signal_first), (*second, static + signal_second), dt)
 
 
 def _free_phase(signal, delta_total, t0, t1):
@@ -266,21 +267,6 @@ def _free_phase(signal, delta_total, t0, t1):
 def periods_within(t_max, period) -> int:
     """Whole XY-8 periods that fit in ``t_max`` (rounding slack 1e-9)."""
     return int(np.floor(t_max / period + 1e-9))
-
-
-# Point-steps (pulses x realizations x substeps) propagated per kernel call
-# by ``simulate_ramsey``: 4 pulses at the default 100 realizations and 50
-# substeps, one pulse from 400 realizations up.  Kernel rate (best of 7) and
-# best-of-15 time of one default rect + shaped pair, by pulses per call
-# (2-core Xeon with 2 MB L2, Python 3.11.7, numpy 2.4.6):
-#
-#   pulses           1     2     3     4     6     8     16
-#   point-steps/us   10.6  13.8  14.5  14.2  11.9  13.5  11.2
-#   pair s           1.03  0.77  0.76  0.73  0.80  0.83  -
-#
-# One pulse leaves the kernel's per-call overhead exposed; past ~400 rows
-# the working block (128 bytes per point-step) outgrows the L2 cache.
-_PULSE_POINT_STEPS = 20_000
 
 
 def simulate_ramsey(
@@ -350,14 +336,13 @@ def simulate_ramsey(
         pairs[0], pairs[1] = _IDEAL_PI
     else:
         dt = seq.t_pulse / n_steps_per_pulse
-        sample_times = np.stack(cf4_times(n_steps_per_pulse, dt))
+        sample_times = cf4_times(n_steps_per_pulse, dt)
         drive = _x_drive(seq, sample_times, kappa)
         starts = bounds[:, 1:-1:2].ravel()
         pulse_totals = totals[:, 1::2].reshape(-1, r)
-        group = max(1, _PULSE_POINT_STEPS // (r * n_steps_per_pulse))
-        for i in range(0, 8 * n_blocks, group):
-            pairs[:, i : i + group] = _pulse_unitaries(
-                signal, starts[i : i + group], pulse_totals[i : i + group], drive, sample_times, dt
+        for group in kernel_slices(8 * n_blocks, r * n_steps_per_pulse):
+            pairs[:, group] = _pulse_unitaries(
+                signal, starts[group], pulse_totals[group], drive, sample_times, dt
             )
     a, b = pairs.reshape(2, n_blocks, 8, -1)
     b[:, np.array(XY8_AXES) == "y"] *= 1j

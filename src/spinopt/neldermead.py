@@ -6,9 +6,9 @@ the simplex function values falls below ``f_tol`` or after ``max_iter``
 iterations (default 200 per dimension).  Every objective call is counted.
 
 The algorithm is the generator ``nelder_mead_batches``: it asks for values
-at a batch of points and is told them, so a caller can advance several
-searches together and evaluate all their pending points at once.
-``nelder_mead`` drives one search with a plain objective function.
+at a batch of points and is told them.  ``run_lockstep`` advances several
+such searches together and evaluates all their pending points at once;
+``nelder_mead`` runs one search through it with a plain objective function.
 """
 from __future__ import annotations
 
@@ -117,6 +117,26 @@ def nelder_mead_batches(x0, step, f_tol: float = 1e-4, max_iter: int | None = No
     )
 
 
+def run_lockstep(searches: list, evaluate) -> list:
+    """Run ask/tell searches such as ``nelder_mead_batches`` in lockstep and
+    return their results in input order.  Each round, ``evaluate`` gets the
+    pending points of every live search as one (m, dim) stack and returns
+    their m values, and each search is sent its own."""
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    results = [None] * len(searches)
+    while pending:
+        values = evaluate(np.concatenate(list(pending.values())))
+        start = 0
+        for i, batch in list(pending.items()):
+            try:
+                pending[i] = searches[i].send(values[start : start + len(batch)])
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+            start += len(batch)
+    return results
+
+
 def nelder_mead(fn, x0, step, f_tol: float = 1e-4, max_iter: int | None = None) -> NMResult:
     """Minimize ``fn`` from ``x0`` with per-coordinate initial steps ``step``,
     one call per point of each ``nelder_mead_batches`` batch.
@@ -124,9 +144,4 @@ def nelder_mead(fn, x0, step, f_tol: float = 1e-4, max_iter: int | None = None) 
     Raises RuntimeError if the objective returns a non-finite value.
     """
     search = nelder_mead_batches(x0, step, f_tol, max_iter)
-    batch = next(search)
-    while True:
-        try:
-            batch = search.send([float(fn(x)) for x in batch])
-        except StopIteration as stop:
-            return stop.value
+    return run_lockstep([search], lambda points: [float(fn(x)) for x in points])[0]

@@ -141,6 +141,8 @@ class OptConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.n_sets < 1:
             raise ValueError("n_sets must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.uses_surrogate and (
             self.n_samples < 4 or math.isqrt(self.n_samples) ** 2 != self.n_samples
         ):

@@ -1,0 +1,62 @@
+"""The library names and shapes that the benchmark's traced run binds to.
+
+``bench/run.py --trace 1`` wraps the names listed in ``bench/tracing.py``
+and reads facts from their arguments and results.  These tests read that
+file, without changing it, and check that the library still offers what it
+expects.
+"""
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spinopt import NoiseGrid, default_shaped_pi_field, magnetometry, propagate_many
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    # its dataclass needs the module registered while it is defined
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_wrapped_name_is_owned_where_install_looks(tracing):
+    # Tracer.install reads owner.__dict__[attr], so an inherited or
+    # re-exported name would raise KeyError there
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, _, _ in tracing.WRAPPED
+        if attr not in owner.__dict__
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize("shape, n_steps", [((3, 3), 200), ((4, 4), 200), ((6, 7), 1000)])
+def test_propagate_many_result_counts_its_points(tracing, shape, n_steps):
+    pts = NoiseGrid.regular(*shape).points()
+    args = (default_shaped_pi_field(), pts[:, 0], pts[:, 1], n_steps)
+    result = propagate_many(*args)
+    assert result.size // 4 == len(pts)
+    assert tracing._propagate_info(args, {}, result) == {"p": len(pts), "n_steps": n_steps}
+
+
+def test_simulate_ramsey_takes_substeps_fifth(tracing):
+    params = list(inspect.signature(magnetometry.simulate_ramsey).parameters)
+    assert params[4] == "n_steps_per_pulse"
+    seq = magnetometry.build_xy8("rect", 50e-9, 350e-9, 2)
+    noise = magnetometry.NoiseSettings(n_realizations=3, seed=1)
+    args = (seq, magnetometry.AcSignal(), noise, 2 * seq.period, 7)
+    trace = magnetometry.simulate_ramsey(*args)
+    assert tracing._ramsey_info(args, {}, trace) == {"pulses": 16, "pulse_steps": 16 * 3 * 7}
+    assert np.all(np.isfinite(trace.p0_mean))

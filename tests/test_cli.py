@@ -185,16 +185,34 @@ class TestExitCodes:
             ("surrogate-demo", demo_field(amplitudes_rad_ns=["0.03"])),
             ("surrogate-demo", demo_field(mod_depths_rad_ns=[True])),
             ("surrogate-demo", demo_field(mod_freqs_rad_ns=1e300)),
+            ("trials", {"optimize": {"n_trials": 0}}),
+            ("compare", {"compare": {"n_trials": 0}}),
+            ("optimize", {"seed": -1}),
+            ("magnetometry", {"seed": -1}),
+            ("surrogate-demo", {"surrogate_demo": {"sample_counts": 5}}),
+            ("surrogate-demo", {"surrogate_demo": {"sample_counts": [10]}}),
+            ("surrogate-demo", {"surrogate_demo": {"grid_sizes_mn": [0]}}),
+            ("surrogate-demo", {"surrogate_demo": {"timing_reps": 0}}),
+            ("surrogate-demo", {"surrogate_demo": {"n_fields": 0}}),
         ],
     )
     def test_non_integer_setting_exits_2(self, tmp_path, capsys, command, payload):
         # no truncation to the integer below, and no TypeError escaping; the
-        # same for malformed numbers, pairs, switches and field objects
+        # same for malformed numbers, pairs, switches and field objects, and
+        # for counts and seeds out of range, all before any file is written
         path = write_config(tmp_path, payload)
         out = tmp_path / "o"
         code = main([command, "--config", path, "--out", str(out)])
         assert code == 2
         assert "must be" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["optimize", "magnetometry"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        code = main([command, "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("t_max_us", [20.0, 5.0, -1.0])

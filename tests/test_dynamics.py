@@ -19,7 +19,6 @@ from spinopt import (
 )
 from spinopt import dynamics
 from spinopt.dynamics import (
-    _CHUNK_POINT_STEPS,
     IDENTITY,
     SIGMA_X,
     SIGMA_Y,
@@ -190,9 +189,12 @@ class TestPropagate:
             np.testing.assert_allclose(u, expected, rtol=0, atol=1e-12)
 
     def test_chunked_batch_matches_single_points(self):
-        # one point more than a chunk, so the last chunk holds a single point
+        # one point more than a kernel call takes, so the last call holds a
+        # single point
         n_steps = 500
-        n_points = _CHUNK_POINT_STEPS // n_steps + 1
+        n_points = dynamics._KERNEL_POINT_STEPS // n_steps + 1
+        sizes = [s.stop - s.start for s in dynamics.kernel_slices(n_points, n_steps)]
+        assert sizes == [n_points - 1, 1]
         rng = np.random.default_rng(3)
         deltas = rng.uniform(-TWO_PI * 10e6, TWO_PI * 10e6, n_points)
         kappas = rng.uniform(0.5, 1.5, n_points)
@@ -421,22 +423,20 @@ def frozen_propagate_many(field, deltas, kappas, n_steps):
     dt = field.duration / n_steps
     wx, wy = quadratures(field, np.stack(cf4_times(n_steps, dt)))
     (x_first, x_second), (y_first, y_second) = cf4_mix(*wx), cf4_mix(*wy)
-    chunk = max(1, _CHUNK_POINT_STEPS // n_steps)
     out = np.empty((flat_d.size, 2, 2), dtype=complex)
-    for lo in range(0, flat_d.size, chunk):
-        hi = min(lo + chunk, flat_d.size)
-        kap = flat_k[lo:hi, None]
-        hz = 0.5 * flat_d[lo:hi, None]
+    for rows in dynamics.kernel_slices(flat_d.size, n_steps):
+        kap = flat_k[rows, None]
+        hz = 0.5 * flat_d[rows, None]
         hz_first, hz_second = cf4_mix(hz, hz)
         a, b = frozen_cf4_propagator(
             (kap * x_first, kap * y_first, hz_first),
             (kap * x_second, kap * y_second, hz_second),
             dt,
         )
-        out[lo:hi, 0, 0] = a
-        out[lo:hi, 0, 1] = -b.conj()
-        out[lo:hi, 1, 0] = b
-        out[lo:hi, 1, 1] = a.conj()
+        out[rows, 0, 0] = a
+        out[rows, 0, 1] = -b.conj()
+        out[rows, 1, 0] = b
+        out[rows, 1, 1] = a.conj()
     return out
 
 
@@ -544,6 +544,15 @@ class TestReductionPlans:
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
 
+    def test_plan_holds_only_kernel_state(self):
+        # no slot for one caller's buffers, and a block of four pair slots:
+        # the two factors, the first product and its scratch
+        plan = dynamics._Plan((3, 8))
+        assert set(vars(plan)) == {"scratch", "factors", "levels", "result"}
+        block = plan.factors[0][0].base
+        assert block.shape == (4, 2, 3, 8)
+        assert all(views[0].base is block for views in plan.factors)
+
     def test_plan_cache_is_bounded(self):
         for n_steps in range(10, 30):
             first, second, dt = _xy8_group(4, (2, n_steps))
@@ -562,7 +571,16 @@ class TestCachedInputs:
             pts[0, 0] = 1.0
 
     def test_sample_times_are_read_only(self):
-        times = dynamics._sample_times(200, T)
-        assert np.array_equal(times, np.stack(cf4_times(200, T / 200)))
+        dt = T / 200
+        times = cf4_times(200, dt)
+        assert cf4_times(200, dt) is times
+        fresh = cf4_times.__wrapped__(200, dt)
+        assert fresh is not times and np.array_equal(times, fresh)
+        base = np.arange(200) * dt
+        gauss = (dynamics._GAUSS_LO, dynamics._GAUSS_HI)
+        assert np.array_equal(times, [base + g * dt for g in gauss])
+        # callers that unpack or re-stack the pair keep working
+        early, late = times
+        assert np.array_equal(np.stack((early, late)), times)
         with pytest.raises(ValueError):
             times[0, 0] = 1.0

@@ -17,7 +17,7 @@ from spinopt import (
     ou_step,
     simulate_ramsey,
 )
-from spinopt.dynamics import FWHM_TO_SIGMA, SIGMA_X
+from spinopt.dynamics import FWHM_TO_SIGMA, SIGMA_X, kernel_slices
 from spinopt.fields import peak_amplitude
 from spinopt import magnetometry
 from spinopt.magnetometry import XY8_AXES
@@ -215,10 +215,10 @@ class TestSimulateRamsey:
         ],
     )
     def test_pulse_groups_match_per_pulse_oracle(self, kind, n_realizations, n_blocks, ou, n_sub):
-        # Groups of 4, 13, 400 and 1 pulses at 100, 30, 1 and 400
-        # realizations with 50 substeps, and of 16 and 55 at 100 and 30 with
-        # 12, so 5 blocks (40 pulses) end on a short group at 30 and 1
-        # realizations and at 12 substeps.  The noise path is drawn in the
+        # At the shared kernel budget, 5 blocks (40 pulses) go in groups of
+        # 6 ending on 4, 21 + 19, one of 40, and single pulses at 100, 30, 1
+        # and 400 realizations with 50 substeps, and in 26 + 14 and one of
+        # 40 at 100 and 30 with 12.  The noise path is drawn in the
         # per-pulse order before any pulse propagates, so every bit agrees.
         seq = _sequence(kind, n_blocks)
         noise = NoiseSettings(n_realizations=n_realizations, seed=11, **({} if ou else {"c": 0.0}))
@@ -228,6 +228,12 @@ class TestSimulateRamsey:
         )
         np.testing.assert_array_equal(trace.p0_mean, p0_mean)
         np.testing.assert_array_equal(trace.p0_stderr, p0_stderr)
+
+    def test_default_pulse_groups_end_on_a_remainder(self):
+        # the rect-100-5 and shaped-100-5 oracle cases above cover a short
+        # last group at the default 100 realizations and 50 substeps
+        groups = [g.stop - g.start for g in kernel_slices(40, 100 * 50)]
+        assert groups == [6] * 6 + [4]
 
     @pytest.mark.parametrize(
         "kind, ou, ou_per_block, quadrature_calls",

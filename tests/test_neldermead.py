@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinopt import nelder_mead
-from spinopt.neldermead import nelder_mead_batches
+from spinopt.neldermead import nelder_mead_batches, run_lockstep
 
 
 def rosen(x):
@@ -123,3 +123,32 @@ def test_generator_rejects_wrong_value_count():
     next(search)
     with pytest.raises(ValueError, match="expected 3 values"):
         search.send([0.0, 1.0])
+
+
+def test_lockstep_returns_results_in_input_order():
+    # with f_tol 0 no search converges, so each stops at its own iteration
+    # cap: the first search outlasts the later ones, and the second leaves
+    # the rounds first
+    caps = (12, 2, 6)
+    starts = [np.array([-1.2, 1.0]), np.array([0.5, 2.0]), np.array([2.0, -1.0])]
+    rounds = []
+
+    def evaluate(points):
+        rounds.append(len(points))
+        return [rosen(x) for x in points]
+
+    results = run_lockstep(
+        [nelder_mead_batches(x0, 0.1, 0.0, cap) for x0, cap in zip(starts, caps)], evaluate
+    )
+    assert [r.n_iter for r in results] == list(caps)
+    # the first round stacks the three start simplices
+    assert rounds[0] == 9
+    for result, x0, cap in zip(results, starts, caps):
+        alone = nelder_mead(rosen, x0, 0.1, 0.0, cap)
+        np.testing.assert_array_equal(result.x, alone.x)
+        assert (result.fun, result.n_evals, result.converged) == (
+            alone.fun,
+            alone.n_evals,
+            alone.converged,
+        )
+    assert sum(rounds) == sum(r.n_evals for r in results)
