@@ -227,6 +227,10 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
             f"least 4, not {sample_counts}"
         )
     mn_list = config_counts(sd["grid_sizes_mn"], "surrogate_demo.grid_sizes_mn")
+    if any(math.isqrt(mn) ** 2 != mn for mn in mn_list):
+        raise ConfigError(
+            f"config key surrogate_demo.grid_sizes_mn must be perfect squares, not {mn_list}"
+        )
     reps = config_count(sd["timing_reps"], "surrogate_demo.timing_reps")
     n_fields = config_count(sd["n_fields"], "surrogate_demo.n_fields")
     rng = np.random.default_rng(oc.seed)
@@ -265,15 +269,15 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
     surr_dev = np.zeros(len(mn_list))
     true_time = np.zeros(len(mn_list))
     surr_time = np.zeros(len(mn_list))
-    pulse = (1, oc.duration, oc.amp_limit)
     for _ in range(n_fields):
-        fld = feasible_field(PM, draw_initial_params(rng, PM, *pulse), *pulse)
+        params = draw_initial_params(rng, PM, 1, oc.duration, oc.amp_limit)
+        fld = feasible_field(PM, params, oc.duration, oc.amp_limit)
         reference = ensemble_objective(fld, truth_grid, oc.n_steps)
         pts = jittered_grid(region, 16, rng)
         model = fit(pts, truth_values(fld, pts), rng, bounds=region)
         for i, mn in enumerate(mn_list):
-            m = int(np.sqrt(mn))
-            grid = oc.noise_grid((m, max(1, mn // m)))
+            m = math.isqrt(mn)
+            grid = oc.noise_grid((m, m))
             t0 = time.perf_counter()
             for _ in range(reps):
                 value = ensemble_objective(fld, grid, oc.n_steps)

@@ -23,14 +23,15 @@ AMPLITUDE = "amplitude"
 RATE = "rate"
 ANGLE = "angle"
 
-# The parameter vectors of each basis, in packed order, with their kinds.
+# The parameter vectors of each basis, one row each of the field's parameter
+# matrix, in row order, with their kinds.
 LAYOUT = {
     PM: {"amplitudes": AMPLITUDE, "mod_depths": RATE, "mod_freqs": RATE},
     SFB: {"amplitudes": AMPLITUDE, "freqs": RATE, "phases": ANGLE, "quad_angles": ANGLE},
 }
 
-# Every parameter vector of any basis, in first-seen packed order.
-_VECTORS = tuple(dict.fromkeys(name for layout in LAYOUT.values() for name in layout))
+# Row index of each vector name, per basis.
+_ROWS = {basis: {name: i for i, name in enumerate(layout)} for basis, layout in LAYOUT.items()}
 
 # Frequency-like parameters are kept within [0, FREQ_CAP_CYCLES * 2*pi / T]
 # and angles within [0, 2*pi] by enforce_amplitude_constraint.
@@ -43,35 +44,21 @@ class InvalidFieldError(ValueError):
     """Control-field parameters are malformed or non-finite."""
 
 
-def _vector(x, name):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        if arr.ndim:
-            raise InvalidFieldError(f"{name} must be a scalar or 1-d sequence")
-        arr = arr.reshape(1)
-    if not np.isfinite(arr).all():
-        raise InvalidFieldError(f"{name} contains non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True)
 class ControlField:
     """A pulse built from ``n_sets`` parameter sets on one basis.
 
-    PM sets use (amplitudes, mod_depths, mod_freqs) = (a_j, b_j, nu_j); SFB
-    sets use (amplitudes, freqs, phases, quad_angles) = (a_j, omega_j, phi_j,
+    ``params`` has one row per vector of ``LAYOUT[basis]`` and one column per
+    set; each vector reads as an attribute, its row.  PM sets use
+    (amplitudes, mod_depths, mod_freqs) = (a_j, b_j, nu_j); SFB sets use
+    (amplitudes, freqs, phases, quad_angles) = (a_j, omega_j, phi_j,
     varphi_j).  All rates are angular (rad/s), durations are seconds.
     """
 
     basis: str
-    amplitudes: np.ndarray
+    params: np.ndarray
     duration: float
     amp_limit: float
-    mod_depths: np.ndarray | None = None
-    mod_freqs: np.ndarray | None = None
-    freqs: np.ndarray | None = None
-    phases: np.ndarray | None = None
-    quad_angles: np.ndarray | None = None
 
     def __post_init__(self):
         if self.basis not in LAYOUT:
@@ -80,63 +67,67 @@ class ControlField:
             raise InvalidFieldError("duration must be positive and finite")
         if not (math.isfinite(self.amp_limit) and self.amp_limit > 0):
             raise InvalidFieldError("amp_limit must be positive and finite")
-        for name in _VECTORS:
-            if name not in LAYOUT[self.basis] and getattr(self, name) is not None:
-                raise InvalidFieldError(f"{self.basis} basis takes no {name}")
-        n = np.size(self.amplitudes)
-        for name in LAYOUT[self.basis]:
-            value = getattr(self, name)
-            if value is None:
-                raise InvalidFieldError(f"{self.basis} basis requires {name}")
-            vec = _vector(value, name)
-            if vec.size != n:
-                raise InvalidFieldError(
-                    f"{name} has {vec.size} entries, expected {n}"
-                )
-            object.__setattr__(self, name, vec)
+        params = np.asarray(self.params, dtype=float)
+        rows = len(LAYOUT[self.basis])
+        if params.ndim != 2 or params.shape[0] != rows:
+            raise InvalidFieldError(
+                f"{self.basis} params must have shape ({rows}, n_sets), not {params.shape}"
+            )
+        if not np.isfinite(params).all():
+            raise InvalidFieldError("params must be finite")
+        object.__setattr__(self, "params", params)
+
+    def __getattr__(self, name):
+        # Reached only for names that are not fields: a vector is its row.
+        row = _ROWS.get(self.__dict__.get("basis"), {}).get(name)
+        if row is None:
+            raise AttributeError(f"{self.__dict__.get('basis')} field has no {name!r}")
+        return self.params[row]
 
     @property
     def n_sets(self) -> int:
-        return self.amplitudes.size
+        return self.params.shape[1]
+
+
+def _stacked(basis, vectors, duration, amp_limit) -> ControlField:
+    rows = []
+    for name, value in zip(LAYOUT[basis], vectors):
+        row = np.asarray(value, dtype=float)
+        if row.ndim > 1:
+            raise InvalidFieldError(f"{name} must be a scalar or 1-d sequence")
+        row = row.reshape(-1)
+        if rows and row.size != rows[0].size:
+            raise InvalidFieldError(f"{name} has {row.size} entries, expected {rows[0].size}")
+        rows.append(row)
+    return ControlField(basis, np.stack(rows), duration, amp_limit)
 
 
 def pm_field(amplitudes, mod_depths, mod_freqs, duration, amp_limit) -> ControlField:
-    return ControlField(
-        basis=PM,
-        amplitudes=amplitudes,
-        duration=duration,
-        amp_limit=amp_limit,
-        mod_depths=mod_depths,
-        mod_freqs=mod_freqs,
-    )
+    return _stacked(PM, (amplitudes, mod_depths, mod_freqs), duration, amp_limit)
 
 
 def sfb_field(amplitudes, freqs, phases, quad_angles, duration, amp_limit) -> ControlField:
-    return ControlField(
-        basis=SFB,
-        amplitudes=amplitudes,
-        duration=duration,
-        amp_limit=amp_limit,
-        freqs=freqs,
-        phases=phases,
-        quad_angles=quad_angles,
-    )
+    return _stacked(SFB, (amplitudes, freqs, phases, quad_angles), duration, amp_limit)
 
 
+@functools.lru_cache(maxsize=8)
 def parameter_ranges(basis, duration, amp_limit):
-    """(name, initial, bounds) of each vector of ``basis``, in packed order.
+    """Read-only (initial, low, high) columns, shape (rows, 1), of the
+    parameter matrix of ``basis``.
 
     Random starts draw every entry uniformly from [0, initial]: amp_limit for
-    amplitudes, 2*pi / T for rates and 2*pi for angles.  ``bounds`` is the
-    (low, high) range that enforce_amplitude_constraint clamps the vector
-    into, or None for amplitudes, which the envelope rescale bounds instead.
+    amplitudes, 2*pi / T for rates and 2*pi for angles.  [low, high] is the
+    range that enforce_amplitude_constraint clamps each row into: unbounded
+    for amplitudes, which the envelope rescale bounds instead.
     """
     by_kind = {
-        AMPLITUDE: (amp_limit, None),
-        RATE: (2.0 * np.pi / duration, (0.0, FREQ_CAP_CYCLES * 2.0 * np.pi / duration)),
-        ANGLE: (2.0 * np.pi, (0.0, 2.0 * np.pi)),
+        AMPLITUDE: (amp_limit, -np.inf, np.inf),
+        RATE: (2.0 * np.pi / duration, 0.0, FREQ_CAP_CYCLES * 2.0 * np.pi / duration),
+        ANGLE: (2.0 * np.pi, 0.0, 2.0 * np.pi),
     }
-    return [(name, *by_kind[kind]) for name, kind in LAYOUT[basis].items()]
+    table = np.array([by_kind[kind] for kind in LAYOUT[basis].values()]).T[:, :, None]
+    table.flags.writeable = False
+    return tuple(table)
 
 
 def constant_drive(rotation_rate, duration, amp_limit) -> ControlField:
@@ -152,17 +143,18 @@ def quadratures(field: ControlField, t):
     nu_j -> 0.
     """
     t_arr = np.asarray(t, dtype=float)
-    # Parameter sets on the leading axis, so each per-set sum is a row add.
-    column = (-1,) + (1,) * t_arr.ndim
-    half = 0.5 * field.amplitudes.reshape(column)
+    # Parameter sets on the leading axis of each row, so each per-set sum is
+    # a row add.
+    rows = field.params.reshape(field.params.shape + (1,) * t_arr.ndim)
+    half = 0.5 * rows[0]
     if field.basis == PM:
-        depths = field.mod_depths.reshape(column)
-        phase = depths * t_arr * np.sinc(field.mod_freqs.reshape(column) * t_arr / np.pi)
+        _, depths, rates = rows
+        phase = depths * t_arr * np.sinc(rates * t_arr / np.pi)
         wx = np.sum(half * np.cos(phase), axis=0)
         wy = np.sum(half * np.sin(phase), axis=0)
     else:
-        env = half * np.cos(field.freqs.reshape(column) * t_arr + field.phases.reshape(column))
-        angles = field.quad_angles.reshape(column)
+        _, freqs, phases, angles = rows
+        env = half * np.cos(freqs * t_arr + phases)
         wx = np.sum(env * np.cos(angles), axis=0)
         wy = np.sum(env * np.sin(angles), axis=0)
     if t_arr.ndim == 0:
@@ -201,18 +193,14 @@ def enforce_amplitude_constraint(field: ControlField) -> ControlField:
     bound sits below amp_limit by more than rounding can close, the grid
     peak cannot exceed the limit and is not evaluated.
     """
-    updates = {}
-    for name, _, bounds in parameter_ranges(field.basis, field.duration, field.amp_limit):
-        if bounds is None:
-            continue
-        value = getattr(field, name)
-        if value.size and not bounds[0] <= value.min() <= value.max() <= bounds[1]:
-            updates[name] = np.clip(value, *bounds)
-    candidate = dataclasses.replace(field, **updates) if updates else field
-    bound = 0.5 * float(np.sum(np.abs(candidate.amplitudes)))
-    if bound > candidate.amp_limit * (1.0 - 1e-12):
+    _, low, high = parameter_ranges(field.basis, field.duration, field.amp_limit)
+    params = np.clip(field.params, low, high)
+    clamped = not np.array_equal(params, field.params)
+    candidate = dataclasses.replace(field, params=params) if clamped else field
+    bound = 0.5 * float(np.sum(np.abs(params[0])))
+    if bound > field.amp_limit * (1.0 - 1e-12):
         peak = peak_amplitude(candidate)
-        if peak > candidate.amp_limit:
-            updates["amplitudes"] = candidate.amplitudes * (candidate.amp_limit / peak)
-            return dataclasses.replace(field, **updates)
+        if peak > field.amp_limit:
+            params[0] *= field.amp_limit / peak
+            return dataclasses.replace(field, params=params)
     return candidate

@@ -224,11 +224,14 @@ class KrigingModel:
         The kernel factorizes over dimensions, so the grid prediction needs
         only one kernel block per axis instead of one per grid point.
         """
-        sd = _scale(deltas, self.bounds[0])
-        sk = _scale(kappas, self.bounds[1])
-        pa = self.params
-        a = np.exp(-pa.alpha[0] * np.abs(sd[:, None] - self._scaled[None, :, 0]) ** pa.power[0])
-        b = np.exp(-pa.alpha[1] * np.abs(sk[:, None] - self._scaled[None, :, 1]) ** pa.power[1])
+        a, b = (
+            _kernel(
+                _distances(_scale(x, self.bounds[i])[:, None], self._scaled[:, i : i + 1]),
+                self.params.alpha[i : i + 1],
+                self.params.power[i : i + 1],
+            )
+            for i, x in enumerate((deltas, kappas))
+        )
         return self.mu_hat + a @ (b * self._weights).T
 
 

@@ -90,6 +90,8 @@ class NoiseSettings:
     def from_stationary_std(cls, std, tau=DEFAULT_OU_TAU, **kwargs) -> "NoiseSettings":
         if tau <= 0:
             raise ValueError("tau must be positive")
+        if std < 0:
+            raise ValueError("stationary std must be nonnegative")
         return cls(tau=tau, c=2.0 * std**2 / tau, **kwargs)
 
     @classmethod

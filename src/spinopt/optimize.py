@@ -207,7 +207,6 @@ class OptRun:
     n_sets: int
     seed: int
     field: ControlField
-    params: np.ndarray  # packed parameters of the (feasible) winning field
     f_search: float
     f_verified: float
     true_calls: int
@@ -218,6 +217,11 @@ class OptRun:
     nll_evals: int  # Kriging likelihood evaluations over every fit (0 for direct methods)
     p_fit: float | None
     wall_ms: float
+
+    @property
+    def params(self) -> np.ndarray:
+        """Packed parameters of the (feasible) winning field."""
+        return pack_params(self.field)
 
 
 @dataclass
@@ -244,41 +248,39 @@ class TrialStats:
 
 
 def pack_params(fld: ControlField) -> np.ndarray:
-    return np.concatenate([getattr(fld, name) for name in LAYOUT[fld.basis]])
+    """The search vector of a field: its parameter matrix, row after row."""
+    return fld.params.flatten()
 
 
-def unpack_params(basis, params, n_sets, duration, amp_limit) -> ControlField:
+def unpack_params(basis, params, duration, amp_limit) -> ControlField:
+    """Field whose parameter matrix is ``params`` read row after row; the
+    number of sets follows from the size."""
     params = np.asarray(params, dtype=float)
-    names = LAYOUT[basis]
-    if params.size != len(names) * n_sets:
-        raise ValueError(f"{basis} parameter vector must have {len(names)} * n_sets entries")
-    vectors = params.reshape(len(names), n_sets)
-    return ControlField(
-        basis=basis, duration=duration, amp_limit=amp_limit, **dict(zip(names, vectors))
-    )
+    rows = len(LAYOUT[basis])
+    if params.size == 0 or params.size % rows:
+        raise ValueError(
+            f"{basis} parameter vector must have a positive multiple of {rows} entries"
+        )
+    return ControlField(basis, params.reshape(rows, -1), duration, amp_limit)
 
 
-def feasible_field(basis, params, n_sets, duration, amp_limit) -> ControlField:
+def feasible_field(basis, params, duration, amp_limit) -> ControlField:
     """Field from packed parameters, clamped and rescaled by
     ``enforce_amplitude_constraint`` into the feasible set."""
-    return enforce_amplitude_constraint(unpack_params(basis, params, n_sets, duration, amp_limit))
+    return enforce_amplitude_constraint(unpack_params(basis, params, duration, amp_limit))
 
 
 def draw_initial_params(rng, basis, n_sets, duration, amp_limit) -> np.ndarray:
-    """Random start, one vector after another in packed order, each entry
-    uniform on its vector's initial range (``fields.parameter_ranges``)."""
-    return np.concatenate(
-        [
-            rng.uniform(0.0, initial, n_sets)
-            for _, initial, _ in parameter_ranges(basis, duration, amp_limit)
-        ]
-    )
+    """Random packed start, each entry uniform on its row's initial range
+    (``fields.parameter_ranges``)."""
+    initial, _, _ = parameter_ranges(basis, duration, amp_limit)
+    return rng.uniform(0.0, initial, (initial.size, n_sets)).ravel()
 
 
 def _simplex_steps(basis, n_sets, duration, amp_limit) -> np.ndarray:
     """Initial simplex offsets: 5 percent of each parameter's initial range."""
-    spans = [initial for _, initial, _ in parameter_ranges(basis, duration, amp_limit)]
-    return 0.05 * np.repeat(spans, n_sets)
+    initial, _, _ = parameter_ranges(basis, duration, amp_limit)
+    return 0.05 * np.repeat(initial, n_sets)
 
 
 def build_valid_surrogate(
@@ -362,10 +364,10 @@ def run_single(config: OptConfig) -> OptRun:
     verify = config.noise_grid(config.verify_grid)
     target = config.target()
     search_steps = min(config.n_steps, _SEARCH_STEPS)
-    pulse = (config.n_sets, config.duration, config.amp_limit)
+    pulse = (config.duration, config.amp_limit)
 
     def draw(r):
-        return draw_initial_params(r, config.basis, *pulse)
+        return draw_initial_params(r, config.basis, config.n_sets, *pulse)
 
     def field(params):
         return feasible_field(config.basis, params, *pulse)
@@ -411,7 +413,6 @@ def run_single(config: OptConfig) -> OptRun:
         n_sets=config.n_sets,
         seed=config.seed,
         field=best_field,
-        params=pack_params(best_field),
         f_search=1.0 - result.fun,
         f_verified=f_verified,
         true_calls=build_calls + result.n_evals * calls_per_eval,

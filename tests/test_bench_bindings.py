@@ -1,9 +1,10 @@
 """The library names and shapes that the benchmark's traced run binds to.
 
 ``bench/run.py --trace 1`` wraps the names listed in ``bench/tracing.py``
-and reads facts from their arguments and results.  These tests read that
-file, without changing it, and check that the library still offers what it
-expects.
+and reads facts from their arguments and results, and ``bench/checks.py``
+reads each field's parameter vectors by name.  These tests load those
+files, without changing them, and check that the library still offers what
+they expect.
 """
 import importlib.util
 import inspect
@@ -13,15 +14,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinopt import NoiseGrid, default_shaped_pi_field, magnetometry, propagate_many
+from spinopt import (
+    NoiseGrid,
+    default_shaped_pi_field,
+    magnetometry,
+    pm_field,
+    propagate_many,
+    quadratures,
+    sfb_field,
+)
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+AMP_LIMIT = 2 * np.pi * 10e6
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    # its dataclass needs the module registered while it is defined
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench_module(name):
+    # a dataclass needs its module registered while it is defined
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     try:
@@ -29,6 +38,16 @@ def tracing():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load_bench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return load_bench_module("checks")
 
 
 def test_every_wrapped_name_is_owned_where_install_looks(tracing):
@@ -60,3 +79,22 @@ def test_simulate_ramsey_takes_substeps_fifth(tracing):
     trace = magnetometry.simulate_ramsey(*args)
     assert tracing._ramsey_info(args, {}, trace) == {"pulses": 16, "pulse_steps": 16 * 3 * 7}
     assert np.all(np.isfinite(trace.p0_mean))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        pm_field([0.04e9, 0.03e9], [0.02e9, 0.0], [0.03e9, 0.0], 100e-9, AMP_LIMIT),
+        sfb_field([0.05e9, 0.02e9], [0.031e9, 0.011e9], [0.4, 5.1], [1.1, 2.9], 100e-9, AMP_LIMIT),
+    ],
+    ids=["pm", "sfb"],
+)
+def test_checks_drive_reads_field_vectors(checks, field):
+    # the RK4 check reads each parameter vector by name as a (n_sets,) row
+    ts = np.linspace(0.0, field.duration, 33)
+    np.testing.assert_allclose(checks._drive(field, ts), quadratures(field, ts), rtol=1e-12)
+
+
+def test_vector_outside_the_basis_is_no_attribute():
+    with pytest.raises(AttributeError):
+        pm_field([0.04e9], [0.02e9], [0.03e9], 100e-9, AMP_LIMIT).freqs

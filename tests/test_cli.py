@@ -141,6 +141,7 @@ class TestExitCodes:
             {"magnetometry": {"n_steps_per_pulse": 0}},
             {"compare": {"baseline_method": "annealing"}},
             {"compare": {"baseline_n_sets": 0}},
+            {"magnetometry": {"ou_stationary_khz": -50}},
         ],
     )
     def test_rejected_config_exits_2(self, tmp_path, capsys, payload):
@@ -194,6 +195,7 @@ class TestExitCodes:
             ("surrogate-demo", {"surrogate_demo": {"grid_sizes_mn": [0]}}),
             ("surrogate-demo", {"surrogate_demo": {"timing_reps": 0}}),
             ("surrogate-demo", {"surrogate_demo": {"n_fields": 0}}),
+            ("surrogate-demo", {"surrogate_demo": {"grid_sizes_mn": [10, 50]}}),
         ],
     )
     def test_non_integer_setting_exits_2(self, tmp_path, capsys, command, payload):

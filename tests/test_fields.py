@@ -15,7 +15,7 @@ from spinopt import (
     sfb_field,
 )
 
-from spinopt.fields import LAYOUT, PEAK_GRID_POINTS, _peak_times, parameter_ranges
+from spinopt.fields import PEAK_GRID_POINTS, _peak_times, parameter_ranges
 
 from oracles import pm_quadratures_direct, sfb_quadratures_direct
 
@@ -98,24 +98,25 @@ def test_non_finite_parameters_rejected():
         pm_field([1e7], [np.inf], [0.0], T, OMEGA_MAX)
     with pytest.raises(InvalidFieldError):
         sfb_field([1e7], [0.0], [0.0], [0.0], -1e-9, OMEGA_MAX)
-    # a vector outside the basis's layout is rejected, not kept as passed
+    # the parameter matrix needs one row per vector of the basis, all finite
     with pytest.raises(InvalidFieldError):
-        ControlField(
-            basis="sfb", amplitudes=[1e7, 2e7], duration=T, amp_limit=OMEGA_MAX,
-            freqs=[0.0, 0.0], phases=[0.0, 0.0], quad_angles=[0.0, 0.0],
-            mod_depths=[np.nan, 1.0],
-        )
+        ControlField("sfb", np.zeros((3, 2)), T, OMEGA_MAX)
     with pytest.raises(InvalidFieldError):
-        ControlField(
-            basis="pm", amplitudes=[1e7], duration=T, amp_limit=OMEGA_MAX,
-            mod_depths=[0.0], mod_freqs=[0.0], phases=[0.0],
-        )
+        ControlField("pm", np.zeros(3), T, OMEGA_MAX)
+    with pytest.raises(InvalidFieldError):
+        ControlField("pm", [[1e7], [0.0], [np.nan]], T, OMEGA_MAX)
 
 
 def test_vector_shapes():
     # a scalar is one set; anything deeper than a flat sequence is rejected
     fld = pm_field(1e7, 0.0, 0.0, T, OMEGA_MAX)
     assert fld.amplitudes.shape == fld.mod_depths.shape == (1,)
+    # each vector is its row of the (vectors x sets) parameter matrix
+    rows = [[1e7, 2e7], [1.0, 2.0], [0.1, 0.2], [0.3, 0.4]]
+    fld = sfb_field(*rows, T, OMEGA_MAX)
+    np.testing.assert_array_equal(fld.params, rows)
+    np.testing.assert_array_equal(fld.quad_angles, rows[3])
+    assert fld.n_sets == 2
     with pytest.raises(InvalidFieldError):
         pm_field([[1e7]], [0.0], [0.0], T, OMEGA_MAX)
 
@@ -178,14 +179,13 @@ def test_constant_drive_rotation_rate_convention():
 def enforce_on_grid(fld):
     """enforce_amplitude_constraint's clamps, then the grid peak rescale
     whatever the amplitude bound says."""
-    updates = {}
-    for name, _, bounds in parameter_ranges(fld.basis, fld.duration, fld.amp_limit):
-        if bounds is not None:
-            updates[name] = np.clip(getattr(fld, name), *bounds)
-    clamped = dataclasses.replace(fld, **updates)
+    _, low, high = parameter_ranges(fld.basis, fld.duration, fld.amp_limit)
+    clamped = dataclasses.replace(fld, params=np.clip(fld.params, low, high))
     peak = peak_amplitude(clamped)
     if peak > fld.amp_limit:
-        return dataclasses.replace(clamped, amplitudes=clamped.amplitudes * (fld.amp_limit / peak))
+        scale = np.ones((len(fld.params), 1))
+        scale[0] = fld.amp_limit / peak
+        return dataclasses.replace(clamped, params=clamped.params * scale)
     return clamped
 
 
@@ -216,8 +216,7 @@ def random_fields(seed, count):
 
 def assert_same_field(a, b):
     assert a.basis == b.basis
-    for name in LAYOUT[a.basis]:
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    np.testing.assert_array_equal(a.params, b.params)
 
 
 def test_enforce_matches_grid_path():

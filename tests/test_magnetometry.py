@@ -86,6 +86,11 @@ class TestNoiseSettings:
         with pytest.raises(ValueError):
             NoiseSettings.from_stationary_std(TWO_PI * 50e3, tau=0.0)
 
+    def test_negative_stationary_std_rejected(self):
+        # c = 2 std^2 / tau would otherwise run it as +std
+        with pytest.raises(ValueError, match="nonnegative"):
+            NoiseSettings.from_stationary_std(-TWO_PI * 50e3, tau=20e-6)
+
 
 class TestBuildXy8:
     def test_reference_timings(self):

@@ -48,21 +48,25 @@ class TestParamPacking:
     def test_pm_round_trip(self):
         fld = pm_field([0.03e9, 0.01e9], [0.02e9, 0.0], [0.01e9, 0.04e9], T, OMEGA_MAX)
         packed = pack_params(fld)
-        back = unpack_params("pm", packed, 2, T, OMEGA_MAX)
+        back = unpack_params("pm", packed, T, OMEGA_MAX)
+        assert back.n_sets == 2
         np.testing.assert_array_equal(back.amplitudes, fld.amplitudes)
         np.testing.assert_array_equal(back.mod_depths, fld.mod_depths)
         np.testing.assert_array_equal(back.mod_freqs, fld.mod_freqs)
 
     def test_sfb_round_trip(self):
         packed = np.array([1e7, 2e7, 0.01e9, 0.02e9, 0.3, 0.4, 1.0, 2.0])
-        fld = unpack_params("sfb", packed, 2, T, OMEGA_MAX)
+        fld = unpack_params("sfb", packed, T, OMEGA_MAX)
+        assert fld.n_sets == 2
         np.testing.assert_array_equal(pack_params(fld), packed)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            unpack_params("pm", np.zeros(4), 1, T, OMEGA_MAX)
+            unpack_params("pm", np.zeros(4), T, OMEGA_MAX)
         with pytest.raises(ValueError):
-            unpack_params("sfb", np.zeros(6), 2, T, OMEGA_MAX)
+            unpack_params("sfb", np.zeros(6), T, OMEGA_MAX)
+        with pytest.raises(ValueError):
+            unpack_params("pm", np.zeros(0), T, OMEGA_MAX)
 
     def test_initial_draw_ranges(self):
         rng = np.random.default_rng(0)
@@ -232,7 +236,7 @@ class TestBpmOptimize:
     def test_verification_consistency_cold_start(self):
         cfg = fast_config(seed=11)
         run = run_single(cfg)
-        fld = unpack_params(cfg.basis, run.params, cfg.n_sets, cfg.duration, cfg.amp_limit)
+        fld = unpack_params(cfg.basis, run.params, cfg.duration, cfg.amp_limit)
         grid = cfg.noise_grid(cfg.verify_grid)
         value = ensemble_objective(fld, grid, cfg.n_steps, cfg.target())
         assert abs(value - run.f_verified) < 1e-12
