@@ -38,6 +38,7 @@ _ROWS = {basis: {name: i for i, name in enumerate(layout)} for basis, layout in 
 FREQ_CAP_CYCLES = 5.0
 # Time samples on [0, T] at which peak_amplitude looks for the envelope maximum.
 PEAK_GRID_POINTS = 2001
+_EPS = np.finfo(float).eps
 
 
 class InvalidFieldError(ValueError):
@@ -149,7 +150,10 @@ def quadratures(field: ControlField, t):
     half = 0.5 * rows[0]
     if field.basis == PM:
         _, depths, rates = rows
-        phase = depths * t_arr * np.sinc(rates * t_arr / np.pi)
+        # np.sinc(rates t / pi), inlined without its per-call asanyarray and finfo.
+        x = np.pi * (rates * t_arr / np.pi)
+        y = np.where(x, x, _EPS)
+        phase = depths * t_arr * (np.sin(y) / y)
         wx = np.sum(half * np.cos(phase), axis=0)
         wy = np.sum(half * np.sin(phase), axis=0)
     else:

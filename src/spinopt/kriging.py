@@ -7,9 +7,12 @@ and power-exponential correlation
     p_h in [1, 2],
 
 fitted by maximizing the concentrated likelihood (mu and sigma^2 replaced by
-their analytic optima) with Nelder-Mead restarts over (log alpha, p).
-Coordinates are rescaled to the unit square before distances are taken so
-the alpha values are comparable across dimensions.  The predictor is the
+their analytic optima) over (log alpha, p): one stacked scan of a fixed
+lattice and a few random thetas picks the starts, and a projected Newton
+polish with the analytic gradient and Hessian (Fisher scoring where the
+Hessian is indefinite) finishes them.  Coordinates are rescaled to the unit
+square before distances are taken so the alpha values are comparable across
+dimensions.  The predictor is the
 best linear unbiased interpolator
 
     yhat(x) = mu_hat + r(x)' R^-1 (y - 1 mu_hat).
@@ -17,19 +20,35 @@ best linear unbiased interpolator
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # ``nelder_mead`` is unused here; bench/tracing.py wraps ``kriging.nelder_mead``.
-from .neldermead import nelder_mead, nelder_mead_batches, run_lockstep  # noqa: F401
+from .neldermead import nelder_mead  # noqa: F401
 
 DEFAULT_NUGGET = 1e-10
 LOG_ALPHA_RANGE = (-6.0, 6.0)
 POWER_RANGE = (1.0, 2.0)
-# Nelder-Mead starts per likelihood fit, each from a uniform draw of (log alpha, p).
+# Uniform draws of (log alpha, p) that each fit adds to its likelihood scan.
 FIT_RESTARTS = 5
+# Levels of each log alpha and of each power in the scan's lattice.
+SCAN_LEVELS = (7, 3)
+# Scanned thetas that each fit polishes (see ``_polish`` for the rest).
+POLISH_STARTS = 8
+# Stop test: largest first-order decrease that a polish step may predict.
+POLISH_TOL = 1e-10
+# A start stops when its step length halves below this ...
+POLISH_MIN_STEP = 2.0**-20
+# ... or when its value is this far above that of a start that met the test.
+POLISH_DROP = 1.0
+POLISH_MAX_ROUNDS = 50
+# Largest move of one coordinate in one step, and the largest distance from
+# a face at which a coordinate whose gradient points out of it is held.
+POLISH_MAX_STEP = 1.0
+POLISH_EPS = 0.1
 # Sample pairs closer than this fraction of the scaled region diagonal make
 # the correlation matrix numerically singular regardless of the nugget.
 SEPARATION_FLOOR = 1e-6
@@ -82,18 +101,27 @@ def _distances(a, b):
     return np.abs(a.T[:, :, None] - b.T[:, None, :])
 
 
-def _kernel(dist, alpha, power):
-    """Correlation (m, n) of per-axis distances ``dist`` (k, m, n) for
-    per-dimension ``alpha`` and ``power`` of shape (k,), or (B, m, n) for
-    (B, k) stacks of them.
+def _kernel_terms(dist, alpha, power):
+    """Per-axis exponents -alpha_h dist_h^p_h, shape (k, m, n), of per-axis
+    distances ``dist`` (k, m, n) for per-dimension ``alpha`` and ``power`` of
+    shape (k,), or (B, k, m, n) for (B, k) stacks of them.
 
     With the axis first, each power runs over whole (m, n) blocks, about
-    twice as fast as over the axis last.  numpy sums fewer than 8 axes in
-    sequence either way, and exp(sum(-a x)) is exp(-sum(a x)) exactly.
+    twice as fast as over the axis last.
     """
     terms = dist ** power[..., None, None]
     terms *= -alpha[..., None, None]
-    return np.exp(terms.sum(axis=-3))
+    return terms
+
+
+def _kernel(dist, alpha, power):
+    """Correlation (m, n), or (B, m, n) for stacked parameters, of per-axis
+    distances ``dist`` (k, m, n).
+
+    numpy sums fewer than 8 axes in sequence, and exp(sum(-a x)) is
+    exp(-sum(a x)) exactly.
+    """
+    return np.exp(_kernel_terms(dist, alpha, power).sum(axis=-3))
 
 
 def jittered_grid(region, n: int, rng: np.random.Generator, jitter: float = 1.0):
@@ -135,8 +163,15 @@ def _gls_maps(dist, alpha, power, nugget):
     mean_map = R^-1 1 / (1' R^-1 1) gives mu_hat = mean_map @ y, and
     weight_map = R^-1 - (R^-1 1) mean_map' gives R^-1 (y - 1 mu_hat) = weight_map @ y.
     """
-    n = dist.shape[-1]
-    corr = _kernel(dist, alpha, power)
+    chol, _, mean_map, weight_map = _factor(_kernel(dist, alpha, power), nugget)
+    return chol, mean_map, weight_map
+
+
+def _factor(corr, nugget):
+    """Cholesky factor L, its inverse and the GLS maps (see ``_gls_maps``) of the
+    correlation matrices ``corr`` (n, n) or (B, n, n), whose diagonal gets
+    the nugget in place."""
+    n = corr.shape[-1]
     # The strided diagonal view is ~15 us cheaper per likelihood evaluation
     # than fancy indexing, and adds the same values.
     corr.reshape(-1, n * n)[:, :: n + 1] += nugget
@@ -146,7 +181,7 @@ def _gls_maps(dist, alpha, power, nugget):
     r_inv_one = r_inv.sum(axis=-1)
     mean_map = r_inv_one / r_inv_one.sum(axis=-1, keepdims=True)
     weight_map = r_inv - r_inv_one[..., :, None] * mean_map[..., None, :]
-    return chol, mean_map, weight_map
+    return chol, chol_inv, mean_map, weight_map
 
 
 class KrigingModel:
@@ -155,9 +190,10 @@ class KrigingModel:
     Attributes mirror the estimation quantities: ``samples`` (n, k) in
     original units, ``values`` (n,), ``params``, ``mu_hat``, ``sigma2_hat``,
     the scaling ``bounds`` (k, 2) and the ``nugget`` added to the diagonal of
-    the correlation matrix before factorization.  ``nll_evals`` and
-    ``nll_converged`` count the likelihood evaluations and the converged
-    Nelder-Mead restarts of the ``fit`` that built the model (0 otherwise).
+    the correlation matrix before factorization.  ``nll_evals`` counts the
+    thetas whose likelihood the ``fit`` that built the model evaluated, and
+    ``nll_converged`` its polished starts that met the stop test (both 0
+    otherwise).
     """
 
     def __init__(self, samples, values, params: CorrelationParams, bounds, nugget=DEFAULT_NUGGET):
@@ -235,7 +271,7 @@ class KrigingModel:
         return self.mu_hat + a @ (b * self._weights).T
 
 
-def _concentrated_nll(thetas, dist, values, nugget, low, high):
+def _concentrated_nll(thetas, dist, values, nugget, low, high, log_dist=None):
     """Negative concentrated log-likelihood, shape (B,), of a (B, 2k) stack
     of thetas = (log alpha, p), for the samples' per-axis distances ``dist``
     (k, n, n).  Outside the box [low, high] each value is the one at the
@@ -243,6 +279,15 @@ def _concentrated_nll(thetas, dist, values, nugget, low, high):
 
     The whole stack's correlation matrices are built and factored together;
     each value equals that of a one-theta stack bit for bit.
+
+    Given ``log_dist``, the per-axis log distances (0 where a distance is
+    0), the call returns ``(values, grad, hess, fisher, margin,
+    margin_grad)``: the values as without it, bit for bit, then the gradient
+    (B, 2k), Hessian and Fisher information (B, 2k, 2k) of the likelihood at
+    the clipped thetas, and the conditioning guard's margin
+    log(min L_ii / max L_ii / COND_GUARD) (B,), which the guard keeps at 0
+    or above, with its gradient (B, 2k).  Rows whose value is 1e12 or more
+    carry no meaningful derivatives.
     """
     n = values.size
     k = len(dist)
@@ -253,22 +298,30 @@ def _concentrated_nll(thetas, dist, values, nugget, low, high):
     # The clipped values are in range by construction; building a validated
     # CorrelationParams here would re-check them on every evaluation.
     try:
-        chol, mean_map, weight_map = _gls_maps(
-            dist, np.exp(clipped[:, :k]), clipped[:, k:], nugget
-        )
+        terms = _kernel_terms(dist, np.exp(clipped[:, :k]), clipped[:, k:])
+        corr = np.exp(terms.sum(axis=-3))
+        chol, chol_inv, mean_map, weight_map = _factor(corr, nugget)
     except np.linalg.LinAlgError:
         if len(thetas) == 1:
-            return out
+            if log_dist is None:
+                return out
+            vector, matrix = np.zeros((1, 2 * k)), np.zeros((1, 2 * k, 2 * k))
+            return out, vector, matrix, matrix, np.zeros(1), vector
         # One indefinite matrix fails the whole stack: factor theta by theta
         # so that only the failing ones get the sentinel.
-        return np.concatenate(
-            [_concentrated_nll(theta[None], dist, values, nugget, low, high) for theta in thetas]
-        )
+        parts = [
+            _concentrated_nll(theta[None], dist, values, nugget, low, high, log_dist)
+            for theta in thetas
+        ]
+        if log_dist is None:
+            return np.concatenate(parts)
+        return tuple(np.concatenate(part) for part in zip(*parts))
     diag = chol.diagonal(axis1=-2, axis2=-1)
     # Row by row these are the one-theta products: (1, n) @ (n,) is a dot
     # product and (n, n) @ (n,) a matrix-vector product.
     mu = mean_map[:, None, :] @ values
-    sigma2 = ((values - mu)[:, None, :] @ (weight_map @ values)[:, :, None]).ravel() / n
+    weights = weight_map @ values
+    sigma2 = ((values - mu)[:, None, :] @ weights[:, :, None]).ravel() / n
     log_det = 2.0 * np.log(diag).sum(axis=-1)
     # Near-singular correlation (alpha -> 0 sends R toward the ones matrix)
     # makes the GLS mean and the interpolation weights numerically garbage;
@@ -277,15 +330,177 @@ def _concentrated_nll(thetas, dist, values, nugget, low, high):
     for b, (conditioned, var) in enumerate(zip(well.tolist(), sigma2.tolist())):
         if conditioned and 0.0 < var < math.inf:
             out[b] = 0.5 * (n * np.log(2.0 * np.pi * var) + log_det[b] + n) + penalty[b]
-    return out
+    if log_dist is None:
+        return out
+    # dR_i = T_i R off the diagonal, with T_i = terms_h for log alpha_h and
+    # terms_h log(dist_h) for p_h; both are 0 on the diagonal.
+    d_terms = np.concatenate([terms, terms * log_dist], axis=1)
+    d_corr = d_terms * corr[:, None]
+    # S_i = L^-1 dR_i L^-T: tr(R^-1 dR_i) = tr(S_i), and d log L_jj = S_i,jj / 2.
+    s = chol_inv[:, None] @ d_corr @ chol_inv.mT[:, None]
+    s_diag = s.diagonal(axis1=-2, axis2=-1)
+    trace = s_diag.sum(axis=-1)
+    flat = s.reshape(len(s), 2 * k, n * n)
+    s_s = flat @ flat.mT
+    # With w = R^-1 (y - 1 mu_hat) = Q y, d nll = tr((R^-1 - w w' / sigma2) dR) / 2
+    # (Rasmussen & Williams 2006, eq. 5.9, with mu and sigma2 profiled out).
+    inv_var = np.divide(1.0, sigma2, out=np.zeros(len(sigma2)), where=sigma2 > 0.0)
+    resid = chol_inv.mT @ chol_inv - weights[:, :, None] * (weights * inv_var[:, None])[:, None, :]
+    scaled = (resid[:, None] * d_corr).reshape(flat.shape)
+    grad = 0.5 * scaled.sum(axis=-1)
+    # The Hessian, from d(y' Q y) = -w' dR w, dQ = -Q dR Q and
+    # d2R_ij = (T_i T_j + dT_i / dtheta_j) R:  [tr((R^-1 - w w' / sigma2) d2R_ij)
+    # - tr(S_i S_j)] / 2 + w' dR_i Q dR_j w / sigma2 - q_i q_j / (2 n sigma2^2),
+    # q_i = w' dR_i w.
+    u = d_corr @ weights[:, None, :, None]
+    quad = (weights[:, None, None, :] @ u)[..., 0, 0]
+    u = u[..., 0]
+    hess = (
+        0.5 * (scaled @ d_terms.reshape(flat.shape).mT - s_s)
+        + (u @ weight_map @ u.mT) * inv_var[:, None, None]
+        - (0.5 / n) * (quad[:, :, None] * quad[:, None, :]) * (inv_var**2)[:, None, None]
+    )
+    # dT_i / dtheta_j is nonzero only within one axis h: terms_h (a, a),
+    # terms_h log(dist_h) (a, p) and terms_h log(dist_h)^2 (p, p).
+    same_axis = np.arange(k)
+    hess[:, same_axis, same_axis] += grad[:, :k]
+    hess[:, same_axis, same_axis + k] += grad[:, k:]
+    hess[:, same_axis + k, same_axis] += grad[:, k:]
+    hess[:, same_axis + k, same_axis + k] += 0.5 * (
+        scaled[:, k:].reshape(d_corr[:, k:].shape) * log_dist
+    ).sum(axis=(-2, -1))
+    # Expected information of theta with sigma2 profiled out (Mardia &
+    # Marshall 1984): tr(S_i S_j) / 2 - tr(S_i) tr(S_j) / (2n).
+    fisher = 0.5 * s_s - (0.5 / n) * (trace[:, :, None] * trace[:, None, :])
+    # The conditioning guard as a constraint: margin = log(min L_ii / max L_ii
+    # / COND_GUARD) >= 0, and its gradient.
+    rows = np.arange(len(diag))
+    margin = np.log(diag.min(axis=-1) / (COND_GUARD * diag.max(axis=-1)))
+    margin_grad = 0.5 * (
+        s_diag[rows, :, diag.argmin(axis=-1)] - s_diag[rows, :, diag.argmax(axis=-1)]
+    )
+    return out, grad, hess, fisher, margin, margin_grad
+
+
+@functools.cache
+def _scan_lattice(k: int) -> np.ndarray:
+    """Read-only product lattice of thetas = (log alpha, p), shape (L, 2k),
+    that every fit of k-dimensional samples scans: SCAN_LEVELS levels of
+    each log alpha across LOG_ALPHA_RANGE and of each power across
+    POWER_RANGE (L = 21**k)."""
+    log_alphas = np.linspace(*LOG_ALPHA_RANGE, SCAN_LEVELS[0])
+    axes = [log_alphas] * k + [np.linspace(*POWER_RANGE, SCAN_LEVELS[1])] * k
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * k)
+    lattice.flags.writeable = False
+    return lattice
+
+
+def _pick_starts(scanned, k):
+    """Indices of the POLISH_STARTS lowest usable values among the lattice's
+    local minima (no higher than either neighbour along every axis) and the
+    random draws that follow the lattice in ``scanned``."""
+    size = len(_scan_lattice(k))
+    grid = scanned[:size].reshape((SCAN_LEVELS[0],) * k + (SCAN_LEVELS[1],) * k)
+    padded = np.pad(grid, 1, constant_values=np.inf)
+    local = grid < 1e11
+    for axis, length in enumerate(grid.shape):
+        for first in (0, 2):
+            window = [slice(1, -1)] * grid.ndim
+            window[axis] = slice(first, first + length)
+            local &= grid <= padded[tuple(window)]
+    candidates = np.concatenate([np.flatnonzero(local), np.arange(size, len(scanned))])
+    candidates = candidates[scanned[candidates] < 1e11]
+    return candidates[np.argsort(scanned[candidates], kind="stable")[:POLISH_STARTS]]
+
+
+def _polish(starts, evaluate, low, high):
+    """Projected Newton descent from each (m, d) start, all starts in
+    lockstep; returns the final thetas, their values, whether each start met
+    the stop test, and the number of thetas evaluated.
+
+    ``evaluate`` is ``_concentrated_nll`` with derivatives.  Coordinates
+    within eps of a face of the box whose gradient points out of it are
+    held and step onto that face (Bertsekas, SIAM J. Control Optim. 20, 221
+    (1982)).  The free ones take the Newton step where the Hessian of the
+    free block is positive definite and the Fisher scoring step elsewhere.
+    A step that would cross the conditioning guard's linearization is bent
+    onto it (the equality-constrained step).  No coordinate moves by more
+    than POLISH_MAX_STEP.
+
+    Each round evaluates one trial point per live start in one stacked
+    call: the start's step length times its step, projected into the box.
+    A trial that lowers the value (Armijo, 1e-4) is taken and the step
+    length resets to 1; otherwise it halves, which bisects toward the
+    guard's cliff when a step crosses it.  A start meets the stop test when
+    its step predicts a first-order decrease of at most POLISH_TOL.  It
+    stops there, when its step length falls below POLISH_MIN_STEP, when its
+    value lies more than POLISH_DROP above that of a start that met the
+    test, or after POLISH_MAX_ROUNDS rounds.
+    """
+    x = np.array(starts)
+    f, *derivatives = evaluate(x)
+    grad, hess, fisher, margin, margin_grad = derivatives
+    m, dim = x.shape
+    evals = m
+    step = np.ones(m)
+    converged = np.zeros(m, dtype=bool)
+    live = f < 1e11
+    eye = np.eye(dim)
+    for _ in range(POLISH_MAX_ROUNDS):
+        eps = np.minimum(POLISH_EPS, np.linalg.norm(x - np.clip(x - grad, low, high), axis=-1))
+        to_low = (x <= low + eps[:, None]) & (grad > 0.0)
+        held = to_low | ((x >= high - eps[:, None]) & (grad < 0.0))
+        free = ~held
+        pair = free[:, :, None] & free[:, None, :]
+        curv = np.where(pair, hess, eye)
+        newton = np.linalg.eigvalsh(curv)[:, 0] > 0.0
+        curv = np.where(newton[:, None, None], curv, np.where(pair, fisher, eye))
+        curv += 1e-10 * (np.trace(curv, axis1=-2, axis2=-1) + 1.0)[:, None, None] * eye
+        rhs = np.stack([np.where(free, grad, 0.0), np.where(free, margin_grad, 0.0)], axis=-1)
+        solved = np.linalg.solve(curv, rhs)
+        direction, along = -solved[..., 0], solved[..., 1]
+        # A step that would take the guard's margin below 0 to first order
+        # moves along H^-1 a, a the margin's gradient, until margin + a . d = 0.
+        toward = (rhs[..., 1] * direction).sum(axis=-1)
+        reach = (rhs[..., 1] * along).sum(axis=-1)
+        bend = (margin + toward < 0.0) & (reach > 0.0)
+        shift = np.where(bend, (margin + toward) / np.where(bend, reach, 1.0), 0.0)
+        direction -= shift[:, None] * along
+        direction = np.where(held, np.where(to_low, low, high) - x, direction)
+        direction /= np.maximum(1.0, np.abs(direction).max(axis=-1) / POLISH_MAX_STEP)[:, None]
+
+        met = live & (-(direction * grad).sum(axis=-1) <= POLISH_TOL)
+        converged |= met
+        live &= ~met
+        if converged.any():
+            live &= f <= f[converged].min() + POLISH_DROP
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        trial = np.clip(x[idx] + step[idx, None] * direction[idx], low, high)
+        f_trial, *trial_derivatives = evaluate(trial)
+        evals += idx.size
+        slope = np.minimum(0.0, ((trial - x[idx]) * grad[idx]).sum(axis=-1))
+        taken = (f_trial < 1e11) & (f_trial < f[idx] + 1e-4 * slope)
+        now = idx[taken]
+        x[now], f[now] = trial[taken], f_trial[taken]
+        for kept, new in zip(derivatives, trial_derivatives):
+            kept[now] = new[taken]
+        step[idx] = np.where(taken, 1.0, 0.5 * step[idx])
+        live[idx[step[idx] < POLISH_MIN_STEP]] = False
+    return x, f, converged, evals
 
 
 def fit(samples, values, rng: np.random.Generator, bounds, nugget=DEFAULT_NUGGET) -> KrigingModel:
     """Fit correlation parameters by maximum likelihood and build the model.
 
-    ``rng`` draws the restart points and ``bounds`` gives the (k, 2) axis
-    ranges used to rescale coordinates.  Raises DegenerateDesignError for
-    near-duplicate samples and FitError when every restart fails.
+    One stacked call scans the likelihood over the fixed lattice
+    ``_scan_lattice(k)`` and FIT_RESTARTS uniform draws of ``rng``; the
+    lowest of the lattice's local minima and the draws are polished
+    (``_pick_starts``, ``_polish``), and the first lowest polished value
+    wins.  ``bounds`` gives the (k, 2) axis ranges used to rescale
+    coordinates.  Raises DegenerateDesignError for near-duplicate samples
+    and FitError when the scan finds no theta with a usable likelihood.
     """
     samples = np.asarray(samples, dtype=float)
     values = np.asarray(values, dtype=float).ravel()
@@ -320,27 +535,26 @@ def fit(samples, values, rng: np.random.Generator, bounds, nugget=DEFAULT_NUGGET
 
     # Box of theta = (log alpha, p), k entries of each.
     low, high = np.repeat([LOG_ALPHA_RANGE, POWER_RANGE], k, axis=0).T
-    steps = np.concatenate([np.full(k, 0.6), np.full(k, 0.05)])
-    # The restarts advance in lockstep: each round evaluates the pending
-    # points of every live restart in one stacked likelihood call.
-    results = run_lockstep(
-        [
-            nelder_mead_batches(rng.uniform(low, high), steps, f_tol=1e-7, max_iter=500)
-            for _ in range(FIT_RESTARTS)
-        ],
-        lambda thetas: _concentrated_nll(thetas, dist, values, nugget, low, high),
+    scan = np.concatenate(
+        [_scan_lattice(k), [rng.uniform(low, high) for _ in range(FIT_RESTARTS)]]
     )
-
-    # The searches reject non-finite values, so every restart has a finite
-    # best value; the first lowest wins.
-    best = min(results, key=lambda result: result.fun)
-    if best.fun >= 1e11:
-        raise FitError("likelihood optimization failed on every restart")
-    best_theta = np.clip(best.x, low, high)
-    params = CorrelationParams(np.exp(best_theta[:k]), best_theta[k:])
+    scanned = _concentrated_nll(scan, dist, values, nugget, low, high)
+    if scanned.min() >= 1e11:
+        raise FitError("no scanned theta gives a usable likelihood")
+    starts = scan[_pick_starts(scanned, k)]
+    log_dist = np.log(dist, out=np.zeros_like(dist), where=dist > 0.0)
+    thetas, nlls, converged, evals = _polish(
+        starts,
+        lambda thetas: _concentrated_nll(thetas, dist, values, nugget, low, high, log_dist),
+        low,
+        high,
+    )
+    # The first lowest wins.
+    best = thetas[np.argmin(nlls)]
+    params = CorrelationParams(np.exp(best[:k]), best[k:])
     model = KrigingModel(samples, values, params, bounds, nugget)
-    model.nll_evals = sum(result.n_evals for result in results)
-    model.nll_converged = sum(result.converged for result in results)
+    model.nll_evals = len(scan) + evals
+    model.nll_converged = int(converged.sum())
     return model
 
 

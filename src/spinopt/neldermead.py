@@ -9,6 +9,9 @@ The algorithm is the generator ``nelder_mead_batches``: it asks for values
 at a batch of points and is told them.  ``run_lockstep`` advances several
 such searches together and evaluates all their pending points at once;
 ``nelder_mead`` runs one search through it with a plain objective function.
+The pulse search of ``spinopt.optimize`` calls ``nelder_mead``; the Kriging
+likelihood is fitted by a scan and a gradient polish instead (see
+``spinopt.kriging``).
 """
 from __future__ import annotations
 

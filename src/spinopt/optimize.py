@@ -151,6 +151,8 @@ class OptConfig:
             raise ValueError("n_steps must be at least 1")
         if self.max_model_attempts < 1:
             raise ValueError("max_model_attempts must be at least 1")
+        if self.nm_max_iter is not None and self.nm_max_iter < 1:
+            raise ValueError("nm_max_iter must be at least 1")
         for name in ("duration", "amp_limit"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")

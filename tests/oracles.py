@@ -329,13 +329,12 @@ def concentrated_nll_direct(theta, scaled, values, nugget, log_alpha_range, powe
 
 def fit_serial_direct(samples, values, rng, bounds, nugget):
     """Correlation parameters (alpha, power) and likelihood evaluation count
-    of ``kriging.fit``'s restarts run one after another.
+    of the restart fit that ``kriging.fit`` ran before its scan and polish.
 
     Each of the ``FIT_RESTARTS`` starts draws its theta and runs its own
-    ``nelder_mead`` to the end, calling the likelihood on one theta at a
-    time; the best restart wins, ties going to the earlier one.  The
-    library's one-theta likelihood is reused, so the result must match the
-    lockstep fit exactly.
+    ``nelder_mead`` to the end, calling the library's one-theta likelihood
+    on one theta at a time; the best restart wins, ties going to the earlier
+    one.  It draws from ``rng`` exactly what ``kriging.fit`` draws.
     """
     from spinopt.kriging import (
         FIT_RESTARTS,

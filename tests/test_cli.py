@@ -142,6 +142,8 @@ class TestExitCodes:
             {"compare": {"baseline_method": "annealing"}},
             {"compare": {"baseline_n_sets": 0}},
             {"magnetometry": {"ou_stationary_khz": -50}},
+            {"optimize": {"nm_max_iter": -3}},
+            {"optimize": {"nm_max_iter": 0}},
         ],
     )
     def test_rejected_config_exits_2(self, tmp_path, capsys, payload):

@@ -15,6 +15,7 @@ from spinopt import (
     sfb_field,
 )
 
+from spinopt.dynamics import cf4_times
 from spinopt.fields import PEAK_GRID_POINTS, _peak_times, parameter_ranges
 
 from oracles import pm_quadratures_direct, sfb_quadratures_direct
@@ -79,6 +80,23 @@ def test_zero_mod_freq_limit_matches_tiny_freq():
     wx1, wy1 = quadratures(tiny, t)
     assert wx1 == pytest.approx(wx0, rel=1e-9)
     assert wy1 == pytest.approx(wy0, rel=1e-9)
+
+
+def quadratures_with_np_sinc(fld, t):
+    # the PM branch of quadratures written with np.sinc
+    t_arr = np.asarray(t, dtype=float)
+    amplitudes, depths, rates = fld.params.reshape(fld.params.shape + (1,) * t_arr.ndim)
+    phase = depths * t_arr * np.sinc(rates * t_arr / np.pi)
+    half = 0.5 * amplitudes
+    return np.sum(half * np.cos(phase), axis=0), np.sum(half * np.sin(phase), axis=0)
+
+
+@pytest.mark.parametrize("mod_freqs", [[0.0, 0.0], [0.0, 0.03e9], [0.021e9, 0.047e9]])
+def test_pm_phase_matches_np_sinc_bit_for_bit(mod_freqs):
+    fld = pm_field([0.03e9, 0.02e9], [0.01e9, 0.015e9], mod_freqs, T, OMEGA_MAX)
+    for t in (cf4_times(200, T / 200), 37e-9, 0.0):
+        for got, expected in zip(quadratures(fld, t), quadratures_with_np_sinc(fld, t)):
+            np.testing.assert_array_equal(got, expected)
 
 
 def test_quadratures_accept_arrays():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,14 +16,18 @@ from spinopt import (
     loo_validate,
     surrogate_objective,
 )
+from spinopt import kriging
 from spinopt.kriging import (
     COND_GUARD,
+    FIT_RESTARTS,
     LOG_ALPHA_RANGE,
     POWER_RANGE,
     _concentrated_nll,
     _distances,
     _gls_maps,
     _kernel,
+    _scale,
+    _scan_lattice,
 )
 
 from oracles import (
@@ -124,6 +132,26 @@ class TestJitteredGrid:
             jittered_grid(np.array([[0.0, 0.0], [0.0, 1.0]]), 9, np.random.default_rng(0))
 
 
+# Largest amount by which a fit's negative log-likelihood may exceed that of
+# the restart fit (tests/oracles.py::fit_serial_direct).
+NLL_BOUND = 1e-8
+
+
+def synthetic_design(n, seed):
+    rng = np.random.default_rng(seed)
+    pts = jittered_grid(REGION, n, rng)
+    values = quadratic(_scale(pts, REGION)) + 0.02 * rng.standard_normal(n)
+    return pts, values
+
+
+def design_nll(pts, values, alphas, powers):
+    # likelihood of each (alpha, power) pair on the design; fits stay in the box
+    scaled = _scale(pts, REGION)
+    thetas = np.array([np.concatenate([np.log(a), p]) for a, p in zip(alphas, powers)])
+    low, high = np.array([LOG_ALPHA_RANGE] * 2 + [POWER_RANGE] * 2).T
+    return _concentrated_nll(thetas, _distances(scaled, scaled), values, 1e-10, low, high)
+
+
 class TestFit:
     def test_constant_values(self):
         rng = np.random.default_rng(3)
@@ -185,18 +213,67 @@ class TestFit:
     @pytest.mark.parametrize("n", [9, 16])
     @pytest.mark.parametrize("seed", [0, 3, 17])
     def test_lockstep_matches_serial_restarts(self, n, seed):
-        rng = np.random.default_rng(seed)
-        pts = jittered_grid(REGION, n, rng)
-        scaled = (pts - REGION[:, 0]) / (REGION[:, 1] - REGION[:, 0])
-        values = quadratic(scaled) + 0.02 * rng.standard_normal(n)
+        # The oracle is the restart fit that the scan and polish replaced;
+        # the new fit must reach its likelihood or a better one.
+        pts, values = synthetic_design(n, seed)
         model = fit(pts, values, np.random.default_rng(seed + 1), bounds=REGION)
-        alpha, power, evals = fit_serial_direct(
+        alpha, power, _ = fit_serial_direct(
             pts, values, np.random.default_rng(seed + 1), REGION, model.nugget
         )
-        assert model.params.alpha.tobytes() == alpha.tobytes()
-        assert model.params.power.tobytes() == power.tobytes()
-        assert model.nll_evals == evals
-        assert 0 <= model.nll_converged <= 5
+        new, old = design_nll(pts, values, [model.params.alpha, alpha], [model.params.power, power])
+        assert new <= old + NLL_BOUND
+        assert 0 <= model.nll_converged <= kriging.POLISH_STARTS
+
+    def test_guard_optimum_reached(self):
+        # On this design the restart fit's optimum sits on the conditioning
+        # guard's cliff; the polish must follow the cliff to it.
+        pts, values = synthetic_design(16, 0)
+        model = fit(pts, values, np.random.default_rng(1), bounds=REGION)
+        alpha, power, _ = fit_serial_direct(
+            pts, values, np.random.default_rng(1), REGION, model.nugget
+        )
+        scaled = _scale(pts, REGION)
+        chol, _, _ = _gls_maps(_distances(scaled, scaled), alpha, power, model.nugget)
+        ratio = chol.diagonal().min() / chol.diagonal().max()
+        assert COND_GUARD <= ratio < COND_GUARD * (1 + 1e-6)
+        new, old = design_nll(pts, values, [model.params.alpha, alpha], [model.params.power, power])
+        assert new <= old + NLL_BOUND
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_fit_stays_in_box_and_guard(self, seed):
+        pts, values = synthetic_design(16, seed)
+        model = fit(pts, values, np.random.default_rng(seed + 1), bounds=REGION)
+        theta = np.concatenate([np.log(model.params.alpha), model.params.power])
+        low, high = np.array([LOG_ALPHA_RANGE] * 2 + [POWER_RANGE] * 2).T
+        assert np.all((low <= theta) & (theta <= high))
+        scaled = _scale(pts, REGION)
+        chol, _, _ = _gls_maps(
+            _distances(scaled, scaled), model.params.alpha, model.params.power, model.nugget
+        )
+        assert chol.diagonal().min() >= COND_GUARD * chol.diagonal().max()
+
+    def test_rng_advances_by_the_restart_draws(self):
+        pts, values = synthetic_design(9, 3)
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        fit(pts, values, rng, bounds=REGION)
+        low, high = np.repeat([LOG_ALPHA_RANGE, POWER_RANGE], 2, axis=0).T
+        for _ in range(FIT_RESTARTS):
+            twin.uniform(low, high)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_nll_evals_counts_evaluated_thetas(self, monkeypatch):
+        counted = []
+        likelihood = kriging._concentrated_nll
+
+        def counting(thetas, *args):
+            counted.append(len(thetas))
+            return likelihood(thetas, *args)
+
+        monkeypatch.setattr(kriging, "_concentrated_nll", counting)
+        pts, values = synthetic_design(9, 17)
+        model = fit(pts, values, np.random.default_rng(4), bounds=REGION)
+        assert model.nll_evals == sum(counted)
+        assert counted[0] == len(_scan_lattice(2)) + FIT_RESTARTS
 
     def test_duplicate_samples_rejected(self):
         pts = np.array([[0.1, 0.1], [0.1, 0.1], [0.5, 0.6], [0.9, 0.2]])
@@ -288,6 +365,102 @@ class TestConcentratedNll:
         np.testing.assert_array_equal(
             _concentrated_nll(good, dist, values, 0.0, low, high), stacked[[0, 2, 3, 5]]
         )
+
+
+class TestLikelihoodDerivatives:
+    @staticmethod
+    def setup_design():
+        rng = np.random.default_rng(29)
+        pts = jittered_grid(UNIT, 16, rng)
+        values = quadratic(pts) + 0.01 * rng.standard_normal(16)
+        dist = _distances(pts, pts)
+        log_dist = np.log(dist, out=np.zeros_like(dist), where=dist > 0.0)
+        return dist, log_dist, values
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            [1.0, -0.5, 1.3, 1.8],  # inside the box
+            [0.3, 2.5, 1.6, 1.1],  # inside the box
+            [2.0, 0.5, 2.0, 1.0],  # both powers on faces
+            [6.0, 1.0, 1.5, 2.0],  # a log alpha and a power on faces
+        ],
+    )
+    def test_derivatives_match_central_differences(self, theta):
+        dist, log_dist, values = self.setup_design()
+        theta = np.array(theta)
+        low, high = np.array([LOG_ALPHA_RANGE] * 2 + [POWER_RANGE] * 2).T
+        value, grad, hess, fisher, margin, margin_grad = _concentrated_nll(
+            theta[None], dist, values, 1e-10, low, high, log_dist
+        )
+        assert value[0] < 1e11 and margin[0] > 0
+        # A wider box leaves every difference point unclipped, so the
+        # differences see the smooth likelihood on both sides of a face.
+        wide = (low - 1.0, high + 1.0)
+        h = 1e-5
+        for j in range(4):
+            step = np.zeros(4)
+            step[j] = h
+            up, down = (
+                _concentrated_nll(th[None], dist, values, 1e-10, *wide, log_dist)
+                for th in (theta + step, theta - step)
+            )
+            # value -> gradient, gradient -> Hessian row, margin -> its gradient
+            for derivative, (a, b) in (
+                (grad[0, j], (up[0], down[0])),
+                (hess[0, j], (up[1][0], down[1][0])),
+                (margin_grad[0, j], (up[4], down[4])),
+            ):
+                np.testing.assert_allclose(derivative, (a - b) / (2 * h), rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(hess[0], hess[0].T, rtol=1e-12, atol=1e-12)
+        assert np.all(np.linalg.eigvalsh(fisher[0]) >= -1e-12)
+
+    def test_values_unchanged_by_derivatives(self):
+        dist, log_dist, values = self.setup_design()
+        low, high = np.array([LOG_ALPHA_RANGE] * 2 + [POWER_RANGE] * 2).T
+        thetas = np.array(_scan_lattice(2))
+        plain = _concentrated_nll(thetas, dist, values, 1e-10, low, high)
+        with_derivatives = _concentrated_nll(thetas, dist, values, 1e-10, low, high, log_dist)[0]
+        np.testing.assert_array_equal(plain, with_derivatives)
+
+
+class TestScanLattice:
+    def test_cached_and_read_only(self):
+        lattice = _scan_lattice(2)
+        assert _scan_lattice(2) is lattice
+        assert lattice.shape == (21**2, 4)
+        assert not lattice.flags.writeable
+        with pytest.raises(ValueError):
+            lattice[0, 0] = 0.0
+        low, high = np.array([LOG_ALPHA_RANGE] * 2 + [POWER_RANGE] * 2).T
+        assert np.all((lattice >= low) & (lattice <= high))
+        assert len(np.unique(lattice, axis=0)) == len(lattice)
+
+    def test_starts_are_lattice_minima_and_draws(self):
+        # two bowls on the lattice: the lowest scanned points all surround
+        # the deeper one, but the polish starts from each bowl's bottom
+        lattice = _scan_lattice(2)
+        a, b = np.array([2.0, -2.0, 2.0, 1.5]), np.array([-4.0, 4.0, 1.0, 1.0])
+        bowls = np.minimum(
+            ((lattice - a) ** 2).sum(axis=-1), 1.0 + ((lattice - b) ** 2).sum(axis=-1)
+        )
+        draws = [0.5, 7.0, 1e12]
+        picked = kriging._pick_starts(np.concatenate([bowls, draws]), 2)
+        at_a, at_b = (int(np.flatnonzero((lattice == c).all(axis=-1))[0]) for c in (a, b))
+        size = len(lattice)
+        assert picked.tolist() == [at_a, size, at_b, size + 1]
+
+    def test_not_built_at_import(self):
+        code = "import spinopt.kriging as k; print(k._scan_lattice.cache_info().currsize)"
+        src = os.path.dirname(os.path.dirname(kriging.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "0"
 
 
 class TestPredict:

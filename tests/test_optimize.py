@@ -386,6 +386,8 @@ class TestConfigValidation:
             dict(search_grid=(4.5, 4)),
             dict(search_grid=(4, True)),
             dict(verify_grid=(50,)),
+            dict(nm_max_iter=0),
+            dict(nm_max_iter=-3),
         ],
     )
     def test_invalid_values_rejected(self, bad):
