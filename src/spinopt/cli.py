@@ -109,9 +109,9 @@ def read_trial_records(path) -> list[dict]:
         ]
 
 
-def _trial_rows(runs, start_index=0):
+def _trial_rows(runs):
     rows = []
-    for i, run in enumerate(runs, start=start_index):
+    for i, run in enumerate(runs):
         rec = {"trial": i, **run_to_record(run)}
         rec["lambda_opt"] = json.dumps(rec["lambda_opt"])
         rows.append([rec[name] for name in TRIAL_FIELDS])

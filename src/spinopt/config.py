@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import numbers
 from importlib import resources
 
@@ -122,11 +123,20 @@ def config_counts(value, key: str) -> list:
 
 
 def config_float(value, key: str) -> float:
-    """``value`` of config key ``key`` as a float: JSON numbers pass, and
-    anything else raises ConfigError, where a bare ``float()`` would read a
-    string such as ``"1e3"`` or fail with a TypeError or ValueError."""
+    """``value`` of config key ``key`` as a float: finite JSON numbers pass,
+    and anything else raises ConfigError, where a bare ``float()`` would read
+    a string such as ``"1e3"`` or fail with a TypeError or ValueError.
+    Python's ``json`` reads ``NaN`` and ``Infinity``, and an integer too large
+    for a float counts as infinite; they are rejected here rather than
+    failing, or silently passing, mid-run."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if -math.inf < number < math.inf:
+            return number
+        raise ConfigError(f"config key {key} must be a finite number, not {value!r}")
     raise ConfigError(f"config key {key} must be a number, not {value!r}")
 
 

@@ -16,6 +16,10 @@ dimensions.  The predictor is the
 best linear unbiased interpolator
 
     yhat(x) = mu_hat + r(x)' R^-1 (y - 1 mu_hat).
+
+The responses are deterministic simulations, a noise-free computer
+experiment (Sacks, Welch, Mitchell & Wynn, Stat. Sci. 4, 409 (1989)), so the
+nugget DEFAULT_NUGGET is a constant numerical regularizer, not a noise model.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ import numpy as np
 # ``nelder_mead`` is unused here; bench/tracing.py wraps ``kriging.nelder_mead``.
 from .neldermead import nelder_mead  # noqa: F401
 
+# Added to the diagonal of every correlation matrix before it is factored.
 DEFAULT_NUGGET = 1e-10
 LOG_ALPHA_RANGE = (-6.0, 6.0)
 POWER_RANGE = (1.0, 2.0)
@@ -124,18 +129,34 @@ def _kernel(dist, alpha, power):
     return np.exp(_kernel_terms(dist, alpha, power).sum(axis=-3))
 
 
-def jittered_grid(region, n: int, rng: np.random.Generator, jitter: float = 1.0):
+def _check_design(bounds, samples=None, values=None):
+    """``bounds``, ``samples`` and ``values`` as float arrays (None where not
+    given), the one check of a design: ValueError unless ``bounds`` is a
+    finite (k, 2) array of increasing rows, ``samples`` a finite (n, k)
+    array and ``values`` a finite (n,) array."""
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.ndim != 2 or bounds.shape[1] != 2:
+        raise ValueError("bounds must be a (k, 2) array of (low, high) rows")
+    if not (np.isfinite(bounds).all() and (bounds[:, 0] < bounds[:, 1]).all()):
+        raise ValueError("bounds must be finite and increasing along every dimension")
+    if samples is not None:
+        samples = np.asarray(samples, dtype=float)
+        if samples.shape[1:] != (len(bounds),) or not np.isfinite(samples).all():
+            raise ValueError(f"samples must be a finite (n, {len(bounds)}) array")
+    if values is not None:
+        values = np.asarray(values, dtype=float)
+        if values.shape != samples.shape[:1] or not np.isfinite(values).all():
+            raise ValueError(f"values must be a finite ({len(samples)},) array")
+    return bounds, samples, values
+
+
+def jittered_grid(region, n: int, rng: np.random.Generator):
     """n sample points on a sqrt(n) x sqrt(n) cell grid with uniform jitter.
 
     Each point is its cell center displaced by an independent uniform offset
-    of up to ``jitter`` half-cells per axis, so every point stays inside its
-    cell.  ``jitter=0`` gives exact cell centers (testing hook).
+    of up to half a cell per axis, so every point stays inside its cell.
     """
-    region = np.asarray(region, dtype=float)
-    if region.ndim != 2 or region.shape[1] != 2:
-        raise ValueError("region must be a (k, 2) array of (low, high) rows")
-    if np.any(region[:, 1] <= region[:, 0]):
-        raise ValueError("region is empty")
+    region, _, _ = _check_design(region)
     m = math.isqrt(n)
     if m * m != n:
         raise ValueError(f"sample count {n} is not a perfect square")
@@ -145,7 +166,7 @@ def jittered_grid(region, n: int, rng: np.random.Generator, jitter: float = 1.0)
     span = region[:, 1] - region[:, 0]
     cell = span / m
     centers = (np.arange(m) + 0.5)[:, None] * cell[None, :] + region[:, 0]
-    offsets = rng.uniform(-0.5, 0.5, size=(m, m, k)) * jitter * cell
+    offsets = rng.uniform(-0.5, 0.5, size=(m, m, k)) * cell
     pts = np.empty((m, m, k))
     pts[..., 0] = centers[:, None, 0]
     pts[..., 1] = centers[None, :, 1]
@@ -153,24 +174,15 @@ def jittered_grid(region, n: int, rng: np.random.Generator, jitter: float = 1.0)
     return pts.reshape(n, k)
 
 
-def _gls_maps(dist, alpha, power, nugget):
-    """Cholesky factor of R = corr + nugget I and the two GLS linear maps,
-    from the samples' per-axis distances ``dist`` (k, n, n).
-
-    ``alpha`` and ``power`` are (k,) for one model or (B, k) for a stack of
-    B models; every result then gains the same leading axis.
+def _factor(corr, nugget):
+    """Cholesky factor L of R = corr + nugget I, its inverse and the two GLS
+    linear maps of the correlation matrices ``corr`` (n, n) or (B, n, n),
+    whose diagonal gets the nugget in place; stacked inputs give stacked
+    results.
 
     mean_map = R^-1 1 / (1' R^-1 1) gives mu_hat = mean_map @ y, and
     weight_map = R^-1 - (R^-1 1) mean_map' gives R^-1 (y - 1 mu_hat) = weight_map @ y.
     """
-    chol, _, mean_map, weight_map = _factor(_kernel(dist, alpha, power), nugget)
-    return chol, mean_map, weight_map
-
-
-def _factor(corr, nugget):
-    """Cholesky factor L, its inverse and the GLS maps (see ``_gls_maps``) of the
-    correlation matrices ``corr`` (n, n) or (B, n, n), whose diagonal gets
-    the nugget in place."""
     n = corr.shape[-1]
     # The strided diagonal view is ~15 us cheaper per likelihood evaluation
     # than fancy indexing, and adds the same values.
@@ -188,41 +200,28 @@ class KrigingModel:
     """Fitted constant-mean Gaussian-process interpolator.
 
     Attributes mirror the estimation quantities: ``samples`` (n, k) in
-    original units, ``values`` (n,), ``params``, ``mu_hat``, ``sigma2_hat``,
-    the scaling ``bounds`` (k, 2) and the ``nugget`` added to the diagonal of
-    the correlation matrix before factorization.  ``nll_evals`` counts the
+    original units, ``values`` (n,), ``params``, ``mu_hat``, ``sigma2_hat``
+    and the scaling ``bounds`` (k, 2); the correlation matrix is factored
+    with DEFAULT_NUGGET on its diagonal.  ``nll_evals`` counts the
     thetas whose likelihood the ``fit`` that built the model evaluated, and
     ``nll_converged`` its polished starts that met the stop test (both 0
     otherwise).
     """
 
-    def __init__(self, samples, values, params: CorrelationParams, bounds, nugget=DEFAULT_NUGGET):
-        samples = np.asarray(samples, dtype=float)
-        bounds = np.asarray(bounds, dtype=float)
-        if samples.ndim != 2:
-            raise ValueError("samples must be (n, k) matching values")
-        if bounds.shape != (samples.shape[1], 2):
-            raise ValueError("bounds must be (k, 2)")
-        if np.any(bounds[:, 1] <= bounds[:, 0]):
-            raise ValueError("bounds are empty along some dimension")
+    def __init__(self, samples, values, params: CorrelationParams, bounds):
+        bounds, samples, values = _check_design(bounds, samples, values)
         self.samples = samples
         self.params = params
         self.bounds = bounds
-        self.nugget = float(nugget)
         self.nll_evals = 0
         self.nll_converged = 0
         self._scaled = _scale(samples, bounds)
-        _, self._mean_map, self._weight_map = _gls_maps(
-            _distances(self._scaled, self._scaled), params.alpha, params.power, self.nugget
-        )
+        corr = _kernel(_distances(self._scaled, self._scaled), params.alpha, params.power)
+        _, _, self._mean_map, self._weight_map = _factor(corr, DEFAULT_NUGGET)
         self._set_values(values)
 
     def _set_values(self, values):
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size != self.samples.shape[0]:
-            raise ValueError("samples must be (n, k) matching values")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sample values contain non-finite entries")
+        # ``values`` has passed ``_check_design``.
         self.values = values
         if np.ptp(values) == 0.0:
             # Constant responses: the predictor is identically the constant.
@@ -241,6 +240,7 @@ class KrigingModel:
 
     def with_values(self, values) -> "KrigingModel":
         """Same sample positions and correlation structure, new responses."""
+        _, _, values = _check_design(self.bounds, self.samples, values)
         model = copy.copy(self)
         model._set_values(values)
         return model
@@ -491,7 +491,7 @@ def _polish(starts, evaluate, low, high):
     return x, f, converged, evals
 
 
-def fit(samples, values, rng: np.random.Generator, bounds, nugget=DEFAULT_NUGGET) -> KrigingModel:
+def fit(samples, values, rng: np.random.Generator, bounds) -> KrigingModel:
     """Fit correlation parameters by maximum likelihood and build the model.
 
     One stacked call scans the likelihood over the fixed lattice
@@ -499,23 +499,15 @@ def fit(samples, values, rng: np.random.Generator, bounds, nugget=DEFAULT_NUGGET
     lowest of the lattice's local minima and the draws are polished
     (``_pick_starts``, ``_polish``), and the first lowest polished value
     wins.  ``bounds`` gives the (k, 2) axis ranges used to rescale
-    coordinates.  Raises DegenerateDesignError for near-duplicate samples
-    and FitError when the scan finds no theta with a usable likelihood.
+    coordinates.  The design passes ``_check_design`` before any likelihood
+    is evaluated.  Raises ValueError for an invalid design or fewer than 3
+    samples, DegenerateDesignError for near-duplicate samples and FitError
+    when the scan finds no theta with a usable likelihood.
     """
-    samples = np.asarray(samples, dtype=float)
-    values = np.asarray(values, dtype=float).ravel()
-    if samples.ndim != 2 or samples.shape[0] != values.size:
-        raise ValueError("samples must be (n, k) matching values")
+    bounds, samples, values = _check_design(bounds, samples, values)
     n, k = samples.shape
     if n < 3:
         raise ValueError("at least 3 samples are required")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("samples contain non-finite entries")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("sample values contain non-finite entries")
-    bounds = np.asarray(bounds, dtype=float)
-    if np.any(bounds[:, 1] <= bounds[:, 0]):
-        raise ValueError("bounds are empty along some dimension")
 
     scaled = _scale(samples, bounds)
     dist = _distances(scaled, scaled)
@@ -531,28 +523,30 @@ def fit(samples, values, rng: np.random.Generator, bounds, nugget=DEFAULT_NUGGET
     if np.ptp(values) == 0.0:
         # Constant responses: the predictor is identically mu_hat and the
         # likelihood carries no information about (alpha, p).
-        return KrigingModel(samples, values, default_params, bounds, nugget)
+        return KrigingModel(samples, values, default_params, bounds)
 
     # Box of theta = (log alpha, p), k entries of each.
     low, high = np.repeat([LOG_ALPHA_RANGE, POWER_RANGE], k, axis=0).T
     scan = np.concatenate(
         [_scan_lattice(k), [rng.uniform(low, high) for _ in range(FIT_RESTARTS)]]
     )
-    scanned = _concentrated_nll(scan, dist, values, nugget, low, high)
+    scanned = _concentrated_nll(scan, dist, values, DEFAULT_NUGGET, low, high)
     if scanned.min() >= 1e11:
         raise FitError("no scanned theta gives a usable likelihood")
     starts = scan[_pick_starts(scanned, k)]
     log_dist = np.log(dist, out=np.zeros_like(dist), where=dist > 0.0)
     thetas, nlls, converged, evals = _polish(
         starts,
-        lambda thetas: _concentrated_nll(thetas, dist, values, nugget, low, high, log_dist),
+        lambda thetas: _concentrated_nll(
+            thetas, dist, values, DEFAULT_NUGGET, low, high, log_dist
+        ),
         low,
         high,
     )
     # The first lowest wins.
     best = thetas[np.argmin(nlls)]
     params = CorrelationParams(np.exp(best[:k]), best[k:])
-    model = KrigingModel(samples, values, params, bounds, nugget)
+    model = KrigingModel(samples, values, params, bounds)
     model.nll_evals = len(scan) + evals
     model.nll_converged = int(converged.sum())
     return model

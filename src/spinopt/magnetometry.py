@@ -10,6 +10,7 @@ phase-modulated quadrature fields), or instantaneous-ideal (validation hook).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +72,12 @@ class NoiseSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta_fwhm < 0:
-            raise ValueError("delta_fwhm must be nonnegative")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.c < 0:
-            raise ValueError("c must be nonnegative")
+        if not 0 <= self.delta_fwhm < math.inf:
+            raise ValueError("delta_fwhm must be finite and nonnegative")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be finite and positive")
+        if not 0 <= self.c < math.inf:
+            raise ValueError("c must be finite and nonnegative")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
         if self.seed < 0:
@@ -88,10 +89,10 @@ class NoiseSettings:
 
     @classmethod
     def from_stationary_std(cls, std, tau=DEFAULT_OU_TAU, **kwargs) -> "NoiseSettings":
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        if std < 0:
-            raise ValueError("stationary std must be nonnegative")
+        if not 0 < tau < math.inf:
+            raise ValueError("tau must be finite and positive")
+        if not 0 <= std < math.inf:
+            raise ValueError("stationary std must be finite and nonnegative")
         return cls(tau=tau, c=2.0 * std**2 / tau, **kwargs)
 
     @classmethod
@@ -107,8 +108,10 @@ class AcSignal:
     omega_s: float = np.pi / 400e-9
 
     def __post_init__(self):
-        if self.g_ac < 0:
-            raise ValueError("g_ac must be nonnegative")
+        if not 0 <= self.g_ac < math.inf:
+            raise ValueError("g_ac must be finite and nonnegative")
+        if not 0 < self.omega_s < math.inf:
+            raise ValueError("omega_s must be finite and positive")
 
 
 @dataclass(frozen=True)

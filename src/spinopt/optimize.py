@@ -74,22 +74,10 @@ METHODS = ("bpm", "pm", "bsfb", "sfb")
 SURROGATE_METHODS = ("bpm", "bsfb")
 P_FIT_THRESHOLD = 0.6
 
-# CF4 steps of every true call before verification (capped at n_steps).
-# The error falls as steps^-4.  Max |dF| against 4000 steps of the 4x4 search
-# objective and of single-point fidelities at the corners and centre of the
-# verify box, over 24 feasible fields (SFB n_sets=2 and PM, rates in the top
-# half of the cap, peak envelope at the amplitude limit), state and gate
-# objectives; and the median time of one state_fidelity_many call on the
-# bundled shaped pi pulse (2-core AMD EPYC, Python 3.11.7, numpy 2.4.6):
-#
-#   steps          50      100     200     400     1000
-#   max |dF|       6.8e-5  4.3e-6  2.7e-7  1.7e-8  4.2e-10
-#   us, P = 9      104     119     147     203     336
-#   us, P = 16     114     133     175     240     462
-#
-# 200 is the fewest of these whose error stays below 1e-6, a tenth of the
-# default nm_f_tol; below it a call costs little less, being mostly per-call
-# overhead.
+# CF4 steps of every true call before verification (capped at n_steps): the
+# fewest in the step-error table of the ``dynamics`` module docstring whose
+# max |dF| stays below 1e-6, a tenth of the default nm_f_tol; below it a call
+# costs little less, being mostly per-call overhead.
 _SEARCH_STEPS = 200
 
 
@@ -158,11 +146,13 @@ class OptConfig:
                 raise ValueError(f"{name} must be finite and positive")
         for name in ("delta_range", "kappa_range"):
             lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ValueError(f"{name} must be an increasing (low, high) pair")
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"{name} must be a finite, increasing (low, high) pair")
         for name in ("nm_f_tol", "delta_fwhm", "kappa_fwhm"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not -math.inf < self.kappa_mean < math.inf:
+            raise ValueError("kappa_mean must be finite")
         if min(self.search_grid) < 1 or min(self.verify_grid) < 1:
             raise ValueError("grid dimensions must be at least 1")
         if self.uses_surrogate and self.n_samples not in (9, 16):

@@ -17,6 +17,8 @@ from spinopt.config import (
 )
 
 TWO_PI = 2 * np.pi
+# json.dumps writes these as the NaN and Infinity that json.loads reads back.
+NAN, INF = float("nan"), float("inf")
 
 FAST_OPT = {
     "optimize": {
@@ -198,12 +200,25 @@ class TestExitCodes:
             ("surrogate-demo", {"surrogate_demo": {"timing_reps": 0}}),
             ("surrogate-demo", {"surrogate_demo": {"n_fields": 0}}),
             ("surrogate-demo", {"surrogate_demo": {"grid_sizes_mn": [10, 50]}}),
+            ("trials", {"optimize": {"kappa_mean": NAN}}),
+            ("trials", {"optimize": {"kappa_fwhm": INF}}),
+            ("trials", {"optimize": {"delta_fwhm_mhz": INF}}),
+            ("trials", {"optimize": {"kappa_range": [0.5, INF]}}),
+            ("magnetometry", {"magnetometry": {"g_ac_mhz": NAN}}),
+            ("magnetometry", {"magnetometry": {"g_ac_mhz": INF}}),
+            ("magnetometry", {"magnetometry": {"delta_fwhm_mhz": INF}}),
+            ("magnetometry", {"magnetometry": {"ou_stationary_khz": INF}}),
+            ("magnetometry", {"magnetometry": {"ou_tau_us": INF}}),
+            ("magnetometry", {"magnetometry": {"t_max_us": INF}}),
+            ("magnetometry", {"magnetometry": {"rect_gap_ns": NAN}}),
+            ("trials", {"optimize": {"kappa_mean": 10**400}}),
         ],
     )
     def test_non_integer_setting_exits_2(self, tmp_path, capsys, command, payload):
         # no truncation to the integer below, and no TypeError escaping; the
-        # same for malformed numbers, pairs, switches and field objects, and
-        # for counts and seeds out of range, all before any file is written
+        # same for malformed numbers, pairs, switches and field objects, for
+        # counts and seeds out of range, and for the NaN and Infinity that
+        # Python's json reads, all before any file is written
         path = write_config(tmp_path, payload)
         out = tmp_path / "o"
         code = main([command, "--config", path, "--out", str(out)])

@@ -19,12 +19,13 @@ from spinopt import (
 from spinopt import kriging
 from spinopt.kriging import (
     COND_GUARD,
+    DEFAULT_NUGGET,
     FIT_RESTARTS,
     LOG_ALPHA_RANGE,
     POWER_RANGE,
     _concentrated_nll,
     _distances,
-    _gls_maps,
+    _factor,
     _kernel,
     _scale,
     _scan_lattice,
@@ -46,6 +47,11 @@ def quadratic(pts):
     # smooth reference response on the unit square
     x, y = pts[:, 0], pts[:, 1]
     return 0.3 + 0.5 * x - 0.4 * (y - 0.5) ** 2 + 0.2 * x * y
+
+
+def cholesky(dist, alpha, power, nugget=DEFAULT_NUGGET):
+    # Cholesky factor of the correlation matrix, as KrigingModel factors it
+    return _factor(_kernel(dist, alpha, power), nugget)[0]
 
 
 def correlation(x_i, x_j, params):
@@ -111,12 +117,18 @@ class TestJitteredGrid:
                 assert REGION[1, 0] + j * cell_k <= k <= REGION[1, 0] + (j + 1) * cell_k
                 idx += 1
 
-    def test_zero_jitter_gives_cell_centers(self):
-        rng = np.random.default_rng(0)
-        pts = jittered_grid(UNIT, 16, rng, jitter=0.0)
-        centers = (np.arange(4) + 0.5) / 4
-        np.testing.assert_allclose(sorted(set(pts[:, 0])), centers)
-        np.testing.assert_allclose(sorted(set(pts[:, 1])), centers)
+    def test_offsets_from_cell_centers_are_uniform_draws(self):
+        # each point is its cell centre plus a uniform half-cell draw per axis
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        pts = jittered_grid(REGION, 16, rng).reshape(4, 4, 2)
+        cell = (REGION[:, 1] - REGION[:, 0]) / 4
+        centers = REGION[:, 0] + (np.arange(4)[:, None] + 0.5) * cell
+        offsets = np.stack(
+            [pts[..., 0] - centers[:, None, 0], pts[..., 1] - centers[None, :, 1]], axis=-1
+        )
+        expected = twin.uniform(-0.5, 0.5, (4, 4, 2)) * cell
+        np.testing.assert_allclose(offsets / cell, expected / cell, rtol=0, atol=1e-12)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_deterministic_for_fixed_seed(self):
         a = jittered_grid(REGION, 16, np.random.default_rng(42))
@@ -130,6 +142,13 @@ class TestJitteredGrid:
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError):
             jittered_grid(np.array([[0.0, 0.0], [0.0, 1.0]]), 9, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_region_rejected(self, bad):
+        # an infinite or NaN span would give NaN points
+        region = np.array([[0.0, 1.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            jittered_grid(region, 9, np.random.default_rng(0))
 
 
 # Largest amount by which a fit's negative log-likelihood may exceed that of
@@ -149,7 +168,9 @@ def design_nll(pts, values, alphas, powers):
     scaled = _scale(pts, REGION)
     thetas = np.array([np.concatenate([np.log(a), p]) for a, p in zip(alphas, powers)])
     low, high = np.array([LOG_ALPHA_RANGE] * 2 + [POWER_RANGE] * 2).T
-    return _concentrated_nll(thetas, _distances(scaled, scaled), values, 1e-10, low, high)
+    return _concentrated_nll(
+        thetas, _distances(scaled, scaled), values, DEFAULT_NUGGET, low, high
+    )
 
 
 class TestFit:
@@ -188,7 +209,7 @@ class TestFit:
         model = fit(pts, values, rng, bounds=UNIT)
         scaled = (pts - UNIT[:, 0]) / (UNIT[:, 1] - UNIT[:, 0])
         corr = _kernel(_distances(scaled, scaled), model.params.alpha, model.params.power)
-        corr[np.diag_indices_from(corr)] += model.nugget
+        corr[np.diag_indices_from(corr)] += DEFAULT_NUGGET
         rinv_one = np.linalg.solve(corr, np.ones(9))
         mu = rinv_one @ values / rinv_one.sum()
         assert model.mu_hat == pytest.approx(mu, abs=1e-10)
@@ -200,7 +221,7 @@ class TestFit:
         model = fit(pts, values, rng, bounds=UNIT)
         scaled = (pts - UNIT[:, 0]) / (UNIT[:, 1] - UNIT[:, 0])
         corr = _kernel(_distances(scaled, scaled), model.params.alpha, model.params.power)
-        corr[np.diag_indices_from(corr)] += model.nugget
+        corr[np.diag_indices_from(corr)] += DEFAULT_NUGGET
         best = gp_log_likelihood(values, corr, model.mu_hat, model.sigma2_hat)
         for eps in (1e-3, -1e-3):
             assert best >= gp_log_likelihood(
@@ -218,7 +239,7 @@ class TestFit:
         pts, values = synthetic_design(n, seed)
         model = fit(pts, values, np.random.default_rng(seed + 1), bounds=REGION)
         alpha, power, _ = fit_serial_direct(
-            pts, values, np.random.default_rng(seed + 1), REGION, model.nugget
+            pts, values, np.random.default_rng(seed + 1), REGION, DEFAULT_NUGGET
         )
         new, old = design_nll(pts, values, [model.params.alpha, alpha], [model.params.power, power])
         assert new <= old + NLL_BOUND
@@ -230,10 +251,10 @@ class TestFit:
         pts, values = synthetic_design(16, 0)
         model = fit(pts, values, np.random.default_rng(1), bounds=REGION)
         alpha, power, _ = fit_serial_direct(
-            pts, values, np.random.default_rng(1), REGION, model.nugget
+            pts, values, np.random.default_rng(1), REGION, DEFAULT_NUGGET
         )
         scaled = _scale(pts, REGION)
-        chol, _, _ = _gls_maps(_distances(scaled, scaled), alpha, power, model.nugget)
+        chol = cholesky(_distances(scaled, scaled), alpha, power)
         ratio = chol.diagonal().min() / chol.diagonal().max()
         assert COND_GUARD <= ratio < COND_GUARD * (1 + 1e-6)
         new, old = design_nll(pts, values, [model.params.alpha, alpha], [model.params.power, power])
@@ -247,9 +268,7 @@ class TestFit:
         low, high = np.array([LOG_ALPHA_RANGE] * 2 + [POWER_RANGE] * 2).T
         assert np.all((low <= theta) & (theta <= high))
         scaled = _scale(pts, REGION)
-        chol, _, _ = _gls_maps(
-            _distances(scaled, scaled), model.params.alpha, model.params.power, model.nugget
-        )
+        chol = cholesky(_distances(scaled, scaled), model.params.alpha, model.params.power)
         assert chol.diagonal().min() >= COND_GUARD * chol.diagonal().max()
 
     def test_rng_advances_by_the_restart_draws(self):
@@ -296,6 +315,34 @@ class TestFit:
                 np.random.default_rng(0),
                 bounds=UNIT,
             )
+
+    def test_one_dimensional_bounds_rejected(self):
+        pts, values = synthetic_design(9, 0)
+        with pytest.raises(ValueError, match="bounds"):
+            fit(pts, values, np.random.default_rng(0), bounds=REGION[0])
+
+    def test_bounds_of_too_few_axes_rejected_before_any_likelihood(self, monkeypatch):
+        # the design is checked before the first likelihood call
+        calls = []
+        likelihood = kriging._concentrated_nll
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return likelihood(*args)
+
+        monkeypatch.setattr(kriging, "_concentrated_nll", counting)
+        pts, values = synthetic_design(9, 0)
+        with pytest.raises(ValueError, match="samples"):
+            fit(pts, values, np.random.default_rng(0), bounds=REGION[:1])
+        assert calls == []
+
+    def test_infinite_bound_rejected(self):
+        # an infinite span scales every kappa to 0, so the model would
+        # ignore kappa
+        pts, values = synthetic_design(9, 0)
+        bounds = np.array([REGION[0], [0.5, np.inf]])
+        with pytest.raises(ValueError, match="finite"):
+            fit(pts, values, np.random.default_rng(0), bounds=bounds)
 
     def test_deterministic_for_fixed_seed(self):
         pts = jittered_grid(UNIT, 9, np.random.default_rng(21))
@@ -348,8 +395,8 @@ class TestConcentratedNll:
             ]
         )
         with pytest.raises(np.linalg.LinAlgError):
-            _gls_maps(dist, np.exp(thetas[1, :2]), thetas[1, 2:], 0.0)
-        chol, _, _ = _gls_maps(dist, np.exp(thetas[3, :2]), thetas[3, 2:], 0.0)
+            cholesky(dist, np.exp(thetas[1, :2]), thetas[1, 2:], 0.0)
+        chol = cholesky(dist, np.exp(thetas[3, :2]), thetas[3, 2:], 0.0)
         assert chol.diagonal().min() < COND_GUARD * chol.diagonal().max()
 
         stacked = _concentrated_nll(thetas, dist, values, 0.0, low, high)
@@ -483,6 +530,14 @@ class TestPredict:
         far = np.array([60.0, -60.0])
         assert model.predict(far) == pytest.approx(model.mu_hat, abs=1e-12)
 
+    def test_non_finite_sample_rejected(self):
+        # a NaN sample would make every prediction nan
+        pts = jittered_grid(UNIT, 9, np.random.default_rng(4))
+        values = quadratic(pts)
+        pts[2, 0] = np.nan
+        with pytest.raises(ValueError, match="samples"):
+            KrigingModel(pts, values, CorrelationParams([5.0, 5.0], [2.0, 2.0]), UNIT)
+
     def test_grid_path_matches_generic_path(self):
         model, _ = self.make_model()
         deltas = np.linspace(0, 1, 7)
@@ -503,7 +558,7 @@ class TestWithValues:
         mu_before = model.mu_hat
         new_values = np.sin(3.0 * pts[:, 0]) * pts[:, 1]
         swapped = model.with_values(new_values)
-        fresh = KrigingModel(pts, new_values, model.params, UNIT, model.nugget)
+        fresh = KrigingModel(pts, new_values, model.params, UNIT)
         assert swapped.mu_hat == pytest.approx(fresh.mu_hat, abs=1e-12)
         assert swapped.sigma2_hat == pytest.approx(fresh.sigma2_hat, abs=1e-12)
         axis = np.linspace(0, 1, 9)
@@ -514,6 +569,15 @@ class TestWithValues:
         constant = model.with_values(np.full(16, 0.3))
         assert constant.sigma2_hat == 0.0
         assert constant.mu_hat == 0.3
+
+    @pytest.mark.parametrize(
+        "values", [np.full(16, np.nan), np.full(15, 0.3), np.full((16, 1), 0.3)]
+    )
+    def test_invalid_values_rejected(self, values):
+        pts = jittered_grid(UNIT, 16, np.random.default_rng(19))
+        model = KrigingModel(pts, quadratic(pts), CorrelationParams([5.0, 5.0], [2.0, 2.0]), UNIT)
+        with pytest.raises(ValueError, match="values"):
+            model.with_values(values)
 
 
 class TestLooValidate:
@@ -534,7 +598,7 @@ class TestLooValidate:
     def test_matches_direct_refits(self, case):
         model = self.make_model(case)
         preds = loo_predictions_direct(
-            model.samples, model.values, model.params, model.bounds, model.nugget
+            model.samples, model.values, model.params, model.bounds, DEFAULT_NUGGET
         )
         slope = np.polyfit(model.values, preds, 1)[0]
         assert loo_validate(model) == pytest.approx(slope, abs=1e-10)

@@ -86,10 +86,39 @@ class TestNoiseSettings:
         with pytest.raises(ValueError):
             NoiseSettings.from_stationary_std(TWO_PI * 50e3, tau=0.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_parameters_rejected(self, bad):
+        for kwargs in (dict(delta_fwhm=bad), dict(tau=bad), dict(c=bad)):
+            with pytest.raises(ValueError, match="finite"):
+                NoiseSettings(**kwargs)
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSettings.from_stationary_std(bad, tau=20e-6)
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSettings.from_stationary_std(TWO_PI * 50e3, tau=bad)
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSettings.from_stationary_std(TWO_PI * 50e3, tau=20e-6, delta_fwhm=bad)
+
     def test_negative_stationary_std_rejected(self):
         # c = 2 std^2 / tau would otherwise run it as +std
         with pytest.raises(ValueError, match="nonnegative"):
             NoiseSettings.from_stationary_std(-TWO_PI * 50e3, tau=20e-6)
+
+
+class TestAcSignal:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(g_ac=-1.0),
+            dict(g_ac=float("inf")),
+            dict(g_ac=float("nan")),
+            dict(omega_s=0.0),
+            dict(omega_s=float("inf")),
+            dict(omega_s=float("nan")),
+        ],
+    )
+    def test_invalid_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be"):
+            AcSignal(**kwargs)
 
 
 class TestBuildXy8:

@@ -388,6 +388,17 @@ class TestConfigValidation:
             dict(verify_grid=(50,)),
             dict(nm_max_iter=0),
             dict(nm_max_iter=-3),
+            dict(delta_range=(-1.0, float("inf"))),
+            dict(delta_range=(float("nan"), 1.0)),
+            dict(kappa_range=(float("-inf"), 1.5)),
+            dict(kappa_range=(0.5, float("nan"))),
+            dict(delta_fwhm=float("inf")),
+            dict(delta_fwhm=float("nan")),
+            dict(kappa_fwhm=float("inf")),
+            dict(kappa_mean=float("nan")),
+            dict(kappa_mean=float("inf")),
+            dict(nm_f_tol=float("inf")),
+            dict(nm_f_tol=float("nan")),
         ],
     )
     def test_invalid_values_rejected(self, bad):
