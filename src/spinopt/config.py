@@ -154,6 +154,14 @@ def _number(cfg: dict, key: str) -> float:
     return config_float(cfg[section][name], key)
 
 
+def _positive(cfg: dict, key: str) -> float:
+    """``_number`` of a setting that must be above zero."""
+    number = _number(cfg, key)
+    if number <= 0:
+        raise ConfigError(f"config key {key} must be positive, not {number!r}")
+    return number
+
+
 def _field_vector(params: dict, name: str) -> np.ndarray:
     """Field vector ``params[name]`` in rad/s: a number or a flat list of
     numbers, each finite once converted."""
@@ -218,19 +226,20 @@ def opt_config_from(cfg: dict, seed: int | None = None, **overrides) -> OptConfi
 
 def magnetometry_from(cfg: dict, seed: int | None = None):
     """(rect sequence settings, shaped settings, signal, noise, run settings)
-    from config; invalid signal, noise or realization values, and a
+    from config; a pulse length, gap or amplitude limit that is not
+    positive, invalid signal, noise or realization values, and a
     ``t_max_us`` too short for a T2 fit of either sequence, raise
     ConfigError."""
     m = cfg["magnetometry"]
-    amp_limit = float(rad_s_from_mhz(_number(cfg, "optimize.amp_limit_mhz")))
+    amp_limit = float(rad_s_from_mhz(_positive(cfg, "optimize.amp_limit_mhz")))
     rect = {
-        "t_pulse": float(s_from_ns(_number(cfg, "magnetometry.rect_pulse_ns"))),
-        "tau_pulse": float(s_from_ns(_number(cfg, "magnetometry.rect_gap_ns"))),
+        "t_pulse": float(s_from_ns(_positive(cfg, "magnetometry.rect_pulse_ns"))),
+        "tau_pulse": float(s_from_ns(_positive(cfg, "magnetometry.rect_gap_ns"))),
     }
-    shaped_pulse = float(s_from_ns(_number(cfg, "magnetometry.shaped_pulse_ns")))
+    shaped_pulse = float(s_from_ns(_positive(cfg, "magnetometry.shaped_pulse_ns")))
     shaped = {
         "t_pulse": shaped_pulse,
-        "tau_pulse": float(s_from_ns(_number(cfg, "magnetometry.shaped_gap_ns"))),
+        "tau_pulse": float(s_from_ns(_positive(cfg, "magnetometry.shaped_gap_ns"))),
         "x_field": (
             default_shaped_pi_field(shaped_pulse, amp_limit)
             if m["shaped_field"] is None

@@ -17,9 +17,12 @@ function is called per factor; a batch with theta above 1 is scaled down by
 steps on the last axis, the two Gauss-point drives are mixed on the time
 axis before they are broadcast over points, and every kernel caller
 splits its rows into calls of at most ``_KERNEL_POINT_STEPS`` point-steps
-(``kernel_slices``), a budget measured on both callers' traffic.  Each
-thread keeps the working blocks of the last few shapes it propagated, each with
-the views of its whole reduction built in advance (``_Plan``), so a
+(``kernel_slices``), a budget measured on both callers' traffic.
+``run_slices`` runs independent slices on every usable core, the calling
+thread and one persistent helper thread per further CPU.  Each thread,
+helpers included, keeps the working blocks of the last few shapes it
+propagated (at most ``_PLAN_SHAPES``, about 4 MB each at the budget), each
+with the views of its whole reduction built in advance (``_Plan``), so a
 repeated shape allocates no working memory and builds no views.
 
 The time-step error falls as steps^-4.  The step-error table below gives
@@ -42,8 +45,10 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -301,7 +306,10 @@ class _Plan:
 # Plans kept per thread, so concurrent callers never share a block; the
 # least recently used shape is dropped past the bound.  One trial needs
 # three: its search batch and the 50x50 verification's full and remainder
-# chunks.
+# chunks.  A plan takes 128 bytes per point-step, so at most about 16 MB per
+# thread at the kernel budget; a ``run_slices`` helper holds the XY-8 pulse
+# pass's two shapes, 3.8 MB for a default group of 6 pulses and 2.6 MB for
+# its remainder of 4.
 _PLAN_SHAPES = 4
 _plans = threading.local()
 
@@ -358,6 +366,114 @@ def kernel_slices(n_rows: int, row_steps: int) -> list:
     (at least one row), then the remainder."""
     rows = max(1, _KERNEL_POINT_STEPS // row_steps)
     return [slice(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Job:
+    """One ``run_slices`` call as its workers share it: each takes the next
+    slice until none is left or a slice has raised; the last worker out sets
+    ``done``."""
+
+    def __init__(self, fn, slices, workers):
+        self.fn = fn
+        self.slices = slices
+        self.next = 0
+        self.error = None
+        self.running = workers
+        self.lock = threading.Lock()
+        self.done = threading.Event()
+
+    def work(self):
+        while True:
+            with self.lock:
+                if self.error is not None or self.next == len(self.slices):
+                    break
+                item = self.slices[self.next]
+                self.next += 1
+            try:
+                self.fn(item)
+            except BaseException as exc:
+                with self.lock:
+                    if self.error is None:
+                        self.error = exc
+        with self.lock:
+            self.running -= 1
+            if self.running == 0:
+                self.done.set()
+
+
+class _Helpers:
+    """Persistent daemon threads that join ``run_slices`` calls, one job
+    queue each; ``lock`` is held by the one call that uses them."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.queues = []
+
+    def start(self, n):
+        while len(self.queues) < n:
+            queue = SimpleQueue()
+            name = f"spinopt-slices-{len(self.queues)}"
+            threading.Thread(target=_serve, args=(queue,), name=name, daemon=True).start()
+            self.queues.append(queue)
+
+
+def _serve(queue):
+    while True:
+        queue.get().work()
+
+
+_helpers = _Helpers()
+
+
+def _drop_helpers():
+    # A forked child has only the forking thread; the inherited queues would
+    # never be served.
+    global _helpers
+    _helpers = _Helpers()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helpers)
+
+
+def run_slices(fn, slices) -> None:
+    """Call ``fn(s)`` once for each ``s`` in ``slices``, on every usable core.
+
+    The calling thread shares the slices with persistent daemon helpers,
+    one per usable CPU beyond the first and never more than there are
+    slices beyond the first; they start at the first call that can use
+    them.  ``fn`` must be safe to run on several threads at once, and its
+    results must not depend on which thread runs it (each thread keeps its
+    own kernel plans).  The first exception a slice raises is re-raised
+    here, once every worker has stopped taking slices.  A call made while
+    another holds the helpers, as any call from inside ``fn`` does, runs
+    its slices serially on its own thread, so it cannot deadlock.
+    """
+    slices = list(slices)
+    n = min(_usable_cpus(), len(slices)) - 1
+    helpers = _helpers
+    if n < 1 or not helpers.lock.acquire(blocking=False):
+        for item in slices:
+            fn(item)
+        return
+    try:
+        helpers.start(n)
+        job = _Job(fn, slices, n + 1)
+        for queue in helpers.queues[:n]:
+            queue.put(job)
+        job.work()
+        job.done.wait()
+    finally:
+        helpers.lock.release()
+    if job.error is not None:
+        raise job.error
 
 
 @functools.lru_cache(maxsize=8)

@@ -23,6 +23,7 @@ from .dynamics import (
     cf4_propagator,
     cf4_times,
     kernel_slices,
+    run_slices,
 )
 from .fields import ControlField, constant_drive, pm_field, quadratures
 
@@ -93,7 +94,15 @@ class NoiseSettings:
             raise ValueError("tau must be finite and positive")
         if not 0 <= std < math.inf:
             raise ValueError("stationary std must be finite and nonnegative")
-        return cls(tau=tau, c=2.0 * std**2 / tau, **kwargs)
+        try:
+            c = 2.0 * float(std) ** 2 / tau
+        except OverflowError:
+            c = math.inf
+        if c == math.inf:
+            raise ValueError(
+                f"stationary std must be small enough that c = 2 std^2 / tau is finite, not {std!r}"
+            )
+        return cls(tau=tau, c=c, **kwargs)
 
     @classmethod
     def disabled(cls, n_realizations: int = 1, seed: int = 0) -> "NoiseSettings":
@@ -291,8 +300,11 @@ def simulate_ramsey(
 
     The OU path does not depend on the spin state, so the trace runs in
     three passes: the noise of every segment is drawn in schedule order,
-    every pulse is propagated (several per kernel call), and the spin walks
-    the free rotations and pulses, read out at each block terminal.
+    every pulse is propagated (several per kernel call, the groups spread
+    over every usable core by ``run_slices``, with the same bits as one
+    group after another), and the spin walks the free rotations and pulses,
+    read out at each block terminal.  Only the pulse pass leaves the
+    calling thread.
     """
     if n_steps_per_pulse < 1:
         raise ValueError("n_steps_per_pulse must be at least 1")
@@ -345,10 +357,13 @@ def simulate_ramsey(
         drive = _x_drive(seq, sample_times, kappa)
         starts = bounds[:, 1:-1:2].ravel()
         pulse_totals = totals[:, 1::2].reshape(-1, r)
-        for group in kernel_slices(8 * n_blocks, r * n_steps_per_pulse):
+
+        def propagate_group(group):
             pairs[:, group] = _pulse_unitaries(
                 signal, starts[group], pulse_totals[group], drive, sample_times, dt
             )
+
+        run_slices(propagate_group, kernel_slices(8 * n_blocks, r * n_steps_per_pulse))
     a, b = pairs.reshape(2, n_blocks, 8, -1)
     b[:, np.array(XY8_AXES) == "y"] *= 1j
 

@@ -212,6 +212,13 @@ class TestExitCodes:
             ("magnetometry", {"magnetometry": {"t_max_us": INF}}),
             ("magnetometry", {"magnetometry": {"rect_gap_ns": NAN}}),
             ("trials", {"optimize": {"kappa_mean": 10**400}}),
+            ("magnetometry", {"magnetometry": {"ou_stationary_khz": 1e300}}),
+            ("magnetometry", {"optimize": {"amp_limit_mhz": 0}}),
+            ("magnetometry", {"optimize": {"amp_limit_mhz": -1}}),
+            ("magnetometry", {"magnetometry": {"shaped_pulse_ns": 0}}),
+            ("magnetometry", {"magnetometry": {"shaped_pulse_ns": -1}}),
+            ("magnetometry", {"magnetometry": {"rect_pulse_ns": 0, "rect_gap_ns": 400}}),
+            ("magnetometry", {"magnetometry": {"shaped_gap_ns": 0, "shaped_pulse_ns": 400}}),
         ],
     )
     def test_non_integer_setting_exits_2(self, tmp_path, capsys, command, payload):

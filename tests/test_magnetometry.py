@@ -103,6 +103,19 @@ class TestNoiseSettings:
         with pytest.raises(ValueError, match="nonnegative"):
             NoiseSettings.from_stationary_std(-TWO_PI * 50e3, tau=20e-6)
 
+    @pytest.mark.parametrize(
+        "std, tau",
+        [
+            (TWO_PI * 1e303, 20e-6),  # std**2 raises OverflowError
+            (np.float64(TWO_PI * 1e303), 20e-6),  # and a numpy scalar
+            (1e154, 20e-6),  # std**2 is finite, 2 std^2 is not
+            (1e150, 1e-20),  # only the division by tau overflows
+        ],
+    )
+    def test_std_whose_c_overflows_rejected(self, std, tau):
+        with pytest.raises(ValueError, match="stationary std must be"):
+            NoiseSettings.from_stationary_std(std, tau=tau)
+
 
 class TestAcSignal:
     @pytest.mark.parametrize(
