@@ -39,8 +39,7 @@ for n in (9, 16):
     print(f"n = {n:2d} samples:")
     print(f"  kriging prediction MAE  : {mae_pred:.4f}")
     print(f"  nearest-sample MAE      : {mae_nearest:.4f}")
-    print(f"  fitted alpha = {np.round(model.params.alpha, 3)}, "
-          f"p = {np.round(model.params.power, 3)}, mu = {model.mu_hat:.3f}")
+    print(f"  fitted alpha = {np.round(model.params.alpha, 3)}, mu = {model.mu_hat:.3f}")
 
 print("\nthe interpolator reads structure between the samples that nearest-")
 print("neighbor lookup cannot, which is what makes tiny sample budgets usable")

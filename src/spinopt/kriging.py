@@ -1,25 +1,25 @@
 """Constant-mean Kriging estimator of the single-point fidelity surface.
 
 The model treats the response as a stationary Gaussian process with mean mu
-and power-exponential correlation
+and Gaussian correlation, one length scale per axis,
 
-    Corr(x_i, x_j) = exp(-sum_h alpha_h |x_ih - x_jh|^p_h),  alpha_h >= 0,
-    p_h in [1, 2],
+    Corr(x_i, x_j) = exp(-sum_h alpha_h (x_ih - x_jh)^2),  alpha_h >= 0,
 
-fitted by maximizing the concentrated likelihood (mu and sigma^2 replaced by
-their analytic optima) over (log alpha, p): one stacked scan of a fixed
-lattice and a few random thetas picks the starts, and a projected Newton
-polish with the analytic gradient and Hessian (Fisher scoring where the
-Hessian is indefinite) finishes them.  Coordinates are rescaled to the unit
-square before distances are taken so the alpha values are comparable across
-dimensions.  The predictor is the
+the p = 2 member of the power-exponential family of Sacks, Welch, Mitchell
+& Wynn (Stat. Sci. 4, 409 (1989)).  It is fitted by maximizing the
+concentrated likelihood (mu and sigma^2 replaced by their analytic optima)
+over log alpha: one stacked scan of a fixed lattice and a few random thetas
+picks the starts, and a projected Newton polish with the analytic gradient
+and Hessian (Fisher scoring where the Hessian is indefinite) finishes them.
+Coordinates are rescaled to the unit square before distances are taken so
+the alpha values are comparable across dimensions.  The predictor is the
 best linear unbiased interpolator
 
     yhat(x) = mu_hat + r(x)' R^-1 (y - 1 mu_hat).
 
 The responses are deterministic simulations, a noise-free computer
-experiment (Sacks, Welch, Mitchell & Wynn, Stat. Sci. 4, 409 (1989)), so the
-nugget DEFAULT_NUGGET is a constant numerical regularizer, not a noise model.
+experiment (Sacks et al. 1989), so the nugget DEFAULT_NUGGET is a constant
+numerical regularizer, not a noise model.
 """
 from __future__ import annotations
 
@@ -36,11 +36,10 @@ from .neldermead import nelder_mead  # noqa: F401
 # Added to the diagonal of every correlation matrix before it is factored.
 DEFAULT_NUGGET = 1e-10
 LOG_ALPHA_RANGE = (-6.0, 6.0)
-POWER_RANGE = (1.0, 2.0)
-# Uniform draws of (log alpha, p) that each fit adds to its likelihood scan.
+# Uniform draws of log alpha that each fit adds to its likelihood scan.
 FIT_RESTARTS = 5
-# Levels of each log alpha and of each power in the scan's lattice.
-SCAN_LEVELS = (7, 3)
+# Levels of each log alpha in the scan's lattice.
+SCAN_LEVELS = 7
 # Scanned thetas that each fit polishes (see ``_polish`` for the rest).
 POLISH_STARTS = 8
 # Stop test: largest first-order decrease that a polish step may predict.
@@ -58,9 +57,9 @@ POLISH_EPS = 0.1
 # the correlation matrix numerically singular regardless of the nugget.
 SEPARATION_FLOOR = 1e-6
 # Reject fitted correlation matrices whose Cholesky diagonal spans more than
-# ~1.7 decades (condition number beyond ~2.5e3); the interpolation and GLS-mean
-# tolerances are unreachable past that point.
-COND_GUARD = 2e-2
+# ~1.3 decades (condition number beyond ~4e2); past that point the Gaussian
+# kernel's interpolation residual can exceed 1e-8.
+COND_GUARD = 5e-2
 
 
 class DegenerateDesignError(ValueError):
@@ -77,22 +76,17 @@ class DegenerateValidationError(ValueError):
 
 @dataclass(frozen=True)
 class CorrelationParams:
-    """Per-dimension scales and exponents of the power-exponential kernel."""
+    """Per-dimension inverse squared length scales of the Gaussian kernel."""
 
     alpha: np.ndarray
-    power: np.ndarray
 
     def __post_init__(self):
         alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        power = np.atleast_1d(np.asarray(self.power, dtype=float))
-        if alpha.shape != power.shape or alpha.ndim != 1:
-            raise ValueError("alpha and power must be 1-d and the same length")
+        if alpha.ndim != 1:
+            raise ValueError("alpha must be 1-d")
         if np.any(alpha < 0) or not np.all(np.isfinite(alpha)):
             raise ValueError("alpha entries must be finite and >= 0")
-        if np.any(power < POWER_RANGE[0]) or np.any(power > POWER_RANGE[1]):
-            raise ValueError("power entries must lie in [1, 2]")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "power", power)
 
 
 def _scale(x, bounds):
@@ -100,33 +94,37 @@ def _scale(x, bounds):
     return (np.asarray(x, dtype=float) - bounds[..., 0]) / (bounds[..., 1] - bounds[..., 0])
 
 
-def _distances(a, b):
-    """Per-axis distances |a_i - b_j|, shape (k, m, n), between scaled point
-    sets a (m, k) and b (n, k)."""
-    return np.abs(a.T[:, :, None] - b.T[:, None, :])
+def _sq_distances(a, b):
+    """Per-axis squared distances (a_i - b_j)^2, shape (k, m, n), between
+    scaled point sets a (m, k) and b (n, k)."""
+    diff = a.T[:, :, None] - b.T[:, None, :]
+    return diff * diff
 
 
-def _kernel_terms(dist, alpha, power):
-    """Per-axis exponents -alpha_h dist_h^p_h, shape (k, m, n), of per-axis
-    distances ``dist`` (k, m, n) for per-dimension ``alpha`` and ``power`` of
-    shape (k,), or (B, k, m, n) for (B, k) stacks of them.
-
-    With the axis first, each power runs over whole (m, n) blocks, about
-    twice as fast as over the axis last.
-    """
-    terms = dist ** power[..., None, None]
-    terms *= -alpha[..., None, None]
-    return terms
+def _kernel_terms(sq_dist, alpha):
+    """Per-axis exponents -alpha_h sq_dist_h, shape (k, m, n), of per-axis
+    squared distances ``sq_dist`` (k, m, n) for per-dimension ``alpha`` of
+    shape (k,), or (B, k, m, n) for a (B, k) stack of them."""
+    return sq_dist * -alpha[..., None, None]
 
 
-def _kernel(dist, alpha, power):
+def _kernel(sq_dist, alpha):
     """Correlation (m, n), or (B, m, n) for stacked parameters, of per-axis
-    distances ``dist`` (k, m, n).
+    squared distances ``sq_dist`` (k, m, n).
 
     numpy sums fewer than 8 axes in sequence, and exp(sum(-a x)) is
     exp(-sum(a x)) exactly.
     """
-    return np.exp(_kernel_terms(dist, alpha, power).sum(axis=-3))
+    return np.exp(_kernel_terms(sq_dist, alpha).sum(axis=-3))
+
+
+def _check_values(values, n):
+    """``values`` as a float array; ValueError unless it is finite and of
+    shape (n,)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,) or not np.isfinite(values).all():
+        raise ValueError(f"values must be a finite ({n},) array")
+    return values
 
 
 def _check_design(bounds, samples=None, values=None):
@@ -144,9 +142,7 @@ def _check_design(bounds, samples=None, values=None):
         if samples.shape[1:] != (len(bounds),) or not np.isfinite(samples).all():
             raise ValueError(f"samples must be a finite (n, {len(bounds)}) array")
     if values is not None:
-        values = np.asarray(values, dtype=float)
-        if values.shape != samples.shape[:1] or not np.isfinite(values).all():
-            raise ValueError(f"values must be a finite ({len(samples)},) array")
+        values = _check_values(values, len(samples))
     return bounds, samples, values
 
 
@@ -216,12 +212,12 @@ class KrigingModel:
         self.nll_evals = 0
         self.nll_converged = 0
         self._scaled = _scale(samples, bounds)
-        corr = _kernel(_distances(self._scaled, self._scaled), params.alpha, params.power)
+        corr = _kernel(_sq_distances(self._scaled, self._scaled), params.alpha)
         _, _, self._mean_map, self._weight_map = _factor(corr, DEFAULT_NUGGET)
         self._set_values(values)
 
     def _set_values(self, values):
-        # ``values`` has passed ``_check_design``.
+        # ``values`` has passed ``_check_values``.
         self.values = values
         if np.ptp(values) == 0.0:
             # Constant responses: the predictor is identically the constant.
@@ -240,9 +236,8 @@ class KrigingModel:
 
     def with_values(self, values) -> "KrigingModel":
         """Same sample positions and correlation structure, new responses."""
-        _, _, values = _check_design(self.bounds, self.samples, values)
         model = copy.copy(self)
-        model._set_values(values)
+        model._set_values(_check_values(values, self.n))
         return model
 
     def predict(self, x):
@@ -250,7 +245,7 @@ class KrigingModel:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = _scale(np.atleast_2d(x), self.bounds)
-        r = _kernel(_distances(pts, self._scaled), self.params.alpha, self.params.power)
+        r = _kernel(_sq_distances(pts, self._scaled), self.params.alpha)
         out = self.mu_hat + r @ self._weights
         return float(out[0]) if single else out
 
@@ -262,35 +257,33 @@ class KrigingModel:
         """
         a, b = (
             _kernel(
-                _distances(_scale(x, self.bounds[i])[:, None], self._scaled[:, i : i + 1]),
+                _sq_distances(_scale(x, self.bounds[i])[:, None], self._scaled[:, i : i + 1]),
                 self.params.alpha[i : i + 1],
-                self.params.power[i : i + 1],
             )
             for i, x in enumerate((deltas, kappas))
         )
         return self.mu_hat + a @ (b * self._weights).T
 
 
-def _concentrated_nll(thetas, dist, values, nugget, low, high, log_dist=None):
-    """Negative concentrated log-likelihood, shape (B,), of a (B, 2k) stack
-    of thetas = (log alpha, p), for the samples' per-axis distances ``dist``
-    (k, n, n).  Outside the box [low, high] each value is the one at the
-    clipped theta plus a quadratic penalty on the excess.
+def _concentrated_nll(thetas, sq_dist, values, nugget, low, high, derivatives=False):
+    """Negative concentrated log-likelihood, shape (B,), of a (B, k) stack
+    of thetas = log alpha, for the samples' per-axis squared distances
+    ``sq_dist`` (k, n, n).  Outside the box [low, high] each value is the
+    one at the clipped theta plus a quadratic penalty on the excess.
 
     The whole stack's correlation matrices are built and factored together;
     each value equals that of a one-theta stack bit for bit.
 
-    Given ``log_dist``, the per-axis log distances (0 where a distance is
-    0), the call returns ``(values, grad, hess, fisher, margin,
-    margin_grad)``: the values as without it, bit for bit, then the gradient
-    (B, 2k), Hessian and Fisher information (B, 2k, 2k) of the likelihood at
-    the clipped thetas, and the conditioning guard's margin
+    With ``derivatives`` the call returns ``(values, grad, hess, fisher,
+    margin, margin_grad)``: the values as without it, bit for bit, then the
+    gradient (B, k), Hessian and Fisher information (B, k, k) of the
+    likelihood at the clipped thetas, and the conditioning guard's margin
     log(min L_ii / max L_ii / COND_GUARD) (B,), which the guard keeps at 0
-    or above, with its gradient (B, 2k).  Rows whose value is 1e12 or more
+    or above, with its gradient (B, k).  Rows whose value is 1e12 or more
     carry no meaningful derivatives.
     """
     n = values.size
-    k = len(dist)
+    k = len(sq_dist)
     clipped = thetas.clip(low, high)
     excess = thetas - clipped
     penalty = 1e3 * (excess * excess).sum(axis=-1)
@@ -298,22 +291,22 @@ def _concentrated_nll(thetas, dist, values, nugget, low, high, log_dist=None):
     # The clipped values are in range by construction; building a validated
     # CorrelationParams here would re-check them on every evaluation.
     try:
-        terms = _kernel_terms(dist, np.exp(clipped[:, :k]), clipped[:, k:])
+        terms = _kernel_terms(sq_dist, np.exp(clipped))
         corr = np.exp(terms.sum(axis=-3))
         chol, chol_inv, mean_map, weight_map = _factor(corr, nugget)
     except np.linalg.LinAlgError:
         if len(thetas) == 1:
-            if log_dist is None:
+            if not derivatives:
                 return out
-            vector, matrix = np.zeros((1, 2 * k)), np.zeros((1, 2 * k, 2 * k))
+            vector, matrix = np.zeros((1, k)), np.zeros((1, k, k))
             return out, vector, matrix, matrix, np.zeros(1), vector
         # One indefinite matrix fails the whole stack: factor theta by theta
         # so that only the failing ones get the sentinel.
         parts = [
-            _concentrated_nll(theta[None], dist, values, nugget, low, high, log_dist)
+            _concentrated_nll(theta[None], sq_dist, values, nugget, low, high, derivatives)
             for theta in thetas
         ]
-        if log_dist is None:
+        if not derivatives:
             return np.concatenate(parts)
         return tuple(np.concatenate(part) for part in zip(*parts))
     diag = chol.diagonal(axis1=-2, axis2=-1)
@@ -330,17 +323,16 @@ def _concentrated_nll(thetas, dist, values, nugget, low, high, log_dist=None):
     for b, (conditioned, var) in enumerate(zip(well.tolist(), sigma2.tolist())):
         if conditioned and 0.0 < var < math.inf:
             out[b] = 0.5 * (n * np.log(2.0 * np.pi * var) + log_det[b] + n) + penalty[b]
-    if log_dist is None:
+    if not derivatives:
         return out
-    # dR_i = T_i R off the diagonal, with T_i = terms_h for log alpha_h and
-    # terms_h log(dist_h) for p_h; both are 0 on the diagonal.
-    d_terms = np.concatenate([terms, terms * log_dist], axis=1)
-    d_corr = d_terms * corr[:, None]
+    # dR_h = T_h R for log alpha_h, with T_h = terms_h, which is 0 on the
+    # diagonal.
+    d_corr = terms * corr[:, None]
     # S_i = L^-1 dR_i L^-T: tr(R^-1 dR_i) = tr(S_i), and d log L_jj = S_i,jj / 2.
     s = chol_inv[:, None] @ d_corr @ chol_inv.mT[:, None]
     s_diag = s.diagonal(axis1=-2, axis2=-1)
     trace = s_diag.sum(axis=-1)
-    flat = s.reshape(len(s), 2 * k, n * n)
+    flat = s.reshape(len(s), k, n * n)
     s_s = flat @ flat.mT
     # With w = R^-1 (y - 1 mu_hat) = Q y, d nll = tr((R^-1 - w w' / sigma2) dR) / 2
     # (Rasmussen & Williams 2006, eq. 5.9, with mu and sigma2 profiled out).
@@ -349,26 +341,20 @@ def _concentrated_nll(thetas, dist, values, nugget, low, high, log_dist=None):
     scaled = (resid[:, None] * d_corr).reshape(flat.shape)
     grad = 0.5 * scaled.sum(axis=-1)
     # The Hessian, from d(y' Q y) = -w' dR w, dQ = -Q dR Q and
-    # d2R_ij = (T_i T_j + dT_i / dtheta_j) R:  [tr((R^-1 - w w' / sigma2) d2R_ij)
+    # d2R_ij = (T_i T_j + delta_ij T_i) R:  [tr((R^-1 - w w' / sigma2) d2R_ij)
     # - tr(S_i S_j)] / 2 + w' dR_i Q dR_j w / sigma2 - q_i q_j / (2 n sigma2^2),
     # q_i = w' dR_i w.
     u = d_corr @ weights[:, None, :, None]
     quad = (weights[:, None, None, :] @ u)[..., 0, 0]
     u = u[..., 0]
     hess = (
-        0.5 * (scaled @ d_terms.reshape(flat.shape).mT - s_s)
+        0.5 * (scaled @ terms.reshape(flat.shape).mT - s_s)
         + (u @ weight_map @ u.mT) * inv_var[:, None, None]
         - (0.5 / n) * (quad[:, :, None] * quad[:, None, :]) * (inv_var**2)[:, None, None]
     )
-    # dT_i / dtheta_j is nonzero only within one axis h: terms_h (a, a),
-    # terms_h log(dist_h) (a, p) and terms_h log(dist_h)^2 (p, p).
+    # The delta_ij T_i term adds the gradient to the diagonal.
     same_axis = np.arange(k)
-    hess[:, same_axis, same_axis] += grad[:, :k]
-    hess[:, same_axis, same_axis + k] += grad[:, k:]
-    hess[:, same_axis + k, same_axis] += grad[:, k:]
-    hess[:, same_axis + k, same_axis + k] += 0.5 * (
-        scaled[:, k:].reshape(d_corr[:, k:].shape) * log_dist
-    ).sum(axis=(-2, -1))
+    hess[:, same_axis, same_axis] += grad
     # Expected information of theta with sigma2 profiled out (Mardia &
     # Marshall 1984): tr(S_i S_j) / 2 - tr(S_i) tr(S_j) / (2n).
     fisher = 0.5 * s_s - (0.5 / n) * (trace[:, :, None] * trace[:, None, :])
@@ -384,13 +370,11 @@ def _concentrated_nll(thetas, dist, values, nugget, low, high, log_dist=None):
 
 @functools.cache
 def _scan_lattice(k: int) -> np.ndarray:
-    """Read-only product lattice of thetas = (log alpha, p), shape (L, 2k),
-    that every fit of k-dimensional samples scans: SCAN_LEVELS levels of
-    each log alpha across LOG_ALPHA_RANGE and of each power across
-    POWER_RANGE (L = 21**k)."""
-    log_alphas = np.linspace(*LOG_ALPHA_RANGE, SCAN_LEVELS[0])
-    axes = [log_alphas] * k + [np.linspace(*POWER_RANGE, SCAN_LEVELS[1])] * k
-    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * k)
+    """Read-only product lattice of thetas = log alpha, shape (L, k), that
+    every fit of k-dimensional samples scans: SCAN_LEVELS levels of each
+    log alpha across LOG_ALPHA_RANGE (L = 7**k)."""
+    axes = [np.linspace(*LOG_ALPHA_RANGE, SCAN_LEVELS)] * k
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
     lattice.flags.writeable = False
     return lattice
 
@@ -400,7 +384,7 @@ def _pick_starts(scanned, k):
     local minima (no higher than either neighbour along every axis) and the
     random draws that follow the lattice in ``scanned``."""
     size = len(_scan_lattice(k))
-    grid = scanned[:size].reshape((SCAN_LEVELS[0],) * k + (SCAN_LEVELS[1],) * k)
+    grid = scanned[:size].reshape((SCAN_LEVELS,) * k)
     padded = np.pad(grid, 1, constant_values=np.inf)
     local = grid < 1e11
     for axis, length in enumerate(grid.shape):
@@ -510,8 +494,8 @@ def fit(samples, values, rng: np.random.Generator, bounds) -> KrigingModel:
         raise ValueError("at least 3 samples are required")
 
     scaled = _scale(samples, bounds)
-    dist = _distances(scaled, scaled)
-    separation = np.sqrt(np.sum(dist**2, axis=0))
+    sq_dist = _sq_distances(scaled, scaled)
+    separation = np.sqrt(sq_dist.sum(axis=0))
     separation[np.diag_indices_from(separation)] = np.inf
     floor = SEPARATION_FLOOR * np.sqrt(k)
     if np.min(separation) < floor:
@@ -519,33 +503,30 @@ def fit(samples, values, rng: np.random.Generator, bounds) -> KrigingModel:
             f"sample pair closer than {floor:.1e} of the scaled region"
         )
 
-    default_params = CorrelationParams(np.ones(k), np.full(k, 2.0))
     if np.ptp(values) == 0.0:
         # Constant responses: the predictor is identically mu_hat and the
-        # likelihood carries no information about (alpha, p).
-        return KrigingModel(samples, values, default_params, bounds)
+        # likelihood carries no information about alpha.
+        return KrigingModel(samples, values, CorrelationParams(np.ones(k)), bounds)
 
-    # Box of theta = (log alpha, p), k entries of each.
-    low, high = np.repeat([LOG_ALPHA_RANGE, POWER_RANGE], k, axis=0).T
+    # Box of theta = log alpha, one entry per axis.
+    low, high = np.array([LOG_ALPHA_RANGE] * k).T
     scan = np.concatenate(
         [_scan_lattice(k), [rng.uniform(low, high) for _ in range(FIT_RESTARTS)]]
     )
-    scanned = _concentrated_nll(scan, dist, values, DEFAULT_NUGGET, low, high)
+    scanned = _concentrated_nll(scan, sq_dist, values, DEFAULT_NUGGET, low, high)
     if scanned.min() >= 1e11:
         raise FitError("no scanned theta gives a usable likelihood")
     starts = scan[_pick_starts(scanned, k)]
-    log_dist = np.log(dist, out=np.zeros_like(dist), where=dist > 0.0)
     thetas, nlls, converged, evals = _polish(
         starts,
         lambda thetas: _concentrated_nll(
-            thetas, dist, values, DEFAULT_NUGGET, low, high, log_dist
+            thetas, sq_dist, values, DEFAULT_NUGGET, low, high, derivatives=True
         ),
         low,
         high,
     )
     # The first lowest wins.
-    best = thetas[np.argmin(nlls)]
-    params = CorrelationParams(np.exp(best[:k]), best[k:])
+    params = CorrelationParams(np.exp(thetas[np.argmin(nlls)]))
     model = KrigingModel(samples, values, params, bounds)
     model.nll_evals = len(scan) + evals
     model.nll_converged = int(converged.sum())
@@ -553,7 +534,7 @@ def fit(samples, values, rng: np.random.Generator, bounds) -> KrigingModel:
 
 
 def loo_validate(model: KrigingModel) -> float:
-    """Leave-one-out slope of predicted-vs-true under the fitted (alpha, p).
+    """Leave-one-out slope of predicted-vs-true under the fitted alpha.
 
     Each sample is predicted from the remaining n-1 samples with the parent
     model's correlation parameters; the returned value is the ordinary

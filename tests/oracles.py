@@ -287,35 +287,31 @@ def gp_log_likelihood(values, corr, mu, sigma2):
     return -0.5 * (n * math.log(2.0 * math.pi * sigma2) + logdet + quad / sigma2)
 
 
-def concentrated_nll_direct(theta, scaled, values, nugget, log_alpha_range, power_range):
+def concentrated_nll_direct(theta, scaled, values, nugget, log_alpha_range):
     """Negative concentrated log-likelihood by explicit loops and solves.
 
-    theta holds (log alpha_1..k, p_1..k) for the k columns of the unit-box
-    ``scaled`` samples.  Each coordinate outside its range is clamped into
-    it and adds 1e3 times its squared excess, summed separately for each
-    side of each range.  mu and sigma^2 take their GLS optima, computed with
-    ``np.linalg.solve``; log det R comes from ``np.linalg.slogdet``.
+    theta holds log alpha_1..k of the Gaussian kernel for the k columns of
+    the unit-box ``scaled`` samples.  Each coordinate outside its range is
+    clamped into it and adds 1e3 times its squared excess, summed separately
+    for each side of the range.  mu and sigma^2 take their GLS optima,
+    computed with ``np.linalg.solve``; log det R comes from
+    ``np.linalg.slogdet``.
     """
     theta = np.asarray(theta, dtype=float)
     scaled = np.asarray(scaled, dtype=float)
     values = np.asarray(values, dtype=float)
     n, k = scaled.shape
     lo, hi = log_alpha_range
-    p_lo, p_hi = power_range
-    log_alpha, power = list(theta[:k]), list(theta[k:])
     penalty = 0.0
-    penalty += 1e3 * sum(max(x - hi, 0.0) ** 2 for x in log_alpha)
-    penalty += 1e3 * sum(max(lo - x, 0.0) ** 2 for x in log_alpha)
-    penalty += 1e3 * sum(max(p - p_hi, 0.0) ** 2 for p in power)
-    penalty += 1e3 * sum(max(p_lo - p, 0.0) ** 2 for p in power)
-    alpha = [math.exp(min(max(x, lo), hi)) for x in log_alpha]
-    power = [min(max(p, p_lo), p_hi) for p in power]
+    penalty += 1e3 * sum(max(x - hi, 0.0) ** 2 for x in theta)
+    penalty += 1e3 * sum(max(lo - x, 0.0) ** 2 for x in theta)
+    alpha = [math.exp(min(max(x, lo), hi)) for x in theta]
     corr = np.empty((n, n))
     for i in range(n):
         for j in range(n):
             d = 0.0
             for h in range(k):
-                d += alpha[h] * abs(scaled[i, h] - scaled[j, h]) ** power[h]
+                d += alpha[h] * (scaled[i, h] - scaled[j, h]) ** 2
             corr[i, j] = math.exp(-d)
         corr[i, i] += nugget
     ones = np.ones(n)
@@ -328,10 +324,10 @@ def concentrated_nll_direct(theta, scaled, values, nugget, log_alpha_range, powe
 
 
 def fit_serial_direct(samples, values, rng, bounds, nugget):
-    """Correlation parameters (alpha, power) and likelihood evaluation count
-    of the restart fit that ``kriging.fit`` ran before its scan and polish.
+    """Kernel scales alpha and likelihood evaluation count of a restart fit
+    in the manner ``kriging.fit`` used before its scan and polish.
 
-    Each of the ``FIT_RESTARTS`` starts draws its theta and runs its own
+    Each of the ``FIT_RESTARTS`` starts draws its log alpha and runs its own
     ``nelder_mead`` to the end, calling the library's one-theta likelihood
     on one theta at a time; the best restart wins, ties going to the earlier
     one.  It draws from ``rng`` exactly what ``kriging.fit`` draws.
@@ -339,10 +335,9 @@ def fit_serial_direct(samples, values, rng, bounds, nugget):
     from spinopt.kriging import (
         FIT_RESTARTS,
         LOG_ALPHA_RANGE,
-        POWER_RANGE,
         _concentrated_nll,
-        _distances,
         _scale,
+        _sq_distances,
     )
     from spinopt.neldermead import nelder_mead
 
@@ -350,14 +345,14 @@ def fit_serial_direct(samples, values, rng, bounds, nugget):
     values = np.asarray(values, dtype=float)
     k = samples.shape[1]
     scaled = _scale(samples, np.asarray(bounds, dtype=float))
-    dist = _distances(scaled, scaled)
-    low, high = np.repeat([LOG_ALPHA_RANGE, POWER_RANGE], k, axis=0).T
-    steps = np.concatenate([np.full(k, 0.6), np.full(k, 0.05)])
+    sq_dist = _sq_distances(scaled, scaled)
+    low, high = np.array([LOG_ALPHA_RANGE] * k).T
+    steps = np.full(k, 0.6)
     best_theta, best_nll, evals = None, np.inf, 0
     for _ in range(FIT_RESTARTS):
         theta0 = rng.uniform(low, high)
         result = nelder_mead(
-            lambda th: _concentrated_nll(th[None], dist, values, nugget, low, high)[0],
+            lambda th: _concentrated_nll(th[None], sq_dist, values, nugget, low, high)[0],
             theta0,
             steps,
             f_tol=1e-7,
@@ -366,8 +361,7 @@ def fit_serial_direct(samples, values, rng, bounds, nugget):
         evals += result.n_evals
         if result.fun < best_nll:
             best_nll, best_theta = result.fun, result.x
-    best_theta = np.clip(best_theta, low, high)
-    return np.exp(best_theta[:k]), best_theta[k:], evals
+    return np.exp(np.clip(best_theta, low, high)), evals
 
 
 def loo_predictions_direct(samples, values, params, bounds, nugget):
@@ -389,7 +383,7 @@ def loo_predictions_direct(samples, values, params, bounds, nugget):
     def corr(a, b):
         d = 0.0
         for h in range(k):
-            d += params.alpha[h] * abs(a[h] - b[h]) ** params.power[h]
+            d += params.alpha[h] * (a[h] - b[h]) ** 2
         return math.exp(-d)
 
     preds = np.empty(n)
