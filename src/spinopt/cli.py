@@ -27,17 +27,14 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
-    config_count,
-    config_counts,
-    config_int,
-    field_from_config,
     load_config,
     magnetometry_from,
     mhz_from_rad_s,
     opt_config_from,
+    read,
 )
 from .dynamics import NoiseGrid, ensemble_objective, state_fidelity_many
-from .fields import PM
+from .fields import PM, pm_field
 from .kriging import fit, jittered_grid, surrogate_objective
 from .magnetometry import (
     RECT,
@@ -49,6 +46,7 @@ from .magnetometry import (
     simulate_ramsey,
 )
 from .optimize import (
+    METHODS,
     draw_initial_params,
     feasible_field,
     run_single,
@@ -157,7 +155,7 @@ def cmd_optimize(cfg: dict, out: Path, seed) -> int:
 def cmd_trials(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     oc = opt_config_from(cfg, seed=seed)
-    n_trials = config_count(cfg["optimize"]["n_trials"], "optimize.n_trials")
+    n_trials = read(cfg, "optimize.n_trials")
     stats = run_trials(oc, n_trials)
     _write_csv(out / "results.csv", TRIAL_FIELDS, _trial_rows(stats.runs))
     _write_csv(out / "timings.csv", TIMING_FIELDS, _timing_rows(stats.runs))
@@ -181,14 +179,10 @@ def cmd_trials(cfg: dict, out: Path, seed) -> int:
 
 def cmd_compare(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
-    n_trials = config_count(cfg["compare"]["n_trials"], "compare.n_trials")
+    n_trials = read(cfg, "compare.n_trials")
     primary = opt_config_from(cfg, seed=seed)
-    baseline = opt_config_from(
-        cfg,
-        seed=seed,
-        method=cfg["compare"]["baseline_method"],
-        n_sets=config_int(cfg["compare"]["baseline_n_sets"], "compare.baseline_n_sets"),
-    )
+    method, n_sets = read(cfg, "compare.baseline_method"), read(cfg, "compare.baseline_n_sets")
+    baseline = opt_config_from(cfg, seed=seed, method=method, n_sets=n_sets)
     rows = []
     for oc in (primary, baseline):
         stats = run_trials(oc, n_trials)
@@ -219,22 +213,16 @@ def cmd_compare(cfg: dict, out: Path, seed) -> int:
 def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     oc = opt_config_from(cfg, seed=seed)
-    sd = cfg["surrogate_demo"]
-    sample_counts = config_counts(sd["sample_counts"], "surrogate_demo.sample_counts")
-    if any(n < 4 or math.isqrt(n) ** 2 != n for n in sample_counts):
-        raise ConfigError(
-            "config key surrogate_demo.sample_counts must be perfect squares of at "
-            f"least 4, not {sample_counts}"
-        )
-    mn_list = config_counts(sd["grid_sizes_mn"], "surrogate_demo.grid_sizes_mn")
-    if any(math.isqrt(mn) ** 2 != mn for mn in mn_list):
-        raise ConfigError(
-            f"config key surrogate_demo.grid_sizes_mn must be perfect squares, not {mn_list}"
-        )
-    reps = config_count(sd["timing_reps"], "surrogate_demo.timing_reps")
-    n_fields = config_count(sd["n_fields"], "surrogate_demo.n_fields")
+    sample_counts = read(cfg, "surrogate_demo.sample_counts")
+    mn_list = read(cfg, "surrogate_demo.grid_sizes_mn")
+    reps = read(cfg, "surrogate_demo.timing_reps")
+    n_fields = read(cfg, "surrogate_demo.n_fields")
     rng = np.random.default_rng(oc.seed)
-    demo_field = field_from_config(sd["field"], oc.duration, oc.amp_limit)
+    demo_field = pm_field(*read(cfg, "surrogate_demo.field"), oc.duration, oc.amp_limit)
+    try:  # each mn is an isqrt(mn) x isqrt(mn) grid, whose weights may all underflow
+        grids = [oc.noise_grid((math.isqrt(mn),) * 2) for mn in mn_list]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     truth_grid = oc.noise_grid(oc.verify_grid)
     region = truth_grid.bounds()
 
@@ -275,9 +263,7 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
         reference = ensemble_objective(fld, truth_grid, oc.n_steps)
         pts = jittered_grid(region, 16, rng)
         model = fit(pts, truth_values(fld, pts), rng, bounds=region)
-        for i, mn in enumerate(mn_list):
-            m = math.isqrt(mn)
-            grid = oc.noise_grid((m, m))
+        for i, grid in enumerate(grids):
             t0 = time.perf_counter()
             for _ in range(reps):
                 value = ensemble_objective(fld, grid, oc.n_steps)
@@ -375,13 +361,6 @@ COMMANDS = {
 }
 
 
-def _apply_flag_overrides(cfg: dict, args) -> None:
-    if getattr(args, "method", None):
-        cfg["optimize"]["method"] = args.method
-    if getattr(args, "nd", None):
-        cfg["optimize"]["n_sets"] = args.nd
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinopt",
@@ -398,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name, parents=[common])
         if name in ("optimize", "trials", "compare"):
-            p.add_argument("--method", choices=["bpm", "pm", "bsfb", "sfb"])
+            p.add_argument("--method", choices=METHODS)
             p.add_argument("--nd", type=int, help="number of parameter sets")
     return parser
 
@@ -408,12 +387,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        _apply_flag_overrides(cfg, args)
-        out = Path(
-            args.out
-            if args.out
-            else os.environ.get(OUT_ENV_VAR, "spinopt_out")
-        )
+        for flag, name in (("method", "method"), ("nd", "n_sets")):
+            if getattr(args, flag, None) is not None:  # the table checks the leaf
+                cfg["optimize"][name] = getattr(args, flag)
+        out = Path(args.out or os.environ.get(OUT_ENV_VAR, "spinopt_out"))
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out, args.seed)
     except ConfigError as exc:

@@ -1,22 +1,26 @@
 """Run configuration: JSON schema with unit-suffixed keys.
 
-Every physical quantity in a config file carries its unit in the key name
-(``_mhz``, ``_khz``, ``_ns``, ``_us``, ``_rad_ns``); this module owns the
-conversions to the library's internal units (angular rad/s and seconds).
-``_mhz``/``_khz`` denote ordinary frequencies, converted to angular rates by
-2 * pi.  Defaults ship in ``default_config.json`` with the reference values.
+``LEAVES`` is the one owner of every leaf's rule: it maps each key of
+``default_config.json`` to its JSON kind and bounds, and ``read`` checks any
+leaf by it, raising ``ConfigError("config key K must be ...")``, and
+converts it by its key's unit suffix (``_mhz``, ``_khz``, ``_ns``, ``_us``,
+``_rad_ns``; ``_mhz``/``_khz`` are ordinary frequencies, converted to
+angular rates by 2 * pi) to the library's units, rad/s and seconds.  Rules
+that join several leaves stay with ``magnetometry_from`` (one signal
+frequency, ``t_max_us`` against the XY-8 period) and with the library's
+constructors.  Defaults ship in ``default_config.json``.
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 import numbers
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .fields import ControlField, InvalidFieldError, pm_field
+from .fields import pm_field
 from .magnetometry import (
     MIN_T2_POINTS,
     AcSignal,
@@ -24,7 +28,7 @@ from .magnetometry import (
     default_shaped_pi_field,
     periods_within,
 )
-from .optimize import OptConfig
+from .optimize import METHODS, OptConfig
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,28 +37,182 @@ class ConfigError(ValueError):
     """Malformed, unknown, or unreadable run configuration."""
 
 
-def rad_s_from_mhz(v):
-    return TWO_PI * 1e6 * np.asarray(v, dtype=float)
-
-
-def rad_s_from_khz(v):
-    return TWO_PI * 1e3 * np.asarray(v, dtype=float)
-
-
-def rad_s_from_rad_ns(v):
-    return 1e9 * np.asarray(v, dtype=float)
-
-
-def s_from_ns(v):
-    return 1e-9 * np.asarray(v, dtype=float)
-
-
-def s_from_us(v):
-    return 1e-6 * np.asarray(v, dtype=float)
+# The factor from each unit suffix to internal units, rad/s or s; ``_rad_ns``
+# comes before ``_ns``, which it ends with.
+UNITS = {"_mhz": TWO_PI * 1e6, "_khz": TWO_PI * 1e3, "_rad_ns": 1e9, "_ns": 1e-9, "_us": 1e-6}
 
 
 def mhz_from_rad_s(v):
-    return np.asarray(v, dtype=float) / (TWO_PI * 1e6)
+    return np.asarray(v, dtype=float) / UNITS["_mhz"]
+
+
+INTEGER, NUMBER, SQUARE = "integer", "number", "perfect square"
+CHOICE, FLAG, PAIR, LIST, FIELD = "choice", "flag", "pair", "list", "field"
+
+# Upper bounds on counts and scales, in each key's unit.  With the other
+# leaves at their defaults, every value within them allocates and
+# propagates within numpy's array sizes, finite in float64, in bounded time.
+MAX_SETS = 64  # parameter sets of a pulse, and entries of a list
+MAX_SAMPLES = 400  # Kriging samples: a 400 x 400 correlation matrix
+MAX_GRID = 1000  # points per axis of a (delta, kappa) grid
+MAX_STEPS = 10_000  # CF4 steps of one pulse; the kernel holds 128 B per point-step
+MAX_RUNS = 10_000  # trials, model attempts, demo fields and repetitions, realizations
+MAX_ITER = 1_000_000  # Nelder-Mead iterations
+MAX_MHZ = 1e4  # any frequency: 10 GHz
+MAX_KAPPA = 100.0  # amplitude drift factors and their FWHM
+MIN_NS, MAX_NS = 1e-3, 1e6  # a pulse or gap, 1 ps to 1 ms: near 0 a rate pi / t overflows
+MAX_US = 1e4  # a trace or OU correlation time: 10 ms
+MAX_RAD_NS = 100.0  # an entry of a field vector
+
+FIELD_KEYS = ("amplitudes_rad_ns", "mod_depths_rad_ns", "mod_freqs_rad_ns")
+_INVALID = object()
+
+
+def _suffix(key: str) -> str:
+    """The unit suffix of ``key``, or ""."""
+    return next((suffix for suffix in UNITS if key.endswith(suffix)), "")
+
+
+@dataclass(frozen=True)
+class Leaf:
+    """The rule of one config leaf: its JSON kind and bounds.
+
+    ``low`` and ``high`` bound a number, or each entry of a pair or list
+    (of kind ``entry``; a list has 1 to ``MAX_SETS``) or of a field vector,
+    in the key's unit; ``low_open`` excludes ``low``.  A ``nullable`` leaf
+    also takes ``null``, read as None.
+    """
+
+    kind: str
+    low: float = -math.inf
+    high: float = math.inf
+    low_open: bool = False
+    entry: str = NUMBER
+    choices: tuple = ()
+    nullable: bool = False
+
+    def describe(self) -> str:
+        """What a value of the leaf must be, as errors and README.md say it."""
+        low, high = (f"{x:g}".replace("e+0", "e") for x in (self.low, self.high))
+        span = f"{'(' if self.low_open else '['}{low}, {high}{')' if high == 'inf' else ']'}"
+        text = {
+            INTEGER: f"an integer in {span}",
+            NUMBER: f"a number in {span}",
+            CHOICE: "one of " + ", ".join(map(repr, self.choices)),
+            FLAG: "true or false",
+            PAIR: f"a pair of {self.entry}s in {span}",
+            LIST: f"a list of 1 to {MAX_SETS} {self.entry}s in {span}",
+            FIELD: f"an object of {', '.join(FIELD_KEYS)}, each a number or a list of 1 to "
+            f"{MAX_SETS} numbers in {span}, all of one length",
+        }[self.kind]
+        return "null or " + text if self.nullable else text
+
+    def checked(self, value, key: str):
+        """``value`` of leaf ``key`` in internal units, or _INVALID.
+
+        Booleans, strings and ``null`` are not numbers, an integral float
+        such as ``200.0`` is an integer, and Python's ``json`` reads ``NaN``,
+        ``Infinity`` and integers too large for a float, none of them finite.
+        """
+        if self.kind == CHOICE:
+            return value if isinstance(value, str) and value in self.choices else _INVALID
+        if self.kind == FLAG:
+            return value if isinstance(value, bool) else _INVALID
+        if self.kind in (PAIR, LIST):
+            sizes = (2,) if self.kind == PAIR else range(1, MAX_SETS + 1)
+            if not isinstance(value, (list, tuple)) or len(value) not in sizes:
+                return _INVALID
+            entry = Leaf(self.entry, self.low, self.high, self.low_open)
+            entries = [entry.checked(v, key) for v in value]
+            if _INVALID in entries:
+                return _INVALID
+            return tuple(entries) if self.kind == PAIR else entries
+        if self.kind == FIELD:
+            if not isinstance(value, dict):
+                return _INVALID
+            for name in value:
+                if name not in FIELD_KEYS:
+                    raise ConfigError(f"unknown config key: {key}.{name}")
+            if len(value) != len(FIELD_KEYS):
+                return _INVALID
+            vector, vectors = Leaf(LIST, self.low, self.high), []
+            for name in FIELD_KEYS:
+                v = value[name]
+                vectors.append(vector.checked(v if isinstance(v, list) else [v], f"{key}.{name}"))
+            if _INVALID in vectors or len(set(map(len, vectors))) != 1:
+                return _INVALID
+            return tuple(vectors)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return _INVALID
+        if self.kind == NUMBER:
+            try:
+                x = float(value)
+            except OverflowError:
+                return _INVALID
+        elif isinstance(value, float) and not value.is_integer():
+            return _INVALID
+        else:
+            x = int(value)
+        in_bounds = (self.low < x if self.low_open else self.low <= x) and x <= self.high
+        if not (abs(x) < math.inf and in_bounds) or self.kind == SQUARE and math.isqrt(x) ** 2 != x:
+            return _INVALID
+        return UNITS[_suffix(key)] * x if _suffix(key) else x
+
+
+LEAVES = {
+    "seed": Leaf(INTEGER, 0),
+    "optimize.method": Leaf(CHOICE, choices=METHODS),
+    "optimize.objective": Leaf(CHOICE, choices=("state", "gate_x")),
+    "optimize.n_sets": Leaf(INTEGER, 1, MAX_SETS),
+    "optimize.n_samples": Leaf(INTEGER, 1, MAX_SAMPLES),
+    "optimize.search_grid": Leaf(PAIR, 1, MAX_GRID, entry=INTEGER),
+    "optimize.verify_grid": Leaf(PAIR, 1, MAX_GRID, entry=INTEGER),
+    "optimize.duration_ns": Leaf(NUMBER, MIN_NS, MAX_NS),
+    "optimize.amp_limit_mhz": Leaf(NUMBER, 0.0, MAX_MHZ, low_open=True),
+    "optimize.n_steps": Leaf(INTEGER, 1, MAX_STEPS),
+    "optimize.delta_range_mhz": Leaf(PAIR, -MAX_MHZ, MAX_MHZ),
+    "optimize.kappa_range": Leaf(PAIR, -MAX_KAPPA, MAX_KAPPA),
+    "optimize.delta_fwhm_mhz": Leaf(NUMBER, 0.0, MAX_MHZ, low_open=True),
+    "optimize.kappa_fwhm": Leaf(NUMBER, 0.0, MAX_KAPPA, low_open=True),
+    "optimize.kappa_mean": Leaf(NUMBER, -MAX_KAPPA, MAX_KAPPA),
+    "optimize.max_model_attempts": Leaf(INTEGER, 1, MAX_RUNS),
+    "optimize.n_trials": Leaf(INTEGER, 1, MAX_RUNS),
+    "optimize.nm_f_tol": Leaf(NUMBER, 0.0, math.inf, low_open=True),
+    "optimize.nm_max_iter": Leaf(INTEGER, 1, MAX_ITER, nullable=True),
+    "compare.baseline_method": Leaf(CHOICE, choices=METHODS),
+    "compare.baseline_n_sets": Leaf(INTEGER, 1, MAX_SETS),
+    "compare.n_trials": Leaf(INTEGER, 1, MAX_RUNS),
+    "surrogate_demo.field": Leaf(FIELD, -MAX_RAD_NS, MAX_RAD_NS),
+    "surrogate_demo.sample_counts": Leaf(LIST, 4, MAX_SAMPLES, entry=SQUARE),
+    "surrogate_demo.grid_sizes_mn": Leaf(LIST, 1, MAX_GRID**2, entry=SQUARE),
+    "surrogate_demo.n_fields": Leaf(INTEGER, 1, MAX_RUNS),
+    "surrogate_demo.timing_reps": Leaf(INTEGER, 1, MAX_RUNS),
+    "magnetometry.g_ac_mhz": Leaf(NUMBER, 0.0, MAX_MHZ),
+    "magnetometry.rect_pulse_ns": Leaf(NUMBER, MIN_NS, MAX_NS),
+    "magnetometry.rect_gap_ns": Leaf(NUMBER, MIN_NS, MAX_NS),
+    "magnetometry.shaped_pulse_ns": Leaf(NUMBER, MIN_NS, MAX_NS),
+    "magnetometry.shaped_gap_ns": Leaf(NUMBER, MIN_NS, MAX_NS),
+    "magnetometry.t_max_us": Leaf(NUMBER, 0.0, MAX_US, low_open=True),
+    "magnetometry.n_realizations": Leaf(INTEGER, 1, MAX_RUNS),
+    "magnetometry.n_steps_per_pulse": Leaf(INTEGER, 1, MAX_STEPS),
+    "magnetometry.ou_tau_us": Leaf(NUMBER, 0.0, MAX_US, low_open=True),
+    "magnetometry.ou_stationary_khz": Leaf(NUMBER, 0.0, MAX_MHZ * 1e3),
+    "magnetometry.delta_fwhm_mhz": Leaf(NUMBER, 0.0, MAX_MHZ),
+    "magnetometry.noise_enabled": Leaf(FLAG),
+    "magnetometry.shaped_field": Leaf(FIELD, -MAX_RAD_NS, MAX_RAD_NS, nullable=True),
+}
+
+
+def read(cfg: dict, key: str):
+    """Leaf ``key`` of ``cfg``, a dotted path such as ``"optimize.n_steps"``,
+    checked against its ``LEAVES`` entry and converted to internal units."""
+    value, leaf = cfg, LEAVES[key]
+    for part in key.split("."):
+        value = value[part]
+    result = None if value is None and leaf.nullable else leaf.checked(value, key)
+    if result is _INVALID:
+        raise ConfigError(f"config key {key} must be {leaf.describe()}, not {value!r}")
+    return result
 
 
 def default_config() -> dict:
@@ -77,7 +235,7 @@ def _merge(base: dict, override: dict, path: str):
 
 def load_config(path: str | None) -> dict:
     """Defaults overlaid with the user's config file, if any."""
-    cfg = copy.deepcopy(default_config())
+    cfg = default_config()
     if path is None:
         return cfg
     try:
@@ -93,130 +251,13 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def config_int(value, key: str) -> int:
-    """``value`` of config key ``key`` as an int.
-
-    JSON integers and integral floats such as ``200.0`` pass; booleans,
-    ``null``, strings and non-integral numbers raise ConfigError, where a
-    bare ``int()`` would truncate them or fail with a TypeError.
-    """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"config key {key} must be an integer, not {value!r}")
-
-
-def config_count(value, key: str) -> int:
-    """``value`` of config key ``key`` as an int of at least 1."""
-    count = config_int(value, key)
-    if count < 1:
-        raise ConfigError(f"config key {key} must be at least 1, not {count}")
-    return count
-
-
-def config_counts(value, key: str) -> list:
-    """``value`` of config key ``key`` as a list of ints of at least 1."""
-    if not isinstance(value, list):
-        raise ConfigError(f"config key {key} must be a list of integers, not {value!r}")
-    return [config_count(v, key) for v in value]
-
-
-def config_float(value, key: str) -> float:
-    """``value`` of config key ``key`` as a float: finite JSON numbers pass,
-    and anything else raises ConfigError, where a bare ``float()`` would read
-    a string such as ``"1e3"`` or fail with a TypeError or ValueError.
-    Python's ``json`` reads ``NaN`` and ``Infinity``, and an integer too large
-    for a float counts as infinite; they are rejected here rather than
-    failing, or silently passing, mid-run."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if -math.inf < number < math.inf:
-            return number
-        raise ConfigError(f"config key {key} must be a finite number, not {value!r}")
-    raise ConfigError(f"config key {key} must be a number, not {value!r}")
-
-
-def config_pair(value, key: str, read) -> tuple:
-    """``value`` of config key ``key`` as a pair, each entry read by
-    ``read`` (``config_int`` or ``config_float``)."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"config key {key} must be a pair, not {value!r}")
-    return tuple(read(v, key) for v in value)
-
-
-def _number(cfg: dict, key: str) -> float:
-    """Numeric setting at dotted path ``key``, e.g. ``"optimize.nm_f_tol"``."""
-    section, name = key.split(".")
-    return config_float(cfg[section][name], key)
-
-
-def _positive(cfg: dict, key: str) -> float:
-    """``_number`` of a setting that must be above zero."""
-    number = _number(cfg, key)
-    if number <= 0:
-        raise ConfigError(f"config key {key} must be positive, not {number!r}")
-    return number
-
-
-def _field_vector(params: dict, name: str) -> np.ndarray:
-    """Field vector ``params[name]`` in rad/s: a number or a flat list of
-    numbers, each finite once converted."""
-    value = params[name]
-    entries = value if isinstance(value, list) else [value]
-    with np.errstate(over="ignore"):  # an overflow is reported as non-finite
-        rad_s = rad_s_from_rad_ns([config_float(v, name) for v in entries])
-    if not np.isfinite(rad_s).all():
-        raise ConfigError(f"config key {name} must be finite, not {value!r}")
-    return rad_s
-
-
-def field_from_config(params: dict, duration: float, amp_limit: float) -> ControlField:
-    if not isinstance(params, dict):
-        raise ConfigError(f"field parameters must be an object, not {params!r}")
-    try:
-        vectors = [
-            _field_vector(params, name)
-            for name in ("amplitudes_rad_ns", "mod_depths_rad_ns", "mod_freqs_rad_ns")
-        ]
-    except KeyError as exc:
-        raise ConfigError(f"field parameters are missing key {exc}") from exc
-    try:
-        return pm_field(*vectors, duration, amp_limit)
-    except InvalidFieldError as exc:
-        raise ConfigError(f"field parameters: {exc}") from exc
-
-
 def opt_config_from(cfg: dict, seed: int | None = None, **overrides) -> OptConfig:
-    o = cfg["optimize"]
-    dmin, dmax = config_pair(o["delta_range_mhz"], "optimize.delta_range_mhz", config_float)
-    kwargs = dict(
-        method=o["method"],
-        objective=o["objective"],
-        n_sets=config_int(o["n_sets"], "optimize.n_sets"),
-        n_samples=config_int(o["n_samples"], "optimize.n_samples"),
-        search_grid=config_pair(o["search_grid"], "optimize.search_grid", config_int),
-        verify_grid=config_pair(o["verify_grid"], "optimize.verify_grid", config_int),
-        duration=float(s_from_ns(_number(cfg, "optimize.duration_ns"))),
-        amp_limit=float(rad_s_from_mhz(_number(cfg, "optimize.amp_limit_mhz"))),
-        n_steps=config_int(o["n_steps"], "optimize.n_steps"),
-        seed=config_int(cfg["seed"] if seed is None else seed, "seed"),
-        max_model_attempts=config_int(o["max_model_attempts"], "optimize.max_model_attempts"),
-        delta_range=(float(rad_s_from_mhz(dmin)), float(rad_s_from_mhz(dmax))),
-        kappa_range=config_pair(o["kappa_range"], "optimize.kappa_range", config_float),
-        delta_fwhm=float(rad_s_from_mhz(_number(cfg, "optimize.delta_fwhm_mhz"))),
-        kappa_fwhm=_number(cfg, "optimize.kappa_fwhm"),
-        kappa_mean=_number(cfg, "optimize.kappa_mean"),
-        nm_f_tol=_number(cfg, "optimize.nm_f_tol"),
-        nm_max_iter=(
-            None
-            if o["nm_max_iter"] is None
-            else config_int(o["nm_max_iter"], "optimize.nm_max_iter")
-        ),
-    )
+    kwargs = {
+        name[: len(name) - len(_suffix(name))]: read(cfg, f"optimize.{name}")
+        for name in cfg["optimize"]
+        if name != "n_trials"
+    }
+    kwargs["seed"] = read(cfg, "seed") if seed is None else seed
     kwargs.update(overrides)
     try:
         return OptConfig(**kwargs)
@@ -226,33 +267,24 @@ def opt_config_from(cfg: dict, seed: int | None = None, **overrides) -> OptConfi
 
 def magnetometry_from(cfg: dict, seed: int | None = None):
     """(rect sequence settings, shaped settings, signal, noise, run settings)
-    from config; a pulse length, gap or amplitude limit that is not
-    positive, invalid signal, noise or realization values, and a
-    ``t_max_us`` too short for a T2 fit of either sequence, raise
+    from config; a leaf outside its ``LEAVES`` entry, two sequences with
+    different signal frequencies, a ``t_max_us`` too short for a T2 fit of
+    either sequence, and signal or noise settings the library rejects raise
     ConfigError."""
-    m = cfg["magnetometry"]
-    amp_limit = float(rad_s_from_mhz(_positive(cfg, "optimize.amp_limit_mhz")))
-    rect = {
-        "t_pulse": float(s_from_ns(_positive(cfg, "magnetometry.rect_pulse_ns"))),
-        "tau_pulse": float(s_from_ns(_positive(cfg, "magnetometry.rect_gap_ns"))),
-    }
-    shaped_pulse = float(s_from_ns(_positive(cfg, "magnetometry.shaped_pulse_ns")))
-    shaped = {
-        "t_pulse": shaped_pulse,
-        "tau_pulse": float(s_from_ns(_positive(cfg, "magnetometry.shaped_gap_ns"))),
-        "x_field": (
-            default_shaped_pi_field(shaped_pulse, amp_limit)
-            if m["shaped_field"] is None
-            else field_from_config(m["shaped_field"], shaped_pulse, amp_limit)
-        ),
-    }
+    m = {name: read(cfg, f"magnetometry.{name}") for name in cfg["magnetometry"]}
+    amp_limit = read(cfg, "optimize.amp_limit_mhz")
+    rect = {"t_pulse": m["rect_pulse_ns"], "tau_pulse": m["rect_gap_ns"]}
+    shaped = {"t_pulse": m["shaped_pulse_ns"], "tau_pulse": m["shaped_gap_ns"]}
+    shaped["x_field"] = (
+        default_shaped_pi_field(shaped["t_pulse"], amp_limit)
+        if m["shaped_field"] is None
+        else pm_field(*m["shaped_field"], shaped["t_pulse"], amp_limit)
+    )
     omega_rect = np.pi / (rect["t_pulse"] + rect["tau_pulse"])
     omega_shaped = np.pi / (shaped["t_pulse"] + shaped["tau_pulse"])
     if abs(omega_rect - omega_shaped) > 1e-6 * omega_rect:
-        raise ConfigError(
-            "rectangular and shaped sequences must share one signal frequency"
-        )
-    t_max = float(s_from_us(_number(cfg, "magnetometry.t_max_us")))
+        raise ConfigError("rectangular and shaped sequences must share one signal frequency")
+    t_max = m["t_max_us"]
     for settings in (rect, shaped):
         period = 8.0 * (settings["t_pulse"] + settings["tau_pulse"])
         if periods_within(t_max, period) < MIN_T2_POINTS:
@@ -261,29 +293,18 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
                 f"periods ({MIN_T2_POINTS * period / 1e-6:g} us), the fewest "
                 "readouts a T2 fit takes"
             )
-    base_seed = config_int(cfg["seed"] if seed is None else seed, "seed")
-    n_realizations = config_int(m["n_realizations"], "magnetometry.n_realizations")
-    n_steps_per_pulse = config_count(m["n_steps_per_pulse"], "magnetometry.n_steps_per_pulse")
-    noise_enabled = m["noise_enabled"]
-    if not isinstance(noise_enabled, bool):
-        raise ConfigError(f"magnetometry.noise_enabled must be a boolean, not {noise_enabled!r}")
+    signal = AcSignal(g_ac=m["g_ac_mhz"], omega_s=omega_rect)
+    seed = read(cfg, "seed") if seed is None else seed
+    runs = {"n_realizations": m["n_realizations"], "seed": seed}
     try:
-        g_ac = float(rad_s_from_mhz(_number(cfg, "magnetometry.g_ac_mhz")))
-        signal = AcSignal(g_ac=g_ac, omega_s=omega_rect)
-        if noise_enabled:
-            noise = NoiseSettings.from_stationary_std(
-                float(rad_s_from_khz(_number(cfg, "magnetometry.ou_stationary_khz"))),
-                tau=float(s_from_us(_number(cfg, "magnetometry.ou_tau_us"))),
-                delta_fwhm=float(rad_s_from_mhz(_number(cfg, "magnetometry.delta_fwhm_mhz"))),
-                n_realizations=n_realizations,
-                seed=base_seed,
+        noise = (
+            NoiseSettings.from_stationary_std(
+                m["ou_stationary_khz"], tau=m["ou_tau_us"], delta_fwhm=m["delta_fwhm_mhz"], **runs
             )
-        else:
-            noise = NoiseSettings.disabled(n_realizations=n_realizations, seed=base_seed)
+            if m["noise_enabled"]
+            else NoiseSettings.disabled(**runs)
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    run = {
-        "t_max": t_max,
-        "n_steps_per_pulse": n_steps_per_pulse,
-    }
+    run = {"t_max": t_max, "n_steps_per_pulse": m["n_steps_per_pulse"]}
     return rect, shaped, signal, noise, run

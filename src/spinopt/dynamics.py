@@ -113,7 +113,13 @@ class NoiseGrid:
         wd = gaussian_weight(deltas, 0.0, delta_fwhm)
         wk = gaussian_weight(kappas, kappa_mean, kappa_fwhm)
         weights = np.outer(wd, wk)
-        weights = weights / weights.sum()
+        total = weights.sum()
+        if not 0 < total < math.inf:
+            raise ValueError(
+                f"the Gaussian weights of the {m} x {n} grid must be finite with a positive "
+                f"sum; they sum to {total}"
+            )
+        weights = weights / total
         return cls(
             deltas=deltas,
             kappas=kappas,

@@ -400,11 +400,15 @@ def estimate_t2(
     Ramsey fringes; points below ``min_envelope`` are dropped before the
     least-squares fit of the log envelope.  If no decay is resolved the
     estimate is flagged as a lower bound with t2 set to the trace length.
+    A non-finite time or population raises ValueError, as it would pass no
+    envelope floor and read as such a bound.
     """
     times = np.asarray(times, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     if times.size < MIN_T2_POINTS:
         raise ValueError(f"trace must contain at least {MIN_T2_POINTS} points")
+    if not (np.isfinite(times).all() and np.isfinite(p0).all()):
+        raise ValueError("times and p0 must be finite")
     env = np.abs(2.0 * p0 - 1.0)
     if envelope_window > 0:
         sel_t, sel_e = [], []

@@ -1,19 +1,22 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinopt.cli import main, read_trial_records
 from spinopt.config import (
+    CHOICE,
+    FLAG,
+    LEAVES,
+    UNITS,
     ConfigError,
+    default_config,
     load_config,
     mhz_from_rad_s,
     opt_config_from,
-    rad_s_from_khz,
-    rad_s_from_mhz,
-    rad_s_from_rad_ns,
-    s_from_ns,
-    s_from_us,
+    read,
 )
 
 TWO_PI = 2 * np.pi
@@ -56,6 +59,18 @@ def demo_field(**vectors):
     return {"surrogate_demo": {"field": _field(**vectors)}}
 
 
+# The command that reads each section's leaves.
+COMMAND_OF = {
+    "seed": "trials",
+    "optimize": "trials",
+    "compare": "compare",
+    "surrogate_demo": "surrogate-demo",
+    "magnetometry": "magnetometry",
+}
+# The malformed values every leaf is tried with.
+SWEEP_VALUES = [NAN, INF, -1, 0, "x", True, None, [1, 2, 3], {}, 1e300]
+
+
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -75,15 +90,24 @@ def assert_reproducible(tmp_path, command, payload, names):
 
 class TestUnitConversions:
     def test_conversion_vector(self):
-        assert rad_s_from_mhz(10.0) == pytest.approx(TWO_PI * 1e7, rel=1e-15)
-        assert rad_s_from_khz(50.0) == pytest.approx(TWO_PI * 5e4, rel=1e-15)
-        assert rad_s_from_rad_ns(0.0332) == pytest.approx(3.32e7, rel=1e-15)
-        assert s_from_ns(100.0) == pytest.approx(1e-7, rel=1e-15)
-        assert s_from_us(20.0) == pytest.approx(2e-5, rel=1e-15)
+        assert UNITS["_mhz"] * 10.0 == pytest.approx(TWO_PI * 1e7, rel=1e-15)
+        assert UNITS["_khz"] * 50.0 == pytest.approx(TWO_PI * 5e4, rel=1e-15)
+        assert UNITS["_rad_ns"] * 0.0332 == pytest.approx(3.32e7, rel=1e-15)
+        assert UNITS["_ns"] * 100.0 == pytest.approx(1e-7, rel=1e-15)
+        assert UNITS["_us"] * 20.0 == pytest.approx(2e-5, rel=1e-15)
         assert mhz_from_rad_s(TWO_PI * 1e7) == pytest.approx(10.0, rel=1e-15)
 
     def test_round_trip(self):
-        assert mhz_from_rad_s(rad_s_from_mhz(26.5)) == pytest.approx(26.5, rel=1e-12)
+        assert mhz_from_rad_s(UNITS["_mhz"] * 26.5) == pytest.approx(26.5, rel=1e-12)
+
+    def test_reader_converts_by_suffix(self):
+        cfg = load_config(None)
+        assert read(cfg, "optimize.duration_ns") == pytest.approx(1e-7, rel=1e-15)
+        assert read(cfg, "optimize.amp_limit_mhz") == pytest.approx(TWO_PI * 1e7, rel=1e-15)
+        assert read(cfg, "magnetometry.ou_stationary_khz") == pytest.approx(TWO_PI * 5e4)
+        assert read(cfg, "magnetometry.ou_tau_us") == pytest.approx(2e-5, rel=1e-15)
+        amplitudes = read(cfg, "surrogate_demo.field")[0]
+        assert amplitudes == [pytest.approx(3.32e7, rel=1e-15)]
 
 
 class TestConfigLoading:
@@ -117,6 +141,50 @@ class TestConfigLoading:
         assert cfg["optimize"]["duration_ns"] == 100.0
 
 
+class TestLeafTable:
+    def test_table_owns_every_leaf_of_the_defaults(self):
+        cfg = default_config()
+        leaves = set()
+        for section, value in cfg.items():
+            leaves |= {f"{section}.{k}" for k in value} if isinstance(value, dict) else {section}
+        assert set(LEAVES) == leaves
+        for key in LEAVES:
+            read(cfg, key)  # every default passes its entry
+
+    def test_counts_and_scales_are_bounded(self):
+        # only a seed and a tolerance cost nothing however large they are
+        unbounded = {
+            key
+            for key, leaf in LEAVES.items()
+            if leaf.kind not in (CHOICE, FLAG) and leaf.high == math.inf
+        }
+        assert unbounded == {"seed", "optimize.nm_f_tol"}
+
+    def test_readme_states_every_entry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for key, leaf in LEAVES.items():
+            assert f"| `{key}` | {leaf.describe()} |" in readme, key
+
+    @pytest.mark.parametrize("key", LEAVES)
+    def test_rejected_values_exit_2(self, tmp_path, capsys, key):
+        # every malformed value the leaf's entry rejects, after the merge
+        # with the defaults, exits 2 before any file is written
+        section, _, name = key.partition(".")
+        for i, value in enumerate(SWEEP_VALUES):
+            payload = {section: {name: value}} if name else {key: value}
+            path = write_config(tmp_path, payload, name=f"cfg{i}.json")
+            try:
+                read(load_config(path), key)
+                continue  # the entry accepts the value
+            except ConfigError:
+                pass
+            out = tmp_path / f"o{i}"
+            code = main([COMMAND_OF[section], "--config", path, "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2 and "must be" in err, (value, err)
+            assert not out.exists() or not any(out.iterdir()), value
+
+
 class TestExitCodes:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(
@@ -146,6 +214,8 @@ class TestExitCodes:
             {"magnetometry": {"ou_stationary_khz": -50}},
             {"optimize": {"nm_max_iter": -3}},
             {"optimize": {"nm_max_iter": 0}},
+            # every Gaussian weight of the default kappa range underflows
+            {"optimize": {"kappa_mean": 10}},
         ],
     )
     def test_rejected_config_exits_2(self, tmp_path, capsys, payload):
@@ -219,6 +289,15 @@ class TestExitCodes:
             ("magnetometry", {"magnetometry": {"shaped_pulse_ns": -1}}),
             ("magnetometry", {"magnetometry": {"rect_pulse_ns": 0, "rect_gap_ns": 400}}),
             ("magnetometry", {"magnetometry": {"shaped_gap_ns": 0, "shaped_pulse_ns": 400}}),
+            # a 1 x 1 grid holds kappa 0.5 only, where this narrow spread
+            # about 1.5 underflows; the 4 x 4 and 50 x 50 grids hold 1.5
+            (
+                "surrogate-demo",
+                {
+                    "optimize": {"kappa_mean": 1.5, "kappa_fwhm": 0.01},
+                    "surrogate_demo": {"grid_sizes_mn": [16, 1]},
+                },
+            ),
         ],
     )
     def test_non_integer_setting_exits_2(self, tmp_path, capsys, command, payload):
@@ -232,6 +311,27 @@ class TestExitCodes:
         assert code == 2
         assert "must be" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["optimize", "trials", "compare"])
+    def test_zero_sets_flag_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert main([command, "--nd", "0", "--out", str(out)]) == 2
+        assert "optimize.n_sets must be" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("magnetometry", shaped_field(phases_typo=[0.1]), "magnetometry.shaped_field"),
+            ("surrogate-demo", demo_field(phases_typo=[0.1]), "surrogate_demo.field"),
+        ],
+    )
+    def test_unknown_field_key_exits_2(self, tmp_path, capsys, command, payload, key):
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert f"unknown config key: {key}.phases_typo" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["optimize", "magnetometry"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
@@ -416,7 +516,7 @@ class TestMagnetometryCommand:
             if line.endswith("rect")
         ]
         t0, p0 = float(rows[0][0]) * 1e-6, float(rows[0][1])
-        g_ac = rad_s_from_mhz(0.1)
+        g_ac = UNITS["_mhz"] * 0.1
         expected = 0.5 * (1 + np.cos(2 * ideal_phase(g_ac, np.pi / 400e-9, t0)))
         assert p0 == pytest.approx(expected, abs=0.1)
 

@@ -109,6 +109,13 @@ class TestNoiseGrid:
         np.testing.assert_allclose(np.diff(grid.deltas), np.diff(grid.deltas)[0])
         np.testing.assert_allclose(np.diff(grid.kappas), np.diff(grid.kappas)[0])
 
+    @pytest.mark.parametrize("kappa_mean", [10.0, -50.0])
+    def test_underflowing_weights_rejected(self, kappa_mean):
+        # every kappa weight of the default range is below the smallest
+        # float, so the weights would sum to 0 and normalize to NaN
+        with pytest.raises(ValueError, match="positive sum"):
+            NoiseGrid.regular(50, 50, kappa_mean=kappa_mean)
+
     def test_points_order(self):
         grid = NoiseGrid.regular(3, 2)
         pts = grid.points()

@@ -385,6 +385,17 @@ class TestEstimateT2:
         with pytest.raises(ValueError):
             estimate_t2(np.arange(5) * 1e-6, np.ones(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_trace_rejected(self, bad):
+        # NaN passes no envelope floor, so it would read as a lower bound
+        times = np.arange(1, 31) * 3.2e-6
+        p0 = np.full(30, 0.9)
+        p0[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            estimate_t2(times, p0)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_t2(np.where(np.arange(30) == 3, bad, times), np.full(30, 0.9))
+
     def test_fringe_window_without_signal(self):
         assert fringe_window(NO_SIGNAL) == 0.0
 

@@ -399,6 +399,11 @@ class TestConfigValidation:
             dict(kappa_mean=float("inf")),
             dict(nm_f_tol=float("inf")),
             dict(nm_f_tol=float("nan")),
+            dict(kappa_mean=10.0),
+            # a 1 x 1 grid holds kappa 0.5 only, where this narrow spread
+            # about 1.5 underflows; the 4 x 4 and 50 x 50 grids hold 1.5
+            dict(kappa_mean=1.5, kappa_fwhm=0.01, verify_grid=(1, 1)),
+            dict(kappa_mean=1.5, kappa_fwhm=0.01, search_grid=(1, 1)),
         ],
     )
     def test_invalid_values_rejected(self, bad):
