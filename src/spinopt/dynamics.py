@@ -13,9 +13,12 @@ elementwise complex arithmetic.  A factor's cos(theta) and
 sin(theta) / theta come from Taylor series in theta^2, cut at the fewest
 terms that are exact to rounding for the batch, so no trigonometric
 function is called per factor; a batch with theta above 1 is scaled down by
-2^s and squared back s times.  Arrays hold points on the leading axes and
-steps on the last axis, the two Gauss-point drives are mixed on the time
-axis before they are broadcast over points, and every kernel caller
+2^s and squared back s times.  One factor pass builds both exponents of a
+call over a block stacked on a leading exponent axis; each exponent keeps
+its own term count and s, and when they agree one Horner per series runs
+over both.  Arrays hold points on the leading axes and steps on the last
+axis, the two Gauss-point drives are mixed on the time axis before they
+are broadcast over points, and every kernel caller
 splits its rows into calls of at most ``_KERNEL_POINT_STEPS`` point-steps
 (``kernel_slices``), a budget measured on both callers' traffic.
 ``run_slices`` runs independent slices on every usable core, the calling
@@ -35,8 +38,8 @@ EPYC, Python 3.11.7, numpy 2.4.6):
 
     steps          50      100     200     400     1000
     max |dF|       6.8e-5  4.3e-6  2.7e-7  1.7e-8  4.2e-10
-    us, P = 9      104     119     147     203     336
-    us, P = 16     114     133     175     240     462
+    us, P = 9      73      84      110     156     277
+    us, P = 16     82      95      132     191     385
 
 Ensemble averages weight a rectangular (delta, kappa) grid by the product
 of two Gaussians specified through their FWHM.
@@ -184,47 +187,60 @@ def _horner(x, coeffs, work, out):
     return np.add(work, coeffs[0], out=out)
 
 
-def _su2_factor(hx, hy, hz, dt, out, scratch):
-    """Write the Cayley-Klein pair (a, b) of exp(-i dt (hx sx + hy sy + hz sz))
-    into ``out``, batched; ``scratch`` is two real arrays of their shape.
+def _su2_factors(hx, hy, hz, dt, out, scratch):
+    """Write the Cayley-Klein pairs (a, b) of exp(-i dt (hx sx + hy sy + hz sz))
+    for both CF4 exponents into ``out``, batched, in one pass.
 
-    ``out`` is ``_factor_views`` of a pair array of shape (2, ...): the pair
-    stands for the SU(2) matrix [[a, -b*], [b, a*]], and the inputs broadcast
-    to the shape of a.  With theta = |h| dt and x = theta^2,
-    a = cos(theta) - i f hz and b = f (hy - i hx), f = dt sin(theta) / theta,
-    where both functions of theta are Taylor series in x cut at the fewest
-    terms that are exact to rounding at the batch's largest x.  A batch with
-    theta above 1 is evaluated at theta / 2^s and squared back s times
-    (scaling and squaring; Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
+    The inputs broadcast to (2, ...), the exponent first; ``out`` is
+    ``_factor_views`` of the two factors' pair arrays and ``scratch`` is
+    two real arrays of that shape and two pair arrays of one exponent's
+    shape.  A pair stands for the SU(2) matrix [[a, -b*], [b, a*]].  With
+    theta = |h| dt and x = theta^2, a = cos(theta) - i f hz and
+    b = f (hy - i hx), f = dt sin(theta) / theta, where both functions of
+    theta are Taylor series in x cut at the fewest terms that are exact to
+    rounding at the exponent's largest x.  An exponent with theta above 1 is
+    evaluated at theta / 2^s and squared back s times (scaling and squaring;
+    Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  Each exponent keeps its own
+    term count and s, and when the two agree both series run once over the
+    stacked block, which gives the same bits as a pass per exponent.
     """
-    pair, a_real, a_imag, b_real, b_imag = out
-    x, y = scratch
+    pairs, a_real, a_imag, b_real, b_imag = out
+    x, y, prod, tmp = scratch
     np.multiply(hx, hx, out=x)
     x += np.multiply(hy, hy, out=y)
-    x += np.multiply(hz, hz, out=y)
+    # The square at the shape hz varies over, once per row for a detuning
+    # column.
+    x += np.multiply(hz, hz, out=_leading(y, np.shape(hz)))
     x *= dt * dt
-    x_max = float(x.max()) if x.size else 0.0
-    squarings = 0
-    if 1.0 < x_max < np.inf:
-        squarings = math.ceil(0.5 * math.log2(x_max))
-        x *= 0.25**squarings
-        x_max *= 0.25**squarings
-        dt = dt * 0.5**squarings
-    n = _series_terms(x_max)
-    _horner(x, _COS_SERIES[:n], y, a_real)
-    # g = -f, so that two of the three products need no sign flip.
-    g = _horner(x, _SINC_SERIES[:n] * -dt, y, y)
-    np.multiply(g, hz, out=a_imag)
-    np.multiply(g, hx, out=b_imag)
-    np.multiply(np.negative(g, out=x), hy, out=b_real)
-    for _ in range(squarings):
-        pair[...] = _compose(pair, pair)
+    x_max = x.reshape(2, -1).max(axis=1).tolist() if x.size else [0.0, 0.0]
+    squarings = [math.ceil(0.5 * math.log2(m)) if 1.0 < m < math.inf else 0 for m in x_max]
+    terms = [_series_terms(m * 0.25**s) for m, s in zip(x_max, squarings)]
+    if squarings[0] == squarings[1] and terms[0] == terms[1]:
+        passes = ((..., squarings[0], terms[0]),)
+    else:
+        passes = tuple(zip((0, 1), squarings, terms))
+    for e, s, n in passes:
+        xe, ye = x[e], y[e]
+        if s:
+            xe *= 0.25**s
+        _horner(xe, _COS_SERIES[:n], ye, a_real[e])
+        # g = -f, so that two of the three products need no sign flip.
+        _horner(xe, _SINC_SERIES[:n] * -(dt * 0.5**s), ye, ye)
+    np.multiply(y, hz, out=a_imag)
+    np.multiply(y, hx, out=b_imag)
+    np.multiply(np.negative(y, out=x), hy, out=b_real)
+    for pair, s in zip(pairs, squarings):
+        for _ in range(s):
+            _apply_compose(_compose_views(pair, pair, prod, tmp))
+            np.copyto(pair, prod)
 
 
-def _factor_views(pair):
-    """The views of a pair array (a, b) that ``_su2_factor`` writes."""
-    a, b = pair
-    return pair, a.real, a.imag, b.real, b.imag
+def _factor_views(pairs):
+    """The views of a stack of pair arrays, shape (2, 2, ...): the pairs and
+    the real and imaginary parts of their a and b, as ``_su2_factors``
+    writes them."""
+    a, b = pairs[:, 0], pairs[:, 1]
+    return pairs, a.real, a.imag, b.real, b.imag
 
 
 def _compose_views(later, earlier, out, tmp):
@@ -246,40 +262,35 @@ def _apply_compose(views):
     np.add(out_b, tmp_b, out=out_b)
 
 
-def _compose(later, earlier):
-    """Cayley-Klein pair of the product U_later @ U_earlier, in a new array.
-
-    Pairs are stacked as arrays of shape (2, ...), a first.
-    """
-    out = np.empty(earlier.shape, dtype=complex)
-    _apply_compose(_compose_views(later, earlier, out, np.empty(earlier.shape, dtype=complex)))
-    return out
-
-
 def _leading(buf, shape):
     """Contiguous view of the first prod(shape) elements of ``buf``."""
     return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 class _Plan:
-    """The working block of ``cf4_propagator`` for one broadcast shape, with
-    every view its factor pass and reduction use.
+    """The working block of ``cf4_propagator`` for one exponent's broadcast
+    shape, with every view its factor pass and reduction use.
 
     Slots of the block: the two factors, the first level's product, and its
-    scratch, whose real view also serves the factors.  The reduction's
-    levels alternate between the product's and the first factor's slots,
-    and the second factor's slot is every later level's scratch.  A level
-    is one ``_apply_compose`` and, for an odd number of columns, the copy
-    of the unpaired last one.
+    scratch.  One factor pass writes both factors; its real scratch, x and
+    y of both exponents, is the scratch slot's real view, and a squaring
+    composes into the product's slot.  The reduction's levels alternate
+    between the product's and the first factor's slots, and the second
+    factor's slot is every later level's scratch.  A level is one
+    ``_apply_compose`` and, for an odd number of columns, the copy of the
+    unpaired last one.
     """
 
     def __init__(self, shape):
         work = np.empty((4, 2) + shape, dtype=complex)
         fac1, fac2, prod, tmp = work
-        size = math.prod(shape)
+        stacked = (2,) + shape
+        size = math.prod(stacked)
         flat = tmp.view(float).reshape(-1)
-        self.scratch = (flat[:size].reshape(shape), flat[size : 2 * size].reshape(shape))
-        self.factors = (_factor_views(fac1), _factor_views(fac2))
+        self.scratch = (
+            flat[:size].reshape(stacked), flat[size : 2 * size].reshape(stacked), prod, tmp
+        )
+        self.factors = _factor_views(work[:2])
         self.levels = [(_compose_views(fac2, fac1, prod, tmp), None)]
         slots = (prod, fac1)
         pair = prod
@@ -297,11 +308,10 @@ class _Plan:
             pair = nxt
         self.result = (pair[0, ..., 0], pair[1, ..., 0])
 
-    def run(self, first, second, dt):
+    def run(self, h, dt):
         """The propagator's pair (a, b) as views into the block, valid until
         the plan's next run."""
-        _su2_factor(*first, dt, out=self.factors[0], scratch=self.scratch)
-        _su2_factor(*second, dt, out=self.factors[1], scratch=self.scratch)
+        _su2_factors(*h, dt, out=self.factors, scratch=self.scratch)
         for views, odd in self.levels:
             _apply_compose(views)
             if odd is not None:
@@ -309,13 +319,15 @@ class _Plan:
         return self.result
 
 
-# Plans kept per thread, so concurrent callers never share a block; the
-# least recently used shape is dropped past the bound.  One trial needs
-# three: its search batch and the 50x50 verification's full and remainder
-# chunks.  A plan takes 128 bytes per point-step, so at most about 16 MB per
-# thread at the kernel budget; a ``run_slices`` helper holds the XY-8 pulse
-# pass's two shapes, 3.8 MB for a default group of 6 pulses and 2.6 MB for
-# its remainder of 4.
+# Plans kept per thread, by one exponent's broadcast shape, so concurrent
+# callers never share a block; the least recently used shape is dropped
+# past the bound.  One trial needs three: its search batch and the 50x50
+# verification's full and remainder chunks.  A plan takes 128 bytes per
+# point-step, its four pair slots: both factors of the one stacked factor
+# pass, the product and the scratch.  That is at most about 16 MB per
+# thread at the kernel budget; a ``run_slices`` helper holds the XY-8
+# pulse pass's two shapes, 3.8 MB for a default group of 6 pulses and
+# 2.6 MB for its remainder of 4.
 _PLAN_SHAPES = 4
 _plans = threading.local()
 
@@ -340,6 +352,9 @@ _GAUSS_LO = 0.5 - np.sqrt(3.0) / 6.0
 _GAUSS_HI = 0.5 + np.sqrt(3.0) / 6.0
 _CF4_W1 = 0.25 + np.sqrt(3.0) / 6.0
 _CF4_W2 = 0.25 - np.sqrt(3.0) / 6.0
+# The weights of the early and the late sample in the two exponents.
+_CF4_EARLY = np.array([_CF4_W1, _CF4_W2])
+_CF4_LATE = np.array([_CF4_W2, _CF4_W1])
 
 # Point-steps per kernel call, the one budget of both kernel callers:
 # ``propagate_many`` takes its points, and ``magnetometry.simulate_ramsey``
@@ -498,23 +513,31 @@ def cf4_times(n_steps: int, dt: float) -> np.ndarray:
 
 
 def cf4_mix(early, late):
-    """Coefficients (first, second) of the two exponents of each step from
-    the samples at its early and late times: w1 H1 + w2 H2, then
-    w2 H1 + w1 H2.  The mix is linear, so it applies to any coefficient
-    (or stack of coefficients) before scaling or broadcasting."""
-    return _CF4_W1 * early + _CF4_W2 * late, _CF4_W2 * early + _CF4_W1 * late
+    """Coefficients of the two exponents of each step, stacked on a new
+    leading axis, from the samples at its early and late times:
+    w1 H1 + w2 H2, then w2 H1 + w1 H2.  The mix is linear, so it applies to
+    any coefficient (or stack of coefficients) before scaling or
+    broadcasting."""
+    mixed = np.multiply.outer(_CF4_EARLY, early)
+    mixed += np.multiply.outer(_CF4_LATE, late)
+    return mixed
 
 
-def cf4_propagator(first, second, dt):
+def cf4_propagator(h, dt):
     """Cayley-Klein pair (a, b) of the fourth-order propagator, each shape (...).
 
-    ``first``/``second`` are (hx, hy, hz) coefficient triples of
-    hx sigma_x + hy sigma_y + hz sigma_z for the two exponents of each step,
-    as mixed by ``cf4_mix``; they broadcast to (..., S), steps on the last
-    axis.  The propagator is [[a, -b*], [b, a*]].
+    ``h`` is the (hx, hy, hz) coefficient triple of
+    hx sigma_x + hy sigma_y + hz sigma_z for both exponents of each step,
+    as mixed by ``cf4_mix``; each broadcasts to (2, ..., S), the exponent
+    first and steps on the last axis, so a coefficient shared by both
+    exponents, or by all points, broadcasts over that axis.  One factor
+    pass builds the factors of both exponents.  The propagator is
+    [[a, -b*], [b, a*]].
     """
-    shape = np.broadcast_shapes(*(np.shape(h) for h in (*first, *second)))
-    a, b = _plan(shape).run(first, second, dt)
+    shape = np.broadcast_shapes(*(np.shape(c) for c in h))
+    if len(shape) < 2 or shape[0] != 2:
+        raise ValueError(f"coefficients must broadcast to (2, ..., S), not {shape}")
+    a, b = _plan(shape[1:]).run(h, dt)
     return a.copy(), b.copy()
 
 
@@ -532,29 +555,28 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
     flat_k = kappas.ravel()
     dt = field.duration / n_steps
     # Quadratures at the early and late sample times, stacked as (x, y) rows
-    # of shape (2, 1, S) and mixed into the two exponents before they are
-    # scaled by kappa.
+    # of shape (2, 1, S) and mixed into the (2, 2, 1, S) drive of the two
+    # exponents before it is scaled by kappa.
     quads = np.array(quadratures(field, cf4_times(n_steps, dt)))
-    drive_first, drive_second = cf4_mix(quads[:, 0, None], quads[:, 1, None])
+    mixed = cf4_mix(quads[:, 0, None], quads[:, 1, None])
     # A constant sample mixes to the same bits in both exponents, because
-    # IEEE addition commutes, so one array serves both.
+    # IEEE addition commutes, so one (P, 1) column serves both.
     half_d = 0.5 * flat_d[:, None]
-    hz = cf4_mix(half_d, half_d)[0]
+    hz = _CF4_W1 * half_d + _CF4_W2 * half_d
     slices = kernel_slices(flat_d.size, n_steps)
-    # The real (hx, hy) drive of each exponent, in one block per call sized
+    # The real (hx, hy) drive of both exponents, in one block per call sized
     # to the largest slice.
     drive = np.empty((2, 2, max((s.stop - s.start for s in slices), default=0), n_steps))
     out = np.empty((flat_d.size, 2, 2), dtype=complex)
     for rows in slices:
         kap = flat_k[rows, None]
-        first, second = drive[:, :, : len(kap)]
-        np.multiply(kap, drive_first, out=first)
-        np.multiply(kap, drive_second, out=second)
-        a, b = _plan(first.shape[1:]).run((*first, hz[rows]), (*second, hz[rows]), dt)
-        out[rows, 0, 0] = a
-        out[rows, 0, 1] = -b.conj()
-        out[rows, 1, 0] = b
-        out[rows, 1, 1] = a.conj()
+        block = np.multiply(kap, mixed, out=drive[:, :, : len(kap)])
+        a, b = _plan(block.shape[2:]).run((block[:, 0], block[:, 1], hz[rows]), dt)
+        u = out[rows]
+        u[:, 0, 0] = a
+        np.negative(np.conjugate(b, out=u[:, 0, 1]), out=u[:, 0, 1])
+        u[:, 1, 0] = b
+        np.conjugate(a, out=u[:, 1, 1])
     return out.reshape(deltas.shape + (2, 2))
 
 

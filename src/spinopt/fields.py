@@ -145,7 +145,7 @@ def quadratures(field: ControlField, t):
     """
     t_arr = np.asarray(t, dtype=float)
     # Parameter sets on the leading axis of each row, so each per-set sum is
-    # a row add.
+    # a row add, through the ufunc rather than the ``np.sum`` wrapper.
     rows = field.params.reshape(field.params.shape + (1,) * t_arr.ndim)
     half = 0.5 * rows[0]
     if field.basis == PM:
@@ -154,13 +154,13 @@ def quadratures(field: ControlField, t):
         x = np.pi * (rates * t_arr / np.pi)
         y = np.where(x, x, _EPS)
         phase = depths * t_arr * (np.sin(y) / y)
-        wx = np.sum(half * np.cos(phase), axis=0)
-        wy = np.sum(half * np.sin(phase), axis=0)
+        wx = np.add.reduce(half * np.cos(phase))
+        wy = np.add.reduce(half * np.sin(phase))
     else:
         _, freqs, phases, angles = rows
         env = half * np.cos(freqs * t_arr + phases)
-        wx = np.sum(env * np.cos(angles), axis=0)
-        wy = np.sum(env * np.sin(angles), axis=0)
+        wx = np.add.reduce(env * np.cos(angles))
+        wy = np.add.reduce(env * np.sin(angles))
     if t_arr.ndim == 0:
         return float(wx), float(wy)
     return wx, wy
@@ -193,15 +193,24 @@ def enforce_amplitude_constraint(field: ControlField) -> ControlField:
     the rescaled peak equals amp_limit exactly.
 
     Each parameter set adds a quadrature vector of length at most
-    |a_j| / 2, so the envelope never exceeds sum(|a_j|) / 2.  When that
-    bound sits below amp_limit by more than rounding can close, the grid
-    peak cannot exceed the limit and is not evaluated.
+    h_j = |a_j| / 2, so the envelope never exceeds sum(h_j).  An SFB set
+    adds h_j c_j(t) e^{i varphi_j} with |c_j| <= 1 on its quadrature angle
+    varphi_j, so there the squared envelope is at most
+    sum_jk h_j h_k |cos(varphi_j - varphi_k)|, which is exact for two sets
+    and never above sum(h_j)^2.  When the bound sits below amp_limit by
+    more than rounding can close, the grid peak cannot exceed the limit and
+    is not evaluated.
     """
     _, low, high = parameter_ranges(field.basis, field.duration, field.amp_limit)
     params = np.clip(field.params, low, high)
     clamped = not np.array_equal(params, field.params)
     candidate = dataclasses.replace(field, params=params) if clamped else field
-    bound = 0.5 * float(np.sum(np.abs(params[0])))
+    if field.basis == SFB:
+        half = 0.5 * np.abs(params[0])
+        angles = params[3]
+        bound = math.sqrt(float(half @ np.abs(np.cos(angles[:, None] - angles)) @ half))
+    else:
+        bound = 0.5 * float(np.sum(np.abs(params[0])))
     if bound > field.amp_limit * (1.0 - 1e-12):
         peak = peak_amplitude(candidate)
         if peak > field.amp_limit:

@@ -237,11 +237,11 @@ _IDEAL_PI = (0j, -1j)
 
 
 def _x_drive(seq, times, kappa):
-    """Transverse drive of the X pulse as ``((hx, hy), (hx, hy))`` for the
-    two CF4 exponents of each substep, from the quadratures at the (2, n_sub)
-    sample ``times``."""
+    """Transverse drive ``(hx, hy)`` of the X pulse, each (2, n_sub) with
+    the two CF4 exponents of each substep first, from the quadratures at the
+    (2, n_sub) sample ``times``."""
     w1, w2 = quadratures(seq.x_field, times)
-    return tuple(zip(cf4_mix(*(kappa * w1)), cf4_mix(*(kappa * w2))))
+    return cf4_mix(*(kappa * w1)), cf4_mix(*(kappa * w2))
 
 
 def _pulse_unitaries(signal, t_starts, delta_totals, drive, times, dt):
@@ -254,20 +254,21 @@ def _pulse_unitaries(signal, t_starts, delta_totals, drive, times, dt):
     Pulse k starts at ``t_starts[k]`` with ``delta_totals[k]`` holding
     delta + delta_d per realization; the dynamic part is frozen for the
     pulse duration.  ``drive`` comes from ``_x_drive`` and ``times`` are the
-    local sample times it was built on.  The z coefficient is the AC signal
-    of each pulse, (K, 1, n_sub), plus its static detuning per realization,
-    (K, R, 1), both mixed on the time axis; the drive broadcasts over both.
+    local sample times it was built on.  The z coefficient of both
+    exponents, (2, K, R, n_sub), is one add of the AC signal of each pulse,
+    (2, K, 1, n_sub), and its static detuning per realization, (K, R, 1),
+    both mixed on the time axis; the drive broadcasts over both.
     """
-    early, late = signal.g_ac * np.cos(
+    samples = signal.g_ac * np.cos(
         signal.omega_s * (t_starts[:, None, None] + times[:, None, None, :])
     )
-    signal_first, signal_second = cf4_mix(early, late)
+    signal_mix = cf4_mix(*samples)
     # The static detuning is one sample for both Gauss points, so its mix is
     # the same bits in both exponents (IEEE addition commutes).
     half = 0.5 * delta_totals[:, :, None]
-    static = cf4_mix(half, half)[0]
-    first, second = drive
-    return cf4_propagator((*first, static + signal_first), (*second, static + signal_second), dt)
+    hz = cf4_mix(half, half)[0] + signal_mix
+    hx, hy = drive
+    return cf4_propagator((hx[:, None, None], hy[:, None, None], hz), dt)
 
 
 def _free_phase(signal, delta_total, t0, t1):

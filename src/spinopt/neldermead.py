@@ -57,11 +57,12 @@ def nelder_mead_batches(x0, step, f_tol: float = 1e-4, max_iter: int | None = No
         values = np.array(sent, dtype=float)
         if values.shape != (len(points),):
             raise ValueError(f"expected {len(points)} values, got shape {values.shape}")
-        for x, value in zip(points, values.tolist()):
-            if not math.isfinite(value):
-                raise RuntimeError(
-                    f"objective returned non-finite value {value} at x={x.tolist()}"
-                )
+        listed = values.tolist()
+        if not all(map(math.isfinite, listed)):
+            i = next(i for i, value in enumerate(listed) if not math.isfinite(value))
+            raise RuntimeError(
+                f"objective returned non-finite value {listed[i]} at x={points[i].tolist()}"
+            )
         return values
 
     simplex = np.empty((dim + 1, dim))
@@ -83,13 +84,13 @@ def nelder_mead_batches(x0, step, f_tol: float = 1e-4, max_iter: int | None = No
         n_iter += 1
 
         # The sum over dim, as simplex[:-1].mean(axis=0) computes it.
-        centroid = simplex[:-1].sum(axis=0) / dim
+        centroid = np.add.reduce(simplex[:-1]) / dim
         worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        (f_ref,) = told(reflected[None], (yield reflected[None]))
+        reflected = (centroid + (centroid - worst))[None]
+        (f_ref,) = told(reflected, (yield reflected))
         if f_ref < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            (f_exp,) = told(expanded[None], (yield expanded[None]))
+            expanded = (centroid + 2.0 * (centroid - worst))[None]
+            (f_exp,) = told(expanded, (yield expanded))
             if f_exp < f_ref:
                 simplex[-1], values[-1] = expanded, f_exp
             else:
@@ -99,10 +100,10 @@ def nelder_mead_batches(x0, step, f_tol: float = 1e-4, max_iter: int | None = No
             simplex[-1], values[-1] = reflected, f_ref
             continue
         if f_ref < values[-1]:
-            contracted = centroid + 0.5 * (reflected - centroid)
+            contracted = (centroid + 0.5 * (reflected[0] - centroid))[None]
         else:
-            contracted = centroid - 0.5 * (centroid - worst)
-        (f_con,) = told(contracted[None], (yield contracted[None]))
+            contracted = (centroid - 0.5 * (centroid - worst))[None]
+        (f_con,) = told(contracted, (yield contracted))
         if f_con < min(f_ref, values[-1]):
             simplex[-1], values[-1] = contracted, f_con
             continue
@@ -128,7 +129,8 @@ def run_lockstep(searches: list, evaluate) -> list:
     pending = {i: next(search) for i, search in enumerate(searches)}
     results = [None] * len(searches)
     while pending:
-        values = evaluate(np.concatenate(list(pending.values())))
+        batches = list(pending.values())
+        values = evaluate(batches[0] if len(batches) == 1 else np.concatenate(batches))
         start = 0
         for i, batch in list(pending.items()):
             try:

@@ -191,12 +191,9 @@ def simulate_ramsey_per_pulse(seq, signal, noise, t_max, n_steps_per_pulse=50, k
         )
         static = 0.5 * delta_total[:, None]
         static_first, static_second = cf4_mix(static, static)
-        (hx_first, hy_first), (hx_second, hy_second) = drive
-        return cf4_propagator(
-            (hx_first, hy_first, static_first + signal_first),
-            (hx_second, hy_second, static_second + signal_second),
-            dt,
-        )
+        hx, hy = drive
+        hz = np.stack((static_first + signal_first, static_second + signal_second))
+        return cf4_propagator((hx[:, None], hy[:, None], hz), dt)
 
     half_pulse = 0.0 if seq.kind == mag.IDEAL else 0.5 * seq.t_pulse
     dt = seq.t_pulse / n_steps_per_pulse

@@ -467,6 +467,27 @@ def _xy8_group(seed, shape=(4, 100, 50)):
     return (drive[0], drive[1], hz[0]), (drive[2], drive[3], hz[1]), 2e-9
 
 
+def _stacked(first, second):
+    """The (hx, hy, hz) of both exponents, exponent first, as
+    ``cf4_propagator`` takes them."""
+    shape = np.broadcast_shapes(*(np.shape(h) for h in (*first, *second)))
+    return tuple(
+        np.stack((np.broadcast_to(f, shape), np.broadcast_to(s, shape)))
+        for f, s in zip(first, second)
+    )
+
+
+def _exponent_cuts(h, dt):
+    """(squarings, series terms) of each exponent of stacked coefficients,
+    by the kernel's rule."""
+    x = (h[0] * h[0] + h[1] * h[1] + h[2] * h[2]) * (dt * dt)
+    cuts = []
+    for x_max in x.reshape(2, -1).max(axis=1).tolist():
+        s = math.ceil(0.5 * math.log2(x_max)) if 1.0 < x_max < math.inf else 0
+        cuts.append((s, dynamics._series_terms(x_max * 0.25**s)))
+    return cuts
+
+
 def _assert_pairs_equal(got, expected):
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
@@ -497,7 +518,7 @@ class TestReductionPlans:
     def test_xy8_group_matches_frozen_kernel(self):
         first, second, dt = _xy8_group(0)
         _assert_pairs_equal(
-            cf4_propagator(first, second, dt), frozen_cf4_propagator(first, second, dt)
+            cf4_propagator(_stacked(first, second), dt), frozen_cf4_propagator(first, second, dt)
         )
 
     def test_exponents_with_different_term_counts(self):
@@ -507,26 +528,70 @@ class TestReductionPlans:
         x_second = max(float(np.max(h * h)) for h in second) * dt * dt
         assert dynamics._series_terms(x_first) < dynamics._series_terms(x_second)
         _assert_pairs_equal(
-            cf4_propagator(first, second, dt), frozen_cf4_propagator(first, second, dt)
+            cf4_propagator(_stacked(first, second), dt), frozen_cf4_propagator(first, second, dt)
         )
+
+    def test_one_exponent_squared_and_the_other_not(self):
+        first, second, dt = _xy8_group(6, (3, 40))
+        second = tuple(40.0 * h for h in second)
+        cuts = _exponent_cuts(_stacked(first, second), dt)
+        assert cuts[0][0] == 0 < cuts[1][0]
+        _assert_pairs_equal(
+            cf4_propagator(_stacked(first, second), dt), frozen_cf4_propagator(first, second, dt)
+        )
+
+    def test_term_counts_differ_at_xy8_broadcast_shapes(self):
+        # the drive as the pulse pass hands it over, (2, S) per exponent on
+        # (2, 1, 1, S), against a z coefficient of (2, K, R, S)
+        first, second, dt = _xy8_group(7, (3, 20, 50))
+        second = (*second[:2], 4.0 * second[2])
+        h = _stacked(first, second)
+        compact = (h[0][:, :1, :1], h[1][:, :1, :1], h[2])
+        cuts = _exponent_cuts(h, dt)
+        assert cuts[0][0] == cuts[1][0] == 0 and cuts[0][1] != cuts[1][1]
+        _assert_pairs_equal(cf4_propagator(compact, dt), frozen_cf4_propagator(first, second, dt))
+
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_propagate_many_with_split_exponents(self, n_steps):
+        # one SFB set at its peak at the early Gauss point of the first step
+        # and at zero at the late one, so the two exponents' drives of that
+        # step differ about 14-fold
+        gap = (dynamics._GAUSS_HI - dynamics._GAUSS_LO) * T
+        rate = np.pi / (2.0 * gap)
+        phase = -rate * dynamics._GAUSS_LO * T
+        fld = sfb_field([TWO_PI * 120e6], [rate], [phase], [0.0], T, OMEGA_MAX)
+        deltas, kappas = np.array([TWO_PI * 2e6, -TWO_PI * 3e6]), np.array([1.3, 0.7])
+        dt = T / n_steps
+        quads = np.array(quadratures(fld, cf4_times(n_steps, dt)))
+        drive = kappas[:, None] * cf4_mix(quads[:, 0, None], quads[:, 1, None])
+        hz = cf4_mix(0.5 * deltas[:, None], 0.5 * deltas[:, None])[0]
+        cuts = _exponent_cuts((drive[:, 0], drive[:, 1], hz), dt)
+        assert cuts[0] != cuts[1]
+        expected = frozen_propagate_many(fld, deltas, kappas, n_steps)
+        assert np.array_equal(propagate_many(fld, deltas, kappas, n_steps), expected)
+
+    def test_coefficients_without_an_exponent_axis_rejected(self):
+        first, _, dt = _xy8_group(8, (3, 40))
+        with pytest.raises(ValueError, match="broadcast to"):
+            cf4_propagator(first, dt)
 
     def test_repeated_calls_are_identical(self):
         first, second, dt = _xy8_group(2, (6, 77))
-        once = cf4_propagator(first, second, dt)
-        _assert_pairs_equal(cf4_propagator(first, second, dt), once)
+        once = cf4_propagator(_stacked(first, second), dt)
+        _assert_pairs_equal(cf4_propagator(_stacked(first, second), dt), once)
 
     def test_returned_arrays_are_independent_of_the_plan(self):
         first, second, dt = _xy8_group(3, (5, 64))
         other = _xy8_group(5, (5, 64))
         expected = frozen_cf4_propagator(first, second, dt)
-        a, b = cf4_propagator(first, second, dt)
+        a, b = cf4_propagator(_stacked(first, second), dt)
         # a later call of the same shape leaves an earlier result alone
-        cf4_propagator(*other)
+        cf4_propagator(_stacked(*other[:2]), other[2])
         _assert_pairs_equal((a, b), expected)
         # and writing to a result does not reach the next call
         a[...] = 0.0
         b[...] = np.nan
-        _assert_pairs_equal(cf4_propagator(first, second, dt), expected)
+        _assert_pairs_equal(cf4_propagator(_stacked(first, second), dt), expected)
 
     def test_threads_get_the_same_bits(self):
         # more callers than cores on one shape at once, each with its own
@@ -540,7 +605,7 @@ class TestReductionPlans:
         def work(i):
             start.wait()
             for _ in range(30):
-                got = cf4_propagator(*inputs[i])
+                got = cf4_propagator(_stacked(*inputs[i][:2]), inputs[i][2])
                 if not all(np.array_equal(g, e) for g, e in zip(got, expected[i])):
                     mismatches.append(i)
 
@@ -569,7 +634,7 @@ class TestReductionPlans:
     def test_plan_cache_is_bounded(self):
         for n_steps in range(10, 30):
             first, second, dt = _xy8_group(4, (2, n_steps))
-            cf4_propagator(first, second, dt)
+            cf4_propagator(_stacked(first, second), dt)
         assert len(dynamics._plans.by_shape) <= dynamics._PLAN_SHAPES
 
 

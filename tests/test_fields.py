@@ -266,6 +266,45 @@ def test_enforce_skips_grid_below_amplitude_bound(monkeypatch):
     assert enforce_amplitude_constraint(fld) is fld
 
 
+def test_sfb_angle_bound_skips_only_fields_within_the_limit(monkeypatch):
+    # SFB fields with 1-3 sets whose sum(|a_j|) / 2 lies above the limit, so
+    # the sum bound always evaluates the grid; the quadrature-angle bound
+    # skips it only where the grid peak stays within the limit, and the
+    # output is the sum-bound rule's either way
+    import spinopt.fields as fields_module
+
+    grid_calls = []
+
+    def counted_peak(fld):
+        grid_calls.append(fld)
+        return peak_amplitude(fld)
+
+    monkeypatch.setattr(fields_module, "peak_amplitude", counted_peak)
+    rng = np.random.default_rng(11)
+    rate = 2 * TWO_PI / T
+    skipped = 0
+    for i in range(300):
+        n_sets = 1 + i % 3
+        amps = rng.uniform(0.2, 1.0, n_sets) * rng.choice([-1.0, 1.0], n_sets)
+        amps *= 2 * OMEGA_MAX * rng.uniform(1.0, 1.6) / np.sum(np.abs(amps))
+        fld = sfb_field(
+            amps,
+            rng.uniform(0, rate, n_sets),
+            rng.uniform(0, TWO_PI, n_sets),
+            rng.uniform(0, TWO_PI, n_sets),
+            T,
+            OMEGA_MAX,
+        )
+        assert 0.5 * np.sum(np.abs(fld.amplitudes)) > OMEGA_MAX
+        grid_calls.clear()
+        out = enforce_amplitude_constraint(fld)
+        assert_same_field(out, enforce_on_grid(fld))
+        if not grid_calls:
+            skipped += 1
+            assert peak_amplitude(out) <= OMEGA_MAX
+    assert 0 < skipped < 300
+
+
 def test_peak_grid_is_cached_and_read_only():
     ts = _peak_times(T)
     assert np.array_equal(ts, np.linspace(0.0, T, PEAK_GRID_POINTS))

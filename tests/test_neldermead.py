@@ -152,3 +152,28 @@ def test_lockstep_returns_results_in_input_order():
             alone.converged,
         )
     assert sum(rounds) == sum(r.n_evals for r in results)
+
+
+def test_seeded_8d_search_keeps_its_recorded_result():
+    # the result of this search before the per-evaluation bookkeeping was
+    # trimmed, bit for bit
+    rng = np.random.default_rng(8)
+    x0, step = rng.uniform(-1, 1, 8), rng.uniform(0.05, 0.3, 8)
+    centre, weights = rng.uniform(-1, 1, 8).tolist(), rng.uniform(0.5, 3, 8).tolist()
+
+    def bowl8(x):
+        return sum(w * (xi - c) ** 2 for w, xi, c in zip(weights, x.tolist(), centre))
+
+    result = nelder_mead(bowl8, x0, step, f_tol=1e-10, max_iter=2000)
+    assert (result.n_evals, result.n_iter, result.converged) == (534, 340, True)
+    assert result.fun.hex() == "0x1.42031a471ba72p-31"
+    assert [v.hex() for v in result.x.tolist()] == [
+        "-0x1.f3dfe463afd98p-2",
+        "0x1.74573f04b0ed5p-3",
+        "0x1.ab141dcfe42d4p-3",
+        "0x1.2cc21e02b062cp-2",
+        "0x1.a53aff9569b36p-1",
+        "-0x1.662fd8b369f9ap-1",
+        "-0x1.076800e589315p-2",
+        "-0x1.b91c9bffba78cp-2",
+    ]
