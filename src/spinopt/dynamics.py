@@ -22,11 +22,12 @@ are broadcast over points, and every kernel caller
 splits its rows into calls of at most ``_KERNEL_POINT_STEPS`` point-steps
 (``kernel_slices``), a budget measured on both callers' traffic.
 ``run_slices`` runs independent slices on every usable core, the calling
-thread and one persistent helper thread per further CPU.  Each thread,
-helpers included, keeps the working blocks of the last few shapes it
+thread and one helper thread per further CPU, which each call starts and
+joins.  Each thread keeps the working blocks of the last few shapes it
 propagated (at most ``_PLAN_SHAPES``, about 4 MB each at the budget), each
 with the views of its whole reduction built in advance (``_Plan``), so a
-repeated shape allocates no working memory and builds no views.
+repeated shape allocates no working memory and builds no views; a helper's
+blocks last for its one call.
 
 The time-step error falls as steps^-4.  The step-error table below gives
 max |dF| against 4000 steps of the 4x4 ensemble objective and of single
@@ -48,10 +49,10 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -77,6 +78,11 @@ DEFAULT_KAPPA_MEAN = 1.0
 # Reference pulse: 100 ns long with amplitude limit 2*pi*10 MHz.
 DEFAULT_AMP_LIMIT = TWO_PI * 10e6
 DEFAULT_DURATION = 100e-9
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, not a bool: the one rule for counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def gaussian_weight(x, mean, fwhm):
@@ -325,9 +331,9 @@ class _Plan:
 # verification's full and remainder chunks.  A plan takes 128 bytes per
 # point-step, its four pair slots: both factors of the one stacked factor
 # pass, the product and the scratch.  That is at most about 16 MB per
-# thread at the kernel budget; a ``run_slices`` helper holds the XY-8
-# pulse pass's two shapes, 3.8 MB for a default group of 6 pulses and
-# 2.6 MB for its remainder of 4.
+# thread at the kernel budget.  A ``run_slices`` helper builds the plans
+# of its one call and frees them when it exits: in the XY-8 pulse pass,
+# 3.8 MB for a default group of 6 pulses and 2.6 MB for its remainder of 4.
 _PLAN_SHAPES = 4
 _plans = threading.local()
 
@@ -396,105 +402,59 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Job:
-    """One ``run_slices`` call as its workers share it: each takes the next
-    slice until none is left or a slice has raised; the last worker out sets
-    ``done``."""
-
-    def __init__(self, fn, slices, workers):
-        self.fn = fn
-        self.slices = slices
-        self.next = 0
-        self.error = None
-        self.running = workers
-        self.lock = threading.Lock()
-        self.done = threading.Event()
-
-    def work(self):
-        while True:
-            with self.lock:
-                if self.error is not None or self.next == len(self.slices):
-                    break
-                item = self.slices[self.next]
-                self.next += 1
-            try:
-                self.fn(item)
-            except BaseException as exc:
-                with self.lock:
-                    if self.error is None:
-                        self.error = exc
-        with self.lock:
-            self.running -= 1
-            if self.running == 0:
-                self.done.set()
-
-
-class _Helpers:
-    """Persistent daemon threads that join ``run_slices`` calls, one job
-    queue each; ``lock`` is held by the one call that uses them."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.queues = []
-
-    def start(self, n):
-        while len(self.queues) < n:
-            queue = SimpleQueue()
-            name = f"spinopt-slices-{len(self.queues)}"
-            threading.Thread(target=_serve, args=(queue,), name=name, daemon=True).start()
-            self.queues.append(queue)
-
-
-def _serve(queue):
-    while True:
-        queue.get().work()
-
-
-_helpers = _Helpers()
-
-
-def _drop_helpers():
-    # A forked child has only the forking thread; the inherited queues would
-    # never be served.
-    global _helpers
-    _helpers = _Helpers()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_helpers)
+# Held by the one ``run_slices`` call that has helper threads.
+_slices_lock = threading.Lock()
 
 
 def run_slices(fn, slices) -> None:
     """Call ``fn(s)`` once for each ``s`` in ``slices``, on every usable core.
 
-    The calling thread shares the slices with persistent daemon helpers,
-    one per usable CPU beyond the first and never more than there are
-    slices beyond the first; they start at the first call that can use
-    them.  ``fn`` must be safe to run on several threads at once, and its
-    results must not depend on which thread runs it (each thread keeps its
-    own kernel plans).  The first exception a slice raises is re-raised
-    here, once every worker has stopped taking slices.  A call made while
-    another holds the helpers, as any call from inside ``fn`` does, runs
-    its slices serially on its own thread, so it cannot deadlock.
+    The calling thread shares the slices with helper threads that the call
+    starts and joins before it returns, one per usable CPU beyond the first
+    and never more than there are slices beyond the first.  ``fn`` must be
+    safe to run on several threads at once, and its results must not depend
+    on which thread runs it (each thread keeps its own kernel plans).  The
+    first exception a slice raises is re-raised here, once every worker has
+    stopped taking slices.  A call made while another has helpers, as any
+    call from inside ``fn`` does, runs its slices serially on its own
+    thread, so it cannot deadlock; so does a call in a child forked while a
+    call had helpers.
     """
     slices = list(slices)
     n = min(_usable_cpus(), len(slices)) - 1
-    helpers = _helpers
-    if n < 1 or not helpers.lock.acquire(blocking=False):
+    if n < 1 or not _slices_lock.acquire(blocking=False):
         for item in slices:
             fn(item)
         return
+    pending = iter(slices)
+    lock = threading.Lock()
+    errors = []
+    done = object()
+
+    def work():
+        while True:
+            with lock:
+                item = done if errors else next(pending, done)
+            if item is done:
+                return
+            try:
+                fn(item)
+            except BaseException as exc:
+                errors.append(exc)
+
+    threads = []
     try:
-        helpers.start(n)
-        job = _Job(fn, slices, n + 1)
-        for queue in helpers.queues[:n]:
-            queue.put(job)
-        job.work()
-        job.done.wait()
+        for k in range(n):
+            thread = threading.Thread(target=work, name=f"spinopt-slices-{k}", daemon=True)
+            thread.start()
+            threads.append(thread)
+        work()
     finally:
-        helpers.lock.release()
-    if job.error is not None:
-        raise job.error
+        for thread in threads:
+            thread.join()
+        _slices_lock.release()
+    if errors:
+        raise errors[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -546,8 +506,8 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
 
     ``deltas`` and ``kappas`` broadcast against each other.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    if not (_is_integer(n_steps) and n_steps >= 1):
+        raise ValueError(f"n_steps must be an integer of at least 1, not {n_steps!r}")
     deltas, kappas = np.broadcast_arrays(
         np.asarray(deltas, dtype=float), np.asarray(kappas, dtype=float)
     )

@@ -19,6 +19,7 @@ from .dynamics import (
     DEFAULT_AMP_LIMIT,
     DEFAULT_DELTA_FWHM,
     FWHM_TO_SIGMA,
+    _is_integer,
     cf4_mix,
     cf4_propagator,
     cf4_times,
@@ -302,13 +303,15 @@ def simulate_ramsey(
     The OU path does not depend on the spin state, so the trace runs in
     three passes: the noise of every segment is drawn in schedule order,
     every pulse is propagated (several per kernel call, the groups spread
-    over every usable core by ``run_slices``, with the same bits as one
-    group after another), and the spin walks the free rotations and pulses,
-    read out at each block terminal.  Only the pulse pass leaves the
-    calling thread.
+    over every usable core by ``run_slices``, whose helper threads live for
+    that one call, with the same bits as one group after another), and the
+    spin walks the free rotations and pulses, read out at each block
+    terminal.  Only the pulse pass leaves the calling thread.
     """
-    if n_steps_per_pulse < 1:
-        raise ValueError("n_steps_per_pulse must be at least 1")
+    if not (_is_integer(n_steps_per_pulse) and n_steps_per_pulse >= 1):
+        raise ValueError(
+            f"n_steps_per_pulse must be an integer of at least 1, not {n_steps_per_pulse!r}"
+        )
     n_blocks = min(seq.n_periods, periods_within(t_max, seq.period))
     if n_blocks < 2:
         raise ValueError("t_max must span at least 2 XY-8 periods")

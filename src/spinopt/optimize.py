@@ -29,7 +29,6 @@ alone.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -46,6 +45,7 @@ from .dynamics import (
     DEFAULT_KAPPA_RANGE,
     SIGMA_X,
     NoiseGrid,
+    _is_integer,
     ensemble_objective,
     gate_fidelity_many,
     state_fidelity_many,
@@ -79,10 +79,6 @@ P_FIT_THRESHOLD = 0.6
 # max |dF| stays below 1e-6, a tenth of the default nm_f_tol; below it a call
 # costs little less, being mostly per-call overhead.
 _SEARCH_STEPS = 200
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ModelValidationError(RuntimeError):

@@ -273,6 +273,31 @@ def brute_force_objective(point_fidelity, m, n, delta_range, kappa_range, delta_
     return total / norm
 
 
+def gauss_legendre_objective(point_fidelity, m, delta_range, kappa_range, delta_fwhm, kappa_fwhm, kappa_mean):
+    """Weighted ensemble average on an m x m Gauss-Legendre rule over the box.
+
+    Each node carries its rule weight times the Gaussian density of
+    ``brute_force_objective``, normalized by explicit loops;
+    ``point_fidelity(delta, kappa)`` supplies the single-point values.
+    """
+    nodes, rule = np.polynomial.legendre.leggauss(m)
+
+    def axis(lo, hi):
+        half = 0.5 * (hi - lo)
+        return [(lo + half * (x + 1.0), w) for x, w in zip(nodes.tolist(), rule.tolist())]
+
+    total = 0.0
+    norm = 0.0
+    for d, wd in axis(*delta_range):
+        for k, wk in axis(*kappa_range):
+            w = wd * wk * gaussian_density(d, 0.0, delta_fwhm) * gaussian_density(
+                k, kappa_mean, kappa_fwhm
+            )
+            norm += w
+            total += w * point_fidelity(d, k)
+    return total / norm
+
+
 def gp_log_likelihood(values, corr, mu, sigma2):
     """Full Gaussian log-likelihood of sample values under the process model."""
     values = np.asarray(values, dtype=float)
@@ -414,3 +439,36 @@ def abs_cos_integral(g_ac, omega_s, t):
         val, _ = quad(lambda u: abs(math.cos(omega_s * u)), lo, hi, epsabs=1e-13)
         total += val
     return g_ac * total
+
+
+def xy8_gaussian_phase_p0(spacing, n_blocks, sigma, tau):
+    """Mean readout population <P0> at the first ``n_blocks`` block terminals
+    of ideal-pulse XY-8 with no AC signal and pulse spacing ``spacing``.
+
+    The detuning of each free segment is its value at the segment's start:
+    a static part, which the echo cancels, plus an Ornstein-Uhlenbeck part of
+    stationary std ``sigma`` and correlation time ``tau``.  The phase
+    sum_j s_j L_j delta_d(t_j) is Gaussian with zero mean, so
+    <P0> = (1 + exp(-Var / 2)) / 2 with
+    Var = sum_jk s_j s_k L_j L_k sigma^2 exp(-|t_j - t_k| / tau), where s_j
+    is the toggling sign, L_j the length and t_j the start of segment j.
+    Each block's 9 free segments start at its edge and at its 8 pulse
+    centres, (k + 1/2) * spacing, and alternate in sign from +.
+    """
+    segments = []
+    for b in range(n_blocks):
+        edge = 8 * b * spacing
+        segments.append((edge, 0.5 * spacing, 1.0))
+        for k in range(8):
+            length = 0.5 * spacing if k == 7 else spacing
+            segments.append((edge + (k + 0.5) * spacing, length, -1.0 if k % 2 == 0 else 1.0))
+    p0 = []
+    var = 0.0
+    for j, (t_j, l_j, s_j) in enumerate(segments):
+        cross = 0.0
+        for t_k, l_k, s_k in segments[:j]:
+            cross += s_k * l_k * math.exp(-(t_j - t_k) / tau)
+        var += s_j * l_j * sigma**2 * (s_j * l_j + 2.0 * cross)
+        if j % 9 == 8:
+            p0.append(0.5 * (1.0 + math.exp(-0.5 * var)))
+    return np.array(p0)

@@ -22,7 +22,12 @@ from spinopt.fields import peak_amplitude
 from spinopt import magnetometry
 from spinopt.magnetometry import XY8_AXES
 
-from oracles import abs_cos_integral, simulate_ramsey_per_pulse, xy8_populations_direct
+from oracles import (
+    abs_cos_integral,
+    simulate_ramsey_per_pulse,
+    xy8_gaussian_phase_p0,
+    xy8_populations_direct,
+)
 
 TWO_PI = 2 * np.pi
 OMEGA_MAX = TWO_PI * 10e6
@@ -206,6 +211,16 @@ class TestSimulateRamsey:
         expected = 0.5 * (1 + np.cos(2 * chi))
         np.testing.assert_allclose(trace.p0_mean, expected, atol=1e-6)
 
+    def test_ideal_pulses_match_gaussian_phase_reference(self):
+        # no signal: the echo cancels the static detuning and the OU phase is
+        # Gaussian, so <P0> has a sampling-free closed form
+        seq = build_xy8("ideal", 50e-9, 350e-9, 60)
+        noise = NoiseSettings(n_realizations=1600, seed=0)
+        trace = simulate_ramsey(seq, NO_SIGNAL, noise, 60 * seq.period)
+        expected = xy8_gaussian_phase_p0(seq.spacing, 60, noise.stationary_std, noise.tau)
+        z = (trace.p0_mean - expected) / trace.p0_stderr
+        assert np.abs(z).max() <= 4
+
     def test_rect_no_noise_no_signal_is_identity_echo(self):
         seq = build_xy8("rect", 50e-9, 350e-9, 10)
         trace = simulate_ramsey(seq, NO_SIGNAL, NoiseSettings.disabled(), 10 * 3.2e-6)
@@ -355,6 +370,12 @@ class TestSimulateRamsey:
         seq = build_xy8("rect", 50e-9, 350e-9, 4)
         with pytest.raises(ValueError, match="n_steps_per_pulse"):
             simulate_ramsey(seq, SIGNAL, NoiseSettings.disabled(), 4 * 3.2e-6, n_steps_per_pulse=0)
+
+    @pytest.mark.parametrize("n_sub", [50.0, 50.5, True])
+    def test_non_integer_step_count_rejected(self, n_sub):
+        seq = build_xy8("rect", 50e-9, 350e-9, 4)
+        with pytest.raises(ValueError, match="n_steps_per_pulse must be an integer"):
+            simulate_ramsey(seq, SIGNAL, NoiseSettings.disabled(), 4 * 3.2e-6, n_steps_per_pulse=n_sub)
 
 
 class TestEstimateT2:
