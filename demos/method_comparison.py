@@ -28,7 +28,6 @@ for method, n_sets in (("bpm", 1), ("pm", 1), ("bsfb", 2), ("sfb", 2)):
         n_samples=9,
         search_grid=(4, 4),
         seed=SEED,
-        n_steps=500,
         verify_grid=(30, 30),
     )
     stats = run_trials(cfg, N_TRIALS)

@@ -33,14 +33,20 @@ The time-step error falls as steps^-4.  The step-error table below gives
 max |dF| against 4000 steps of the 4x4 ensemble objective and of single
 points at the corners and centre of the default box, over 24 feasible fields
 (SFB n_sets=2 and PM, rates in the top half of the cap, peak envelope at the
-amplitude limit), state and gate fidelities; and the median time of one
+amplitude limit), state and gate fidelities; the same for 240 winning
+pulses (the first 60 items of the bench's ``surrogate_bpm`` and
+``direct_sfb`` workloads at master seeds 0 and 8191), per point at the
+corners and centre and on the 50 x 50 objective; and the median time of one
 ``state_fidelity_many`` call on the bundled shaped pi pulse (2-core AMD
 EPYC, Python 3.11.7, numpy 2.4.6):
 
-    steps          50      100     200     400     1000
-    max |dF|       6.8e-5  4.3e-6  2.7e-7  1.7e-8  4.2e-10
-    us, P = 9      73      84      110     156     277
-    us, P = 16     82      95      132     191     385
+    steps             50      100     200     400     1000
+    max |dF|          6.8e-5  4.3e-6  2.7e-7  1.7e-8  4.2e-10
+    winners, point    -       -       1.1e-8  6.8e-10 1.7e-11
+    winners, 50 x 50  -       -       7.6e-10 4.7e-11 1.2e-12
+    us, P = 9         73      84      110     156     277
+    us, P = 16        82      95      132     191     385
+    ms, P = 2500      2.6     4.5     8.9     16.4    41.9
 
 Ensemble averages weight a rectangular (delta, kappa) grid by the product
 of two Gaussians specified through their FWHM.
@@ -381,9 +387,11 @@ _CF4_LATE = np.array([_CF4_W2, _CF4_W1])
 # Below ~20,000 point-steps per call the per-call overhead of the
 # reduction's short levels dominates, and past ~100,000 the time rises
 # again as the working block (128 bytes per point-step) grows.  The budget
-# gives 32 points at 1000 steps and 6 pulses of 100 x 50.  50 points time a
-# little faster, but a call's points share one series term count, so
-# another split would change the bits of the verification.
+# gives 80 points per call at the verification's default 400 steps (a 50x50
+# call is 31 x 80 + 20), 32 at 1000 steps and 6 pulses of 100 x 50.
+# 50,000 point-steps time a little faster, but a call's points share one
+# series term count, so another split would change the bits of the
+# verification.
 _KERNEL_POINT_STEPS = 32_000
 
 

@@ -16,11 +16,13 @@ import pytest
 
 from spinopt import (
     NoiseGrid,
+    OptConfig,
     default_shaped_pi_field,
     magnetometry,
     pm_field,
     propagate_many,
     quadratures,
+    run_single,
     sfb_field,
 )
 
@@ -93,6 +95,25 @@ def test_checks_drive_reads_field_vectors(checks, field):
     # the RK4 check reads each parameter vector by name as a (n_sets,) row
     ts = np.linspace(0.0, field.duration, 33)
     np.testing.assert_allclose(checks._drive(field, ts), quadratures(field, ts), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kw, seed",
+    [
+        # bench items (master seeds 0 and 8191) whose winners have the
+        # largest RK4 error, 6.8e-10 and 5.3e-10 at 400 steps; the first is
+        # past RK4_TOL at 200 steps
+        (dict(method="bpm", n_sets=1, n_samples=9), 7810255904968673670),
+        (dict(method="bpm", n_sets=1, n_samples=9), 5657964527997639569),
+        (dict(method="sfb", n_sets=2), 7578198385472130773),
+        (dict(method="sfb", n_sets=2), 15793235383387715774),
+    ],
+)
+def test_default_trial_passes_the_bench_checks(checks, kw, seed):
+    # the accounting identity, f_verified in [0, 1] and the library at the
+    # default n_steps against RK4 at three verify-grid points, within RK4_TOL
+    cfg = OptConfig(seed=seed, **kw)
+    assert checks.check_trial(cfg, run_single(cfg)) == []
 
 
 def test_vector_outside_the_basis_is_no_attribute():

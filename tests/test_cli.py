@@ -397,9 +397,10 @@ class TestOptimizeCommand:
         assert field_map[0] == "delta_mhz,kappa,fidelity"
         assert len(field_map) == 1 + 15 * 15
         timings = (out / "timings.csv").read_text().splitlines()
-        assert timings[0] == "trial,wall_ms,nm_iters,nm_converged,nll_evals"
-        trial, wall_ms, nm_iters, converged, nll_evals = timings[1].split(",")
+        assert timings[0] == "trial,wall_ms,verify_ms,nm_iters,nm_converged,nll_evals"
+        trial, wall_ms, verify_ms, nm_iters, converged, nll_evals = timings[1].split(",")
         assert trial == "0" and float(wall_ms) > 0
+        assert 0 < float(verify_ms) < float(wall_ms)
         assert 0 < int(nm_iters) <= rec["nm_evals"]
         assert converged in ("0", "1")
         # the accepted model's fit alone runs 5 likelihood restarts of at
@@ -460,7 +461,7 @@ class TestTrialsCommand:
         counts = sum(int(line.split(",")[2]) for line in hist[1:])
         assert counts == 2
         timings = (out / "timings.csv").read_text().splitlines()
-        assert timings[0] == "trial,wall_ms,nm_iters,nm_converged,nll_evals"
+        assert timings[0] == "trial,wall_ms,verify_ms,nm_iters,nm_converged,nll_evals"
         assert [line.split(",")[0] for line in timings[1:]] == ["0", "1"]
 
     def test_reproducible_bytes(self, tmp_path):
