@@ -8,7 +8,7 @@ later tries to push up.
 """
 import numpy as np
 
-from spinopt import NoiseGrid, constant_drive, ensemble_objective, state_fidelity_many
+from spinopt import NoiseGrid, constant_drive, ensemble_objective, fidelities
 
 TWO_PI = 2 * np.pi
 
@@ -17,7 +17,7 @@ pulse = constant_drive(TWO_PI * 10e6, 50e-9, amp_limit=TWO_PI * 10e6)
 
 grid = NoiseGrid.regular(21, 11)
 points = grid.points()
-fid = state_fidelity_many(pulse, points[:, 0], points[:, 1]).reshape(21, 11)
+fid = fidelities(pulse, points).reshape(21, 11)
 
 print("state-flip fidelity of the 50 ns rectangular pi pulse")
 print("rows: detuning -10..10 MHz, columns: kappa 0.5..1.5\n")

@@ -12,10 +12,10 @@ import numpy as np
 from spinopt import (
     NoiseGrid,
     ensemble_objective,
+    fidelities,
     fit,
     jittered_grid,
     pm_field,
-    state_fidelity_many,
     surrogate_objective,
 )
 
@@ -27,7 +27,7 @@ region = reference_grid.bounds()
 
 rng = np.random.default_rng(3)
 samples = jittered_grid(region, 16, rng)
-values = state_fidelity_many(field, samples[:, 0], samples[:, 1])
+values = fidelities(field, samples)
 model = fit(samples, values, rng, bounds=region)
 reference = ensemble_objective(field, reference_grid)
 

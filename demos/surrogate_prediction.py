@@ -8,7 +8,7 @@ dense truth and against naive nearest-sample lookup.
 """
 import numpy as np
 
-from spinopt import NoiseGrid, fit, jittered_grid, pm_field, state_fidelity_many
+from spinopt import NoiseGrid, fidelities, fit, jittered_grid, pm_field
 
 TWO_PI = 2 * np.pi
 
@@ -18,14 +18,14 @@ field = pm_field([0.0332e9], [0.0104e9], [0.0378e9], 100e-9, TWO_PI * 10e6)
 grid = NoiseGrid.regular(50, 50)
 region = grid.bounds()
 pts = grid.points()
-truth = state_fidelity_many(field, pts[:, 0], pts[:, 1]).reshape(50, 50)
+truth = fidelities(field, pts).reshape(50, 50)
 print(f"dense truth map: 2500 propagations, range {truth.min():.3f}..{truth.max():.3f}\n")
 
 rng = np.random.default_rng(16)
 span = region[:, 1] - region[:, 0]
 for n in (9, 16):
     samples = jittered_grid(region, n, rng)
-    values = state_fidelity_many(field, samples[:, 0], samples[:, 1])
+    values = fidelities(field, samples)
     model = fit(samples, values, rng, bounds=region)
     pred = np.clip(model.predict_grid(grid.deltas, grid.kappas), 0, 1)
     mae_pred = np.mean(np.abs(pred - truth))

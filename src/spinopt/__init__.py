@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .dynamics import (
     NoiseGrid,
     ensemble_objective,
+    fidelities,
     gate_fidelity_many,
     gaussian_weight,
     propagate_many,
@@ -91,6 +92,7 @@ __all__ = [
     "ensemble_objective",
     "envelope",
     "estimate_t2",
+    "fidelities",
     "fit",
     "fringe_window",
     "gate_fidelity_many",

@@ -8,7 +8,7 @@ failure (``RuntimeError``, ``ValueError`` or ``OSError``), 2 on a usage or
 config error; any other exception is a bug and propagates with its
 traceback.  Data files depend only on the config and seed, so repeated runs
 give byte-identical data files; timestamps live in the sidecar, and wall
-times in it, ``timings.csv`` and ``objective_timing.csv``.
+times in it, ``timings*.csv`` and ``objective_timing.csv``.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .config import (
     opt_config_from,
     read,
 )
-from .dynamics import NoiseGrid, ensemble_objective, state_fidelity_many
+from .dynamics import ensemble_objective, fidelities
 from .fields import PM, pm_field
 from .kriging import fit, jittered_grid, surrogate_objective
 from .magnetometry import (
@@ -57,8 +57,12 @@ from .optimize import (
 
 OUT_ENV_VAR = "SPINOPT_OUT"
 
-# Columns of a trial results CSV, in order, each with the parser that reads
-# its cell back into a record value.
+# The two files of a batch of trials, each a table of its columns, in
+# order, with the parser that reads a cell back.  results*.csv holds the
+# deterministic fields of ``run_to_record``; timings*.csv each trial's wall
+# time and the part of it spent on the dense verification, pulse-search and
+# Kriging likelihood diagnostics, kept out of the byte-reproducible data
+# files.
 TRIAL_COLUMNS = {
     "trial": int,
     "method": str,
@@ -72,11 +76,15 @@ TRIAL_COLUMNS = {
     "p_fit": lambda cell: None if cell == "" else float(cell),
     "lambda_opt": json.loads,
 }
-TRIAL_FIELDS = list(TRIAL_COLUMNS)
-# Columns of timings.csv: each trial's wall time and the part of it spent on
-# the dense verification, pulse-search and Kriging likelihood diagnostics,
-# kept out of the byte-reproducible data files.
-TIMING_FIELDS = ["trial", "wall_ms", "verify_ms", "nm_iters", "nm_converged", "nll_evals"]
+TIMING_COLUMNS = {
+    "trial": int,
+    "wall_ms": float,
+    "verify_ms": float,
+    "nm_iters": int,
+    "nm_converged": int,
+    "nll_evals": int,
+}
+TRIAL_FILES = {"results": TRIAL_COLUMNS, "timings": TIMING_COLUMNS}
 
 
 def _write_csv(path: Path, header, rows):
@@ -99,53 +107,49 @@ def _write_meta(out: Path, command: str, wall_s: float, extra=None):
         json.dump(meta, fh, indent=2)
 
 
-def read_trial_records(path) -> list[dict]:
-    """Parse a trial results CSV back into typed records."""
+def read_trial_records(path, columns=TRIAL_COLUMNS) -> list[dict]:
+    """Parse a results (or, with ``TIMING_COLUMNS``, timings) CSV back into
+    typed records."""
     with open(path, newline="") as fh:
         return [
-            {name: parse(row[name]) for name, parse in TRIAL_COLUMNS.items()}
+            {name: parse(row[name]) for name, parse in columns.items()}
             for row in csv.DictReader(fh)
         ]
 
 
-def _trial_rows(runs):
-    rows = []
-    for i, run in enumerate(runs):
-        rec = {"trial": i, **run_to_record(run)}
-        rec["lambda_opt"] = json.dumps(rec["lambda_opt"])
-        rows.append([rec[name] for name in TRIAL_FIELDS])
-    return rows
-
-
-def _timing_rows(runs):
-    return [
-        [i, r.wall_ms, r.verify_ms, r.nm_iters, int(r.nm_converged), r.nll_evals]
-        for i, r in enumerate(runs)
+def write_trials(out: Path, runs, tag: str = ""):
+    """``results{tag}.csv`` and ``timings{tag}.csv`` of a batch, one row per
+    trial, with the columns of ``TRIAL_FILES``."""
+    cells = [
+        {
+            "trial": i,
+            **run_to_record(run),
+            "lambda_opt": json.dumps(run.params.tolist()),
+            "wall_ms": run.wall_ms,
+            "verify_ms": run.verify_ms,
+            "nm_iters": run.nm_iters,
+            "nm_converged": int(run.nm_converged),
+            "nll_evals": run.nll_evals,
+        }
+        for i, run in enumerate(runs)
     ]
+    for stem, columns in TRIAL_FILES.items():
+        _write_csv(out / f"{stem}{tag}.csv", columns, [[c[n] for n in columns] for c in cells])
 
 
-def _map_rows(points, values):
-    """``[delta_mhz, kappa, value]`` rows of (delta, kappa) points."""
-    return [[float(mhz_from_rad_s(d)), k, v] for (d, k), v in zip(points, values)]
-
-
-def _fidelity_map_rows(field, grid: NoiseGrid, n_steps: int):
-    pts = grid.points()
-    return _map_rows(pts, state_fidelity_many(field, pts[:, 0], pts[:, 1], n_steps))
+def _write_map(path: Path, points, values):
+    """``delta_mhz, kappa, fidelity`` rows of (delta, kappa) points."""
+    rows = [[float(mhz_from_rad_s(d)), k, v] for (d, k), v in zip(points, values)]
+    _write_csv(path, ["delta_mhz", "kappa", "fidelity"], rows)
 
 
 def cmd_optimize(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     oc = opt_config_from(cfg, seed=seed)
     run = run_single(oc)
-    _write_csv(out / "results.csv", TRIAL_FIELDS, _trial_rows([run]))
-    _write_csv(out / "timings.csv", TIMING_FIELDS, _timing_rows([run]))
-    grid = oc.noise_grid(oc.verify_grid)
-    _write_csv(
-        out / "field_map.csv",
-        ["delta_mhz", "kappa", "fidelity"],
-        _fidelity_map_rows(run.field, grid, oc.n_steps),
-    )
+    write_trials(out, [run])
+    pts = oc.noise_grid(oc.verify_grid).points()
+    _write_map(out / "field_map.csv", pts, fidelities(run.field, pts, oc.n_steps, oc.target()))
     _write_meta(out, "optimize", time.perf_counter() - start)
     print(
         f"{oc.method} n_sets={oc.n_sets}: f_verified={run.f_verified:.4f} "
@@ -159,8 +163,7 @@ def cmd_trials(cfg: dict, out: Path, seed) -> int:
     oc = opt_config_from(cfg, seed=seed)
     n_trials = read(cfg, "optimize.n_trials")
     stats = run_trials(oc, n_trials)
-    _write_csv(out / "results.csv", TRIAL_FIELDS, _trial_rows(stats.runs))
-    _write_csv(out / "timings.csv", TIMING_FIELDS, _timing_rows(stats.runs))
+    write_trials(out, stats.runs)
     summary = stats_to_record(oc, n_trials, stats)
     _write_csv(out / "summary.csv", list(summary.keys()), [list(summary.values())])
     _write_csv(
@@ -188,25 +191,16 @@ def cmd_compare(cfg: dict, out: Path, seed) -> int:
     rows = []
     for oc in (primary, baseline):
         stats = run_trials(oc, n_trials)
-        _write_csv(
-            out / f"results_{oc.method}.csv", TRIAL_FIELDS, _trial_rows(stats.runs)
-        )
-        summary = stats_to_record(oc, n_trials, stats)
-        rows.append(summary)
+        write_trials(out, stats.runs, f"_{oc.method}_n{oc.n_sets}")
+        rows.append(stats_to_record(oc, n_trials, stats))
         print(
             f"{oc.method} x{n_trials}: mean={stats.f_mean:.4f} "
             f"mean_true_calls={stats.mean_true_calls:.0f}"
         )
     ratio = rows[0]["mean_true_calls"] / rows[1]["mean_true_calls"]
     header = list(rows[0].keys()) + ["call_ratio_vs_baseline"]
-    _write_csv(
-        out / "comparison.csv",
-        header,
-        [
-            list(rows[0].values()) + [ratio],
-            list(rows[1].values()) + [1.0],
-        ],
-    )
+    table = [list(row.values()) + [r] for row, r in zip(rows, (ratio, 1.0))]
+    _write_csv(out / "comparison.csv", header, table)
     _write_meta(out, "compare", time.perf_counter() - start)
     print(f"true-call ratio {rows[0]['method']}/{rows[1]['method']}: {ratio:.3f}")
     return 0
@@ -229,28 +223,17 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
     region = truth_grid.bounds()
 
     def truth_values(fld, pts):
-        return state_fidelity_many(fld, pts[:, 0], pts[:, 1], oc.n_steps)
+        return fidelities(fld, pts, oc.n_steps, oc.target())
 
-    _write_csv(
-        out / "truth_map.csv",
-        ["delta_mhz", "kappa", "fidelity"],
-        _fidelity_map_rows(demo_field, truth_grid, oc.n_steps),
-    )
+    truth_pts = truth_grid.points()
+    _write_map(out / "truth_map.csv", truth_pts, truth_values(demo_field, truth_pts))
     for n in sample_counts:
         pts = jittered_grid(region, n, rng)
         vals = truth_values(demo_field, pts)
-        _write_csv(
-            out / f"samples_{n}.csv",
-            ["delta_mhz", "kappa", "fidelity"],
-            _map_rows(pts, vals),
-        )
+        _write_map(out / f"samples_{n}.csv", pts, vals)
         model = fit(pts, vals, rng, bounds=region)
         pred = np.clip(model.predict_grid(truth_grid.deltas, truth_grid.kappas), 0, 1)
-        _write_csv(
-            out / f"prediction_map_{n}.csv",
-            ["delta_mhz", "kappa", "fidelity"],
-            _map_rows(truth_grid.points(), pred.ravel()),
-        )
+        _write_map(out / f"prediction_map_{n}.csv", truth_pts, pred.ravel())
 
     # Timing and deviation versus the number of objective grid points, for
     # the true objective and for a 16-sample surrogate, averaged over random
@@ -262,13 +245,13 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
     for _ in range(n_fields):
         params = draw_initial_params(rng, PM, 1, oc.duration, oc.amp_limit)
         fld = feasible_field(PM, params, oc.duration, oc.amp_limit)
-        reference = ensemble_objective(fld, truth_grid, oc.n_steps)
+        reference = ensemble_objective(fld, truth_grid, oc.n_steps, oc.target())
         pts = jittered_grid(region, 16, rng)
         model = fit(pts, truth_values(fld, pts), rng, bounds=region)
         for i, grid in enumerate(grids):
             t0 = time.perf_counter()
             for _ in range(reps):
-                value = ensemble_objective(fld, grid, oc.n_steps)
+                value = ensemble_objective(fld, grid, oc.n_steps, oc.target())
             true_time[i] += (time.perf_counter() - t0) / reps
             true_dev[i] += abs(value - reference)
             t0 = time.perf_counter()

@@ -37,13 +37,21 @@ class ConfigError(ValueError):
     """Malformed, unknown, or unreadable run configuration."""
 
 
-# The factor from each unit suffix to internal units, rad/s or s; ``_rad_ns``
-# comes before ``_ns``, which it ends with.
-UNITS = {"_mhz": TWO_PI * 1e6, "_khz": TWO_PI * 1e3, "_rad_ns": 1e9, "_ns": 1e-9, "_us": 1e-6}
+# The conversion of each unit suffix to internal units, rad/s or s, rounded
+# once where the library's literals round once (``100e-9``,
+# ``2 * pi * 10e6``): by an exact power of ten, and to Hz before the 2 pi of
+# an angular rate.  ``_rad_ns`` comes before ``_ns``, which it ends with.
+UNITS = {
+    "_mhz": lambda x: TWO_PI * (x * 1e6),
+    "_khz": lambda x: TWO_PI * (x * 1e3),
+    "_rad_ns": lambda x: x * 1e9,
+    "_ns": lambda x: x / 1e9,
+    "_us": lambda x: x / 1e6,
+}
 
 
 def mhz_from_rad_s(v):
-    return np.asarray(v, dtype=float) / UNITS["_mhz"]
+    return np.asarray(v, dtype=float) / (TWO_PI * 1e6)
 
 
 INTEGER, NUMBER, SQUARE = "integer", "number", "perfect square"
@@ -161,7 +169,7 @@ class Leaf:
         in_bounds = (self.low < x if self.low_open else self.low <= x) and x <= self.high
         if not (abs(x) < math.inf and in_bounds) or self.kind == SQUARE and math.isqrt(x) ** 2 != x:
             return _INVALID
-        return UNITS[_suffix(key)] * x if _suffix(key) else x
+        return UNITS[_suffix(key)](x) if _suffix(key) else x
 
 
 LEAVES = {

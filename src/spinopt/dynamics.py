@@ -577,21 +577,27 @@ def gate_fidelity_many(field: ControlField, target, deltas, kappas, n_steps: int
     return (2.0 + np.abs(overlap) ** 2) / 6.0
 
 
+def fidelities(field: ControlField, points, n_steps: int = 1000, target=None):
+    """Fidelity at each (delta, kappa) row of ``points``, shape (P, 2).
+
+    The one true call: the state-transfer fidelity |<1|U|0>|^2, or the gate
+    fidelity against ``target`` when one is given.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must have shape (P, 2), not {points.shape}")
+    if target is None:
+        return state_fidelity_many(field, points[:, 0], points[:, 1], n_steps)
+    return gate_fidelity_many(field, target, points[:, 0], points[:, 1], n_steps)
+
+
 def ensemble_objective(
     field: ControlField,
     grid: NoiseGrid,
     n_steps: int = 1000,
     target=None,
 ) -> float:
-    """Noise-weighted average fidelity over the grid, from M * N
-    single-point fidelity evaluations.
-
-    Averages the state-transfer fidelity |<1|U|0>|^2, or the gate fidelity
-    against ``target`` when one is given.
-    """
-    pts = grid.points()
-    if target is None:
-        f = state_fidelity_many(field, pts[:, 0], pts[:, 1], n_steps)
-    else:
-        f = gate_fidelity_many(field, target, pts[:, 0], pts[:, 1], n_steps)
-    return float(np.dot(grid.weights.ravel(), f))
+    """Noise-weighted average of ``fidelities`` over the grid, from M * N
+    single-point fidelity evaluations."""
+    values = fidelities(field, grid.points(), n_steps, target)
+    return float(np.dot(grid.weights.ravel(), values))

@@ -1,23 +1,23 @@
 """Search pipeline for robust ensemble control fields.
 
 Four methods share one pipeline and differ only in basis (PM or SFB) and
-objective: start from a random initial parameter vector, minimize 1 - F
-with Nelder-Mead under amplitude/range constraints, then verify the winner
-on the dense 50 x 50 truth grid.
+in how the ensemble fidelity is estimated: start from a random initial
+parameter vector, minimize 1 - reduce(fidelities(field, points)) with
+Nelder-Mead under amplitude/range constraints, then verify the winner on
+the dense 50 x 50 truth grid.  A method supplies only its design points
+and its reduction:
 
-* ``bpm`` / ``bsfb``: the search objective is the Kriging estimate of the
-  noise-averaged fidelity.  One validated model is built per run from a
-  random initial field; its correlation parameters and sample positions are
-  frozen, and only the n sample responses are re-evaluated (n true calls)
-  when the candidate field changes.
-* ``pm`` / ``sfb``: the search objective is the true discretized average on
-  a coarse grid (16 points by default), so every Nelder-Mead evaluation
-  costs M x N true calls.
+* ``bpm`` / ``bsfb``: the n samples of one validated Kriging model, built
+  per run from a random initial field, with its correlation parameters and
+  sample positions frozen; the reduction is the model's estimate of the
+  noise-averaged fidelity from the re-evaluated sample responses.
+* ``pm`` / ``sfb``: the M x N points of a coarse grid (16 by default); the
+  reduction is their Gaussian-weighted average.
 
 ``true_calls`` counts every single-point fidelity evaluation made before
-verification: the model-build samples plus, per Nelder-Mead evaluation, n
-(surrogate) or M x N (direct) points.  The final dense verification is
-reported separately.
+verification: the model-build samples (none for a direct method) plus
+``nm_evals`` times the number of design points.  The final dense
+verification is reported separately.
 
 Every true call before verification propagates at
 ``min(n_steps, _SEARCH_STEPS)`` CF4 steps, and the verification at
@@ -52,8 +52,7 @@ from .dynamics import (
     NoiseGrid,
     _is_integer,
     ensemble_objective,
-    gate_fidelity_many,
-    state_fidelity_many,
+    fidelities,
 )
 from .fields import (
     LAYOUT,
@@ -351,10 +350,12 @@ def _search(config: OptConfig, objective, x0):
 def run_single(config: OptConfig) -> OptRun:
     """One trial of any method: start point, Nelder-Mead search, dense verification.
 
-    Surrogate methods start from the field of the first validated model and
-    search the Kriging estimate refreshed from n true calls per evaluation;
-    direct methods start from a random draw and search the true average on
-    the coarse search grid.
+    Every method searches 1 - reduce(fidelities(field, points)) and supplies
+    only its design points and its reduction.  Surrogate methods start from
+    the field of the first validated model and reduce the fidelities at its
+    samples to the Kriging estimate; direct methods start from a random
+    draw and reduce the fidelities on the coarse search grid to its
+    weighted average.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -369,40 +370,39 @@ def run_single(config: OptConfig) -> OptRun:
     def field(params):
         return feasible_field(config.basis, params, *pulse)
 
+    def true_values(fld, points):
+        return fidelities(fld, points, search_steps, target)
+
     if config.uses_surrogate:
-
-        def evaluate(fld, points):
-            if target is None:
-                return state_fidelity_many(fld, points[:, 0], points[:, 1], search_steps)
-            return gate_fidelity_many(fld, target, points[:, 0], points[:, 1], search_steps)
-
         built = build_valid_surrogate(
             lambda r: field(draw(r)),
             verify.bounds(),
             config.n_samples,
             config.max_model_attempts,
             rng,
-            evaluate,
+            true_values,
         )
         x0 = pack_params(built.field)
         build_calls, model_attempts, p_fit = built.true_calls, built.attempts, built.p_fit
         nll_evals = built.nll_evals
         points = built.model.samples
-        calls_per_eval = points.shape[0]
 
-        def estimate(fld):
-            return surrogate_objective(built.model.with_values(evaluate(fld, points)), verify)
+        def reduce(values):
+            return surrogate_objective(built.model.with_values(values), verify)
 
     else:
         x0 = draw(rng)
         build_calls, model_attempts, p_fit, nll_evals = 0, 0, None, 0
         search_grid = config.noise_grid(config.search_grid)
-        calls_per_eval = search_grid.weights.size
+        points, weights = search_grid.points(), search_grid.weights.ravel()
 
-        def estimate(fld):
-            return ensemble_objective(fld, search_grid, search_steps, target)
+        def reduce(values):
+            return float(np.dot(weights, values))
 
-    result = _search(config, lambda params: 1.0 - estimate(field(params)), x0)
+    def objective(params):
+        return 1.0 - reduce(true_values(field(params), points))
+
+    result = _search(config, objective, x0)
     best_field = field(result.x)
     verify_start = time.perf_counter()
     f_verified = ensemble_objective(best_field, verify, config.n_steps, target)
@@ -414,7 +414,7 @@ def run_single(config: OptConfig) -> OptRun:
         field=best_field,
         f_search=1.0 - result.fun,
         f_verified=f_verified,
-        true_calls=build_calls + result.n_evals * calls_per_eval,
+        true_calls=build_calls + result.n_evals * len(points),
         model_attempts=model_attempts,
         nm_evals=result.n_evals,
         nm_iters=result.n_iter,

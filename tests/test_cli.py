@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinopt.cli import main, read_trial_records
+from spinopt import AcSignal, NoiseSettings, OptConfig, default_shaped_pi_field
+from spinopt.cli import TIMING_COLUMNS, TRIAL_FILES, main, read_trial_records
 from spinopt.config import (
     CHOICE,
     FLAG,
@@ -14,6 +16,7 @@ from spinopt.config import (
     ConfigError,
     default_config,
     load_config,
+    magnetometry_from,
     mhz_from_rad_s,
     opt_config_from,
     read,
@@ -90,15 +93,16 @@ def assert_reproducible(tmp_path, command, payload, names):
 
 class TestUnitConversions:
     def test_conversion_vector(self):
-        assert UNITS["_mhz"] * 10.0 == pytest.approx(TWO_PI * 1e7, rel=1e-15)
-        assert UNITS["_khz"] * 50.0 == pytest.approx(TWO_PI * 5e4, rel=1e-15)
-        assert UNITS["_rad_ns"] * 0.0332 == pytest.approx(3.32e7, rel=1e-15)
-        assert UNITS["_ns"] * 100.0 == pytest.approx(1e-7, rel=1e-15)
-        assert UNITS["_us"] * 20.0 == pytest.approx(2e-5, rel=1e-15)
+        # rounded once, as the library's literals are
+        assert UNITS["_mhz"](10.0) == TWO_PI * 10e6
+        assert UNITS["_khz"](50.0) == TWO_PI * 50e3
+        assert UNITS["_rad_ns"](0.0332) == pytest.approx(3.32e7, rel=1e-15)
+        assert UNITS["_ns"](100.0) == 100e-9
+        assert UNITS["_us"](20.0) == 20e-6
         assert mhz_from_rad_s(TWO_PI * 1e7) == pytest.approx(10.0, rel=1e-15)
 
     def test_round_trip(self):
-        assert mhz_from_rad_s(UNITS["_mhz"] * 26.5) == pytest.approx(26.5, rel=1e-12)
+        assert mhz_from_rad_s(UNITS["_mhz"](26.5)) == pytest.approx(26.5, rel=1e-12)
 
     def test_reader_converts_by_suffix(self):
         cfg = load_config(None)
@@ -134,6 +138,24 @@ class TestConfigLoading:
         assert oc.n_steps == 200 and isinstance(oc.n_steps, int)
         assert oc.search_grid == (4, 4)
 
+    def test_defaults_equal_library_defaults(self):
+        # bit for bit: each unit conversion rounds where the library's
+        # literal rounds
+        cfg = default_config()
+        oc, library = opt_config_from(cfg), OptConfig()
+        for field in dataclasses.fields(OptConfig):
+            assert getattr(oc, field.name) == getattr(library, field.name), field.name
+        _, shaped, signal, noise, _ = magnetometry_from(cfg)
+        assert signal == AcSignal()
+        assert noise == NoiseSettings()
+        fld, bundled = shaped["x_field"], default_shaped_pi_field()
+        assert (fld.basis, fld.duration, fld.amp_limit) == (
+            bundled.basis,
+            bundled.duration,
+            bundled.amp_limit,
+        )
+        np.testing.assert_array_equal(fld.params, bundled.params)
+
     def test_override_merges(self, tmp_path):
         path = write_config(tmp_path, {"optimize": {"n_steps": 123}})
         cfg = load_config(path)
@@ -164,6 +186,15 @@ class TestLeafTable:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         for key, leaf in LEAVES.items():
             assert f"| `{key}` | {leaf.describe()} |" in readme, key
+
+    def test_readme_names_the_trial_columns(self):
+        # README's schema row of each trial file names exactly the columns
+        # the writer writes, in order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for stem, columns in TRIAL_FILES.items():
+            rows = [row for row in readme.splitlines() if row.startswith(f"| `{stem}*.csv` |")]
+            assert len(rows) == 1, stem
+            assert rows[0].split("`")[3].split(", ") == list(columns), stem
 
     @pytest.mark.parametrize("key", LEAVES)
     def test_rejected_values_exit_2(self, tmp_path, capsys, key):
@@ -439,6 +470,27 @@ class TestOptimizeCommand:
     def test_reproducible_bytes(self, tmp_path):
         assert_reproducible(tmp_path, "optimize", FAST_OPT, ("results.csv", "field_map.csv"))
 
+    @pytest.mark.parametrize("objective", ["state", "gate_x"])
+    def test_field_map_averages_to_f_verified(self, tmp_path, objective):
+        # the map holds the fidelity the trial verified, so its
+        # verify-grid-weighted mean is f_verified
+        payload = {
+            "optimize": {
+                "objective": objective,
+                "method": "sfb",
+                "n_sets": 1,
+                "verify_grid": [10, 10],
+                "nm_max_iter": 20,
+            }
+        }
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        rec = read_trial_records(out / "results.csv")[0]
+        values = np.loadtxt(out / "field_map.csv", delimiter=",", skiprows=1)[:, 2]
+        grid = opt_config_from(load_config(cfg)).noise_grid((10, 10))
+        assert abs(np.dot(grid.weights.ravel(), values) - rec["f_verified"]) < 1e-12
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, FAST_OPT)
         target = tmp_path / "envout"
@@ -476,11 +528,24 @@ class TestCompareCommand:
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "cmp"
         assert main(["compare", "--config", cfg, "--seed", "8", "--out", str(out)]) == 0
-        assert (out / "results_bpm.csv").exists()
-        assert (out / "results_sfb.csv").exists()
+        assert (out / "results_bpm_n1.csv").exists()
+        assert (out / "results_sfb_n2.csv").exists()
         rows = (out / "comparison.csv").read_text().splitlines()
         assert rows[0].endswith("call_ratio_vs_baseline")
         assert len(rows) == 3
+
+    def test_same_method_keeps_both_batches(self, tmp_path):
+        payload = {**FAST_OPT, "compare": {"n_trials": 2}}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "cmp"
+        argv = ["compare", "--config", cfg, "--seed", "8", "--method", "sfb", "--nd", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        for n_sets in (1, 2):
+            records = read_trial_records(out / f"results_sfb_n{n_sets}.csv")
+            assert [(r["method"], r["n_sets"]) for r in records] == [("sfb", n_sets)] * 2
+            timings = read_trial_records(out / f"timings_sfb_n{n_sets}.csv", TIMING_COLUMNS)
+            assert [t["trial"] for t in timings] == [0, 1]
+        assert not (out / "results_sfb.csv").exists()
 
 
 class TestMagnetometryCommand:
@@ -517,7 +582,7 @@ class TestMagnetometryCommand:
             if line.endswith("rect")
         ]
         t0, p0 = float(rows[0][0]) * 1e-6, float(rows[0][1])
-        g_ac = UNITS["_mhz"] * 0.1
+        g_ac = UNITS["_mhz"](0.1)
         expected = 0.5 * (1 + np.cos(2 * ideal_phase(g_ac, np.pi / 400e-9, t0)))
         assert p0 == pytest.approx(expected, abs=0.1)
 
