@@ -49,8 +49,8 @@ from .magnetometry import (
     build_xy8,
     default_shaped_pi_field,
     estimate_t2,
-    fringe_window,
     ideal_phase,
+    measure_t2,
     ou_step,
     simulate_ramsey,
 )
@@ -94,12 +94,12 @@ __all__ = [
     "estimate_t2",
     "fidelities",
     "fit",
-    "fringe_window",
     "gate_fidelity_many",
     "gaussian_weight",
     "ideal_phase",
     "jittered_grid",
     "loo_validate",
+    "measure_t2",
     "nelder_mead",
     "ou_step",
     "peak_amplitude",

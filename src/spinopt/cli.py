@@ -36,15 +36,7 @@ from .config import (
 from .dynamics import ensemble_objective, fidelities
 from .fields import PM, pm_field
 from .kriging import fit, jittered_grid, surrogate_objective
-from .magnetometry import (
-    RECT,
-    SHAPED,
-    build_xy8,
-    estimate_t2,
-    fringe_window,
-    periods_within,
-    simulate_ramsey,
-)
+from .magnetometry import RECT, SHAPED, measure_t2
 from .optimize import (
     METHODS,
     draw_initial_params,
@@ -283,27 +275,11 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
 def cmd_magnetometry(cfg: dict, out: Path, seed) -> int:
     start = time.perf_counter()
     rect_cfg, shaped_cfg, signal, noise, run_cfg = magnetometry_from(cfg, seed=seed)
-    t_max = run_cfg["t_max"]
     traces = []
     t2 = {}
     for kind, settings in ((RECT, rect_cfg), (SHAPED, shaped_cfg)):
-        period = 8 * (settings["t_pulse"] + settings["tau_pulse"])
-        seq = build_xy8(
-            kind,
-            settings["t_pulse"],
-            settings["tau_pulse"],
-            periods_within(t_max, period),
-            x_field=settings.get("x_field"),
-        )
-        trace = simulate_ramsey(
-            seq, signal, noise, t_max, n_steps_per_pulse=run_cfg["n_steps_per_pulse"]
-        )
+        trace, t2[kind] = measure_t2(kind, signal=signal, noise=noise, **run_cfg, **settings)
         traces.append(trace)
-        window = fringe_window(signal, readout_dt=seq.period)
-        floor = 2.0 / np.sqrt(noise.n_realizations) if noise.c > 0 else 1e-3
-        t2[kind] = estimate_t2(
-            trace.times, trace.p0_mean, envelope_window=window, min_envelope=floor
-        )
     rows = []
     for trace in traces:
         for t, p, e in zip(trace.times, trace.p0_mean, trace.p0_stderr):

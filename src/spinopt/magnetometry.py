@@ -11,7 +11,7 @@ phase-modulated quadrature fields), or instantaneous-ideal (validation hook).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,8 +80,12 @@ class NoiseSettings:
             raise ValueError("tau must be finite and positive")
         if not 0 <= self.c < math.inf:
             raise ValueError("c must be finite and nonnegative")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be at least 1")
+        if not (_is_integer(self.n_realizations) and self.n_realizations >= 1):
+            raise ValueError(
+                f"n_realizations must be an integer of at least 1, not {self.n_realizations!r}"
+            )
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, not {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, not {self.seed}")
 
@@ -146,8 +150,8 @@ class PulseSequence:
             raise ValueError(f"unknown pulse kind {self.kind!r}")
         if self.t_pulse <= 0 or self.tau_pulse <= 0:
             raise ValueError("t_pulse and tau_pulse must be positive")
-        if self.n_periods < 1:
-            raise ValueError("n_periods must be at least 1")
+        if not (_is_integer(self.n_periods) and self.n_periods >= 1):
+            raise ValueError(f"n_periods must be an integer of at least 1, not {self.n_periods!r}")
         if self.kind != IDEAL:
             if self.x_field is None:
                 raise ValueError(f"{self.kind} sequences need an x_field")
@@ -185,7 +189,7 @@ def build_xy8(kind, t_pulse, tau_pulse, n_periods, x_field=None) -> PulseSequenc
         kind=kind,
         t_pulse=float(t_pulse),
         tau_pulse=float(tau_pulse),
-        n_periods=int(n_periods),
+        n_periods=n_periods,
         x_field=x_field,
     )
 
@@ -399,11 +403,13 @@ def estimate_t2(
 ) -> T2Estimate:
     """Fit the decay envelope of |2 P0 - 1| to exp(-t / T2).
 
-    With a positive ``envelope_window`` the trace is reduced to the maximum
-    of |2 P0 - 1| inside successive windows of that length, which rides the
-    Ramsey fringes; points below ``min_envelope`` are dropped before the
-    least-squares fit of the log envelope.  If no decay is resolved the
-    estimate is flagged as a lower bound with t2 set to the trace length.
+    With a positive ``envelope_window`` W the trace is reduced to the
+    maximum of |2 P0 - 1| inside each window [w W, (w + 1) W), which rides
+    the Ramsey fringes; the windows run up to the one holding the latest
+    time, so every time t >= 0 lies in exactly one.  Points below
+    ``min_envelope`` are dropped before the least-squares fit of the log
+    envelope.  If no decay is resolved the estimate is flagged as a lower
+    bound with t2 set to the trace length.
     A non-finite time or population raises ValueError, as it would pass no
     envelope floor and read as such a bound.
     """
@@ -415,17 +421,14 @@ def estimate_t2(
         raise ValueError("times and p0 must be finite")
     env = np.abs(2.0 * p0 - 1.0)
     if envelope_window > 0:
-        sel_t, sel_e = [], []
-        n_win = int(np.ceil(times[-1] / envelope_window))
-        for w in range(n_win):
-            mask = (times >= w * envelope_window) & (times < (w + 1) * envelope_window)
-            if not np.any(mask):
-                continue
-            i = np.argmax(env[mask])
-            sel_t.append(times[mask][i])
-            sel_e.append(env[mask][i])
-        fit_t = np.asarray(sel_t)
-        fit_e = np.asarray(sel_e)
+        sel, w = [], 0
+        while w * envelope_window <= times.max():
+            lo, hi = w * envelope_window, (w + 1) * envelope_window
+            inside = np.flatnonzero((times >= lo) & (times < hi))
+            if inside.size:
+                sel.append(inside[np.argmax(env[inside])])
+            w += 1
+        fit_t, fit_e = times[sel], env[sel]
     else:
         fit_t, fit_e = times, env
     keep = fit_e > max(min_envelope, 0.0)
@@ -440,7 +443,7 @@ def estimate_t2(
     return T2Estimate(t2=float(-1.0 / slope), lower_bound=False)
 
 
-def fringe_window(signal: AcSignal, readout_dt: float | None = None) -> float:
+def fringe_window(signal: AcSignal, readout_dt: float) -> float:
     """Envelope window: FRINGE_WINDOW_READOUTS readout intervals, at least
     one |cos| fringe.
 
@@ -451,7 +454,25 @@ def fringe_window(signal: AcSignal, readout_dt: float | None = None) -> float:
     """
     if signal.g_ac == 0:
         return 0.0
-    fringe = np.pi**2 / (4.0 * signal.g_ac)
-    if readout_dt is None:
-        return fringe
-    return max(FRINGE_WINDOW_READOUTS * readout_dt, fringe)
+    return max(FRINGE_WINDOW_READOUTS * readout_dt, np.pi**2 / (4.0 * signal.g_ac))
+
+
+def measure_t2(
+    kind, t_pulse, tau_pulse, signal, noise, t_max, n_steps_per_pulse=50, x_field=None
+) -> tuple[RamseyTrace, T2Estimate]:
+    """XY-8 trace over every whole period within ``t_max``, and its T2.
+
+    The sequence is ``build_xy8(kind, t_pulse, tau_pulse, n, x_field)`` with
+    n = ``periods_within(t_max, period)``, and the trace is
+    ``simulate_ramsey``'s.  ``estimate_t2`` fits the maxima of |2 P0 - 1|
+    over ``fringe_window(signal, period)`` windows: four readouts, or one
+    fringe if that is longer.  Its floor drops maxima within Monte-Carlo
+    noise: with OU drift on, 2 / sqrt(R) for R realizations, twice the
+    largest standard error of 2 P0 - 1; else 1e-3.
+    """
+    seq = build_xy8(kind, t_pulse, tau_pulse, 1, x_field)
+    seq = replace(seq, n_periods=max(1, periods_within(t_max, seq.period)))
+    trace = simulate_ramsey(seq, signal, noise, t_max, n_steps_per_pulse)
+    floor = 2.0 / np.sqrt(noise.n_realizations) if noise.c > 0 else 1e-3
+    window = fringe_window(signal, seq.period)
+    return trace, estimate_t2(trace.times, trace.p0_mean, window, floor)

@@ -17,12 +17,11 @@ from spinopt import (
     build_xy8,
     constant_drive,
     ensemble_objective,
-    estimate_t2,
     fit,
-    fringe_window,
     gate_fidelity_many,
     ideal_phase,
     jittered_grid,
+    measure_t2,
     ou_step,
     pm_field,
     propagate_many,
@@ -283,18 +282,7 @@ def test_c9_magnetometry_contrast():
         (RECT, 50e-9, 350e-9, None),
         (SHAPED, 100e-9, 300e-9, default_shaped_pi_field()),
     ):
-        period = 8 * (t_pulse + gap)
-        seq = build_xy8(
-            kind, t_pulse, gap, int(np.floor(t_max / period + 1e-9)), x_field=fld
-        )
-        trace = simulate_ramsey(seq, signal, noise, t_max)
-        window = fringe_window(signal, readout_dt=seq.period)
-        t2[kind] = estimate_t2(
-            trace.times,
-            trace.p0_mean,
-            envelope_window=window,
-            min_envelope=2.0 / np.sqrt(noise.n_realizations),
-        )
+        _, t2[kind] = measure_t2(kind, t_pulse, gap, signal, noise, t_max, x_field=fld)
     ratio = t2[SHAPED].t2 / t2[RECT].t2
     elapsed = time.perf_counter() - start
     rect_us = t2[RECT].t2 * 1e6

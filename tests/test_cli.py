@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinopt import AcSignal, NoiseSettings, OptConfig, default_shaped_pi_field
+from spinopt import AcSignal, NoiseSettings, OptConfig, default_shaped_pi_field, measure_t2
 from spinopt.cli import TIMING_COLUMNS, TRIAL_FILES, main, read_trial_records
 from spinopt.config import (
     CHOICE,
@@ -604,6 +605,35 @@ class TestMagnetometryCommand:
         out = tmp_path / "ref"
         assert main(["magnetometry", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "trace.csv").exists()
+
+    def test_files_hold_the_library_measurement(self, tmp_path):
+        # trace.csv and t2_report.csv hold exactly what measure_t2 returns
+        # for each kind on the config's settings; at seed 1 the rect T2 is a
+        # lower bound and the shaped one (93 us) is resolved
+        payload = {"magnetometry": {"t_max_us": 40.0, "n_realizations": 20, "n_steps_per_pulse": 12}}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "mag"
+        assert main(["magnetometry", "--config", path, "--seed", "1", "--out", str(out)]) == 0
+        rect, shaped, signal, noise, run = magnetometry_from(load_config(path), seed=1)
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(out / "t2_report.csv", newline="") as fh:
+            (report,) = csv.DictReader(fh)
+        for kind, s in (("rect", rect), ("shaped", shaped)):
+            trace, est = measure_t2(
+                kind, s["t_pulse"], s["tau_pulse"], signal, noise, run["t_max"],
+                run["n_steps_per_pulse"], s.get("x_field"),
+            )
+            written = np.array(
+                [[float(r[c]) for c in ("time_us", "p0_mean", "p0_stderr")]
+                 for r in rows if r["pulse_kind"] == kind]
+            )
+            np.testing.assert_array_equal(
+                written, np.column_stack([trace.times / 1e-6, trace.p0_mean, trace.p0_stderr])
+            )
+            assert float(report[f"{kind}_t2_us"]) == est.t2 / 1e-6
+            assert report[f"{kind}_lower_bound"] == str(est.lower_bound)
+        assert report["rect_lower_bound"] == "True" and report["shaped_lower_bound"] == "False"
 
     def test_reproducible_bytes(self, tmp_path):
         payload = {"magnetometry": {**FAST_MAG["magnetometry"], "n_realizations": 4}}

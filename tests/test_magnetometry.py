@@ -11,16 +11,16 @@ from spinopt import (
     default_shaped_pi_field,
     ensemble_objective,
     estimate_t2,
-    fringe_window,
     gate_fidelity_many,
     ideal_phase,
+    measure_t2,
     ou_step,
     simulate_ramsey,
 )
 from spinopt.dynamics import FWHM_TO_SIGMA, SIGMA_X, kernel_slices
 from spinopt.fields import peak_amplitude
 from spinopt import magnetometry
-from spinopt.magnetometry import XY8_AXES
+from spinopt.magnetometry import XY8_AXES, fringe_window, periods_within
 
 from oracles import (
     abs_cos_integral,
@@ -109,6 +109,20 @@ class TestNoiseSettings:
             NoiseSettings.from_stationary_std(-TWO_PI * 50e3, tau=20e-6)
 
     @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n_realizations=2.5), dict(n_realizations=True), dict(seed=1.5), dict(seed=False)],
+    )
+    def test_non_integer_counts_rejected(self, kwargs):
+        # they would fail later, inside simulate_ramsey, with a numpy TypeError
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            NoiseSettings(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        noise = NoiseSettings(n_realizations=np.int64(3), seed=np.uint32(2))
+        assert (noise.n_realizations, noise.seed) == (3, 2)
+
+    @pytest.mark.parametrize(
         "std, tau",
         [
             (TWO_PI * 1e303, 20e-6),  # std**2 raises OverflowError
@@ -173,6 +187,16 @@ class TestBuildXy8:
                     make("rect", t_pulse, tau_pulse, 2, x_field=_rect_drive(50e-9))
             with pytest.raises(ValueError, match="n_periods"):
                 make("rect", 50e-9, 350e-9, 0, x_field=_rect_drive(50e-9))
+
+    @pytest.mark.parametrize("make", [build_xy8, PulseSequence])
+    @pytest.mark.parametrize("n_periods", [2.5, 2.7, 3.0, True])
+    def test_non_integer_period_count_rejected(self, make, n_periods):
+        # build_xy8 used to run int(2.7) = 2 periods
+        with pytest.raises(ValueError, match="n_periods must be an integer"):
+            make("ideal", 50e-9, 350e-9, n_periods)
+
+    def test_numpy_integer_period_count_accepted(self):
+        assert build_xy8("rect", 50e-9, 350e-9, np.int64(3)).n_periods == 3
 
 
 class TestIdealPhase:
@@ -417,8 +441,55 @@ class TestEstimateT2:
         with pytest.raises(ValueError, match="finite"):
             estimate_t2(np.where(np.arange(30) == 3, bad, times), np.full(30, 0.9))
 
+    def test_last_readout_on_a_window_edge_is_fitted(self):
+        # The last of 100 readouts, at 320 us = 25 windows of 12.8 us, opens
+        # a window of its own; in none, the flat rest read as a bound of
+        # 320 us.
+        times = np.arange(1, 101) * 3.2e-6
+        env = np.full(100, 0.9)
+        env[-1] = 0.3
+        window = fringe_window(SIGNAL, readout_dt=3.2e-6)
+        assert times[-1] == 25 * window
+        est = estimate_t2(times, 0.5 * (1 + env), envelope_window=window, min_envelope=1e-3)
+        assert not est.lower_bound
+        assert est.t2 == pytest.approx(1.36e-3, rel=1e-2)
+
     def test_fringe_window_without_signal(self):
-        assert fringe_window(NO_SIGNAL) == 0.0
+        assert fringe_window(NO_SIGNAL, readout_dt=3.2e-6) == 0.0
+
+
+class TestMeasureT2:
+    @pytest.mark.parametrize(
+        "kind, t_pulse, tau_pulse, ou",
+        [
+            ("rect", 50e-9, 350e-9, True),
+            ("shaped", 100e-9, 300e-9, True),
+            ("rect", 50e-9, 350e-9, False),
+        ],
+    )
+    def test_is_the_sequence_trace_and_fit_it_documents(self, kind, t_pulse, tau_pulse, ou):
+        # every whole period within t_max, fringe windows of the period, and
+        # a floor of 2 / sqrt(R) with OU drift on, else 1e-3; at this seed
+        # the other floor would give each case a different estimate
+        x_field = default_shaped_pi_field() if kind == "shaped" else None
+        noise = NoiseSettings(n_realizations=25, seed=1, **({} if ou else {"c": 0.0}))
+        t_max = 42e-6
+        trace, est = measure_t2(kind, t_pulse, tau_pulse, SIGNAL, noise, t_max, 12, x_field)
+        seq = build_xy8(kind, t_pulse, tau_pulse, periods_within(t_max, 3.2e-6), x_field)
+        assert seq.n_periods == 13
+        expected = simulate_ramsey(seq, SIGNAL, noise, t_max, n_steps_per_pulse=12)
+        np.testing.assert_array_equal(trace.times, expected.times)
+        np.testing.assert_array_equal(trace.p0_mean, expected.p0_mean)
+        np.testing.assert_array_equal(trace.p0_stderr, expected.p0_stderr)
+        floor, other = (0.4, 1e-3) if ou else (1e-3, 0.4)
+        window = fringe_window(SIGNAL, readout_dt=seq.period)
+        assert est == estimate_t2(trace.times, trace.p0_mean, window, floor)
+        assert est != estimate_t2(trace.times, trace.p0_mean, window, other)
+
+    @pytest.mark.parametrize("t_max", [1e-6, 3.2e-6])
+    def test_short_window_rejected(self, t_max):
+        with pytest.raises(ValueError, match="2 XY-8 periods"):
+            measure_t2("rect", 50e-9, 350e-9, SIGNAL, NoiseSettings.disabled(), t_max)
 
 
 class TestDefaultShapedField:
