@@ -33,7 +33,7 @@ for kind, t_pulse, gap, fld in (
     print(f"{kind}: pulse {t_pulse*1e9:.0f} ns, gap {gap*1e9:.0f} ns")
     print(f"  first-block contrast : {env[0]:.3f}")
     print(f"  late contrast (last 4): {env[-4:].mean():.3f}")
-    print(f"  fitted T2 {bound} {est.t2*1e6:.0f} us\n")
+    print(f"  fitted T2 {bound} {est.t2*1e6:.0f} us, from {est.n_fit} window maxima\n")
 
 print("time [us]   P0 rect   P0 shaped")
 for t, pr, ps in zip(

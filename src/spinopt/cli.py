@@ -286,24 +286,12 @@ def cmd_magnetometry(cfg: dict, out: Path, seed) -> int:
             rows.append([t / 1e-6, p, e, trace.pulse_kind])
     _write_csv(out / "trace.csv", ["time_us", "p0_mean", "p0_stderr", "pulse_kind"], rows)
     ratio = t2[SHAPED].t2 / t2[RECT].t2
+    fit_facts = [getattr(t2[kind], name) for name in ("lower_bound", "n_fit") for kind in t2]
     _write_csv(
         out / "t2_report.csv",
-        [
-            "rect_t2_us",
-            "shaped_t2_us",
-            "ratio",
-            "rect_lower_bound",
-            "shaped_lower_bound",
-        ],
-        [
-            [
-                t2[RECT].t2 / 1e-6,
-                t2[SHAPED].t2 / 1e-6,
-                ratio,
-                t2[RECT].lower_bound,
-                t2[SHAPED].lower_bound,
-            ]
-        ],
+        ["rect_t2_us", "shaped_t2_us", "ratio", "rect_lower_bound", "shaped_lower_bound",
+         "rect_n_fit", "shaped_n_fit"],
+        [[t2[RECT].t2 / 1e-6, t2[SHAPED].t2 / 1e-6, ratio, *fit_facts]],
     )
     _write_meta(out, "magnetometry", time.perf_counter() - start)
     print(

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ``nelder_mead`` is unused here; bench/tracing.py wraps ``kriging.nelder_mead``.
-from .neldermead import nelder_mead  # noqa: F401
+from .neldermead import nelder_mead  # noqa: F401 (bench/tracing.py wraps it here)
 
 # Added to the diagonal of every correlation matrix before it is factored.
 DEFAULT_NUGGET = 1e-10
@@ -219,16 +218,15 @@ class KrigingModel:
     def _set_values(self, values):
         # ``values`` has passed ``_check_values``.
         self.values = values
-        if np.ptp(values) == 0.0:
-            # Constant responses: the predictor is identically the constant.
-            self.mu_hat = float(values[0])
-            self.sigma2_hat = 0.0
-            self._weights = np.zeros(values.size)
-        else:
-            self.mu_hat = float(self._mean_map @ values)
-            # w = R^-1 (y - 1 mu_hat), the y-dependent half of the predictor.
-            self._weights = self._weight_map @ values
-            self.sigma2_hat = float((values - self.mu_hat) @ self._weights) / values.size
+        self.mu_hat, self._weights = self._gls(values)
+        self.sigma2_hat = float((values - self.mu_hat) @ self._weights) / values.size
+
+    def _gls(self, values):
+        """mu_hat and w = R^-1 (y - 1 mu_hat), the y-dependent half of the
+        predictor, of responses ``values`` that passed ``_check_values``."""
+        if np.ptp(values) == 0.0:  # the predictor is identically the constant
+            return float(values[0]), np.zeros(values.size)
+        return float(self._mean_map @ values), self._weight_map @ values
 
     @property
     def n(self) -> int:
@@ -250,19 +248,28 @@ class KrigingModel:
         return float(out[0]) if single else out
 
     def predict_grid(self, deltas, kappas):
-        """Predictions on the product grid, shape (len(deltas), len(kappas)).
+        """Predictions on the product grid, shape (len(deltas), len(kappas)),
+        by the code that the surrogate search applies to its responses."""
+        return _grid_predictor(self, deltas, kappas)(self.values)
 
-        The kernel factorizes over dimensions, so the grid prediction needs
-        only one kernel block per axis instead of one per grid point.
-        """
-        a, b = (
-            _kernel(
-                _sq_distances(_scale(x, self.bounds[i])[:, None], self._scaled[:, i : i + 1]),
-                self.params.alpha[i : i + 1],
-            )
-            for i, x in enumerate((deltas, kappas))
-        )
-        return self.mu_hat + a @ (b * self._weights).T
+
+def _grid_predictor(model: KrigingModel, deltas, kappas):
+    """Predictions on the product grid of ``deltas`` and ``kappas`` as a
+    function of the responses at the model's samples.  The kernel factorizes
+    over dimensions, so one block per axis, built here once, serves the whole
+    grid; a call checks its responses as ``with_values`` does and maps them
+    to mu_hat and w."""
+    # Each block is ``_kernel`` on one axis, bit for bit.
+    a, b = (
+        np.exp(np.square(_scale(x, model.bounds[i])[:, None] - model._scaled[:, i]) * -alpha)
+        for i, (x, alpha) in enumerate(zip((deltas, kappas), model.params.alpha))
+    )
+
+    def predict(values):
+        mu, w = model._gls(_check_values(values, model.n))
+        return mu + a @ (b * w).T
+
+    return predict
 
 
 def _concentrated_nll(thetas, sq_dist, values, nugget, low, high, derivatives=False):
@@ -559,11 +566,14 @@ def loo_validate(model: KrigingModel) -> float:
     return slope
 
 
-def surrogate_objective(model: KrigingModel, grid) -> float:
-    """Noise-weighted average of clipped predictions over the grid.
+def surrogate_estimate(model: KrigingModel, grid):
+    """Noise-weighted average over ``grid`` of the predictions clipped to
+    [0, 1] (the response is a fidelity), as a function of the responses at
+    the model's samples: built once per model and grid, no true calls."""
+    predict, weights = _grid_predictor(model, grid.deltas, grid.kappas), grid.weights
+    return lambda values: float((weights * predict(values).clip(0.0, 1.0)).sum())
 
-    Uses M * N predictor calls and no true-function calls; raw predictions
-    are clipped to [0, 1] because the underlying response is a fidelity.
-    """
-    pred = np.clip(model.predict_grid(grid.deltas, grid.kappas), 0.0, 1.0)
-    return float(np.sum(grid.weights * pred))
+
+def surrogate_objective(model: KrigingModel, grid) -> float:
+    """``surrogate_estimate`` applied to the model's own responses."""
+    return surrogate_estimate(model, grid)(model.values)

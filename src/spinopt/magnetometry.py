@@ -229,6 +229,7 @@ class RamseyTrace:
 class T2Estimate:
     t2: float
     lower_bound: bool  # no decay resolved within the trace; t2 >= last time
+    n_fit: int  # envelope points (window maxima) above the floor, which the fit used
 
 
 # Readout row: <0| exp(-i (3 pi / 4) sigma_y), applied virtually at each block
@@ -408,8 +409,8 @@ def estimate_t2(
     the Ramsey fringes; the windows run up to the one holding the latest
     time, so every time t >= 0 lies in exactly one.  Points below
     ``min_envelope`` are dropped before the least-squares fit of the log
-    envelope.  If no decay is resolved the estimate is flagged as a lower
-    bound with t2 set to the trace length.
+    envelope, and ``n_fit`` counts those kept (3 can resolve a T2).  If no
+    decay is resolved the estimate is a lower bound, t2 the trace length.
     A non-finite time or population raises ValueError, as it would pass no
     envelope floor and read as such a bound.
     """
@@ -433,14 +434,15 @@ def estimate_t2(
         fit_t, fit_e = times, env
     keep = fit_e > max(min_envelope, 0.0)
     fit_t, fit_e = fit_t[keep], fit_e[keep]
+    bound = T2Estimate(t2=float(times[-1]), lower_bound=True, n_fit=fit_t.size)
     if fit_t.size < 3:
-        return T2Estimate(t2=float(times[-1]), lower_bound=True)
+        return bound
     slope, _ = np.polyfit(fit_t, np.log(fit_e), 1)
     span = fit_t[-1] - fit_t[0]
     # less than ~2 percent decay across the fitted span is unresolvable
     if slope >= 0 or -1.0 / slope > 50.0 * span:
-        return T2Estimate(t2=float(times[-1]), lower_bound=True)
-    return T2Estimate(t2=float(-1.0 / slope), lower_bound=False)
+        return bound
+    return T2Estimate(t2=float(-1.0 / slope), lower_bound=False, n_fit=fit_t.size)
 
 
 def fringe_window(signal: AcSignal, readout_dt: float) -> float:

@@ -9,8 +9,9 @@ and its reduction:
 
 * ``bpm`` / ``bsfb``: the n samples of one validated Kriging model, built
   per run from a random initial field, with its correlation parameters and
-  sample positions frozen; the reduction is the model's estimate of the
-  noise-averaged fidelity from the re-evaluated sample responses.
+  sample positions frozen; the reduction, built once per trial from the
+  model and the verify grid, estimates the noise-averaged fidelity from the
+  re-evaluated sample responses (``kriging.surrogate_estimate``).
 * ``pm`` / ``sfb``: the M x N points of a coarse grid (16 by default); the
   reduction is their Gaussian-weighted average.
 
@@ -70,8 +71,9 @@ from .kriging import (
     fit,
     jittered_grid,
     loo_validate,
-    surrogate_objective,
+    surrogate_estimate,
 )
+from .kriging import surrogate_objective  # noqa: F401 (bench/tracing.py wraps it here)
 from .neldermead import NMResult, nelder_mead
 
 METHODS = ("bpm", "pm", "bsfb", "sfb")
@@ -386,9 +388,7 @@ def run_single(config: OptConfig) -> OptRun:
         build_calls, model_attempts, p_fit = built.true_calls, built.attempts, built.p_fit
         nll_evals = built.nll_evals
         points = built.model.samples
-
-        def reduce(values):
-            return surrogate_objective(built.model.with_values(values), verify)
+        reduce = surrogate_estimate(built.model, verify)
 
     else:
         x0 = draw(rng)

@@ -63,6 +63,32 @@ def test_every_wrapped_name_is_owned_where_install_looks(tracing):
     assert missing == []
 
 
+def test_traced_items_account_for_their_time_and_unwrap(tracing):
+    # What ``--trace 1`` does, on one small bpm trial and one short XY-8
+    # trace: the spans of each item account for its wall time, every
+    # layer's metric can be read from them, and the library is left as it
+    # was found.
+    found = [owner.__dict__[attr] for owner, attr, _, _ in tracing.WRAPPED]
+    cfg = OptConfig(method="bpm", seed=7, nm_max_iter=40, verify_grid=(10, 10))
+    noise = magnetometry.NoiseSettings(n_realizations=3, seed=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run = tracer.call("item", run_single, cfg)
+        tracer.call(
+            "item", magnetometry.measure_t2, "rect", 50e-9, 350e-9, magnetometry.AcSignal(),
+            noise, 12 * 3.2e-6, 7,
+        )
+    finally:
+        tracer.uninstall()
+    assert [owner.__dict__[attr] for owner, attr, _, _ in tracing.WRAPPED] == found
+    assert tracing.check_item_accounting(tracer, [run.wall_ms / 1e3, None]) == []
+    names = {span.name for span in tracer.spans}
+    assert {"kriging.fit", "optimize.nelder_mead", "magnetometry.estimate_t2"} <= names
+    metrics = tracing.layer_metrics(tracer, 2, 1, 100)
+    assert metrics["dynamics.rate_p2500"] > 0 and metrics["magnetometry.pulses"] > 0
+
+
 @pytest.mark.parametrize("shape, n_steps", [((3, 3), 200), ((4, 4), 200), ((6, 7), 1000)])
 def test_propagate_many_result_counts_its_points(tracing, shape, n_steps):
     pts = NoiseGrid.regular(*shape).points()

@@ -559,7 +559,10 @@ class TestMagnetometryCommand:
         kinds = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert kinds == {"rect", "shaped"}
         report = (out / "t2_report.csv").read_text().splitlines()
-        assert report[0].startswith("rect_t2_us,shaped_t2_us,ratio")
+        assert report[0] == (
+            "rect_t2_us,shaped_t2_us,ratio,rect_lower_bound,shaped_lower_bound,"
+            "rect_n_fit,shaped_n_fit"
+        )
 
     def test_noise_disabled_trace_is_flat_and_near_ideal(self, tmp_path):
         payload = {
@@ -633,6 +636,7 @@ class TestMagnetometryCommand:
             )
             assert float(report[f"{kind}_t2_us"]) == est.t2 / 1e-6
             assert report[f"{kind}_lower_bound"] == str(est.lower_bound)
+            assert report[f"{kind}_n_fit"] == str(est.n_fit)
         assert report["rect_lower_bound"] == "True" and report["shaped_lower_bound"] == "False"
 
     def test_reproducible_bytes(self, tmp_path):

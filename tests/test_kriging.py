@@ -30,6 +30,7 @@ from spinopt.kriging import (
     _scale,
     _scan_lattice,
     _sq_distances,
+    surrogate_estimate,
 )
 
 from oracles import (
@@ -649,6 +650,72 @@ class TestSurrogateObjective:
         grid = NoiseGrid.regular(30, 30)
         value = surrogate_objective(model, grid)
         assert 0.0 <= value <= 1.0
+
+
+class TestSurrogateEstimate:
+    """The per-model estimate against a model rebuilt for each response
+    vector, the path every surrogate search evaluation took before."""
+
+    @staticmethod
+    def rebuilt(model, values, grid):
+        # surrogate_objective's former expression, with blocks from _kernel
+        swapped = model.with_values(values)
+        a, b = (
+            _kernel(
+                _sq_distances(_scale(x, model.bounds[i])[:, None], model._scaled[:, i : i + 1]),
+                model.params.alpha[i : i + 1],
+            )
+            for i, x in enumerate((grid.deltas, grid.kappas))
+        )
+        pred = swapped.mu_hat + a @ (b * swapped._weights).T
+        return float(np.sum(grid.weights * np.clip(pred, 0.0, 1.0)))
+
+    @staticmethod
+    def fitted_model(seed):
+        rng = np.random.default_rng(seed)
+        pts = jittered_grid(REGION, 9, rng)
+        unit = _scale(pts, REGION)
+        return fit(pts, quadratic(unit), rng, bounds=REGION), rng
+
+    @pytest.mark.parametrize(
+        "case, shape", [("random", (50, 50)), ("constant", (50, 50)), ("random", (7, 5))]
+    )
+    def test_equals_the_rebuilt_model(self, case, shape):
+        model, rng = self.fitted_model(3)
+        grid = NoiseGrid.regular(*shape)
+        values = rng.uniform(0.2, 0.95, 9) if case == "random" else np.full(9, 0.6)
+        estimate = surrogate_estimate(model, grid)(values)
+        assert estimate == surrogate_objective(model.with_values(values), grid)
+        assert estimate == self.rebuilt(model, values, grid)
+
+    def test_equals_the_rebuilt_model_where_both_clips_act(self):
+        pts = jittered_grid(REGION, 9, np.random.default_rng(2))
+        model = KrigingModel(pts, np.full(9, 0.5), CorrelationParams([30.0, 30.0]), REGION)
+        values = np.array([1.6, -0.5, 1.2, -0.1, 1.4, -0.2, 1.5, -0.3, 1.1])
+        grid = NoiseGrid.regular(50, 50)
+        raw = model.with_values(values).predict_grid(grid.deltas, grid.kappas)
+        assert raw.min() < 0.0 and raw.max() > 1.0
+        estimate = surrogate_estimate(model, grid)(values)
+        assert estimate == surrogate_objective(model.with_values(values), grid)
+        assert estimate == self.rebuilt(model, values, grid)
+
+    def test_leaves_the_model_alone(self):
+        model, rng = self.fitted_model(5)
+        before = surrogate_objective(model, NoiseGrid.regular(20, 20))
+        surrogate_estimate(model, NoiseGrid.regular(20, 20))(rng.uniform(0.0, 1.0, 9))
+        assert surrogate_objective(model, NoiseGrid.regular(20, 20)) == before
+
+    @pytest.mark.parametrize(
+        "values", [np.full(9, np.nan), np.full(9, np.inf), np.full(8, 0.3), np.full((9, 1), 0.3)]
+    )
+    def test_invalid_values_rejected_as_with_values_rejects_them(self, values):
+        model, _ = self.fitted_model(3)
+        estimate = surrogate_estimate(model, NoiseGrid.regular(10, 10))
+        with pytest.raises(ValueError) as by_estimate:
+            estimate(values)
+        with pytest.raises(ValueError) as by_with_values:
+            model.with_values(values)
+        assert str(by_estimate.value) == str(by_with_values.value)
 
 
 class TestFidelitySurrogateAccuracy:

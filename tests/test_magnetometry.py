@@ -454,6 +454,21 @@ class TestEstimateT2:
         assert not est.lower_bound
         assert est.t2 == pytest.approx(1.36e-3, rel=1e-2)
 
+    def test_resolved_t2_on_three_maxima_counts_them(self):
+        # Only the first 3 windows of 12.8 us rise above the floor: the T2
+        # is the slope through their maxima, and n_fit says it rests on 3.
+        times = np.arange(1, 101) * 3.2e-6
+        window = fringe_window(SIGNAL, readout_dt=3.2e-6)
+        decay = 0.9 * np.exp(-times / 50e-6)
+        env = np.where(times < 3 * window, decay, 0.1)
+        est = estimate_t2(times, 0.5 * (1 + env), envelope_window=window, min_envelope=0.26)
+        assert not est.lower_bound and est.n_fit == 3
+        assert est.t2 == pytest.approx(50e-6, rel=1e-9)
+        # with one maximum fewer the estimate is a bound, still counted
+        env = np.where(times < 2 * window, decay, 0.1)
+        est = estimate_t2(times, 0.5 * (1 + env), envelope_window=window, min_envelope=0.26)
+        assert est.lower_bound and est.n_fit == 2
+
     def test_fringe_window_without_signal(self):
         assert fringe_window(NO_SIGNAL, readout_dt=3.2e-6) == 0.0
 

@@ -275,18 +275,28 @@ class TestBaselineOptimize:
         assert run.p_fit is not None
         assert run.true_calls == 9 * (run.model_attempts + run.nm_evals)
 
-    # f_search and f_verified of one trial per direct method (seed 7,
-    # nm_max_iter 40), recorded while the direct search still called
-    # ensemble_objective on the search grid (numpy 2.4.6, x86-64): the
+    # f_search and f_verified of one trial per method (seed 7, nm_max_iter
+    # 40; numpy 2.4.6, x86-64).  The direct ones were recorded while the
+    # direct search still called ensemble_objective on the search grid: the
     # weighted dot of ``fidelities`` on the grid's points gives the same
-    # bits, and so the same search path.
+    # bits, and so the same search path.  The surrogate ones were recorded
+    # while every search evaluation still built a model with ``with_values``
+    # and called ``surrogate_objective`` on it: the per-trial
+    # ``surrogate_estimate`` gives the same bits.
     PINNED_BITS = {
         "pm": ("0x1.b9d8a4ab37cf2p-1", "0x1.ce09308bd240cp-1"),
         "sfb": ("0x1.854c868ea1a63p-1", "0x1.ae15da6ea0097p-1"),
+        "bpm": ("0x1.9472432a74b72p-2", "0x1.9ba0ee6e8b338p-2"),
+        "bsfb": ("0x1.a15486ae803d8p-1", "0x1.8788f8a164941p-1"),
     }
 
-    @pytest.mark.parametrize("method", PINNED_BITS)
+    @pytest.mark.parametrize("method", ["pm", "sfb"])
     def test_direct_search_keeps_its_bits(self, method):
+        run = run_single(OptConfig(method=method, seed=7, nm_max_iter=40))
+        assert (run.f_search.hex(), run.f_verified.hex()) == self.PINNED_BITS[method]
+
+    @pytest.mark.parametrize("method", ["bpm", "bsfb"])
+    def test_surrogate_search_keeps_its_bits(self, method):
         run = run_single(OptConfig(method=method, seed=7, nm_max_iter=40))
         assert (run.f_search.hex(), run.f_verified.hex()) == self.PINNED_BITS[method]
 
