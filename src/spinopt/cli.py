@@ -99,6 +99,12 @@ def _write_meta(out: Path, command: str, wall_s: float, extra=None):
         json.dump(meta, fh, indent=2)
 
 
+def _search_facts(oc) -> dict:
+    """The master seed and the search's CF4 step count of a trial command,
+    for its sidecar: the step count behind every ``f_search``."""
+    return {"seed": oc.seed, "search_steps": oc.search_steps}
+
+
 def read_trial_records(path, columns=TRIAL_COLUMNS) -> list[dict]:
     """Parse a results (or, with ``TIMING_COLUMNS``, timings) CSV back into
     typed records."""
@@ -142,7 +148,7 @@ def cmd_optimize(cfg: dict, out: Path, seed) -> int:
     write_trials(out, [run])
     pts = oc.noise_grid(oc.verify_grid).points()
     _write_map(out / "field_map.csv", pts, fidelities(run.field, pts, oc.n_steps, oc.target()))
-    _write_meta(out, "optimize", time.perf_counter() - start)
+    _write_meta(out, "optimize", time.perf_counter() - start, _search_facts(oc))
     print(
         f"{oc.method} n_sets={oc.n_sets}: f_verified={run.f_verified:.4f} "
         f"true_calls={run.true_calls}"
@@ -166,7 +172,9 @@ def cmd_trials(cfg: dict, out: Path, seed) -> int:
             for i, c in enumerate(stats.hist_counts)
         ],
     )
-    _write_meta(out, "trials", time.perf_counter() - start, {"failures": stats.failures})
+    _write_meta(
+        out, "trials", time.perf_counter() - start, {**_search_facts(oc), "failures": stats.failures}
+    )
     print(
         f"{oc.method} x{n_trials}: best={stats.f_best:.4f} mean={stats.f_mean:.4f} "
         f"mean_true_calls={stats.mean_true_calls:.0f}"
@@ -193,7 +201,7 @@ def cmd_compare(cfg: dict, out: Path, seed) -> int:
     header = list(rows[0].keys()) + ["call_ratio_vs_baseline"]
     table = [list(row.values()) + [r] for row, r in zip(rows, (ratio, 1.0))]
     _write_csv(out / "comparison.csv", header, table)
-    _write_meta(out, "compare", time.perf_counter() - start)
+    _write_meta(out, "compare", time.perf_counter() - start, _search_facts(primary))
     print(f"true-call ratio {rows[0]['method']}/{rows[1]['method']}: {ratio:.3f}")
     return 0
 

@@ -21,14 +21,18 @@ verification: the model-build samples (none for a direct method) plus
 verification is reported separately.
 
 Every true call before verification propagates at
-``min(n_steps, _SEARCH_STEPS)`` CF4 steps, and the verification at
-``n_steps``.  At 200 steps the time-step error of the search values stays
-below 1e-6, a tenth of the default ``nm_f_tol`` and far below the search
-grid's own quadrature error, so the full count is spent on ``f_verified``
-alone.  ``n_steps`` is 400 by default: over 240 winning pulses its 50 x 50
-objective stayed within 4.7e-11 of 4000 steps and its single points within
-6.8e-10 (winner rows of the step-error table in the ``dynamics``
-docstring), at about 40% of the cost of 1000 steps.  200 steps would put
+``min(n_steps, _SEARCH_STEPS)`` CF4 steps (``OptConfig.search_steps``),
+and the verification at ``n_steps``.  The search's step count is the
+fewest in the step-error table of the ``dynamics`` docstring whose
+worst-case error of a search value on strong feasible fields stays below
+the default ``nm_f_tol`` (1e-5), the resolution at which Nelder-Mead
+stops: 4.3e-6 at 100 steps, against 6.8e-5 at 50.  That error is thousands
+of times below the search's own: the 4 x 4 grid's quadrature bias and the
+Kriging estimate's posterior sd are both of order 1e-2.  So the full count
+is spent on ``f_verified`` alone.  ``n_steps`` is 400 by default: over 240
+winning pulses its 50 x 50 objective stayed within 4.7e-11 of 4000 steps
+and its single points within 6.8e-10 (winner rows of the step-error
+table), at about 40% of the cost of 1000 steps.  200 steps would put
 single points of some winners past 1e-8.  ``OptRun.verify_ms`` records the
 verification's share of ``wall_ms``.
 """
@@ -82,9 +86,9 @@ P_FIT_THRESHOLD = 0.6
 
 # CF4 steps of every true call before verification (capped at n_steps): the
 # fewest in the step-error table of the ``dynamics`` module docstring whose
-# max |dF| stays below 1e-6, a tenth of the default nm_f_tol; below it a call
-# costs little less, being mostly per-call overhead.
-_SEARCH_STEPS = 200
+# max |dF| stays below the default nm_f_tol, the resolution at which
+# Nelder-Mead stops (4.3e-6 at 100 steps, 6.8e-5 at 50).
+_SEARCH_STEPS = 100
 
 
 class ModelValidationError(RuntimeError):
@@ -104,7 +108,7 @@ class OptConfig:
     duration: float = DEFAULT_DURATION
     amp_limit: float = DEFAULT_AMP_LIMIT
     # CF4 steps of the verification (why 400: module docstring); the search
-    # uses min(n_steps, _SEARCH_STEPS).
+    # uses search_steps.
     n_steps: int = 400
     seed: int = 0
     max_model_attempts: int = 10
@@ -180,6 +184,11 @@ class OptConfig:
     @property
     def uses_surrogate(self) -> bool:
         return self.method in SURROGATE_METHODS
+
+    @property
+    def search_steps(self) -> int:
+        """CF4 steps of every true call before the verification."""
+        return min(self.n_steps, _SEARCH_STEPS)
 
     def noise_grid(self, shape) -> NoiseGrid:
         return NoiseGrid.regular(
@@ -363,7 +372,6 @@ def run_single(config: OptConfig) -> OptRun:
     rng = np.random.default_rng(config.seed)
     verify = config.noise_grid(config.verify_grid)
     target = config.target()
-    search_steps = min(config.n_steps, _SEARCH_STEPS)
     pulse = (config.duration, config.amp_limit)
 
     def draw(r):
@@ -373,7 +381,7 @@ def run_single(config: OptConfig) -> OptRun:
         return feasible_field(config.basis, params, *pulse)
 
     def true_values(fld, points):
-        return fidelities(fld, points, search_steps, target)
+        return fidelities(fld, points, config.search_steps, target)
 
     if config.uses_surrogate:
         built = build_valid_surrogate(

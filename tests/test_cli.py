@@ -92,6 +92,16 @@ def assert_reproducible(tmp_path, command, payload, names):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+def assert_search_facts(path, seed):
+    """A trial command's sidecar names its command, master seed and the
+    search's step count: FAST_OPT's 200 steps capped at 100."""
+    meta = json.loads(path.read_text())
+    assert meta["command"] == path.name.removesuffix("_meta.json")
+    assert meta["seed"] == seed
+    assert meta["search_steps"] == 100
+    return meta
+
+
 class TestUnitConversions:
     def test_conversion_vector(self):
         # rounded once, as the library's literals are
@@ -438,6 +448,7 @@ class TestOptimizeCommand:
         # the accepted model's fit alone runs 5 likelihood restarts of at
         # least 5 evaluations each
         assert int(nll_evals) >= 25
+        assert_search_facts(out / "optimize_meta.json", seed=5)
 
     def test_method_flag_produces_sfb_record(self, tmp_path):
         cfg = write_config(tmp_path, FAST_OPT)
@@ -516,6 +527,8 @@ class TestTrialsCommand:
         timings = (out / "timings.csv").read_text().splitlines()
         assert timings[0] == "trial,wall_ms,verify_ms,nm_iters,nm_converged,nll_evals"
         assert [line.split(",")[0] for line in timings[1:]] == ["0", "1"]
+        meta = assert_search_facts(out / "trials_meta.json", seed=4)
+        assert meta["failures"] == []
 
     def test_reproducible_bytes(self, tmp_path):
         names = ("results.csv", "summary.csv", "histogram.csv")
@@ -534,6 +547,7 @@ class TestCompareCommand:
         rows = (out / "comparison.csv").read_text().splitlines()
         assert rows[0].endswith("call_ratio_vs_baseline")
         assert len(rows) == 3
+        assert_search_facts(out / "compare_meta.json", seed=8)
 
     def test_same_method_keeps_both_batches(self, tmp_path):
         payload = {**FAST_OPT, "compare": {"n_trials": 2}}

@@ -48,17 +48,17 @@ RUNS = {
 DIGESTS = {
     "optimize": {
         "field_map.csv": "1a65b3d7fbdc2ba34457305ea77cb13217cadc24cf5d8946e4841a94966a35a9",
-        "results.csv": "4f22d2bfe3ef7945c782b62b1622e7357807820e33778d04a7a4dfd15b3ded14",
+        "results.csv": "118480740259e17a93ec2dd50241c28012296a976b8f535cabc9b500a22aa239",
     },
     "trials": {
         "histogram.csv": "faf494dd5653a8889e45637637d1b0811d3b75ebd60d9574df8dfd7b8d26a89f",
-        "results.csv": "7701b2e8081967e58a622a278dc4a1aca6e71f9a888a04d8eef09e4417f1590e",
-        "summary.csv": "ce2a4ec2534edc944a5eb1b18853feab6766d7172b01bec771011d2e692d0594",
+        "results.csv": "9cf20d03a22963f9871d5d9def21234c2ffbf508b76e2438bafc2f669b8733cb",
+        "summary.csv": "6b6b642dc3523b9bccd0eec3e500b44f9391995b332cb4ed228b57d42b64e092",
     },
     "compare": {
-        "comparison.csv": "dafdd2731355b93360f34de9e70e8988595bdd0b5b938be6154bf7a5be8bb8d1",
-        "results_bsfb_n1.csv": "7a4b7558557fd5be241421e6e72398d6013350dffd8cc3a73fef4b52d38fab3a",
-        "results_pm_n1.csv": "38d90095c0a17f1e60a16d1d7f54434e0c89ac2a9f21bc5d823d524b83f73bb8",
+        "comparison.csv": "8fce959bc2e7a84e42b7ed89e2c76687a2d7ef59fd5895db9ac15ac2fbd9c186",
+        "results_bsfb_n1.csv": "99833166402119bfa310d31925f41f87eb140a9e4c60c7f1c9bab6de1c93afbe",
+        "results_pm_n1.csv": "5fd72ec8005f87911ab4b1f257080b95d2a159994bd01fcc3166ae47b3dadd25",
     },
     "surrogate-demo": {
         "objective_deviation.csv": "861ff3644e0caa686d4f143ddf4b57c7291e2f96352c6a8d96883a34dcf1f64d",

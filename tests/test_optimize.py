@@ -18,6 +18,8 @@ from spinopt import (
 )
 from spinopt.fields import (
     FREQ_CAP_CYCLES,
+    LAYOUT,
+    SFB,
     enforce_amplitude_constraint,
     peak_amplitude,
     sfb_field,
@@ -276,18 +278,15 @@ class TestBaselineOptimize:
         assert run.true_calls == 9 * (run.model_attempts + run.nm_evals)
 
     # f_search and f_verified of one trial per method (seed 7, nm_max_iter
-    # 40; numpy 2.4.6, x86-64).  The direct ones were recorded while the
-    # direct search still called ensemble_objective on the search grid: the
-    # weighted dot of ``fidelities`` on the grid's points gives the same
-    # bits, and so the same search path.  The surrogate ones were recorded
-    # while every search evaluation still built a model with ``with_values``
-    # and called ``surrogate_objective`` on it: the per-trial
-    # ``surrogate_estimate`` gives the same bits.
+    # 40; numpy 2.4.6, x86-64), recorded with the search at 100 CF4 steps.
+    # f_search is the search's own value, so a change of _SEARCH_STEPS moves
+    # every f_search pin; these searches are truncated, so it can move
+    # f_verified too.
     PINNED_BITS = {
-        "pm": ("0x1.b9d8a4ab37cf2p-1", "0x1.ce09308bd240cp-1"),
-        "sfb": ("0x1.854c868ea1a63p-1", "0x1.ae15da6ea0097p-1"),
-        "bpm": ("0x1.9472432a74b72p-2", "0x1.9ba0ee6e8b338p-2"),
-        "bsfb": ("0x1.a15486ae803d8p-1", "0x1.8788f8a164941p-1"),
+        "pm": ("0x1.b9d8a4a75d24dp-1", "0x1.ce09308bd240cp-1"),
+        "sfb": ("0x1.854c867e0f376p-1", "0x1.ae15da6ea0097p-1"),
+        "bpm": ("0x1.94724c669a778p-2", "0x1.9ba0bccd40607p-2"),
+        "bsfb": ("0x1.a15486adc5004p-1", "0x1.8788f8a164941p-1"),
     }
 
     @pytest.mark.parametrize("method", ["pm", "sfb"])
@@ -451,7 +450,12 @@ class TestSearchSteps:
     min(n_steps, _SEARCH_STEPS) steps; the verification at n_steps."""
 
     REFERENCE_STEPS = 4000
-    TOL = 1e-6  # a tenth of the default nm_f_tol
+    # the resolution at which Nelder-Mead stops
+    TOL = OptConfig().nm_f_tol
+
+    def test_search_steps_capped_at_n_steps(self):
+        assert OptConfig().search_steps == opt._SEARCH_STEPS
+        assert OptConfig(n_steps=60).search_steps == 60
 
     @staticmethod
     def strong_fields():
@@ -499,27 +503,44 @@ class TestSearchSteps:
                 points = gate_fidelity_many(fld, target, deltas, kappas, n_steps)
             return np.append(points, grid_value)
 
-        worst = max(
-            np.max(np.abs(values(f, opt._SEARCH_STEPS) - values(f, self.REFERENCE_STEPS)))
-            for f in self.strong_fields()
-        )
-        assert worst < self.TOL
+        def worst(n_steps):
+            return max(
+                np.max(np.abs(values(f, n_steps) - values(f, self.REFERENCE_STEPS)))
+                for f in self.strong_fields()
+            )
 
+        assert worst(opt._SEARCH_STEPS) < self.TOL
+        # the fewest steps that meet the tolerance
+        assert worst(opt._SEARCH_STEPS // 2) > self.TOL
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("objective", ["state", "gate_x"])
     @pytest.mark.parametrize(
-        "kw", [dict(method="bpm", n_sets=1), dict(method="sfb", n_sets=2)]
+        "method, n_sets", [("bpm", 1), ("pm", 1), ("bsfb", 1), ("sfb", 2)]
     )
-    def test_trial_matches_search_at_n_steps(self, kw, monkeypatch):
+    def test_trial_matches_search_at_n_steps(self, method, n_sets, objective, seed, monkeypatch):
         # the search's step count moves f_search and p_fit by rounding-level
         # amounts, but not the path of the search
-        cfg = OptConfig(verify_grid=(20, 20), seed=1, **kw)
+        cfg = OptConfig(
+            method=method, n_sets=n_sets, objective=objective, verify_grid=(20, 20), seed=seed
+        )
         fast = run_single(cfg)
         monkeypatch.setattr(opt, "_SEARCH_STEPS", cfg.n_steps)
         full = run_single(cfg)
         assert fast.true_calls == full.true_calls
         assert fast.nm_evals == full.nm_evals
         assert fast.model_attempts == full.model_attempts
-        np.testing.assert_array_equal(fast.params, full.params)
         assert fast.f_verified == full.f_verified
+        fast_params, full_params = fast.field.params, full.field.params
+        if (method, n_sets, objective) == ("bsfb", 1, "state"):
+            # One set's quadrature angle is a constant rotation of the drive
+            # axis about z, which commutes with the |0> -> |1> readout: a
+            # flat direction of the state objective, along which the two
+            # searches may stop apart (0 against 3.309 at seed 1).
+            row = list(LAYOUT[SFB]).index("quad_angles")
+            fast_params = np.delete(fast_params, row, axis=0)
+            full_params = np.delete(full_params, row, axis=0)
+        np.testing.assert_array_equal(fast_params, full_params)
 
 
 class TestVerifySteps:
