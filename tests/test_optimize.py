@@ -289,6 +289,18 @@ class TestBaselineOptimize:
         "bsfb": ("0x1.a15486adc5004p-1", "0x1.8788f8a164941p-1"),
     }
 
+    # The same for the gate_x objective, which takes the gate branch of the
+    # search's true call.
+    PINNED_GATE_BITS = {
+        "sfb": ("0x1.60a0c943f26a5p-1", "0x1.563182d7309c2p-1"),
+        "bpm": ("0x1.2e9b42c8bf1c4p-1", "0x1.3324ed355ec2bp-1"),
+    }
+
+    @pytest.mark.parametrize("method", ["sfb", "bpm"])
+    def test_gate_search_keeps_its_bits(self, method):
+        run = run_single(OptConfig(method=method, seed=7, nm_max_iter=40, objective="gate_x"))
+        assert (run.f_search.hex(), run.f_verified.hex()) == self.PINNED_GATE_BITS[method]
+
     @pytest.mark.parametrize("method", ["pm", "sfb"])
     def test_direct_search_keeps_its_bits(self, method):
         run = run_single(OptConfig(method=method, seed=7, nm_max_iter=40))
