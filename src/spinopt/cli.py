@@ -52,9 +52,9 @@ OUT_ENV_VAR = "SPINOPT_OUT"
 # The two files of a batch of trials, each a table of its columns, in
 # order, with the parser that reads a cell back.  results*.csv holds the
 # deterministic fields of ``run_to_record``; timings*.csv each trial's wall
-# time and the part of it spent on the dense verification, pulse-search and
-# Kriging likelihood diagnostics, kept out of the byte-reproducible data
-# files.
+# time and its split into start point, pulse search and dense verification,
+# pulse-search and Kriging likelihood diagnostics, kept out of the
+# byte-reproducible data files.
 TRIAL_COLUMNS = {
     "trial": int,
     "method": str,
@@ -71,6 +71,8 @@ TRIAL_COLUMNS = {
 TIMING_COLUMNS = {
     "trial": int,
     "wall_ms": float,
+    "build_ms": float,
+    "search_ms": float,
     "verify_ms": float,
     "nm_iters": int,
     "nm_converged": int,
@@ -124,6 +126,8 @@ def write_trials(out: Path, runs, tag: str = ""):
             **run_to_record(run),
             "lambda_opt": json.dumps(run.params.tolist()),
             "wall_ms": run.wall_ms,
+            "build_ms": run.build_ms,
+            "search_ms": run.search_ms,
             "verify_ms": run.verify_ms,
             "nm_iters": run.nm_iters,
             "nm_converged": int(run.nm_converged),

@@ -514,50 +514,83 @@ def cf4_propagator(h, dt):
     return a.copy(), b.copy()
 
 
-def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
-    """Propagators for a batch of (delta, kappa) pairs, shape (P, 2, 2).
+def _cf4_detuning(deltas):
+    """The sigma_z coefficient of both CF4 exponents, a (P, 1) column per
+    point.  A constant sample mixes to the same bits in both exponents,
+    because IEEE addition commutes, so one column serves both."""
+    half_d = 0.5 * deltas[:, None]
+    return _CF4_W1 * half_d + _CF4_W2 * half_d
 
-    ``deltas`` and ``kappas`` broadcast against each other.
+
+def _propagate_rows(field, kappas, hz, n_steps, slices, emit):
+    """Propagate ``field`` at each row of ``kappas`` (P,) and ``hz`` (P, 1),
+    one kernel call per slice of ``slices``, passing each call's pair to
+    ``emit(rows, a, b)``; the pair is valid only during that call.
+
+    The one loop of every kernel call of ``propagate_many`` and
+    ``fidelity_call``.
     """
-    if not (_is_integer(n_steps) and n_steps >= 1):
-        raise ValueError(f"n_steps must be an integer of at least 1, not {n_steps!r}")
-    deltas, kappas = np.broadcast_arrays(
-        np.asarray(deltas, dtype=float), np.asarray(kappas, dtype=float)
-    )
-    flat_d = deltas.ravel()
-    flat_k = kappas.ravel()
     dt = field.duration / n_steps
     # Quadratures at the early and late sample times, stacked as (x, y) rows
     # of shape (2, 1, S) and mixed into the (2, 2, 1, S) drive of the two
     # exponents before it is scaled by kappa.
     quads = np.array(quadratures(field, cf4_times(n_steps, dt)))
     mixed = cf4_mix(quads[:, 0, None], quads[:, 1, None])
-    # A constant sample mixes to the same bits in both exponents, because
-    # IEEE addition commutes, so one (P, 1) column serves both.
-    half_d = 0.5 * flat_d[:, None]
-    hz = _CF4_W1 * half_d + _CF4_W2 * half_d
-    slices = kernel_slices(flat_d.size, n_steps)
     # The real (hx, hy) drive of both exponents, in one block per call sized
     # to the largest slice.
     drive = np.empty((2, 2, max((s.stop - s.start for s in slices), default=0), n_steps))
-    out = np.empty((flat_d.size, 2, 2), dtype=complex)
     for rows in slices:
-        kap = flat_k[rows, None]
+        kap = kappas[rows, None]
         block = np.multiply(kap, mixed, out=drive[:, :, : len(kap)])
-        a, b = _plan(block.shape[2:]).run((block[:, 0], block[:, 1], hz[rows]), dt)
+        emit(rows, *_plan(block.shape[2:]).run((block[:, 0], block[:, 1], hz[rows]), dt))
+
+
+def _assembler(out):
+    """The ``emit`` of ``_propagate_rows`` that writes each slice's
+    propagators [[a, -b*], [b, a*]] into its rows of ``out``, (P, 2, 2)."""
+
+    def emit(rows, a, b):
         u = out[rows]
         u[:, 0, 0] = a
         np.negative(np.conjugate(b, out=u[:, 0, 1]), out=u[:, 0, 1])
         u[:, 1, 0] = b
         np.conjugate(a, out=u[:, 1, 1])
+
+    return emit
+
+
+def _check_steps(n_steps):
+    if not (_is_integer(n_steps) and n_steps >= 1):
+        raise ValueError(f"n_steps must be an integer of at least 1, not {n_steps!r}")
+
+
+def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
+    """Propagators for a batch of (delta, kappa) pairs, shape (P, 2, 2).
+
+    ``deltas`` and ``kappas`` broadcast against each other.
+    """
+    _check_steps(n_steps)
+    deltas, kappas = np.broadcast_arrays(
+        np.asarray(deltas, dtype=float), np.asarray(kappas, dtype=float)
+    )
+    flat_d = deltas.ravel()
+    out = np.empty((flat_d.size, 2, 2), dtype=complex)
+    slices = kernel_slices(flat_d.size, n_steps)
+    _propagate_rows(
+        field, kappas.ravel(), _cf4_detuning(flat_d), n_steps, slices, _assembler(out)
+    )
     return out.reshape(deltas.shape + (2, 2))
+
+
+def _transfer(b):
+    """|<1| U |0>|^2 from the propagator's b, the state fidelity."""
+    return np.abs(b) ** 2
 
 
 def state_fidelity_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
     """|<1| U |0>|^2 for a batch of (delta, kappa) pairs."""
     u = propagate_many(field, deltas, kappas, n_steps)
-    amp = u[..., 1, 0]
-    return np.abs(amp) ** 2
+    return _transfer(u[..., 1, 0])
 
 
 # Largest entry of |U^dag U - I| that a gate target may have.
@@ -570,16 +603,33 @@ def _check_unitary(u):
         raise ValueError(f"matrix is not unitary (deviation {diff:.2e})")
 
 
+def _gate_target(target):
+    """The conjugate of a checked unitary target, as ``_gate_fidelity`` takes it."""
+    target = np.asarray(target, dtype=complex)
+    _check_unitary(target)
+    return target.conj()
+
+
+def _gate_fidelity(target_conj, u):
+    """(2 + |Tr(T^dag U)|^2) / 6 for propagators ``u`` of shape (..., 2, 2)."""
+    overlap = np.einsum("ij,...ij->...", target_conj, u)
+    return (2.0 + np.abs(overlap) ** 2) / 6.0
+
+
 def gate_fidelity_many(field: ControlField, target, deltas, kappas, n_steps: int = 1000):
     """Average gate fidelity of U against a target unitary, batched.
 
     f_g = (2 + |Tr(T^dag U)|^2) / 6, the closed form for one qubit.
     """
-    target = np.asarray(target, dtype=complex)
-    _check_unitary(target)
-    u = propagate_many(field, deltas, kappas, n_steps)
-    overlap = np.einsum("ij,...ij->...", target.conj(), u)
-    return (2.0 + np.abs(overlap) ** 2) / 6.0
+    target_conj = _gate_target(target)
+    return _gate_fidelity(target_conj, propagate_many(field, deltas, kappas, n_steps))
+
+
+def _check_points(points):
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"points must have shape (P, 2), not {points.shape}")
+    return points
 
 
 def fidelities(field: ControlField, points, n_steps: int = 1000, target=None):
@@ -588,12 +638,51 @@ def fidelities(field: ControlField, points, n_steps: int = 1000, target=None):
     The one true call: the state-transfer fidelity |<1|U|0>|^2, or the gate
     fidelity against ``target`` when one is given.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError(f"points must have shape (P, 2), not {points.shape}")
+    points = _check_points(points)
     if target is None:
         return state_fidelity_many(field, points[:, 0], points[:, 1], n_steps)
     return gate_fidelity_many(field, target, points[:, 0], points[:, 1], n_steps)
+
+
+def fidelity_call(points, n_steps: int = 1000, target=None):
+    """``fidelities`` at fixed ``points``, ``n_steps`` and ``target``, as a
+    function of the field alone, with the same bits.
+
+    Everything that depends only on the points is built once: their
+    contiguous detuning and kappa columns, the detuning coefficient and the
+    kernel slices.  Each call computes the field's quadratures and runs the
+    kernel on them, and reduces the state fidelity straight from each
+    slice's pair, without the (P, 2, 2) propagators.  The call holds no
+    working memory between calls, so threads may share it.
+    """
+    _check_steps(n_steps)
+    points = _check_points(points)
+    deltas = np.ascontiguousarray(points[:, 0])
+    kappas = np.ascontiguousarray(points[:, 1])
+    hz = _cf4_detuning(deltas)
+    slices = kernel_slices(len(points), n_steps)
+
+    if target is None:
+
+        def call(field):
+            values = np.empty(len(points))
+
+            def emit(rows, a, b):
+                values[rows] = _transfer(b)
+
+            _propagate_rows(field, kappas, hz, n_steps, slices, emit)
+            return values
+
+        return call
+
+    target_conj = _gate_target(target)
+
+    def gate_call(field):
+        u = np.empty((len(points), 2, 2), dtype=complex)
+        _propagate_rows(field, kappas, hz, n_steps, slices, _assembler(u))
+        return _gate_fidelity(target_conj, u)
+
+    return gate_call
 
 
 def ensemble_objective(

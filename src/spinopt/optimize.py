@@ -58,6 +58,7 @@ from .dynamics import (
     _is_integer,
     ensemble_objective,
     fidelities,
+    fidelity_call,
 )
 from .fields import (
     LAYOUT,
@@ -223,7 +224,11 @@ class OptRun:
     nll_evals: int  # Kriging likelihood evaluations over every fit (0 for direct methods)
     p_fit: float | None
     wall_ms: float
-    verify_ms: float  # the part of wall_ms spent on the dense verification
+    # wall_ms split into its three stages: the start point (the surrogate
+    # build, or the random draw), the pulse search, the dense verification
+    build_ms: float
+    search_ms: float
+    verify_ms: float
 
     @property
     def params(self) -> np.ndarray:
@@ -407,8 +412,11 @@ def run_single(config: OptConfig) -> OptRun:
         def reduce(values):
             return float(np.dot(weights, values))
 
+    search_start = time.perf_counter()
+    search_values = fidelity_call(points, config.search_steps, target)
+
     def objective(params):
-        return 1.0 - reduce(true_values(field(params), points))
+        return 1.0 - reduce(search_values(field(params)))
 
     result = _search(config, objective, x0)
     best_field = field(result.x)
@@ -430,6 +438,8 @@ def run_single(config: OptConfig) -> OptRun:
         nll_evals=nll_evals,
         p_fit=p_fit,
         wall_ms=(end - start) * 1e3,
+        build_ms=(search_start - start) * 1e3,
+        search_ms=(verify_start - search_start) * 1e3,
         verify_ms=(end - verify_start) * 1e3,
     )
 

@@ -248,6 +248,13 @@ def gaussian_density(x, mean, fwhm):
     )
 
 
+def peak_on_full_grid(envelope, field, n_points=2001):
+    """Largest envelope value at every point of the ``n_points`` grid on
+    [0, T]; ``envelope(field, t)`` is the envelope function under test, so
+    the value is that of evaluating the whole grid, to the bit."""
+    return float(np.max(envelope(field, np.linspace(0.0, field.duration, n_points))))
+
+
 def brute_force_objective(point_fidelity, m, n, delta_range, kappa_range, delta_fwhm, kappa_fwhm, kappa_mean):
     """Weighted grid average via explicit loops and explicit normalization.
 

@@ -438,16 +438,21 @@ class TestOptimizeCommand:
         field_map = (out / "field_map.csv").read_text().splitlines()
         assert field_map[0] == "delta_mhz,kappa,fidelity"
         assert len(field_map) == 1 + 15 * 15
-        timings = (out / "timings.csv").read_text().splitlines()
-        assert timings[0] == "trial,wall_ms,verify_ms,nm_iters,nm_converged,nll_evals"
-        trial, wall_ms, verify_ms, nm_iters, converged, nll_evals = timings[1].split(",")
-        assert trial == "0" and float(wall_ms) > 0
-        assert 0 < float(verify_ms) < float(wall_ms)
-        assert 0 < int(nm_iters) <= rec["nm_evals"]
-        assert converged in ("0", "1")
+        header = (out / "timings.csv").read_text().splitlines()[0]
+        assert header == (
+            "trial,wall_ms,build_ms,search_ms,verify_ms,nm_iters,nm_converged,nll_evals"
+        )
+        [timing] = read_trial_records(out / "timings.csv", TIMING_COLUMNS)
+        assert timing["trial"] == 0 and timing["wall_ms"] > 0
+        stages = [timing[k] for k in ("build_ms", "search_ms", "verify_ms")]
+        assert all(0 < ms < timing["wall_ms"] for ms in stages)
+        # the three stages partition the trial's wall time
+        assert sum(stages) == pytest.approx(timing["wall_ms"], rel=1e-9)
+        assert 0 < timing["nm_iters"] <= rec["nm_evals"]
+        assert timing["nm_converged"] in (0, 1)
         # the accepted model's fit alone runs 5 likelihood restarts of at
         # least 5 evaluations each
-        assert int(nll_evals) >= 25
+        assert timing["nll_evals"] >= 25
         assert_search_facts(out / "optimize_meta.json", seed=5)
 
     def test_method_flag_produces_sfb_record(self, tmp_path):
@@ -525,7 +530,9 @@ class TestTrialsCommand:
         counts = sum(int(line.split(",")[2]) for line in hist[1:])
         assert counts == 2
         timings = (out / "timings.csv").read_text().splitlines()
-        assert timings[0] == "trial,wall_ms,verify_ms,nm_iters,nm_converged,nll_evals"
+        assert timings[0] == (
+            "trial,wall_ms,build_ms,search_ms,verify_ms,nm_iters,nm_converged,nll_evals"
+        )
         assert [line.split(",")[0] for line in timings[1:]] == ["0", "1"]
         meta = assert_search_facts(out / "trials_meta.json", seed=4)
         assert meta["failures"] == []

@@ -306,6 +306,72 @@ class TestGateFidelity:
         assert gate_fidelity_many(fld, SIGMA_Y, [0.0], [1.0])[0] == pytest.approx(1.0, abs=1e-10)
 
 
+class TestFidelityCall:
+    """``fidelity_call`` gives ``fidelities`` bit for bit at its fixed points,
+    steps and target."""
+
+    @pytest.mark.parametrize("n_steps", [1, 100, 400])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 4), (9, 9), (50, 50)])
+    @pytest.mark.parametrize("target", [None, SIGMA_X, SIGMA_Y], ids=["state", "gate_x", "gate_y"])
+    def test_equals_fidelities(self, target, shape, n_steps):
+        # 1 step takes the squaring path; 2500 points at 400 steps run in
+        # several kernel slices
+        points = NoiseGrid.regular(*shape).points()
+        call = dynamics.fidelity_call(points, n_steps, target)
+        for fld in (SFB_FIELD, DEMO_FIELD, rect_pi()):
+            assert np.array_equal(call(fld), dynamics.fidelities(fld, points, n_steps, target))
+
+    @pytest.mark.parametrize("target", [None, SIGMA_X], ids=["state", "gate_x"])
+    def test_repeated_calls_give_the_same_bits(self, target):
+        points = NoiseGrid.regular(4, 4).points()
+        call = dynamics.fidelity_call(points, 100, target)
+        first = call(SFB_FIELD)
+        call(STRONG_FIELD)
+        again = call(SFB_FIELD)
+        assert np.array_equal(again, first) and again is not first
+
+    @pytest.mark.parametrize("target", [None, SIGMA_Y], ids=["state", "gate_y"])
+    def test_threads_sharing_one_call_get_the_same_bits(self, target):
+        # two threads, each with its own field, call one built call at once
+        # and switch often: a buffer held by the call would mix their values
+        points = NoiseGrid.regular(9, 9).points()
+        call = dynamics.fidelity_call(points, 100, target)
+        fields = (SFB_FIELD, DEMO_FIELD)
+        expected = [dynamics.fidelities(fld, points, 100, target) for fld in fields]
+        start = threading.Barrier(len(fields), timeout=30)
+        mismatches = []
+
+        def work(i):
+            start.wait()
+            for _ in range(40):
+                if not np.array_equal(call(fields[i]), expected[i]):
+                    mismatches.append(i)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_invalid_inputs_rejected_when_built(self):
+        points = NoiseGrid.regular(2, 2).points()
+        with pytest.raises(ValueError):
+            dynamics.fidelity_call(points[:, :1], 100)
+        with pytest.raises(ValueError):
+            dynamics.fidelity_call(points, 0)
+        with pytest.raises(ValueError):
+            dynamics.fidelity_call(points, 100.0)
+        with pytest.raises(ValueError):
+            dynamics.fidelity_call(points, 100, np.array([[1.0, 0.0], [0.0, 0.5]]))
+
+
 class TestEnsembleObjective:
     def test_constant_zero_fidelity(self):
         fld = pm_field([0.0], [0.0], [0.0], T, OMEGA_MAX)

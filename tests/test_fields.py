@@ -18,7 +18,7 @@ from spinopt import (
 from spinopt.dynamics import cf4_times
 from spinopt.fields import PEAK_GRID_POINTS, _peak_times, parameter_ranges
 
-from oracles import pm_quadratures_direct, sfb_quadratures_direct
+from oracles import peak_on_full_grid, pm_quadratures_direct, sfb_quadratures_direct
 
 TWO_PI = 2 * np.pi
 OMEGA_MAX = TWO_PI * 10e6
@@ -311,3 +311,113 @@ def test_peak_grid_is_cached_and_read_only():
     assert _peak_times(T) is ts
     with pytest.raises(ValueError):
         ts[0] = 1.0
+
+
+CAP = 5 * TWO_PI / T
+# The grid step of peak_amplitude's PEAK_GRID_POINTS grid on [0, T].
+GRID_DT = T / (PEAK_GRID_POINTS - 1)
+
+
+def peak_sweep_fields(seed, count):
+    """Seeded PM and SFB fields of 1-4 sets with signed amplitudes whose sum
+    bound reaches up to twice the limit, and rates that are random, zero or
+    at the cap."""
+    rng = np.random.default_rng(seed)
+    fields = []
+    for i in range(count):
+        n_sets = 1 + i % 4
+        amps = rng.uniform(0.1, 1.0, n_sets) * rng.choice([-1.0, 1.0], n_sets)
+        amps *= 2 * OMEGA_MAX * rng.uniform(0.5, 2.0) / np.sum(np.abs(amps))
+        rates = rng.uniform(0, CAP, n_sets)
+        rates[rng.random(n_sets) < 0.2] = 0.0
+        rates[rng.random(n_sets) < 0.2] = CAP
+        if i % 2:
+            fields.append(pm_field(amps, rates, rng.uniform(0, CAP, n_sets), T, OMEGA_MAX))
+        else:
+            angles = rng.uniform(0, TWO_PI, (2, n_sets))
+            fields.append(sfb_field(amps, rates, *angles, T, OMEGA_MAX))
+    return fields
+
+
+def peak_placed_fields():
+    """Fields whose grid maximum sits at a chosen place: t = 0, t = T,
+    between two coarse points, on two equal lobes, or everywhere (constant)."""
+    w = 0.3 * TWO_PI / T
+    between = 16 * 40 + 7  # a grid index between coarse points 40 and 41
+    return [
+        # |cos(w t)| falls from t = 0
+        sfb_field([1.5 * OMEGA_MAX], [w], [0.0], [0.4], T, OMEGA_MAX),
+        # |cos(w t + phi)| rises to 1 at t = T
+        sfb_field([1.5 * OMEGA_MAX], [w], [TWO_PI - w * T], [0.4], T, OMEGA_MAX),
+        # |cos| peaks at one grid point between coarse points
+        sfb_field([1.5 * OMEGA_MAX], [w], [np.pi - w * between * GRID_DT], [1.0], T, OMEGA_MAX),
+        # one full cycle: equal maxima at 0, T / 2 and T
+        sfb_field([1.5 * OMEGA_MAX], [TWO_PI / T], [0.0], [0.0], T, OMEGA_MAX),
+        # two equal lobes half a pulse apart, both between coarse points
+        sfb_field(
+            [1.5 * OMEGA_MAX], [TWO_PI / T], [np.pi - TWO_PI * 507 / 2000], [0.3], T, OMEGA_MAX
+        ),
+        # a PM pair whose vectors line up at 0, T / 2 and T
+        pm_field([1.1 * OMEGA_MAX, 1.1 * OMEGA_MAX], [CAP, 0.0], [TWO_PI / T, 0.0], T, OMEGA_MAX),
+        constant_drive(3 * OMEGA_MAX, T, OMEGA_MAX),
+        sfb_field([OMEGA_MAX, 2 * OMEGA_MAX], [0.0, 0.0], [0.3, 1.0], [0.2, 2.0], T, OMEGA_MAX),
+        pm_field([OMEGA_MAX, -2 * OMEGA_MAX], [0.0, 0.0], [0.2e9, 0.0], T, OMEGA_MAX),
+    ]
+
+
+def test_peak_equals_the_whole_grid_maximum():
+    # peak_amplitude skips grid intervals by a Lipschitz bound; the maximum
+    # it returns is the whole grid's, bit for bit
+    fields = peak_sweep_fields(21, 400) + peak_placed_fields()
+    for fld in fields:
+        assert peak_amplitude(fld) == peak_on_full_grid(envelope, fld)
+
+
+def test_peak_placed_where_intended():
+    # the placed fields put their maximum where their comments say
+    ts = _peak_times(T)
+    placed = peak_placed_fields()
+    argmax = [int(np.argmax(envelope(fld, ts))) for fld in placed[:3]]
+    assert argmax == [0, PEAK_GRID_POINTS - 1, 16 * 40 + 7]
+    lobes_of = ((placed[3], [0, 1000, 2000]), (placed[4], [507, 1507]), (placed[5], [0, 1000, 2000]))
+    for fld, lobes in lobes_of:
+        values = envelope(fld, ts)
+        np.testing.assert_allclose(values[lobes], values.max(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_sets", [1, 3])
+def test_gathered_ufunc_values_equal_the_full_arrays(n_sets):
+    # the pruned peak relies on np.cos, np.sin and np.hypot giving an element
+    # the same bits whether it is computed in the whole grid's array or in a
+    # gathered subset of it, of any length and offset
+    rng = np.random.default_rng(n_sets)
+    x = rng.uniform(-60.0, 60.0, (n_sets, PEAK_GRID_POINTS))
+    y = rng.uniform(-2e8, 2e8, (2, PEAK_GRID_POINTS))
+    full = {fn: fn(x) for fn in (np.cos, np.sin)}
+    full_hypot = np.hypot(*y)
+    subsets = [np.arange(0, PEAK_GRID_POINTS, 16)] + [
+        np.sort(rng.choice(PEAK_GRID_POINTS, size, replace=False)) for size in (1, 15, 45, 301, 1875)
+    ]
+    for idx in subsets:
+        for fn, values in full.items():
+            assert np.array_equal(fn(x[:, idx]), values[:, idx])
+        assert np.array_equal(np.hypot(y[0, idx], y[1, idx]), full_hypot[idx])
+
+
+def test_peak_evaluates_a_small_share_of_an_overdriven_field(monkeypatch):
+    # an overdriven two-set SFB field needs its envelope at only a few of the
+    # grid's intervals: less than a quarter of the grid is evaluated
+    import spinopt.fields as fields_module
+
+    evaluated = []
+    original = fields_module.envelope
+
+    def counted(fld, t):
+        evaluated.append(np.size(t))
+        return original(fld, t)
+
+    monkeypatch.setattr(fields_module, "envelope", counted)
+    fld = sfb_field([1.5 * OMEGA_MAX, 1.2 * OMEGA_MAX], [3e7, 9e7], [0.3, 1.1], [0.2, 0.5], T, OMEGA_MAX)
+    peak = peak_amplitude(fld)
+    assert sum(evaluated) < 0.25 * PEAK_GRID_POINTS
+    assert peak == peak_on_full_grid(original, fld)

@@ -211,18 +211,19 @@ class TestBpmOptimize:
     @pytest.mark.parametrize("method", ["bpm", "pm", "bsfb", "sfb"])
     def test_true_calls_match_propagated_points(self, method, monkeypatch):
         # true_calls is derived from the accounting identity, so count the
-        # points actually propagated; the rest are the verification's
+        # points actually propagated; the rest are the verification's.
+        # Every true call, through fidelities or through the search's
+        # fidelity_call, propagates its points in one _propagate_rows call.
         import spinopt.dynamics as dyn
 
         propagated = []
-        original = dyn.propagate_many
+        original = dyn._propagate_rows
 
-        def counting(field, deltas, kappas, n_steps=1000):
-            u = original(field, deltas, kappas, n_steps)
-            propagated.append(u.shape[0])
-            return u
+        def counting(field, kappas, *args):
+            propagated.append(len(kappas))
+            return original(field, kappas, *args)
 
-        monkeypatch.setattr(dyn, "propagate_many", counting)
+        monkeypatch.setattr(dyn, "_propagate_rows", counting)
         cfg = fast_config(method=method, seed=3)
         run = run_single(cfg)
         verify_points = cfg.verify_grid[0] * cfg.verify_grid[1]
