@@ -55,6 +55,12 @@ resolution at which Nelder-Mead stops; the verification's (``n_steps``,
 
 Ensemble averages weight a rectangular (delta, kappa) grid by the product
 of two Gaussians specified through their FWHM.
+
+``fidelities`` is the one true call.  A caller that evaluates many fields
+at the same points, steps and target, as the pulse search does, builds
+that call once with ``fidelity_call`` and gets the same bits.  Both run
+every kernel call through one slice loop, ``_propagate_rows``, and share
+one reduction per objective.
 """
 from __future__ import annotations
 

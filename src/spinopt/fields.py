@@ -44,6 +44,9 @@ _PEAK_STRIDE = 16
 # Rounding allowance of the interval bound, relative to sum(h_j): far above
 # the few ulps by which a computed envelope value can stray.
 _PEAK_MARGIN = 1e-9
+# Grid offsets of the points strictly between two coarse points.
+_PEAK_INTERIOR = np.arange(1, _PEAK_STRIDE)
+_PEAK_INTERIOR.flags.writeable = False
 _EPS = np.finfo(float).eps
 
 
@@ -185,12 +188,6 @@ def _peak_times(duration):
     return ts
 
 
-@functools.lru_cache(maxsize=1)
-def _interior_offsets():
-    """Grid offsets of the points strictly between two coarse points."""
-    return np.arange(1, _PEAK_STRIDE)
-
-
 def peak_amplitude(field: ControlField) -> float:
     """Max of sqrt(Omega_x^2 + Omega_y^2) on the ``PEAK_GRID_POINTS`` grid,
     from the envelope at only the grid points that can hold it.
@@ -215,7 +212,7 @@ def peak_amplitude(field: ControlField) -> float:
         return float(np.max(envelope(field, ts)))
     coarse = envelope(field, ts[::_PEAK_STRIDE])
     peak = coarse.max()
-    half = 0.5 * np.abs(field.params[0])
+    half = 0.5 * np.abs(field.amplitudes)
     rates = field.freqs if field.basis == SFB else field.mod_depths
     lipschitz = float(half @ np.abs(rates))
     slack = 0.5 * lipschitz * (ts[_PEAK_STRIDE] - ts[0]) + _PEAK_MARGIN * float(half.sum())
@@ -224,7 +221,7 @@ def peak_amplitude(field: ControlField) -> float:
     reach += slack
     open_ = np.flatnonzero(reach >= peak)
     if open_.size:
-        points = (open_[:, None] * _PEAK_STRIDE + _interior_offsets()).ravel()
+        points = (open_[:, None] * _PEAK_STRIDE + _PEAK_INTERIOR).ravel()
         peak = max(peak, envelope(field, ts[points]).max())
     return float(peak)
 

@@ -15,6 +15,10 @@ and its reduction:
 * ``pm`` / ``sfb``: the M x N points of a coarse grid (16 by default); the
   reduction is their Gaussian-weighted average.
 
+The search's true call is built once per trial for its fixed design
+points (``dynamics.fidelity_call``); the build attempts and the
+verification call ``fidelities``, which gives the same bits.
+
 ``true_calls`` counts every single-point fidelity evaluation made before
 verification: the model-build samples (none for a direct method) plus
 ``nm_evals`` times the number of design points.  The final dense
@@ -33,8 +37,8 @@ is spent on ``f_verified`` alone.  ``n_steps`` is 400 by default: over 240
 winning pulses its 50 x 50 objective stayed within 4.7e-11 of 4000 steps
 and its single points within 6.8e-10 (winner rows of the step-error
 table), at about 40% of the cost of 1000 steps.  200 steps would put
-single points of some winners past 1e-8.  ``OptRun.verify_ms`` records the
-verification's share of ``wall_ms``.
+single points of some winners past 1e-8.  ``OptRun.build_ms``,
+``search_ms`` and ``verify_ms`` split ``wall_ms`` into its three stages.
 """
 from __future__ import annotations
 
@@ -367,7 +371,9 @@ def run_single(config: OptConfig) -> OptRun:
     """One trial of any method: start point, Nelder-Mead search, dense verification.
 
     Every method searches 1 - reduce(fidelities(field, points)) and supplies
-    only its design points and its reduction.  Surrogate methods start from
+    only its design points and its reduction; the search's true call is
+    built once for those points with ``fidelity_call``, while the build
+    attempts and the verification call ``fidelities``.  Surrogate methods start from
     the field of the first validated model and reduce the fidelities at its
     samples to the Kriging estimate; direct methods start from a random
     draw and reduce the fidelities on the coarse search grid to its
