@@ -373,11 +373,11 @@ def run_single(config: OptConfig) -> OptRun:
     Every method searches 1 - reduce(fidelities(field, points)) and supplies
     only its design points and its reduction; the search's true call is
     built once for those points with ``fidelity_call``, while the build
-    attempts and the verification call ``fidelities``.  Surrogate methods start from
-    the field of the first validated model and reduce the fidelities at its
-    samples to the Kriging estimate; direct methods start from a random
-    draw and reduce the fidelities on the coarse search grid to its
-    weighted average.
+    attempts and the verification call ``fidelities``.  Surrogate methods
+    start from the field of the first validated model and reduce the
+    fidelities at its samples to the Kriging estimate; direct methods start
+    from a random draw and reduce the fidelities on the coarse search grid
+    to its weighted average.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)

@@ -321,14 +321,15 @@ GRID_DT = T / (PEAK_GRID_POINTS - 1)
 def peak_sweep_fields(seed, count):
     """Seeded PM and SFB fields of 1-4 sets with signed amplitudes whose sum
     bound reaches up to twice the limit, and rates that are random, zero or
-    at the cap."""
+    at the cap; every fifth field has rates up to 8 times the cap, where the
+    interval bound is nearly tight."""
     rng = np.random.default_rng(seed)
     fields = []
     for i in range(count):
         n_sets = 1 + i % 4
         amps = rng.uniform(0.1, 1.0, n_sets) * rng.choice([-1.0, 1.0], n_sets)
         amps *= 2 * OMEGA_MAX * rng.uniform(0.5, 2.0) / np.sum(np.abs(amps))
-        rates = rng.uniform(0, CAP, n_sets)
+        rates = rng.uniform(0, CAP * (8 if i % 5 == 4 else 1), n_sets)
         rates[rng.random(n_sets) < 0.2] = 0.0
         rates[rng.random(n_sets) < 0.2] = CAP
         if i % 2:
@@ -368,7 +369,7 @@ def peak_placed_fields():
 def test_peak_equals_the_whole_grid_maximum():
     # peak_amplitude skips grid intervals by a Lipschitz bound; the maximum
     # it returns is the whole grid's, bit for bit
-    fields = peak_sweep_fields(21, 400) + peak_placed_fields()
+    fields = peak_sweep_fields(21, 1000) + peak_placed_fields()
     for fld in fields:
         assert peak_amplitude(fld) == peak_on_full_grid(envelope, fld)
 
@@ -379,7 +380,11 @@ def test_peak_placed_where_intended():
     placed = peak_placed_fields()
     argmax = [int(np.argmax(envelope(fld, ts))) for fld in placed[:3]]
     assert argmax == [0, PEAK_GRID_POINTS - 1, 16 * 40 + 7]
-    lobes_of = ((placed[3], [0, 1000, 2000]), (placed[4], [507, 1507]), (placed[5], [0, 1000, 2000]))
+    lobes_of = (
+        (placed[3], [0, 1000, 2000]),
+        (placed[4], [507, 1507]),
+        (placed[5], [0, 1000, 2000]),
+    )
     for fld, lobes in lobes_of:
         values = envelope(fld, ts)
         np.testing.assert_allclose(values[lobes], values.max(), rtol=1e-12)
@@ -396,7 +401,8 @@ def test_gathered_ufunc_values_equal_the_full_arrays(n_sets):
     full = {fn: fn(x) for fn in (np.cos, np.sin)}
     full_hypot = np.hypot(*y)
     subsets = [np.arange(0, PEAK_GRID_POINTS, 16)] + [
-        np.sort(rng.choice(PEAK_GRID_POINTS, size, replace=False)) for size in (1, 15, 45, 301, 1875)
+        np.sort(rng.choice(PEAK_GRID_POINTS, size, replace=False))
+        for size in (1, 15, 45, 301, 1875)
     ]
     for idx in subsets:
         for fn, values in full.items():
@@ -417,7 +423,9 @@ def test_peak_evaluates_a_small_share_of_an_overdriven_field(monkeypatch):
         return original(fld, t)
 
     monkeypatch.setattr(fields_module, "envelope", counted)
-    fld = sfb_field([1.5 * OMEGA_MAX, 1.2 * OMEGA_MAX], [3e7, 9e7], [0.3, 1.1], [0.2, 0.5], T, OMEGA_MAX)
+    fld = sfb_field(
+        [1.5 * OMEGA_MAX, 1.2 * OMEGA_MAX], [3e7, 9e7], [0.3, 1.1], [0.2, 0.5], T, OMEGA_MAX
+    )
     peak = peak_amplitude(fld)
     assert sum(evaluated) < 0.25 * PEAK_GRID_POINTS
     assert peak == peak_on_full_grid(original, fld)
