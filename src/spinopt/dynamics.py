@@ -656,10 +656,12 @@ def fidelity_call(points, n_steps: int = 1000, target=None):
 
     Everything that depends only on the points is built once: their
     contiguous detuning and kappa columns, the detuning coefficient and the
-    kernel slices.  Each call computes the field's quadratures and runs the
-    kernel on them, and reduces the state fidelity straight from each
-    slice's pair, without the (P, 2, 2) propagators.  The call holds no
-    working memory between calls, so threads may share it.
+    kernel slices.  The CF4 sample times depend on the field's duration, so
+    each call takes them from ``cf4_times``' cache.  Each call computes the
+    field's quadratures and runs the kernel on them, and reduces the state
+    fidelity straight from each slice's pair, without the (P, 2, 2)
+    propagators.  The call holds no working memory between calls, so
+    threads may share it.
     """
     _check_steps(n_steps)
     points = _check_points(points)
