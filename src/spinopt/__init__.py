@@ -13,7 +13,6 @@ from .dynamics import (
     NoiseGrid,
     ensemble_objective,
     fidelities,
-    gate_fidelity_many,
     gaussian_weight,
     propagate_many,
     state_fidelity_many,
@@ -94,7 +93,6 @@ __all__ = [
     "estimate_t2",
     "fidelities",
     "fit",
-    "gate_fidelity_many",
     "gaussian_weight",
     "ideal_phase",
     "jittered_grid",

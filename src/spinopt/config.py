@@ -28,7 +28,7 @@ from .magnetometry import (
     default_shaped_pi_field,
     periods_within,
 )
-from .optimize import METHODS, OptConfig
+from .optimize import METHODS, OBJECTIVES, OptConfig
 
 TWO_PI = 2.0 * np.pi
 
@@ -175,7 +175,7 @@ class Leaf:
 LEAVES = {
     "seed": Leaf(INTEGER, 0),
     "optimize.method": Leaf(CHOICE, choices=METHODS),
-    "optimize.objective": Leaf(CHOICE, choices=("state", "gate_x")),
+    "optimize.objective": Leaf(CHOICE, choices=tuple(OBJECTIVES)),
     "optimize.n_sets": Leaf(INTEGER, 1, MAX_SETS),
     "optimize.n_samples": Leaf(INTEGER, 1, MAX_SAMPLES),
     "optimize.search_grid": Leaf(PAIR, 1, MAX_GRID, entry=INTEGER),

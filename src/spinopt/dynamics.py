@@ -59,8 +59,10 @@ of two Gaussians specified through their FWHM.
 ``fidelities`` is the one true call.  A caller that evaluates many fields
 at the same points, steps and target, as the pulse search does, builds
 that call once with ``fidelity_call`` and gets the same bits.  Both run
-every kernel call through one slice loop, ``_propagate_rows``, and share
-one reduction per objective.
+every kernel call through one slice loop, ``_propagate_rows``, and reduce
+the propagator's Cayley-Klein pair through ``_reduction``, the one
+definition of each objective: the state fidelity |b|^2 and the gate
+fidelity from the trace t00 a - t01 b* + t10 b + t11 a*, t = T*.
 """
 from __future__ import annotations
 
@@ -551,20 +553,6 @@ def _propagate_rows(field, kappas, hz, n_steps, slices, emit):
         emit(rows, *_plan(block.shape[2:]).run((block[:, 0], block[:, 1], hz[rows]), dt))
 
 
-def _assembler(out):
-    """The ``emit`` of ``_propagate_rows`` that writes each slice's
-    propagators [[a, -b*], [b, a*]] into its rows of ``out``, (P, 2, 2)."""
-
-    def emit(rows, a, b):
-        u = out[rows]
-        u[:, 0, 0] = a
-        np.negative(np.conjugate(b, out=u[:, 0, 1]), out=u[:, 0, 1])
-        u[:, 1, 0] = b
-        np.conjugate(a, out=u[:, 1, 1])
-
-    return emit
-
-
 def _check_steps(n_steps):
     if not (_is_integer(n_steps) and n_steps >= 1):
         raise ValueError(f"n_steps must be an integer of at least 1, not {n_steps!r}")
@@ -581,54 +569,56 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
     )
     flat_d = deltas.ravel()
     out = np.empty((flat_d.size, 2, 2), dtype=complex)
+
+    def emit(rows, a, b):
+        u = out[rows]
+        u[:, 0, 0] = a
+        np.negative(np.conjugate(b, out=u[:, 0, 1]), out=u[:, 0, 1])
+        u[:, 1, 0] = b
+        np.conjugate(a, out=u[:, 1, 1])
+
     slices = kernel_slices(flat_d.size, n_steps)
-    _propagate_rows(
-        field, kappas.ravel(), _cf4_detuning(flat_d), n_steps, slices, _assembler(out)
-    )
+    _propagate_rows(field, kappas.ravel(), _cf4_detuning(flat_d), n_steps, slices, emit)
     return out.reshape(deltas.shape + (2, 2))
-
-
-def _transfer(b):
-    """|<1| U |0>|^2 from the propagator's b, the state fidelity."""
-    return np.abs(b) ** 2
-
-
-def state_fidelity_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
-    """|<1| U |0>|^2 for a batch of (delta, kappa) pairs."""
-    u = propagate_many(field, deltas, kappas, n_steps)
-    return _transfer(u[..., 1, 0])
 
 
 # Largest entry of |U^dag U - I| that a gate target may have.
 _UNITARY_TOL = 1e-10
 
 
-def _check_unitary(u):
-    diff = np.max(np.abs(u.conj().T @ u - IDENTITY))
+def _gate_target(target):
+    """The conjugate of ``target``, which must be a unitary 2 x 2 matrix."""
+    target = np.asarray(target, dtype=complex)
+    diff = np.max(np.abs(target.conj().T @ target - IDENTITY))
     if diff > _UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (deviation {diff:.2e})")
-
-
-def _gate_target(target):
-    """The conjugate of a checked unitary target, as ``_gate_fidelity`` takes it."""
-    target = np.asarray(target, dtype=complex)
-    _check_unitary(target)
     return target.conj()
 
 
-def _gate_fidelity(target_conj, u):
-    """(2 + |Tr(T^dag U)|^2) / 6 for propagators ``u`` of shape (..., 2, 2)."""
-    overlap = np.einsum("ij,...ij->...", target_conj, u)
-    return (2.0 + np.abs(overlap) ** 2) / 6.0
+def _reduction(target):
+    """The objective as a function of the propagator's Cayley-Klein pair
+    (a, b), U = [[a, -b*], [b, a*]]: the one definition of each objective.
 
-
-def gate_fidelity_many(field: ControlField, target, deltas, kappas, n_steps: int = 1000):
-    """Average gate fidelity of U against a target unitary, batched.
-
-    f_g = (2 + |Tr(T^dag U)|^2) / 6, the closed form for one qubit.
+    Without a target it is the state fidelity |<1|U|0>|^2 = |b|^2.  With
+    one it is the average gate fidelity (2 + |Tr(T^dag U)|^2) / 6, the
+    closed form for one qubit, with the trace summed left to right over
+    t = T*: t00 a - t01 b* + t10 b + t11 a*.
     """
-    target_conj = _gate_target(target)
-    return _gate_fidelity(target_conj, propagate_many(field, deltas, kappas, n_steps))
+    if target is None:
+        return lambda a, b: np.abs(b) ** 2
+    (t00, t01), (t10, t11) = _gate_target(target)
+
+    def gate(a, b):
+        overlap = t00 * a - t01 * np.conjugate(b) + t10 * b + t11 * np.conjugate(a)
+        return (2.0 + np.abs(overlap) ** 2) / 6.0
+
+    return gate
+
+
+def state_fidelity_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
+    """|<1| U |0>|^2 for a batch of (delta, kappa) pairs."""
+    u = propagate_many(field, deltas, kappas, n_steps)
+    return _reduction(None)(u[..., 0, 0], u[..., 1, 0])
 
 
 def _check_points(points):
@@ -645,9 +635,9 @@ def fidelities(field: ControlField, points, n_steps: int = 1000, target=None):
     fidelity against ``target`` when one is given.
     """
     points = _check_points(points)
-    if target is None:
-        return state_fidelity_many(field, points[:, 0], points[:, 1], n_steps)
-    return gate_fidelity_many(field, target, points[:, 0], points[:, 1], n_steps)
+    reduce = _reduction(target)
+    u = propagate_many(field, points[:, 0], points[:, 1], n_steps)
+    return reduce(u[:, 0, 0], u[:, 1, 0])
 
 
 def fidelity_call(points, n_steps: int = 1000, target=None):
@@ -658,10 +648,10 @@ def fidelity_call(points, n_steps: int = 1000, target=None):
     contiguous detuning and kappa columns, the detuning coefficient and the
     kernel slices.  The CF4 sample times depend on the field's duration, so
     each call takes them from ``cf4_times``' cache.  Each call computes the
-    field's quadratures and runs the kernel on them, and reduces the state
-    fidelity straight from each slice's pair, without the (P, 2, 2)
-    propagators.  The call holds no working memory between calls, so
-    threads may share it.
+    field's quadratures and runs the kernel on them, and reduces each
+    slice's pair straight to the objective, state or gate, without the
+    (P, 2, 2) propagators.  The call holds no working memory between calls,
+    so threads may share it.
     """
     _check_steps(n_steps)
     points = _check_points(points)
@@ -669,28 +659,18 @@ def fidelity_call(points, n_steps: int = 1000, target=None):
     kappas = np.ascontiguousarray(points[:, 1])
     hz = _cf4_detuning(deltas)
     slices = kernel_slices(len(points), n_steps)
+    reduce = _reduction(target)
 
-    if target is None:
+    def call(field):
+        values = np.empty(len(points))
 
-        def call(field):
-            values = np.empty(len(points))
+        def emit(rows, a, b):
+            values[rows] = reduce(a, b)
 
-            def emit(rows, a, b):
-                values[rows] = _transfer(b)
+        _propagate_rows(field, kappas, hz, n_steps, slices, emit)
+        return values
 
-            _propagate_rows(field, kappas, hz, n_steps, slices, emit)
-            return values
-
-        return call
-
-    target_conj = _gate_target(target)
-
-    def gate_call(field):
-        u = np.empty((len(points), 2, 2), dtype=complex)
-        _propagate_rows(field, kappas, hz, n_steps, slices, _assembler(u))
-        return _gate_fidelity(target_conj, u)
-
-    return gate_call
+    return call
 
 
 def ensemble_objective(

@@ -200,16 +200,11 @@ def peak_amplitude(field: ControlField) -> float:
     therefore stays below (e_i + e_{i+1}) / 2 + L H / 2 (Piyavskii-Shubert;
     Shubert, SIAM J. Numer. Anal. 9, 379 (1972)).  Only the intervals whose
     bound, plus ``_PEAK_MARGIN`` sum(h_j) for rounding, reaches the coarse
-    maximum are evaluated.  A lone PM set has a flat envelope, so its whole
-    grid is evaluated at once.  Every value comes from the same elementwise
+    maximum are evaluated.  Every value comes from the same elementwise
     operations as on the whole grid, so the result is the whole grid's
     maximum, bit for bit.
     """
     ts = _peak_times(field.duration)
-    if field.basis == PM and field.n_sets == 1:
-        # A lone PM set's envelope is |a_1| / 2 at every t up to rounding, so
-        # every point can hold the maximum.
-        return float(np.max(envelope(field, ts)))
     coarse = envelope(field, ts[::_PEAK_STRIDE])
     peak = coarse.max()
     half = 0.5 * np.abs(field.amplitudes)

@@ -88,6 +88,8 @@ from .neldermead import NMResult, nelder_mead
 METHODS = ("bpm", "pm", "bsfb", "sfb")
 SURROGATE_METHODS = ("bpm", "bsfb")
 P_FIT_THRESHOLD = 0.6
+# The objectives by name, with the gate target of each (None: state transfer).
+OBJECTIVES = {"state": None, "gate_x": SIGMA_X}
 
 # CF4 steps of every true call before verification (capped at n_steps): the
 # fewest in the step-error table of the ``dynamics`` module docstring whose
@@ -105,7 +107,7 @@ class OptConfig:
     """Configuration of one optimization run (all rates rad/s, times s)."""
 
     method: str = "bpm"
-    objective: str = "state"  # "state" or "gate_x"
+    objective: str = "state"  # a key of OBJECTIVES
     n_sets: int = 1
     n_samples: int = 9
     search_grid: tuple = (4, 4)
@@ -137,7 +139,7 @@ class OptConfig:
                 raise ValueError(f"{name} must be a pair of integers, not {grid!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.objective not in ("state", "gate_x"):
+        if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.n_sets < 1:
             raise ValueError("n_sets must be at least 1")
@@ -207,7 +209,7 @@ class OptConfig:
         )
 
     def target(self):
-        return SIGMA_X if self.objective == "gate_x" else None
+        return OBJECTIVES[self.objective]
 
 
 @dataclass

@@ -241,6 +241,14 @@ def gate_fidelity_pauli_sum(u, target):
     return 0.5 + total / 12.0
 
 
+def gate_fidelity_einsum(u, target):
+    """Average gate fidelity (2 + |Tr(T^dag U)|^2) / 6 of propagators ``u``,
+    shape (..., 2, 2), with the trace summed by ``np.einsum`` over the
+    assembled matrices."""
+    overlap = np.einsum("ij,...ij->...", np.asarray(target, dtype=complex).conj(), u)
+    return (2.0 + np.abs(overlap) ** 2) / 6.0
+
+
 def gaussian_density(x, mean, fwhm):
     sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     return math.exp(-0.5 * ((x - mean) / sigma) ** 2) / (

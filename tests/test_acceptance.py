@@ -17,8 +17,8 @@ from spinopt import (
     build_xy8,
     constant_drive,
     ensemble_objective,
+    fidelities,
     fit,
-    gate_fidelity_many,
     ideal_phase,
     jittered_grid,
     measure_t2,
@@ -220,9 +220,9 @@ def test_c6_baseline_gap(bpm_stats, sfb_stats):
 def test_c7_gate_fidelity_identities():
     fld = constant_drive(TWO_PI * 10e6, 50e-9, OMEGA_MAX)
     u = propagate_many(fld, [TWO_PI * 3e6], [1.1])[0]
-    f_self = gate_fidelity_many(fld, u, [TWO_PI * 3e6], [1.1])[0]
+    f_self = fidelities(fld, [[TWO_PI * 3e6, 1.1]], 1000, u)[0]
     zero = pm_field([0.0], [0.0], [0.0], T, OMEGA_MAX)
-    f_third = gate_fidelity_many(zero, SIGMA_X, [0.0], [1.0])[0]
+    f_third = fidelities(zero, [[0.0, 1.0]], 1000, SIGMA_X)[0]
     ok = abs(f_self - 1.0) < 1e-12 and abs(f_third - 1.0 / 3.0) < 1e-12
     assert report(
         7,

@@ -16,7 +16,7 @@ from spinopt import (
     default_shaped_pi_field,
     enforce_amplitude_constraint,
     ensemble_objective,
-    gate_fidelity_many,
+    fidelities,
     gaussian_weight,
     pm_field,
     propagate_many,
@@ -38,6 +38,7 @@ from spinopt.fields import quadratures
 from oracles import (
     brute_force_objective,
     cf4_propagator_direct,
+    gate_fidelity_einsum,
     gate_fidelity_pauli_sum,
     gauss_legendre_objective,
     gaussian_density,
@@ -232,7 +233,7 @@ class TestPropagate:
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             state_fidelity_many(DEMO_FIELD, [0.0], [1.0], n_steps)
         with pytest.raises(ValueError, match="n_steps must be an integer"):
-            gate_fidelity_many(DEMO_FIELD, SIGMA_X, [0.0], [1.0], n_steps)
+            fidelities(DEMO_FIELD, [[0.0, 1.0]], n_steps, SIGMA_X)
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             ensemble_objective(DEMO_FIELD, grid, n_steps)
 
@@ -266,22 +267,22 @@ class TestGateFidelity:
     def test_target_equals_propagator(self):
         fld = rect_pi()
         u = propagate_many(fld, [0.0], [1.0])[0]
-        assert gate_fidelity_many(fld, u, [0.0], [1.0])[0] == pytest.approx(1.0, abs=1e-12)
+        assert fidelities(fld, [[0.0, 1.0]], 1000, u)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_pauli_x_vs_identity(self):
         # U = I against target sigma_x evaluates to exactly 1/3
         fld = pm_field([0.0], [0.0], [0.0], T, OMEGA_MAX)
-        assert gate_fidelity_many(fld, SIGMA_X, [0.0], [1.0])[0] == pytest.approx(1 / 3, abs=1e-12)
+        assert fidelities(fld, [[0.0, 1.0]], 1000, SIGMA_X)[0] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_step_halving_oracle_on_shaped_pulse(self):
         fld = default_shaped_pi_field()
-        coarse = gate_fidelity_many(fld, SIGMA_X, [TWO_PI * 5e6], [1.0], 1000)[0]
-        dense = gate_fidelity_many(fld, SIGMA_X, [TWO_PI * 5e6], [1.0], 8000)[0]
+        coarse = fidelities(fld, [[TWO_PI * 5e6, 1.0]], 1000, SIGMA_X)[0]
+        dense = fidelities(fld, [[TWO_PI * 5e6, 1.0]], 8000, SIGMA_X)[0]
         assert coarse == pytest.approx(dense, abs=1e-9)
 
     def test_non_unitary_target_rejected(self):
         with pytest.raises(ValueError):
-            gate_fidelity_many(rect_pi(), np.array([[1.0, 0.0], [0.0, 0.5]]), [0.0], [1.0])[0]
+            fidelities(rect_pi(), [[0.0, 1.0]], 1000, np.array([[1.0, 0.0], [0.0, 0.5]]))[0]
 
     @pytest.mark.parametrize("target_name", ["sigma_x", "sigma_y", "random_with_phase"])
     def test_matches_pauli_sum_oracle(self, target_name):
@@ -295,7 +296,7 @@ class TestGateFidelity:
             target = np.exp(0.9j) * q
         fld = default_shaped_pi_field()
         deltas, kappas = zip(*DETUNED_POINTS)
-        f = gate_fidelity_many(fld, target, deltas, kappas, 300)
+        f = fidelities(fld, DETUNED_POINTS, 300, target)
         us = propagate_many(fld, deltas, kappas, 300)
         expected = [gate_fidelity_pauli_sum(u, target) for u in us]
         np.testing.assert_allclose(f, expected, rtol=0, atol=1e-12)
@@ -303,7 +304,45 @@ class TestGateFidelity:
     def test_y_gate_target(self):
         omega = TWO_PI * 5e6
         fld = sfb_field([2 * omega], [0.0], [0.0], [np.pi / 2], np.pi / (2 * omega), OMEGA_MAX)
-        assert gate_fidelity_many(fld, SIGMA_Y, [0.0], [1.0])[0] == pytest.approx(1.0, abs=1e-10)
+        assert fidelities(fld, [[0.0, 1.0]], 1000, SIGMA_Y)[0] == pytest.approx(1.0, abs=1e-10)
+
+
+class TestPairReduction:
+    """Both true calls reduce the Cayley-Klein pair to the gate fidelity as
+    the ``einsum`` over assembled propagators does: bit for bit for targets
+    with two zero entries, within 1e-15 for general unitaries, whose trace
+    the ``einsum`` sums in another order."""
+
+    FIELDS = {"shaped_pi": default_shaped_pi_field(), "sfb_two_sets": SFB_FIELD}
+
+    @staticmethod
+    def both_calls(fld, points, target):
+        call = dynamics.fidelity_call(points, 400, target)
+        return fidelities(fld, points, 400, target), call(fld)
+
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    @pytest.mark.parametrize(
+        "target", [SIGMA_X, SIGMA_Y, IDENTITY], ids=["sigma_x", "sigma_y", "identity"]
+    )
+    def test_equals_einsum_bit_for_bit(self, target, field_name):
+        fld = self.FIELDS[field_name]
+        points = NoiseGrid.regular(50, 50).points()
+        expected = gate_fidelity_einsum(propagate_many(fld, *points.T, 400), target)
+        for values in self.both_calls(fld, points, target):
+            assert np.array_equal(values, expected)
+
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    def test_random_unitaries_within_1e15_of_einsum(self, field_name):
+        fld = self.FIELDS[field_name]
+        points = NoiseGrid.regular(50, 50).points()
+        u = propagate_many(fld, *points.T, 400)
+        rng = np.random.default_rng(34)
+        for _ in range(50):
+            z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            q, _ = np.linalg.qr(z)
+            expected = gate_fidelity_einsum(u, q)
+            for values in self.both_calls(fld, points, q):
+                np.testing.assert_allclose(values, expected, rtol=0, atol=1e-15)
 
 
 class TestFidelityCall:

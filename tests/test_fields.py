@@ -16,7 +16,7 @@ from spinopt import (
 )
 
 from spinopt.dynamics import cf4_times
-from spinopt.fields import PEAK_GRID_POINTS, _peak_times, parameter_ranges
+from spinopt.fields import PEAK_GRID_POINTS, PM, SFB, _peak_times, parameter_ranges
 
 from oracles import peak_on_full_grid, pm_quadratures_direct, sfb_quadratures_direct
 
@@ -319,10 +319,11 @@ GRID_DT = T / (PEAK_GRID_POINTS - 1)
 
 
 def peak_sweep_fields(seed, count):
-    """Seeded PM and SFB fields of 1-4 sets with signed amplitudes whose sum
-    bound reaches up to twice the limit, and rates that are random, zero or
-    at the cap; every fifth field has rates up to 8 times the cap, where the
-    interval bound is nearly tight."""
+    """Seeded PM and SFB fields of 1-4 sets, every set count on both bases,
+    with signed amplitudes whose sum bound reaches up to twice the limit,
+    and rates that are random, zero or at the cap; every fifth field has
+    rates up to 8 times the cap, where the interval bound is nearly
+    tight."""
     rng = np.random.default_rng(seed)
     fields = []
     for i in range(count):
@@ -332,12 +333,18 @@ def peak_sweep_fields(seed, count):
         rates = rng.uniform(0, CAP * (8 if i % 5 == 4 else 1), n_sets)
         rates[rng.random(n_sets) < 0.2] = 0.0
         rates[rng.random(n_sets) < 0.2] = CAP
-        if i % 2:
+        if (i // 4) % 2:
             fields.append(pm_field(amps, rates, rng.uniform(0, CAP, n_sets), T, OMEGA_MAX))
         else:
             angles = rng.uniform(0, TWO_PI, (2, n_sets))
             fields.append(sfb_field(amps, rates, *angles, T, OMEGA_MAX))
     return fields
+
+
+def test_peak_sweep_covers_every_set_count_on_both_bases():
+    fields = peak_sweep_fields(21, 1000)
+    kinds = {(fld.basis, fld.n_sets) for fld in fields}
+    assert kinds == {(basis, n) for basis in (PM, SFB) for n in (1, 2, 3, 4)}
 
 
 def peak_placed_fields():

@@ -11,7 +11,7 @@ from spinopt import (
     default_shaped_pi_field,
     ensemble_objective,
     estimate_t2,
-    gate_fidelity_many,
+    fidelities,
     ideal_phase,
     measure_t2,
     ou_step,
@@ -517,4 +517,4 @@ class TestDefaultShapedField:
         fld = default_shaped_pi_field()
         value = ensemble_objective(fld, NoiseGrid.regular(10, 10), 1000, target=SIGMA_X)
         assert value > 0.9
-        assert gate_fidelity_many(fld, SIGMA_X, [0.0], [1.0], 1000)[0] > 0.95
+        assert fidelities(fld, [[0.0, 1.0]], 1000, SIGMA_X)[0] > 0.95

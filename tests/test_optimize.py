@@ -10,7 +10,7 @@ from spinopt import (
     build_valid_surrogate,
     default_shaped_pi_field,
     ensemble_objective,
-    gate_fidelity_many,
+    fidelities,
     pm_field,
     run_single,
     run_trials,
@@ -513,7 +513,7 @@ class TestSearchSteps:
             if target is None:
                 points = state_fidelity_many(fld, deltas, kappas, n_steps)
             else:
-                points = gate_fidelity_many(fld, target, deltas, kappas, n_steps)
+                points = fidelities(fld, np.column_stack([deltas, kappas]), n_steps, target)
             return np.append(points, grid_value)
 
         def worst(n_steps):
