@@ -16,14 +16,17 @@ function is called per factor; a batch with theta above 1 is scaled down by
 2^s and squared back s times.  One factor pass builds both exponents of a
 call over a block stacked on a leading exponent axis; each exponent keeps
 its own term count and s, and when they agree one Horner per series runs
-over both.  Arrays hold points on the leading axes and steps on the last
-axis, the two Gauss-point drives are mixed on the time axis before they
-are broadcast over points, and every kernel caller
-splits its rows into calls of at most ``_KERNEL_POINT_STEPS`` point-steps
-(``kernel_slices``), a budget measured on both callers' traffic.
-``run_slices`` runs independent slices on every usable core, the calling
-thread and one helper thread per further CPU, which each call starts and
-joins.  Each thread keeps the working blocks of the last few shapes it
+over both.  Arrays hold the steps first and the points after them, the
+steps in the order of the reduction tree (``_tree_order``), so that every
+level of the product composes two contiguous halves; the callers sample
+their coefficients at ``kernel_times``, the CF4 sample times in that order,
+so no coefficient array is permuted.  The two Gauss-point drives are mixed
+on the time axis before they are broadcast over points, and every kernel
+caller splits its rows into calls of at most ``_KERNEL_POINT_STEPS``
+point-steps (``kernel_slices``), a budget measured on both callers'
+traffic.  ``run_slices`` runs independent slices on every usable core, the
+calling thread and one helper thread per further CPU, which each call
+starts and joins.  Each thread keeps the working blocks of the last few shapes it
 propagated (at most ``_PLAN_SHAPES``, about 4 MB each at the budget), each
 with the views of its whole reduction built in advance (``_Plan``), so a
 repeated shape allocates no working memory and builds no views; a helper's
@@ -44,9 +47,9 @@ EPYC, Python 3.11.7, numpy 2.4.6):
     max |dF|          6.8e-5  4.3e-6  2.7e-7  1.7e-8  4.2e-10
     winners, point    -       -       1.1e-8  6.8e-10 1.7e-11
     winners, 50 x 50  -       -       7.6e-10 4.7e-11 1.2e-12
-    us, P = 9         73      84      110     156     277
-    us, P = 16        82      95      132     191     385
-    ms, P = 2500      2.6     4.5     8.9     16.4    41.9
+    us, P = 9         72      82      108     150     259
+    us, P = 16        75      92      127     180     366
+    ms, P = 2500      2.0     3.7     7.1     13.8    35.5
 
 The search's step count (``optimize._SEARCH_STEPS``, 100) is the fewest
 whose max |dF| row stays below the default ``nm_f_tol`` of 1e-5, the
@@ -231,11 +234,13 @@ def _su2_factors(hx, hy, hz, dt, out, scratch):
     """
     pairs, a_real, a_imag, b_real, b_imag = out
     x, y, prod, tmp = scratch
-    np.multiply(hx, hx, out=x)
-    x += np.multiply(hy, hy, out=y)
-    # The square at the shape hz varies over, once per row for a detuning
-    # column.
-    x += np.multiply(hz, hz, out=_leading(y, np.shape(hz)))
+    # (hx^2 + hy^2) + hz^2, each square at the shape its coefficients vary
+    # over: XY-8's drive, shared by every pulse and realization, once per
+    # step.
+    drive = _leading(x, np.broadcast(hx, hy).shape)
+    np.multiply(hx, hx, out=drive)
+    drive += np.multiply(hy, hy, out=_leading(y, drive.shape))
+    np.add(drive, np.multiply(hz, hz, out=_leading(y, np.shape(hz))), out=x)
     x *= dt * dt
     x_max = x.reshape(2, -1).max(axis=1).tolist() if x.size else [0.0, 0.0]
     squarings = [math.ceil(0.5 * math.log2(m)) if 1.0 < m < math.inf else 0 for m in x_max]
@@ -294,16 +299,20 @@ def _leading(buf, shape):
 
 class _Plan:
     """The working block of ``cf4_propagator`` for one exponent's broadcast
-    shape, with every view its factor pass and reduction use.
+    shape (S, ...), steps first, with every view its factor pass and
+    reduction use.
 
     Slots of the block: the two factors, the first level's product, and its
-    scratch.  One factor pass writes both factors; its real scratch, x and
-    y of both exponents, is the scratch slot's real view, and a squaring
-    composes into the product's slot.  The reduction's levels alternate
-    between the product's and the first factor's slots, and the second
-    factor's slot is every later level's scratch.  A level is one
-    ``_apply_compose`` and, for an odd number of columns, the copy of the
-    unpaired last one.
+    scratch, each a pair array of shape (2, S, ...).  One factor pass writes
+    both factors; its real scratch, x and y of both exponents, is the
+    scratch slot's real view, and a squaring composes into the product's
+    slot.  The reduction's levels alternate between the product's and the
+    first factor's slots, and the second factor's slot is every later
+    level's scratch.  The steps are stored in ``_tree_order``, so a level of
+    n columns composes its later half ``pair[:, h:2h]`` onto its earlier
+    half ``pair[:, :h]``, h = n // 2, two contiguous blocks, into
+    ``nxt[:, :h]``; for odd n it copies the unpaired column ``pair[:, 2h]``
+    to ``nxt[:, h]``.  A level is one ``_apply_compose`` and that copy.
     """
 
     def __init__(self, shape):
@@ -318,20 +327,21 @@ class _Plan:
         self.factors = _factor_views(work[:2])
         self.levels = [(_compose_views(fac2, fac1, prod, tmp), None)]
         slots = (prod, fac1)
+        rows = shape[1:]
         pair = prod
-        while pair.shape[-1] > 1:
-            n = pair.shape[-1]
+        while pair.shape[1] > 1:
+            n = pair.shape[1]
             half = n // 2
-            nxt = _leading(slots[len(self.levels) % 2], pair.shape[:-1] + (n - half,))
+            nxt = _leading(slots[len(self.levels) % 2], (2, n - half) + rows)
             views = _compose_views(
-                pair[..., 1 : 2 * half : 2],
-                pair[..., 0 : 2 * half : 2],
-                nxt[..., :half],
-                _leading(fac2, pair.shape[:-1] + (half,)),
+                pair[:, half : 2 * half],
+                pair[:, :half],
+                nxt[:, :half],
+                _leading(fac2, (2, half) + rows),
             )
-            self.levels.append((views, (nxt[..., -1], pair[..., -1]) if n % 2 else None))
+            self.levels.append((views, (nxt[:, half], pair[:, 2 * half]) if n % 2 else None))
             pair = nxt
-        self.result = (pair[0, ..., 0], pair[1, ..., 0])
+        self.result = (pair[0, 0], pair[1, 0])
 
     def run(self, h, dt):
         """The propagator's pair (a, b) as views into the block, valid until
@@ -344,12 +354,13 @@ class _Plan:
         return self.result
 
 
-# Plans kept per thread, by one exponent's broadcast shape, so concurrent
-# callers never share a block; the least recently used shape is dropped
-# past the bound.  One trial needs three: its search batch and the 50x50
-# verification's full and remainder chunks.  A plan takes 128 bytes per
-# point-step, its four pair slots: both factors of the one stacked factor
-# pass, the product and the scratch.  That is at most about 16 MB per
+# Plans kept per thread, by one exponent's broadcast shape, steps first:
+# (S, P) for a point batch, (S, K, R) for K XY-8 pulses of R realizations.
+# Concurrent callers never share a block; the least recently used shape is
+# dropped past the bound.  One trial needs three: its search batch and the
+# 50x50 verification's full and remainder chunks.  A plan takes 128 bytes
+# per point-step, its four pair slots: both factors of the one stacked
+# factor pass, the product and the scratch.  That is at most about 16 MB per
 # thread at the kernel budget.  A ``run_slices`` helper builds the plans
 # of its one call and frees them when it exits: in the XY-8 pulse pass,
 # 3.8 MB for a default group of 6 pulses and 2.6 MB for its remainder of 4.
@@ -390,21 +401,21 @@ _CF4_LATE = np.array([_CF4_W2, _CF4_W1])
 # 1 MB L2 per core, Python 3.11.7, numpy 2.4.6):
 #
 #   50x50, points    8     12    16    20    25    32    50    100   200
-#   ms, best         55.7  48.3  45.3  42.8  41.6  40.5  39.3  40.5  47.2
-#   ms, median       57.7  50.5  47.1  44.1  42.8  42.4  40.4  43.6  49.5
+#   ms, best         47.0  40.5  38.6  35.9  37.0  34.6  35.4  33.7  41.4
+#   ms, median       48.3  42.2  40.7  38.0  38.8  37.0  36.5  35.7  43.5
 #
 #   XY-8, pulses     1     2     4     6     8     16
-#   ms, best         311   259   218   217   215   218
-#   ms, median       343   269   231   237   239   242
+#   ms, best         262   176   129   118   110   107
+#   ms, median       274   184   133   120   112   111
 #
 # Below ~20,000 point-steps per call the per-call overhead of the
 # reduction's short levels dominates, and past ~100,000 the time rises
 # again as the working block (128 bytes per point-step) grows.  The budget
 # gives 80 points per call at the verification's default 400 steps (a 50x50
 # call is 31 x 80 + 20), 32 at 1000 steps and 6 pulses of 100 x 50.
-# 50,000 point-steps time a little faster, but a call's points share one
-# series term count, so another split would change the bits of the
-# verification.
+# Larger calls time a little faster (the XY-8 pair about 7% at 8 pulses),
+# but a call's points share one series term count, so another split would
+# change the bits of the verification and of the traces.
 _KERNEL_POINT_STEPS = 32_000
 
 
@@ -493,6 +504,43 @@ def cf4_times(n_steps: int, dt: float) -> np.ndarray:
     return times
 
 
+@functools.lru_cache(maxsize=8)
+def _tree_order(n_steps: int) -> np.ndarray:
+    """The order in which the kernel stores ``n_steps`` steps: position p
+    holds step ``order[p]``.
+
+    Built from the top of the reduction tree down.  A level of n columns,
+    h = n // 2, stores its products (2i, 2i + 1) with their earlier columns
+    2i in the first h positions, their later columns 2i + 1 in the next h,
+    both in the order of the level above, and an unpaired last column n - 1
+    in the last position; so each level composes two contiguous halves and
+    forms the same products, in the same order, as pairing neighbouring
+    steps of the natural order.  Built once per step count, read-only.
+    """
+    sizes = []
+    n = n_steps
+    while n > 1:
+        sizes.append(n)
+        n -= n // 2
+    order = [0]
+    for n in reversed(sizes):
+        half = order[: n // 2]
+        order = [2 * o for o in half] + [2 * o + 1 for o in half] + [n - 1] * (n % 2)
+    order = np.array(order)
+    order.flags.writeable = False
+    return order
+
+
+@functools.lru_cache(maxsize=8)
+def kernel_times(n_steps: int, dt: float) -> np.ndarray:
+    """``cf4_times`` with the steps in the kernel's order (``_tree_order``),
+    shape (2, S): the sample times of every coefficient that
+    ``cf4_propagator`` takes.  Built once per (n_steps, dt), read-only."""
+    times = cf4_times(n_steps, dt)[:, _tree_order(n_steps)]
+    times.flags.writeable = False
+    return times
+
+
 def cf4_mix(early, late):
     """Coefficients of the two exponents of each step, stacked on a new
     leading axis, from the samples at its early and late times:
@@ -509,29 +557,46 @@ def cf4_propagator(h, dt):
 
     ``h`` is the (hx, hy, hz) coefficient triple of
     hx sigma_x + hy sigma_y + hz sigma_z for both exponents of each step,
-    as mixed by ``cf4_mix``; each broadcasts to (2, ..., S), the exponent
-    first and steps on the last axis, so a coefficient shared by both
-    exponents, or by all points, broadcasts over that axis.  One factor
-    pass builds the factors of both exponents.  The propagator is
-    [[a, -b*], [b, a*]].
+    as mixed by ``cf4_mix``; each broadcasts to (2, S, ...), the exponent
+    first and the steps on axis 1, in the kernel's order: step
+    ``_tree_order(S)[p]`` at position p, as sampled at ``kernel_times``.  A
+    coefficient shared by both exponents, by all steps or by all points
+    broadcasts over that axis.  One factor pass builds the factors of both
+    exponents.  The propagator is [[a, -b*], [b, a*]].
     """
     shape = np.broadcast_shapes(*(np.shape(c) for c in h))
     if len(shape) < 2 or shape[0] != 2:
-        raise ValueError(f"coefficients must broadcast to (2, ..., S), not {shape}")
+        raise ValueError(f"coefficients must broadcast to (2, S, ...), not {shape}")
     a, b = _plan(shape[1:]).run(h, dt)
     return a.copy(), b.copy()
 
 
 def _cf4_detuning(deltas):
-    """The sigma_z coefficient of both CF4 exponents, a (P, 1) column per
-    point.  A constant sample mixes to the same bits in both exponents,
-    because IEEE addition commutes, so one column serves both."""
-    half_d = 0.5 * deltas[:, None]
+    """The sigma_z coefficient of both CF4 exponents, a (P,) row, one entry
+    per point.  A constant sample mixes to the same bits in both exponents,
+    because IEEE addition commutes, so one row serves both."""
+    half_d = 0.5 * deltas
     return _CF4_W1 * half_d + _CF4_W2 * half_d
 
 
+# Below this many rows a slice's drive is scaled row by row, along the
+# steps, instead of broadcasting each step's drive over the short rows axis.
+# Time of the (4, S, rows) multiply in us (2-core AMD EPYC, numpy 2.4.6):
+#
+#   rows                     2     4     8     9     12
+#   S = 100,  row by row     0.8   1.5   2.4   2.6   3.1
+#             broadcast      2.4   2.6   2.9   3.0   3.2
+#   S = 1000, row by row     2.4   4.7   10.4  11.9  15.3
+#             broadcast      19.2  19.4  21.7  24.6  24.8
+#
+# At 400 steps the two cross between 9 and 12 rows.  The 9-point search
+# calls of a ``bpm`` trial and C4's 4-row remainder at 1000 steps go row by
+# row; 16-point search calls and the verification's slices broadcast.
+_FEW_ROWS = 10
+
+
 def _propagate_rows(field, kappas, hz, n_steps, slices, emit):
-    """Propagate ``field`` at each row of ``kappas`` (P,) and ``hz`` (P, 1),
+    """Propagate ``field`` at each row of ``kappas`` (P,) and ``hz`` (P,),
     one kernel call per slice of ``slices``, passing each call's pair to
     ``emit(rows, a, b)``; the pair is valid only during that call.
 
@@ -540,17 +605,27 @@ def _propagate_rows(field, kappas, hz, n_steps, slices, emit):
     """
     dt = field.duration / n_steps
     # Quadratures at the early and late sample times, stacked as (x, y) rows
-    # of shape (2, 1, S) and mixed into the (2, 2, 1, S) drive of the two
-    # exponents before it is scaled by kappa.
-    quads = np.array(quadratures(field, cf4_times(n_steps, dt)))
-    mixed = cf4_mix(quads[:, 0, None], quads[:, 1, None])
-    # The real (hx, hy) drive of both exponents, in one block per call sized
-    # to the largest slice.
-    drive = np.empty((2, 2, max((s.stop - s.start for s in slices), default=0), n_steps))
+    # of shape (2, S, 1) and mixed into the drive of the two exponents
+    # before it is scaled by kappa: (exponent, quadrature) pairs, (4, S, 1).
+    quads = np.array(quadratures(field, kernel_times(n_steps, dt)))
+    mixed = cf4_mix(quads[:, 0, :, None], quads[:, 1, :, None]).reshape(4, n_steps, 1)
+    # The coefficients of a call, (5, S, rows): the scaled drive and the
+    # detuning, in one block per call sized to the largest slice.  The
+    # detuning is repeated along the steps, so the factor pass's products
+    # with it run over whole contiguous blocks; a (rows,) row broadcast over
+    # the steps would walk the short points axis once per step.
+    coeffs = np.empty((5, n_steps, max((s.stop - s.start for s in slices), default=0)))
     for rows in slices:
-        kap = kappas[rows, None]
-        block = np.multiply(kap, mixed, out=drive[:, :, : len(kap)])
-        emit(rows, *_plan(block.shape[2:]).run((block[:, 0], block[:, 1], hz[rows]), dt))
+        n_rows = rows.stop - rows.start
+        block = _leading(coeffs, (5, n_steps, n_rows))
+        if n_rows < _FEW_ROWS:
+            drive = block[:4].reshape(-1, n_rows).T
+            np.multiply(kappas[rows, None], mixed.reshape(1, -1), out=drive, order="C")
+        else:
+            np.multiply(kappas[rows], mixed, out=block[:4])
+        block[4] = hz[rows]
+        h = (block[0:4:2], block[1:4:2], block[4])
+        emit(rows, *_plan(block.shape[1:]).run(h, dt))
 
 
 def _check_steps(n_steps):
@@ -645,19 +720,18 @@ def fidelity_call(points, n_steps: int = 1000, target=None):
     function of the field alone, with the same bits.
 
     Everything that depends only on the points is built once: their
-    contiguous detuning and kappa columns, the detuning coefficient and the
-    kernel slices.  The CF4 sample times depend on the field's duration, so
-    each call takes them from ``cf4_times``' cache.  Each call computes the
-    field's quadratures and runs the kernel on them, and reduces each
+    contiguous kappa row, the detuning coefficient and the kernel slices.
+    The CF4 sample times depend on the field's duration, so each call takes
+    them from ``kernel_times``' cache.  Each call computes the field's
+    quadratures and runs the kernel on them, and reduces each
     slice's pair straight to the objective, state or gate, without the
     (P, 2, 2) propagators.  The call holds no working memory between calls,
     so threads may share it.
     """
     _check_steps(n_steps)
     points = _check_points(points)
-    deltas = np.ascontiguousarray(points[:, 0])
     kappas = np.ascontiguousarray(points[:, 1])
-    hz = _cf4_detuning(deltas)
+    hz = _cf4_detuning(points[:, 0])
     slices = kernel_slices(len(points), n_steps)
     reduce = _reduction(target)
 

@@ -9,7 +9,6 @@ at ``a / 2``, so its Bloch rotation rate is ``a``.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -236,21 +235,33 @@ def enforce_amplitude_constraint(field: ControlField) -> ControlField:
     sum_jk h_j h_k |cos(varphi_j - varphi_k)|, which is exact for two sets
     and never above sum(h_j)^2.  When the bound sits below amp_limit by
     more than rounding can close, the grid peak cannot exceed the limit and
-    is not evaluated.
+    is not evaluated.  A field that needs neither clamp nor rescale is
+    returned as it is; any other result holds a new parameter matrix and
+    is not validated again, as clamping and rescaling a valid field's
+    parameters keep them finite.
     """
     _, low, high = parameter_ranges(field.basis, field.duration, field.amp_limit)
-    params = np.clip(field.params, low, high)
-    clamped = not np.array_equal(params, field.params)
-    candidate = dataclasses.replace(field, params=params) if clamped else field
+    params = field.params.clip(low, high)
+    if not (params == field.params).all():
+        field = _with_params(field, params)
     if field.basis == SFB:
         half = 0.5 * np.abs(params[0])
         angles = params[3]
         bound = math.sqrt(float(half @ np.abs(np.cos(angles[:, None] - angles)) @ half))
     else:
-        bound = 0.5 * float(np.sum(np.abs(params[0])))
+        bound = 0.5 * float(np.add.reduce(np.abs(params[0])))
     if bound > field.amp_limit * (1.0 - 1e-12):
-        peak = peak_amplitude(candidate)
+        peak = peak_amplitude(field)
         if peak > field.amp_limit:
             params[0] *= field.amp_limit / peak
-            return dataclasses.replace(field, params=params)
-    return candidate
+            return _with_params(field, params)
+    return field
+
+
+def _with_params(field: ControlField, params) -> ControlField:
+    """``field`` with the parameter matrix ``params``, built without
+    validating it again: ``params`` must keep the shape of the field's matrix
+    and stay finite, as the clamps and the rescale of a valid field do."""
+    new = object.__new__(ControlField)
+    new.__dict__.update(field.__dict__, params=params)
+    return new

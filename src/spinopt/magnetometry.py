@@ -22,8 +22,8 @@ from .dynamics import (
     _is_integer,
     cf4_mix,
     cf4_propagator,
-    cf4_times,
     kernel_slices,
+    kernel_times,
     run_slices,
 )
 from .fields import ControlField, constant_drive, pm_field, quadratures
@@ -243,11 +243,12 @@ _IDEAL_PI = (0j, -1j)
 
 
 def _x_drive(seq, times, kappa):
-    """Transverse drive ``(hx, hy)`` of the X pulse, each (2, n_sub) with
-    the two CF4 exponents of each substep first, from the quadratures at the
+    """Transverse drive ``(hx, hy)`` of the X pulse, each (2, n_sub, 1, 1)
+    with the two CF4 exponents of each substep first and room for the
+    pulses and realizations it is shared by, from the quadratures at the
     (2, n_sub) sample ``times``."""
     w1, w2 = quadratures(seq.x_field, times)
-    return cf4_mix(*(kappa * w1)), cf4_mix(*(kappa * w2))
+    return tuple(cf4_mix(*(kappa * w))[:, :, None, None] for w in (w1, w2))
 
 
 def _pulse_unitaries(signal, t_starts, delta_totals, drive, times, dt):
@@ -260,21 +261,21 @@ def _pulse_unitaries(signal, t_starts, delta_totals, drive, times, dt):
     Pulse k starts at ``t_starts[k]`` with ``delta_totals[k]`` holding
     delta + delta_d per realization; the dynamic part is frozen for the
     pulse duration.  ``drive`` comes from ``_x_drive`` and ``times`` are the
-    local sample times it was built on.  The z coefficient of both
-    exponents, (2, K, R, n_sub), is one add of the AC signal of each pulse,
-    (2, K, 1, n_sub), and its static detuning per realization, (K, R, 1),
-    both mixed on the time axis; the drive broadcasts over both.
+    local sample times it was built on, in the kernel's order
+    (``kernel_times``).  The z coefficient of both exponents,
+    (2, n_sub, K, R), is one add of the AC signal of each pulse,
+    (2, n_sub, K, 1), and its static detuning per realization, (K, R), both
+    mixed on the time axis; the drive broadcasts over both.
     """
     samples = signal.g_ac * np.cos(
-        signal.omega_s * (t_starts[:, None, None] + times[:, None, None, :])
+        signal.omega_s * (t_starts[:, None] + times[:, :, None, None])
     )
     signal_mix = cf4_mix(*samples)
     # The static detuning is one sample for both Gauss points, so its mix is
     # the same bits in both exponents (IEEE addition commutes).
-    half = 0.5 * delta_totals[:, :, None]
+    half = 0.5 * delta_totals
     hz = cf4_mix(half, half)[0] + signal_mix
-    hx, hy = drive
-    return cf4_propagator((hx[:, None, None], hy[:, None, None], hz), dt)
+    return cf4_propagator((*drive, hz), dt)
 
 
 def _free_phase(signal, delta_total, t0, t1):
@@ -362,7 +363,7 @@ def simulate_ramsey(
         pairs[0], pairs[1] = _IDEAL_PI
     else:
         dt = seq.t_pulse / n_steps_per_pulse
-        sample_times = cf4_times(n_steps_per_pulse, dt)
+        sample_times = kernel_times(n_steps_per_pulse, dt)
         drive = _x_drive(seq, sample_times, kappa)
         starts = bounds[:, 1:-1:2].ravel()
         pulse_totals = totals[:, 1::2].reshape(-1, r)

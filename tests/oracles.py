@@ -155,7 +155,7 @@ def simulate_ramsey_per_pulse(seq, signal, noise, t_max, n_steps_per_pulse=50, k
     pulse whose group shares its series term count gives the same bits.
     """
     from spinopt import magnetometry as mag
-    from spinopt.dynamics import FWHM_TO_SIGMA, cf4_mix, cf4_propagator, cf4_times
+    from spinopt.dynamics import FWHM_TO_SIGMA, cf4_mix, cf4_propagator, kernel_times
 
     n_blocks = min(seq.n_periods, mag.periods_within(t_max, seq.period))
     rng = np.random.default_rng(noise.seed)
@@ -186,19 +186,23 @@ def simulate_ramsey_per_pulse(seq, signal, noise, t_max, n_steps_per_pulse=50, k
             delta_d = mag.ou_step(delta_d, t1 - t0, noise.tau, noise.c, rng)
 
     def pulse(t_start, delta_total):
+        # the kernel's layout: both exponents, then the substeps in the
+        # kernel's order, then the realizations
         signal_first, signal_second = cf4_mix(
             *(signal.g_ac * np.cos(signal.omega_s * (t_start + sample_times)))
         )
-        static = 0.5 * delta_total[:, None]
+        static = 0.5 * delta_total
         static_first, static_second = cf4_mix(static, static)
         hx, hy = drive
-        hz = np.stack((static_first + signal_first, static_second + signal_second))
-        return cf4_propagator((hx[:, None], hy[:, None], hz), dt)
+        hz = np.stack(
+            (static_first + signal_first[:, None], static_second + signal_second[:, None])
+        )
+        return cf4_propagator((hx[:, :, 0], hy[:, :, 0], hz), dt)
 
     half_pulse = 0.0 if seq.kind == mag.IDEAL else 0.5 * seq.t_pulse
     dt = seq.t_pulse / n_steps_per_pulse
     if seq.kind != mag.IDEAL:
-        sample_times = np.stack(cf4_times(n_steps_per_pulse, dt))
+        sample_times = np.stack(kernel_times(n_steps_per_pulse, dt))
         drive = mag._x_drive(seq, sample_times, kappa)
     t_now = 0.0
     pulse_index = 0

@@ -611,11 +611,15 @@ def _xy8_group(seed, shape=(4, 100, 50)):
 
 
 def _stacked(first, second):
-    """The (hx, hy, hz) of both exponents, exponent first, as
-    ``cf4_propagator`` takes them."""
+    """The (hx, hy, hz) of both exponents as ``cf4_propagator`` takes them,
+    from the frozen kernel's (..., S) triples: exponent first, then the
+    steps in the kernel's order, then the rows."""
     shape = np.broadcast_shapes(*(np.shape(h) for h in (*first, *second)))
+    order = dynamics._tree_order(shape[-1])
     return tuple(
-        np.stack((np.broadcast_to(f, shape), np.broadcast_to(s, shape)))
+        np.moveaxis(np.stack((np.broadcast_to(f, shape), np.broadcast_to(s, shape))), -1, 1)[
+            :, order
+        ]
         for f, s in zip(first, second)
     )
 
@@ -658,6 +662,38 @@ class TestReductionPlans:
         expected = frozen_propagate_many(fld, deltas, kappas, n_steps)
         assert np.array_equal(propagate_many(fld, deltas, kappas, n_steps), expected)
 
+    @pytest.mark.parametrize("rows", [(1,), (9,), (3, 5)], ids=str)
+    def test_every_step_count_matches_frozen_kernel(self, rows):
+        # every tree of 1-70 steps, odd levels (carries) at every depth
+        rng = np.random.default_rng(sum(rows))
+        for n_steps in range(1, 71):
+            h = rng.normal(0.0, TWO_PI * 20e6, (6,) + rows + (n_steps,))
+            first, second, dt = tuple(h[:3]), tuple(h[3:]), 2e-9
+            _assert_pairs_equal(
+                cf4_propagator(_stacked(first, second), dt),
+                frozen_cf4_propagator(first, second, dt),
+            )
+
+    def test_tree_order_pairs_neighbouring_steps(self):
+        # position p of the bottom level holds step order[p]; every level of
+        # n columns must hold products 2i in its first half, 2i + 1 at the
+        # same place in its second, and an odd level's last product last
+        for n_steps in [*range(1, 71), 100, 200, 400, 1000]:
+            order = dynamics._tree_order(n_steps)
+            assert sorted(order.tolist()) == list(range(n_steps))
+            assert not order.flags.writeable
+            columns = order.tolist()
+            while len(columns) > 1:
+                n = len(columns)
+                half = n // 2
+                earlier, later = columns[:half], columns[half : 2 * half]
+                assert all(c % 2 == 0 for c in earlier)
+                assert later == [c + 1 for c in earlier]
+                carry = [n - 1] if n % 2 else []
+                assert columns[2 * half :] == carry
+                columns = [c // 2 for c in earlier] + [c // 2 for c in carry]
+            assert columns == [0]
+
     def test_xy8_group_matches_frozen_kernel(self):
         first, second, dt = _xy8_group(0)
         _assert_pairs_equal(
@@ -684,12 +720,12 @@ class TestReductionPlans:
         )
 
     def test_term_counts_differ_at_xy8_broadcast_shapes(self):
-        # the drive as the pulse pass hands it over, (2, S) per exponent on
-        # (2, 1, 1, S), against a z coefficient of (2, K, R, S)
+        # the drive as the pulse pass hands it over, (2, S, 1, 1), against a
+        # z coefficient of (2, S, K, R)
         first, second, dt = _xy8_group(7, (3, 20, 50))
         second = (*second[:2], 4.0 * second[2])
         h = _stacked(first, second)
-        compact = (h[0][:, :1, :1], h[1][:, :1, :1], h[2])
+        compact = (h[0][:, :, :1, :1], h[1][:, :, :1, :1], h[2])
         cuts = _exponent_cuts(h, dt)
         assert cuts[0][0] == cuts[1][0] == 0 and cuts[0][1] != cuts[1][1]
         _assert_pairs_equal(cf4_propagator(compact, dt), frozen_cf4_propagator(first, second, dt))
@@ -705,18 +741,19 @@ class TestReductionPlans:
         fld = sfb_field([TWO_PI * 120e6], [rate], [phase], [0.0], T, OMEGA_MAX)
         deltas, kappas = np.array([TWO_PI * 2e6, -TWO_PI * 3e6]), np.array([1.3, 0.7])
         dt = T / n_steps
-        quads = np.array(quadratures(fld, cf4_times(n_steps, dt)))
-        drive = kappas[:, None] * cf4_mix(quads[:, 0, None], quads[:, 1, None])
-        hz = cf4_mix(0.5 * deltas[:, None], 0.5 * deltas[:, None])[0]
+        quads = np.array(quadratures(fld, dynamics.kernel_times(n_steps, dt)))
+        drive = kappas * cf4_mix(quads[:, 0, :, None], quads[:, 1, :, None])
+        hz = cf4_mix(0.5 * deltas, 0.5 * deltas)[0]
         cuts = _exponent_cuts((drive[:, 0], drive[:, 1], hz), dt)
         assert cuts[0] != cuts[1]
         expected = frozen_propagate_many(fld, deltas, kappas, n_steps)
         assert np.array_equal(propagate_many(fld, deltas, kappas, n_steps), expected)
 
     def test_coefficients_without_an_exponent_axis_rejected(self):
-        first, _, dt = _xy8_group(8, (3, 40))
+        first, second, dt = _xy8_group(8, (3, 40))
+        one_exponent = tuple(h[0] for h in _stacked(first, second))
         with pytest.raises(ValueError, match="broadcast to"):
-            cf4_propagator(first, dt)
+            cf4_propagator(one_exponent, dt)
 
     def test_repeated_calls_are_identical(self):
         first, second, dt = _xy8_group(2, (6, 77))
@@ -768,10 +805,10 @@ class TestReductionPlans:
     def test_plan_holds_only_kernel_state(self):
         # no slot for one caller's buffers, and a block of four pair slots:
         # the two factors, the first product and its scratch
-        plan = dynamics._Plan((3, 8))
+        plan = dynamics._Plan((8, 3))
         assert set(vars(plan)) == {"scratch", "factors", "levels", "result"}
         block = plan.factors[0][0].base
-        assert block.shape == (4, 2, 3, 8)
+        assert block.shape == (4, 2, 8, 3)
         assert all(views[0].base is block for views in plan.factors)
 
     def test_plan_cache_is_bounded(self):
@@ -1036,5 +1073,13 @@ class TestCachedInputs:
         # callers that unpack or re-stack the pair keep working
         early, late = times
         assert np.array_equal(np.stack((early, late)), times)
+        with pytest.raises(ValueError):
+            times[0, 0] = 1.0
+
+    def test_kernel_times_are_sample_times_in_tree_order(self):
+        dt = T / 77
+        times = dynamics.kernel_times(77, dt)
+        assert dynamics.kernel_times(77, dt) is times
+        assert np.array_equal(times, cf4_times(77, dt)[:, dynamics._tree_order(77)])
         with pytest.raises(ValueError):
             times[0, 0] = 1.0

@@ -71,6 +71,30 @@ class TestParamPacking:
         with pytest.raises(ValueError):
             unpack_params("pm", np.zeros(0), T, OMEGA_MAX)
 
+    def test_feasible_field_validates_once_and_leaves_its_input(self, monkeypatch):
+        # rates above the cap, a negative angle and an overdrive: clamped and
+        # rescaled, from one validated field, with the search's vector intact
+        from spinopt.fields import ControlField, InvalidFieldError
+
+        validated = []
+        post_init = ControlField.__post_init__
+
+        def counted(field):
+            validated.append(field)
+            post_init(field)
+
+        monkeypatch.setattr(ControlField, "__post_init__", counted)
+        cap = FREQ_CAP_CYCLES * TWO_PI / T
+        packed = np.array([3 * OMEGA_MAX, 1e7, 2 * cap, 0.02e9, 0.3, -0.4, 1.0, 7.0])
+        before = packed.copy()
+        fld = opt.feasible_field("sfb", packed, T, OMEGA_MAX)
+        assert len(validated) == 1
+        np.testing.assert_array_equal(packed, before)
+        assert fld.freqs[0] == cap and fld.phases[1] == 0.0 and fld.quad_angles[1] == TWO_PI
+        assert peak_amplitude(fld) == pytest.approx(OMEGA_MAX, rel=1e-12)
+        with pytest.raises(InvalidFieldError):
+            opt.feasible_field("sfb", np.where(packed == 2 * cap, np.inf, packed), T, OMEGA_MAX)
+
     def test_initial_draw_ranges(self):
         rng = np.random.default_rng(0)
         base_freq = TWO_PI / T
