@@ -24,13 +24,11 @@ so no coefficient array is permuted.  The two Gauss-point drives are mixed
 on the time axis before they are broadcast over points, and every kernel
 caller splits its rows into calls of at most ``_KERNEL_POINT_STEPS``
 point-steps (``kernel_slices``), a budget measured on both callers'
-traffic.  ``run_slices`` runs independent slices on every usable core, the
-calling thread and one helper thread per further CPU, which each call
-starts and joins.  Each thread keeps the working blocks of the last few shapes it
-propagated (at most ``_PLAN_SHAPES``, about 4 MB each at the budget), each
-with the views of its whole reduction built in advance (``_Plan``), so a
-repeated shape allocates no working memory and builds no views; a helper's
-blocks last for its one call.
+traffic, and runs them one after another on the calling thread.  Each
+thread keeps the working blocks of the last few shapes it propagated (at
+most ``_PLAN_SHAPES``, about 4 MB each at the budget), each with the views
+of its whole reduction built in advance (``_Plan``), so a repeated shape
+allocates no working memory and builds no views.
 
 The time-step error falls as steps^-4.  The step-error table below gives
 max |dF| against 4000 steps of the 4x4 ensemble objective and of single
@@ -72,7 +70,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
 import threading
 from dataclasses import dataclass
 
@@ -361,9 +358,7 @@ class _Plan:
 # 50x50 verification's full and remainder chunks.  A plan takes 128 bytes
 # per point-step, its four pair slots: both factors of the one stacked
 # factor pass, the product and the scratch.  That is at most about 16 MB per
-# thread at the kernel budget.  A ``run_slices`` helper builds the plans
-# of its one call and frees them when it exits: in the XY-8 pulse pass,
-# 3.8 MB for a default group of 6 pulses and 2.6 MB for its remainder of 4.
+# thread at the kernel budget.
 _PLAN_SHAPES = 4
 _plans = threading.local()
 
@@ -393,12 +388,14 @@ _CF4_EARLY = np.array([_CF4_W1, _CF4_W2])
 _CF4_LATE = np.array([_CF4_W2, _CF4_W1])
 
 # Point-steps per kernel call, the one budget of both kernel callers:
-# ``propagate_many`` takes its points, and ``magnetometry.simulate_ramsey``
-# its pulses, in slices from ``kernel_slices``.  Best and median time of the
-# two traffic shapes, one 50x50 propagation at 1000 steps (21 interleaved
-# rounds) and one default XY-8 rect + shaped pair, 100 realizations x 50
-# substeps per pulse (11 rounds), by rows per call (2-core AMD EPYC with
-# 1 MB L2 per core, Python 3.11.7, numpy 2.4.6):
+# ``propagate_many`` takes its points, and the direct pulse pass of
+# ``magnetometry.simulate_ramsey`` its pulses, in slices from
+# ``kernel_slices``.  Best and median time of the two traffic shapes, one
+# 50x50 propagation at 1000 steps (21 interleaved rounds) and one default
+# XY-8 rect + shaped pair, 100 realizations x 50 substeps per pulse (11
+# rounds), by rows per call (2-core AMD EPYC with 1 MB L2 per core, Python
+# 3.11.7, numpy 2.4.6).  The XY-8 rows, taken with two threads, now describe
+# only the direct fallback of the table pass (``magnetometry._table_pairs``):
 #
 #   50x50, points    8     12    16    20    25    32    50    100   200
 #   ms, best         47.0  40.5  38.6  35.9  37.0  34.6  35.4  33.7  41.4
@@ -415,7 +412,7 @@ _CF4_LATE = np.array([_CF4_W2, _CF4_W1])
 # call is 31 x 80 + 20), 32 at 1000 steps and 6 pulses of 100 x 50.
 # Larger calls time a little faster (the XY-8 pair about 7% at 8 pulses),
 # but a call's points share one series term count, so another split would
-# change the bits of the verification and of the traces.
+# change the bits of the verification and of the direct pass's traces.
 _KERNEL_POINT_STEPS = 32_000
 
 
@@ -425,68 +422,6 @@ def kernel_slices(n_rows: int, row_steps: int) -> list:
     (at least one row), then the remainder."""
     rows = max(1, _KERNEL_POINT_STEPS // row_steps)
     return [slice(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# Held by the one ``run_slices`` call that has helper threads.
-_slices_lock = threading.Lock()
-
-
-def run_slices(fn, slices) -> None:
-    """Call ``fn(s)`` once for each ``s`` in ``slices``, on every usable core.
-
-    The calling thread shares the slices with helper threads that the call
-    starts and joins before it returns, one per usable CPU beyond the first
-    and never more than there are slices beyond the first.  ``fn`` must be
-    safe to run on several threads at once, and its results must not depend
-    on which thread runs it (each thread keeps its own kernel plans).  The
-    first exception a slice raises is re-raised here, once every worker has
-    stopped taking slices.  A call made while another has helpers, as any
-    call from inside ``fn`` does, runs its slices serially on its own
-    thread, so it cannot deadlock; so does a call in a child forked while a
-    call had helpers.
-    """
-    slices = list(slices)
-    n = min(_usable_cpus(), len(slices)) - 1
-    if n < 1 or not _slices_lock.acquire(blocking=False):
-        for item in slices:
-            fn(item)
-        return
-    pending = iter(slices)
-    lock = threading.Lock()
-    errors = []
-    done = object()
-
-    def work():
-        while True:
-            with lock:
-                item = done if errors else next(pending, done)
-            if item is done:
-                return
-            try:
-                fn(item)
-            except BaseException as exc:
-                errors.append(exc)
-
-    threads = []
-    try:
-        for k in range(n):
-            thread = threading.Thread(target=work, name=f"spinopt-slices-{k}", daemon=True)
-            thread.start()
-            threads.append(thread)
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-        _slices_lock.release()
-    if errors:
-        raise errors[0]
 
 
 @functools.lru_cache(maxsize=8)

@@ -70,7 +70,7 @@ DIGESTS = {
     },
     "magnetometry": {
         "t2_report.csv": "769a2e9f74cb4048f0366ef3d94cfc3d20e56cd5c13f3b0c8a1d66040f52940f",
-        "trace.csv": "1ac482a5ea239526d88c41168c7fb306da24d27525f6b5002711d22f0e653cfa",
+        "trace.csv": "47588e50fb0f2015f4f5704f1023d38d3f510154e7676159df6990d9dc117ac6",
     },
 }
 

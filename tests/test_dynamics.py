@@ -1,11 +1,6 @@
 import math
-import os
-import signal
-import subprocess
 import sys
 import threading
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +26,6 @@ from spinopt.dynamics import (
     cf4_mix,
     cf4_propagator,
     cf4_times,
-    run_slices,
 )
 from spinopt.fields import quadratures
 
@@ -816,239 +810,6 @@ class TestReductionPlans:
             first, second, dt = _xy8_group(4, (2, n_steps))
             cf4_propagator(_stacked(first, second), dt)
         assert len(dynamics._plans.by_shape) <= dynamics._PLAN_SHAPES
-
-
-# Assertions about which threads ran the slices need a helper to exist.
-needs_helpers = pytest.mark.skipif(
-    dynamics._usable_cpus() < 2, reason="helper threads need 2 usable CPUs"
-)
-
-
-def _returns_within(target, timeout=30):
-    """Run ``target`` on a thread of its own and fail, rather than hang, if
-    it has not returned within ``timeout`` seconds; returns what it raised,
-    or None."""
-    raised = []
-
-    def run():
-        try:
-            target()
-        except BaseException as exc:
-            raised.append(exc)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    assert not thread.is_alive(), "run_slices did not return"
-    return raised[0] if raised else None
-
-
-def _slow_record(seen, delay=0.003):
-    """A slice function that sleeps (releasing the GIL, as the kernel's
-    ufuncs do) and then records (slice, thread)."""
-
-    def fn(item):
-        time.sleep(delay)
-        seen.append((item, threading.get_ident()))
-
-    return fn
-
-
-class TestRunSlices:
-    def test_every_slice_runs_exactly_once(self):
-        for n_slices in (0, 1, 2, 3, 40):
-            seen = []
-            items = list(range(n_slices))
-            assert _returns_within(lambda: run_slices(_slow_record(seen), items)) is None
-            assert sorted(item for item, _ in seen) == items
-
-    @needs_helpers
-    def test_helpers_share_the_slices(self):
-        # at most one thread per usable CPU and per slice, the caller one;
-        # each slice outlasts a helper's wake-up
-        for n_slices in (2, 16):
-            seen = []
-            caller = []
-
-            def call():
-                caller.append(threading.get_ident())
-                run_slices(_slow_record(seen, delay=0.05), range(n_slices))
-
-            assert _returns_within(call) is None
-            threads = {ident for _, ident in seen}
-            assert caller[0] in threads
-            assert 2 <= len(threads) <= min(dynamics._usable_cpus(), n_slices)
-
-    def test_concurrent_callers_each_run_every_slice_once(self):
-        # more callers than cores, switching often: one call holds the
-        # helpers while the others run serially, and a lost update to a
-        # call's slice counter would skip or repeat a slice
-        n_callers, n_calls, n_slices = 4, 20, 12
-        start = threading.Barrier(n_callers, timeout=30)
-        results = [[] for _ in range(n_callers * n_calls)]
-
-        def caller(c):
-            start.wait()
-            for k in range(n_calls):
-                seen = results[c * n_calls + k]
-                run_slices(_slow_record(seen, delay=0.0002), range(n_slices))
-
-        threads = [
-            threading.Thread(target=caller, args=(c,), daemon=True) for c in range(n_callers)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            deadline = time.monotonic() + 60
-            for t in threads:
-                t.join(timeout=max(0.0, deadline - time.monotonic()))
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads), "run_slices did not return"
-        assert all(sorted(item for item, _ in seen) == list(range(n_slices)) for seen in results)
-
-    def test_error_reaches_the_caller_once_every_worker_has_stopped(self):
-        lock = threading.Lock()
-        started, running, at_raise = [], [0], []
-
-        def fn(item):
-            with lock:
-                started.append(item)
-                running[0] += 1
-            try:
-                time.sleep(0.005)
-                if item == 3:
-                    raise KeyError(item)
-            finally:
-                with lock:
-                    running[0] -= 1
-
-        def call():
-            try:
-                run_slices(fn, range(40))
-            except KeyError:
-                at_raise.append(running[0])
-                raise
-
-        error = _returns_within(call)
-        assert isinstance(error, KeyError) and error.args == (3,)
-        # no slice was still running, and none was taken after the error
-        assert at_raise == [0]
-        assert len(started) < 40
-        # and the next call runs every slice
-        seen = []
-        assert _returns_within(lambda: run_slices(_slow_record(seen), range(8))) is None
-        assert sorted(item for item, _ in seen) == list(range(8))
-
-    @needs_helpers
-    def test_error_on_a_helper_reaches_the_caller(self):
-        caller = []
-
-        def fn(item):
-            time.sleep(0.005)
-            if threading.get_ident() != caller[0]:
-                raise RuntimeError(f"slice {item} failed on a helper")
-
-        def call():
-            caller.append(threading.get_ident())
-            run_slices(fn, range(40))
-
-        error = _returns_within(call)
-        assert isinstance(error, RuntimeError) and "on a helper" in str(error)
-
-    def test_nested_call_completes(self):
-        seen = []
-
-        def outer(item):
-            run_slices(_slow_record(seen, delay=0.001), [(item, k) for k in range(3)])
-
-        assert _returns_within(lambda: run_slices(outer, range(6))) is None
-        assert sorted(item for item, _ in seen) == [(i, k) for i in range(6) for k in range(3)]
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_completes_a_multi_slice_call(self):
-        run_slices(_slow_record([]), range(4))  # the parent's helpers exist
-        pid = os.fork()
-        if pid == 0:  # child: report by exit code, never return into pytest
-            code = 1
-            try:
-                seen = []
-                run_slices(_slow_record(seen), range(8))
-                code = 0 if sorted(item for item, _ in seen) == list(range(8)) else 3
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 30
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child hung in run_slices")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(status) == 0
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_child_forked_during_a_call_completes_a_multi_slice_call(self):
-        # another thread is inside a multi-slice call, helpers running, at
-        # the fork; the child inherits none of its threads
-        inside = threading.Event()
-
-        def fn(item):
-            inside.set()
-            time.sleep(0.05)
-
-        busy = threading.Thread(target=run_slices, args=(fn, range(8)), daemon=True)
-        busy.start()
-        assert inside.wait(30)
-        pid = os.fork()
-        if pid == 0:  # child: report by exit code, never return into pytest
-            code = 1
-            try:
-                seen = []
-                run_slices(_slow_record(seen), range(8))
-                code = 0 if sorted(item for item, _ in seen) == list(range(8)) else 3
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 30
-        while True:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                break
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child hung in run_slices")
-            time.sleep(0.01)
-        busy.join(30)
-        assert not busy.is_alive(), "run_slices did not return"
-        assert os.waitstatus_to_exitcode(status) == 0
-
-    def test_import_starts_no_thread_and_no_helper_outlives_a_call(self):
-        script = (
-            "import threading\n"
-            "import spinopt\n"
-            "from spinopt.dynamics import run_slices\n"
-            "def helpers():\n"
-            "    return sum(t.name.startswith('spinopt-slices') for t in threading.enumerate())\n"
-            "counts = [threading.active_count()]\n"
-            "run_slices(lambda item: None, range(1))\n"
-            "counts.append(helpers())\n"
-            "run_slices(lambda item: None, range(2))\n"
-            "counts.append(helpers())\n"
-            "run_slices(lambda item: None, range(64))\n"
-            "counts.append(helpers())\n"
-            "assert counts == [1, 0, 0, 0], counts\n"
-        )
-        src = str(Path(dynamics.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
 
 
 class TestCachedInputs:

@@ -17,7 +17,7 @@ from spinopt import (
     ou_step,
     simulate_ramsey,
 )
-from spinopt.dynamics import FWHM_TO_SIGMA, SIGMA_X, kernel_slices
+from spinopt.dynamics import FWHM_TO_SIGMA, SIGMA_X, kernel_slices, kernel_times
 from spinopt.fields import peak_amplitude
 from spinopt import magnetometry
 from spinopt.magnetometry import XY8_AXES, fringe_window, periods_within
@@ -189,6 +189,17 @@ class TestBuildXy8:
                 make("rect", 50e-9, 350e-9, 0, x_field=_rect_drive(50e-9))
 
     @pytest.mark.parametrize("make", [build_xy8, PulseSequence])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_timings_rejected(self, make, bad):
+        # a NaN t_pulse used to build, and simulate_ramsey then failed with
+        # "cannot convert float NaN to integer"
+        for kind in ("ideal", "rect"):
+            for t_pulse, tau_pulse in ((bad, 350e-9), (50e-9, bad)):
+                x_field = _rect_drive(50e-9) if make is PulseSequence and kind == "rect" else None
+                with pytest.raises(ValueError, match="finite and positive"):
+                    make(kind, t_pulse, tau_pulse, 2, x_field)
+
+    @pytest.mark.parametrize("make", [build_xy8, PulseSequence])
     @pytest.mark.parametrize("n_periods", [2.5, 2.7, 3.0, True])
     def test_non_integer_period_count_rejected(self, make, n_periods):
         # build_xy8 used to run int(2.7) = 2 periods
@@ -300,12 +311,16 @@ class TestSimulateRamsey:
             pytest.param("shaped", 30, 5, True, 12, id="shaped-30-5-12_substeps"),
         ],
     )
-    def test_pulse_groups_match_per_pulse_oracle(self, kind, n_realizations, n_blocks, ou, n_sub):
-        # At the shared kernel budget, 5 blocks (40 pulses) go in groups of
-        # 6 ending on 4, 21 + 19, one of 40, and single pulses at 100, 30, 1
-        # and 400 realizations with 50 substeps, and in 26 + 14 and one of
-        # 40 at 100 and 30 with 12.  The noise path is drawn in the
-        # per-pulse order before any pulse propagates, so every bit agrees.
+    def test_pulse_groups_match_per_pulse_oracle(
+        self, monkeypatch, kind, n_realizations, n_blocks, ou, n_sub
+    ):
+        # The direct pass, with the table turned off: at the shared kernel
+        # budget, 5 blocks (40 pulses) go in groups of 6 ending on 4,
+        # 21 + 19, one of 40, and single pulses at 100, 30, 1 and 400
+        # realizations with 50 substeps, and in 26 + 14 and one of 40 at 100
+        # and 30 with 12.  The noise path is drawn in the per-pulse order
+        # before any pulse propagates, so every bit agrees.
+        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: None)
         seq = _sequence(kind, n_blocks)
         noise = NoiseSettings(n_realizations=n_realizations, seed=11, **({} if ou else {"c": 0.0}))
         trace = simulate_ramsey(seq, SIGNAL, noise, n_blocks * seq.period, n_steps_per_pulse=n_sub)
@@ -346,10 +361,11 @@ class TestSimulateRamsey:
         simulate_ramsey(seq, SIGNAL, noise, 3 * seq.period, n_steps_per_pulse=12)
         assert counts == {"ou_step": 3 * ou_per_block, "quadratures": quadrature_calls}
 
-    def test_mixed_term_counts_stay_within_rounding(self):
+    def test_mixed_term_counts_stay_within_rounding(self, monkeypatch):
         # A signal 100x the default with 6 substeps gives the pulses of one
-        # group different series term counts; the group's shared (larger)
-        # count then moves P0 by rounding only.
+        # group of the direct pass different series term counts; the
+        # group's shared (larger) count then moves P0 by rounding only.
+        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: None)
         strong = AcSignal(g_ac=TWO_PI * 10e6, omega_s=OMEGA_S)
         seq = _sequence("rect", 12)
         noise = NoiseSettings(n_realizations=1, seed=2)
@@ -402,6 +418,74 @@ class TestSimulateRamsey:
             simulate_ramsey(seq, SIGNAL, NoiseSettings.disabled(), 4 * 3.2e-6, n_steps_per_pulse=n_sub)
 
 
+def _pulse_inputs(kind, n_realizations, n_blocks=2, n_sub=50):
+    """The pulse pass's inputs for ``n_blocks`` blocks: default static and
+    OU detunings, with one realization at -5 and one at +5 sigma of the
+    static line on pulses of both parities."""
+    seq = _sequence(kind, n_blocks)
+    noise = NoiseSettings()
+    sigma = noise.delta_fwhm * FWHM_TO_SIGMA
+    rng = np.random.default_rng(n_realizations)
+    k = 8 * n_blocks
+    totals = rng.normal(0.0, sigma, n_realizations) + rng.normal(
+        0.0, noise.stationary_std, (k, n_realizations)
+    )
+    totals[:2, 0] = -5 * sigma, 5 * sigma
+    totals[-2:, -1] = 5 * sigma, -5 * sigma
+    starts = (np.arange(k) + 0.5) * seq.spacing - 0.5 * seq.t_pulse
+    dt = seq.t_pulse / n_sub
+    times = kernel_times(n_sub, dt)
+    return SIGNAL, starts, totals, magnetometry._x_drive(seq, times, 1.0), times, dt
+
+
+class TestPulseTable:
+    @pytest.mark.parametrize("n_realizations", [100, 1600])
+    @pytest.mark.parametrize("kind", ["rect", "shaped"])
+    def test_pairs_match_the_direct_pass(self, kind, n_realizations):
+        # over the realized span, ends at +-5 sigma included, to the chop
+        # tolerance: the rule picks 32 nodes for rect and 64 for shaped
+        # pulses, within 1.3e-14; half as many are off by 6.6e-4 and 1.3e-6
+        pulses = _pulse_inputs(kind, n_realizations)
+        table = magnetometry._table_pairs(*pulses)
+        direct = magnetometry._direct_pairs(*pulses)
+        assert table.shape == direct.shape == (2, 16, n_realizations)
+        assert np.abs(table - direct).max() <= magnetometry._TABLE_TOL
+
+    @pytest.mark.parametrize("kind", ["rect", "shaped"])
+    def test_default_trace_within_rounding_of_the_direct_pass(self, monkeypatch, kind):
+        seq = _sequence(kind, 10)
+        noise = NoiseSettings(n_realizations=100, seed=4)
+        trace = simulate_ramsey(seq, SIGNAL, noise, 10 * seq.period)
+        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: None)
+        direct = simulate_ramsey(seq, SIGNAL, noise, 10 * seq.period)
+        assert not np.array_equal(trace.p0_mean, direct.p0_mean)
+        np.testing.assert_allclose(trace.p0_mean, direct.p0_mean, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(trace.p0_stderr, direct.p0_stderr, rtol=0, atol=1e-11)
+
+    def test_no_table_without_a_span_or_a_saving(self):
+        signal, starts, totals, drive, times, dt = _pulse_inputs("shaped", 100)
+        flat = np.full_like(totals, totals[0, 0])
+        assert magnetometry._table_pairs(signal, starts, flat, drive, times, dt) is None
+        # 16 pulses of 2 realizations: a table of 16 nodes would cost as
+        # many propagations as the direct pass, and 8 do not pass the chop
+        few = totals[:, :2]
+        assert magnetometry._table_pairs(signal, starts, few, drive, times, dt) is None
+
+    @pytest.mark.parametrize("kind", ["rect", "shaped"])
+    def test_unmatched_signal_takes_the_direct_pass(self, kind):
+        # a signal off the pulse spacing is not (-1)^k periodic over the
+        # pulses, so every pulse is propagated, bit for bit the oracle's
+        seq = _sequence(kind, 3)
+        off = AcSignal(g_ac=SIGNAL.g_ac, omega_s=0.9 * OMEGA_S)
+        noise = NoiseSettings(n_realizations=30, seed=2)
+        trace = simulate_ramsey(seq, off, noise, 3 * seq.period, n_steps_per_pulse=12)
+        p0_mean, p0_stderr = simulate_ramsey_per_pulse(
+            seq, off, noise, 3 * seq.period, n_steps_per_pulse=12
+        )
+        np.testing.assert_array_equal(trace.p0_mean, p0_mean)
+        np.testing.assert_array_equal(trace.p0_stderr, p0_stderr)
+
+
 class TestEstimateT2:
     def test_recovers_synthetic_exponential(self):
         times = np.arange(1, 101) * 3.2e-6
@@ -440,6 +524,19 @@ class TestEstimateT2:
             estimate_t2(times, p0)
         with pytest.raises(ValueError, match="finite"):
             estimate_t2(np.where(np.arange(30) == 3, bad, times), np.full(30, 0.9))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_or_floor_rejected(self, bad):
+        # a NaN window used to fit with no windows, and a NaN floor to drop
+        # every point (n_fit 0, a silent lower bound)
+        times = np.arange(1, 31) * 3.2e-6
+        p0 = 0.5 * (1 + np.exp(-times / 50e-6))
+        with pytest.raises(ValueError, match="finite"):
+            estimate_t2(times, p0, envelope_window=bad)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_t2(times, p0, min_envelope=bad)
+        # a window of zero or less still means no windows
+        assert estimate_t2(times, p0, envelope_window=-1.0) == estimate_t2(times, p0)
 
     def test_last_readout_on_a_window_edge_is_fitted(self):
         # The last of 100 readouts, at 320 us = 25 windows of 12.8 us, opens
