@@ -7,8 +7,10 @@ converts it by its key's unit suffix (``_mhz``, ``_khz``, ``_ns``, ``_us``,
 ``_rad_ns``; ``_mhz``/``_khz`` are ordinary frequencies, converted to
 angular rates by 2 * pi) to the library's units, rad/s and seconds.  Rules
 that join several leaves stay with ``magnetometry_from`` (one signal
-frequency, ``t_max_us`` against the XY-8 period) and with the library's
-constructors.  Defaults ship in ``default_config.json``.
+frequency, by the library's rule for a matched signal, and ``t_max_us``
+against the XY-8 period, both read from the sequences ``build_xy8`` makes)
+and with the library's constructors.  Defaults ship in
+``default_config.json``.
 """
 from __future__ import annotations
 
@@ -23,8 +25,12 @@ import numpy as np
 from .fields import pm_field
 from .magnetometry import (
     MIN_T2_POINTS,
+    RECT,
+    SHAPED,
     AcSignal,
     NoiseSettings,
+    _matched,
+    build_xy8,
     default_shaped_pi_field,
     periods_within,
 )
@@ -280,10 +286,12 @@ def opt_config_from(cfg: dict, seed: int | None = None, **overrides) -> OptConfi
 
 def magnetometry_from(cfg: dict, seed: int | None = None):
     """(rect sequence settings, shaped settings, signal, noise, run settings)
-    from config; a leaf outside its ``LEAVES`` entry, two sequences with
-    different signal frequencies, a ``t_max_us`` too short for a T2 fit of
-    either sequence, and signal or noise settings the library rejects raise
-    ConfigError."""
+    from config; a leaf outside its ``LEAVES`` entry, a shaped sequence the
+    rect sequence's signal does not match (``magnetometry._matched``), a
+    ``t_max_us`` too short for a T2 fit of either sequence, and signal or
+    noise settings the library rejects raise ConfigError.  The signal
+    frequency and both XY-8 periods are those of the sequences
+    ``build_xy8`` makes from the settings."""
     m = {name: read(cfg, f"magnetometry.{name}") for name in cfg["magnetometry"]}
     amp_limit = read(cfg, "optimize.amp_limit_mhz")
     rect = {"t_pulse": m["rect_pulse_ns"], "tau_pulse": m["rect_gap_ns"]}
@@ -293,20 +301,18 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
         if m["shaped_field"] is None
         else pm_field(*m["shaped_field"], shaped["t_pulse"], amp_limit)
     )
-    omega_rect = np.pi / (rect["t_pulse"] + rect["tau_pulse"])
-    omega_shaped = np.pi / (shaped["t_pulse"] + shaped["tau_pulse"])
-    if abs(omega_rect - omega_shaped) > 1e-6 * omega_rect:
+    sequences = [build_xy8(RECT, **rect, n_periods=1), build_xy8(SHAPED, **shaped, n_periods=1)]
+    signal = AcSignal(g_ac=m["g_ac_mhz"], omega_s=sequences[0].omega_s)
+    if not _matched(signal, sequences[1]):
         raise ConfigError("rectangular and shaped sequences must share one signal frequency")
     t_max = m["t_max_us"]
-    for settings in (rect, shaped):
-        period = 8.0 * (settings["t_pulse"] + settings["tau_pulse"])
-        if periods_within(t_max, period) < MIN_T2_POINTS:
+    for seq in sequences:
+        if periods_within(t_max, seq.period) < MIN_T2_POINTS:
             raise ConfigError(
                 f"magnetometry.t_max_us must span at least {MIN_T2_POINTS} XY-8 "
-                f"periods ({MIN_T2_POINTS * period / 1e-6:g} us), the fewest "
+                f"periods ({MIN_T2_POINTS * seq.period / 1e-6:g} us), the fewest "
                 "readouts a T2 fit takes"
             )
-    signal = AcSignal(g_ac=m["g_ac_mhz"], omega_s=omega_rect)
     seed = read(cfg, "seed") if seed is None else seed
     runs = {"n_realizations": m["n_realizations"], "seed": seed}
     try:

@@ -395,7 +395,8 @@ _CF4_LATE = np.array([_CF4_W2, _CF4_W1])
 # XY-8 rect + shaped pair, 100 realizations x 50 substeps per pulse (11
 # rounds), by rows per call (2-core AMD EPYC with 1 MB L2 per core, Python
 # 3.11.7, numpy 2.4.6).  The XY-8 rows, taken with two threads, now describe
-# only the direct fallback of the table pass (``magnetometry._table_pairs``):
+# only the direct pass, which traces take for an unmatched signal or a
+# detuning span whose table costs as much (``magnetometry._table_pairs``):
 #
 #   50x50, points    8     12    16    20    25    32    50    100   200
 #   ms, best         47.0  40.5  38.6  35.9  37.0  34.6  35.4  33.7  41.4
@@ -507,9 +508,10 @@ def cf4_propagator(h, dt):
 
 
 def _cf4_detuning(deltas):
-    """The sigma_z coefficient of both CF4 exponents, a (P,) row, one entry
-    per point.  A constant sample mixes to the same bits in both exponents,
-    because IEEE addition commutes, so one row serves both."""
+    """The sigma_z coefficient of both CF4 exponents, one entry per entry of
+    ``deltas``: a (P,) row of points, or the (K, R) detunings of XY-8
+    pulses.  A constant sample mixes to the same bits in both exponents,
+    because IEEE addition commutes, so one array serves both."""
     half_d = 0.5 * deltas
     return _CF4_W1 * half_d + _CF4_W2 * half_d
 

@@ -19,6 +19,7 @@ from .dynamics import (
     DEFAULT_AMP_LIMIT,
     DEFAULT_DELTA_FWHM,
     FWHM_TO_SIGMA,
+    _cf4_detuning,
     _is_integer,
     cf4_mix,
     cf4_propagator,
@@ -259,18 +260,15 @@ def _pulse_unitaries(signal, t_starts, delta_totals, drive, times, dt):
     delta + delta_d per realization, the dynamic part frozen for the pulse.
     ``drive`` comes from ``_x_drive`` on the local sample ``times`` in the
     kernel's order (``kernel_times``).  The z coefficient of both exponents,
-    (2, n_sub, K, R), is one add of the AC signal of each pulse,
-    (2, n_sub, K, 1), and its static detuning, (K, R), both mixed on the
-    time axis; the drive broadcasts over both.
+    (2, n_sub, K, R), is one add of the static detuning, (K, R), whose mix
+    is one array for both (``_cf4_detuning``), and the AC signal of each
+    pulse, (2, n_sub, K, 1), mixed on the time axis; the drive broadcasts
+    over both.
     """
     samples = signal.g_ac * np.cos(
         signal.omega_s * (t_starts[:, None] + times[:, :, None, None])
     )
-    signal_mix = cf4_mix(*samples)
-    # The static detuning is one sample for both Gauss points, so its mix is
-    # the same bits in both exponents (IEEE addition commutes).
-    half = 0.5 * delta_totals
-    hz = cf4_mix(half, half)[0] + signal_mix
+    hz = _cf4_detuning(delta_totals) + cf4_mix(*samples)
     return cf4_propagator((*drive, hz), dt)
 
 
@@ -285,29 +283,51 @@ def _direct_pairs(signal, starts, totals, drive, times, dt):
     return pairs
 
 
+# A signal is matched to a sequence when its half period pi / omega_s is the
+# pulse spacing to rounding: omega_s * spacing within this many ulps of pi.
+# Two splits of one spacing into pulse and gap can round to spacings whose
+# frequencies differ in their last bits: every split of 20 to 2000 ns on a
+# 10 ns grid, and of random decimal ones, lands within 3 ulps.
+_MATCH_ULPS = 4
+
+
+def _matched(signal, seq) -> bool:
+    """Whether pulse k of ``seq`` sees (-1)^k times the ``signal`` of pulse
+    0, to rounding: the one rule for a signal matched to a sequence."""
+    return abs(signal.omega_s * seq.spacing - math.pi) <= _MATCH_ULPS * math.ulp(math.pi)
+
+
 # Largest of the last two Chebyshev coefficients of a pair entry that the
 # pulse table's chop rule accepts.  The pairs have modulus at most 1, and the
 # coefficients of default traces level off near 2e-15 once resolved.
 _TABLE_TOL = 1e-13
 _TABLE_NODES = 8  # of the first table; a failed chop doubles them
+# Pulses per slice of Clenshaw's recurrence, even so every slice starts on
+# an X pulse: its three working arrays are the slice's, not the trace's.
+_CLENSHAW_PULSES = 64
 
 
 def _table_pairs(signal, starts, totals, drive, times, dt):
-    """The pairs of ``_direct_pairs`` for a signal matched to the sequence,
-    from a Chebyshev table in the total detuning, or None if none is cheaper.
+    """The pairs of ``_direct_pairs`` for a signal matched to the sequence
+    (``_matched``), from a table in the total detuning, or None if none is
+    cheaper.
 
     Pulse k then sees (-1)^k times the signal of pulse 0, so its pair
-    depends only on its detuning and on k mod 2.  One ``_pulse_unitaries``
-    call propagates n first-kind Chebyshev nodes of the span of ``totals``
-    from the start times of pulses 0 and 1; a cosine transform gives the
-    coefficients.  The chop rule (Aurentz & Trefethen, ACM TOMS 43, 33
-    (2017)) doubles n from ``_TABLE_NODES`` until the last two coefficients
-    of every pair entry are at most ``_TABLE_TOL``, while 2n stays below
-    the direct pass's K R propagations; a span of zero width has no table.
+    depends only on its detuning and on k mod 2.  A span of zero width,
+    such as ``NoiseSettings.disabled()``'s, takes the pairs of pulses 0 and
+    1 at its one detuning for every pulse of that parity.  Otherwise one
+    ``_pulse_unitaries`` call propagates n first-kind Chebyshev nodes of the
+    span of ``totals`` from the start times of pulses 0 and 1; a cosine
+    transform gives the coefficients.  The chop rule (Aurentz & Trefethen,
+    ACM TOMS 43, 33 (2017)) doubles n from ``_TABLE_NODES`` until the last
+    two coefficients of every pair entry are at most ``_TABLE_TOL``, while
+    2n stays below the direct pass's K R propagations.
     """
+    k, r = totals.shape
     lo, hi = totals.min(), totals.max()
-    if not lo < hi:
-        return None
+    if lo == hi:
+        pair = np.stack(_pulse_unitaries(signal, starts[:2], np.full((2, 1), lo), drive, times, dt))
+        return np.tile(pair, (1, k // 2, r))
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     n = _TABLE_NODES
     while 2 * n < totals.size:
@@ -316,26 +336,36 @@ def _table_pairs(signal, starts, totals, drive, times, dt):
         values = np.stack(_pulse_unitaries(signal, starts[:2], nodes, drive, times, dt))
         coeffs = values @ np.cos(np.outer(theta, np.arange(n))) * (2.0 / n)
         if np.abs(coeffs[..., -2:]).max() <= _TABLE_TOL:
-            return _clenshaw(coeffs, (totals - mid) / half)
+            return _clenshaw(coeffs, totals, mid, half)
         n *= 2
     return None
 
 
-def _clenshaw(coeffs, x):
+def _clenshaw(coeffs, totals, mid, half):
     """sum_m c_m T_m(x), c_0 halved, for c = coeffs[:, k % 2] (2, 2, n) at
-    every x of pulse k, shape (2, K, R), by Clenshaw's recurrence
-    b_m = c_m + 2 x b_(m+1) - b_(m+2): the sum is (b_0 - b_2) / 2."""
-    k, r = x.shape
-    two_x = np.multiply(x, 2.0, dtype=complex).reshape(k // 2, 2, r)
-    later, last, out = np.zeros((3, 2, k // 2, 2, r), dtype=complex)
-    for c_m in coeffs.transpose(2, 0, 1)[::-1, :, None, :, None]:
-        np.multiply(two_x, last, out=out)
-        out -= later
-        out += c_m
-        later, last, out = last, out, later
-    last -= out
-    last *= 0.5
-    return last.reshape(2, k, r)
+    x = (totals - mid) / half of every pulse k, shape (2, K, R), by
+    Clenshaw's recurrence b_m = c_m + 2 x b_(m+1) - b_(m+2): the sum is
+    (b_0 - b_2) / 2.  It runs over slices of ``_CLENSHAW_PULSES`` pulses
+    into the result."""
+    k, r = totals.shape
+    sums = np.empty((2, k // 2, 2, r), dtype=complex)
+    work = np.empty((3, 2, min(_CLENSHAW_PULSES, k) // 2, 2, r), dtype=complex)
+    terms = coeffs.transpose(2, 0, 1)[::-1, :, None, :, None]
+    for lo in range(0, k, _CLENSHAW_PULSES):
+        x = (totals[lo : lo + _CLENSHAW_PULSES] - mid) / half
+        two_x = np.multiply(x, 2.0, dtype=complex).reshape(-1, 2, r)
+        part = slice(lo // 2, lo // 2 + len(two_x))
+        later, last, out = work[:, :, : len(two_x)]
+        later.fill(0)
+        last.fill(0)
+        for c_m in terms:
+            np.multiply(two_x, last, out=out)
+            out -= later
+            out += c_m
+            later, last, out = last, out, later
+        np.subtract(last, out, out=sums[:, part])
+        sums[:, part] *= 0.5
+    return sums.reshape(2, k, r)
 
 
 def _free_phase(signal, delta_total, t0, t1):
@@ -370,12 +400,15 @@ def simulate_ramsey(
     three passes on the calling thread: the noise of every segment is drawn
     in schedule order, the pairs of every pulse are computed, and the spin
     walks the free rotations and pulses, read out at each block terminal.
-    With ``signal`` matched to ``seq`` (equal ``omega_s``) the pulse pass
-    evaluates a Chebyshev table in the total detuning (``_table_pairs``):
-    a default trace (100 realizations, 125 blocks, 50 substeps) takes 32
-    nodes, about 25 ms (2-core AMD EPYC, numpy 2.4.6), and moves P0 by at
-    most about 1e-12.  Otherwise, or where no table is cheaper, every pulse
-    is propagated for every realization (``_direct_pairs``).
+    With ``signal`` matched to ``seq`` (``_matched``: its half period is
+    the pulse spacing to rounding) the pulse pass takes its pairs from a
+    table in the total detuning (``_table_pairs``): a default trace (100
+    realizations, 125 blocks, 50 substeps) takes 32 Chebyshev nodes, about
+    25 ms (2-core AMD EPYC, numpy 2.4.6), and moves P0 by at most about
+    1e-12; without noise the pairs of pulses 0 and 1 serve every pulse.
+    Only an unmatched signal, or a span whose chop does not finish below
+    the direct pass's cost, propagates every pulse for every realization
+    (``_direct_pairs``).
     """
     if not (_is_integer(n_steps_per_pulse) and n_steps_per_pulse >= 1):
         raise ValueError(
@@ -428,7 +461,7 @@ def simulate_ramsey(
         times = kernel_times(n_steps_per_pulse, dt)
         starts, pulse_totals = bounds[:, 1:-1:2].ravel(), totals[:, 1::2].reshape(-1, r)
         pulses = (signal, starts, pulse_totals, _x_drive(seq, times, kappa), times, dt)
-        pairs = _table_pairs(*pulses) if signal.omega_s == seq.omega_s else None
+        pairs = _table_pairs(*pulses) if _matched(signal, seq) else None
         if pairs is None:
             pairs = _direct_pairs(*pulses)
     a, b = pairs.reshape(2, n_blocks, 8, -1)

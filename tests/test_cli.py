@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinopt import AcSignal, NoiseSettings, OptConfig, default_shaped_pi_field, measure_t2
+from spinopt import (
+    AcSignal,
+    NoiseSettings,
+    OptConfig,
+    build_xy8,
+    default_shaped_pi_field,
+    magnetometry,
+    measure_t2,
+)
 from spinopt.cli import TIMING_COLUMNS, TRIAL_FILES, main, read_trial_records
 from spinopt.config import (
     CHOICE,
@@ -172,6 +181,56 @@ class TestConfigLoading:
         cfg = load_config(path)
         assert cfg["optimize"]["n_steps"] == 123
         assert cfg["optimize"]["duration_ns"] == 100.0
+
+
+class TestSignalFrequency:
+    def test_every_split_of_one_spacing_is_matched(self):
+        # every rect/shaped split of a 400 ns spacing on a 10 ns grid reads
+        # as one signal frequency, the rect sequence's, that matches the
+        # shaped sequence; some pairs of splits round to frequencies a few
+        # ulps apart, which an exact comparison would reject
+        cfg = default_config()
+        splits = [(float(t), 400.0 - t) for t in range(10, 400, 10)]
+        unequal = 0
+        for (rect_ns, rect_gap), (shaped_ns, shaped_gap) in itertools.product(splits, repeat=2):
+            cfg["magnetometry"].update(
+                rect_pulse_ns=rect_ns,
+                rect_gap_ns=rect_gap,
+                shaped_pulse_ns=shaped_ns,
+                shaped_gap_ns=shaped_gap,
+            )
+            rect, shaped, signal, _, _ = magnetometry_from(cfg)
+            assert signal.omega_s == build_xy8("rect", **rect, n_periods=1).omega_s
+            seq = build_xy8("shaped", **shaped, n_periods=1)
+            assert magnetometry._matched(signal, seq), (rect_ns, shaped_ns)
+            unequal += signal.omega_s != seq.omega_s
+        assert unequal > 0
+
+    @pytest.mark.parametrize("shaped_gap_ns", [300.0001, 301.0])
+    def test_a_mismatch_beyond_rounding_exits_2(self, tmp_path, capsys, shaped_gap_ns):
+        # 300.0001 ns is 2.5e-7 of the spacing off, more than rounding
+        path = write_config(tmp_path, {"magnetometry": {"shaped_gap_ns": shaped_gap_ns}})
+        out = tmp_path / "o"
+        assert main(["magnetometry", "--config", path, "--out", str(out)]) == 2
+        assert "must share one signal frequency" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
+    def test_a_rounded_match_takes_the_table(self, tmp_path, monkeypatch):
+        # rect 10 + 390 ns and shaped 100 + 300 ns give frequencies that
+        # differ in their last bits; both traces still take the pulse table
+        direct = []
+        monkeypatch.setattr(magnetometry, "_direct_pairs", lambda *args: direct.append(args))
+        payload = {
+            "magnetometry": {**FAST_MAG["magnetometry"], "rect_pulse_ns": 10.0, "rect_gap_ns": 390.0}
+        }
+        path = write_config(tmp_path, payload)
+        _, shaped, signal, _, _ = magnetometry_from(load_config(path))
+        assert signal.omega_s != build_xy8("shaped", **shaped, n_periods=1).omega_s
+        out = tmp_path / "o"
+        assert main(["magnetometry", "--config", path, "--out", str(out)]) == 0
+        assert direct == []
+        kinds = {line.rsplit(",", 1)[1] for line in (out / "trace.csv").read_text().splitlines()[1:]}
+        assert kinds == {"rect", "shaped"}
 
 
 class TestLeafTable:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -463,13 +465,59 @@ class TestPulseTable:
         np.testing.assert_allclose(trace.p0_stderr, direct.p0_stderr, rtol=0, atol=1e-11)
 
     def test_no_table_without_a_span_or_a_saving(self):
+        # a span of zero width takes the pairs of pulses 0 and 1 at its one
+        # detuning for every pulse of their parity: the direct pass's bits
+        # when it is given their start times
         signal, starts, totals, drive, times, dt = _pulse_inputs("shaped", 100)
         flat = np.full_like(totals, totals[0, 0])
-        assert magnetometry._table_pairs(signal, starts, flat, drive, times, dt) is None
+        table = magnetometry._table_pairs(signal, starts, flat, drive, times, dt)
+        direct = magnetometry._direct_pairs(signal, starts, flat, drive, times, dt)
+        assert table.shape == direct.shape and table.flags.writeable
+        assert np.abs(table - direct).max() <= magnetometry._TABLE_TOL
+        folded = starts[np.arange(len(starts)) % 2]
+        np.testing.assert_array_equal(
+            table, magnetometry._direct_pairs(signal, folded, flat, drive, times, dt)
+        )
         # 16 pulses of 2 realizations: a table of 16 nodes would cost as
         # many propagations as the direct pass, and 8 do not pass the chop
         few = totals[:, :2]
         assert magnetometry._table_pairs(signal, starts, few, drive, times, dt) is None
+
+    @pytest.mark.parametrize("kind", ["rect", "shaped"])
+    def test_noise_free_trace_propagates_two_pulses(self, monkeypatch, kind):
+        # a default-shape trace without noise: 1000 pulses of 100 identical
+        # realizations take one kernel call of pulses 0 and 1, and stay
+        # within rounding of the direct pass's 100,000 propagations, which
+        # evaluate the signal at each pulse's own start time (2.1e-14 rect,
+        # 3.0e-13 shaped)
+        seq = _sequence(kind, 125)
+        noise = NoiseSettings.disabled(n_realizations=100)
+        shapes = []
+        unitaries = magnetometry._pulse_unitaries
+
+        def recorded(signal, t_starts, delta_totals, *args):
+            shapes.append(np.shape(delta_totals))
+            return unitaries(signal, t_starts, delta_totals, *args)
+
+        monkeypatch.setattr(magnetometry, "_pulse_unitaries", recorded)
+        trace = simulate_ramsey(seq, SIGNAL, noise, 125 * seq.period)
+        assert shapes == [(2, 1)]
+        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: None)
+        direct = simulate_ramsey(seq, SIGNAL, noise, 125 * seq.period)
+        np.testing.assert_allclose(trace.p0_mean, direct.p0_mean, rtol=0, atol=1e-12)
+
+    def test_trace_memory_is_bounded_by_a_slice(self):
+        # tracemalloc peak of a default-shape trace at 1600 realizations:
+        # 290 MB while Clenshaw's recurrence held three arrays of the whole
+        # trace's pairs, 164 MB over slices of 64 pulses
+        seq = _sequence("shaped", 125)
+        tracemalloc.start()
+        try:
+            simulate_ramsey(seq, SIGNAL, NoiseSettings(n_realizations=1600), 125 * seq.period)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 180e6
 
     @pytest.mark.parametrize("kind", ["rect", "shaped"])
     def test_unmatched_signal_takes_the_direct_pass(self, kind):

@@ -23,7 +23,7 @@ def test_a_trace_and_a_trial_start_no_thread():
     # Every start of a Python thread is recorded, including one joined
     # before the call returns: a default-shape trace (100 realizations, 50
     # substeps) through the table pass and through the grouped direct pass
-    # (no noise, so no detuning span), and one small bpm trial.
+    # (a signal off the pulse spacing), and one small bpm trial.
     script = (
         "import threading\n"
         "started = []\n"
@@ -34,8 +34,8 @@ def test_a_trace_and_a_trial_start_no_thread():
         "threading.Thread.start = start\n"
         "from spinopt import AcSignal, NoiseSettings, OptConfig, build_xy8, run_single, simulate_ramsey\n"
         "seq = build_xy8('rect', 50e-9, 350e-9, 4)\n"
-        "for noise in (NoiseSettings(), NoiseSettings.disabled(n_realizations=100)):\n"
-        "    simulate_ramsey(seq, AcSignal(), noise, 4 * seq.period)\n"
+        "for omega_s in (seq.omega_s, 0.9 * seq.omega_s):\n"
+        "    simulate_ramsey(seq, AcSignal(omega_s=omega_s), NoiseSettings(), 4 * seq.period)\n"
         "run_single(OptConfig(method='bpm', n_steps=300, verify_grid=(20, 20), nm_max_iter=40))\n"
         "assert started == [] and threading.active_count() == 1, started\n"
     )
