@@ -52,9 +52,9 @@ OUT_ENV_VAR = "SPINOPT_OUT"
 # The two files of a batch of trials, each a table of its columns, in
 # order, with the parser that reads a cell back.  results*.csv holds the
 # deterministic fields of ``run_to_record``; timings*.csv each trial's wall
-# time and its split into start point, pulse search and dense verification,
-# pulse-search and Kriging likelihood diagnostics, kept out of the
-# byte-reproducible data files.
+# time and its split into start point, pulse search and verification, the
+# points the verification propagated, and pulse-search and Kriging
+# likelihood diagnostics, kept out of the byte-reproducible data files.
 TRIAL_COLUMNS = {
     "trial": int,
     "method": str,
@@ -74,6 +74,7 @@ TIMING_COLUMNS = {
     "build_ms": float,
     "search_ms": float,
     "verify_ms": float,
+    "verify_points": int,
     "nm_iters": int,
     "nm_converged": int,
     "nll_evals": int,
@@ -129,6 +130,7 @@ def write_trials(out: Path, runs, tag: str = ""):
             "build_ms": run.build_ms,
             "search_ms": run.search_ms,
             "verify_ms": run.verify_ms,
+            "verify_points": run.verify_points,
             "nm_iters": run.nm_iters,
             "nm_converged": int(run.nm_converged),
             "nll_evals": run.nll_evals,

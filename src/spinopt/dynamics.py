@@ -55,7 +55,10 @@ resolution at which Nelder-Mead stops; the verification's (``n_steps``,
 400 by default) is the fewest whose winner rows stay below 1e-8.
 
 Ensemble averages weight a rectangular (delta, kappa) grid by the product
-of two Gaussians specified through their FWHM.
+of two Gaussians specified through their FWHM.  ``ensemble_objective``
+propagates every grid point; ``_tensor_objective``, the trial's
+verification, gives the same sum to rounding from a Chebyshev tensor of
+fewer true calls.
 
 ``fidelities`` is the one true call.  A caller that evaluates many fields
 at the same points, steps and target, as the pulse search does, builds
@@ -354,8 +357,9 @@ class _Plan:
 # Plans kept per thread, by one exponent's broadcast shape, steps first:
 # (S, P) for a point batch, (S, K, R) for K XY-8 pulses of R realizations.
 # Concurrent callers never share a block; the least recently used shape is
-# dropped past the bound.  One trial needs three: its search batch and the
-# 50x50 verification's full and remainder chunks.  A plan takes 128 bytes
+# dropped past the bound.  One trial on the default grid needs four: its
+# search batch and, at 400 steps, the verification tensor's 80-point chunks
+# and the remainders of its two rungs (5 and 44 points).  A plan takes 128 bytes
 # per point-step, its four pair slots: both factors of the one stacked
 # factor pass, the product and the scratch.  That is at most about 16 MB per
 # thread at the kernel budget.
@@ -409,8 +413,10 @@ _CF4_LATE = np.array([_CF4_W2, _CF4_W1])
 # Below ~20,000 point-steps per call the per-call overhead of the
 # reduction's short levels dominates, and past ~100,000 the time rises
 # again as the working block (128 bytes per point-step) grows.  The budget
-# gives 80 points per call at the verification's default 400 steps (a 50x50
-# call is 31 x 80 + 20), 32 at 1000 steps and 6 pulses of 100 x 50.
+# gives 80 points per call at the verification's default 400 steps (its
+# Chebyshev rungs of 165 and 444 points are 2 x 80 + 5 and 5 x 80 + 44, and
+# a direct 50x50 pass 31 x 80 + 20), 32 at 1000 steps and 6 pulses of
+# 100 x 50.
 # Larger calls time a little faster (the XY-8 pair about 7% at 8 pulses),
 # but a call's points share one series term count, so another split would
 # change the bits of the verification and of the direct pass's traces.
@@ -694,3 +700,98 @@ def ensemble_objective(
     single-point fidelity evaluations."""
     values = fidelities(field, grid.points(), n_steps, target)
     return float(np.dot(grid.weights.ravel(), values))
+
+
+# The verification's Chebyshev tensor (``_tensor_objective``): the nodes of
+# its first rung, delta by kappa, and the chop tolerance of its coefficients
+# relative to the largest.  Over 140 winners on the default box at 400 steps
+# (the first 10 bench items of each trial workload at master seeds 0 and
+# 8191 and on ``gate_x``, C5's and C6's 40 trials and their ``gate_x``
+# twins; 2-core AMD EPYC, numpy 2.4.6) 129 chopped at 29 x 21 nodes and 11
+# at 29 x 41, none at the first rung, with f_verified within 4.2e-15 of the
+# 50 x 50 pass and every grid value within 2.5e-13.  The coefficients of a
+# resolved winner level off between about 5e-16 and 1e-14 of the largest
+# (their rounding plateau): at a tolerance of 1e-14, 7 of the 60 bench
+# winners grew past 29 x 21, 4 of them to 57 x 41.
+# Starting at 17 x 9 ended 42 of those 60 at 33 x 33 and took 6.5 ms
+# against 3.7 (median; the direct pass takes 13.7).
+_TENSOR_NODES = (15, 11)
+_TENSOR_TOL = 1e-13
+
+
+@functools.lru_cache(maxsize=16)
+def _lobatto(n: int):
+    """The n Chebyshev-Lobatto points cos(pi j / (n - 1)), from 1 down to
+    -1, and the (n, n) matrix that maps values at them to the Chebyshev
+    coefficients of their interpolant (DCT-I).  The points of n are the
+    even-indexed points of 2n - 1, bit for bit.  Built once per n,
+    read-only."""
+    j = np.arange(n)
+    nodes = np.sin(np.pi * (n - 1 - 2 * j) / (2 * (n - 1)))
+    angles = np.pi * (np.outer(j, j) % (2 * (n - 1))) / (n - 1)
+    transform = np.cos(angles) * (2.0 / (n - 1))
+    transform[:, [0, -1]] *= 0.5
+    transform[[0, -1]] *= 0.5
+    for a in (nodes, transform):
+        a.flags.writeable = False
+    return nodes, transform
+
+
+@functools.lru_cache(maxsize=16)
+def _chebyshev_on_grid(m: int, n: int) -> np.ndarray:
+    """T_k(x_i) for the m points x of ``np.linspace(-1, 1, m)`` and
+    k < n, shape (m, n): the Chebyshev basis on one axis of a regular grid.
+    Built once per (m, n), read-only."""
+    basis = np.cos(np.multiply.outer(np.arccos(np.linspace(-1.0, 1.0, m)), np.arange(n)))
+    basis.flags.writeable = False
+    return basis
+
+
+def _tensor_objective(field: ControlField, grid: NoiseGrid, n_steps: int = 1000, target=None):
+    """``ensemble_objective`` of ``grid`` from true calls on a tensor of
+    Chebyshev-Lobatto nodes over its box, and the number of points the
+    call propagated.
+
+    For a fixed field F(delta, kappa) is analytic on the box, so the
+    interpolant of its values on a fine enough tensor gives every grid
+    value to rounding (Trefethen, *Approximation Theory and Approximation
+    Practice*, SIAM 2013; Townsend & Trefethen, SIAM J. Sci. Comput. 35,
+    C495 (2013)).  The tensor starts at ``_TENSOR_NODES``; each axis whose
+    last two Chebyshev coefficients exceed ``_TENSOR_TOL`` of the largest
+    grows from n to 2n - 1 nodes, which keeps every point already
+    propagated (Aurentz & Trefethen, ACM TOMS 43, 33 (2017), for the chop).
+    Once both axes chop, with coefficients C = T_d F T_k' and the basis V
+    of each axis on the grid, the interpolant on the grid is V_d C V_k' and
+    its weighted sum is sum((V_d' W V_k) * C).  The direct M x N pass runs
+    instead when the next rung would propagate no fewer points: from the
+    start when the first rung grown on both axes would, since no winner
+    chopped sooner, so grids that small keep its bits; otherwise after the
+    rungs already spent.
+    """
+    m, n = grid.weights.shape
+    sizes = _TENSOR_NODES
+    if (2 * sizes[0] - 1) * (2 * sizes[1] - 1) >= m * n:
+        return ensemble_objective(field, grid, n_steps, target), m * n
+    lo, hi = grid.bounds().T
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    values = np.empty(0)
+    fresh = np.ones(sizes, dtype=bool)
+    while True:
+        (x_d, t_d), (x_k, t_k) = _lobatto(sizes[0]), _lobatto(sizes[1])
+        i, j = np.nonzero(fresh)
+        points = np.column_stack([mid[0] + half[0] * x_d[i], mid[1] + half[1] * x_k[j]])
+        grown = np.empty(sizes)
+        grown[~fresh] = values.ravel()
+        grown[fresh] = fidelities(field, points, n_steps, target)
+        values = grown
+        coeffs = t_d @ values @ t_k.T
+        limit = _TENSOR_TOL * np.abs(coeffs).max()
+        grow = (np.abs(coeffs[-2:]).max() > limit, np.abs(coeffs[:, -2:]).max() > limit)
+        if not any(grow):
+            basis_d, basis_k = _chebyshev_on_grid(m, sizes[0]), _chebyshev_on_grid(n, sizes[1])
+            return float(np.sum((basis_d.T @ grid.weights @ basis_k) * coeffs)), values.size
+        sizes = tuple(2 * s - 1 if g else s for s, g in zip(sizes, grow))
+        if sizes[0] * sizes[1] >= m * n:
+            return ensemble_objective(field, grid, n_steps, target), values.size + m * n
+        fresh = np.ones(sizes, dtype=bool)
+        fresh[:: 1 + grow[0], :: 1 + grow[1]] = False

@@ -499,10 +499,13 @@ class TestOptimizeCommand:
         assert len(field_map) == 1 + 15 * 15
         header = (out / "timings.csv").read_text().splitlines()[0]
         assert header == (
-            "trial,wall_ms,build_ms,search_ms,verify_ms,nm_iters,nm_converged,nll_evals"
+            "trial,wall_ms,build_ms,search_ms,verify_ms,verify_points,"
+            "nm_iters,nm_converged,nll_evals"
         )
         [timing] = read_trial_records(out / "timings.csv", TIMING_COLUMNS)
         assert timing["trial"] == 0 and timing["wall_ms"] > 0
+        # a 15 x 15 grid is verified by the direct pass
+        assert timing["verify_points"] == 15 * 15
         stages = [timing[k] for k in ("build_ms", "search_ms", "verify_ms")]
         assert all(0 < ms < timing["wall_ms"] for ms in stages)
         # the three stages partition the trial's wall time
@@ -590,7 +593,8 @@ class TestTrialsCommand:
         assert counts == 2
         timings = (out / "timings.csv").read_text().splitlines()
         assert timings[0] == (
-            "trial,wall_ms,build_ms,search_ms,verify_ms,nm_iters,nm_converged,nll_evals"
+            "trial,wall_ms,build_ms,search_ms,verify_ms,verify_points,"
+            "nm_iters,nm_converged,nll_evals"
         )
         assert [line.split(",")[0] for line in timings[1:]] == ["0", "1"]
         meta = assert_search_facts(out / "trials_meta.json", seed=4)

@@ -81,8 +81,8 @@ def is_data_file(name: str) -> bool:
     )
 
 
-def data_digests(tmp_path, command):
-    payload, seed = RUNS[command]
+def data_digests(tmp_path, command, run=None):
+    payload, seed = run or RUNS[command]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload))
     out = tmp_path / "out"
@@ -97,3 +97,16 @@ def data_digests(tmp_path, command):
 @pytest.mark.parametrize("command", RUNS)
 def test_data_files_match_pinned_digests(tmp_path, command):
     assert data_digests(tmp_path, command) == DIGESTS[command]
+
+
+# ``spinopt optimize`` at the default 50 x 50 verify grid, where the trial's
+# verification takes the Chebyshev tensor (``dynamics._tensor_objective``)
+# instead of the direct pass of the 10 x 10 and 15 x 15 runs above;
+# results.csv holds its f_verified.
+DEFAULT_GRID_RUN = ({"optimize": {"method": "bpm", "nm_max_iter": 40}}, 3)
+DEFAULT_GRID_RESULTS = "e33db4afd09705fe6ce4ef5a292775944efae6dbc05c81da56248327b4e8602b"
+
+
+def test_default_grid_results_match_pinned_digest(tmp_path):
+    digests = data_digests(tmp_path, "optimize", DEFAULT_GRID_RUN)
+    assert digests["results.csv"] == DEFAULT_GRID_RESULTS
