@@ -10,6 +10,7 @@ phase-modulated quadrature fields), or instantaneous-ideal (validation hook).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -194,12 +195,27 @@ def build_xy8(kind, t_pulse, tau_pulse, n_periods, x_field=None) -> PulseSequenc
     )
 
 
-def ou_step(delta_d, dt, tau, c, rng: np.random.Generator):
-    """One exact Ornstein-Uhlenbeck update over dt (scalar or array state)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+@functools.lru_cache(maxsize=256)
+def _ou_coefficients(dt, tau, c):
+    """``(decay, scale)`` of an exact OU update over ``dt``, once per
+    distinct ``(dt, tau, c)``: a default trace has 22 segment lengths."""
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be finite and positive")
+    if not 0 <= c < math.inf:
+        raise ValueError("c must be finite and nonnegative")
     decay = np.exp(-dt / tau)
-    scale = np.sqrt(c * tau / 2.0 * (1.0 - decay * decay))
+    return decay, np.sqrt(c * tau / 2.0 * (1.0 - decay * decay))
+
+
+def ou_step(delta_d, dt, tau, c, rng: np.random.Generator):
+    """One exact Ornstein-Uhlenbeck update over dt (scalar or array state).
+
+    ``dt`` and ``tau`` must be finite and positive, ``c`` finite and
+    nonnegative, as in ``NoiseSettings``; else ValueError.
+    """
+    decay, scale = _ou_coefficients(dt, tau, c)
     noise = rng.standard_normal(np.shape(delta_d))
     return delta_d * decay + scale * noise
 
@@ -397,18 +413,19 @@ def simulate_ramsey(
     block terminal.  Preparation and readout pulses are ideal.
 
     The OU path does not depend on the spin state, so the trace runs in
-    three passes on the calling thread: the noise of every segment is drawn
-    in schedule order, the pairs of every pulse are computed, and the spin
-    walks the free rotations and pulses, read out at each block terminal.
-    With ``signal`` matched to ``seq`` (``_matched``: its half period is
-    the pulse spacing to rounding) the pulse pass takes its pairs from a
-    table in the total detuning (``_table_pairs``): a default trace (100
-    realizations, 125 blocks, 50 substeps) takes 32 Chebyshev nodes, about
-    25 ms (2-core AMD EPYC, numpy 2.4.6), and moves P0 by at most about
-    1e-12; without noise the pairs of pulses 0 and 1 serve every pulse.
-    Only an unmatched signal, or a span whose chop does not finish below
-    the direct pass's cost, propagates every pulse for every realization
-    (``_direct_pairs``).
+    passes on the calling thread: the noise of every segment is drawn in
+    schedule order; the pairs of every pulse are computed; each block's
+    nine free rotations and eight pulses are composed into one pair, for
+    all blocks at once; and the spin walks the blocks, read out at each
+    terminal.  With ``signal`` matched to ``seq`` (``_matched``: its half
+    period is the pulse spacing to rounding) the pulse pass takes its
+    pairs from a table in the total detuning (``_table_pairs``): a default
+    trace (100 realizations, 125 blocks, 50 substeps) takes 32 Chebyshev
+    nodes, about 16 ms (2-core AMD EPYC, numpy 2.4.6), and moves P0 by at
+    most about 1e-12; without noise the pairs of pulses 0 and 1 serve
+    every pulse.  Only an unmatched signal, or a span whose chop does not
+    finish below the direct pass's cost, propagates every pulse for every
+    realization (``_direct_pairs``).
     """
     if not (_is_integer(n_steps_per_pulse) and n_steps_per_pulse >= 1):
         raise ValueError(
@@ -445,13 +462,13 @@ def simulate_ramsey(
     # Noise pass: delta + delta_d at the start of every segment.
     totals = np.empty((n_blocks, 17, r))
     for total, length in zip(totals.reshape(-1, r), lengths.ravel().tolist()):
-        total[:] = delta + delta_d
+        total[:] = delta_d
         if noise.c > 0 and length > 0:
             delta_d = ou_step(delta_d, length, noise.tau, noise.c, rng)
+    totals += delta
     rot = np.exp(
         -0.5j * _free_phase(signal, totals[:, ::2], bounds[:, ::2, None], bounds[:, 1::2, None])
     )
-    rot_conj = np.conj(rot)
 
     # Pulse pass: Cayley-Klein pairs (a, b) of every pulse.
     if seq.kind == IDEAL:
@@ -467,20 +484,31 @@ def simulate_ramsey(
     a, b = pairs.reshape(2, n_blocks, 8, -1)
     b[:, np.array(XY8_AXES) == "y"] *= 1j
 
-    # Spin walk.
-    up = np.full(r, _PREP[0])
-    dn = np.full(r, _PREP[1])
-    amp = np.empty((n_blocks, r), dtype=complex)
+    # Compose every block's pair (A, B), (n_blocks, R): rotation 0, then
+    # pulse k and rotation k + 1 for k = 0..7.  A rotation's pair is
+    # (rot, 0), so it scales A by rot and B by its conjugate.
+    block_a = rot[:, 0].copy()
+    block_b = np.zeros_like(block_a)
+    for k in range(8):
+        a_k, b_k = a[:, k], b[:, k]
+        block_a, block_b = (
+            a_k * block_a - np.conj(b_k) * block_b,
+            b_k * block_a + np.conj(a_k) * block_b,
+        )
+        block_a *= rot[:, k + 1]
+        block_b *= np.conj(rot[:, k + 1])
+
+    # Spin walk over the blocks, the state (up, dn) kept at each terminal.
+    states = np.empty((2, n_blocks, r), dtype=complex)
+    up, dn = np.full(r, _PREP[0]), np.full(r, _PREP[1])
+    conj_a, conj_b = np.conj(block_a), np.conj(block_b)
     for block in range(n_blocks):
-        for k in range(8):
-            up *= rot[block, k]
-            dn *= rot_conj[block, k]
-            a_k, b_k = a[block, k], b[block, k]
-            up, dn = a_k * up - np.conj(b_k) * dn, b_k * up + np.conj(a_k) * dn
-        up *= rot[block, 8]
-        dn *= rot_conj[block, 8]
-        amp[block] = _READ_ROW[0] * up + _READ_ROW[1] * dn
-    p0 = np.abs(amp) ** 2
+        up, dn = (
+            block_a[block] * up - conj_b[block] * dn,
+            block_b[block] * up + conj_a[block] * dn,
+        )
+        states[:, block] = up, dn
+    p0 = np.abs(_READ_ROW[0] * states[0] + _READ_ROW[1] * states[1]) ** 2
     p0_err = p0.std(axis=1, ddof=1) / np.sqrt(r) if r > 1 else np.zeros(n_blocks)
     return RamseyTrace(
         times=edges[1:], p0_mean=p0.mean(axis=1), p0_stderr=p0_err, pulse_kind=seq.kind

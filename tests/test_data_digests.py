@@ -70,7 +70,7 @@ DIGESTS = {
     },
     "magnetometry": {
         "t2_report.csv": "769a2e9f74cb4048f0366ef3d94cfc3d20e56cd5c13f3b0c8a1d66040f52940f",
-        "trace.csv": "47588e50fb0f2015f4f5704f1023d38d3f510154e7676159df6990d9dc117ac6",
+        "trace.csv": "7d9b8fe876713f80c374f9b4a92f5516a02dc657058f9d3c441f1bd43449d900",
     },
 }
 
