@@ -18,16 +18,17 @@ call over a block stacked on a leading exponent axis; each exponent keeps
 its own term count and s, and when they agree one Horner per series runs
 over both.  Arrays hold the steps first and the points after them, the
 steps in the order of the reduction tree (``_tree_order``), so that every
-level of the product composes two contiguous halves; the callers sample
-their coefficients at ``kernel_times``, the CF4 sample times in that order,
-so no coefficient array is permuted.  The two Gauss-point drives are mixed
-on the time axis before they are broadcast over points, and every kernel
+level of the product composes two contiguous halves; ``kernel_times``, the
+one table of CF4 sample times, lists them in that order, and the callers
+sample their coefficients there, so no coefficient array is permuted.  The
+two Gauss-point drives are mixed on the time axis, and ``_propagate_rows``
+scales them by a call's kappas in one broadcast multiply.  Every kernel
 caller splits its rows into calls of at most ``_KERNEL_POINT_STEPS``
-point-steps (``kernel_slices``), a budget measured on both callers'
-traffic, and runs them one after another on the calling thread.  Each
-thread keeps the working blocks of the last few shapes it propagated (at
-most ``_PLAN_SHAPES``, about 4 MB each at the budget), each with the views
-of its whole reduction built in advance (``_Plan``), so a repeated shape
+point-steps (``kernel_slices``), a budget measured on the trial path, and
+runs them one after another on the calling thread.  Each thread keeps the
+working blocks of the last few shapes it propagated (at most
+``_PLAN_SHAPES``, about 4 MB each at the budget), each with the views of
+its whole reduction built in advance (``_Plan``), so a repeated shape
 allocates no working memory and builds no views.
 
 The time-step error falls as steps^-4.  The step-error table below gives
@@ -394,32 +395,33 @@ _CF4_LATE = np.array([_CF4_W2, _CF4_W1])
 # Point-steps per kernel call, the one budget of both kernel callers:
 # ``propagate_many`` takes its points, and the direct pulse pass of
 # ``magnetometry.simulate_ramsey`` its pulses, in slices from
-# ``kernel_slices``.  Best and median time of the two traffic shapes, one
-# 50x50 propagation at 1000 steps (21 interleaved rounds) and one default
-# XY-8 rect + shaped pair, 100 realizations x 50 substeps per pulse (11
-# rounds), by rows per call (2-core AMD EPYC with 1 MB L2 per core, Python
-# 3.11.7, numpy 2.4.6).  The XY-8 rows, taken with two threads, now describe
-# only the direct pass, which traces take for an unmatched signal or a
-# detuning span whose table costs as much (``magnetometry._table_pairs``):
+# ``kernel_slices``.  The search's calls (9 or 16 points at 100 steps) are
+# one call at any budget below, so the trial's traffic is its verification.
+# Best and median time by budget over 15 interleaved rounds (2-core AMD
+# EPYC with 1 MB L2 per core, Python 3.11.7, numpy 2.4.6): the verification
+# tensor of six winners (seeded ``bpm`` and ``sfb`` trials, 609 points each
+# at 400 steps), per winner; one direct 50x50 pass at 400 steps, as
+# ``field_map.csv`` takes it; and an XY-8 rect + shaped pair whose signal is
+# off the pulse spacing, so that its pulses take the direct pass:
 #
-#   50x50, points    8     12    16    20    25    32    50    100   200
-#   ms, best         47.0  40.5  38.6  35.9  37.0  34.6  35.4  33.7  41.4
-#   ms, median       48.3  42.2  40.7  38.0  38.8  37.0  36.5  35.7  43.5
-#
-#   XY-8, pulses     1     2     4     6     8     16
-#   ms, best         262   176   129   118   110   107
-#   ms, median       274   184   133   120   112   111
+#   point-steps        16k    24k    32k    48k    64k
+#   tensor, ms best    3.66   3.44   3.42   3.46   3.52
+#   tensor, ms median  3.95   3.65   3.62   3.54   3.72
+#   50x50, ms best     13.8   13.2   13.1   12.8   12.7
+#   50x50, ms median   15.2   13.9   13.4   13.3   13.4
+#   XY-8 pair, median  172    166    160    158    157
 #
 # Below ~20,000 point-steps per call the per-call overhead of the
-# reduction's short levels dominates, and past ~100,000 the time rises
-# again as the working block (128 bytes per point-step) grows.  The budget
+# reduction's short levels dominates; past ~100,000 the working block (128
+# bytes per point-step) grows out of the cache, and an older 50x50 table at
+# 1000 steps timed 200 points per call 16% slower than 100.  The budget
 # gives 80 points per call at the verification's default 400 steps (its
 # Chebyshev rungs of 165 and 444 points are 2 x 80 + 5 and 5 x 80 + 44, and
 # a direct 50x50 pass 31 x 80 + 20), 32 at 1000 steps and 6 pulses of
-# 100 x 50.
-# Larger calls time a little faster (the XY-8 pair about 7% at 8 pulses),
-# but a call's points share one series term count, so another split would
-# change the bits of the verification and of the direct pass's traces.
+# 100 x 50.  Larger budgets time at most a few percent faster, within the
+# spread of the rounds.  A call's points share one series term count, so
+# another split can change bits; none moved at these five budgets, on the
+# six winners' tensors and 50x50 grids or on the pair's traces.
 _KERNEL_POINT_STEPS = 32_000
 
 
@@ -429,21 +431,6 @@ def kernel_slices(n_rows: int, row_steps: int) -> list:
     (at least one row), then the remainder."""
     rows = max(1, _KERNEL_POINT_STEPS // row_steps)
     return [slice(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
-
-
-@functools.lru_cache(maxsize=8)
-def cf4_times(n_steps: int, dt: float) -> np.ndarray:
-    """Sample times of the fourth-order scheme, shape (2, S): the early
-    then the late time of each step.
-
-    Step k spans [k dt, (k + 1) dt); the Hamiltonian of each step is sampled
-    at its two Gauss points.  The array is built once per (n_steps, dt) and
-    is read-only, as every caller shares it.
-    """
-    base = np.arange(n_steps) * dt
-    times = np.stack((base + _GAUSS_LO * dt, base + _GAUSS_HI * dt))
-    times.flags.writeable = False
-    return times
 
 
 @functools.lru_cache(maxsize=8)
@@ -475,10 +462,16 @@ def _tree_order(n_steps: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def kernel_times(n_steps: int, dt: float) -> np.ndarray:
-    """``cf4_times`` with the steps in the kernel's order (``_tree_order``),
-    shape (2, S): the sample times of every coefficient that
-    ``cf4_propagator`` takes.  Built once per (n_steps, dt), read-only."""
-    times = cf4_times(n_steps, dt)[:, _tree_order(n_steps)]
+    """Sample times of every coefficient that ``cf4_propagator`` takes,
+    shape (2, S): the early then the late time of each step, the steps in
+    the kernel's order (``_tree_order``).
+
+    Step k spans [k dt, (k + 1) dt); the Hamiltonian of each step is sampled
+    at its two Gauss points.  The array is built once per (n_steps, dt) and
+    is read-only, as every caller shares it.
+    """
+    base = _tree_order(n_steps) * dt
+    times = np.stack((base + _GAUSS_LO * dt, base + _GAUSS_HI * dt))
     times.flags.writeable = False
     return times
 
@@ -522,22 +515,6 @@ def _cf4_detuning(deltas):
     return _CF4_W1 * half_d + _CF4_W2 * half_d
 
 
-# Below this many rows a slice's drive is scaled row by row, along the
-# steps, instead of broadcasting each step's drive over the short rows axis.
-# Time of the (4, S, rows) multiply in us (2-core AMD EPYC, numpy 2.4.6):
-#
-#   rows                     2     4     8     9     12
-#   S = 100,  row by row     0.8   1.5   2.4   2.6   3.1
-#             broadcast      2.4   2.6   2.9   3.0   3.2
-#   S = 1000, row by row     2.4   4.7   10.4  11.9  15.3
-#             broadcast      19.2  19.4  21.7  24.6  24.8
-#
-# At 400 steps the two cross between 9 and 12 rows.  The 9-point search
-# calls of a ``bpm`` trial and C4's 4-row remainder at 1000 steps go row by
-# row; 16-point search calls and the verification's slices broadcast.
-_FEW_ROWS = 10
-
-
 def _propagate_rows(field, kappas, hz, n_steps, slices, emit):
     """Propagate ``field`` at each row of ``kappas`` (P,) and ``hz`` (P,),
     one kernel call per slice of ``slices``, passing each call's pair to
@@ -561,11 +538,7 @@ def _propagate_rows(field, kappas, hz, n_steps, slices, emit):
     for rows in slices:
         n_rows = rows.stop - rows.start
         block = _leading(coeffs, (5, n_steps, n_rows))
-        if n_rows < _FEW_ROWS:
-            drive = block[:4].reshape(-1, n_rows).T
-            np.multiply(kappas[rows, None], mixed.reshape(1, -1), out=drive, order="C")
-        else:
-            np.multiply(kappas[rows], mixed, out=block[:4])
+        np.multiply(kappas[rows], mixed, out=block[:4])
         block[4] = hz[rows]
         h = (block[0:4:2], block[1:4:2], block[4])
         emit(rows, *_plan(block.shape[1:]).run(h, dt))

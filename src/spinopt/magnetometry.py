@@ -215,7 +215,10 @@ def ou_step(delta_d, dt, tau, c, rng: np.random.Generator):
     ``dt`` and ``tau`` must be finite and positive, ``c`` finite and
     nonnegative, as in ``NoiseSettings``; else ValueError.
     """
-    decay, scale = _ou_coefficients(dt, tau, c)
+    try:
+        decay, scale = _ou_coefficients(dt, tau, c)
+    except TypeError:  # an unhashable 0-d array
+        decay, scale = _ou_coefficients(float(dt), float(tau), float(c))
     noise = rng.standard_normal(np.shape(delta_d))
     return delta_d * decay + scale * noise
 
@@ -515,6 +518,27 @@ def simulate_ramsey(
     )
 
 
+def _window_maxima(times, env, window):
+    """Indices of the first maximum of ``env`` in each window
+    [w window, (w + 1) window) that holds a time, in window order.
+
+    A time t >= 0 lies in window w = floor(t / window), moved by one where
+    the quotient's rounding disagrees with the products w window and
+    (w + 1) window that bound the window; negative times lie in none.  The
+    cost grows with the points, not with the number of windows.
+    """
+    inside = np.flatnonzero(times >= 0.0)
+    t = times[inside]
+    w = np.floor(t / window)
+    w -= w * window > t
+    w += (w + 1.0) * window <= t
+    # stable: among equal maxima of a window the earliest point comes first
+    order = np.lexsort((-env[inside], w))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = w[order[1:]] != w[order[:-1]]
+    return inside[order[first]]
+
+
 def estimate_t2(
     times,
     p0,
@@ -526,7 +550,8 @@ def estimate_t2(
     With a positive ``envelope_window`` W the trace is reduced to the
     maximum of |2 P0 - 1| inside each window [w W, (w + 1) W), which rides
     the Ramsey fringes; the windows run up to the one holding the latest
-    time, so every time t >= 0 lies in exactly one.  Points below
+    time, so every time t >= 0 lies in exactly one and a time below 0 in
+    none (``_window_maxima``).  Points below
     ``min_envelope`` are dropped before the least-squares fit of the log
     envelope, and ``n_fit`` counts those kept (3 can resolve a T2).  If no
     decay is resolved the estimate is a lower bound, t2 the trace length.
@@ -545,13 +570,7 @@ def estimate_t2(
         raise ValueError("envelope_window and min_envelope must be finite")
     env = np.abs(2.0 * p0 - 1.0)
     if envelope_window > 0:
-        sel, w = [], 0
-        while w * envelope_window <= times.max():
-            lo, hi = w * envelope_window, (w + 1) * envelope_window
-            inside = np.flatnonzero((times >= lo) & (times < hi))
-            if inside.size:
-                sel.append(inside[np.argmax(env[inside])])
-            w += 1
+        sel = _window_maxima(times, env, envelope_window)
         fit_t, fit_e = times[sel], env[sel]
     else:
         fit_t, fit_e = times, env

@@ -75,6 +75,14 @@ def _cf4_direct(hamiltonian, duration, n_steps):
     return u
 
 
+def cf4_sample_times(n_steps, dt):
+    """The two Gauss-Legendre sample times of every CF4 step, the early row
+    then the late one, in step order, by a plain loop: k dt + g dt for step
+    k and Gauss offset g."""
+    r = math.sqrt(3.0) / 6.0
+    return np.array([[k * dt + g * dt for k in range(n_steps)] for g in (0.5 - r, 0.5 + r)])
+
+
 def _quadratures_direct(field, t):
     if field.basis == "pm":
         return pm_quadratures_direct(field.amplitudes, field.mod_depths, field.mod_freqs, t)
@@ -230,6 +238,21 @@ def simulate_ramsey_per_pulse(seq, signal, noise, t_max, n_steps_per_pulse=50, k
         p0_mean[block] = p0.mean()
         p0_err[block] = p0.std(ddof=1) / np.sqrt(r) if r > 1 else 0.0
     return p0_mean, p0_err
+
+
+def window_maxima_loop(times, env, window):
+    """Indices of the first maximum of ``env`` in each window
+    [w window, (w + 1) window), w = 0, 1, ... up to the window that holds
+    the latest time, skipping empty windows: one scan of the trace per
+    window."""
+    sel, w = [], 0
+    while w * window <= times.max():
+        lo, hi = w * window, (w + 1) * window
+        inside = np.flatnonzero((times >= lo) & (times < hi))
+        if inside.size:
+            sel.append(inside[np.argmax(env[inside])])
+        w += 1
+    return sel
 
 
 def gate_fidelity_pauli_sum(u, target):

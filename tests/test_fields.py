@@ -15,7 +15,7 @@ from spinopt import (
     sfb_field,
 )
 
-from spinopt.dynamics import cf4_times
+from spinopt.dynamics import kernel_times
 from spinopt.fields import PEAK_GRID_POINTS, PM, SFB, _peak_times, parameter_ranges
 
 from oracles import peak_on_full_grid, pm_quadratures_direct, sfb_quadratures_direct
@@ -94,7 +94,7 @@ def quadratures_with_np_sinc(fld, t):
 @pytest.mark.parametrize("mod_freqs", [[0.0, 0.0], [0.0, 0.03e9], [0.021e9, 0.047e9]])
 def test_pm_phase_matches_np_sinc_bit_for_bit(mod_freqs):
     fld = pm_field([0.03e9, 0.02e9], [0.01e9, 0.015e9], mod_freqs, T, OMEGA_MAX)
-    for t in (cf4_times(200, T / 200), 37e-9, 0.0):
+    for t in (kernel_times(200, T / 200), 37e-9, 0.0):
         for got, expected in zip(quadratures(fld, t), quadratures_with_np_sinc(fld, t)):
             np.testing.assert_array_equal(got, expected)
 

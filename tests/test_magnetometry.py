@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from spinopt.magnetometry import XY8_AXES, fringe_window, periods_within
 from oracles import (
     abs_cos_integral,
     simulate_ramsey_per_pulse,
+    window_maxima_loop,
     xy8_gaussian_phase_p0,
     xy8_populations_direct,
 )
@@ -106,6 +108,16 @@ class TestOuStep:
             out = ou_step(x, dt, tau, c, np.random.default_rng(4))
             np.testing.assert_array_equal(out, x * decay + scale * noise)
         assert magnetometry._ou_coefficients.cache_info().hits >= 1
+
+    @pytest.mark.parametrize("arg", ["dt", "tau", "c"])
+    def test_zero_d_array_keeps_the_float_bits(self, arg):
+        # a 0-d array cannot key the coefficient cache
+        values = {"dt": 0.35e-6, "tau": 20e-6, "c": 1e10}
+        x = np.random.default_rng(3).normal(size=7)
+        expected = ou_step(x, **values, rng=np.random.default_rng(4))
+        values[arg] = np.array(values[arg])
+        out = ou_step(x, **values, rng=np.random.default_rng(4))
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestNoiseSettings:
@@ -709,6 +721,44 @@ class TestEstimateT2:
         env = np.where(times < 2 * window, decay, 0.1)
         est = estimate_t2(times, 0.5 * (1 + env), envelope_window=window, min_envelope=0.26)
         assert est.lower_bound and est.n_fit == 2
+
+    def test_picosecond_window_returns_within_a_second(self):
+        # 4e8 windows of 1 ps over a 400 us trace, each point in its own
+        times = np.linspace(3.2e-6, 400e-6, 125)
+        p0 = 0.5 * (1 + np.exp(-times / 100e-6))
+        start = time.perf_counter()
+        est = estimate_t2(times, p0, envelope_window=1e-12)
+        assert time.perf_counter() - start < 1.0
+        assert est == estimate_t2(times, p0)
+
+    @pytest.mark.parametrize("window", [1e-7, 3e-7, 3.2e-6 / 3, 12.8e-6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_window_maxima_match_the_window_loop(self, seed, window):
+        # unsorted times on window edges (the loop's products w * window),
+        # just below them, at random, at 0 and below 0, with tied maxima
+        rng = np.random.default_rng(seed)
+        edges = np.array([int(k) * window for k in rng.integers(0, 60, 40)])
+        below = np.nextafter(edges, -np.inf)
+        spread = rng.uniform(0.0, 60 * window, 40)
+        times = rng.permutation(np.concatenate([edges, below, spread, [0.0, -0.5 * window]]))
+        env = rng.integers(0, 4, times.size) / 3.0
+        sel = magnetometry._window_maxima(times, env, window)
+        assert sel.tolist() == window_maxima_loop(times, env, window)
+        p0 = 0.5 * (1.0 + env)
+        est = estimate_t2(times, p0, envelope_window=window, min_envelope=0.1)
+        assert est.n_fit == np.count_nonzero(env[sel] > 0.1)
+
+    def test_window_edges_whose_quotient_rounds_the_wrong_way(self):
+        # 13 * 1e-7 / 1e-7 rounds below 13, and the time just below
+        # 19 * 1e-7 over 1e-7 rounds to 19: the floor of the quotient alone
+        # would put each in the wrong window
+        window = 1e-7
+        edge, below = 13 * window, np.nextafter(19 * window, -np.inf)
+        assert np.floor(edge / window) == 12 and np.floor(below / window) == 19
+        times = np.array([edge, 12.5 * window, below, 19.5 * window])
+        env = np.array([0.2, 0.9, 0.9, 0.2])
+        # windows 13, 12, 18 and 19 in trace order
+        assert magnetometry._window_maxima(times, env, window).tolist() == [1, 0, 2, 3]
 
     def test_fringe_window_without_signal(self):
         assert fringe_window(NO_SIGNAL, readout_dt=3.2e-6) == 0.0

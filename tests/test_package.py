@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -45,3 +46,38 @@ def test_a_trace_and_a_trial_start_no_thread():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_every_private_name_is_read():
+    # A module-level private constant, function or class that nothing in
+    # the package reads is dead code left by a change to its callers.
+    package = Path(spinopt.__file__).resolve().parent
+    defined, reads = {}, set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [
+                    node.id
+                    for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name)
+                ]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{name} ({path.name}:{stmt.lineno})"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
+    assert defined
+    unread = sorted(where for name, where in defined.items() if name not in reads)
+    assert not unread, f"defined but never read: {unread}"
