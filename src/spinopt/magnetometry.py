@@ -321,9 +321,11 @@ def _matched(signal, seq) -> bool:
 # coefficients of default traces level off near 2e-15 once resolved.
 _TABLE_TOL = 1e-13
 _TABLE_NODES = 8  # of the first table; a failed chop doubles them
-# Pulses per slice of Clenshaw's recurrence, even so every slice starts on
-# an X pulse: its three working arrays are the slice's, not the trace's.
-_CLENSHAW_PULSES = 64
+# Points (pulses x realizations) per slice of the table's evaluation, 64
+# pulses of 100 realizations; a slice holds an even number of pulses, at
+# least 2, so it starts on an X pulse.  Its basis, (n, points / 2) per
+# parity, is a slice's size whatever the realizations and pulses.
+_SLICE_POINTS = 6400
 
 
 def _table_pairs(signal, starts, totals, drive, times, dt):
@@ -355,36 +357,41 @@ def _table_pairs(signal, starts, totals, drive, times, dt):
         values = np.stack(_pulse_unitaries(signal, starts[:2], nodes, drive, times, dt))
         coeffs = values @ np.cos(np.outer(theta, np.arange(n))) * (2.0 / n)
         if np.abs(coeffs[..., -2:]).max() <= _TABLE_TOL:
-            return _clenshaw(coeffs, totals, mid, half)
+            return _chebyshev_sums(coeffs, totals, mid, half)
         n *= 2
     return None
 
 
-def _clenshaw(coeffs, totals, mid, half):
-    """sum_m c_m T_m(x), c_0 halved, for c = coeffs[:, k % 2] (2, 2, n) at
-    x = (totals - mid) / half of every pulse k, shape (2, K, R), by
-    Clenshaw's recurrence b_m = c_m + 2 x b_(m+1) - b_(m+2): the sum is
-    (b_0 - b_2) / 2.  It runs over slices of ``_CLENSHAW_PULSES`` pulses
-    into the result."""
+def _chebyshev_sums(coeffs, totals, mid, half):
+    """sum_j c_j T_j(x), c_0 halved, for c = coeffs[:, k % 2] (2, 2, n) at
+    x = (totals - mid) / half of every pulse k, shape (2, K, R).
+
+    Per slice of about ``_SLICE_POINTS`` points and per pulse parity, the
+    real basis T_j(x), (n, m), comes from the three-term recurrence
+    T_(j+1) = 2 x T_j - T_(j-1), and one real matrix product with the
+    (n, 4) float view of that parity's coefficients gives the slice's
+    pairs, which are copied into the result."""
     k, r = totals.shape
-    sums = np.empty((2, k // 2, 2, r), dtype=complex)
-    work = np.empty((3, 2, min(_CLENSHAW_PULSES, k) // 2, 2, r), dtype=complex)
-    terms = coeffs.transpose(2, 0, 1)[::-1, :, None, :, None]
-    for lo in range(0, k, _CLENSHAW_PULSES):
-        x = (totals[lo : lo + _CLENSHAW_PULSES] - mid) / half
-        two_x = np.multiply(x, 2.0, dtype=complex).reshape(-1, 2, r)
-        part = slice(lo // 2, lo // 2 + len(two_x))
-        later, last, out = work[:, :, : len(two_x)]
-        later.fill(0)
-        last.fill(0)
-        for c_m in terms:
-            np.multiply(two_x, last, out=out)
-            out -= later
-            out += c_m
-            later, last, out = last, out, later
-        np.subtract(last, out, out=sums[:, part])
-        sums[:, part] *= 0.5
-    return sums.reshape(2, k, r)
+    n = coeffs.shape[-1]
+    cols = np.ascontiguousarray(coeffs.transpose(1, 2, 0)).view(float)
+    cols[:, 0] *= 0.5
+    step = max(2, _SLICE_POINTS // r // 2 * 2)
+    sums = np.empty((2, k, r), dtype=complex)
+    basis = np.empty((n, min(step, k) // 2 * r))
+    basis[0] = 1.0
+    for lo in range(0, k, step):
+        for parity in (0, 1):
+            x = totals[lo + parity : lo + step : 2]
+            t = basis[:, : x.size]
+            np.subtract(x, mid, out=t[1].reshape(x.shape))
+            t[1] /= half
+            two_x = 2.0 * t[1]
+            for j in range(2, n):
+                np.multiply(two_x, t[j - 1], out=t[j])
+                t[j] -= t[j - 2]
+            prod = (t.T @ cols[parity]).view(complex)
+            sums[:, lo + parity : lo + step : 2] = prod.reshape(-1, r, 2).transpose(2, 0, 1)
+    return sums
 
 
 def _free_phase(signal, delta_total, t0, t1):
@@ -424,8 +431,9 @@ def simulate_ramsey(
     period is the pulse spacing to rounding) the pulse pass takes its
     pairs from a table in the total detuning (``_table_pairs``): a default
     trace (100 realizations, 125 blocks, 50 substeps) takes 32 Chebyshev
-    nodes, about 16 ms (2-core AMD EPYC, numpy 2.4.6), and moves P0 by at
-    most about 1e-12; without noise the pairs of pulses 0 and 1 serve
+    nodes, about 26 ms with 5-9 ms of table sums (2-core Intel Xeon, numpy
+    2.4.6, one OpenBLAS 0.3.31 thread), and moves P0 by at most about
+    1e-12; without noise the pairs of pulses 0 and 1 serve
     every pulse.  Only an unmatched signal, or a span whose chop does not
     finish below the direct pass's cost, propagates every pulse for every
     realization (``_direct_pairs``).
@@ -554,7 +562,8 @@ def estimate_t2(
     none (``_window_maxima``).  Points below
     ``min_envelope`` are dropped before the least-squares fit of the log
     envelope, and ``n_fit`` counts those kept (3 can resolve a T2).  If no
-    decay is resolved the estimate is a lower bound, t2 the trace length.
+    decay is resolved the estimate is a lower bound, t2 the latest time.
+    Times may come in any order; the fit takes its points in time order.
     A non-finite time or population raises ValueError, as it would pass no
     envelope floor and read as such a bound; so does a non-finite
     ``envelope_window`` (NaN would fit with no windows) or
@@ -571,16 +580,16 @@ def estimate_t2(
     env = np.abs(2.0 * p0 - 1.0)
     if envelope_window > 0:
         sel = _window_maxima(times, env, envelope_window)
-        fit_t, fit_e = times[sel], env[sel]
     else:
-        fit_t, fit_e = times, env
+        sel = np.argsort(times, kind="stable")
+    fit_t, fit_e = times[sel], env[sel]
     keep = fit_e > max(min_envelope, 0.0)
     fit_t, fit_e = fit_t[keep], fit_e[keep]
-    bound = T2Estimate(t2=float(times[-1]), lower_bound=True, n_fit=fit_t.size)
+    bound = T2Estimate(t2=float(times.max()), lower_bound=True, n_fit=fit_t.size)
     if fit_t.size < 3:
         return bound
     slope, _ = np.polyfit(fit_t, np.log(fit_e), 1)
-    span = fit_t[-1] - fit_t[0]
+    span = fit_t.max() - fit_t.min()
     # less than ~2 percent decay across the fitted span is unresolvable
     if slope >= 0 or -1.0 / slope > 50.0 * span:
         return bound

@@ -255,6 +255,20 @@ def window_maxima_loop(times, env, window):
     return sel
 
 
+def chebyshev_sums_direct(coeffs, totals, mid, half):
+    """sum_j c_j T_j(x) with c_0 halved, shape (2, K, R): for entry e of
+    pulse k, c = coeffs[e, k % 2] and x = (totals[k] - mid) / half, one
+    ``chebval`` (Clenshaw's recurrence) per entry and pulse parity."""
+    x = (np.asarray(totals, dtype=float) - mid) / half
+    out = np.empty((2, *x.shape), dtype=complex)
+    for entry in range(2):
+        for parity in range(2):
+            c = np.array(coeffs[entry, parity], dtype=complex)
+            c[0] *= 0.5
+            out[entry, parity::2] = np.polynomial.chebyshev.chebval(x[parity::2], c)
+    return out
+
+
 def gate_fidelity_pauli_sum(u, target):
     """Average gate fidelity of one 2x2 U against a target by the Pauli sum
 

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from spinopt.magnetometry import XY8_AXES, fringe_window, periods_within
 
 from oracles import (
     abs_cos_integral,
+    chebyshev_sums_direct,
     simulate_ramsey_per_pulse,
     window_maxima_loop,
     xy8_gaussian_phase_p0,
@@ -614,11 +619,53 @@ class TestPulseTable:
         direct = simulate_ramsey(seq, SIGNAL, noise, 125 * seq.period)
         np.testing.assert_allclose(trace.p0_mean, direct.p0_mean, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_realizations", [1, 3, 100, 1600])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_chebyshev_sums_match_the_oracle(self, n, n_realizations):
+        # coefficients of modulus up to 1 falling to 1e-15 at the last, as a
+        # chopped table's do; 16 pulses, and 1000, which at 100 realizations
+        # end on a short slice of 40; the span's ends at x = -1 and +1 exactly
+        rng = np.random.default_rng([n, n_realizations])
+        scale = 10.0 ** (-15.0 * np.arange(n) / (n - 1))
+        coeffs = (rng.uniform(-1, 1, (2, 2, n)) + 1j * rng.uniform(-1, 1, (2, 2, n))) * scale
+        mid, half = 2.0**20, 2.0**26
+        for k in (16, 1000):
+            totals = mid + half * rng.uniform(-1, 1, (k, n_realizations))
+            totals[:2, 0] = mid - half, mid + half
+            totals[-2:, -1] = mid + half, mid - half
+            assert ((totals[:2, 0] - mid) / half).tolist() == [-1.0, 1.0]
+            sums = magnetometry._chebyshev_sums(coeffs, totals, mid, half)
+            expected = chebyshev_sums_direct(coeffs, totals, mid, half)
+            assert sums.shape == (2, k, n_realizations)
+            assert np.abs(sums - expected).max() <= 1e-14
+
+    def test_trace_bits_do_not_depend_on_blas_threads(self):
+        # the table's sums are BLAS products: a default-shape shaped trace
+        # (125 blocks, 100 realizations, seed 0) on 1 and on 2 threads
+        script = (
+            "from spinopt import AcSignal, NoiseSettings, build_xy8, default_shaped_pi_field, simulate_ramsey\n"
+            "seq = build_xy8('shaped', 100e-9, 300e-9, 125, x_field=default_shaped_pi_field())\n"
+            "trace = simulate_ramsey(seq, AcSignal(), NoiseSettings(), 125 * seq.period)\n"
+            "print(trace.p0_mean.tobytes().hex(), trace.p0_stderr.tobytes().hex())\n"
+        )
+        src = str(Path(magnetometry.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_trace_memory_is_bounded_by_a_slice(self):
         # tracemalloc peak of a default-shape trace at 1600 realizations:
         # 290 MB while Clenshaw's recurrence held three arrays of the whole
         # trace's pairs, 164 MB over slices of 64 pulses, 148 MB once the
-        # conjugate rotations were no longer kept; the bound leaves 12 MB
+        # conjugate rotations were no longer kept, and 147.3 MB with the
+        # table's sums taken per slice of 6400 points, whose basis at 64
+        # nodes is 1.6 MB; the bound leaves 12 MB
         seq = _sequence("shaped", 125)
         tracemalloc.start()
         try:
@@ -665,6 +712,18 @@ class TestEstimateT2:
         est = estimate_t2(times, p0)
         assert est.lower_bound
         assert est.t2 >= times[-1]
+
+    @pytest.mark.parametrize("t2", [100e-6, np.inf])
+    def test_unsorted_times_give_the_sorted_estimate(self, t2):
+        # a resolvable 100 us decay and a trace without decay: reversed,
+        # the decay once read as a bound at the first time, 3.2 us
+        times = np.arange(1, 101) * 3.2e-6
+        p0 = 0.5 * (1 + np.exp(-times / t2))
+        est = estimate_t2(times, p0)
+        assert est.lower_bound == (t2 == np.inf)
+        order = np.random.default_rng(0).permutation(times.size)
+        for sel in (slice(None, None, -1), order):
+            assert estimate_t2(times[sel], p0[sel]) == est
 
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError):

@@ -81,3 +81,23 @@ def test_every_private_name_is_read():
     assert defined
     unread = sorted(where for name, where in defined.items() if name not in reads)
     assert not unread, f"defined but never read: {unread}"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # pyproject.toml names numpy as the one runtime dependency; scipy is
+    # for the tests only
+    package = Path(spinopt.__file__).resolve().parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "spinopt"}
+    imported = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported += [(name.split(".")[0], f"{name} ({path.name}:{node.lineno})") for name in names]
+    assert imported
+    outside = sorted(where for top, where in imported if top not in allowed)
+    assert not outside, f"imports outside the standard library and numpy: {outside}"
