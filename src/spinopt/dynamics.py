@@ -59,7 +59,8 @@ Ensemble averages weight a rectangular (delta, kappa) grid by the product
 of two Gaussians specified through their FWHM.  ``ensemble_objective``
 propagates every grid point; ``_tensor_objective``, the trial's
 verification, gives the same sum to rounding from a Chebyshev tensor of
-fewer true calls.
+fewer true calls, by the Chebyshev rule that the XY-8 pulse table shares
+(``_lobatto``, ``_chopped`` and ``_chebyshev_basis``).
 
 ``fidelities`` is the one true call.  A caller that evaluates many fields
 at the same points, steps and target, as the pulse search does, builds
@@ -676,20 +677,20 @@ def ensemble_objective(
 
 
 # The verification's Chebyshev tensor (``_tensor_objective``): the nodes of
-# its first rung, delta by kappa, and the chop tolerance of its coefficients
-# relative to the largest.  Over 140 winners on the default box at 400 steps
-# (the first 10 bench items of each trial workload at master seeds 0 and
-# 8191 and on ``gate_x``, C5's and C6's 40 trials and their ``gate_x``
-# twins; 2-core AMD EPYC, numpy 2.4.6) 129 chopped at 29 x 21 nodes and 11
-# at 29 x 41, none at the first rung, with f_verified within 4.2e-15 of the
-# 50 x 50 pass and every grid value within 2.5e-13.  The coefficients of a
-# resolved winner level off between about 5e-16 and 1e-14 of the largest
-# (their rounding plateau): at a tolerance of 1e-14, 7 of the 60 bench
-# winners grew past 29 x 21, 4 of them to 57 x 41.
-# Starting at 17 x 9 ended 42 of those 60 at 33 x 33 and took 6.5 ms
-# against 3.7 (median; the direct pass takes 13.7).
+# its first rung, delta by kappa, and the chop tolerance of both Chebyshev
+# callers, relative to the largest coefficient (``_chopped``).  Over 140
+# winners on the default box at 400 steps (the first 10 bench items of each
+# trial workload at master seeds 0 and 8191 and on ``gate_x``, C5's and C6's
+# 40 trials and their ``gate_x`` twins; 2-core AMD EPYC, numpy 2.4.6) 129
+# chopped at 29 x 21 nodes and 11 at 29 x 41, none at the first rung, with
+# f_verified within 4.2e-15 of the 50 x 50 pass and every grid value within
+# 2.5e-13.  The coefficients of a resolved winner level off between about
+# 5e-16 and 1e-14 of the largest (their rounding plateau): at a tolerance of
+# 1e-14, 7 of the 60 bench winners grew past 29 x 21, 4 of them to 57 x 41.
+# Starting at 17 x 9 ended 42 of those 60 at 33 x 33 and took 6.5 ms against
+# 3.7 (median; the direct pass takes 13.7).
 _TENSOR_NODES = (15, 11)
-_TENSOR_TOL = 1e-13
+_CHOP_TOL = 1e-13
 
 
 @functools.lru_cache(maxsize=16)
@@ -710,14 +711,23 @@ def _lobatto(n: int):
     return nodes, transform
 
 
-@functools.lru_cache(maxsize=16)
-def _chebyshev_on_grid(m: int, n: int) -> np.ndarray:
-    """T_k(x_i) for the m points x of ``np.linspace(-1, 1, m)`` and
-    k < n, shape (m, n): the Chebyshev basis on one axis of a regular grid.
-    Built once per (m, n), read-only."""
-    basis = np.cos(np.multiply.outer(np.arccos(np.linspace(-1.0, 1.0, m)), np.arange(n)))
-    basis.flags.writeable = False
-    return basis
+def _chopped(coeffs, axis) -> bool:
+    """Whether the last two Chebyshev coefficients along ``axis`` are at most
+    ``_CHOP_TOL`` times the largest |c| (Aurentz & Trefethen, ACM TOMS 2017)."""
+    tail = np.abs(np.moveaxis(coeffs, axis, 0)[-2:]).max()
+    return bool(tail <= _CHOP_TOL * np.abs(coeffs).max())
+
+
+def _chebyshev_basis(x, out):
+    """T_j(x) into ``out[j]`` for j < len(out), by the three-term
+    recurrence T_(j+1) = 2 x T_j - T_(j-1); returns ``out``."""
+    out[0] = 1.0
+    out[1] = x
+    two_x = 2.0 * x
+    for j in range(2, len(out)):
+        np.multiply(two_x, out[j - 1], out=out[j])
+        out[j] -= out[j - 2]
+    return out
 
 
 def _tensor_objective(field: ControlField, grid: NoiseGrid, n_steps: int = 1000, target=None):
@@ -729,17 +739,16 @@ def _tensor_objective(field: ControlField, grid: NoiseGrid, n_steps: int = 1000,
     interpolant of its values on a fine enough tensor gives every grid
     value to rounding (Trefethen, *Approximation Theory and Approximation
     Practice*, SIAM 2013; Townsend & Trefethen, SIAM J. Sci. Comput. 35,
-    C495 (2013)).  The tensor starts at ``_TENSOR_NODES``; each axis whose
-    last two Chebyshev coefficients exceed ``_TENSOR_TOL`` of the largest
-    grows from n to 2n - 1 nodes, which keeps every point already
-    propagated (Aurentz & Trefethen, ACM TOMS 43, 33 (2017), for the chop).
-    Once both axes chop, with coefficients C = T_d F T_k' and the basis V
-    of each axis on the grid, the interpolant on the grid is V_d C V_k' and
-    its weighted sum is sum((V_d' W V_k) * C).  The direct M x N pass runs
-    instead when the next rung would propagate no fewer points: from the
-    start when the first rung grown on both axes would, since no winner
-    chopped sooner, so grids that small keep its bits; otherwise after the
-    rungs already spent.
+    C495 (2013)).  The tensor starts at ``_TENSOR_NODES``; each axis that
+    is not ``_chopped`` grows from n to 2n - 1 nodes, which keeps every
+    point already propagated.  Once both axes chop, with coefficients
+    C = T_d F T_k' and the recurrence basis B of each axis on the grid's
+    ``linspace(-1, 1, m)``, (n, m), the interpolant on the grid is
+    B_d' C B_k and its weighted sum is sum((B_d W B_k') * C), two BLAS
+    products.  The direct M x N pass runs instead when the next rung would
+    propagate no fewer points: from the start when the first rung grown on
+    both axes would, since no winner chopped sooner, so grids that small
+    keep its bits; otherwise after the rungs already spent.
     """
     m, n = grid.weights.shape
     sizes = _TENSOR_NODES
@@ -758,11 +767,11 @@ def _tensor_objective(field: ControlField, grid: NoiseGrid, n_steps: int = 1000,
         grown[fresh] = fidelities(field, points, n_steps, target)
         values = grown
         coeffs = t_d @ values @ t_k.T
-        limit = _TENSOR_TOL * np.abs(coeffs).max()
-        grow = (np.abs(coeffs[-2:]).max() > limit, np.abs(coeffs[:, -2:]).max() > limit)
+        grow = (not _chopped(coeffs, 0), not _chopped(coeffs, 1))
         if not any(grow):
-            basis_d, basis_k = _chebyshev_on_grid(m, sizes[0]), _chebyshev_on_grid(n, sizes[1])
-            return float(np.sum((basis_d.T @ grid.weights @ basis_k) * coeffs)), values.size
+            b_d = _chebyshev_basis(np.linspace(-1.0, 1.0, m), np.empty((sizes[0], m)))
+            b_k = _chebyshev_basis(np.linspace(-1.0, 1.0, n), np.empty((sizes[1], n)))
+            return float(np.sum((b_d @ grid.weights @ b_k.T) * coeffs)), values.size
         sizes = tuple(2 * s - 1 if g else s for s, g in zip(sizes, grow))
         if sizes[0] * sizes[1] >= m * n:
             return ensemble_objective(field, grid, n_steps, target), values.size + m * n

@@ -241,30 +241,31 @@ def simulate_ramsey_per_pulse(seq, signal, noise, t_max, n_steps_per_pulse=50, k
 
 
 def window_maxima_loop(times, env, window):
-    """Indices of the first maximum of ``env`` in each window
+    """Indices of the maximum of ``env`` in each window
     [w window, (w + 1) window), w = 0, 1, ... up to the window that holds
     the latest time, skipping empty windows: one scan of the trace per
-    window."""
+    window.  Of equal maxima the one at the earliest time is taken, and of
+    those the first in the trace."""
     sel, w = [], 0
     while w * window <= times.max():
         lo, hi = w * window, (w + 1) * window
         inside = np.flatnonzero((times >= lo) & (times < hi))
         if inside.size:
-            sel.append(inside[np.argmax(env[inside])])
+            best = inside[env[inside] == env[inside].max()]
+            sel.append(best[np.argmin(times[best])])
         w += 1
     return sel
 
 
 def chebyshev_sums_direct(coeffs, totals, mid, half):
-    """sum_j c_j T_j(x) with c_0 halved, shape (2, K, R): for entry e of
-    pulse k, c = coeffs[e, k % 2] and x = (totals[k] - mid) / half, one
-    ``chebval`` (Clenshaw's recurrence) per entry and pulse parity."""
+    """sum_j c_j T_j(x), shape (2, K, R): for entry e of pulse k,
+    c = coeffs[e, k % 2] and x = (totals[k] - mid) / half, one ``chebval``
+    (Clenshaw's recurrence) per entry and pulse parity."""
     x = (np.asarray(totals, dtype=float) - mid) / half
     out = np.empty((2, *x.shape), dtype=complex)
     for entry in range(2):
         for parity in range(2):
-            c = np.array(coeffs[entry, parity], dtype=complex)
-            c[0] *= 0.5
+            c = coeffs[entry, parity]
             out[entry, parity::2] = np.polynomial.chebyshev.chebval(x[parity::2], c)
     return out
 

@@ -70,7 +70,7 @@ DIGESTS = {
     },
     "magnetometry": {
         "t2_report.csv": "769a2e9f74cb4048f0366ef3d94cfc3d20e56cd5c13f3b0c8a1d66040f52940f",
-        "trace.csv": "8554bd4e996744dd7bc074cbf4fefc622a12fc051d10490133f23ff76dae44d8",
+        "trace.csv": "a7c8d0d218401682120ae82eecdff49ce9cb2627774da6a758277314613ab049",
     },
 }
 
@@ -104,7 +104,7 @@ def test_data_files_match_pinned_digests(tmp_path, command):
 # instead of the direct pass of the 10 x 10 and 15 x 15 runs above;
 # results.csv holds its f_verified.
 DEFAULT_GRID_RUN = ({"optimize": {"method": "bpm", "nm_max_iter": 40}}, 3)
-DEFAULT_GRID_RESULTS = "e33db4afd09705fe6ce4ef5a292775944efae6dbc05c81da56248327b4e8602b"
+DEFAULT_GRID_RESULTS = "19a17bf27c4f9bc65cfe49981a377c2c0868df0e9608a970c69fdeb0a5b908f7"
 
 
 def test_default_grid_results_match_pinned_digest(tmp_path):

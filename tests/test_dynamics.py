@@ -843,3 +843,47 @@ class TestCachedInputs:
             assert times.tobytes() == expected.tobytes()
         with pytest.raises(ValueError):
             times[0, 0] = 1.0
+
+
+class TestChebyshevRule:
+    """The Chebyshev pieces that the verification tensor and the XY-8 pulse
+    table share: Lobatto nodes and their DCT-I, the chop and the basis."""
+
+    @pytest.mark.parametrize("n", [2, 9, 17, 33, 65])
+    def test_basis_matches_chebvander(self, n):
+        x = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(n).uniform(-1.0, 1.0, 40)])
+        basis = dynamics._chebyshev_basis(x, np.empty((n, x.size)))
+        expected = np.polynomial.chebyshev.chebvander(x, n - 1).T
+        assert np.abs(basis - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 9, 11, 15, 17, 33, 65])
+    def test_lobatto_transform_maps_each_polynomial_to_its_unit_vector(self, n):
+        nodes, transform = dynamics._lobatto(n)
+        assert np.abs(nodes - np.cos(np.pi * np.arange(n) / (n - 1))).max() <= 1e-15
+        # column j holds T_j at the nodes
+        values = np.polynomial.chebyshev.chebvander(nodes, n - 1)
+        assert np.abs(transform @ values - np.eye(n)).max() <= 1e-14
+
+    @pytest.mark.parametrize("scale", [1.0, 1j], ids=["real", "complex"])
+    @pytest.mark.parametrize(
+        "where, chopped",
+        [
+            ((-2, 2), (False, True)),
+            ((2, -1), (True, False)),
+            ((-1, -2), (False, False)),
+            ((1, 1), (True, True)),
+        ],
+        ids=["tail-0", "tail-1", "both", "inside"],
+    )
+    def test_chop_reads_the_last_two_coefficients_of_its_axis(self, where, chopped, scale):
+        # one entry just above the tolerance, relative to the largest |c|,
+        # chops neither axis whose last two coefficients hold it; at the
+        # tolerance it chops every axis
+        coeffs = np.zeros((6, 7), dtype=complex)
+        coeffs[0, 0] = -4.0
+        limit = dynamics._CHOP_TOL * 4.0
+        coeffs[where] = -np.nextafter(limit, np.inf) * scale
+        assert (dynamics._chopped(coeffs, 0), dynamics._chopped(coeffs, 1)) == chopped
+        assert dynamics._chopped(coeffs, -1) == chopped[1]
+        coeffs[where] = limit * scale
+        assert dynamics._chopped(coeffs, 0) and dynamics._chopped(coeffs, 1)

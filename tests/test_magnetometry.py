@@ -24,7 +24,7 @@ from spinopt import (
     ou_step,
     simulate_ramsey,
 )
-from spinopt.dynamics import FWHM_TO_SIGMA, SIGMA_X, kernel_slices, kernel_times
+from spinopt.dynamics import _CHOP_TOL, FWHM_TO_SIGMA, SIGMA_X, kernel_slices, kernel_times
 from spinopt.fields import peak_amplitude
 from spinopt import magnetometry
 from spinopt.magnetometry import XY8_AXES, fringe_window, periods_within
@@ -553,18 +553,47 @@ def _pulse_inputs(kind, n_realizations, n_blocks=2, n_sub=50):
     return SIGNAL, starts, totals, magnetometry._x_drive(seq, times, 1.0), times, dt
 
 
+def _recorded_detunings(monkeypatch):
+    """The shapes of the detunings of every ``_pulse_unitaries`` call from
+    here on, in call order: a table's rungs are (2, n)."""
+    shapes = []
+    unitaries = magnetometry._pulse_unitaries
+
+    def recorded(signal, t_starts, delta_totals, *args):
+        shapes.append(np.shape(delta_totals))
+        return unitaries(signal, t_starts, delta_totals, *args)
+
+    monkeypatch.setattr(magnetometry, "_pulse_unitaries", recorded)
+    return shapes
+
+
 class TestPulseTable:
+    # the table's rungs, 9 nodes grown to 2n - 1 and each propagated afresh
+    RUNGS = {"rect": [(2, 9), (2, 17), (2, 33)], "shaped": [(2, 9), (2, 17), (2, 33), (2, 65)]}
+
     @pytest.mark.parametrize("n_realizations", [100, 1600])
     @pytest.mark.parametrize("kind", ["rect", "shaped"])
-    def test_pairs_match_the_direct_pass(self, kind, n_realizations):
+    def test_pairs_match_the_direct_pass(self, monkeypatch, kind, n_realizations):
         # over the realized span, ends at +-5 sigma included, to the chop
-        # tolerance: the rule picks 32 nodes for rect and 64 for shaped
-        # pulses, within 1.3e-14; half as many are off by 6.6e-4 and 1.3e-6
+        # tolerance: the rule picks 33 nodes for rect and 65 for shaped
+        # pulses, within 3.1e-15; the rungs below, 17 and 33 nodes, are off
+        # by 3.4e-4 and 6.8e-7
         pulses = _pulse_inputs(kind, n_realizations)
-        table = magnetometry._table_pairs(*pulses)
         direct = magnetometry._direct_pairs(*pulses)
+        rungs = _recorded_detunings(monkeypatch)
+        table = magnetometry._table_pairs(*pulses)
+        assert rungs == self.RUNGS[kind]
         assert table.shape == direct.shape == (2, 16, n_realizations)
-        assert np.abs(table - direct).max() <= magnetometry._TABLE_TOL
+        assert np.abs(table - direct).max() <= _CHOP_TOL
+
+    @pytest.mark.parametrize("kind", ["rect", "shaped"])
+    def test_default_trace_takes_33_nodes(self, monkeypatch, kind):
+        # 125 blocks of 100 realizations at the default noise, seed 0: 118
+        # pulse propagations in place of the direct pass's 100,000
+        seq = _sequence(kind, 125)
+        rungs = _recorded_detunings(monkeypatch)
+        simulate_ramsey(seq, SIGNAL, NoiseSettings(n_realizations=100), 125 * seq.period)
+        assert rungs == [(2, 9), (2, 17), (2, 33)]
 
     @pytest.mark.parametrize("kind", ["rect", "shaped"])
     def test_default_trace_within_rounding_of_the_direct_pass(self, monkeypatch, kind):
@@ -586,13 +615,13 @@ class TestPulseTable:
         table = magnetometry._table_pairs(signal, starts, flat, drive, times, dt)
         direct = magnetometry._direct_pairs(signal, starts, flat, drive, times, dt)
         assert table.shape == direct.shape and table.flags.writeable
-        assert np.abs(table - direct).max() <= magnetometry._TABLE_TOL
+        assert np.abs(table - direct).max() <= _CHOP_TOL
         folded = starts[np.arange(len(starts)) % 2]
         np.testing.assert_array_equal(
             table, magnetometry._direct_pairs(signal, folded, flat, drive, times, dt)
         )
-        # 16 pulses of 2 realizations: a table of 16 nodes would cost as
-        # many propagations as the direct pass, and 8 do not pass the chop
+        # 16 pulses of 2 realizations: a table of 17 nodes would cost more
+        # propagations than the direct pass, and 9 do not pass the chop
         few = totals[:, :2]
         assert magnetometry._table_pairs(signal, starts, few, drive, times, dt) is None
 
@@ -605,14 +634,7 @@ class TestPulseTable:
         # 3.0e-13 shaped)
         seq = _sequence(kind, 125)
         noise = NoiseSettings.disabled(n_realizations=100)
-        shapes = []
-        unitaries = magnetometry._pulse_unitaries
-
-        def recorded(signal, t_starts, delta_totals, *args):
-            shapes.append(np.shape(delta_totals))
-            return unitaries(signal, t_starts, delta_totals, *args)
-
-        monkeypatch.setattr(magnetometry, "_pulse_unitaries", recorded)
+        shapes = _recorded_detunings(monkeypatch)
         trace = simulate_ramsey(seq, SIGNAL, noise, 125 * seq.period)
         assert shapes == [(2, 1)]
         monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: None)
@@ -806,6 +828,24 @@ class TestEstimateT2:
         p0 = 0.5 * (1.0 + env)
         est = estimate_t2(times, p0, envelope_window=window, min_envelope=0.1)
         assert est.n_fit == np.count_nonzero(env[sel] > 0.1)
+
+    def test_tied_window_maxima_do_not_depend_on_the_order(self):
+        # a 100 us decay read every 3.2 us whose last readout in each
+        # 12.8 us window repeats the window's first envelope value; taking
+        # the first of tied maxima in the trace, the reversed trace read
+        # t2 = 9.9606e-05 against 1.0000e-04 in order
+        k = np.arange(1, 101)
+        times = 3.2e-6 * k
+        env = np.exp(-times / 100e-6)
+        last = k % 4 == 3
+        env[last] = env[np.maximum(k[last] - 3, 1) - 1]
+        p0 = 0.5 * (1.0 + env)
+        est = estimate_t2(times, p0, envelope_window=12.8e-6)
+        assert not est.lower_bound and est.t2 == pytest.approx(100e-6, rel=1e-9)
+        rng = np.random.default_rng(0)
+        orders = [k[::-1] - 1, *(rng.permutation(k.size) for _ in range(3))]
+        for order in orders:
+            assert estimate_t2(times[order], p0[order], envelope_window=12.8e-6) == est
 
     def test_window_edges_whose_quotient_rounds_the_wrong_way(self):
         # 13 * 1e-7 / 1e-7 rounds below 13, and the time just below

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,16 +335,16 @@ class TestBaselineOptimize:
     # Chebyshev tensor (29 x 21 nodes for each of these), within 2.6e-15 of
     # the direct 50 x 50 pass.
     PINNED_BITS = {
-        "pm": ("0x1.b9d8a4a75d24dp-1", "0x1.ce09308bd240dp-1"),
-        "sfb": ("0x1.854c867e0f376p-1", "0x1.ae15da6ea0095p-1"),
-        "bpm": ("0x1.94724c669a778p-2", "0x1.9ba0bccd40617p-2"),
+        "pm": ("0x1.b9d8a4a75d24dp-1", "0x1.ce09308bd240ep-1"),
+        "sfb": ("0x1.854c867e0f376p-1", "0x1.ae15da6ea0096p-1"),
+        "bpm": ("0x1.94724c669a778p-2", "0x1.9ba0bccd40616p-2"),
         "bsfb": ("0x1.a15486adc5004p-1", "0x1.8788f8a164944p-1"),
     }
 
     # The same for the gate_x objective, which takes the gate branch of the
     # search's true call.
     PINNED_GATE_BITS = {
-        "sfb": ("0x1.60a0c943f26a5p-1", "0x1.563182d7309c4p-1"),
+        "sfb": ("0x1.60a0c943f26a5p-1", "0x1.563182d7309c5p-1"),
         "bpm": ("0x1.2e9b42c8bf1c4p-1", "0x1.3324ed355ec14p-1"),
     }
 
@@ -750,6 +754,29 @@ class TestTensorVerification:
         value, count = dyn._tensor_objective(fld, grid, cfg.n_steps, cfg.target())
         assert value.hex() == ensemble_objective(fld, grid, cfg.n_steps, cfg.target()).hex()
         assert count == shape[0] * shape[1]
+
+    def test_verification_bits_do_not_depend_on_blas_threads(self):
+        # the tensor's coefficients and its weighted sum are BLAS products:
+        # one seeded bpm and one sfb (n_sets=2) trial on the default grid,
+        # on 1 and on 2 threads
+        script = (
+            "from spinopt.optimize import OptConfig, run_single, run_to_record\n"
+            "for method, n_sets in (('bpm', 1), ('sfb', 2)):\n"
+            "    run = run_single(OptConfig(method=method, n_sets=n_sets, seed=7))\n"
+            "    record = {key: repr(value) for key, value in run_to_record(run).items()}\n"
+            "    print(run.f_verified.hex(), run.verify_points, sorted(record.items()))\n"
+        )
+        src = str(Path(opt.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1]
 
     def test_ladder_outgrowing_the_grid_takes_the_direct_pass(self):
         # on the wide box the shaped pulse needs 57 x 21 nodes (1197 points)
