@@ -59,16 +59,19 @@ Ensemble averages weight a rectangular (delta, kappa) grid by the product
 of two Gaussians specified through their FWHM.  ``ensemble_objective``
 propagates every grid point; ``_tensor_objective``, the trial's
 verification, gives the same sum to rounding from a Chebyshev tensor of
-fewer true calls, by the Chebyshev rule that the XY-8 pulse table shares
-(``_lobatto``, ``_chopped`` and ``_chebyshev_basis``).
+fewer true calls.  It shares one Chebyshev fit with the XY-8 pulse table,
+``_chebyshev_fit``, the one loop that grows a tensor of Lobatto nodes
+(``_lobatto``) from n to 2n - 1 until the coefficients are ``_chopped``,
+each node evaluated once, and one basis, ``_chebyshev_basis``.
 
 ``fidelities`` is the one true call.  A caller that evaluates many fields
 at the same points, steps and target, as the pulse search does, builds
 that call once with ``fidelity_call`` and gets the same bits.  Both run
-every kernel call through one slice loop, ``_propagate_rows``, and reduce
-the propagator's Cayley-Klein pair through ``_reduction``, the one
-definition of each objective: the state fidelity |b|^2 and the gate
-fidelity from the trace t00 a - t01 b* + t10 b + t11 a*, t = T*.
+every kernel call through one slice loop, ``_propagate_rows``, which
+returns the Cayley-Klein pairs of all rows, and reduce them through
+``_reduction``, the one definition of each objective: the state fidelity
+|b|^2 and the gate fidelity from the trace t00 a - t01 b* + t10 b + t11 a*,
+t = T*.
 """
 from __future__ import annotations
 
@@ -516,10 +519,10 @@ def _cf4_detuning(deltas):
     return _CF4_W1 * half_d + _CF4_W2 * half_d
 
 
-def _propagate_rows(field, kappas, hz, n_steps, slices, emit):
-    """Propagate ``field`` at each row of ``kappas`` (P,) and ``hz`` (P,),
-    one kernel call per slice of ``slices``, passing each call's pair to
-    ``emit(rows, a, b)``; the pair is valid only during that call.
+def _propagate_rows(field, kappas, hz, n_steps, slices):
+    """The Cayley-Klein pairs (a, b), stacked as (2, P), of ``field``
+    propagated at each row of ``kappas`` (P,) and ``hz`` (P,), one kernel
+    call per slice of ``slices``.
 
     The one loop of every kernel call of ``propagate_many`` and
     ``fidelity_call``.
@@ -536,13 +539,15 @@ def _propagate_rows(field, kappas, hz, n_steps, slices, emit):
     # with it run over whole contiguous blocks; a (rows,) row broadcast over
     # the steps would walk the short points axis once per step.
     coeffs = np.empty((5, n_steps, max((s.stop - s.start for s in slices), default=0)))
+    pairs = np.empty((2, len(kappas)), dtype=complex)
     for rows in slices:
         n_rows = rows.stop - rows.start
         block = _leading(coeffs, (5, n_steps, n_rows))
         np.multiply(kappas[rows], mixed, out=block[:4])
         block[4] = hz[rows]
         h = (block[0:4:2], block[1:4:2], block[4])
-        emit(rows, *_plan(block.shape[1:]).run(h, dt))
+        pairs[0, rows], pairs[1, rows] = _plan(block.shape[1:]).run(h, dt)
+    return pairs
 
 
 def _check_steps(n_steps):
@@ -560,18 +565,13 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
         np.asarray(deltas, dtype=float), np.asarray(kappas, dtype=float)
     )
     flat_d = deltas.ravel()
-    out = np.empty((flat_d.size, 2, 2), dtype=complex)
-
-    def emit(rows, a, b):
-        u = out[rows]
-        u[:, 0, 0] = a
-        np.negative(np.conjugate(b, out=u[:, 0, 1]), out=u[:, 0, 1])
-        u[:, 1, 0] = b
-        np.conjugate(a, out=u[:, 1, 1])
-
     slices = kernel_slices(flat_d.size, n_steps)
-    _propagate_rows(field, kappas.ravel(), _cf4_detuning(flat_d), n_steps, slices, emit)
-    return out.reshape(deltas.shape + (2, 2))
+    a, b = _propagate_rows(field, kappas.ravel(), _cf4_detuning(flat_d), n_steps, slices)
+    u = np.empty((flat_d.size, 2, 2), dtype=complex)
+    u[:, 0, 0], u[:, 1, 0] = a, b
+    np.negative(np.conjugate(b, out=u[:, 0, 1]), out=u[:, 0, 1])
+    np.conjugate(a, out=u[:, 1, 1])
+    return u.reshape(deltas.shape + (2, 2))
 
 
 # Largest entry of |U^dag U - I| that a gate target may have.
@@ -640,10 +640,10 @@ def fidelity_call(points, n_steps: int = 1000, target=None):
     contiguous kappa row, the detuning coefficient and the kernel slices.
     The CF4 sample times depend on the field's duration, so each call takes
     them from ``kernel_times``' cache.  Each call computes the field's
-    quadratures and runs the kernel on them, and reduces each
-    slice's pair straight to the objective, state or gate, without the
-    (P, 2, 2) propagators.  The call holds no working memory between calls,
-    so threads may share it.
+    quadratures, runs the kernel on them and reduces the pairs of all rows
+    to the objective, state or gate, without the (P, 2, 2) propagators.
+    The call holds no working memory between calls, so threads may share
+    it.
     """
     _check_steps(n_steps)
     points = _check_points(points)
@@ -653,13 +653,7 @@ def fidelity_call(points, n_steps: int = 1000, target=None):
     reduce = _reduction(target)
 
     def call(field):
-        values = np.empty(len(points))
-
-        def emit(rows, a, b):
-            values[rows] = reduce(a, b)
-
-        _propagate_rows(field, kappas, hz, n_steps, slices, emit)
-        return values
+        return reduce(*_propagate_rows(field, kappas, hz, n_steps, slices))
 
     return call
 
@@ -730,6 +724,45 @@ def _chebyshev_basis(x, out):
     return out
 
 
+def _chebyshev_fit(evaluate, sizes, limit):
+    """The Chebyshev coefficients of a function's interpolant on a tensor of
+    Chebyshev-Lobatto nodes, node axes last, and the number of nodes it
+    evaluated; None in place of the coefficients when a rung would reach
+    ``limit`` nodes, before that rung is evaluated.
+
+    ``evaluate(*x)`` takes one coordinate array per node axis, in [-1, 1],
+    listing points in the tensor's row-major order, and returns their
+    values, any value axes first and the points last.  The tensor starts at
+    ``sizes``; each axis that is not ``_chopped`` grows from n to 2n - 1
+    nodes, and ``evaluate`` sees only the nodes not yet evaluated, since
+    the points of n are the even-indexed points of 2n - 1 (``_lobatto``).
+    The coefficients are the DCT-I along each node axis in turn.
+    """
+    sizes, axes = tuple(sizes), range(-len(sizes), 0)
+    values, spent = np.empty(0), 0
+    fresh = np.ones(sizes, dtype=bool)
+    while math.prod(sizes) < limit:
+        rules = [_lobatto(size) for size in sizes]
+        new = evaluate(*(x[i] for (x, _), i in zip(rules, np.nonzero(fresh))))
+        values, kept = np.empty(new.shape[:-1] + sizes, dtype=new.dtype), values
+        values[..., ~fresh] = kept.reshape(new.shape[:-1] + (-1,))
+        values[..., fresh] = new
+        spent += new.shape[-1]
+        # the last node axis last, so a (delta, kappa) tensor keeps the bits
+        # of (T_d F) T_k'
+        coeffs = values
+        for axis, (_, transform) in zip(axes[:-1], rules):
+            coeffs = np.moveaxis(transform @ np.moveaxis(coeffs, axis, -2), -2, axis)
+        coeffs = coeffs @ rules[-1][1].T
+        grow = [not _chopped(coeffs, axis) for axis in axes]
+        if not any(grow):
+            return coeffs, spent
+        sizes = tuple(2 * s - 1 if g else s for s, g in zip(sizes, grow))
+        fresh = np.ones(sizes, dtype=bool)
+        fresh[tuple(slice(None, None, 1 + g) for g in grow)] = False
+    return None, spent
+
+
 def _tensor_objective(field: ControlField, grid: NoiseGrid, n_steps: int = 1000, target=None):
     """``ensemble_objective`` of ``grid`` from true calls on a tensor of
     Chebyshev-Lobatto nodes over its box, and the number of points the
@@ -739,41 +772,28 @@ def _tensor_objective(field: ControlField, grid: NoiseGrid, n_steps: int = 1000,
     interpolant of its values on a fine enough tensor gives every grid
     value to rounding (Trefethen, *Approximation Theory and Approximation
     Practice*, SIAM 2013; Townsend & Trefethen, SIAM J. Sci. Comput. 35,
-    C495 (2013)).  The tensor starts at ``_TENSOR_NODES``; each axis that
-    is not ``_chopped`` grows from n to 2n - 1 nodes, which keeps every
-    point already propagated.  Once both axes chop, with coefficients
-    C = T_d F T_k' and the recurrence basis B of each axis on the grid's
+    C495 (2013)).  ``_chebyshev_fit`` grows the tensor from
+    ``_TENSOR_NODES``, each point propagated once.  With its coefficients
+    C, (n_d, n_k), and the recurrence basis B of each axis on the grid's
     ``linspace(-1, 1, m)``, (n, m), the interpolant on the grid is
     B_d' C B_k and its weighted sum is sum((B_d W B_k') * C), two BLAS
-    products.  The direct M x N pass runs instead when the next rung would
-    propagate no fewer points: from the start when the first rung grown on
-    both axes would, since no winner chopped sooner, so grids that small
-    keep its bits; otherwise after the rungs already spent.
+    products.  The direct M x N pass runs instead when a rung would reach
+    M N nodes (the fit's ``limit``): from the start when the first rung
+    grown on both axes would, since no winner chopped sooner, so grids that
+    small keep its bits; otherwise after the rungs already spent.
     """
     m, n = grid.weights.shape
-    sizes = _TENSOR_NODES
-    if (2 * sizes[0] - 1) * (2 * sizes[1] - 1) >= m * n:
+    if (2 * _TENSOR_NODES[0] - 1) * (2 * _TENSOR_NODES[1] - 1) >= m * n:
         return ensemble_objective(field, grid, n_steps, target), m * n
     lo, hi = grid.bounds().T
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    values = np.empty(0)
-    fresh = np.ones(sizes, dtype=bool)
-    while True:
-        (x_d, t_d), (x_k, t_k) = _lobatto(sizes[0]), _lobatto(sizes[1])
-        i, j = np.nonzero(fresh)
-        points = np.column_stack([mid[0] + half[0] * x_d[i], mid[1] + half[1] * x_k[j]])
-        grown = np.empty(sizes)
-        grown[~fresh] = values.ravel()
-        grown[fresh] = fidelities(field, points, n_steps, target)
-        values = grown
-        coeffs = t_d @ values @ t_k.T
-        grow = (not _chopped(coeffs, 0), not _chopped(coeffs, 1))
-        if not any(grow):
-            b_d = _chebyshev_basis(np.linspace(-1.0, 1.0, m), np.empty((sizes[0], m)))
-            b_k = _chebyshev_basis(np.linspace(-1.0, 1.0, n), np.empty((sizes[1], n)))
-            return float(np.sum((b_d @ grid.weights @ b_k.T) * coeffs)), values.size
-        sizes = tuple(2 * s - 1 if g else s for s, g in zip(sizes, grow))
-        if sizes[0] * sizes[1] >= m * n:
-            return ensemble_objective(field, grid, n_steps, target), values.size + m * n
-        fresh = np.ones(sizes, dtype=bool)
-        fresh[:: 1 + grow[0], :: 1 + grow[1]] = False
+
+    def fidelities_at(*x):
+        return fidelities(field, mid + half * np.column_stack(x), n_steps, target)
+
+    coeffs, spent = _chebyshev_fit(fidelities_at, _TENSOR_NODES, m * n)
+    if coeffs is None:
+        return ensemble_objective(field, grid, n_steps, target), spent + m * n
+    b_d = _chebyshev_basis(np.linspace(-1.0, 1.0, m), np.empty((coeffs.shape[0], m)))
+    b_k = _chebyshev_basis(np.linspace(-1.0, 1.0, n), np.empty((coeffs.shape[1], n)))
+    return float(np.sum((b_d @ grid.weights @ b_k.T) * coeffs)), spent

@@ -22,9 +22,8 @@ from .dynamics import (
     FWHM_TO_SIGMA,
     _cf4_detuning,
     _chebyshev_basis,
-    _chopped,
+    _chebyshev_fit,
     _is_integer,
-    _lobatto,
     cf4_mix,
     cf4_propagator,
     kernel_slices,
@@ -337,14 +336,14 @@ def _table_pairs(signal, starts, totals, drive, times, dt):
     Pulse k then sees (-1)^k times the signal of pulse 0, so its pair
     depends only on its detuning and on k mod 2.  A span of zero width,
     such as ``NoiseSettings.disabled()``'s, takes the pairs of pulses 0 and
-    1 at its one detuning for every pulse of that parity.  Otherwise one
-    ``_pulse_unitaries`` call propagates the n Chebyshev-Lobatto nodes of
-    the span of ``totals`` from the start times of pulses 0 and 1, and the
-    DCT-I of ``dynamics._lobatto`` gives the coefficients.  n grows from
-    ``_TABLE_NODES`` to 2n - 1, each rung propagated afresh, until the
-    coefficients of the pair entries are ``_chopped`` along n, while 2n
-    stays below the direct pass's K R propagations: a default trace takes
-    9, 17 and 33 nodes, 118 pulses.
+    1 at its one detuning for every pulse of that parity.  Otherwise
+    ``dynamics._chebyshev_fit`` fits the pairs of pulses 0 and 1, from their
+    start times, on Chebyshev-Lobatto nodes of the span of ``totals``, one
+    ``_pulse_unitaries`` call per rung on the nodes not yet propagated.  n
+    grows from ``_TABLE_NODES`` to 2n - 1 until the coefficients of the pair
+    entries are chopped along n, while 2n stays below the direct pass's K R
+    propagations: a default trace takes 9, 8 and 16 fresh nodes, 33 in all,
+    66 pulses.
     """
     k, r = totals.shape
     lo, hi = totals.min(), totals.max()
@@ -352,16 +351,13 @@ def _table_pairs(signal, starts, totals, drive, times, dt):
         pair = np.stack(_pulse_unitaries(signal, starts[:2], np.full((2, 1), lo), drive, times, dt))
         return np.tile(pair, (1, k // 2, r))
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    n = _TABLE_NODES
-    while 2 * n < totals.size:
-        x, transform = _lobatto(n)
-        nodes = np.broadcast_to(mid + half * x, (2, n))
-        values = np.stack(_pulse_unitaries(signal, starts[:2], nodes, drive, times, dt))
-        coeffs = values @ transform.T
-        if _chopped(coeffs, -1):
-            return _chebyshev_sums(coeffs, totals, mid, half)
-        n = 2 * n - 1
-    return None
+
+    def pairs_at(x):
+        nodes = np.broadcast_to(mid + half * x, (2, len(x)))
+        return np.stack(_pulse_unitaries(signal, starts[:2], nodes, drive, times, dt))
+
+    coeffs, _ = _chebyshev_fit(pairs_at, (_TABLE_NODES,), totals.size / 2)
+    return None if coeffs is None else _chebyshev_sums(coeffs, totals, mid, half)
 
 
 def _chebyshev_sums(coeffs, totals, mid, half):
@@ -422,7 +418,8 @@ def simulate_ramsey(
     period is the pulse spacing to rounding) the pulse pass takes its
     pairs from a table in the total detuning (``_table_pairs``): a default
     trace (100 realizations, 125 blocks, 50 substeps) takes 33 Chebyshev
-    nodes, about 26 ms with 5-9 ms of table sums (2-core Intel Xeon, numpy
+    nodes, each propagated once for pulses 0 and 1 (66 pulses), about
+    26 ms with 5-9 ms of table sums (2-core Intel Xeon, numpy
     2.4.6, one OpenBLAS 0.3.31 thread), and moves P0 by at most about
     3.3e-13; without noise the pairs of pulses 0 and 1 serve
     every pulse.  Only an unmatched signal, or a span whose chop does not

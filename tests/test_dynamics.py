@@ -887,3 +887,70 @@ class TestChebyshevRule:
         assert dynamics._chopped(coeffs, -1) == chopped[1]
         coeffs[where] = limit * scale
         assert dynamics._chopped(coeffs, 0) and dynamics._chopped(coeffs, 1)
+
+
+def _exp_pair(x):
+    # two entire functions of x on one value axis, (2, points)
+    return np.stack([np.exp(3.0 * x), np.cos(2.0 * x) + 1j * np.sin(x)])
+
+
+def _exp_cos(x, y):
+    # chops at 33 nodes in x and 17 in y
+    return np.exp(3.0 * x) * np.cos(y)
+
+
+class TestChebyshevFit:
+    """``_chebyshev_fit``, the one growth loop of both Chebyshev callers."""
+
+    @pytest.mark.parametrize(
+        "function, sizes, grown",
+        [(_exp_pair, (9,), (33,)), (_exp_cos, (5, 5), (33, 17)), (_exp_cos, (17, 33), (33, 33))],
+        ids=["1d", "2d", "2d-one-axis"],
+    )
+    def test_coefficients_are_the_dct_of_the_final_tensor(self, function, sizes, grown):
+        # bit for bit: the same nodes evaluated in one call, transformed
+        # along each node axis in turn
+        coeffs, spent = dynamics._chebyshev_fit(function, sizes, math.inf)
+        assert coeffs.shape[-len(sizes) :] == grown and spent == math.prod(grown)
+        rules = [dynamics._lobatto(n) for n in grown]
+        axes = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+        values = function(*(a.ravel() for a in axes))
+        expected = values.reshape(values.shape[:-1] + grown)
+        if len(grown) == 2:
+            expected = rules[0][1] @ expected
+        expected = expected @ rules[-1][1].T
+        assert coeffs.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sizes", [(5, 5), (17, 33), (9, 2)])
+    def test_each_node_is_evaluated_once(self, sizes):
+        calls = []
+
+        def spy(*x):
+            calls.append(np.column_stack(x))
+            return _exp_cos(*x)
+
+        coeffs, spent = dynamics._chebyshev_fit(spy, sizes, math.inf)
+        nodes = np.concatenate(calls)
+        assert len(nodes) == spent == coeffs.size
+        assert len(np.unique(nodes, axis=0)) == len(nodes)
+        assert np.all(np.isin(nodes[:, 0], dynamics._lobatto(coeffs.shape[0])[0]))
+        assert np.all(np.isin(nodes[:, 1], dynamics._lobatto(coeffs.shape[1])[0]))
+
+    def test_no_chop_below_the_limit(self):
+        # a narrow Gaussian needs more than 100 nodes: 9, 17, 33 and 65 are
+        # evaluated, and the rung of 129 is not
+        calls = []
+
+        def narrow(x):
+            calls.append(len(x))
+            return np.exp(-0.5 * (x / 0.01) ** 2)
+
+        assert dynamics._chebyshev_fit(narrow, (9,), 100) == (None, 65)
+        assert calls == [9, 8, 16, 32]
+
+    def test_first_rung_at_the_limit_evaluates_nothing(self):
+        def unexpected(*x):
+            raise AssertionError("evaluated")
+
+        assert dynamics._chebyshev_fit(unexpected, (15, 11), 165) == (None, 0)
+        assert dynamics._chebyshev_fit(unexpected, (9,), 9) == (None, 0)

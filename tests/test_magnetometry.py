@@ -568,8 +568,9 @@ def _recorded_detunings(monkeypatch):
 
 
 class TestPulseTable:
-    # the table's rungs, 9 nodes grown to 2n - 1 and each propagated afresh
-    RUNGS = {"rect": [(2, 9), (2, 17), (2, 33)], "shaped": [(2, 9), (2, 17), (2, 33), (2, 65)]}
+    # the fresh nodes of the table's rungs, 9 nodes grown to 2n - 1, each
+    # node propagated once
+    RUNGS = {"rect": [(2, 9), (2, 8), (2, 16)], "shaped": [(2, 9), (2, 8), (2, 16), (2, 32)]}
 
     @pytest.mark.parametrize("n_realizations", [100, 1600])
     @pytest.mark.parametrize("kind", ["rect", "shaped"])
@@ -588,12 +589,12 @@ class TestPulseTable:
 
     @pytest.mark.parametrize("kind", ["rect", "shaped"])
     def test_default_trace_takes_33_nodes(self, monkeypatch, kind):
-        # 125 blocks of 100 realizations at the default noise, seed 0: 118
+        # 125 blocks of 100 realizations at the default noise, seed 0: 66
         # pulse propagations in place of the direct pass's 100,000
         seq = _sequence(kind, 125)
         rungs = _recorded_detunings(monkeypatch)
         simulate_ramsey(seq, SIGNAL, NoiseSettings(n_realizations=100), 125 * seq.period)
-        assert rungs == [(2, 9), (2, 17), (2, 33)]
+        assert rungs == [(2, 9), (2, 8), (2, 16)]
 
     @pytest.mark.parametrize("kind", ["rect", "shaped"])
     def test_default_trace_within_rounding_of_the_direct_pass(self, monkeypatch, kind):

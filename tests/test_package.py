@@ -83,6 +83,20 @@ def test_every_private_name_is_read():
     assert not unread, f"defined but never read: {unread}"
 
 
+def test_the_chebyshev_growth_has_one_owner():
+    # dynamics._chebyshev_fit grows every Chebyshev tensor and tests its
+    # chop; magnetometry fits its pulse table through it alone
+    path = Path(spinopt.__file__).resolve().parent / "magnetometry.py"
+    tree = ast.parse(path.read_text(), str(path))
+    reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    reads |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    reads |= {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert "_chebyshev_fit" in reads
+    assert not reads & {"_lobatto", "_chopped"}
+
+
 def test_package_imports_only_the_standard_library_and_numpy():
     # pyproject.toml names numpy as the one runtime dependency; scipy is
     # for the tests only
