@@ -14,10 +14,10 @@ sin(theta) / theta come from Taylor series in theta^2, cut at the fewest
 terms that are exact to rounding for the batch, so no trigonometric
 function is called per factor; a batch with theta above 1 is scaled down by
 2^s and squared back s times.  One factor pass builds both exponents of a
-call over a block stacked on a leading exponent axis; each exponent keeps
-its own term count and s, and when they agree one Horner per series runs
-over both.  Arrays hold the steps first and the points after them, the
-steps in the order of the reduction tree (``_tree_order``), so that every
+call over a block stacked on a leading exponent axis, with one term count
+and one s for the block, so one Horner per series runs over both.  Arrays
+hold the steps first and the points after them, the steps in the order of
+the reduction tree (``_tree_order``), so that every
 level of the product composes two contiguous halves; ``kernel_times``, the
 one table of CF4 sample times, lists them in that order, and the callers
 sample their coefficients there, so no coefficient array is permuted.  The
@@ -231,11 +231,11 @@ def _su2_factors(hx, hy, hz, dt, out, scratch):
     theta = |h| dt and x = theta^2, a = cos(theta) - i f hz and
     b = f (hy - i hx), f = dt sin(theta) / theta, where both functions of
     theta are Taylor series in x cut at the fewest terms that are exact to
-    rounding at the exponent's largest x.  An exponent with theta above 1 is
-    evaluated at theta / 2^s and squared back s times (scaling and squaring;
-    Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  Each exponent keeps its own
-    term count and s, and when the two agree both series run once over the
-    stacked block, which gives the same bits as a pass per exponent.
+    rounding at the largest x of the block, both exponents included.  A
+    block with theta above 1 is evaluated at theta / 2^s and squared back s
+    times (scaling and squaring; Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
+    One term count and one s serve both exponents, so each series is one
+    Horner over the stacked block.
     """
     pairs, a_real, a_imag, b_real, b_imag = out
     x, y, prod, tmp = scratch
@@ -247,24 +247,18 @@ def _su2_factors(hx, hy, hz, dt, out, scratch):
     drive += np.multiply(hy, hy, out=_leading(y, drive.shape))
     np.add(drive, np.multiply(hz, hz, out=_leading(y, np.shape(hz))), out=x)
     x *= dt * dt
-    x_max = x.reshape(2, -1).max(axis=1).tolist() if x.size else [0.0, 0.0]
-    squarings = [math.ceil(0.5 * math.log2(m)) if 1.0 < m < math.inf else 0 for m in x_max]
-    terms = [_series_terms(m * 0.25**s) for m, s in zip(x_max, squarings)]
-    if squarings[0] == squarings[1] and terms[0] == terms[1]:
-        passes = ((..., squarings[0], terms[0]),)
-    else:
-        passes = tuple(zip((0, 1), squarings, terms))
-    for e, s, n in passes:
-        xe, ye = x[e], y[e]
-        if s:
-            xe *= 0.25**s
-        _horner(xe, _COS_SERIES[:n], ye, a_real[e])
-        # g = -f, so that two of the three products need no sign flip.
-        _horner(xe, _SINC_SERIES[:n] * -(dt * 0.5**s), ye, ye)
+    x_max = float(x.max(initial=0.0))
+    s = math.ceil(0.5 * math.log2(x_max)) if 1.0 < x_max < math.inf else 0
+    if s:
+        x *= 0.25**s
+    n = _series_terms(x_max * 0.25**s)
+    _horner(x, _COS_SERIES[:n], y, a_real)
+    # g = -f, so that two of the three products need no sign flip.
+    _horner(x, _SINC_SERIES[:n] * -(dt * 0.5**s), y, y)
     np.multiply(y, hz, out=a_imag)
     np.multiply(y, hx, out=b_imag)
     np.multiply(np.negative(y, out=x), hy, out=b_real)
-    for pair, s in zip(pairs, squarings):
+    for pair in pairs:
         for _ in range(s):
             _apply_compose(_compose_views(pair, pair, prod, tmp))
             np.copyto(pair, prod)
@@ -555,15 +549,24 @@ def _check_steps(n_steps):
         raise ValueError(f"n_steps must be an integer of at least 1, not {n_steps!r}")
 
 
+def _check_finite(*arrays):
+    """Reject a non-finite delta or kappa: its x would set the series cut of
+    every row of its kernel call."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("every delta and kappa must be finite")
+
+
 def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
     """Propagators for a batch of (delta, kappa) pairs, shape (P, 2, 2).
 
-    ``deltas`` and ``kappas`` broadcast against each other.
+    ``deltas`` and ``kappas`` broadcast against each other and must be
+    finite.
     """
     _check_steps(n_steps)
     deltas, kappas = np.broadcast_arrays(
         np.asarray(deltas, dtype=float), np.asarray(kappas, dtype=float)
     )
+    _check_finite(deltas, kappas)
     flat_d = deltas.ravel()
     slices = kernel_slices(flat_d.size, n_steps)
     a, b = _propagate_rows(field, kappas.ravel(), _cf4_detuning(flat_d), n_steps, slices)
@@ -643,10 +646,11 @@ def fidelity_call(points, n_steps: int = 1000, target=None):
     quadratures, runs the kernel on them and reduces the pairs of all rows
     to the objective, state or gate, without the (P, 2, 2) propagators.
     The call holds no working memory between calls, so threads may share
-    it.
+    it.  The points are checked to be finite once, when it is built.
     """
     _check_steps(n_steps)
     points = _check_points(points)
+    _check_finite(points)
     kappas = np.ascontiguousarray(points[:, 1])
     hz = _cf4_detuning(points[:, 0])
     slices = kernel_slices(len(points), n_steps)

@@ -424,12 +424,15 @@ def simulate_ramsey(
     3.3e-13; without noise the pairs of pulses 0 and 1 serve
     every pulse.  Only an unmatched signal, or a span whose chop does not
     finish below the direct pass's cost, propagates every pulse for every
-    realization (``_direct_pairs``).
+    realization (``_direct_pairs``).  A non-finite ``kappa`` raises
+    ValueError, as it would make every pair NaN.
     """
     if not (_is_integer(n_steps_per_pulse) and n_steps_per_pulse >= 1):
         raise ValueError(
             f"n_steps_per_pulse must be an integer of at least 1, not {n_steps_per_pulse!r}"
         )
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, not {kappa!r}")
     n_blocks = min(seq.n_periods, periods_within(t_max, seq.period))
     if n_blocks < 2:
         raise ValueError("t_max must span at least 2 XY-8 periods")

@@ -231,6 +231,14 @@ class TestPropagate:
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             ensemble_objective(DEMO_FIELD, grid, n_steps)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # one such row would set the series cut of every row of its call
+        with pytest.raises(ValueError, match="finite"):
+            propagate_many(DEMO_FIELD, [0.0, bad], [1.0, 1.0], 100)
+        with pytest.raises(ValueError, match="finite"):
+            propagate_many(DEMO_FIELD, [0.0, 0.0], [1.0, bad], 100)
+
     def test_numpy_integer_steps_give_the_same_bits(self):
         deltas, kappas = [0.0, TWO_PI * 7e6], [1.0, 0.6]
         u = propagate_many(DEMO_FIELD, deltas, kappas, 200)
@@ -249,6 +257,22 @@ class TestStateFidelity:
         assert state_fidelity_many(fld, [TWO_PI * 10e6], [1.0])[0] == pytest.approx(
             expected, abs=1e-10
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            state_fidelity_many(DEMO_FIELD, [bad], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            state_fidelity_many(DEMO_FIELD, [0.0], [bad])
+
+    @pytest.mark.parametrize("target", [None, SIGMA_X], ids=["state", "gate_x"])
+    def test_fidelities_reject_a_non_finite_point(self, target):
+        # a NaN row beside a finite one used to cut the whole call's series
+        # at 2 terms and move the finite row's fidelity by 3.9e-8
+        fld = default_shaped_pi_field()
+        for bad in ([np.nan, 1.0], [0.0, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                fidelities(fld, [[TWO_PI * 3e6, 1.0], bad], 400, target)
 
     def test_bounds(self):
         grid = NoiseGrid.regular(6, 6)
@@ -404,6 +428,14 @@ class TestFidelityCall:
         with pytest.raises(ValueError):
             dynamics.fidelity_call(points, 100, np.array([[1.0, 0.0], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("column", [0, 1], ids=["delta", "kappa"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_points_rejected_when_built(self, column, bad):
+        points = NoiseGrid.regular(2, 2).points().copy()
+        points[3, column] = bad
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.fidelity_call(points, 100)
+
 
 class TestEnsembleObjective:
     def test_constant_zero_fidelity(self):
@@ -470,8 +502,9 @@ class TestEnsembleObjective:
 
 
 # A frozen copy of the CF4 kernel as it stood before its reduction plans:
-# every call allocates its block and builds each level's views.  The
-# kernel must keep matching it bit for bit.
+# every call allocates its block and builds each level's views.  Both
+# exponents take one series cut, from the larger of their largest theta^2,
+# as the kernel does.  The kernel must keep matching it bit for bit.
 def _frozen_series(n, odd):
     return np.array([(-1.0) ** k / math.factorial(2 * k + odd) for k in range(n)])
 
@@ -496,14 +529,18 @@ def _frozen_horner(x, coeffs, out):
     return out
 
 
-def _frozen_factor(hx, hy, hz, dt, out, scratch):
-    a, b = out
-    x, y = scratch
+def _frozen_theta2(hx, hy, hz, dt, x, y):
     np.multiply(hx, hx, out=x)
     x += np.multiply(hy, hy, out=y)
     x += np.multiply(hz, hz, out=y)
     x *= dt * dt
-    x_max = float(x.max()) if x.size else 0.0
+    return x
+
+
+def _frozen_factor(hx, hy, hz, dt, x_max, out, scratch):
+    a, b = out
+    x, y = scratch
+    _frozen_theta2(hx, hy, hz, dt, x, y)
     squarings = 0
     if 1.0 < x_max < np.inf:
         squarings = math.ceil(0.5 * math.log2(x_max))
@@ -544,8 +581,10 @@ def frozen_cf4_propagator(first, second, dt):
     size = math.prod(shape)
     flat = tmp.view(float).reshape(-1)
     scratch = (flat[:size].reshape(shape), flat[size : 2 * size].reshape(shape))
-    _frozen_factor(*first, dt, out=fac1, scratch=scratch)
-    _frozen_factor(*second, dt, out=fac2, scratch=scratch)
+    # one cut for both exponents, at the larger of their largest theta^2
+    x_max = max(float(_frozen_theta2(*h, dt, *scratch).max(initial=0.0)) for h in (first, second))
+    _frozen_factor(*first, dt, x_max, out=fac1, scratch=scratch)
+    _frozen_factor(*second, dt, x_max, out=fac2, scratch=scratch)
     _frozen_compose(fac2, fac1, out=prod, tmp=tmp)
     slots = (prod, fac1)
     pair = prod
@@ -604,6 +643,13 @@ def _xy8_group(seed, shape=(4, 100, 50)):
     return (drive[0], drive[1], hz[0]), (drive[2], drive[3], hz[1]), 2e-9
 
 
+def _different_term_counts():
+    """An XY-8 group whose second exponent is 20x the first, so that each
+    exponent alone would take its own series term count."""
+    first, second, dt = _xy8_group(1, (3, 5, 40))
+    return first, tuple(20.0 * h for h in second), dt
+
+
 def _stacked(first, second):
     """The (hx, hy, hz) of both exponents as ``cf4_propagator`` takes them,
     from the frozen kernel's (..., S) triples: exponent first, then the
@@ -620,7 +666,7 @@ def _stacked(first, second):
 
 def _exponent_cuts(h, dt):
     """(squarings, series terms) of each exponent of stacked coefficients,
-    by the kernel's rule."""
+    each cut by the kernel's rule as if it were a block of its own."""
     x = (h[0] * h[0] + h[1] * h[1] + h[2] * h[2]) * (dt * dt)
     cuts = []
     for x_max in x.reshape(2, -1).max(axis=1).tolist():
@@ -632,6 +678,28 @@ def _exponent_cuts(h, dt):
 def _assert_pairs_equal(got, expected):
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
+
+
+def _expm_pairs(first, second, dt):
+    """The Cayley-Klein pair of the frozen kernel's (..., S) triples from
+    ``scipy.linalg.expm`` factors, multiplied in natural step order."""
+    from scipy.linalg import expm
+
+    sigmas = (SIGMA_X, SIGMA_Y, np.diag([1.0, -1.0]))
+    shape = np.broadcast_shapes(*(np.shape(h) for h in (*first, *second)))
+    factors = [
+        expm(-1j * dt * sum(np.asarray(c)[..., None, None] * m for c, m in zip(h, sigmas)))
+        for h in (first, second)
+    ]
+    u = np.broadcast_to(IDENTITY, shape[:-1] + (2, 2))
+    for step in range(shape[-1]):
+        u = factors[1][..., step, :, :] @ factors[0][..., step, :, :] @ u
+    return u[..., 0, 0], u[..., 1, 0]
+
+
+def _assert_pairs_near_expm(got, first, second, dt):
+    for g, e in zip(got, _expm_pairs(first, second, dt)):
+        assert np.max(np.abs(g - e)) <= 1e-14
 
 
 class TestReductionPlans:
@@ -695,23 +763,37 @@ class TestReductionPlans:
         )
 
     def test_exponents_with_different_term_counts(self):
-        first, second, dt = _xy8_group(1, (3, 5, 40))
-        second = tuple(20.0 * h for h in second)
+        first, second, dt = _different_term_counts()
         x_first = max(float(np.max(h * h)) for h in first) * dt * dt
         x_second = max(float(np.max(h * h)) for h in second) * dt * dt
         assert dynamics._series_terms(x_first) < dynamics._series_terms(x_second)
-        _assert_pairs_equal(
-            cf4_propagator(_stacked(first, second), dt), frozen_cf4_propagator(first, second, dt)
-        )
+        got = cf4_propagator(_stacked(first, second), dt)
+        _assert_pairs_equal(got, frozen_cf4_propagator(first, second, dt))
+        _assert_pairs_near_expm(got, first, second, dt)
+
+    def test_one_horner_per_series_for_both_exponents(self, monkeypatch):
+        # exponents whose own cuts differ still share one term count, so a
+        # factor pass runs each series once
+        first, second, dt = _different_term_counts()
+        calls = []
+        horner = dynamics._horner
+
+        def spy(*args):
+            calls.append(args[0].shape)
+            return horner(*args)
+
+        monkeypatch.setattr(dynamics, "_horner", spy)
+        cf4_propagator(_stacked(first, second), dt)
+        assert calls == [(2, 40, 3, 5)] * 2
 
     def test_one_exponent_squared_and_the_other_not(self):
         first, second, dt = _xy8_group(6, (3, 40))
         second = tuple(40.0 * h for h in second)
         cuts = _exponent_cuts(_stacked(first, second), dt)
         assert cuts[0][0] == 0 < cuts[1][0]
-        _assert_pairs_equal(
-            cf4_propagator(_stacked(first, second), dt), frozen_cf4_propagator(first, second, dt)
-        )
+        got = cf4_propagator(_stacked(first, second), dt)
+        _assert_pairs_equal(got, frozen_cf4_propagator(first, second, dt))
+        _assert_pairs_near_expm(got, first, second, dt)
 
     def test_term_counts_differ_at_xy8_broadcast_shapes(self):
         # the drive as the pulse pass hands it over, (2, S, 1, 1), against a
@@ -722,7 +804,9 @@ class TestReductionPlans:
         compact = (h[0][:, :, :1, :1], h[1][:, :, :1, :1], h[2])
         cuts = _exponent_cuts(h, dt)
         assert cuts[0][0] == cuts[1][0] == 0 and cuts[0][1] != cuts[1][1]
-        _assert_pairs_equal(cf4_propagator(compact, dt), frozen_cf4_propagator(first, second, dt))
+        got = cf4_propagator(compact, dt)
+        _assert_pairs_equal(got, frozen_cf4_propagator(first, second, dt))
+        _assert_pairs_near_expm(got, first, second, dt)
 
     @pytest.mark.parametrize("n_steps", [1, 3])
     def test_propagate_many_with_split_exponents(self, n_steps):

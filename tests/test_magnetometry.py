@@ -526,6 +526,14 @@ class TestSimulateRamsey:
         with pytest.raises(ValueError, match="n_steps_per_pulse"):
             simulate_ramsey(seq, SIGNAL, NoiseSettings.disabled(), 4 * 3.2e-6, n_steps_per_pulse=0)
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["rect", "ideal"])
+    def test_non_finite_kappa_rejected(self, kappa, kind):
+        # a NaN kappa made every pair, and so the whole trace, NaN
+        seq = _sequence(kind, 4)
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            simulate_ramsey(seq, SIGNAL, NoiseSettings.disabled(), 4 * seq.period, kappa=kappa)
+
     @pytest.mark.parametrize("n_sub", [50.0, 50.5, True])
     def test_non_integer_step_count_rejected(self, n_sub):
         seq = build_xy8("rect", 50e-9, 350e-9, 4)
