@@ -2,13 +2,21 @@
 
 Subcommands: ``optimize``, ``trials``, ``surrogate-demo``, ``magnetometry``,
 ``compare``.  Every command reads an optional JSON config (defaults carry the
-reference values), writes CSV data files plus a ``*_meta.json`` sidecar to
-the output directory, and returns exit code 0 on success, 1 on a runtime
-failure (``RuntimeError``, ``ValueError`` or ``OSError``), 2 on a usage or
-config error; any other exception is a bug and propagates with its
-traceback.  Data files depend only on the config and seed, so repeated runs
-give byte-identical data files; timestamps live in the sidecar, and wall
-times in it, ``timings*.csv`` and ``objective_timing.csv``.
+reference values), writes CSV data files to the output directory and
+returns the facts of its ``*_meta.json`` sidecar beyond the common ones;
+``main`` times the command and writes the sidecar.  The exit code is 0 on
+success, 1 on a runtime failure (``RuntimeError``, ``ValueError`` or
+``OSError``), 2 on a usage or config error; any other exception is a bug
+and propagates with its traceback.  Data files depend only on the config
+and seed, so repeated runs give byte-identical data files; timestamps live
+in the sidecar, and wall times in it, ``timings*.csv`` and
+``objective_timing.csv``.
+
+This module owns the schema of every data file.  A trial column other than
+``trial`` holds the ``OptRun`` attribute of its name (``lambda_opt`` the
+JSON of ``params``, ``None`` an empty cell, a bool 0 or 1), and a summary
+column the ``OptConfig`` or ``TrialStats`` attribute of its name, or the
+batch's ``n_trials`` and ``n_failed``.
 """
 from __future__ import annotations
 
@@ -42,19 +50,17 @@ from .optimize import (
     draw_initial_params,
     feasible_field,
     run_single,
-    run_to_record,
     run_trials,
-    stats_to_record,
 )
 
 OUT_ENV_VAR = "SPINOPT_OUT"
 
 # The two files of a batch of trials, each a table of its columns, in
-# order, with the parser that reads a cell back.  results*.csv holds the
-# deterministic fields of ``run_to_record``; timings*.csv each trial's wall
-# time and its split into start point, pulse search and verification, the
-# points the verification propagated, and pulse-search and Kriging
-# likelihood diagnostics, kept out of the byte-reproducible data files.
+# order, with the parser that reads a cell back.  results*.csv holds each
+# trial's deterministic fields; timings*.csv its wall time and its split
+# into start point, pulse search and verification, the points the
+# verification propagated, and pulse-search and Kriging likelihood
+# diagnostics, kept out of the byte-reproducible data files.
 TRIAL_COLUMNS = {
     "trial": int,
     "method": str,
@@ -80,6 +86,12 @@ TIMING_COLUMNS = {
     "nll_evals": int,
 }
 TRIAL_FILES = {"results": TRIAL_COLUMNS, "timings": TIMING_COLUMNS}
+# The columns of summary.csv, in order; comparison.csv holds one such row per
+# batch, then call_ratio_vs_baseline.
+SUMMARY_COLUMNS = (
+    "method", "n_sets", "n_trials", "n_failed",
+    "f_best", "f_mean", "f_median", "mean_true_calls", "mean_search_gap",
+)
 
 
 def _write_csv(path: Path, header, rows):
@@ -87,19 +99,6 @@ def _write_csv(path: Path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _write_meta(out: Path, command: str, wall_s: float, extra=None):
-    meta = {
-        "command": command,
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "wall_s": wall_s,
-    }
-    if extra:
-        meta.update(extra)
-    with open(out / f"{command}_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
 
 
 def _search_facts(oc) -> dict:
@@ -118,27 +117,32 @@ def read_trial_records(path, columns=TRIAL_COLUMNS) -> list[dict]:
         ]
 
 
+def _trial_cell(run, name):
+    """The cell of column ``name`` of a trial (the rule of the module docstring)."""
+    if name == "lambda_opt":
+        return json.dumps(run.params.tolist())
+    value = getattr(run, name)
+    if value is None:
+        return ""
+    return int(value) if isinstance(value, bool) else value
+
+
 def write_trials(out: Path, runs, tag: str = ""):
     """``results{tag}.csv`` and ``timings{tag}.csv`` of a batch, one row per
-    trial, with the columns of ``TRIAL_FILES``."""
-    cells = [
-        {
-            "trial": i,
-            **run_to_record(run),
-            "lambda_opt": json.dumps(run.params.tolist()),
-            "wall_ms": run.wall_ms,
-            "build_ms": run.build_ms,
-            "search_ms": run.search_ms,
-            "verify_ms": run.verify_ms,
-            "verify_points": run.verify_points,
-            "nm_iters": run.nm_iters,
-            "nm_converged": int(run.nm_converged),
-            "nll_evals": run.nll_evals,
-        }
-        for i, run in enumerate(runs)
-    ]
+    trial, with the columns of ``TRIAL_FILES``: the trial's index, then its
+    cells."""
     for stem, columns in TRIAL_FILES.items():
-        _write_csv(out / f"{stem}{tag}.csv", columns, [[c[n] for n in columns] for c in cells])
+        rows = [
+            [i, *(_trial_cell(run, name) for name in list(columns)[1:])]
+            for i, run in enumerate(runs)
+        ]
+        _write_csv(out / f"{stem}{tag}.csv", columns, rows)
+
+
+def _summary_row(oc, n_trials: int, stats) -> list:
+    """One batch's cells in the order of ``SUMMARY_COLUMNS``."""
+    facts = {**vars(oc), **vars(stats), "n_trials": n_trials, "n_failed": len(stats.failures)}
+    return [facts[name] for name in SUMMARY_COLUMNS]
 
 
 def _write_map(path: Path, points, values):
@@ -147,73 +151,58 @@ def _write_map(path: Path, points, values):
     _write_csv(path, ["delta_mhz", "kappa", "fidelity"], rows)
 
 
-def cmd_optimize(cfg: dict, out: Path, seed) -> int:
-    start = time.perf_counter()
+def cmd_optimize(cfg: dict, out: Path, seed) -> dict:
     oc = opt_config_from(cfg, seed=seed)
     run = run_single(oc)
     write_trials(out, [run])
     pts = oc.noise_grid(oc.verify_grid).points()
     _write_map(out / "field_map.csv", pts, fidelities(run.field, pts, oc.n_steps, oc.target()))
-    _write_meta(out, "optimize", time.perf_counter() - start, _search_facts(oc))
     print(
         f"{oc.method} n_sets={oc.n_sets}: f_verified={run.f_verified:.4f} "
         f"true_calls={run.true_calls}"
     )
-    return 0
+    return _search_facts(oc)
 
 
-def cmd_trials(cfg: dict, out: Path, seed) -> int:
-    start = time.perf_counter()
+def cmd_trials(cfg: dict, out: Path, seed) -> dict:
     oc = opt_config_from(cfg, seed=seed)
     n_trials = read(cfg, "optimize.n_trials")
     stats = run_trials(oc, n_trials)
     write_trials(out, stats.runs)
-    summary = stats_to_record(oc, n_trials, stats)
-    _write_csv(out / "summary.csv", list(summary.keys()), [list(summary.values())])
-    _write_csv(
-        out / "histogram.csv",
-        ["bin_lo", "bin_hi", "count"],
-        [
-            [stats.hist_edges[i], stats.hist_edges[i + 1], int(c)]
-            for i, c in enumerate(stats.hist_counts)
-        ],
-    )
-    _write_meta(
-        out, "trials", time.perf_counter() - start, {**_search_facts(oc), "failures": stats.failures}
-    )
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, [_summary_row(oc, n_trials, stats)])
+    counts, edges = np.histogram([r.f_verified for r in stats.runs], bins=100, range=(0.0, 1.0))
+    rows = [[lo, hi, int(c)] for lo, hi, c in zip(edges, edges[1:], counts)]
+    _write_csv(out / "histogram.csv", ["bin_lo", "bin_hi", "count"], rows)
     print(
         f"{oc.method} x{n_trials}: best={stats.f_best:.4f} mean={stats.f_mean:.4f} "
         f"mean_true_calls={stats.mean_true_calls:.0f}"
     )
-    return 0
+    return {**_search_facts(oc), "failures": stats.failures}
 
 
-def cmd_compare(cfg: dict, out: Path, seed) -> int:
-    start = time.perf_counter()
+def cmd_compare(cfg: dict, out: Path, seed) -> dict:
     n_trials = read(cfg, "compare.n_trials")
     primary = opt_config_from(cfg, seed=seed)
     method, n_sets = read(cfg, "compare.baseline_method"), read(cfg, "compare.baseline_n_sets")
     baseline = opt_config_from(cfg, seed=seed, method=method, n_sets=n_sets)
-    rows = []
+    rows, calls = [], []
     for oc in (primary, baseline):
         stats = run_trials(oc, n_trials)
         write_trials(out, stats.runs, f"_{oc.method}_n{oc.n_sets}")
-        rows.append(stats_to_record(oc, n_trials, stats))
+        rows.append(_summary_row(oc, n_trials, stats))
+        calls.append(stats.mean_true_calls)
         print(
             f"{oc.method} x{n_trials}: mean={stats.f_mean:.4f} "
             f"mean_true_calls={stats.mean_true_calls:.0f}"
         )
-    ratio = rows[0]["mean_true_calls"] / rows[1]["mean_true_calls"]
-    header = list(rows[0].keys()) + ["call_ratio_vs_baseline"]
-    table = [list(row.values()) + [r] for row, r in zip(rows, (ratio, 1.0))]
-    _write_csv(out / "comparison.csv", header, table)
-    _write_meta(out, "compare", time.perf_counter() - start, _search_facts(primary))
-    print(f"true-call ratio {rows[0]['method']}/{rows[1]['method']}: {ratio:.3f}")
-    return 0
+    ratio = calls[0] / calls[1]
+    table = [[*row, r] for row, r in zip(rows, (ratio, 1.0))]
+    _write_csv(out / "comparison.csv", [*SUMMARY_COLUMNS, "call_ratio_vs_baseline"], table)
+    print(f"true-call ratio {primary.method}/{baseline.method}: {ratio:.3f}")
+    return _search_facts(primary)
 
 
-def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
-    start = time.perf_counter()
+def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> dict:
     oc = opt_config_from(cfg, seed=seed)
     sample_counts = read(cfg, "surrogate_demo.sample_counts")
     mn_list = read(cfg, "surrogate_demo.grid_sizes_mn")
@@ -281,13 +270,11 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> int:
             for i, mn in enumerate(mn_list)
         ],
     )
-    _write_meta(out, "surrogate-demo", time.perf_counter() - start)
     print(f"surrogate demo written to {out}")
-    return 0
+    return {}
 
 
-def cmd_magnetometry(cfg: dict, out: Path, seed) -> int:
-    start = time.perf_counter()
+def cmd_magnetometry(cfg: dict, out: Path, seed) -> dict:
     rect_cfg, shaped_cfg, signal, noise, run_cfg = magnetometry_from(cfg, seed=seed)
     traces = []
     t2 = {}
@@ -307,12 +294,11 @@ def cmd_magnetometry(cfg: dict, out: Path, seed) -> int:
          "rect_n_fit", "shaped_n_fit"],
         [[t2[RECT].t2 / 1e-6, t2[SHAPED].t2 / 1e-6, ratio, *fit_facts]],
     )
-    _write_meta(out, "magnetometry", time.perf_counter() - start)
     print(
         f"T2 rect = {t2[RECT].t2 / 1e-6:.1f} us, shaped = {t2[SHAPED].t2 / 1e-6:.1f} us "
         f"(ratio {ratio:.2f})"
     )
-    return 0
+    return {}
 
 
 COMMANDS = {
@@ -355,7 +341,17 @@ def main(argv=None) -> int:
                 cfg["optimize"][name] = getattr(args, flag)
         out = Path(args.out or os.environ.get(OUT_ENV_VAR, "spinopt_out"))
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out, args.seed)
+        start = time.perf_counter()
+        facts = COMMANDS[args.command](cfg, out, args.seed)
+        meta = {
+            "command": args.command,
+            "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "wall_s": time.perf_counter() - start,
+            **facts,
+        }
+        (out / f"{args.command}_meta.json").write_text(json.dumps(meta, indent=2))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

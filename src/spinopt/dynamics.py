@@ -114,8 +114,8 @@ def _is_integer(value) -> bool:
 
 def gaussian_weight(x, mean, fwhm):
     """Gaussian probability density parameterized by its FWHM."""
-    if fwhm <= 0:
-        raise ValueError("fwhm must be positive")
+    if not 0 < fwhm < math.inf:
+        raise ValueError("fwhm must be finite and positive")
     sigma = fwhm * FWHM_TO_SIGMA
     z = (np.asarray(x, dtype=float) - mean) / sigma
     return np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sigma)

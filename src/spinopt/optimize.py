@@ -269,8 +269,6 @@ class TrialStats:
     f_median: float
     mean_true_calls: float
     mean_search_gap: float
-    hist_edges: np.ndarray
-    hist_counts: np.ndarray
 
 
 def pack_params(fld: ControlField) -> np.ndarray:
@@ -326,8 +324,8 @@ def build_valid_surrogate(
     ``nll_evals`` sums the likelihood evaluations of every fit that returned
     a model.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
+    if not _is_integer(max_attempts) or max_attempts < 1:
+        raise ValueError(f"max_attempts must be an integer of at least 1, not {max_attempts!r}")
     true_calls = 0
     nll_evals = 0
     last_error = None
@@ -477,8 +475,8 @@ def run_trials(config: OptConfig, n_trials: int) -> TrialStats:
     recorded and skipped; the call fails only if every trial fails.  Any
     other exception is a bug and propagates.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    if not _is_integer(n_trials) or n_trials < 1:
+        raise ValueError(f"n_trials must be an integer of at least 1, not {n_trials!r}")
     runs = []
     failures = []
     for i, seed in enumerate(trial_seeds(config.seed, n_trials)):
@@ -491,8 +489,6 @@ def run_trials(config: OptConfig, n_trials: int) -> TrialStats:
 
     f_values = np.array([r.f_verified for r in runs])
     gaps = np.array([abs(r.f_search - r.f_verified) for r in runs])
-    edges = np.linspace(0.0, 1.0, 101)
-    counts, _ = np.histogram(f_values, bins=edges)
     return TrialStats(
         runs=runs,
         failures=failures,
@@ -501,36 +497,5 @@ def run_trials(config: OptConfig, n_trials: int) -> TrialStats:
         f_median=float(np.median(f_values)),
         mean_true_calls=float(np.mean([r.true_calls for r in runs])),
         mean_search_gap=float(gaps.mean()),
-        hist_edges=edges,
-        hist_counts=counts,
     )
 
-
-def run_to_record(run: OptRun) -> dict:
-    """Flat, reparseable record of one trial (deterministic fields only)."""
-    return {
-        "method": run.method,
-        "n_sets": run.n_sets,
-        "seed": run.seed,
-        "f_search": run.f_search,
-        "f_verified": run.f_verified,
-        "true_calls": run.true_calls,
-        "model_attempts": run.model_attempts,
-        "nm_evals": run.nm_evals,
-        "p_fit": "" if run.p_fit is None else run.p_fit,
-        "lambda_opt": run.params.tolist(),
-    }
-
-
-def stats_to_record(config: OptConfig, n_trials: int, stats: TrialStats) -> dict:
-    return {
-        "method": config.method,
-        "n_sets": config.n_sets,
-        "n_trials": n_trials,
-        "n_failed": len(stats.failures),
-        "f_best": stats.f_best,
-        "f_mean": stats.f_mean,
-        "f_median": stats.f_median,
-        "mean_true_calls": stats.mean_true_calls,
-        "mean_search_gap": stats.mean_search_gap,
-    }

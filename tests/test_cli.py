@@ -3,12 +3,14 @@ import dataclasses
 import itertools
 import json
 import math
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinopt import (
+    __version__,
     AcSignal,
     NoiseSettings,
     OptConfig,
@@ -17,7 +19,13 @@ from spinopt import (
     magnetometry,
     measure_t2,
 )
-from spinopt.cli import TIMING_COLUMNS, TRIAL_FILES, main, read_trial_records
+from spinopt.cli import (
+    SUMMARY_COLUMNS,
+    TIMING_COLUMNS,
+    TRIAL_FILES,
+    main,
+    read_trial_records,
+)
 from spinopt.config import (
     CHOICE,
     FLAG,
@@ -258,13 +266,16 @@ class TestLeafTable:
             assert f"| `{key}` | {leaf.describe()} |" in readme, key
 
     def test_readme_names_the_trial_columns(self):
-        # README's schema row of each trial file names exactly the columns
-        # the writer writes, in order
+        # README's schema row of each trial file, of summary.csv and of
+        # comparison.csv names exactly the columns the writer writes, in order
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        for stem, columns in TRIAL_FILES.items():
-            rows = [row for row in readme.splitlines() if row.startswith(f"| `{stem}*.csv` |")]
-            assert len(rows) == 1, stem
-            assert rows[0].split("`")[3].split(", ") == list(columns), stem
+        tables = {f"{stem}*.csv": columns for stem, columns in TRIAL_FILES.items()}
+        tables["summary.csv"] = SUMMARY_COLUMNS
+        tables["comparison.csv"] = (*SUMMARY_COLUMNS, "call_ratio_vs_baseline")
+        for name, columns in tables.items():
+            rows = [row for row in readme.splitlines() if row.startswith(f"| `{name}` |")]
+            assert len(rows) == 1, name
+            assert rows[0].split("`")[3].split(", ") == list(columns), name
 
     @pytest.mark.parametrize("key", LEAVES)
     def test_rejected_values_exit_2(self, tmp_path, capsys, key):
@@ -771,3 +782,35 @@ class TestSurrogateDemoCommand:
             "objective_deviation.csv",
         )
         assert_reproducible(tmp_path, "surrogate-demo", payload, names)
+
+
+# Each command at small settings, and the sidecar keys it adds to the four
+# that every sidecar holds.
+SIDECAR_RUNS = {
+    "optimize": (FAST_OPT, {"seed", "search_steps"}),
+    "trials": (FAST_OPT, {"seed", "search_steps", "failures"}),
+    "compare": ({**FAST_OPT, "compare": {"n_trials": 2}}, {"seed", "search_steps"}),
+    "surrogate-demo": (
+        {
+            "optimize": {"n_steps": 200, "verify_grid": [15, 15]},
+            "surrogate_demo": {"grid_sizes_mn": [16], "n_fields": 1, "timing_reps": 1},
+        },
+        set(),
+    ),
+    "magnetometry": (FAST_MAG, set()),
+}
+
+
+@pytest.mark.parametrize("command", SIDECAR_RUNS)
+def test_every_command_writes_its_sidecar(tmp_path, command):
+    payload, extra = SIDECAR_RUNS[command]
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    before = datetime.now(timezone.utc)
+    assert main([command, "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+    meta = json.loads((out / f"{command}_meta.json").read_text())
+    assert list(meta)[:4] == ["command", "version", "timestamp", "wall_s"]
+    assert set(meta) == {"command", "version", "timestamp", "wall_s"} | extra
+    assert (meta["command"], meta["version"]) == (command, __version__)
+    assert before <= datetime.fromisoformat(meta["timestamp"]) <= datetime.now(timezone.utc)
+    assert meta["wall_s"] >= 0

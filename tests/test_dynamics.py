@@ -87,10 +87,9 @@ class TestGaussianWeight:
         )
 
     def test_invalid_fwhm(self):
-        with pytest.raises(ValueError):
-            gaussian_weight(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            gaussian_weight(0.0, 0.0, -1.0)
+        for fwhm in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                gaussian_weight(0.0, 0.0, fwhm)
 
 
 class TestNoiseGrid:

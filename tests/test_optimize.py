@@ -29,10 +29,10 @@ from spinopt.fields import (
     peak_amplitude,
     sfb_field,
 )
+from spinopt.cli import TRIAL_COLUMNS, read_trial_records, write_trials
 from spinopt.optimize import (
     draw_initial_params,
     pack_params,
-    run_to_record,
     trial_seeds,
     unpack_params,
 )
@@ -199,15 +199,17 @@ class TestBuildValidSurrogate:
         assert calls == {"sampler": 1, "loo": 1}
 
     def test_invalid_attempt_budget(self):
-        with pytest.raises(ValueError):
-            build_valid_surrogate(
-                lambda r: self.smooth_field(),
-                self.region,
-                9,
-                0,
-                np.random.default_rng(0),
-                self.smooth_evaluator(),
-            )
+        # a bool or a float is not a count, even where it would run
+        for budget in (0, True, 2.5, 2.0):
+            with pytest.raises(ValueError):
+                build_valid_surrogate(
+                    lambda r: self.smooth_field(),
+                    self.region,
+                    9,
+                    budget,
+                    np.random.default_rng(0),
+                    self.smooth_evaluator(),
+                )
 
 
 class TestBpmOptimize:
@@ -379,7 +381,6 @@ class TestRunTrials:
         a = run_trials(cfg, 3)
         b = run_trials(cfg, 3)
         assert [r.f_verified for r in a.runs] == [r.f_verified for r in b.runs]
-        np.testing.assert_array_equal(a.hist_counts, b.hist_counts)
 
     def test_individual_failures_recorded(self, monkeypatch):
         real = opt.run_single
@@ -413,14 +414,19 @@ class TestRunTrials:
             run_trials(fast_config(seed=31), 2)
 
     def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            run_trials(fast_config(), 0)
+        # a bool or a float is not a count, even where it would run
+        for n_trials in (0, True, 2.0):
+            with pytest.raises(ValueError):
+                run_trials(fast_config(), n_trials)
 
 
 class TestRecords:
-    def test_record_fields(self):
+    def test_record_fields(self, tmp_path):
+        # results.csv read back through the CLI's columns: each column after
+        # the trial index is the run's attribute of that name
         run = run_single(fast_config(seed=31))
-        rec = run_to_record(run)
+        write_trials(tmp_path, [run])
+        [rec] = read_trial_records(tmp_path / "results.csv")
         for key in (
             "method",
             "n_sets",
@@ -431,6 +437,9 @@ class TestRecords:
             "lambda_opt",
         ):
             assert key in rec
+        assert rec["trial"] == 0
+        for key in TRIAL_COLUMNS.keys() - {"trial", "lambda_opt"}:
+            assert rec[key] == getattr(run, key), key
         assert isinstance(rec["lambda_opt"], list)
         np.testing.assert_array_equal(np.asarray(rec["lambda_opt"]), run.params)
 
@@ -755,23 +764,32 @@ class TestTensorVerification:
         assert value.hex() == ensemble_objective(fld, grid, cfg.n_steps, cfg.target()).hex()
         assert count == shape[0] * shape[1]
 
-    def test_verification_bits_do_not_depend_on_blas_threads(self):
+    def test_verification_bits_do_not_depend_on_blas_threads(self, tmp_path):
         # the tensor's coefficients and its weighted sum are BLAS products:
         # one seeded bpm and one sfb (n_sets=2) trial on the default grid,
-        # on 1 and on 2 threads
+        # on 1 and on 2 threads, with every cell of its results.csv row
         script = (
-            "from spinopt.optimize import OptConfig, run_single, run_to_record\n"
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from spinopt.cli import write_trials\n"
+            "from spinopt.optimize import OptConfig, run_single\n"
+            "out = Path(sys.argv[1])\n"
             "for method, n_sets in (('bpm', 1), ('sfb', 2)):\n"
             "    run = run_single(OptConfig(method=method, n_sets=n_sets, seed=7))\n"
-            "    record = {key: repr(value) for key, value in run_to_record(run).items()}\n"
-            "    print(run.f_verified.hex(), run.verify_points, sorted(record.items()))\n"
+            "    write_trials(out, [run])\n"
+            "    row = (out / 'results.csv').read_text().splitlines()[1]\n"
+            "    print(run.f_verified.hex(), run.verify_points, row)\n"
         )
         src = str(Path(opt.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
             result = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+                [sys.executable, "-c", script, str(tmp_path)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
             )
             assert result.returncode == 0, result.stderr
             outputs.append(result.stdout)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -95,6 +96,34 @@ def test_the_chebyshev_growth_has_one_owner():
     }
     assert "_chebyshev_fit" in reads
     assert not reads & {"_lobatto", "_chopped"}
+
+
+def test_the_data_file_schema_has_one_owner():
+    # spinopt.cli decides every data file's columns and cells: no other
+    # module writes CSV, optimize builds no record of its own, and
+    # TrialStats carries no histogram
+    package = Path(spinopt.__file__).resolve().parent
+    csv_importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "csv" in names:
+                csv_importers.add(path.stem)
+    assert csv_importers == {"cli"}
+    tree = ast.parse((package / "optimize.py").read_text())
+    records = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_to_record")
+    ]
+    assert not records
+    fields = [field.name for field in dataclasses.fields(spinopt.TrialStats)]
+    assert not [name for name in fields if name.startswith("hist")]
 
 
 def test_package_imports_only_the_standard_library_and_numpy():
