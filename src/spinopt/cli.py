@@ -14,9 +14,10 @@ in the sidecar, and wall times in it, ``timings*.csv`` and
 
 This module owns the schema of every data file.  A trial column other than
 ``trial`` holds the ``OptRun`` attribute of its name (``lambda_opt`` the
-JSON of ``params``, ``None`` an empty cell, a bool 0 or 1), and a summary
-column the ``OptConfig`` or ``TrialStats`` attribute of its name, or the
-batch's ``n_trials`` and ``n_failed``.
+JSON of ``params``, ``None`` an empty cell, a bool 0 or 1), a fit column of
+``t2_report.csv`` the ``T2Estimate`` attribute of its name by the same rule,
+and a summary column the ``OptConfig`` or ``TrialStats`` attribute of its
+name, or the batch's ``n_trials`` and ``n_failed``.
 """
 from __future__ import annotations
 
@@ -117,11 +118,12 @@ def read_trial_records(path, columns=TRIAL_COLUMNS) -> list[dict]:
         ]
 
 
-def _trial_cell(run, name):
-    """The cell of column ``name`` of a trial (the rule of the module docstring)."""
+def _cell(record, name):
+    """The cell of column ``name`` of a trial or T2 estimate (the rule of the
+    module docstring)."""
     if name == "lambda_opt":
-        return json.dumps(run.params.tolist())
-    value = getattr(run, name)
+        return json.dumps(record.params.tolist())
+    value = getattr(record, name)
     if value is None:
         return ""
     return int(value) if isinstance(value, bool) else value
@@ -133,7 +135,7 @@ def write_trials(out: Path, runs, tag: str = ""):
     cells."""
     for stem, columns in TRIAL_FILES.items():
         rows = [
-            [i, *(_trial_cell(run, name) for name in list(columns)[1:])]
+            [i, *(_cell(run, name) for name in list(columns)[1:])]
             for i, run in enumerate(runs)
         ]
         _write_csv(out / f"{stem}{tag}.csv", columns, rows)
@@ -287,7 +289,7 @@ def cmd_magnetometry(cfg: dict, out: Path, seed) -> dict:
             rows.append([t / 1e-6, p, e, trace.pulse_kind])
     _write_csv(out / "trace.csv", ["time_us", "p0_mean", "p0_stderr", "pulse_kind"], rows)
     ratio = t2[SHAPED].t2 / t2[RECT].t2
-    fit_facts = [getattr(t2[kind], name) for name in ("lower_bound", "n_fit") for kind in t2]
+    fit_facts = [_cell(t2[kind], name) for name in ("lower_bound", "n_fit") for kind in t2]
     _write_csv(
         out / "t2_report.csv",
         ["rect_t2_us", "shaped_t2_us", "ratio", "rect_lower_bound", "shaped_lower_bound",

@@ -112,10 +112,23 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_count(name, value, low=1):
+    """Reject a count that is not an integer (``_is_integer``) of at least
+    ``low``: the one rule for every count of the package."""
+    if not (_is_integer(value) and value >= low):
+        raise ValueError(f"{name} must be an integer of at least {low}, not {value!r}")
+
+
+def _check_scalar(name, value, zero=False):
+    """Reject a scale that is not finite and positive, or nonnegative with
+    ``zero``: the one rule for every scale of the package."""
+    if not (0 <= value < math.inf if zero else 0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and {'nonnegative' if zero else 'positive'}")
+
+
 def gaussian_weight(x, mean, fwhm):
     """Gaussian probability density parameterized by its FWHM."""
-    if not 0 < fwhm < math.inf:
-        raise ValueError("fwhm must be finite and positive")
+    _check_scalar("fwhm", fwhm)
     sigma = fwhm * FWHM_TO_SIGMA
     z = (np.asarray(x, dtype=float) - mean) / sigma
     return np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * sigma)
@@ -142,8 +155,8 @@ class NoiseGrid:
         kappa_fwhm=DEFAULT_KAPPA_FWHM,
         kappa_mean=DEFAULT_KAPPA_MEAN,
     ) -> "NoiseGrid":
-        if m < 1 or n < 1:
-            raise ValueError("grid sizes must be at least 1")
+        _check_count("m", m)
+        _check_count("n", n)
         deltas = np.linspace(delta_range[0], delta_range[1], m)
         kappas = np.linspace(kappa_range[0], kappa_range[1], n)
         wd = gaussian_weight(deltas, 0.0, delta_fwhm)
@@ -544,11 +557,6 @@ def _propagate_rows(field, kappas, hz, n_steps, slices):
     return pairs
 
 
-def _check_steps(n_steps):
-    if not (_is_integer(n_steps) and n_steps >= 1):
-        raise ValueError(f"n_steps must be an integer of at least 1, not {n_steps!r}")
-
-
 def _check_finite(*arrays):
     """Reject a non-finite delta or kappa: its x would set the series cut of
     every row of its kernel call."""
@@ -562,7 +570,7 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
     ``deltas`` and ``kappas`` broadcast against each other and must be
     finite.
     """
-    _check_steps(n_steps)
+    _check_count("n_steps", n_steps)
     deltas, kappas = np.broadcast_arrays(
         np.asarray(deltas, dtype=float), np.asarray(kappas, dtype=float)
     )
@@ -584,8 +592,10 @@ _UNITARY_TOL = 1e-10
 def _gate_target(target):
     """The conjugate of ``target``, which must be a unitary 2 x 2 matrix."""
     target = np.asarray(target, dtype=complex)
+    if target.shape != (2, 2):
+        raise ValueError(f"target must be a 2 x 2 matrix, not shape {target.shape}")
     diff = np.max(np.abs(target.conj().T @ target - IDENTITY))
-    if diff > _UNITARY_TOL:
+    if not diff <= _UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (deviation {diff:.2e})")
     return target.conj()
 
@@ -648,7 +658,7 @@ def fidelity_call(points, n_steps: int = 1000, target=None):
     The call holds no working memory between calls, so threads may share
     it.  The points are checked to be finite once, when it is built.
     """
-    _check_steps(n_steps)
+    _check_count("n_steps", n_steps)
     points = _check_points(points)
     _check_finite(points)
     kappas = np.ascontiguousarray(points[:, 1])

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _check_count
 from .neldermead import nelder_mead  # noqa: F401 (bench/tracing.py wraps it here)
 
 # Added to the diagonal of every correlation matrix before it is factored.
@@ -152,6 +153,7 @@ def jittered_grid(region, n: int, rng: np.random.Generator):
     of up to half a cell per axis, so every point stays inside its cell.
     """
     region, _, _ = _check_design(region)
+    _check_count("n", n)
     m = math.isqrt(n)
     if m * m != n:
         raise ValueError(f"sample count {n} is not a perfect square")

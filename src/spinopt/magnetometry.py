@@ -23,7 +23,8 @@ from .dynamics import (
     _cf4_detuning,
     _chebyshev_basis,
     _chebyshev_fit,
-    _is_integer,
+    _check_count,
+    _check_scalar,
     cf4_mix,
     cf4_propagator,
     kernel_slices,
@@ -77,20 +78,11 @@ class NoiseSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.delta_fwhm < math.inf:
-            raise ValueError("delta_fwhm must be finite and nonnegative")
-        if not 0 < self.tau < math.inf:
-            raise ValueError("tau must be finite and positive")
-        if not 0 <= self.c < math.inf:
-            raise ValueError("c must be finite and nonnegative")
-        if not (_is_integer(self.n_realizations) and self.n_realizations >= 1):
-            raise ValueError(
-                f"n_realizations must be an integer of at least 1, not {self.n_realizations!r}"
-            )
-        if not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, not {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, not {self.seed}")
+        _check_scalar("delta_fwhm", self.delta_fwhm, zero=True)
+        _check_scalar("tau", self.tau)
+        _check_scalar("c", self.c, zero=True)
+        _check_count("n_realizations", self.n_realizations)
+        _check_count("seed", self.seed, low=0)
 
     @property
     def stationary_std(self) -> float:
@@ -98,10 +90,11 @@ class NoiseSettings:
 
     @classmethod
     def from_stationary_std(cls, std, tau=DEFAULT_OU_TAU, **kwargs) -> "NoiseSettings":
-        if not 0 < tau < math.inf:
-            raise ValueError("tau must be finite and positive")
-        if not 0 <= std < math.inf:
-            raise ValueError("stationary std must be finite and nonnegative")
+        _check_scalar("tau", tau)
+        _check_scalar("stationary std", std, zero=True)
+        # float ** 2 (libm's pow) keeps c's bits: std * std, which would give
+        # inf without the try, differs from it in the last bit for about 1 in
+        # 1000 stds
         try:
             c = 2.0 * float(std) ** 2 / tau
         except OverflowError:
@@ -125,10 +118,8 @@ class AcSignal:
     omega_s: float = np.pi / 400e-9
 
     def __post_init__(self):
-        if not 0 <= self.g_ac < math.inf:
-            raise ValueError("g_ac must be finite and nonnegative")
-        if not 0 < self.omega_s < math.inf:
-            raise ValueError("omega_s must be finite and positive")
+        _check_scalar("g_ac", self.g_ac, zero=True)
+        _check_scalar("omega_s", self.omega_s)
 
 
 @dataclass(frozen=True)
@@ -151,10 +142,9 @@ class PulseSequence:
     def __post_init__(self):
         if self.kind not in (RECT, SHAPED, IDEAL):
             raise ValueError(f"unknown pulse kind {self.kind!r}")
-        if not (0 < self.t_pulse < math.inf and 0 < self.tau_pulse < math.inf):
-            raise ValueError("t_pulse and tau_pulse must be finite and positive")
-        if not (_is_integer(self.n_periods) and self.n_periods >= 1):
-            raise ValueError(f"n_periods must be an integer of at least 1, not {self.n_periods!r}")
+        _check_scalar("t_pulse", self.t_pulse)
+        _check_scalar("tau_pulse", self.tau_pulse)
+        _check_count("n_periods", self.n_periods)
         if self.kind != IDEAL:
             if self.x_field is None:
                 raise ValueError(f"{self.kind} sequences need an x_field")
@@ -201,12 +191,9 @@ def build_xy8(kind, t_pulse, tau_pulse, n_periods, x_field=None) -> PulseSequenc
 def _ou_coefficients(dt, tau, c):
     """``(decay, scale)`` of an exact OU update over ``dt``, once per
     distinct ``(dt, tau, c)``: a default trace has 22 segment lengths."""
-    if not 0 < dt < math.inf:
-        raise ValueError("dt must be finite and positive")
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be finite and positive")
-    if not 0 <= c < math.inf:
-        raise ValueError("c must be finite and nonnegative")
+    _check_scalar("dt", dt)
+    _check_scalar("tau", tau)
+    _check_scalar("c", c, zero=True)
     decay = np.exp(-dt / tau)
     return decay, np.sqrt(c * tau / 2.0 * (1.0 - decay * decay))
 
@@ -227,8 +214,7 @@ def ou_step(delta_d, dt, tau, c, rng: np.random.Generator):
 
 def ideal_phase(g_ac, omega_s, t):
     """Closed form of int_0^t g_ac |cos(omega_s u)| du, piecewise per half-period."""
-    if omega_s <= 0:
-        raise ValueError("omega_s must be positive")
+    _check_scalar("omega_s", omega_s)
     t = np.asarray(t, dtype=float)
     half = np.pi / omega_s
     m = np.floor(t / half)
@@ -390,7 +376,9 @@ def _free_phase(signal, delta_total, t0, t1):
 
 
 def periods_within(t_max, period) -> int:
-    """Whole XY-8 periods that fit in ``t_max`` (rounding slack 1e-9)."""
+    """Whole XY-8 periods that fit in ``t_max`` (rounding slack 1e-9), which
+    must be finite and positive."""
+    _check_scalar("t_max", t_max)
     return int(np.floor(t_max / period + 1e-9))
 
 
@@ -427,10 +415,7 @@ def simulate_ramsey(
     realization (``_direct_pairs``).  A non-finite ``kappa`` raises
     ValueError, as it would make every pair NaN.
     """
-    if not (_is_integer(n_steps_per_pulse) and n_steps_per_pulse >= 1):
-        raise ValueError(
-            f"n_steps_per_pulse must be an integer of at least 1, not {n_steps_per_pulse!r}"
-        )
+    _check_count("n_steps_per_pulse", n_steps_per_pulse)
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, not {kappa!r}")
     n_blocks = min(seq.n_periods, periods_within(t_max, seq.period))

@@ -65,6 +65,8 @@ from .dynamics import (
     DEFAULT_KAPPA_RANGE,
     SIGMA_X,
     NoiseGrid,
+    _check_count,
+    _check_scalar,
     _is_integer,
     _tensor_objective,
     fidelities,
@@ -135,10 +137,13 @@ class OptConfig:
     nm_max_iter: int | None = None
 
     def __post_init__(self):
-        for name in ("n_sets", "n_samples", "n_steps", "seed", "max_model_attempts", "nm_max_iter"):
-            value = getattr(self, name)
-            if not (_is_integer(value) or (name == "nm_max_iter" and value is None)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        # the least value of each count: n_samples may be any integer here,
+        # as only a surrogate reads it (checked below); nm_max_iter may be None
+        lows = dict(n_sets=1, n_samples=-math.inf, n_steps=1, seed=0, max_model_attempts=1)
+        if self.nm_max_iter is not None:
+            lows["nm_max_iter"] = 1
+        for name, low in lows.items():
+            _check_count(name, getattr(self, name), low)
         for name in ("search_grid", "verify_grid"):
             grid = getattr(self, name)
             pair = isinstance(grid, (tuple, list)) and len(grid) == 2
@@ -148,30 +153,16 @@ class OptConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.n_sets < 1:
-            raise ValueError("n_sets must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, not {self.seed}")
         if self.uses_surrogate and (
             self.n_samples < 4 or math.isqrt(self.n_samples) ** 2 != self.n_samples
         ):
             raise ValueError(f"n_samples={self.n_samples} is not a perfect square of at least 4")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
-        if self.max_model_attempts < 1:
-            raise ValueError("max_model_attempts must be at least 1")
-        if self.nm_max_iter is not None and self.nm_max_iter < 1:
-            raise ValueError("nm_max_iter must be at least 1")
-        for name in ("duration", "amp_limit"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        for name in ("duration", "amp_limit", "nm_f_tol", "delta_fwhm", "kappa_fwhm"):
+            _check_scalar(name, getattr(self, name))
         for name in ("delta_range", "kappa_range"):
             lo, hi = getattr(self, name)
             if not -math.inf < lo < hi < math.inf:
                 raise ValueError(f"{name} must be a finite, increasing (low, high) pair")
-        for name in ("nm_f_tol", "delta_fwhm", "kappa_fwhm"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
         if not -math.inf < self.kappa_mean < math.inf:
             raise ValueError("kappa_mean must be finite")
         if min(self.search_grid) < 1 or min(self.verify_grid) < 1:
@@ -324,8 +315,7 @@ def build_valid_surrogate(
     ``nll_evals`` sums the likelihood evaluations of every fit that returned
     a model.
     """
-    if not _is_integer(max_attempts) or max_attempts < 1:
-        raise ValueError(f"max_attempts must be an integer of at least 1, not {max_attempts!r}")
+    _check_count("max_attempts", max_attempts)
     true_calls = 0
     nll_evals = 0
     last_error = None
@@ -475,8 +465,7 @@ def run_trials(config: OptConfig, n_trials: int) -> TrialStats:
     recorded and skipped; the call fails only if every trial fails.  Any
     other exception is a bug and propagates.
     """
-    if not _is_integer(n_trials) or n_trials < 1:
-        raise ValueError(f"n_trials must be an integer of at least 1, not {n_trials!r}")
+    _check_count("n_trials", n_trials)
     runs = []
     failures = []
     for i, seed in enumerate(trial_seeds(config.seed, n_trials)):

@@ -450,7 +450,9 @@ class TestExitCodes:
         out = tmp_path / "o"
         code = main([command, "--seed", "-1", "--out", str(out)])
         assert code == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: seed must be an integer of at least 0, not -1\n"
+        )
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("t_max_us", [20.0, 5.0, -1.0])
@@ -672,7 +674,7 @@ class TestMagnetometryCommand:
         out = tmp_path / "quiet"
         assert main(["magnetometry", "--config", cfg, "--out", str(out)]) == 0
         report = (out / "t2_report.csv").read_text().splitlines()[1].split(",")
-        assert report[3] == "True" and report[4] == "True"  # no resolvable decay
+        assert report[3] == "1" and report[4] == "1"  # no resolvable decay
         from spinopt import ideal_phase
 
         rows = [
@@ -730,9 +732,9 @@ class TestMagnetometryCommand:
                 written, np.column_stack([trace.times / 1e-6, trace.p0_mean, trace.p0_stderr])
             )
             assert float(report[f"{kind}_t2_us"]) == est.t2 / 1e-6
-            assert report[f"{kind}_lower_bound"] == str(est.lower_bound)
+            assert report[f"{kind}_lower_bound"] == str(int(est.lower_bound))
             assert report[f"{kind}_n_fit"] == str(est.n_fit)
-        assert report["rect_lower_bound"] == "True" and report["shaped_lower_bound"] == "False"
+        assert report["rect_lower_bound"] == "1" and report["shaped_lower_bound"] == "0"
 
     def test_reproducible_bytes(self, tmp_path):
         payload = {"magnetometry": {**FAST_MAG["magnetometry"], "n_realizations": 4}}

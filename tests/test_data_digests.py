@@ -69,7 +69,7 @@ DIGESTS = {
         "truth_map.csv": "6d5991840e624f5aa0a6ac98b14089e9bcd2a043a78f4f0b4ebaf35d481a6caf",
     },
     "magnetometry": {
-        "t2_report.csv": "769a2e9f74cb4048f0366ef3d94cfc3d20e56cd5c13f3b0c8a1d66040f52940f",
+        "t2_report.csv": "98c7d72b375f9d60ed74eef38c618ff25e6b9dc3d51f13079d22f05e44276dc8",
         "trace.csv": "a7c8d0d218401682120ae82eecdff49ce9cb2627774da6a758277314613ab049",
     },
 }

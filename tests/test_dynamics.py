@@ -105,6 +105,21 @@ class TestNoiseGrid:
         np.testing.assert_allclose(np.diff(grid.deltas), np.diff(grid.deltas)[0])
         np.testing.assert_allclose(np.diff(grid.kappas), np.diff(grid.kappas)[0])
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ((0, 3), "m must be an integer of at least 1, not 0"),
+            ((3, -1), "n must be an integer of at least 1, not -1"),
+            # a bool built a 1-row grid, and a float raised numpy's TypeError
+            ((True, 3), "m must be an integer of at least 1, not True"),
+            ((2.5, 3), "m must be an integer of at least 1, not 2.5"),
+            ((3, 2.0), "n must be an integer of at least 1, not 2.0"),
+        ],
+    )
+    def test_invalid_sizes_rejected(self, sizes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NoiseGrid.regular(*sizes)
+
     @pytest.mark.parametrize("kappa_mean", [10.0, -50.0])
     def test_underflowing_weights_rejected(self, kappa_mean):
         # every kappa weight of the default range is below the smallest
@@ -298,8 +313,17 @@ class TestGateFidelity:
         assert coarse == pytest.approx(dense, abs=1e-9)
 
     def test_non_unitary_target_rejected(self):
-        with pytest.raises(ValueError):
-            fidelities(rect_pi(), [[0.0, 1.0]], 1000, np.array([[1.0, 0.0], [0.0, 0.5]]))[0]
+        # a NaN target passed a test of diff > tol and gave NaN fidelities,
+        # and a 3 x 3 one failed in numpy's broadcast
+        for target, message in [
+            (np.array([[1.0, 0.0], [0.0, 0.5]]), r"matrix is not unitary \(deviation 7.50e-01\)"),
+            (np.full((2, 2), np.nan), r"matrix is not unitary \(deviation nan\)"),
+            (np.eye(3), r"target must be a 2 x 2 matrix, not shape \(3, 3\)"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fidelities(rect_pi(), [[0.0, 1.0]], 1000, target)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                dynamics.fidelity_call([[0.0, 1.0]], 1000, target)(rect_pi())
 
     @pytest.mark.parametrize("target_name", ["sigma_x", "sigma_y", "random_with_phase"])
     def test_matches_pauli_sum_oracle(self, target_name):

@@ -129,8 +129,13 @@ class TestJitteredGrid:
         np.testing.assert_array_equal(a, b)
 
     def test_non_square_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sample count 10 is not a perfect square$"):
             jittered_grid(REGION, 10, np.random.default_rng(0))
+        # 0 gave an empty design after a divide-by-zero warning; 9.0 and True
+        # raised TypeError
+        for n in (0, 9.0, True):
+            with pytest.raises(ValueError, match=f"^n must be an integer of at least 1, not {n!r}$"):
+                jittered_grid(REGION, n, np.random.default_rng(0))
 
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError):

@@ -281,8 +281,10 @@ class TestIdealPhase:
             assert ideal_phase(g, OMEGA_S, t) == pytest.approx(expected, abs=1e-10)
 
     def test_invalid_frequency(self):
-        with pytest.raises(ValueError):
-            ideal_phase(1.0, 0.0, 1e-6)
+        # NaN returned NaN, and inf warned of a divide by zero and returned NaN
+        for omega_s in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^omega_s must be finite and positive$"):
+                ideal_phase(1.0, omega_s, 1e-6)
 
 
 def _sequence(kind, n_blocks):
@@ -512,8 +514,12 @@ class TestSimulateRamsey:
 
     def test_too_short_window_rejected(self):
         seq = build_xy8("rect", 50e-9, 350e-9, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^t_max must span at least 2 XY-8 periods$"):
             simulate_ramsey(seq, SIGNAL, NoiseSettings.disabled(), 3.2e-6)
+        # inf raised OverflowError, and NaN failed in int(nan)
+        for t_max in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="^t_max must be finite and positive$"):
+                simulate_ramsey(seq, SIGNAL, NoiseSettings.disabled(), t_max)
 
     def test_invalid_realization_count(self):
         with pytest.raises(ValueError, match="n_realizations"):
@@ -900,9 +906,14 @@ class TestMeasureT2:
         assert est == estimate_t2(trace.times, trace.p0_mean, window, floor)
         assert est != estimate_t2(trace.times, trace.p0_mean, window, other)
 
-    @pytest.mark.parametrize("t_max", [1e-6, 3.2e-6])
+    # inf and NaN raised from periods_within: OverflowError, and int(nan)
+    @pytest.mark.parametrize("t_max", [1e-6, 3.2e-6, np.inf, np.nan])
     def test_short_window_rejected(self, t_max):
-        with pytest.raises(ValueError, match="2 XY-8 periods"):
+        if np.isfinite(t_max):
+            message = "t_max must span at least 2 XY-8 periods"
+        else:
+            message = "t_max must be finite and positive"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             measure_t2("rect", 50e-9, 350e-9, SIGNAL, NoiseSettings.disabled(), t_max)
 
 

@@ -98,6 +98,25 @@ def test_the_chebyshev_growth_has_one_owner():
     assert not reads & {"_lobatto", "_chopped"}
 
 
+def test_the_count_and_scale_checks_have_one_owner():
+    # dynamics._check_count and _check_scalar state the rule of every count
+    # and every finite scale; no other module writes a scale test by hand,
+    # and magnetometry checks its counts through them alone
+    package = Path(spinopt.__file__).resolve().parent
+    by_hand = [
+        path.stem
+        for path in sorted(package.glob("*.py"))
+        if path.stem != "dynamics" and "not 0 <" in path.read_text()
+    ]
+    assert not by_hand
+    tree = ast.parse((package / "magnetometry.py").read_text())
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert "_is_integer" not in imported
+    assert {"_check_count", "_check_scalar"} <= imported
+
+
 def test_the_data_file_schema_has_one_owner():
     # spinopt.cli decides every data file's columns and cells: no other
     # module writes CSV, optimize builds no record of its own, and
