@@ -29,7 +29,10 @@ runs them one after another on the calling thread.  Each thread keeps the
 working blocks of the last few shapes it propagated (at most
 ``_PLAN_SHAPES``, about 4 MB each at the budget), each with the views of
 its whole reduction built in advance (``_Plan``), so a repeated shape
-allocates no working memory and builds no views.
+allocates no working memory and builds no views.  A plan's ``run`` is the
+kernel's one entry, called from one slice loop per module:
+``_propagate_rows`` here and ``magnetometry._direct_pairs``, whose XY-8
+trace composes the pairs with the kernel's own product, ``_apply_compose``.
 
 The time-step error falls as steps^-4.  The step-error table below gives
 max |dF| against 4000 steps of the 4x4 ensemble objective and of single
@@ -310,7 +313,7 @@ def _leading(buf, shape):
 
 
 class _Plan:
-    """The working block of ``cf4_propagator`` for one exponent's broadcast
+    """The working block of the CF4 kernel for one exponent's broadcast
     shape (S, ...), steps first, with every view its factor pass and
     reduction use.
 
@@ -356,8 +359,18 @@ class _Plan:
         self.result = (pair[0, 0], pair[1, 0])
 
     def run(self, h, dt):
-        """The propagator's pair (a, b) as views into the block, valid until
-        the plan's next run."""
+        """The Cayley-Klein pair (a, b) of the fourth-order propagator, each
+        of shape (...), as views into the block, valid until the plan's next
+        run: the kernel's one entry.
+
+        ``h`` is the (hx, hy, hz) coefficient triple of
+        hx sigma_x + hy sigma_y + hz sigma_z for both exponents of each
+        step, as mixed by ``cf4_mix``; each broadcasts to (2, S, ...), the
+        plan's shape behind the exponent axis, with the steps in the
+        kernel's order, as sampled at ``kernel_times``.  A coefficient
+        shared by both exponents, by all steps or by all points broadcasts
+        over that axis.  The propagator is [[a, -b*], [b, a*]].
+        """
         _su2_factors(*h, dt, out=self.factors, scratch=self.scratch)
         for views, odd in self.levels:
             _apply_compose(views)
@@ -404,10 +417,11 @@ _CF4_EARLY = np.array([_CF4_W1, _CF4_W2])
 _CF4_LATE = np.array([_CF4_W2, _CF4_W1])
 
 # Point-steps per kernel call, the one budget of both kernel callers:
-# ``propagate_many`` takes its points, and the direct pulse pass of
-# ``magnetometry.simulate_ramsey`` its pulses, in slices from
-# ``kernel_slices``.  The search's calls (9 or 16 points at 100 steps) are
-# one call at any budget below, so the trial's traffic is its verification.
+# ``propagate_many`` takes its points, and the pulse pass of
+# ``magnetometry.simulate_ramsey`` (its direct pass and its table's rungs)
+# its pulses, in slices from ``kernel_slices``.  The search's calls (9 or
+# 16 points at 100 steps) are one call at any budget below, so the trial's
+# traffic is its verification.
 # Best and median time by budget over 15 interleaved rounds (2-core AMD
 # EPYC with 1 MB L2 per core, Python 3.11.7, numpy 2.4.6): the verification
 # tensor of six winners (seeded ``bpm`` and ``sfb`` trials, 609 points each
@@ -473,9 +487,9 @@ def _tree_order(n_steps: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def kernel_times(n_steps: int, dt: float) -> np.ndarray:
-    """Sample times of every coefficient that ``cf4_propagator`` takes,
-    shape (2, S): the early then the late time of each step, the steps in
-    the kernel's order (``_tree_order``).
+    """Sample times of every coefficient that the kernel (``_Plan.run``)
+    takes, shape (2, S): the early then the late time of each step, the
+    steps in the kernel's order (``_tree_order``).
 
     Step k spans [k dt, (k + 1) dt); the Hamiltonian of each step is sampled
     at its two Gauss points.  The array is built once per (n_steps, dt) and
@@ -496,25 +510,6 @@ def cf4_mix(early, late):
     mixed = np.multiply.outer(_CF4_EARLY, early)
     mixed += np.multiply.outer(_CF4_LATE, late)
     return mixed
-
-
-def cf4_propagator(h, dt):
-    """Cayley-Klein pair (a, b) of the fourth-order propagator, each shape (...).
-
-    ``h`` is the (hx, hy, hz) coefficient triple of
-    hx sigma_x + hy sigma_y + hz sigma_z for both exponents of each step,
-    as mixed by ``cf4_mix``; each broadcasts to (2, S, ...), the exponent
-    first and the steps on axis 1, in the kernel's order: step
-    ``_tree_order(S)[p]`` at position p, as sampled at ``kernel_times``.  A
-    coefficient shared by both exponents, by all steps or by all points
-    broadcasts over that axis.  One factor pass builds the factors of both
-    exponents.  The propagator is [[a, -b*], [b, a*]].
-    """
-    shape = np.broadcast_shapes(*(np.shape(c) for c in h))
-    if len(shape) < 2 or shape[0] != 2:
-        raise ValueError(f"coefficients must broadcast to (2, S, ...), not {shape}")
-    a, b = _plan(shape[1:]).run(h, dt)
-    return a.copy(), b.copy()
 
 
 def _cf4_detuning(deltas):
@@ -594,7 +589,9 @@ def _gate_target(target):
     target = np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
         raise ValueError(f"target must be a 2 x 2 matrix, not shape {target.shape}")
-    diff = np.max(np.abs(target.conj().T @ target - IDENTITY))
+    # a non-finite target is no unitary; its product would warn first
+    finite = np.isfinite(target).all()
+    diff = np.max(np.abs(target.conj().T @ target - IDENTITY)) if finite else math.nan
     if not diff <= _UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (deviation {diff:.2e})")
     return target.conj()

@@ -20,13 +20,15 @@ from .dynamics import (
     DEFAULT_AMP_LIMIT,
     DEFAULT_DELTA_FWHM,
     FWHM_TO_SIGMA,
+    _apply_compose,
     _cf4_detuning,
     _chebyshev_basis,
     _chebyshev_fit,
     _check_count,
     _check_scalar,
+    _compose_views,
+    _plan,
     cf4_mix,
-    cf4_propagator,
     kernel_slices,
     kernel_times,
 )
@@ -213,9 +215,12 @@ def ou_step(delta_d, dt, tau, c, rng: np.random.Generator):
 
 
 def ideal_phase(g_ac, omega_s, t):
-    """Closed form of int_0^t g_ac |cos(omega_s u)| du, piecewise per half-period."""
+    """Closed form of int_0^t g_ac |cos(omega_s u)| du, piecewise per
+    half-period.  A non-finite ``g_ac`` or ``t`` raises ValueError."""
     _check_scalar("omega_s", omega_s)
     t = np.asarray(t, dtype=float)
+    if not (math.isfinite(g_ac) and np.isfinite(t).all()):
+        raise ValueError("g_ac and t must be finite")
     half = np.pi / omega_s
     m = np.floor(t / half)
     r = t - m * half
@@ -258,35 +263,29 @@ def _x_drive(seq, times, kappa):
     return tuple(cf4_mix(*(kappa * w))[:, :, None, None] for w in (w1, w2))
 
 
-def _pulse_unitaries(signal, t_starts, delta_totals, drive, times, dt):
-    """Cayley-Klein pairs (a, b), each (K, R), of K pi pulses for every
-    realization from one kernel call, which gives them one series term
-    count, the largest they need.
-
-    Pulse k starts at ``t_starts[k]`` with ``delta_totals[k]`` holding
-    delta + delta_d per realization, the dynamic part frozen for the pulse.
-    ``drive`` comes from ``_x_drive`` on the local sample ``times`` in the
-    kernel's order (``kernel_times``).  The z coefficient of both exponents,
-    (2, n_sub, K, R), is one add of the static detuning, (K, R), whose mix
-    is one array for both (``_cf4_detuning``), and the AC signal of each
-    pulse, (2, n_sub, K, 1), mixed on the time axis; the drive broadcasts
-    over both.
-    """
-    samples = signal.g_ac * np.cos(
-        signal.omega_s * (t_starts[:, None] + times[:, :, None, None])
-    )
-    hz = _cf4_detuning(delta_totals) + cf4_mix(*samples)
-    return cf4_propagator((*drive, hz), dt)
-
-
 def _direct_pairs(signal, starts, totals, drive, times, dt):
-    """The pairs of the pulses that start at ``starts`` with total detunings
-    ``totals`` (K, R), stacked as (2, K, R), each pulse propagated for each
-    realization, one group of consecutive pulses per kernel call."""
+    """Cayley-Klein pairs (a, b), stacked as (2, K, R), of the K pi pulses
+    that start at ``starts`` with total detunings ``totals`` (K, R), each
+    pulse propagated for each realization: one kernel call per group of
+    consecutive pulses (``kernel_slices``), which gives the group one series
+    term count, the largest it needs.
+
+    ``totals`` holds delta + delta_d per realization, the dynamic part
+    frozen for the pulse.  ``drive`` comes from ``_x_drive`` on the local
+    sample ``times`` in the kernel's order (``kernel_times``).  The z
+    coefficient of both exponents, (2, n_sub, K, R), is one add of the
+    static detuning, (K, R), whose mix is one array for both
+    (``_cf4_detuning``), and the AC signal of each pulse, (2, n_sub, K, 1),
+    mixed on the time axis; the drive broadcasts over both.
+    """
     k, r = totals.shape
     pairs = np.empty((2, k, r), dtype=complex)
     for group in kernel_slices(k, r * times.shape[1]):
-        pairs[:, group] = _pulse_unitaries(signal, starts[group], totals[group], drive, times, dt)
+        samples = signal.g_ac * np.cos(
+            signal.omega_s * (starts[group, None] + times[:, :, None, None])
+        )
+        hz = _cf4_detuning(totals[group]) + cf4_mix(*samples)
+        pairs[0, group], pairs[1, group] = _plan(hz.shape[1:]).run((*drive, hz), dt)
     return pairs
 
 
@@ -325,7 +324,7 @@ def _table_pairs(signal, starts, totals, drive, times, dt):
     1 at its one detuning for every pulse of that parity.  Otherwise
     ``dynamics._chebyshev_fit`` fits the pairs of pulses 0 and 1, from their
     start times, on Chebyshev-Lobatto nodes of the span of ``totals``, one
-    ``_pulse_unitaries`` call per rung on the nodes not yet propagated.  n
+    ``_direct_pairs`` call per rung on the nodes not yet propagated.  n
     grows from ``_TABLE_NODES`` to 2n - 1 until the coefficients of the pair
     entries are chopped along n, while 2n stays below the direct pass's K R
     propagations: a default trace takes 9, 8 and 16 fresh nodes, 33 in all,
@@ -334,13 +333,13 @@ def _table_pairs(signal, starts, totals, drive, times, dt):
     k, r = totals.shape
     lo, hi = totals.min(), totals.max()
     if lo == hi:
-        pair = np.stack(_pulse_unitaries(signal, starts[:2], np.full((2, 1), lo), drive, times, dt))
+        pair = _direct_pairs(signal, starts[:2], np.full((2, 1), lo), drive, times, dt)
         return np.tile(pair, (1, k // 2, r))
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def pairs_at(x):
         nodes = np.broadcast_to(mid + half * x, (2, len(x)))
-        return np.stack(_pulse_unitaries(signal, starts[:2], nodes, drive, times, dt))
+        return _direct_pairs(signal, starts[:2], nodes, drive, times, dt)
 
     coeffs, _ = _chebyshev_fit(pairs_at, (_TABLE_NODES,), totals.size / 2)
     return None if coeffs is None else _chebyshev_sums(coeffs, totals, mid, half)
@@ -468,33 +467,27 @@ def simulate_ramsey(
         pairs = _table_pairs(*pulses) if _matched(signal, seq) else None
         if pairs is None:
             pairs = _direct_pairs(*pulses)
-    a, b = pairs.reshape(2, n_blocks, 8, -1)
-    b[:, np.array(XY8_AXES) == "y"] *= 1j
+    pairs = pairs.reshape(2, n_blocks, 8, -1)
+    pairs[1][:, np.array(XY8_AXES) == "y"] *= 1j
 
-    # Compose every block's pair (A, B), (n_blocks, R): rotation 0, then
-    # pulse k and rotation k + 1 for k = 0..7.  A rotation's pair is
-    # (rot, 0), so it scales A by rot and B by its conjugate.
-    block_a = rot[:, 0].copy()
-    block_b = np.zeros_like(block_a)
+    # Compose every block's pair, (2, n_blocks, R): rotation 0, then pulse
+    # k and rotation k + 1 for k = 0..7.  A rotation's pair is (rot, 0), so
+    # it scales a by rot and b by its conjugate.
+    block = np.zeros((2, n_blocks, r), dtype=complex)
+    block[0] = rot[:, 0]
+    nxt, tmp = np.empty_like(block), np.empty_like(block)
     for k in range(8):
-        a_k, b_k = a[:, k], b[:, k]
-        block_a, block_b = (
-            a_k * block_a - np.conj(b_k) * block_b,
-            b_k * block_a + np.conj(a_k) * block_b,
-        )
-        block_a *= rot[:, k + 1]
-        block_b *= np.conj(rot[:, k + 1])
+        _apply_compose(_compose_views(pairs[:, :, k], block, nxt, tmp))
+        nxt[0] *= rot[:, k + 1]
+        nxt[1] *= np.conj(rot[:, k + 1])
+        block, nxt = nxt, block
 
-    # Spin walk over the blocks, the state (up, dn) kept at each terminal.
-    states = np.empty((2, n_blocks, r), dtype=complex)
-    up, dn = np.full(r, _PREP[0]), np.full(r, _PREP[1])
-    conj_a, conj_b = np.conj(block_a), np.conj(block_b)
-    for block in range(n_blocks):
-        up, dn = (
-            block_a[block] * up - conj_b[block] * dn,
-            block_b[block] * up + conj_a[block] * dn,
-        )
-        states[:, block] = up, dn
+    # Spin walk over the blocks from the prepared state, whose (up, dn) is
+    # the first column of a pair, kept at each terminal in the spare buffer.
+    states, state = nxt, np.broadcast_to(_PREP[:, None], (2, r))
+    for b in range(n_blocks):
+        _apply_compose(_compose_views(block[:, b], state, states[:, b], tmp[:, b]))
+        state = states[:, b]
     p0 = np.abs(_READ_ROW[0] * states[0] + _READ_ROW[1] * states[1]) ** 2
     p0_err = p0.std(axis=1, ddof=1) / np.sqrt(r) if r > 1 else np.zeros(n_blocks)
     return RamseyTrace(

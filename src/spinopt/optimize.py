@@ -165,10 +165,8 @@ class OptConfig:
                 raise ValueError(f"{name} must be a finite, increasing (low, high) pair")
         if not -math.inf < self.kappa_mean < math.inf:
             raise ValueError("kappa_mean must be finite")
-        if min(self.search_grid) < 1 or min(self.verify_grid) < 1:
-            raise ValueError("grid dimensions must be at least 1")
         for shape in (self.search_grid, self.verify_grid):
-            self.noise_grid(shape)  # raises if every Gaussian weight underflows
+            self.noise_grid(shape)  # raises on an empty axis or if every weight underflows
         if self.uses_surrogate and self.n_samples not in (9, 16):
             warnings.warn(
                 f"n_samples={self.n_samples} is outside the benchmarked "

@@ -155,6 +155,18 @@ def xy8_populations_direct(
     return out
 
 
+def kernel_pairs(h, dt):
+    """The library kernel's Cayley-Klein pair (a, b) of the stacked
+    coefficients ``h``, each broadcasting to (2, S, ...), copied out of the
+    plan that ``_Plan.run`` writes them to, so a later call of the same
+    shape leaves them alone."""
+    from spinopt.dynamics import _plan
+
+    shape = np.broadcast_shapes(*(np.shape(c) for c in h))
+    a, b = _plan(shape[1:]).run(h, dt)
+    return a.copy(), b.copy()
+
+
 def simulate_ramsey_per_pulse(seq, signal, noise, t_max, n_steps_per_pulse=50, kappa=1.0):
     """``simulate_ramsey`` one pulse per kernel call, applied as soon as it
     is drawn: P0 mean and standard error at each block terminal.
@@ -163,7 +175,7 @@ def simulate_ramsey_per_pulse(seq, signal, noise, t_max, n_steps_per_pulse=50, k
     pulse whose group shares its series term count gives the same bits.
     """
     from spinopt import magnetometry as mag
-    from spinopt.dynamics import FWHM_TO_SIGMA, cf4_mix, cf4_propagator, kernel_times
+    from spinopt.dynamics import FWHM_TO_SIGMA, cf4_mix, kernel_times
 
     n_blocks = min(seq.n_periods, mag.periods_within(t_max, seq.period))
     rng = np.random.default_rng(noise.seed)
@@ -205,7 +217,7 @@ def simulate_ramsey_per_pulse(seq, signal, noise, t_max, n_steps_per_pulse=50, k
         hz = np.stack(
             (static_first + signal_first[:, None], static_second + signal_second[:, None])
         )
-        return cf4_propagator((hx[:, :, 0], hy[:, :, 0], hz), dt)
+        return kernel_pairs((hx[:, :, 0], hy[:, :, 0], hz), dt)
 
     half_pulse = 0.0 if seq.kind == mag.IDEAL else 0.5 * seq.t_pulse
     dt = seq.t_pulse / n_steps_per_pulse

@@ -225,9 +225,16 @@ class TestSignalFrequency:
 
     def test_a_rounded_match_takes_the_table(self, tmp_path, monkeypatch):
         # rect 10 + 390 ns and shaped 100 + 300 ns give frequencies that
-        # differ in their last bits; both traces still take the pulse table
-        direct = []
-        monkeypatch.setattr(magnetometry, "_direct_pairs", lambda *args: direct.append(args))
+        # differ in their last bits; both traces still take the pulse table,
+        # whose every kernel call is a rung of pulses 0 and 1
+        pulses = []
+        direct = magnetometry._direct_pairs
+
+        def recorded(signal, starts, totals, *args):
+            pulses.append(len(totals))
+            return direct(signal, starts, totals, *args)
+
+        monkeypatch.setattr(magnetometry, "_direct_pairs", recorded)
         payload = {
             "magnetometry": {**FAST_MAG["magnetometry"], "rect_pulse_ns": 10.0, "rect_gap_ns": 390.0}
         }
@@ -236,7 +243,7 @@ class TestSignalFrequency:
         assert signal.omega_s != build_xy8("shaped", **shaped, n_periods=1).omega_s
         out = tmp_path / "o"
         assert main(["magnetometry", "--config", path, "--out", str(out)]) == 0
-        assert direct == []
+        assert pulses and set(pulses) == {2}
         kinds = {line.rsplit(",", 1)[1] for line in (out / "trace.csv").read_text().splitlines()[1:]}
         assert kinds == {"rect", "shaped"}
 
@@ -454,6 +461,19 @@ class TestExitCodes:
             "config error: seed must be an integer of at least 0, not -1\n"
         )
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("key", ["search_grid", "verify_grid"])
+    @pytest.mark.parametrize("shape", [[0, 4], [4, 0]])
+    def test_empty_grid_exits_2_from_the_leaf_table(self, tmp_path, capsys, key, shape):
+        # the leaf table rejects an empty grid before OptConfig sees it
+        path = write_config(tmp_path, {"optimize": {key: shape}})
+        out = tmp_path / "o"
+        assert main(["trials", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config key optimize.{key} must be a pair of integers in "
+            f"[1, 1000], not {shape}\n"
+        )
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("t_max_us", [20.0, 5.0, -1.0])
     def test_short_magnetometry_window_exits_2(self, tmp_path, capsys, t_max_us):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from spinopt.dynamics import (
     SIGMA_X,
     SIGMA_Y,
     cf4_mix,
-    cf4_propagator,
 )
 from spinopt.fields import quadratures
 
@@ -36,6 +36,7 @@ from oracles import (
     gate_fidelity_pauli_sum,
     gauss_legendre_objective,
     gaussian_density,
+    kernel_pairs,
     rabi_probability,
 )
 
@@ -314,16 +315,24 @@ class TestGateFidelity:
 
     def test_non_unitary_target_rejected(self):
         # a NaN target passed a test of diff > tol and gave NaN fidelities,
-        # and a 3 x 3 one failed in numpy's broadcast
-        for target, message in [
-            (np.array([[1.0, 0.0], [0.0, 0.5]]), r"matrix is not unitary \(deviation 7.50e-01\)"),
-            (np.full((2, 2), np.nan), r"matrix is not unitary \(deviation nan\)"),
-            (np.eye(3), r"target must be a 2 x 2 matrix, not shape \(3, 3\)"),
-        ]:
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                fidelities(rect_pi(), [[0.0, 1.0]], 1000, target)
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                dynamics.fidelity_call([[0.0, 1.0]], 1000, target)(rect_pi())
+        # and a 3 x 3 one failed in numpy's broadcast; an inf target's
+        # product warned "invalid value encountered in matmul", which
+        # under -W error was raised in place of the ValueError
+        non_finite = r"matrix is not unitary \(deviation nan\)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for target, message in [
+                (np.diag([1.0, 0.5]), r"matrix is not unitary \(deviation 7.50e-01\)"),
+                (np.full((2, 2), np.nan), non_finite),
+                (np.full((2, 2), np.inf), non_finite),
+                (np.array([[np.inf, 0.0], [0.0, 1.0]]), non_finite),
+                (np.array([[np.nan, 0.0], [0.0, 1.0]]), non_finite),
+                (np.eye(3), r"target must be a 2 x 2 matrix, not shape \(3, 3\)"),
+            ]:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    fidelities(rect_pi(), [[0.0, 1.0]], 1000, target)
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    dynamics.fidelity_call([[0.0, 1.0]], 1000, target)(rect_pi())
 
     @pytest.mark.parametrize("target_name", ["sigma_x", "sigma_y", "random_with_phase"])
     def test_matches_pauli_sum_oracle(self, target_name):
@@ -674,7 +683,7 @@ def _different_term_counts():
 
 
 def _stacked(first, second):
-    """The (hx, hy, hz) of both exponents as ``cf4_propagator`` takes them,
+    """The (hx, hy, hz) of both exponents as the kernel takes them,
     from the frozen kernel's (..., S) triples: exponent first, then the
     steps in the kernel's order, then the rows."""
     shape = np.broadcast_shapes(*(np.shape(h) for h in (*first, *second)))
@@ -755,7 +764,7 @@ class TestReductionPlans:
             h = rng.normal(0.0, TWO_PI * 20e6, (6,) + rows + (n_steps,))
             first, second, dt = tuple(h[:3]), tuple(h[3:]), 2e-9
             _assert_pairs_equal(
-                cf4_propagator(_stacked(first, second), dt),
+                kernel_pairs(_stacked(first, second), dt),
                 frozen_cf4_propagator(first, second, dt),
             )
 
@@ -782,7 +791,7 @@ class TestReductionPlans:
     def test_xy8_group_matches_frozen_kernel(self):
         first, second, dt = _xy8_group(0)
         _assert_pairs_equal(
-            cf4_propagator(_stacked(first, second), dt), frozen_cf4_propagator(first, second, dt)
+            kernel_pairs(_stacked(first, second), dt), frozen_cf4_propagator(first, second, dt)
         )
 
     def test_exponents_with_different_term_counts(self):
@@ -790,7 +799,7 @@ class TestReductionPlans:
         x_first = max(float(np.max(h * h)) for h in first) * dt * dt
         x_second = max(float(np.max(h * h)) for h in second) * dt * dt
         assert dynamics._series_terms(x_first) < dynamics._series_terms(x_second)
-        got = cf4_propagator(_stacked(first, second), dt)
+        got = kernel_pairs(_stacked(first, second), dt)
         _assert_pairs_equal(got, frozen_cf4_propagator(first, second, dt))
         _assert_pairs_near_expm(got, first, second, dt)
 
@@ -806,7 +815,7 @@ class TestReductionPlans:
             return horner(*args)
 
         monkeypatch.setattr(dynamics, "_horner", spy)
-        cf4_propagator(_stacked(first, second), dt)
+        kernel_pairs(_stacked(first, second), dt)
         assert calls == [(2, 40, 3, 5)] * 2
 
     def test_one_exponent_squared_and_the_other_not(self):
@@ -814,7 +823,7 @@ class TestReductionPlans:
         second = tuple(40.0 * h for h in second)
         cuts = _exponent_cuts(_stacked(first, second), dt)
         assert cuts[0][0] == 0 < cuts[1][0]
-        got = cf4_propagator(_stacked(first, second), dt)
+        got = kernel_pairs(_stacked(first, second), dt)
         _assert_pairs_equal(got, frozen_cf4_propagator(first, second, dt))
         _assert_pairs_near_expm(got, first, second, dt)
 
@@ -827,7 +836,7 @@ class TestReductionPlans:
         compact = (h[0][:, :, :1, :1], h[1][:, :, :1, :1], h[2])
         cuts = _exponent_cuts(h, dt)
         assert cuts[0][0] == cuts[1][0] == 0 and cuts[0][1] != cuts[1][1]
-        got = cf4_propagator(compact, dt)
+        got = kernel_pairs(compact, dt)
         _assert_pairs_equal(got, frozen_cf4_propagator(first, second, dt))
         _assert_pairs_near_expm(got, first, second, dt)
 
@@ -850,29 +859,36 @@ class TestReductionPlans:
         expected = frozen_propagate_many(fld, deltas, kappas, n_steps)
         assert np.array_equal(propagate_many(fld, deltas, kappas, n_steps), expected)
 
-    def test_coefficients_without_an_exponent_axis_rejected(self):
-        first, second, dt = _xy8_group(8, (3, 40))
-        one_exponent = tuple(h[0] for h in _stacked(first, second))
-        with pytest.raises(ValueError, match="broadcast to"):
-            cf4_propagator(one_exponent, dt)
-
     def test_repeated_calls_are_identical(self):
         first, second, dt = _xy8_group(2, (6, 77))
-        once = cf4_propagator(_stacked(first, second), dt)
-        _assert_pairs_equal(cf4_propagator(_stacked(first, second), dt), once)
+        once = kernel_pairs(_stacked(first, second), dt)
+        _assert_pairs_equal(kernel_pairs(_stacked(first, second), dt), once)
 
     def test_returned_arrays_are_independent_of_the_plan(self):
-        first, second, dt = _xy8_group(3, (5, 64))
-        other = _xy8_group(5, (5, 64))
-        expected = frozen_cf4_propagator(first, second, dt)
-        a, b = cf4_propagator(_stacked(first, second), dt)
-        # a later call of the same shape leaves an earlier result alone
-        cf4_propagator(_stacked(*other[:2]), other[2])
-        _assert_pairs_equal((a, b), expected)
-        # and writing to a result does not reach the next call
-        a[...] = 0.0
-        b[...] = np.nan
-        _assert_pairs_equal(cf4_propagator(_stacked(first, second), dt), expected)
+        # the kernel's pair is a view into its plan, valid until the plan's
+        # next run, so each slice loop copies it into a result of its own:
+        # a later call of the same shape leaves an earlier result alone, and
+        # writing to a result does not reach the next call
+        from spinopt import magnetometry as mag
+
+        deltas, kappas = _grid_points(3, 3)
+        seq = mag.build_xy8("rect", 50e-9, 350e-9, 1)
+        dt = seq.t_pulse / 20
+        times = dynamics.kernel_times(20, dt)
+        drive = mag._x_drive(seq, times, 1.0)
+        starts = np.arange(4) * seq.spacing
+        totals = np.random.default_rng(3).normal(0.0, TWO_PI * 3e6, (2, 4, 5))
+        calls = [
+            lambda i: propagate_many(DEMO_FIELD, deltas + i * 1e6, kappas, 200),
+            lambda i: mag._direct_pairs(mag.AcSignal(), starts, totals[i], drive, times, dt),
+        ]
+        for call in calls:
+            first = call(0)
+            expected = first.copy()
+            call(1)
+            assert np.array_equal(first, expected)
+            first[...] = np.nan
+            assert np.array_equal(call(0), expected)
 
     def test_threads_get_the_same_bits(self):
         # more callers than cores on one shape at once, each with its own
@@ -886,7 +902,7 @@ class TestReductionPlans:
         def work(i):
             start.wait()
             for _ in range(30):
-                got = cf4_propagator(_stacked(*inputs[i][:2]), inputs[i][2])
+                got = kernel_pairs(_stacked(*inputs[i][:2]), inputs[i][2])
                 if not all(np.array_equal(g, e) for g, e in zip(got, expected[i])):
                     mismatches.append(i)
 
@@ -915,7 +931,7 @@ class TestReductionPlans:
     def test_plan_cache_is_bounded(self):
         for n_steps in range(10, 30):
             first, second, dt = _xy8_group(4, (2, n_steps))
-            cf4_propagator(_stacked(first, second), dt)
+            kernel_pairs(_stacked(first, second), dt)
         assert len(dynamics._plans.by_shape) <= dynamics._PLAN_SHAPES
 
 

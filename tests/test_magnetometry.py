@@ -286,6 +286,22 @@ class TestIdealPhase:
             with pytest.raises(ValueError, match="^omega_s must be finite and positive$"):
                 ideal_phase(1.0, omega_s, 1e-6)
 
+    def test_non_finite_amplitude_or_time_rejected(self):
+        # each returned NaN or inf without an error
+        for g_ac, t in [
+            (np.nan, 1e-6),
+            (np.inf, 1e-6),
+            (-np.inf, 1e-6),
+            (1.0, np.nan),
+            (1.0, np.inf),
+            (1.0, [1e-6, np.nan]),
+        ]:
+            with pytest.raises(ValueError, match="^g_ac and t must be finite$"):
+                ideal_phase(g_ac, OMEGA_S, t)
+
+    def test_negative_amplitude_accepted(self):
+        assert ideal_phase(-2.0, OMEGA_S, 1e-6) == -ideal_phase(2.0, OMEGA_S, 1e-6)
+
 
 def _sequence(kind, n_blocks):
     if kind == "shaped":
@@ -321,11 +337,16 @@ def _assert_matches_per_pulse_oracle(trace, seq, signal, noise, n_sub):
     np.testing.assert_allclose(trace.p0_stderr, p0_stderr, rtol=0, atol=1e-14)
 
 
+# The pulse pass before any test records it: every pulse's pairs from one
+# kernel call per group of pulses.
+_DIRECT_PAIRS = magnetometry._direct_pairs
+
+
 def _direct_pass_calls(monkeypatch, seq, signal, noise, n_sub):
     """The arguments and result of each ``_direct_pairs`` call of a trace,
     the result copied before the trace turns its Y pulses."""
     calls = []
-    direct = magnetometry._direct_pairs
+    direct = _DIRECT_PAIRS
 
     def recorded(*args):
         pairs = direct(*args)
@@ -338,16 +359,34 @@ def _direct_pass_calls(monkeypatch, seq, signal, noise, n_sub):
 
 
 def _assert_pairs_per_pulse(signal, starts, totals, drive, times, dt, pairs):
-    """Each pulse's pair equals its own one-pulse ``_pulse_unitaries`` call."""
+    """Each pulse's pair equals its own one-pulse ``_direct_pairs`` call."""
     assert pairs.shape == (2, *totals.shape)
     for k in range(len(starts)):
-        alone = magnetometry._pulse_unitaries(
-            signal, starts[k : k + 1], totals[k : k + 1], drive, times, dt
-        )
-        np.testing.assert_array_equal(pairs[:, k], np.stack(alone)[:, 0])
+        alone = _DIRECT_PAIRS(signal, starts[k : k + 1], totals[k : k + 1], drive, times, dt)
+        np.testing.assert_array_equal(pairs[:, k], alone[:, 0])
 
 
 class TestSimulateRamsey:
+    def test_pair_product_at_the_trace_shapes(self):
+        # dynamics._apply_compose, bit for bit the formula
+        # (a2 a1 - b2* b1, b2 a1 + a2* b1), as the trace broadcasts it: ideal
+        # pulses (2, n_blocks, 1) onto blocks (2, n_blocks, R), and a block
+        # onto the prepared pair broadcast to (2, R)
+        rng = np.random.default_rng(21)
+
+        def pairs(*shape):
+            return rng.normal(size=(2, *shape)) + 1j * rng.normal(size=(2, *shape))
+
+        def formula(later, earlier):
+            (a2, b2), (a1, b1) = later, earlier
+            return np.broadcast_arrays(a2 * a1 - np.conj(b2) * b1, b2 * a1 + np.conj(a2) * b1)
+
+        prep = np.broadcast_to(magnetometry._PREP[:, None], (2, 30))
+        for later, earlier in [(pairs(7, 1), pairs(7, 30)), (pairs(30), prep)]:
+            out, tmp = np.empty((2, *earlier.shape), dtype=complex)
+            magnetometry._apply_compose(magnetometry._compose_views(later, earlier, out, tmp))
+            np.testing.assert_array_equal(out, formula(later, earlier))
+
     def test_ideal_pulses_match_closed_form(self):
         seq = build_xy8("ideal", 50e-9, 350e-9, 12)
         trace = simulate_ramsey(seq, SIGNAL, NoiseSettings.disabled(), 12 * 3.2e-6)
@@ -568,16 +607,15 @@ def _pulse_inputs(kind, n_realizations, n_blocks=2, n_sub=50):
 
 
 def _recorded_detunings(monkeypatch):
-    """The shapes of the detunings of every ``_pulse_unitaries`` call from
-    here on, in call order: a table's rungs are (2, n)."""
+    """The shapes of the detunings of every ``_direct_pairs`` call from here
+    on, in call order: a table's rungs are (2, n), the direct pass (K, R)."""
     shapes = []
-    unitaries = magnetometry._pulse_unitaries
 
-    def recorded(signal, t_starts, delta_totals, *args):
-        shapes.append(np.shape(delta_totals))
-        return unitaries(signal, t_starts, delta_totals, *args)
+    def recorded(signal, starts, totals, *args):
+        shapes.append(np.shape(totals))
+        return _DIRECT_PAIRS(signal, starts, totals, *args)
 
-    monkeypatch.setattr(magnetometry, "_pulse_unitaries", recorded)
+    monkeypatch.setattr(magnetometry, "_direct_pairs", recorded)
     return shapes
 
 

@@ -508,6 +508,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptConfig(**bad)
 
+    @pytest.mark.parametrize("name", ["search_grid", "verify_grid"])
+    @pytest.mark.parametrize("shape, axis", [((0, 4), "m"), ((4, 0), "n")])
+    def test_empty_grid_rejected_by_the_count_rule(self, name, shape, axis):
+        # the noise grid built from each shape names its empty axis
+        message = f"^{axis} must be an integer of at least 1, not 0$"
+        with pytest.raises(ValueError, match=message):
+            OptConfig(**{name: shape})
+
     def test_non_reference_sample_count_warns(self):
         with pytest.warns(UserWarning):
             OptConfig(method="bpm", n_samples=25)

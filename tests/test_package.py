@@ -98,6 +98,34 @@ def test_the_chebyshev_growth_has_one_owner():
     assert not reads & {"_lobatto", "_chopped"}
 
 
+def test_the_kernel_has_one_entry_per_slice_loop():
+    # _plan(shape).run is the CF4 kernel's only entry: one function per
+    # module calls _plan, and the XY-8 trace composes its pairs with
+    # dynamics._apply_compose
+    package = Path(spinopt.__file__).resolve().parent
+    callers = {}
+    for stem in ("dynamics", "magnetometry"):
+        tree = ast.parse((package / f"{stem}.py").read_text())
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"cf4_propagator", "_pulse_unitaries"}
+        callers[stem] = sorted(
+            func.name
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_plan"
+        )
+        if stem == "magnetometry":
+            imported = {
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            }
+            assert "_apply_compose" in imported
+    assert callers == {"dynamics": ["_propagate_rows"], "magnetometry": ["_direct_pairs"]}
+
+
 def test_the_count_and_scale_checks_have_one_owner():
     # dynamics._check_count and _check_scalar state the rule of every count
     # and every finite scale; no other module writes a scale test by hand,
