@@ -4,7 +4,12 @@ Subcommands: ``optimize``, ``trials``, ``surrogate-demo``, ``magnetometry``,
 ``compare``.  Every command reads an optional JSON config (defaults carry the
 reference values), writes CSV data files to the output directory and
 returns the facts of its ``*_meta.json`` sidecar beyond the common ones;
-``main`` times the command and writes the sidecar.  The exit code is 0 on
+``main`` times the command and writes the sidecar, with the resolved
+config (the defaults, the config file and the ``--method``, ``--nd`` and
+``--seed`` flags), from which alone the command gives the same data files.
+Every verified number and map (``field_map.csv``, ``truth_map.csv`` and
+``surrogate-demo``'s references) comes from the trial's verification,
+``dynamics._tensor_objective``.  The exit code is 0 on
 success, 1 on a runtime failure (``RuntimeError``, ``ValueError`` or
 ``OSError``), 2 on a usage or config error; any other exception is a bug
 and propagates with its traceback.  Data files depend only on the config
@@ -42,7 +47,7 @@ from .config import (
     opt_config_from,
     read,
 )
-from .dynamics import ensemble_objective, fidelities
+from .dynamics import _tensor_objective, ensemble_objective, fidelities
 from .fields import PM, pm_field
 from .kriging import fit, jittered_grid, surrogate_objective
 from .magnetometry import RECT, SHAPED, measure_t2
@@ -157,8 +162,9 @@ def cmd_optimize(cfg: dict, out: Path, seed) -> dict:
     oc = opt_config_from(cfg, seed=seed)
     run = run_single(oc)
     write_trials(out, [run])
-    pts = oc.noise_grid(oc.verify_grid).points()
-    _write_map(out / "field_map.csv", pts, fidelities(run.field, pts, oc.n_steps, oc.target()))
+    verify = oc.noise_grid(oc.verify_grid)
+    _, _, values = _tensor_objective(run.field, verify, oc.n_steps, oc.target())
+    _write_map(out / "field_map.csv", verify.points(), values.ravel())
     print(
         f"{oc.method} n_sets={oc.n_sets}: f_verified={run.f_verified:.4f} "
         f"true_calls={run.true_calls}"
@@ -223,7 +229,8 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> dict:
         return fidelities(fld, pts, oc.n_steps, oc.target())
 
     truth_pts = truth_grid.points()
-    _write_map(out / "truth_map.csv", truth_pts, truth_values(demo_field, truth_pts))
+    _, _, truth = _tensor_objective(demo_field, truth_grid, oc.n_steps, oc.target())
+    _write_map(out / "truth_map.csv", truth_pts, truth.ravel())
     for n in sample_counts:
         pts = jittered_grid(region, n, rng)
         vals = truth_values(demo_field, pts)
@@ -234,7 +241,8 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> dict:
 
     # Timing and deviation versus the number of objective grid points, for
     # the true objective and for a 16-sample surrogate, averaged over random
-    # fields.  The reference value is the dense true objective per field.
+    # fields.  The reference value is each field's verified objective on the
+    # verify grid, the trial's verification (``dynamics._tensor_objective``).
     true_dev = np.zeros(len(mn_list))
     surr_dev = np.zeros(len(mn_list))
     true_time = np.zeros(len(mn_list))
@@ -242,7 +250,7 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> dict:
     for _ in range(n_fields):
         params = draw_initial_params(rng, PM, 1, oc.duration, oc.amp_limit)
         fld = feasible_field(PM, params, oc.duration, oc.amp_limit)
-        reference = ensemble_objective(fld, truth_grid, oc.n_steps, oc.target())
+        reference, _, _ = _tensor_objective(fld, truth_grid, oc.n_steps, oc.target())
         pts = jittered_grid(region, 16, rng)
         model = fit(pts, truth_values(fld, pts), rng, bounds=region)
         for i, grid in enumerate(grids):
@@ -341,6 +349,7 @@ def main(argv=None) -> int:
         for flag, name in (("method", "method"), ("nd", "n_sets")):
             if getattr(args, flag, None) is not None:  # the table checks the leaf
                 cfg["optimize"][name] = getattr(args, flag)
+        cfg["seed"] = cfg["seed"] if args.seed is None else args.seed
         out = Path(args.out or os.environ.get(OUT_ENV_VAR, "spinopt_out"))
         out.mkdir(parents=True, exist_ok=True)
         start = time.perf_counter()
@@ -350,6 +359,7 @@ def main(argv=None) -> int:
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "wall_s": time.perf_counter() - start,
+            "config": cfg,
             **facts,
         }
         (out / f"{args.command}_meta.json").write_text(json.dumps(meta, indent=2))

@@ -62,10 +62,13 @@ Ensemble averages weight a rectangular (delta, kappa) grid by the product
 of two Gaussians specified through their FWHM.  ``ensemble_objective``
 propagates every grid point; ``_tensor_objective``, the trial's
 verification, gives the same sum to rounding from a Chebyshev tensor of
-fewer true calls.  It shares one Chebyshev fit with the XY-8 pulse table,
-``_chebyshev_fit``, the one loop that grows a tensor of Lobatto nodes
-(``_lobatto``) from n to 2n - 1 until the coefficients are ``_chopped``,
-each node evaluated once, and one basis, ``_chebyshev_basis``.
+fewer true calls, and the grid's values that the sum weights, so it is the
+one rule for every verified number and map (``f_verified``, the CLI's
+``field_map.csv`` and ``truth_map.csv``).  It shares one Chebyshev fit
+with the XY-8 pulse table, ``_chebyshev_fit``, the one loop that grows a
+tensor of Lobatto nodes (``_lobatto``) from n to 2n - 1 until the
+coefficients are ``_chopped``, each node evaluated once, and one basis,
+``_chebyshev_basis``.
 
 ``fidelities`` is the one true call.  A caller that evaluates many fields
 at the same points, steps and target, as the pulse search does, builds
@@ -775,9 +778,10 @@ def _chebyshev_fit(evaluate, sizes, limit):
 
 
 def _tensor_objective(field: ControlField, grid: NoiseGrid, n_steps: int = 1000, target=None):
-    """``ensemble_objective`` of ``grid`` from true calls on a tensor of
-    Chebyshev-Lobatto nodes over its box, and the number of points the
-    call propagated.
+    """The trial's verification: ``ensemble_objective`` of ``grid`` from
+    true calls on a tensor of Chebyshev-Lobatto nodes over its box, the
+    number of points the call propagated, and the (M, N) fidelities on the
+    grid that its value weights.
 
     For a fixed field F(delta, kappa) is analytic on the box, so the
     interpolant of its values on a fine enough tensor gives every grid
@@ -788,23 +792,26 @@ def _tensor_objective(field: ControlField, grid: NoiseGrid, n_steps: int = 1000,
     C, (n_d, n_k), and the recurrence basis B of each axis on the grid's
     ``linspace(-1, 1, m)``, (n, m), the interpolant on the grid is
     B_d' C B_k and its weighted sum is sum((B_d W B_k') * C), two BLAS
-    products.  The direct M x N pass runs instead when a rung would reach
-    M N nodes (the fit's ``limit``): from the start when the first rung
-    grown on both axes would, since no winner chopped sooner, so grids that
-    small keep its bits; otherwise after the rungs already spent.
+    products each.  The direct M x N pass runs instead, one ``fidelities``
+    call weighted as ``ensemble_objective`` weights it, when a rung would
+    reach M N nodes (the fit's ``limit``): from the start when the first
+    rung grown on both axes would, since no winner chopped sooner, so grids
+    that small keep its bits; otherwise after the rungs already spent.
     """
     m, n = grid.weights.shape
-    if (2 * _TENSOR_NODES[0] - 1) * (2 * _TENSOR_NODES[1] - 1) >= m * n:
-        return ensemble_objective(field, grid, n_steps, target), m * n
     lo, hi = grid.bounds().T
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def fidelities_at(*x):
         return fidelities(field, mid + half * np.column_stack(x), n_steps, target)
 
-    coeffs, spent = _chebyshev_fit(fidelities_at, _TENSOR_NODES, m * n)
+    # a grid no larger than the first rung grown on both axes takes the direct
+    # pass at once: a limit of 0 evaluates no rung
+    small = (2 * _TENSOR_NODES[0] - 1) * (2 * _TENSOR_NODES[1] - 1) >= m * n
+    coeffs, spent = _chebyshev_fit(fidelities_at, _TENSOR_NODES, 0 if small else m * n)
     if coeffs is None:
-        return ensemble_objective(field, grid, n_steps, target), spent + m * n
+        values = fidelities(field, grid.points(), n_steps, target)
+        return float(np.dot(grid.weights.ravel(), values)), spent + m * n, values.reshape(m, n)
     b_d = _chebyshev_basis(np.linspace(-1.0, 1.0, m), np.empty((coeffs.shape[0], m)))
     b_k = _chebyshev_basis(np.linspace(-1.0, 1.0, n), np.empty((coeffs.shape[1], n)))
-    return float(np.sum((b_d @ grid.weights @ b_k.T) * coeffs)), spent
+    return float(np.sum((b_d @ grid.weights @ b_k.T) * coeffs)), spent, b_d.T @ coeffs @ b_k

@@ -23,7 +23,9 @@ the verify box (``dynamics._tensor_objective``), grown until its
 coefficients chop: 609 points for a typical winner on the default grid,
 within 4.2e-15 of the direct pass over 140 seeded winners.  A grid too
 small for the tensor to save points, such as 20 x 20, takes the direct
-M x N pass.
+M x N pass.  The same call also gives the winner's values on the grid,
+which ``spinopt optimize`` writes to ``field_map.csv``; ``OptRun`` keeps
+only their weighted sum.
 
 ``true_calls`` counts every single-point fidelity evaluation made before
 verification: the model-build samples (none for a direct method) plus
@@ -426,7 +428,7 @@ def run_single(config: OptConfig) -> OptRun:
     result = _search(config, objective, x0)
     best_field = field(result.x)
     verify_start = time.perf_counter()
-    f_verified, verify_points = _tensor_objective(best_field, verify, config.n_steps, target)
+    f_verified, verify_points, _ = _tensor_objective(best_field, verify, config.n_steps, target)
     end = time.perf_counter()
     return OptRun(
         method=config.method,

@@ -40,6 +40,8 @@ from spinopt.config import (
     read,
 )
 
+from test_data_digests import is_data_file
+
 TWO_PI = 2 * np.pi
 # json.dumps writes these as the NaN and Infinity that json.loads reads back.
 NAN, INF = float("nan"), float("inf")
@@ -831,8 +833,31 @@ def test_every_command_writes_its_sidecar(tmp_path, command):
     before = datetime.now(timezone.utc)
     assert main([command, "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     meta = json.loads((out / f"{command}_meta.json").read_text())
-    assert list(meta)[:4] == ["command", "version", "timestamp", "wall_s"]
-    assert set(meta) == {"command", "version", "timestamp", "wall_s"} | extra
+    assert list(meta)[:5] == ["command", "version", "timestamp", "wall_s", "config"]
+    assert set(meta) == {"command", "version", "timestamp", "wall_s", "config"} | extra
     assert (meta["command"], meta["version"]) == (command, __version__)
     assert before <= datetime.fromisoformat(meta["timestamp"]) <= datetime.now(timezone.utc)
     assert meta["wall_s"] >= 0
+
+
+@pytest.mark.parametrize("command", SIDECAR_RUNS)
+def test_sidecar_config_alone_reproduces_the_data_files(tmp_path, command):
+    # the sidecar's config holds every leaf with the flags applied, so a run
+    # from it alone, with no flag, writes byte-identical data files
+    payload, extra = SIDECAR_RUNS[command]
+    flags = ["--method", "sfb", "--nd", "2"] if "search_steps" in extra else []
+    cfg = write_config(tmp_path, payload)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([command, "--config", cfg, "--seed", "3", *flags, "--out", str(first)]) == 0
+    resolved = json.loads((first / f"{command}_meta.json").read_text())["config"]
+    assert resolved["seed"] == 3
+    if flags:
+        assert (resolved["optimize"]["method"], resolved["optimize"]["n_sets"]) == ("sfb", 2)
+    for key in LEAVES:
+        read(resolved, key)
+    cfg = write_config(tmp_path, resolved, "resolved.json")
+    assert main([command, "--config", cfg, "--out", str(again)]) == 0
+    names = sorted(path.name for path in first.iterdir() if is_data_file(path.name))
+    assert names == sorted(path.name for path in again.iterdir() if is_data_file(path.name))
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name

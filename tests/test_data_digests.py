@@ -102,11 +102,36 @@ def test_data_files_match_pinned_digests(tmp_path, command):
 # ``spinopt optimize`` at the default 50 x 50 verify grid, where the trial's
 # verification takes the Chebyshev tensor (``dynamics._tensor_objective``)
 # instead of the direct pass of the 10 x 10 and 15 x 15 runs above;
-# results.csv holds its f_verified.
+# results.csv holds its f_verified and field_map.csv its map of the grid,
+# both from the tensor's coefficients (609 points for this winner).
 DEFAULT_GRID_RUN = ({"optimize": {"method": "bpm", "nm_max_iter": 40}}, 3)
 DEFAULT_GRID_RESULTS = "19a17bf27c4f9bc65cfe49981a377c2c0868df0e9608a970c69fdeb0a5b908f7"
+DEFAULT_GRID_FIELD_MAP = "4c21d8ce08d3a1f6c41f60b3d37fb4ec774aa44a58a663c4a00a6a3c9d81e747"
 
 
 def test_default_grid_results_match_pinned_digest(tmp_path):
     digests = data_digests(tmp_path, "optimize", DEFAULT_GRID_RUN)
     assert digests["results.csv"] == DEFAULT_GRID_RESULTS
+    assert digests["field_map.csv"] == DEFAULT_GRID_FIELD_MAP
+
+
+# ``spinopt surrogate-demo`` on a 30 x 30 verify grid, above the 609 points of
+# the tensor's second rung, so truth_map.csv and the per-field references
+# behind objective_deviation.csv come from the Chebyshev tensor (609 points
+# for the demo field and for the one random field).
+TENSOR_DEMO_RUN = (
+    {
+        "optimize": {"verify_grid": [30, 30]},
+        "surrogate_demo": {"grid_sizes_mn": [16], "n_fields": 1, "timing_reps": 1},
+    },
+    2,
+)
+TENSOR_DEMO_DIGESTS = {
+    "objective_deviation.csv": "2807a46b287cc460a3426a57a07130ec8803df26982d60eace37d447ff824baf",
+    "truth_map.csv": "24cd4a53b741b27379d62ef8ebe2e61f1804e008cc2efdff04ab1be54bffab77",
+}
+
+
+def test_tensor_demo_maps_match_pinned_digests(tmp_path):
+    digests = data_digests(tmp_path, "surrogate-demo", TENSOR_DEMO_RUN)
+    assert {name: digests[name] for name in TENSOR_DEMO_DIGESTS} == TENSOR_DEMO_DIGESTS

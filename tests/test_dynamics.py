@@ -469,6 +469,42 @@ class TestFidelityCall:
             dynamics.fidelity_call(points, 100)
 
 
+class TestDepthMirror:
+    """The PM depth mirror F(delta, kappa; b) = F(-delta, kappa; -b), bit for
+    bit.  Negating every depth b_j negates Omega_y exactly (the modulation
+    phase is odd in b_j), and with -delta the Hamiltonian becomes its complex
+    conjugate, so the propagator does too and the state and X-gate
+    fidelities keep their values; the kernel's arithmetic is odd under that
+    conjugation term by term, so the bits are kept as well.  Raw two-set
+    fields, drawn with negative depths and not passed through
+    ``enforce_amplitude_constraint``, at random points of the default box."""
+
+    N_FIELDS, N_POINTS = 20, 8
+
+    @pytest.mark.parametrize("n_steps", [100, 400])
+    @pytest.mark.parametrize("target", [None, SIGMA_X], ids=["state", "gate_x"])
+    def test_negated_depths_and_detunings_give_the_same_bits(self, target, n_steps):
+        rng = np.random.default_rng(27)
+        cap = 5 * TWO_PI / T
+        for _ in range(self.N_FIELDS):
+            amplitudes = rng.uniform(0.0, OMEGA_MAX, 2)
+            depths, rates = rng.uniform(-cap, cap, 2), rng.uniform(0.0, cap, 2)
+            fld = pm_field(amplitudes, depths, rates, T, OMEGA_MAX)
+            mirror = pm_field(amplitudes, -depths, rates, T, OMEGA_MAX)
+            points = np.column_stack(
+                [rng.uniform(-TWO_PI * 10e6, TWO_PI * 10e6, self.N_POINTS),
+                 rng.uniform(0.5, 1.5, self.N_POINTS)]
+            )
+            mirrored = points * [-1.0, 1.0]
+            values = fidelities(fld, points, n_steps, target)
+            assert np.array_equal(fidelities(mirror, mirrored, n_steps, target), values)
+            call, mirror_call = (
+                dynamics.fidelity_call(p, n_steps, target) for p in (points, mirrored)
+            )
+            assert np.array_equal(call(fld), values)
+            assert np.array_equal(mirror_call(mirror), values)
+
+
 class TestEnsembleObjective:
     def test_constant_zero_fidelity(self):
         fld = pm_field([0.0], [0.0], [0.0], T, OMEGA_MAX)
