@@ -53,9 +53,9 @@ from .kriging import fit, jittered_grid, surrogate_objective
 from .magnetometry import RECT, SHAPED, measure_t2
 from .optimize import (
     METHODS,
+    _trial,
     draw_initial_params,
     feasible_field,
-    run_single,
     run_trials,
 )
 
@@ -160,11 +160,9 @@ def _write_map(path: Path, points, values):
 
 def cmd_optimize(cfg: dict, out: Path, seed) -> dict:
     oc = opt_config_from(cfg, seed=seed)
-    run = run_single(oc)
+    run, values = _trial(oc)
     write_trials(out, [run])
-    verify = oc.noise_grid(oc.verify_grid)
-    _, _, values = _tensor_objective(run.field, verify, oc.n_steps, oc.target())
-    _write_map(out / "field_map.csv", verify.points(), values.ravel())
+    _write_map(out / "field_map.csv", oc.noise_grid(oc.verify_grid).points(), values.ravel())
     print(
         f"{oc.method} n_sets={oc.n_sets}: f_verified={run.f_verified:.4f} "
         f"true_calls={run.true_calls}"

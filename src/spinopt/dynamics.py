@@ -429,7 +429,7 @@ _CF4_LATE = np.array([_CF4_W2, _CF4_W1])
 # EPYC with 1 MB L2 per core, Python 3.11.7, numpy 2.4.6): the verification
 # tensor of six winners (seeded ``bpm`` and ``sfb`` trials, 609 points each
 # at 400 steps), per winner; one direct 50x50 pass at 400 steps, as
-# ``field_map.csv`` takes it; and an XY-8 rect + shaped pair whose signal is
+# ``ensemble_objective`` takes it; and an XY-8 rect + shaped pair whose signal is
 # off the pulse spacing, so that its pulses take the direct pass:
 #
 #   point-steps        16k    24k    32k    48k    64k

@@ -274,11 +274,12 @@ def _grid_predictor(model: KrigingModel, deltas, kappas):
     return predict
 
 
-def _concentrated_nll(thetas, sq_dist, values, nugget, low, high, derivatives=False):
+def _concentrated_nll(thetas, sq_dist, values, nugget, derivatives=False):
     """Negative concentrated log-likelihood, shape (B,), of a (B, k) stack
     of thetas = log alpha, for the samples' per-axis squared distances
-    ``sq_dist`` (k, n, n).  Outside the box [low, high] each value is the
-    one at the clipped theta plus a quadratic penalty on the excess.
+    ``sq_dist`` (k, n, n).  A value is inf where the theta's matrix cannot
+    be factored, fails the conditioning guard or gives no positive finite
+    variance.
 
     The whole stack's correlation matrices are built and factored together;
     each value equals that of a one-theta stack bit for bit.
@@ -286,21 +287,16 @@ def _concentrated_nll(thetas, sq_dist, values, nugget, low, high, derivatives=Fa
     With ``derivatives`` the call returns ``(values, grad, hess, fisher,
     margin, margin_grad)``: the values as without it, bit for bit, then the
     gradient (B, k), Hessian and Fisher information (B, k, k) of the
-    likelihood at the clipped thetas, and the conditioning guard's margin
+    likelihood, and the conditioning guard's margin
     log(min L_ii / max L_ii / COND_GUARD) (B,), which the guard keeps at 0
-    or above, with its gradient (B, k).  Rows whose value is 1e12 or more
-    carry no meaningful derivatives.
+    or above, with its gradient (B, k).  Rows whose value is inf carry no
+    meaningful derivatives.
     """
     n = values.size
     k = len(sq_dist)
-    clipped = thetas.clip(low, high)
-    excess = thetas - clipped
-    penalty = 1e3 * (excess * excess).sum(axis=-1)
-    out = 1e12 + penalty
-    # The clipped values are in range by construction; building a validated
-    # CorrelationParams here would re-check them on every evaluation.
+    out = np.full(len(thetas), np.inf)
     try:
-        terms = _kernel_terms(sq_dist, np.exp(clipped))
+        terms = _kernel_terms(sq_dist, np.exp(thetas))
         corr = np.exp(terms.sum(axis=-3))
         chol, chol_inv, mean_map, weight_map = _factor(corr, nugget)
     except np.linalg.LinAlgError:
@@ -310,9 +306,9 @@ def _concentrated_nll(thetas, sq_dist, values, nugget, low, high, derivatives=Fa
             vector, matrix = np.zeros((1, k)), np.zeros((1, k, k))
             return out, vector, matrix, matrix, np.zeros(1), vector
         # One indefinite matrix fails the whole stack: factor theta by theta
-        # so that only the failing ones get the sentinel.
+        # so that only the failing ones get inf.
         parts = [
-            _concentrated_nll(theta[None], sq_dist, values, nugget, low, high, derivatives)
+            _concentrated_nll(theta[None], sq_dist, values, nugget, derivatives)
             for theta in thetas
         ]
         if not derivatives:
@@ -331,7 +327,7 @@ def _concentrated_nll(thetas, sq_dist, values, nugget, low, high, derivatives=Fa
     well = diag.min(axis=-1) >= COND_GUARD * diag.max(axis=-1)
     for b, (conditioned, var) in enumerate(zip(well.tolist(), sigma2.tolist())):
         if conditioned and 0.0 < var < math.inf:
-            out[b] = 0.5 * (n * np.log(2.0 * np.pi * var) + log_det[b] + n) + penalty[b]
+            out[b] = 0.5 * (n * np.log(2.0 * np.pi * var) + log_det[b] + n)
     if not derivatives:
         return out
     # dR_h = T_h R for log alpha_h, with T_h = terms_h, which is 0 on the
@@ -395,23 +391,25 @@ def _pick_starts(scanned, k):
     size = len(_scan_lattice(k))
     grid = scanned[:size].reshape((SCAN_LEVELS,) * k)
     padded = np.pad(grid, 1, constant_values=np.inf)
-    local = grid < 1e11
+    local = np.isfinite(grid)
     for axis, length in enumerate(grid.shape):
         for first in (0, 2):
             window = [slice(1, -1)] * grid.ndim
             window[axis] = slice(first, first + length)
             local &= grid <= padded[tuple(window)]
     candidates = np.concatenate([np.flatnonzero(local), np.arange(size, len(scanned))])
-    candidates = candidates[scanned[candidates] < 1e11]
+    candidates = candidates[np.isfinite(scanned[candidates])]
     return candidates[np.argsort(scanned[candidates], kind="stable")[:POLISH_STARTS]]
 
 
-def _polish(starts, evaluate, low, high):
-    """Projected Newton descent from each (m, d) start, all starts in
-    lockstep; returns the final thetas, their values, whether each start met
-    the stop test, and the number of thetas evaluated.
+def _polish(starts, sq_dist, values, low, high):
+    """Projected Newton descent of the likelihood of the samples' per-axis
+    squared distances ``sq_dist`` and responses ``values`` from each (m, d)
+    start in the box [low, high], all starts in lockstep; returns the final
+    thetas, their values, whether each start met the stop test, and the
+    number of thetas evaluated.
 
-    ``evaluate`` is ``_concentrated_nll`` with derivatives.  Coordinates
+    Each evaluation is ``_concentrated_nll`` with derivatives.  Coordinates
     within eps of a face of the box whose gradient points out of it are
     held and step onto that face (Bertsekas, SIAM J. Control Optim. 20, 221
     (1982)).  The free ones take the Newton step where the Hessian of the
@@ -431,13 +429,13 @@ def _polish(starts, evaluate, low, high):
     test, or after POLISH_MAX_ROUNDS rounds.
     """
     x = np.array(starts)
-    f, *derivatives = evaluate(x)
+    f, *derivatives = _concentrated_nll(x, sq_dist, values, DEFAULT_NUGGET, derivatives=True)
     grad, hess, fisher, margin, margin_grad = derivatives
     m, dim = x.shape
     evals = m
     step = np.ones(m)
     converged = np.zeros(m, dtype=bool)
-    live = f < 1e11
+    live = np.isfinite(f)
     eye = np.eye(dim)
     for _ in range(POLISH_MAX_ROUNDS):
         eps = np.minimum(POLISH_EPS, np.linalg.norm(x - np.clip(x - grad, low, high), axis=-1))
@@ -471,10 +469,12 @@ def _polish(starts, evaluate, low, high):
         if idx.size == 0:
             break
         trial = np.clip(x[idx] + step[idx, None] * direction[idx], low, high)
-        f_trial, *trial_derivatives = evaluate(trial)
+        f_trial, *trial_derivatives = _concentrated_nll(
+            trial, sq_dist, values, DEFAULT_NUGGET, derivatives=True
+        )
         evals += idx.size
         slope = np.minimum(0.0, ((trial - x[idx]) * grad[idx]).sum(axis=-1))
-        taken = (f_trial < 1e11) & (f_trial < f[idx] + 1e-4 * slope)
+        taken = f_trial < f[idx] + 1e-4 * slope
         now = idx[taken]
         x[now], f[now] = trial[taken], f_trial[taken]
         for kept, new in zip(derivatives, trial_derivatives):
@@ -522,18 +522,11 @@ def fit(samples, values, rng: np.random.Generator, bounds) -> KrigingModel:
     scan = np.concatenate(
         [_scan_lattice(k), [rng.uniform(low, high) for _ in range(FIT_RESTARTS)]]
     )
-    scanned = _concentrated_nll(scan, sq_dist, values, DEFAULT_NUGGET, low, high)
-    if scanned.min() >= 1e11:
+    scanned = _concentrated_nll(scan, sq_dist, values, DEFAULT_NUGGET)
+    if not np.isfinite(scanned).any():
         raise FitError("no scanned theta gives a usable likelihood")
     starts = scan[_pick_starts(scanned, k)]
-    thetas, nlls, converged, evals = _polish(
-        starts,
-        lambda thetas: _concentrated_nll(
-            thetas, sq_dist, values, DEFAULT_NUGGET, low, high, derivatives=True
-        ),
-        low,
-        high,
-    )
+    thetas, nlls, converged, evals = _polish(starts, sq_dist, values, low, high)
     # The first lowest wins.
     params = CorrelationParams(np.exp(thetas[np.argmin(nlls)]))
     model = KrigingModel(samples, values, params, bounds)

@@ -24,8 +24,9 @@ coefficients chop: 609 points for a typical winner on the default grid,
 within 4.2e-15 of the direct pass over 140 seeded winners.  A grid too
 small for the tensor to save points, such as 20 x 20, takes the direct
 M x N pass.  The same call also gives the winner's values on the grid,
-which ``spinopt optimize`` writes to ``field_map.csv``; ``OptRun`` keeps
-only their weighted sum.
+which ``_trial`` returns beside the run, so that ``spinopt optimize``
+writes them to ``field_map.csv`` from its one verification; ``OptRun``
+keeps only their weighted sum.
 
 ``true_calls`` counts every single-point fidelity evaluation made before
 verification: the model-build samples (none for a direct method) plus
@@ -380,6 +381,12 @@ def run_single(config: OptConfig) -> OptRun:
     from a random draw and reduce the fidelities on the coarse search grid
     to its weighted average.
     """
+    return _trial(config)[0]
+
+
+def _trial(config: OptConfig):
+    """``run_single``'s run and the winner's (M, N) values on the verify
+    grid from the same verification."""
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     verify = config.noise_grid(config.verify_grid)
@@ -428,9 +435,9 @@ def run_single(config: OptConfig) -> OptRun:
     result = _search(config, objective, x0)
     best_field = field(result.x)
     verify_start = time.perf_counter()
-    f_verified, verify_points, _ = _tensor_objective(best_field, verify, config.n_steps, target)
+    f_verified, verify_points, values = _tensor_objective(best_field, verify, config.n_steps, target)
     end = time.perf_counter()
-    return OptRun(
+    run = OptRun(
         method=config.method,
         n_sets=config.n_sets,
         seed=config.seed,
@@ -450,6 +457,7 @@ def run_single(config: OptConfig) -> OptRun:
         search_ms=(verify_start - search_start) * 1e3,
         verify_ms=(end - verify_start) * 1e3,
     )
+    return run, values
 
 
 def trial_seeds(master_seed: int, n_trials: int) -> np.ndarray:

@@ -378,13 +378,11 @@ def gp_log_likelihood(values, corr, mu, sigma2):
     return -0.5 * (n * math.log(2.0 * math.pi * sigma2) + logdet + quad / sigma2)
 
 
-def concentrated_nll_direct(theta, scaled, values, nugget, log_alpha_range):
+def concentrated_nll_direct(theta, scaled, values, nugget):
     """Negative concentrated log-likelihood by explicit loops and solves.
 
     theta holds log alpha_1..k of the Gaussian kernel for the k columns of
-    the unit-box ``scaled`` samples.  Each coordinate outside its range is
-    clamped into it and adds 1e3 times its squared excess, summed separately
-    for each side of the range.  mu and sigma^2 take their GLS optima,
+    the unit-box ``scaled`` samples.  mu and sigma^2 take their GLS optima,
     computed with ``np.linalg.solve``; log det R comes from
     ``np.linalg.slogdet``.
     """
@@ -392,11 +390,7 @@ def concentrated_nll_direct(theta, scaled, values, nugget, log_alpha_range):
     scaled = np.asarray(scaled, dtype=float)
     values = np.asarray(values, dtype=float)
     n, k = scaled.shape
-    lo, hi = log_alpha_range
-    penalty = 0.0
-    penalty += 1e3 * sum(max(x - hi, 0.0) ** 2 for x in theta)
-    penalty += 1e3 * sum(max(lo - x, 0.0) ** 2 for x in theta)
-    alpha = [math.exp(min(max(x, lo), hi)) for x in theta]
+    alpha = [math.exp(x) for x in theta]
     corr = np.empty((n, n))
     for i in range(n):
         for j in range(n):
@@ -411,7 +405,7 @@ def concentrated_nll_direct(theta, scaled, values, nugget, log_alpha_range):
     sigma2 = float(resid @ np.linalg.solve(corr, resid)) / n
     sign, log_det = np.linalg.slogdet(corr)
     assert sign > 0
-    return 0.5 * (n * math.log(2.0 * math.pi * sigma2) + log_det + n) + penalty
+    return 0.5 * (n * math.log(2.0 * math.pi * sigma2) + log_det + n)
 
 
 def fit_serial_direct(samples, values, rng, bounds, nugget):
@@ -422,6 +416,9 @@ def fit_serial_direct(samples, values, rng, bounds, nugget):
     ``nelder_mead`` to the end, calling the library's one-theta likelihood
     on one theta at a time; the best restart wins, ties going to the earlier
     one.  It draws from ``rng`` exactly what ``kriging.fit`` draws.
+    Nelder-Mead needs a finite value everywhere, so its objective evaluates
+    the likelihood at the theta clipped into ``LOG_ALPHA_RANGE``, reads an
+    unusable one as 1e12 and adds 1e3 times the squared excess.
     """
     from spinopt.kriging import (
         FIT_RESTARTS,
@@ -439,11 +436,18 @@ def fit_serial_direct(samples, values, rng, bounds, nugget):
     sq_dist = _sq_distances(scaled, scaled)
     low, high = np.array([LOG_ALPHA_RANGE] * k).T
     steps = np.full(k, 0.6)
+
+    def objective(theta):
+        clipped = theta.clip(low, high)
+        excess = theta - clipped
+        value = _concentrated_nll(clipped[None], sq_dist, values, nugget)[0]
+        return (value if np.isfinite(value) else 1e12) + 1e3 * (excess * excess).sum()
+
     best_theta, best_nll, evals = None, np.inf, 0
     for _ in range(FIT_RESTARTS):
         theta0 = rng.uniform(low, high)
         result = nelder_mead(
-            lambda th: _concentrated_nll(th[None], sq_dist, values, nugget, low, high)[0],
+            objective,
             theta0,
             steps,
             f_tol=1e-7,

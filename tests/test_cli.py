@@ -605,6 +605,24 @@ class TestOptimizeCommand:
         grid = opt_config_from(load_config(cfg)).noise_grid((10, 10))
         assert abs(np.dot(grid.weights.ravel(), values) - rec["f_verified"]) < 1e-12
 
+    def test_verifies_the_winner_once(self, tmp_path, monkeypatch):
+        # field_map.csv comes from the trial's own verification
+        import spinopt.cli as cli_module
+        import spinopt.optimize as opt
+
+        calls = []
+        tensor = opt._tensor_objective
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return tensor(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "_tensor_objective", counting)
+        monkeypatch.setattr(cli_module, "_tensor_objective", counting)
+        cfg, out = write_config(tmp_path, FAST_OPT), str(tmp_path / "o")
+        assert main(["optimize", "--config", cfg, "--seed", "3", "--out", out]) == 0
+        assert len(calls) == 1
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, FAST_OPT)
         target = tmp_path / "envout"

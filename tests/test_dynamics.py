@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -26,7 +27,8 @@ from spinopt.dynamics import (
     SIGMA_Y,
     cf4_mix,
 )
-from spinopt.fields import quadratures
+from spinopt.fields import PM, SFB, quadratures
+from spinopt.optimize import draw_initial_params, feasible_field
 
 from oracles import (
     brute_force_objective,
@@ -65,6 +67,27 @@ STRONG_POINTS = ((TWO_PI * 40e6, 1.3), (-TWO_PI * 55e6, 0.7))
 
 def rect_pi():
     return constant_drive(TWO_PI * 10e6, 50e-9, OMEGA_MAX)
+
+
+def random_feasible_cases(seed, n_fields=50, n_points=16):
+    """(field, deltas, kappas, n_steps) of seeded random feasible fields, as
+    a trial draws its start: PM and SFB with 1 and 2 sets, 100 and 400
+    steps, at uniform points of the default box and of a +-30 MHz by
+    0.2-1.8 box."""
+    rng = np.random.default_rng(seed)
+    boxes = (
+        (dynamics.DEFAULT_DELTA_RANGE, dynamics.DEFAULT_KAPPA_RANGE),
+        ((-TWO_PI * 30e6, TWO_PI * 30e6), (0.2, 1.8)),
+    )
+    for basis, n_sets, n_steps, (delta_range, kappa_range) in itertools.product(
+        (PM, SFB), (1, 2), (100, 400), boxes
+    ):
+        for _ in range(n_fields):
+            params = draw_initial_params(rng, basis, n_sets, T, OMEGA_MAX)
+            fld = feasible_field(basis, params, T, OMEGA_MAX)
+            deltas = rng.uniform(*delta_range, n_points)
+            kappas = rng.uniform(*kappa_range, n_points)
+            yield fld, deltas, kappas, n_steps
 
 
 class TestGaussianWeight:
@@ -169,6 +192,13 @@ class TestPropagate:
             for u in us:
                 assert np.max(np.abs(u.conj().T @ u - IDENTITY)) < 1e-10
                 assert abs(abs(np.linalg.det(u)) - 1) < 1e-10
+        # |a|^2 + |b|^2 of U = [[a, -b*], [b, a*]] on random feasible fields
+        worst = 0.0
+        for fld, deltas, kappas, n_steps in random_feasible_cases(2701):
+            us = propagate_many(fld, deltas, kappas, n_steps)
+            norm = np.abs(us[:, 0, 0]) ** 2 + np.abs(us[:, 1, 0]) ** 2
+            worst = max(worst, np.abs(norm - 1.0).max())
+        assert worst < 1e-13, worst
 
     def test_detuning_sign_symmetry(self):
         # with Omega_y = 0 the transition probability is even in delta
@@ -294,6 +324,16 @@ class TestStateFidelity:
         pts = grid.points()
         f = state_fidelity_many(DEMO_FIELD, pts[:, 0], pts[:, 1], 300)
         assert np.all(f >= 0.0) and np.all(f <= 1.0)
+        # state fidelities lie in [0, 1] and X-gate fidelities in [1/3, 1]
+        # on random feasible fields
+        for target, low in ((None, 0.0), (SIGMA_X, 1.0 / 3.0)):
+            values = np.concatenate(
+                [
+                    dynamics.fidelity_call(np.column_stack([deltas, kappas]), n_steps, target)(fld)
+                    for fld, deltas, kappas, n_steps in random_feasible_cases(2702)
+                ]
+            )
+            assert low <= values.min() and values.max() <= 1.0, (values.min(), values.max())
 
 
 class TestGateFidelity:

@@ -162,11 +162,9 @@ def synthetic_design(n, seed):
 
 
 def design_nll(pts, values, alphas):
-    # likelihood of each alpha on the design; fits stay in the box
+    # likelihood of each alpha on the design
     scaled = _scale(pts, REGION)
-    return _concentrated_nll(
-        np.log(alphas), _sq_distances(scaled, scaled), values, DEFAULT_NUGGET, LOW, HIGH
-    )
+    return _concentrated_nll(np.log(alphas), _sq_distances(scaled, scaled), values, DEFAULT_NUGGET)
 
 
 class TestFit:
@@ -285,6 +283,25 @@ class TestFit:
         chol = cholesky(_sq_distances(scaled, scaled), model.params.alpha)
         assert chol.diagonal().min() >= COND_GUARD * chol.diagonal().max()
 
+    @pytest.mark.parametrize("n", [9, 16])
+    def test_every_evaluated_theta_is_in_the_box(self, n, monkeypatch):
+        # the scan draws in the box and the polish projects into it, so the
+        # likelihood needs no clip of its own
+        seen = []
+        likelihood = kriging._concentrated_nll
+
+        def spy(thetas, *args, **kwargs):
+            seen.append(np.array(thetas))
+            return likelihood(thetas, *args, **kwargs)
+
+        monkeypatch.setattr(kriging, "_concentrated_nll", spy)
+        for seed in range(30):
+            pts, values = synthetic_design(n, seed)
+            fit(pts, values, np.random.default_rng(seed + 1), bounds=REGION)
+        thetas = np.concatenate(seen)
+        assert len(thetas) > 30 * len(_scan_lattice(2))
+        assert np.all((LOW <= thetas) & (thetas <= HIGH))
+
     def test_rng_advances_by_the_restart_draws(self):
         pts, values = synthetic_design(9, 3)
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
@@ -372,7 +389,7 @@ class TestConcentratedNll:
         [
             [2.5, 1.0],  # inside the box
             [6.0, 6.0],  # on its faces
-            [7.5, 2.0],  # one coordinate out
+            [7.5, 2.0],  # one coordinate out, evaluated where it is
             [1.5, 6.4],  # the other out
             [6.8, 7.2],  # both out
         ],
@@ -382,9 +399,9 @@ class TestConcentratedNll:
         pts = jittered_grid(UNIT, 16, rng)
         values = quadratic(pts) + 0.01 * rng.standard_normal(16)
         theta = np.array(theta)
-        value = _concentrated_nll(theta[None], _sq_distances(pts, pts), values, 1e-10, LOW, HIGH)[0]
-        assert value < 1e11  # no conditioning guard
-        expected = concentrated_nll_direct(theta, pts, values, 1e-10, LOG_ALPHA_RANGE)
+        value = _concentrated_nll(theta[None], _sq_distances(pts, pts), values, 1e-10)[0]
+        assert np.isfinite(value)  # no conditioning guard
+        expected = concentrated_nll_direct(theta, pts, values, 1e-10)
         assert value == pytest.approx(expected, rel=1e-12, abs=0)
 
 
@@ -400,27 +417,26 @@ class TestConcentratedNll:
                 [-6.0, -6.0],  # Cholesky fails
                 [7.5, 2.0],  # outside the box
                 [-1.0, -1.0],  # conditioning guard
-                [-7.0, -6.5],  # outside, clipped onto the failing corner
+                [-7.0, -6.5],  # outside, flatter than the failing corner
                 [2.0, 2.0],
             ]
         )
-        with pytest.raises(np.linalg.LinAlgError):
-            cholesky(sq_dist, np.exp(thetas[1]), 0.0)
+        for failing in thetas[[1, 4]]:
+            with pytest.raises(np.linalg.LinAlgError):
+                cholesky(sq_dist, np.exp(failing), 0.0)
         chol = cholesky(sq_dist, np.exp(thetas[3]), 0.0)
         assert chol.diagonal().min() < COND_GUARD * chol.diagonal().max()
 
-        stacked = _concentrated_nll(thetas, sq_dist, values, 0.0, LOW, HIGH)
-        single = [_concentrated_nll(th[None], sq_dist, values, 0.0, LOW, HIGH)[0] for th in thetas]
+        stacked = _concentrated_nll(thetas, sq_dist, values, 0.0)
+        single = [_concentrated_nll(th[None], sq_dist, values, 0.0)[0] for th in thetas]
         assert stacked.shape == (len(thetas),)
         np.testing.assert_array_equal(stacked, single)
-        assert stacked[1] == 1e12
-        assert stacked[3] == 1e12
-        assert stacked[4] > 1e12
-        assert np.all(stacked[[0, 2, 5]] < 1e11)
+        assert np.all(stacked[[1, 3, 4]] == np.inf)
+        assert np.all(np.isfinite(stacked[[0, 2, 5]]))
         # without the failing thetas the stack is factored in one call
         good = thetas[[0, 2, 3, 5]]
         np.testing.assert_array_equal(
-            _concentrated_nll(good, sq_dist, values, 0.0, LOW, HIGH), stacked[[0, 2, 3, 5]]
+            _concentrated_nll(good, sq_dist, values, 0.0), stacked[[0, 2, 3, 5]]
         )
 
 
@@ -445,18 +461,17 @@ class TestLikelihoodDerivatives:
         sq_dist, values = self.setup_design()
         theta = np.array(theta)
         value, grad, hess, fisher, margin, margin_grad = _concentrated_nll(
-            theta[None], sq_dist, values, 1e-10, LOW, HIGH, derivatives=True
+            theta[None], sq_dist, values, 1e-10, derivatives=True
         )
-        assert value[0] < 1e11 and margin[0] > 0
-        # A wider box leaves every difference point unclipped, so the
-        # differences see the smooth likelihood on both sides of a face.
-        wide = (LOW - 1.0, HIGH + 1.0)
+        assert np.isfinite(value[0]) and margin[0] > 0
+        # The likelihood takes every theta as given, so the differences see
+        # it on both sides of a face of the box.
         h = 1e-5
         for j in range(2):
             step = np.zeros(2)
             step[j] = h
             up, down = (
-                _concentrated_nll(th[None], sq_dist, values, 1e-10, *wide, derivatives=True)
+                _concentrated_nll(th[None], sq_dist, values, 1e-10, derivatives=True)
                 for th in (theta + step, theta - step)
             )
             # value -> gradient, gradient -> Hessian row, margin -> its gradient
@@ -472,10 +487,8 @@ class TestLikelihoodDerivatives:
     def test_values_unchanged_by_derivatives(self):
         sq_dist, values = self.setup_design()
         thetas = np.array(_scan_lattice(2))
-        plain = _concentrated_nll(thetas, sq_dist, values, 1e-10, LOW, HIGH)
-        with_derivatives = _concentrated_nll(
-            thetas, sq_dist, values, 1e-10, LOW, HIGH, derivatives=True
-        )[0]
+        plain = _concentrated_nll(thetas, sq_dist, values, 1e-10)
+        with_derivatives = _concentrated_nll(thetas, sq_dist, values, 1e-10, derivatives=True)[0]
         np.testing.assert_array_equal(plain, with_derivatives)
 
 
@@ -498,7 +511,7 @@ class TestScanLattice:
         bowls = np.minimum(
             ((lattice - a) ** 2).sum(axis=-1), 1.0 + ((lattice - b) ** 2).sum(axis=-1)
         )
-        draws = [0.5, 7.0, 1e12]
+        draws = [0.5, 7.0, np.inf]
         picked = kriging._pick_starts(np.concatenate([bowls, draws]), 2)
         at_a, at_b = (int(np.flatnonzero((lattice == c).all(axis=-1))[0]) for c in (a, b))
         size = len(lattice)

@@ -899,6 +899,15 @@ class TestEstimateT2:
         orders = [k[::-1] - 1, *(rng.permutation(k.size) for _ in range(3))]
         for order in orders:
             assert estimate_t2(times[order], p0[order], envelope_window=12.8e-6) == est
+        # a noisy 125-point Ramsey trace, whose window maxima have no ties
+        times = 3.2e-6 * np.arange(1, 126)
+        p0 = 0.5 * (1.0 + np.exp(-times / 100e-6) * np.cos(TWO_PI * 60e3 * times))
+        p0 += 0.01 * rng.standard_normal(times.size)
+        est = estimate_t2(times, p0, envelope_window=12.8e-6)
+        assert not est.lower_bound and est.n_fit > 3
+        for _ in range(20):
+            order = rng.permutation(times.size)
+            assert estimate_t2(times[order], p0[order], envelope_window=12.8e-6) == est
 
     def test_window_edges_whose_quotient_rounds_the_wrong_way(self):
         # 13 * 1e-7 / 1e-7 rounds below 13, and the time just below

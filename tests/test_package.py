@@ -145,6 +145,32 @@ def test_the_count_and_scale_checks_have_one_owner():
     assert {"_check_count", "_check_scalar"} <= imported
 
 
+def test_the_likelihood_box_has_one_owner():
+    # the box of log alpha acts only in the fit's draws and the polish's
+    # projection: the likelihood takes no box and marks an unusable theta
+    # with inf, not a large finite sentinel, and the polish calls it itself
+    package = Path(spinopt.__file__).resolve().parent
+    tree = ast.parse((package / "kriging.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    likelihood_args = [arg.arg for arg in functions["_concentrated_nll"].args.args]
+    assert not {"low", "high"} & set(likelihood_args)
+    polish = functions["_polish"]
+    polish_args = {arg.arg for arg in polish.args.args}
+    called = {
+        node.func.id
+        for node in ast.walk(polish)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert "_concentrated_nll" in called
+    assert not polish_args & called
+    sentinels = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in (1e11, 1e12)
+    ]
+    assert not sentinels
+
+
 def test_the_data_file_schema_has_one_owner():
     # spinopt.cli decides every data file's columns and cells: no other
     # module writes CSV, optimize builds no record of its own, and
