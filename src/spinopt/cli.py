@@ -306,7 +306,7 @@ def cmd_magnetometry(cfg: dict, out: Path, seed) -> dict:
         f"T2 rect = {t2[RECT].t2 / 1e-6:.1f} us, shaped = {t2[SHAPED].t2 / 1e-6:.1f} us "
         f"(ratio {ratio:.2f})"
     )
-    return {}
+    return {"propagated": {trace.pulse_kind: trace.propagated for trace in traces}}
 
 
 COMMANDS = {

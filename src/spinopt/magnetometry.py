@@ -201,10 +201,14 @@ def _ou_coefficients(dt, tau, c):
 
 
 def ou_step(delta_d, dt, tau, c, rng: np.random.Generator):
-    """One exact Ornstein-Uhlenbeck update over dt (scalar or array state).
+    """One exact Ornstein-Uhlenbeck update over dt (scalar or array state):
+    ``delta_d * decay + scale * noise`` with the normals of one
+    ``standard_normal`` draw (Gillespie, Phys. Rev. E 54, 2084 (1996)).
 
-    ``dt`` and ``tau`` must be finite and positive, ``c`` finite and
-    nonnegative, as in ``NoiseSettings``; else ValueError.
+    The single-step reference: a trace's noise pass (``_noise_totals``)
+    gives the bits of one call per segment of nonzero length in schedule
+    order.  ``dt`` and ``tau`` must be finite and positive, ``c`` finite
+    and nonnegative, as in ``NoiseSettings``; else ValueError.
     """
     try:
         decay, scale = _ou_coefficients(dt, tau, c)
@@ -235,6 +239,7 @@ class RamseyTrace:
     p0_mean: np.ndarray
     p0_stderr: np.ndarray
     pulse_kind: str
+    propagated: int  # kernel rows (pulses x realizations) the pulse pass ran
 
 
 @dataclass
@@ -316,7 +321,7 @@ _SLICE_POINTS = 6400
 def _table_pairs(signal, starts, totals, drive, times, dt):
     """The pairs of ``_direct_pairs`` for a signal matched to the sequence
     (``_matched``), from a table in the total detuning, or None if none is
-    cheaper.
+    cheaper; and the kernel rows (pulses x realizations) the table ran.
 
     Pulse k then sees (-1)^k times the signal of pulse 0, so its pair
     depends only on its detuning and on k mod 2.  A span of zero width,
@@ -328,21 +333,22 @@ def _table_pairs(signal, starts, totals, drive, times, dt):
     grows from ``_TABLE_NODES`` to 2n - 1 until the coefficients of the pair
     entries are chopped along n, while 2n stays below the direct pass's K R
     propagations: a default trace takes 9, 8 and 16 fresh nodes, 33 in all,
-    66 pulses.
+    66 rows.
     """
     k, r = totals.shape
     lo, hi = totals.min(), totals.max()
     if lo == hi:
         pair = _direct_pairs(signal, starts[:2], np.full((2, 1), lo), drive, times, dt)
-        return np.tile(pair, (1, k // 2, r))
+        return np.tile(pair, (1, k // 2, r)), 2
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def pairs_at(x):
         nodes = np.broadcast_to(mid + half * x, (2, len(x)))
         return _direct_pairs(signal, starts[:2], nodes, drive, times, dt)
 
-    coeffs, _ = _chebyshev_fit(pairs_at, (_TABLE_NODES,), totals.size / 2)
-    return None if coeffs is None else _chebyshev_sums(coeffs, totals, mid, half)
+    coeffs, spent = _chebyshev_fit(pairs_at, (_TABLE_NODES,), totals.size / 2)
+    sums = None if coeffs is None else _chebyshev_sums(coeffs, totals, mid, half)
+    return sums, 2 * spent
 
 
 def _chebyshev_sums(coeffs, totals, mid, half):
@@ -374,6 +380,44 @@ def _free_phase(signal, delta_total, t0, t1):
     return delta_total * (t1 - t0) + sig
 
 
+def _noise_totals(lengths, noise, rng):
+    """The dynamic detuning delta_d at the start of every segment of
+    ``lengths`` (any shape, schedule order), shape (*lengths.shape, R).
+
+    Row 0 is the stationary draw.  Each segment of nonzero length takes one
+    exact OU step to the next row, with ``ou_step``'s bits: its normals are
+    drawn straight into that row, one ``standard_normal`` call per run of
+    consecutive such segments and scaled there, then one loop adds the
+    decayed row before.  A segment of zero length copies its row, and the
+    last segment, whose successor is never read, draws nothing.  With
+    ``c == 0`` every row is 0 and nothing is drawn.
+    """
+    r = noise.n_realizations
+    totals = np.zeros((*np.shape(lengths), r))
+    if noise.c == 0:
+        return totals
+    rows = totals.reshape(-1, r)
+    rows[0] = rng.normal(0.0, noise.stationary_std, r)
+    steps = np.ravel(lengths)[:-1]
+    moves = steps > 0
+    decay, scale = np.empty((2, steps.size))
+    for dt in set(steps[moves].tolist()):
+        decay[steps == dt], scale[steps == dt] = _ou_coefficients(dt, noise.tau, noise.c)
+    edges = np.flatnonzero(np.diff(moves, prepend=False, append=False))
+    for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        drawn = rows[lo + 1 : hi + 1]
+        rng.standard_normal(out=drawn)
+        drawn *= scale[lo:hi, None]
+    tmp = np.empty(r)
+    for row, nxt, move, d in zip(rows, rows[1:], moves.tolist(), decay.tolist()):
+        if move:
+            np.multiply(row, d, out=tmp)
+            np.add(tmp, nxt, out=nxt)
+        else:
+            nxt[:] = row
+    return totals
+
+
 def periods_within(t_max, period) -> int:
     """Whole XY-8 periods that fit in ``t_max`` (rounding slack 1e-9), which
     must be finite and positive."""
@@ -397,22 +441,25 @@ def simulate_ramsey(
     block terminal.  Preparation and readout pulses are ideal.
 
     The OU path does not depend on the spin state, so the trace runs in
-    passes on the calling thread: the noise of every segment is drawn in
-    schedule order; the pairs of every pulse are computed; each block's
-    nine free rotations and eight pulses are composed into one pair, for
-    all blocks at once; and the spin walks the blocks, read out at each
-    terminal.  With ``signal`` matched to ``seq`` (``_matched``: its half
-    period is the pulse spacing to rounding) the pulse pass takes its
-    pairs from a table in the total detuning (``_table_pairs``): a default
-    trace (100 realizations, 125 blocks, 50 substeps) takes 33 Chebyshev
-    nodes, each propagated once for pulses 0 and 1 (66 pulses), about
-    26 ms with 5-9 ms of table sums (2-core Intel Xeon, numpy
-    2.4.6, one OpenBLAS 0.3.31 thread), and moves P0 by at most about
-    3.3e-13; without noise the pairs of pulses 0 and 1 serve
-    every pulse.  Only an unmatched signal, or a span whose chop does not
-    finish below the direct pass's cost, propagates every pulse for every
-    realization (``_direct_pairs``).  A non-finite ``kappa`` raises
-    ValueError, as it would make every pair NaN.
+    passes on the calling thread: the noise pass (``_noise_totals``) gives
+    delta_d at the start of every segment, with the bits of one ``ou_step``
+    per segment in schedule order from one ``standard_normal`` call
+    (rect and shaped pulses); the pairs of every pulse are computed; each
+    block's nine free rotations and eight pulses are composed into one
+    pair, for all blocks at once; and the spin walks the blocks, read out
+    at each terminal.  With ``signal`` matched to ``seq`` (``_matched``:
+    its half period is the pulse spacing to rounding) the pulse pass takes
+    its pairs from a table in the total detuning (``_table_pairs``): a
+    default trace (100 realizations, 125 blocks, 50 substeps) takes 33
+    Chebyshev nodes, each propagated once for pulses 0 and 1 (66 kernel
+    rows, ``RamseyTrace.propagated``), about 19 ms with 6 ms of noise pass
+    and 6 ms of table sums (2-core Intel Xeon, numpy 2.4.6, one OpenBLAS
+    0.3.31 thread), and moves P0 by at most about 3.3e-13; without noise
+    the pairs of pulses 0 and 1 serve every pulse.  Only an unmatched
+    signal, or a span whose chop does not finish below the direct pass's
+    cost, propagates every pulse for every realization (``_direct_pairs``).
+    A non-finite ``kappa`` raises ValueError, as it would make every pair
+    NaN.
     """
     _check_count("n_steps_per_pulse", n_steps_per_pulse)
     if not math.isfinite(kappa):
@@ -427,10 +474,6 @@ def simulate_ramsey(
         delta = rng.normal(0.0, noise.delta_fwhm * FWHM_TO_SIGMA, r)
     else:
         delta = np.zeros(r)
-    if noise.c > 0:
-        delta_d = rng.normal(0.0, noise.stationary_std, r)
-    else:
-        delta_d = np.zeros(r)
 
     # Block b holds 17 segments, gap, pulse, gap, ..., pulse, gap; segment j
     # spans bounds[b, j] to bounds[b, j + 1].
@@ -446,27 +489,26 @@ def simulate_ramsey(
     lengths[:, 1::2] = t_pulse
 
     # Noise pass: delta + delta_d at the start of every segment.
-    totals = np.empty((n_blocks, 17, r))
-    for total, length in zip(totals.reshape(-1, r), lengths.ravel().tolist()):
-        total[:] = delta_d
-        if noise.c > 0 and length > 0:
-            delta_d = ou_step(delta_d, length, noise.tau, noise.c, rng)
+    totals = _noise_totals(lengths, noise, rng)
     totals += delta
     rot = np.exp(
         -0.5j * _free_phase(signal, totals[:, ::2], bounds[:, ::2, None], bounds[:, 1::2, None])
     )
 
-    # Pulse pass: Cayley-Klein pairs (a, b) of every pulse.
+    # Pulse pass: Cayley-Klein pairs (a, b) of every pulse, and the kernel
+    # rows it ran.
     if seq.kind == IDEAL:
         pairs = np.tile(np.array(_IDEAL_PI)[:, None, None], (1, 8 * n_blocks, 1))
+        propagated = 0
     else:
         dt = seq.t_pulse / n_steps_per_pulse
         times = kernel_times(n_steps_per_pulse, dt)
         starts, pulse_totals = bounds[:, 1:-1:2].ravel(), totals[:, 1::2].reshape(-1, r)
         pulses = (signal, starts, pulse_totals, _x_drive(seq, times, kappa), times, dt)
-        pairs = _table_pairs(*pulses) if _matched(signal, seq) else None
+        pairs, propagated = _table_pairs(*pulses) if _matched(signal, seq) else (None, 0)
         if pairs is None:
             pairs = _direct_pairs(*pulses)
+            propagated += pulse_totals.size
     pairs = pairs.reshape(2, n_blocks, 8, -1)
     pairs[1][:, np.array(XY8_AXES) == "y"] *= 1j
 
@@ -491,7 +533,11 @@ def simulate_ramsey(
     p0 = np.abs(_READ_ROW[0] * states[0] + _READ_ROW[1] * states[1]) ** 2
     p0_err = p0.std(axis=1, ddof=1) / np.sqrt(r) if r > 1 else np.zeros(n_blocks)
     return RamseyTrace(
-        times=edges[1:], p0_mean=p0.mean(axis=1), p0_stderr=p0_err, pulse_kind=seq.kind
+        times=edges[1:],
+        p0_mean=p0.mean(axis=1),
+        p0_stderr=p0_err,
+        pulse_kind=seq.kind,
+        propagated=propagated,
     )
 
 

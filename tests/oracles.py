@@ -252,6 +252,25 @@ def simulate_ramsey_per_pulse(seq, signal, noise, t_max, n_steps_per_pulse=50, k
     return p0_mean, p0_err
 
 
+def ou_totals_serial(lengths, noise, rng):
+    """``magnetometry._noise_totals`` as a loop over the segments: delta_d
+    recorded at the start of each, then one ``ou_step`` per segment of
+    nonzero length, the last one included."""
+    from spinopt import magnetometry as mag
+
+    r = noise.n_realizations
+    if noise.c > 0:
+        delta_d = rng.normal(0.0, noise.stationary_std, r)
+    else:
+        delta_d = np.zeros(r)
+    totals = np.empty((*np.shape(lengths), r))
+    for total, length in zip(totals.reshape(-1, r), np.ravel(lengths).tolist()):
+        total[:] = delta_d
+        if noise.c > 0 and length > 0:
+            delta_d = mag.ou_step(delta_d, length, noise.tau, noise.c, rng)
+    return totals
+
+
 def window_maxima_loop(times, env, window):
     """Indices of the maximum of ``env`` in each window
     [w window, (w + 1) window), w = 0, 1, ... up to the window that holds

@@ -700,6 +700,15 @@ class TestMagnetometryCommand:
             "rect_t2_us,shaped_t2_us,ratio,rect_lower_bound,shaped_lower_bound,"
             "rect_n_fit,shaped_n_fit"
         )
+        # the sidecar holds the kernel rows of each kind's pulse pass
+        rect, shaped, signal, noise, run = magnetometry_from(load_config(cfg), seed=7)
+        propagated = {
+            kind: measure_t2(kind, signal=signal, noise=noise, **run, **settings)[0].propagated
+            for kind, settings in (("rect", rect), ("shaped", shaped))
+        }
+        meta = json.loads((out / "magnetometry_meta.json").read_text())
+        assert meta["propagated"] == propagated
+        assert all(rows > 0 for rows in propagated.values())
 
     def test_noise_disabled_trace_is_flat_and_near_ideal(self, tmp_path):
         payload = {
@@ -715,6 +724,9 @@ class TestMagnetometryCommand:
         assert main(["magnetometry", "--config", cfg, "--out", str(out)]) == 0
         report = (out / "t2_report.csv").read_text().splitlines()[1].split(",")
         assert report[3] == "1" and report[4] == "1"  # no resolvable decay
+        # a span of zero width: pulses 0 and 1 at its one detuning
+        meta = json.loads((out / "magnetometry_meta.json").read_text())
+        assert meta["propagated"] == {"rect": 2, "shaped": 2}
         from spinopt import ideal_phase
 
         rows = [
@@ -839,7 +851,7 @@ SIDECAR_RUNS = {
         },
         set(),
     ),
-    "magnetometry": (FAST_MAG, set()),
+    "magnetometry": (FAST_MAG, {"propagated"}),
 }
 
 

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import os
 import subprocess
 import sys
@@ -32,6 +34,7 @@ from spinopt.magnetometry import XY8_AXES, fringe_window, periods_within
 from oracles import (
     abs_cos_integral,
     chebyshev_sums_direct,
+    ou_totals_serial,
     simulate_ramsey_per_pulse,
     window_maxima_loop,
     xy8_gaussian_phase_p0,
@@ -358,6 +361,24 @@ def _direct_pass_calls(monkeypatch, seq, signal, noise, n_sub):
     return calls
 
 
+class _CountingGenerator:
+    """``np.random.default_rng(seed)`` that counts its ``standard_normal``
+    calls."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = _DEFAULT_RNG(seed), 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+_DEFAULT_RNG = np.random.default_rng
+
+
 def _assert_pairs_per_pulse(signal, starts, totals, drive, times, dt, pairs):
     """Each pulse's pair equals its own one-pulse ``_direct_pairs`` call."""
     assert pairs.shape == (2, *totals.shape)
@@ -455,7 +476,7 @@ class TestSimulateRamsey:
         # composing each block's pulses before the walk reassociates the
         # products, which moves P0 by at most 2.0e-15 (rect-1-5) and its
         # standard error by 4.2e-17 over these cases.
-        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: None)
+        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: (None, 0))
         seq = _sequence(kind, n_blocks)
         noise = NoiseSettings(n_realizations=n_realizations, seed=11, **({} if ou else {"c": 0.0}))
         trace = simulate_ramsey(seq, SIGNAL, noise, n_blocks * seq.period, n_steps_per_pulse=n_sub)
@@ -467,7 +488,7 @@ class TestSimulateRamsey:
     ):
         # every pair of the grouped direct pass, bit for bit the pair of
         # its pulse propagated alone (ideal pulses have no pass)
-        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: None)
+        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: (None, 0))
         seq = _sequence(kind, n_blocks)
         noise = NoiseSettings(n_realizations=n_realizations, seed=11, **({} if ou else {"c": 0.0}))
         calls = _direct_pass_calls(monkeypatch, seq, SIGNAL, noise, n_sub)
@@ -480,7 +501,7 @@ class TestSimulateRamsey:
     def test_default_shape_matches_per_pulse_oracle(self, monkeypatch, kind, seed):
         # 125 blocks of 100 realizations and 50 substeps through the direct
         # pass: within 7.8e-16 of the oracle's P0, 1.1e-16 of its error
-        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: None)
+        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: (None, 0))
         seq = _sequence(kind, 125)
         noise = NoiseSettings(n_realizations=100, seed=seed)
         trace = simulate_ramsey(seq, SIGNAL, noise, 125 * seq.period)
@@ -493,18 +514,23 @@ class TestSimulateRamsey:
         assert groups == [6] * 6 + [4]
 
     @pytest.mark.parametrize(
-        "kind, ou, ou_per_block, quadrature_calls",
+        "kind, ou, draws, quadrature_calls",
         [
-            ("rect", True, 17, 1),
-            ("shaped", True, 17, 1),
-            ("ideal", True, 9, 0),
+            ("rect", True, 1, 1),
+            ("shaped", True, 1, 1),
+            ("ideal", True, 3 * 8, 0),
             ("rect", False, 0, 1),
         ],
     )
-    def test_traced_call_counts(self, monkeypatch, kind, ou, ou_per_block, quadrature_calls):
-        # The benchmark's tracer reads these counts through the module
-        # attributes (magnetometry.ou_calls: 2125 per default trace of 125
-        # blocks, and fields.quadratures time), so they must not move.
+    def test_traced_call_counts(self, monkeypatch, kind, ou, draws, quadrature_calls):
+        # The benchmark's tracer wraps magnetometry.ou_step and
+        # fields.quadratures through the module attributes.  A trace calls
+        # ou_step nowhere and quadratures once unless its pulses are ideal;
+        # its noise is one standard_normal call per run of consecutive
+        # segments of nonzero length, the last segment excluded: one for
+        # rect and shaped pulses; for ideal pulses one per pulse, each run
+        # ending on it (the last gap of a block runs on into the next
+        # block's first); none without OU.
         counts = {"ou_step": 0, "quadratures": 0}
         for name in counts:
             def counted(*args, _name=name, _fn=getattr(magnetometry, name), **kwargs):
@@ -512,16 +538,24 @@ class TestSimulateRamsey:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(magnetometry, name, counted)
+        generators = []
+
+        def counting_rng(seed):
+            generators.append(_CountingGenerator(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
         seq = _sequence(kind, 3)
         noise = NoiseSettings(n_realizations=5, seed=1, **({} if ou else {"c": 0.0}))
         simulate_ramsey(seq, SIGNAL, noise, 3 * seq.period, n_steps_per_pulse=12)
-        assert counts == {"ou_step": 3 * ou_per_block, "quadratures": quadrature_calls}
+        assert counts == {"ou_step": 0, "quadratures": quadrature_calls}
+        assert [rng.draws for rng in generators] == [draws]
 
     def test_mixed_term_counts_stay_within_rounding(self, monkeypatch):
         # A signal 100x the default with 6 substeps gives the pulses of one
         # group of the direct pass different series term counts; the
         # group's shared (larger) count then moves P0 by rounding only.
-        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: None)
+        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: (None, 0))
         strong = AcSignal(g_ac=TWO_PI * 10e6, omega_s=OMEGA_S)
         seq = _sequence("rect", 12)
         noise = NoiseSettings(n_realizations=1, seed=2)
@@ -586,6 +620,37 @@ class TestSimulateRamsey:
             simulate_ramsey(seq, SIGNAL, NoiseSettings.disabled(), 4 * 3.2e-6, n_steps_per_pulse=n_sub)
 
 
+class TestNoiseTotals:
+    @pytest.mark.parametrize(
+        "kind, n_realizations, ou, static",
+        list(itertools.product(["rect", "shaped", "ideal"], [1, 5, 100], [True, False], [True, False])),
+    )
+    def test_matches_one_ou_step_per_segment(self, monkeypatch, kind, n_realizations, ou, static):
+        # the noise pass of a 20-block trace, bit for bit the loop of one
+        # ou_step per segment of nonzero length, from the generator as the
+        # trace hands it over (after the static detuning's draw)
+        calls = []
+        noise_totals = magnetometry._noise_totals
+
+        def recorded(lengths, noise, rng):
+            before = copy.deepcopy(rng)
+            totals = noise_totals(lengths, noise, rng)
+            calls.append((lengths.copy(), noise, before, totals.copy()))
+            return totals
+
+        monkeypatch.setattr(magnetometry, "_noise_totals", recorded)
+        seq = _sequence(kind, 20)
+        kwargs = {**({} if ou else {"c": 0.0}), **({} if static else {"delta_fwhm": 0.0})}
+        noise = NoiseSettings(n_realizations=n_realizations, seed=5, **kwargs)
+        simulate_ramsey(seq, SIGNAL, noise, 20 * seq.period, n_steps_per_pulse=12)
+        ((lengths, noise, rng, totals),) = calls
+        assert lengths.shape == (20, 17)
+        assert (lengths[:, 1::2] == 0).all() == (kind == "ideal")
+        assert totals.shape == (20, 17, n_realizations)
+        assert np.array_equal(totals, ou_totals_serial(lengths, noise, rng))
+        assert (totals == 0).all() != ou
+
+
 def _pulse_inputs(kind, n_realizations, n_blocks=2, n_sub=50):
     """The pulse pass's inputs for ``n_blocks`` blocks: default static and
     OU detunings, with one realization at -5 and one at +5 sigma of the
@@ -634,8 +699,9 @@ class TestPulseTable:
         pulses = _pulse_inputs(kind, n_realizations)
         direct = magnetometry._direct_pairs(*pulses)
         rungs = _recorded_detunings(monkeypatch)
-        table = magnetometry._table_pairs(*pulses)
+        table, rows = magnetometry._table_pairs(*pulses)
         assert rungs == self.RUNGS[kind]
+        assert rows == sum(a * b for a, b in rungs)
         assert table.shape == direct.shape == (2, 16, n_realizations)
         assert np.abs(table - direct).max() <= _CHOP_TOL
 
@@ -653,7 +719,7 @@ class TestPulseTable:
         seq = _sequence(kind, 10)
         noise = NoiseSettings(n_realizations=100, seed=4)
         trace = simulate_ramsey(seq, SIGNAL, noise, 10 * seq.period)
-        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: None)
+        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: (None, 0))
         direct = simulate_ramsey(seq, SIGNAL, noise, 10 * seq.period)
         assert not np.array_equal(trace.p0_mean, direct.p0_mean)
         np.testing.assert_allclose(trace.p0_mean, direct.p0_mean, rtol=0, atol=1e-11)
@@ -665,7 +731,8 @@ class TestPulseTable:
         # when it is given their start times
         signal, starts, totals, drive, times, dt = _pulse_inputs("shaped", 100)
         flat = np.full_like(totals, totals[0, 0])
-        table = magnetometry._table_pairs(signal, starts, flat, drive, times, dt)
+        table, rows = magnetometry._table_pairs(signal, starts, flat, drive, times, dt)
+        assert rows == 2
         direct = magnetometry._direct_pairs(signal, starts, flat, drive, times, dt)
         assert table.shape == direct.shape and table.flags.writeable
         assert np.abs(table - direct).max() <= _CHOP_TOL
@@ -676,7 +743,7 @@ class TestPulseTable:
         # 16 pulses of 2 realizations: a table of 17 nodes would cost more
         # propagations than the direct pass, and 9 do not pass the chop
         few = totals[:, :2]
-        assert magnetometry._table_pairs(signal, starts, few, drive, times, dt) is None
+        assert magnetometry._table_pairs(signal, starts, few, drive, times, dt) == (None, 18)
 
     @pytest.mark.parametrize("kind", ["rect", "shaped"])
     def test_noise_free_trace_propagates_two_pulses(self, monkeypatch, kind):
@@ -690,9 +757,41 @@ class TestPulseTable:
         shapes = _recorded_detunings(monkeypatch)
         trace = simulate_ramsey(seq, SIGNAL, noise, 125 * seq.period)
         assert shapes == [(2, 1)]
-        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: None)
+        monkeypatch.setattr(magnetometry, "_table_pairs", lambda *args: (None, 0))
         direct = simulate_ramsey(seq, SIGNAL, noise, 125 * seq.period)
         np.testing.assert_allclose(trace.p0_mean, direct.p0_mean, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, signal, noise, n_blocks, expected",
+        [
+            # a default matched trace: 33 table nodes for pulses 0 and 1
+            ("rect", SIGNAL, NoiseSettings(), 125, 66),
+            ("shaped", SIGNAL, NoiseSettings(), 125, 66),
+            # a span of zero width: pulses 0 and 1 at its one detuning
+            ("shaped", SIGNAL, NoiseSettings.disabled(n_realizations=100), 125, 2),
+            # an unmatched signal: the direct pass's K x R
+            ("rect", AcSignal(omega_s=0.9 * OMEGA_S), NoiseSettings(n_realizations=30), 3, 24 * 30),
+            # 16 pulses of 2 realizations: 9 table nodes that do not chop,
+            # then the direct pass
+            ("rect", SIGNAL, NoiseSettings(n_realizations=2, seed=1), 2, 18 + 16 * 2),
+            ("ideal", SIGNAL, NoiseSettings(), 125, 0),
+        ],
+    )
+    def test_propagated_counts_the_kernel_rows(
+        self, monkeypatch, kind, signal, noise, n_blocks, expected
+    ):
+        # RamseyTrace.propagated: the rows (pulses x realizations) of every
+        # _direct_pairs call the trace makes
+        rows = []
+
+        def counted(signal, starts, totals, *args):
+            rows.append(np.size(totals))
+            return _DIRECT_PAIRS(signal, starts, totals, *args)
+
+        monkeypatch.setattr(magnetometry, "_direct_pairs", counted)
+        seq = _sequence(kind, n_blocks)
+        trace = simulate_ramsey(seq, signal, noise, n_blocks * seq.period)
+        assert trace.propagated == sum(rows) == expected
 
     @pytest.mark.parametrize("n_realizations", [1, 3, 100, 1600])
     @pytest.mark.parametrize("n", [8, 16, 32, 64])

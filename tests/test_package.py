@@ -171,6 +171,32 @@ def test_the_likelihood_box_has_one_owner():
     assert not sentinels
 
 
+def test_the_noise_pass_has_one_owner():
+    # magnetometry._noise_totals draws a trace's whole OU path: the exact
+    # step's coefficients serve only it and the single-step reference
+    # ou_step, neither the pass nor simulate_ramsey steps through ou_step,
+    # and each of the two holds one standard_normal call site, the file's
+    # only ones
+    tree = ast.parse((Path(spinopt.__file__).resolve().parent / "magnetometry.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(node):
+        return [
+            getattr(call.func, "id", getattr(call.func, "attr", None))
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+        ]
+
+    owners = {name for name, func in functions.items() if "_ou_coefficients" in called(func)}
+    assert owners == {"ou_step", "_noise_totals"}
+    assert "ou_step" not in called(functions["simulate_ramsey"]) + called(functions["_noise_totals"])
+    draws = sorted(
+        name for name, func in functions.items() for call in called(func) if call == "standard_normal"
+    )
+    assert draws == ["_noise_totals", "ou_step"]
+    assert called(tree).count("standard_normal") == 2
+
+
 def test_the_data_file_schema_has_one_owner():
     # spinopt.cli decides every data file's columns and cells: no other
     # module writes CSV, optimize builds no record of its own, and
