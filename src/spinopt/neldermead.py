@@ -10,8 +10,7 @@ at a batch of points and is told them.  ``run_lockstep`` advances several
 such searches together and evaluates all their pending points at once;
 ``nelder_mead`` runs one search through it with a plain objective function.
 The pulse search of ``spinopt.optimize`` calls ``nelder_mead``; the Kriging
-likelihood is fitted by a scan and a gradient polish instead (see
-``spinopt.kriging``).
+likelihood is fitted by a lattice scan instead (see ``spinopt.kriging``).
 """
 from __future__ import annotations
 

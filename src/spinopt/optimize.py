@@ -379,7 +379,8 @@ def run_single(config: OptConfig) -> OptRun:
     start from the field of the first validated model and reduce the
     fidelities at its samples to the Kriging estimate; direct methods start
     from a random draw and reduce the fidelities on the coarse search grid
-    to its weighted average.
+    to its weighted average.  On ``state`` an SFB winner is recorded and
+    verified with its quadrature angles turned so that set 0's is 0.
     """
     return _trial(config)[0]
 
@@ -434,6 +435,15 @@ def _trial(config: OptConfig):
 
     result = _search(config, objective, x0)
     best_field = field(result.x)
+    if best_field.basis == SFB and target is None:
+        # A common turn of the quadrature angles rotates the drive axis about
+        # z, which commutes with the |0> -> |1> readout: a flat direction of
+        # ``state``.  The winner is recorded and verified with set 0's angle
+        # turned to 0, so that winners apart only along it give one number.
+        params = best_field.params.copy()
+        angles = params[list(LAYOUT[SFB]).index("quad_angles")]
+        angles[:] = (angles - angles[0]) % (2.0 * np.pi)
+        best_field = replace(best_field, params=params)
     verify_start = time.perf_counter()
     f_verified, verify_points, values = _tensor_objective(best_field, verify, config.n_steps, target)
     end = time.perf_counter()

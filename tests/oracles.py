@@ -429,7 +429,7 @@ def concentrated_nll_direct(theta, scaled, values, nugget):
 
 def fit_serial_direct(samples, values, rng, bounds, nugget):
     """Kernel scales alpha and likelihood evaluation count of a restart fit
-    in the manner ``kriging.fit`` used before its scan and polish.
+    in the manner ``kriging.fit`` used before its lattice scan.
 
     Each of the ``FIT_RESTARTS`` starts draws its log alpha and runs its own
     ``nelder_mead`` to the end, calling the library's one-theta likelihood

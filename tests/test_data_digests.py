@@ -52,18 +52,18 @@ DIGESTS = {
     },
     "trials": {
         "histogram.csv": "faf494dd5653a8889e45637637d1b0811d3b75ebd60d9574df8dfd7b8d26a89f",
-        "results.csv": "9cf20d03a22963f9871d5d9def21234c2ffbf508b76e2438bafc2f669b8733cb",
-        "summary.csv": "6b6b642dc3523b9bccd0eec3e500b44f9391995b332cb4ed228b57d42b64e092",
+        "results.csv": "da4deb1be99b0a674f9c65ad5227acbfc79989ba722ec10f89bacd3c6963d7df",
+        "summary.csv": "a5632df6e8154fbc16bbddc0bfae2be4fafdbb425c635b9bbb36680bb5ae17fd",
     },
     "compare": {
-        "comparison.csv": "8fce959bc2e7a84e42b7ed89e2c76687a2d7ef59fd5895db9ac15ac2fbd9c186",
-        "results_bsfb_n1.csv": "99833166402119bfa310d31925f41f87eb140a9e4c60c7f1c9bab6de1c93afbe",
+        "comparison.csv": "26653cd1aaa70126af4fd99ba0eb5057ccf0a701880620a4682694382f167552",
+        "results_bsfb_n1.csv": "891d1e02cf28e26b57fcd1fe05b7ebf3ac1da2be5f3a1cedbcb04239e49d2586",
         "results_pm_n1.csv": "5fd72ec8005f87911ab4b1f257080b95d2a159994bd01fcc3166ae47b3dadd25",
     },
     "surrogate-demo": {
-        "objective_deviation.csv": "861ff3644e0caa686d4f143ddf4b57c7291e2f96352c6a8d96883a34dcf1f64d",
-        "prediction_map_16.csv": "d2286ee400828a56cea29c418285d4ed920060ba6b6a3e0bddc229d7be23bd3d",
-        "prediction_map_9.csv": "f84e34c309648a745710f965dfdc6e6dae31523c8659e85e3730cdfdb568215d",
+        "objective_deviation.csv": "b87e4e82acda41cd784d8341730695e699a511a3f890d7d7e0c2efb15e11d505",
+        "prediction_map_16.csv": "2c5b912e94a3953c5e71fbb3af9d8cff344f9124eb7ee76389fc647ca14c895e",
+        "prediction_map_9.csv": "fa239cfd1028789ed8f1950490210424adec000905bcf7182a2536e868817021",
         "samples_16.csv": "df7da34fc89dbd41f8d3ef0b1857b63210cae6aa35c751712c8807465f727128",
         "samples_9.csv": "a01b3180ffa0156d023052bc665c2e1923438718d2c8c348a0d7571e128c6974",
         "truth_map.csv": "6d5991840e624f5aa0a6ac98b14089e9bcd2a043a78f4f0b4ebaf35d481a6caf",
@@ -105,8 +105,8 @@ def test_data_files_match_pinned_digests(tmp_path, command):
 # results.csv holds its f_verified and field_map.csv its map of the grid,
 # both from the tensor's coefficients (609 points for this winner).
 DEFAULT_GRID_RUN = ({"optimize": {"method": "bpm", "nm_max_iter": 40}}, 3)
-DEFAULT_GRID_RESULTS = "19a17bf27c4f9bc65cfe49981a377c2c0868df0e9608a970c69fdeb0a5b908f7"
-DEFAULT_GRID_FIELD_MAP = "4c21d8ce08d3a1f6c41f60b3d37fb4ec774aa44a58a663c4a00a6a3c9d81e747"
+DEFAULT_GRID_RESULTS = "54f06bcfd7183d25001350fada5e363fc5e9c7b38dc3f01519accbaf00c5eaf5"
+DEFAULT_GRID_FIELD_MAP = "108cf5efb647026fb7b3b179bed0420e038152e6481694ffb8b36ee951f281dc"
 
 
 def test_default_grid_results_match_pinned_digest(tmp_path):
@@ -127,7 +127,7 @@ TENSOR_DEMO_RUN = (
     2,
 )
 TENSOR_DEMO_DIGESTS = {
-    "objective_deviation.csv": "2807a46b287cc460a3426a57a07130ec8803df26982d60eace37d447ff824baf",
+    "objective_deviation.csv": "e5db8632248e7fab5c51976696afa2b240a781585475b126892c27b6c76f4d02",
     "truth_map.csv": "24cd4a53b741b27379d62ef8ebe2e61f1804e008cc2efdff04ab1be54bffab77",
 }
 

@@ -146,23 +146,22 @@ def test_the_count_and_scale_checks_have_one_owner():
 
 
 def test_the_likelihood_box_has_one_owner():
-    # the box of log alpha acts only in the fit's draws and the polish's
-    # projection: the likelihood takes no box and marks an unusable theta
-    # with inf, not a large finite sentinel, and the polish calls it itself
+    # the box of log alpha acts only in the fit's lattice and draws: the
+    # likelihood takes no box and no derivative switch, marks an unusable
+    # theta with inf, not a large finite sentinel, and only fit calls it,
+    # apart from its own theta-by-theta retry
     package = Path(spinopt.__file__).resolve().parent
     tree = ast.parse((package / "kriging.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     likelihood_args = [arg.arg for arg in functions["_concentrated_nll"].args.args]
-    assert not {"low", "high"} & set(likelihood_args)
-    polish = functions["_polish"]
-    polish_args = {arg.arg for arg in polish.args.args}
-    called = {
-        node.func.id
-        for node in ast.walk(polish)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-    }
-    assert "_concentrated_nll" in called
-    assert not polish_args & called
+    assert likelihood_args == ["thetas", "sq_dist", "values", "nugget"]
+    callers = sorted(
+        name
+        for name, func in functions.items()
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_concentrated_nll"
+    )
+    assert callers == ["_concentrated_nll", "fit"]
     sentinels = [
         node.lineno
         for node in ast.walk(tree)
