@@ -92,7 +92,6 @@ import numpy as np
 from .fields import ControlField, quadratures
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
 # FWHM = 2 * sqrt(2 ln 2) * sigma for a Gaussian.

@@ -206,9 +206,10 @@ def ou_step(delta_d, dt, tau, c, rng: np.random.Generator):
     ``standard_normal`` draw (Gillespie, Phys. Rev. E 54, 2084 (1996)).
 
     The single-step reference: a trace's noise pass (``_noise_totals``)
-    gives the bits of one call per segment of nonzero length in schedule
-    order.  ``dt`` and ``tau`` must be finite and positive, ``c`` finite
-    and nonnegative, as in ``NoiseSettings``; else ValueError.
+    gives the bits of one call per segment in schedule order (an ideal
+    sequence's segments are its gaps).  ``dt`` and ``tau`` must be finite
+    and positive, ``c`` finite and nonnegative, as in ``NoiseSettings``;
+    else ValueError.
     """
     try:
         decay, scale = _ou_coefficients(dt, tau, c)
@@ -382,15 +383,16 @@ def _free_phase(signal, delta_total, t0, t1):
 
 def _noise_totals(lengths, noise, rng):
     """The dynamic detuning delta_d at the start of every segment of
-    ``lengths`` (any shape, schedule order), shape (*lengths.shape, R).
+    ``lengths`` (any shape, schedule order, every length positive), shape
+    (*lengths.shape, R).
 
-    Row 0 is the stationary draw.  Each segment of nonzero length takes one
-    exact OU step to the next row, with ``ou_step``'s bits: its normals are
-    drawn straight into that row, one ``standard_normal`` call per run of
-    consecutive such segments and scaled there, then one loop adds the
-    decayed row before.  A segment of zero length copies its row, and the
-    last segment, whose successor is never read, draws nothing.  With
-    ``c == 0`` every row is 0 and nothing is drawn.
+    Row 0 is the stationary draw.  Each segment takes one exact OU step to
+    the next row, with ``ou_step``'s bits: one ``standard_normal`` call
+    draws every step's normals straight into the rows after row 0, where
+    they are scaled, then one loop adds the decayed row before.  The last
+    segment, whose successor is never read, draws nothing.  A segment of
+    zero length raises ValueError, as ``ou_step`` does.  With ``c == 0``
+    every row is 0 and nothing is drawn.
     """
     r = noise.n_realizations
     totals = np.zeros((*np.shape(lengths), r))
@@ -399,22 +401,15 @@ def _noise_totals(lengths, noise, rng):
     rows = totals.reshape(-1, r)
     rows[0] = rng.normal(0.0, noise.stationary_std, r)
     steps = np.ravel(lengths)[:-1]
-    moves = steps > 0
     decay, scale = np.empty((2, steps.size))
-    for dt in set(steps[moves].tolist()):
+    for dt in set(steps.tolist()):
         decay[steps == dt], scale[steps == dt] = _ou_coefficients(dt, noise.tau, noise.c)
-    edges = np.flatnonzero(np.diff(moves, prepend=False, append=False))
-    for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
-        drawn = rows[lo + 1 : hi + 1]
-        rng.standard_normal(out=drawn)
-        drawn *= scale[lo:hi, None]
+    rng.standard_normal(out=rows[1:])
+    rows[1:] *= scale[:, None]
     tmp = np.empty(r)
-    for row, nxt, move, d in zip(rows, rows[1:], moves.tolist(), decay.tolist()):
-        if move:
-            np.multiply(row, d, out=tmp)
-            np.add(tmp, nxt, out=nxt)
-        else:
-            nxt[:] = row
+    for row, nxt, d in zip(rows, rows[1:], decay.tolist()):
+        np.multiply(row, d, out=tmp)
+        np.add(tmp, nxt, out=nxt)
     return totals
 
 
@@ -443,11 +438,13 @@ def simulate_ramsey(
     The OU path does not depend on the spin state, so the trace runs in
     passes on the calling thread: the noise pass (``_noise_totals``) gives
     delta_d at the start of every segment, with the bits of one ``ou_step``
-    per segment in schedule order from one ``standard_normal`` call
-    (rect and shaped pulses); the pairs of every pulse are computed; each
-    block's nine free rotations and eight pulses are composed into one
-    pair, for all blocks at once; and the spin walks the blocks, read out
-    at each terminal.  With ``signal`` matched to ``seq`` (``_matched``:
+    per segment in schedule order from one ``standard_normal`` call (ideal
+    pulses take no time, so only their gaps are segments; a gap that rounds
+    to zero length raises ValueError unless ``noise.c`` is 0); the pairs of
+    every pulse are computed; each block's nine free rotations and eight
+    pulses are composed into one pair, for all blocks at once; and the spin
+    walks the blocks, read out at each terminal.  With ``signal`` matched
+    to ``seq`` (``_matched``:
     its half period is the pulse spacing to rounding) the pulse pass takes
     its pairs from a table in the total detuning (``_table_pairs``): a
     default trace (100 realizations, 125 blocks, 50 substeps) takes 33
@@ -477,7 +474,8 @@ def simulate_ramsey(
 
     # Block b holds 17 segments, gap, pulse, gap, ..., pulse, gap; segment j
     # spans bounds[b, j] to bounds[b, j + 1].
-    t_pulse = 0.0 if seq.kind == IDEAL else seq.t_pulse
+    ideal = seq.kind == IDEAL
+    t_pulse = 0.0 if ideal else seq.t_pulse
     centres = ((np.arange(8 * n_blocks) + 0.5) * seq.spacing).reshape(n_blocks, 8)
     edges = np.arange(n_blocks + 1) * seq.period
     bounds = np.empty((n_blocks, 18))
@@ -488,16 +486,16 @@ def simulate_ramsey(
     lengths = np.diff(bounds)
     lengths[:, 1::2] = t_pulse
 
-    # Noise pass: delta + delta_d at the start of every segment.
-    totals = _noise_totals(lengths, noise, rng)
+    # Noise pass: delta + delta_d at the start of every segment; ideal
+    # pulses take no time, so an ideal sequence passes only its gaps.
+    totals = _noise_totals(lengths[:, ::2] if ideal else lengths, noise, rng)
     totals += delta
-    rot = np.exp(
-        -0.5j * _free_phase(signal, totals[:, ::2], bounds[:, ::2, None], bounds[:, 1::2, None])
-    )
+    gaps = totals if ideal else totals[:, ::2]
+    rot = np.exp(-0.5j * _free_phase(signal, gaps, bounds[:, ::2, None], bounds[:, 1::2, None]))
 
     # Pulse pass: Cayley-Klein pairs (a, b) of every pulse, and the kernel
     # rows it ran.
-    if seq.kind == IDEAL:
+    if ideal:
         pairs = np.tile(np.array(_IDEAL_PI)[:, None, None], (1, 8 * n_blocks, 1))
         propagated = 0
     else:

@@ -254,8 +254,8 @@ def simulate_ramsey_per_pulse(seq, signal, noise, t_max, n_steps_per_pulse=50, k
 
 def ou_totals_serial(lengths, noise, rng):
     """``magnetometry._noise_totals`` as a loop over the segments: delta_d
-    recorded at the start of each, then one ``ou_step`` per segment of
-    nonzero length, the last one included."""
+    recorded at the start of each, then one ``ou_step`` per segment, the
+    last one included."""
     from spinopt import magnetometry as mag
 
     r = noise.n_realizations
@@ -266,7 +266,7 @@ def ou_totals_serial(lengths, noise, rng):
     totals = np.empty((*np.shape(lengths), r))
     for total, length in zip(totals.reshape(-1, r), np.ravel(lengths).tolist()):
         total[:] = delta_d
-        if noise.c > 0 and length > 0:
+        if noise.c > 0:
             delta_d = mag.ou_step(delta_d, length, noise.tau, noise.c, rng)
     return totals
 
@@ -436,13 +436,20 @@ def fit_serial_direct(samples, values, rng, bounds, nugget):
     on one theta at a time; the best restart wins, ties going to the earlier
     one.  It draws from ``rng`` exactly what ``kriging.fit`` draws.
     Nelder-Mead needs a finite value everywhere, so its objective evaluates
-    the likelihood at the theta clipped into ``LOG_ALPHA_RANGE``, reads an
-    unusable one as 1e12 and adds 1e3 times the squared excess.
+    the likelihood at the theta clipped into ``LOG_ALPHA_RANGE`` and adds
+    1e3 times the squared excess.  It reads an unusable likelihood as
+    1e12 (1 + COND_GUARD - ratio), ratio the smallest over the largest
+    Cholesky diagonal entry (0 if the matrix cannot be factored): the ratio
+    grows with alpha, so a restart that starts below the conditioning guard
+    climbs to it rather than stopping on a flat plateau.
     """
     from spinopt.kriging import (
+        COND_GUARD,
         FIT_RESTARTS,
         LOG_ALPHA_RANGE,
         _concentrated_nll,
+        _factor,
+        _kernel,
         _scale,
         _sq_distances,
     )
@@ -460,7 +467,14 @@ def fit_serial_direct(samples, values, rng, bounds, nugget):
         clipped = theta.clip(low, high)
         excess = theta - clipped
         value = _concentrated_nll(clipped[None], sq_dist, values, nugget)[0]
-        return (value if np.isfinite(value) else 1e12) + 1e3 * (excess * excess).sum()
+        if not np.isfinite(value):
+            try:
+                diag = _factor(_kernel(sq_dist, np.exp(clipped)), nugget)[0].diagonal()
+                ratio = diag.min() / diag.max()
+            except np.linalg.LinAlgError:
+                ratio = 0.0
+            value = 1e12 * (1.0 + COND_GUARD - ratio)
+        return value + 1e3 * (excess * excess).sum()
 
     best_theta, best_nll, evals = None, np.inf, 0
     for _ in range(FIT_RESTARTS):

@@ -22,16 +22,12 @@ from spinopt import (
     state_fidelity_many,
 )
 from spinopt import dynamics
-from spinopt.dynamics import (
-    IDENTITY,
-    SIGMA_X,
-    SIGMA_Y,
-    cf4_mix,
-)
+from spinopt.dynamics import IDENTITY, SIGMA_X, cf4_mix
 from spinopt.fields import PM, SFB, quadratures
 from spinopt.optimize import draw_initial_params, feasible_field
 
 from oracles import (
+    SIGMA_Y,
     brute_force_objective,
     cf4_propagator_direct,
     cf4_sample_times,

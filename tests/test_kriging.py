@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from spinopt.kriging import (
 
 from oracles import (
     concentrated_nll_direct,
+    fit_serial_direct,
     gp_log_likelihood,
     loo_predictions_direct,
 )
@@ -154,6 +156,26 @@ def synthetic_design(n, seed):
     pts = jittered_grid(REGION, n, rng)
     values = quadratic(_scale(pts, REGION)) + 0.02 * rng.standard_normal(n)
     return pts, values
+
+
+@functools.cache
+def oracle_and_scan_nll():
+    """Library likelihoods at the restart oracle's alpha and at the scan's,
+    shape (60, 2), on synthetic_design(n, seed) for n in (9, 16) and seeds
+    0-29, each fit drawing from its own default_rng(seed + 1)."""
+    pairs = []
+    for n in (9, 16):
+        for seed in range(30):
+            pts, values = synthetic_design(n, seed)
+            oracle, _ = fit_serial_direct(
+                pts, values, np.random.default_rng(seed + 1), REGION, DEFAULT_NUGGET
+            )
+            model = fit(pts, values, np.random.default_rng(seed + 1), bounds=REGION)
+            scaled = _scale(pts, REGION)
+            thetas = np.log([oracle, model.params.alpha])
+            sq_dist = _sq_distances(scaled, scaled)
+            pairs.append(_concentrated_nll(thetas, sq_dist, values, DEFAULT_NUGGET))
+    return np.array(pairs)
 
 
 class TestFit:
@@ -362,6 +384,21 @@ class TestFit:
         bounds = np.array([REGION[0], [0.5, np.inf]])
         with pytest.raises(ValueError, match="finite"):
             fit(pts, values, np.random.default_rng(0), bounds=bounds)
+
+    def test_restart_oracle_alpha_is_usable(self):
+        # every restart of the oracle that starts below the conditioning
+        # guard climbs to it, so its alpha has a finite likelihood on every
+        # design
+        assert np.isfinite(oracle_and_scan_nll()[:, 0]).all()
+
+    def test_scan_gap_to_the_restart_oracle(self):
+        # the scan's likelihood above the restart fit's over the 60 designs:
+        # median 0.342 and maximum 2.003 when recorded, below 0 where the
+        # scan found the lower value
+        oracle, scan = oracle_and_scan_nll().T
+        gap = scan - oracle
+        assert np.median(gap) <= 0.35
+        assert gap.max() <= 2.01
 
     def test_deterministic_for_fixed_seed(self):
         pts = jittered_grid(UNIT, 9, np.random.default_rng(21))

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import os
 import subprocess
@@ -518,7 +519,7 @@ class TestSimulateRamsey:
         [
             ("rect", True, 1, 1),
             ("shaped", True, 1, 1),
-            ("ideal", True, 3 * 8, 0),
+            ("ideal", True, 1, 0),
             ("rect", False, 0, 1),
         ],
     )
@@ -526,11 +527,8 @@ class TestSimulateRamsey:
         # The benchmark's tracer wraps magnetometry.ou_step and
         # fields.quadratures through the module attributes.  A trace calls
         # ou_step nowhere and quadratures once unless its pulses are ideal;
-        # its noise is one standard_normal call per run of consecutive
-        # segments of nonzero length, the last segment excluded: one for
-        # rect and shaped pulses; for ideal pulses one per pulse, each run
-        # ending on it (the last gap of a block runs on into the next
-        # block's first); none without OU.
+        # its noise is one standard_normal call per trace with OU, for every
+        # pulse kind, and none without OU.
         counts = {"ou_step": 0, "quadratures": 0}
         for name in counts:
             def counted(*args, _name=name, _fn=getattr(magnetometry, name), **kwargs):
@@ -627,8 +625,10 @@ class TestNoiseTotals:
     )
     def test_matches_one_ou_step_per_segment(self, monkeypatch, kind, n_realizations, ou, static):
         # the noise pass of a 20-block trace, bit for bit the loop of one
-        # ou_step per segment of nonzero length, from the generator as the
-        # trace hands it over (after the static detuning's draw)
+        # ou_step per segment, from the generator as the trace hands it over
+        # (after the static detuning's draw); ideal pulses take no time, so
+        # an ideal trace passes its 9 gaps per block and every segment the
+        # pass sees has positive length
         calls = []
         noise_totals = magnetometry._noise_totals
 
@@ -644,11 +644,43 @@ class TestNoiseTotals:
         noise = NoiseSettings(n_realizations=n_realizations, seed=5, **kwargs)
         simulate_ramsey(seq, SIGNAL, noise, 20 * seq.period, n_steps_per_pulse=12)
         ((lengths, noise, rng, totals),) = calls
-        assert lengths.shape == (20, 17)
-        assert (lengths[:, 1::2] == 0).all() == (kind == "ideal")
-        assert totals.shape == (20, 17, n_realizations)
+        assert lengths.shape == ((20, 9) if kind == "ideal" else (20, 17))
+        assert (lengths > 0).all()
+        assert totals.shape == (*lengths.shape, n_realizations)
         assert np.array_equal(totals, ou_totals_serial(lengths, noise, rng))
         assert (totals == 0).all() != ou
+
+    # sha256 of p0_mean then p0_stderr of default-shape ideal traces (125
+    # blocks) with OU and static broadening on: the bits of the per-segment
+    # loop that also stepped through the zero-length pulses
+    IDEAL_DIGESTS = {
+        (1, 0): "ed50b568a9d3fc141e870fcbbd77e3f700722a01f73bb494d4e8674888cc1847",
+        (1, 3): "f4dd337923f5d30813020e97e5624832421280b50d1597e82420f3cca91ba803",
+        (5, 0): "467b0e64a62c6b7a6c3a59e294bae042ba4269bb4e1f017d18796ca65211e4bb",
+        (5, 3): "6e8c75716389d425b715019ba68185acf4d42750ff50917a10e35e1f889bb8d7",
+        (100, 0): "a9bd73ee2bf8ff3a0df43aa3234c979222a7f04f8f8a0b1346320baab0ed6c0e",
+        (100, 3): "248d353c44f695ee17b9965fbabdd7b02b62a33784a0625196787ca2d2844cbd",
+    }
+
+    @pytest.mark.parametrize("n_realizations, seed", list(IDEAL_DIGESTS))
+    def test_ideal_trace_keeps_its_bits(self, n_realizations, seed):
+        seq = _sequence("ideal", 125)
+        noise = NoiseSettings(n_realizations=n_realizations, seed=seed)
+        trace = simulate_ramsey(seq, SIGNAL, noise, 125 * seq.period)
+        digest = hashlib.sha256(trace.p0_mean.tobytes() + trace.p0_stderr.tobytes()).hexdigest()
+        assert digest == self.IDEAL_DIGESTS[n_realizations, seed]
+
+    def test_a_gap_that_rounds_away_takes_no_ou_step(self):
+        # tau_pulse = 1e-30 s vanishes in the 50 ns spacing, so every gap
+        # has zero length: with OU on the pass raises, as ou_step does for
+        # dt = 0; without OU nothing is drawn and the trace runs
+        seq = build_xy8("rect", 50e-9, 1e-30, 3)
+        assert seq.spacing == seq.t_pulse
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            simulate_ramsey(seq, SIGNAL, NoiseSettings(n_realizations=5), 3 * seq.period, 12)
+        noise = NoiseSettings(n_realizations=5, c=0.0)
+        trace = simulate_ramsey(seq, SIGNAL, noise, 3 * seq.period, 12)
+        assert np.isfinite(trace.p0_mean).all()
 
 
 def _pulse_inputs(kind, n_realizations, n_blocks=2, n_sub=50):
