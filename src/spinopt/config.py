@@ -98,7 +98,8 @@ class Leaf:
 
     ``low`` and ``high`` bound a number, or each entry of a pair or list
     (of kind ``entry``; a list has 1 to ``MAX_SETS``) or of a field vector,
-    in the key's unit; ``low_open`` excludes ``low``.  A ``nullable`` leaf
+    in the key's unit; ``low_open`` excludes ``low``, and a value that the
+    unit conversion rounds onto it.  A ``nullable`` leaf
     also takes ``null``, read as None.
     """
 
@@ -175,7 +176,8 @@ class Leaf:
         in_bounds = (self.low < x if self.low_open else self.low <= x) and x <= self.high
         if not (abs(x) < math.inf and in_bounds) or self.kind == SQUARE and math.isqrt(x) ** 2 != x:
             return _INVALID
-        return UNITS[_suffix(key)](x) if _suffix(key) else x
+        x = UNITS[_suffix(key)](x) if _suffix(key) else x
+        return _INVALID if self.low_open and x == self.low else x  # rounded onto an open low
 
 
 LEAVES = {

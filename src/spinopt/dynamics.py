@@ -164,10 +164,12 @@ class NoiseGrid:
         _check_count("n", n)
         deltas = np.linspace(delta_range[0], delta_range[1], m)
         kappas = np.linspace(kappa_range[0], kappa_range[1], n)
-        wd = gaussian_weight(deltas, 0.0, delta_fwhm)
-        wk = gaussian_weight(kappas, kappa_mean, kappa_fwhm)
-        weights = np.outer(wd, wk)
-        total = weights.sum()
+        # a line far narrower than the grid's spacing can overflow z * z,
+        # 1 / sigma or the sum; the check below rejects a sum left unusable
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            wd = gaussian_weight(deltas, 0.0, delta_fwhm)
+            weights = np.outer(wd, gaussian_weight(kappas, kappa_mean, kappa_fwhm))
+            total = weights.sum()
         if not 0 < total < math.inf:
             raise ValueError(
                 f"the Gaussian weights of the {m} x {n} grid must be finite with a positive "
@@ -460,7 +462,6 @@ def kernel_slices(n_rows: int, row_steps: int) -> list:
     return [slice(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
 
 
-@functools.lru_cache(maxsize=8)
 def _tree_order(n_steps: int) -> np.ndarray:
     """The order in which the kernel stores ``n_steps`` steps: position p
     holds step ``order[p]``.
@@ -471,7 +472,7 @@ def _tree_order(n_steps: int) -> np.ndarray:
     both in the order of the level above, and an unpaired last column n - 1
     in the last position; so each level composes two contiguous halves and
     forms the same products, in the same order, as pairing neighbouring
-    steps of the natural order.  Built once per step count, read-only.
+    steps of the natural order.
     """
     sizes = []
     n = n_steps
@@ -482,9 +483,7 @@ def _tree_order(n_steps: int) -> np.ndarray:
     for n in reversed(sizes):
         half = order[: n // 2]
         order = [2 * o for o in half] + [2 * o + 1 for o in half] + [n - 1] * (n % 2)
-    order = np.array(order)
-    order.flags.writeable = False
-    return order
+    return np.array(order)
 
 
 @functools.lru_cache(maxsize=8)
@@ -700,21 +699,17 @@ _TENSOR_NODES = (15, 11)
 _CHOP_TOL = 1e-13
 
 
-@functools.lru_cache(maxsize=16)
 def _lobatto(n: int):
     """The n Chebyshev-Lobatto points cos(pi j / (n - 1)), from 1 down to
     -1, and the (n, n) matrix that maps values at them to the Chebyshev
     coefficients of their interpolant (DCT-I).  The points of n are the
-    even-indexed points of 2n - 1, bit for bit.  Built once per n,
-    read-only."""
+    even-indexed points of 2n - 1, bit for bit."""
     j = np.arange(n)
     nodes = np.sin(np.pi * (n - 1 - 2 * j) / (2 * (n - 1)))
     angles = np.pi * (np.outer(j, j) % (2 * (n - 1))) / (n - 1)
     transform = np.cos(angles) * (2.0 / (n - 1))
     transform[:, [0, -1]] *= 0.5
     transform[[0, -1]] *= 0.5
-    for a in (nodes, transform):
-        a.flags.writeable = False
     return nodes, transform
 
 

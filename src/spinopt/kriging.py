@@ -23,7 +23,6 @@ numerical regularizer, not a noise model.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from dataclasses import dataclass
 
@@ -289,15 +288,12 @@ def _concentrated_nll(thetas, sq_dist, values, nugget):
     return out
 
 
-@functools.cache
 def _scan_lattice(k: int) -> np.ndarray:
-    """Read-only product lattice of thetas = log alpha, shape (L, k), that
+    """The product lattice of thetas = log alpha, shape (L, k), that
     every fit of k-dimensional samples scans: SCAN_LEVELS levels of each
     log alpha across LOG_ALPHA_RANGE (L = SCAN_LEVELS**k)."""
     axes = [np.linspace(*LOG_ALPHA_RANGE, SCAN_LEVELS)] * k
-    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-    lattice.flags.writeable = False
-    return lattice
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
 
 
 def fit(samples, values, rng: np.random.Generator, bounds) -> KrigingModel:

@@ -10,7 +10,6 @@ phase-modulated quadrature fields), or instantaneous-ideal (validation hook).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -132,7 +131,9 @@ class PulseSequence:
     (k + 1/2) * (t_pulse + tau_pulse), a zero crossing of the matched AC
     signal with omega_s = pi / (t_pulse + tau_pulse).  Rect and shaped
     sequences carry their X pulse as ``x_field``, of duration t_pulse;
-    ideal pulses have none.  A sequence is validated when it is built.
+    ideal pulses have none.  A sequence is validated when it is built; a
+    tau_pulse too small to change t_pulse + tau_pulse is rejected, as its
+    gaps would have no length.
     """
 
     kind: str
@@ -146,6 +147,8 @@ class PulseSequence:
             raise ValueError(f"unknown pulse kind {self.kind!r}")
         _check_scalar("t_pulse", self.t_pulse)
         _check_scalar("tau_pulse", self.tau_pulse)
+        if self.t_pulse + self.tau_pulse == self.t_pulse:
+            raise ValueError("tau_pulse must not round away beside t_pulse")
         _check_count("n_periods", self.n_periods)
         if self.kind != IDEAL:
             if self.x_field is None:
@@ -189,10 +192,8 @@ def build_xy8(kind, t_pulse, tau_pulse, n_periods, x_field=None) -> PulseSequenc
     )
 
 
-@functools.lru_cache(maxsize=256)
 def _ou_coefficients(dt, tau, c):
-    """``(decay, scale)`` of an exact OU update over ``dt``, once per
-    distinct ``(dt, tau, c)``: a default trace has 22 segment lengths."""
+    """``(decay, scale)`` of an exact OU update over ``dt``."""
     _check_scalar("dt", dt)
     _check_scalar("tau", tau)
     _check_scalar("c", c, zero=True)
@@ -211,10 +212,7 @@ def ou_step(delta_d, dt, tau, c, rng: np.random.Generator):
     and positive, ``c`` finite and nonnegative, as in ``NoiseSettings``;
     else ValueError.
     """
-    try:
-        decay, scale = _ou_coefficients(dt, tau, c)
-    except TypeError:  # an unhashable 0-d array
-        decay, scale = _ou_coefficients(float(dt), float(tau), float(c))
+    decay, scale = _ou_coefficients(dt, tau, c)
     noise = rng.standard_normal(np.shape(delta_d))
     return delta_d * decay + scale * noise
 

@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +31,10 @@ from spinopt.cli import (
 from spinopt.config import (
     CHOICE,
     FLAG,
+    INTEGER,
     LEAVES,
+    NUMBER,
+    PAIR,
     UNITS,
     ConfigError,
     default_config,
@@ -250,6 +255,73 @@ class TestSignalFrequency:
         assert kinds == {"rect", "shaped"}
 
 
+def _is_integer(leaf):
+    return (leaf.entry if leaf.kind == PAIR else leaf.kind) == INTEGER
+
+
+def _inside(leaf, rng):
+    """Entries of a numeric or pair leaf inside its bounds, in the key's
+    unit: both ends (the least float above an open low, the largest float
+    for no high) and 5 seeded draws between them, log-uniform above a
+    positive low and uniform otherwise; an integer leaf's rounded."""
+    low = math.nextafter(leaf.low, math.inf) if leaf.low_open else leaf.low
+    high = min(leaf.high, sys.float_info.max)
+    u = rng.uniform(size=5)
+    if low > 0:
+        drawn = np.exp(np.log(low) + u * (np.log(high) - np.log(low)))
+    else:
+        drawn = low + u * (high - low)
+    values = [low, high, *np.clip(drawn, low, high).tolist()]
+    return [round(v) for v in values] if _is_integer(leaf) else values
+
+
+def _past(key):
+    """Values just past each finite bound of a numeric or pair leaf; a
+    pair's entry in either place, beside the default's other entry."""
+    leaf = LEAVES[key]
+
+    def beyond(x, way):
+        return x + way if _is_integer(leaf) else math.nextafter(x, way * math.inf)
+
+    past = [leaf.low if leaf.low_open else beyond(leaf.low, -1)]
+    if leaf.high < math.inf:
+        past.append(beyond(leaf.high, 1))
+    if leaf.kind != PAIR:
+        return past
+    section, name = key.split(".")
+    first, second = default_config()[section][name]
+    return [pair for x in past for pair in ([x, second], [first, x])]
+
+
+def _with_leaf(key, value):
+    cfg = default_config()
+    section, _, name = key.rpartition(".")
+    (cfg[section] if section else cfg)[name] = value
+    return cfg
+
+
+def _construct(cfg):
+    """What the commands build from a config before they run anything:
+    every leaf, the optimize, compare-baseline and magnetometry settings,
+    and surrogate-demo's grids, whose ValueError that command reads as a
+    ConfigError."""
+    for key in LEAVES:
+        read(cfg, key)
+    oc = opt_config_from(cfg)
+    baseline = {"method": "compare.baseline_method", "n_sets": "compare.baseline_n_sets"}
+    opt_config_from(cfg, **{name: read(cfg, key) for name, key in baseline.items()})
+    magnetometry_from(cfg)
+    try:
+        for mn in read(cfg, "surrogate_demo.grid_sizes_mn"):
+            oc.noise_grid((math.isqrt(mn),) * 2)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+# Every numeric and pair leaf, the leaves the seeded sweeps vary.
+NUMERIC_LEAVES = [key for key, leaf in LEAVES.items() if leaf.kind in (INTEGER, NUMBER, PAIR)]
+
+
 class TestLeafTable:
     def test_table_owns_every_leaf_of_the_defaults(self):
         cfg = default_config()
@@ -285,6 +357,29 @@ class TestLeafTable:
             rows = [row for row in readme.splitlines() if row.startswith(f"| `{name}` |")]
             assert len(rows) == 1, name
             assert rows[0].split("`")[3].split(", ") == list(columns), name
+
+    @pytest.mark.parametrize("key", NUMERIC_LEAVES)
+    def test_values_inside_the_bounds_build_or_fail_a_joint_rule(self, key):
+        # with the other leaves at their defaults, each value either builds
+        # everything or raises ConfigError (exit 2), never another error
+        # (exit 1); a pair takes every ordered pair of the entries
+        leaf = LEAVES[key]
+        values = _inside(leaf, np.random.default_rng(NUMERIC_LEAVES.index(key)))
+        if leaf.kind == PAIR:
+            values = [list(pair) for pair in itertools.product(values, repeat=2)]
+        for value in values:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # OptConfig's off-reference notes
+                try:
+                    _construct(_with_leaf(key, value))
+                except ConfigError:
+                    pass
+
+    @pytest.mark.parametrize("key", NUMERIC_LEAVES)
+    def test_values_past_the_bounds_name_their_key(self, key):
+        for value in _past(key):
+            with pytest.raises(ConfigError, match=f"^config key {key} must be "):
+                _construct(_with_leaf(key, value))
 
     @pytest.mark.parametrize("key", LEAVES)
     def test_rejected_values_exit_2(self, tmp_path, capsys, key):

@@ -871,7 +871,6 @@ class TestReductionPlans:
         for n_steps in [*range(1, 71), 100, 200, 400, 1000]:
             order = dynamics._tree_order(n_steps)
             assert sorted(order.tolist()) == list(range(n_steps))
-            assert not order.flags.writeable
             columns = order.tolist()
             while len(columns) > 1:
                 n = len(columns)

@@ -1,7 +1,4 @@
 import functools
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -494,27 +491,11 @@ class TestConcentratedNll:
 
 
 class TestScanLattice:
-    def test_cached_and_read_only(self):
+    def test_distinct_thetas_inside_the_box(self):
         lattice = _scan_lattice(2)
-        assert _scan_lattice(2) is lattice
         assert lattice.shape == (SCAN_LEVELS**2, 2)
-        assert not lattice.flags.writeable
-        with pytest.raises(ValueError):
-            lattice[0, 0] = 0.0
         assert np.all((lattice >= LOW) & (lattice <= HIGH))
         assert len(np.unique(lattice, axis=0)) == len(lattice)
-
-    def test_not_built_at_import(self):
-        code = "import spinopt.kriging as k; print(k._scan_lattice.cache_info().currsize)"
-        src = os.path.dirname(os.path.dirname(kriging.__file__))
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert out.stdout.strip() == "0"
 
 
 class TestPredict:

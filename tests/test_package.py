@@ -224,6 +224,25 @@ def test_the_data_file_schema_has_one_owner():
     assert not [name for name in fields if name.startswith("hist")]
 
 
+def test_only_measured_caches_remain():
+    """functools caches decorate only the three functions whose misses were
+    measured to cost a bench item about 1% or more: ``CHANGES.md`` holds
+    the traffic table (calls per item, miss cost, share of an item) for
+    every cache the package had.  A new cache comes with its row there."""
+    package = Path(spinopt.__file__).resolve().parent
+    cached = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in ("lru_cache", "cache"):
+                    cached.append(f"{path.stem}.{node.name}")
+    assert sorted(cached) == ["dynamics.kernel_times", "fields._peak_times", "fields.parameter_ranges"]
+
+
 def test_package_imports_only_the_standard_library_and_numpy():
     # pyproject.toml names numpy as the one runtime dependency; scipy is
     # for the tests only
