@@ -1,12 +1,13 @@
 """Batch command-line front-end.
 
 Subcommands: ``optimize``, ``trials``, ``surrogate-demo``, ``magnetometry``,
-``compare``.  Every command reads an optional JSON config (defaults carry the
-reference values), writes CSV data files to the output directory and
-returns the facts of its ``*_meta.json`` sidecar beyond the common ones;
-``main`` times the command and writes the sidecar, with the resolved
-config (the defaults, the config file and the ``--method``, ``--nd`` and
-``--seed`` flags), from which alone the command gives the same data files.
+``compare``.  Every command takes ``(cfg, out)``: the resolved config (the
+defaults, which carry the reference values, an optional JSON config file
+and the ``--method``, ``--nd`` and ``--seed`` flags) and the output
+directory.  It writes CSV data files there and returns the facts of its
+``*_meta.json`` sidecar beyond the common ones; ``main`` times the command
+and writes the sidecar, with the resolved config, from which alone the
+command gives the same data files.
 Every verified number and map (``field_map.csv``, ``truth_map.csv`` and
 ``surrogate-demo``'s references) comes from the trial's verification,
 ``dynamics._tensor_objective``.  The exit code is 0 on
@@ -158,8 +159,8 @@ def _write_map(path: Path, points, values):
     _write_csv(path, ["delta_mhz", "kappa", "fidelity"], rows)
 
 
-def cmd_optimize(cfg: dict, out: Path, seed) -> dict:
-    oc = opt_config_from(cfg, seed=seed)
+def cmd_optimize(cfg: dict, out: Path) -> dict:
+    oc = opt_config_from(cfg)
     run, values = _trial(oc)
     write_trials(out, [run])
     _write_map(out / "field_map.csv", oc.noise_grid(oc.verify_grid).points(), values.ravel())
@@ -170,8 +171,8 @@ def cmd_optimize(cfg: dict, out: Path, seed) -> dict:
     return _search_facts(oc)
 
 
-def cmd_trials(cfg: dict, out: Path, seed) -> dict:
-    oc = opt_config_from(cfg, seed=seed)
+def cmd_trials(cfg: dict, out: Path) -> dict:
+    oc = opt_config_from(cfg)
     n_trials = read(cfg, "optimize.n_trials")
     stats = run_trials(oc, n_trials)
     write_trials(out, stats.runs)
@@ -186,11 +187,11 @@ def cmd_trials(cfg: dict, out: Path, seed) -> dict:
     return {**_search_facts(oc), "failures": stats.failures}
 
 
-def cmd_compare(cfg: dict, out: Path, seed) -> dict:
+def cmd_compare(cfg: dict, out: Path) -> dict:
     n_trials = read(cfg, "compare.n_trials")
-    primary = opt_config_from(cfg, seed=seed)
+    primary = opt_config_from(cfg)
     method, n_sets = read(cfg, "compare.baseline_method"), read(cfg, "compare.baseline_n_sets")
-    baseline = opt_config_from(cfg, seed=seed, method=method, n_sets=n_sets)
+    baseline = opt_config_from(cfg, method=method, n_sets=n_sets)
     rows, calls = [], []
     for oc in (primary, baseline):
         stats = run_trials(oc, n_trials)
@@ -208,8 +209,8 @@ def cmd_compare(cfg: dict, out: Path, seed) -> dict:
     return _search_facts(primary)
 
 
-def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> dict:
-    oc = opt_config_from(cfg, seed=seed)
+def cmd_surrogate_demo(cfg: dict, out: Path) -> dict:
+    oc = opt_config_from(cfg)
     sample_counts = read(cfg, "surrogate_demo.sample_counts")
     mn_list = read(cfg, "surrogate_demo.grid_sizes_mn")
     reps = read(cfg, "surrogate_demo.timing_reps")
@@ -282,8 +283,8 @@ def cmd_surrogate_demo(cfg: dict, out: Path, seed) -> dict:
     return {}
 
 
-def cmd_magnetometry(cfg: dict, out: Path, seed) -> dict:
-    rect_cfg, shaped_cfg, signal, noise, run_cfg = magnetometry_from(cfg, seed=seed)
+def cmd_magnetometry(cfg: dict, out: Path) -> dict:
+    rect_cfg, shaped_cfg, signal, noise, run_cfg = magnetometry_from(cfg)
     traces = []
     t2 = {}
     for kind, settings in ((RECT, rect_cfg), (SHAPED, shaped_cfg)):
@@ -347,11 +348,11 @@ def main(argv=None) -> int:
         for flag, name in (("method", "method"), ("nd", "n_sets")):
             if getattr(args, flag, None) is not None:  # the table checks the leaf
                 cfg["optimize"][name] = getattr(args, flag)
-        cfg["seed"] = cfg["seed"] if args.seed is None else args.seed
+        cfg["seed"] = cfg["seed"] if args.seed is None else args.seed  # read by its leaf alone
         out = Path(args.out or os.environ.get(OUT_ENV_VAR, "spinopt_out"))
         out.mkdir(parents=True, exist_ok=True)
         start = time.perf_counter()
-        facts = COMMANDS[args.command](cfg, out, args.seed)
+        facts = COMMANDS[args.command](cfg, out)
         meta = {
             "command": args.command,
             "version": __version__,

@@ -272,13 +272,17 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def opt_config_from(cfg: dict, seed: int | None = None, **overrides) -> OptConfig:
+def opt_config_from(cfg: dict, **overrides) -> OptConfig:
+    """The ``OptConfig`` of the ``seed`` leaf and the ``optimize`` leaves
+    (but ``n_trials``), each read by its ``LEAVES`` entry, with
+    ``overrides`` (``OptConfig`` fields, the seed among them) set over them;
+    a config the library rejects raises ConfigError."""
     kwargs = {
         name[: len(name) - len(_suffix(name))]: read(cfg, f"optimize.{name}")
         for name in cfg["optimize"]
         if name != "n_trials"
     }
-    kwargs["seed"] = read(cfg, "seed") if seed is None else seed
+    kwargs["seed"] = read(cfg, "seed")
     kwargs.update(overrides)
     try:
         return OptConfig(**kwargs)

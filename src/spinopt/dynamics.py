@@ -131,6 +131,13 @@ def _check_scalar(name, value, zero=False):
         raise ValueError(f"{name} must be finite and {'nonnegative' if zero else 'positive'}")
 
 
+def _check_finite(name, *values):
+    """Reject a value with an entry that is not finite: the one rule for
+    every finite value of the package."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError(f"{name} must be finite")
+
+
 def gaussian_weight(x, mean, fwhm):
     """Gaussian probability density parameterized by its FWHM."""
     _check_scalar("fwhm", fwhm)
@@ -553,13 +560,6 @@ def _propagate_rows(field, kappas, hz, n_steps, slices):
     return pairs
 
 
-def _check_finite(*arrays):
-    """Reject a non-finite delta or kappa: its x would set the series cut of
-    every row of its kernel call."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("every delta and kappa must be finite")
-
-
 def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
     """Propagators for a batch of (delta, kappa) pairs, shape (P, 2, 2).
 
@@ -570,7 +570,8 @@ def propagate_many(field: ControlField, deltas, kappas, n_steps: int = 1000):
     deltas, kappas = np.broadcast_arrays(
         np.asarray(deltas, dtype=float), np.asarray(kappas, dtype=float)
     )
-    _check_finite(deltas, kappas)
+    # a non-finite row would set the series cut of its whole kernel call
+    _check_finite("every delta and kappa", deltas, kappas)
     flat_d = deltas.ravel()
     slices = kernel_slices(flat_d.size, n_steps)
     a, b = _propagate_rows(field, kappas.ravel(), _cf4_detuning(flat_d), n_steps, slices)
@@ -658,7 +659,8 @@ def fidelity_call(points, n_steps: int = 1000, target=None):
     """
     _check_count("n_steps", n_steps)
     points = _check_points(points)
-    _check_finite(points)
+    # a non-finite row would set the series cut of its whole kernel call
+    _check_finite("every delta and kappa", points)
     kappas = np.ascontiguousarray(points[:, 1])
     hz = _cf4_detuning(points[:, 0])
     slices = kernel_slices(len(points), n_steps)

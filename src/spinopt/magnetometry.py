@@ -24,6 +24,7 @@ from .dynamics import (
     _chebyshev_basis,
     _chebyshev_fit,
     _check_count,
+    _check_finite,
     _check_scalar,
     _compose_views,
     _plan,
@@ -131,9 +132,10 @@ class PulseSequence:
     (k + 1/2) * (t_pulse + tau_pulse), a zero crossing of the matched AC
     signal with omega_s = pi / (t_pulse + tau_pulse).  Rect and shaped
     sequences carry their X pulse as ``x_field``, of duration t_pulse;
-    ideal pulses have none.  A sequence is validated when it is built; a
-    tau_pulse too small to change t_pulse + tau_pulse is rejected, as its
-    gaps would have no length.
+    ideal pulses have none.  A sequence is validated when it is built,
+    apart from its gaps: ``simulate_ramsey``, which takes each gap as the
+    difference of two rounded pulse edges, rejects a tau_pulse so small
+    beside t_pulse that a gap rounds to zero length.
     """
 
     kind: str
@@ -147,8 +149,6 @@ class PulseSequence:
             raise ValueError(f"unknown pulse kind {self.kind!r}")
         _check_scalar("t_pulse", self.t_pulse)
         _check_scalar("tau_pulse", self.tau_pulse)
-        if self.t_pulse + self.tau_pulse == self.t_pulse:
-            raise ValueError("tau_pulse must not round away beside t_pulse")
         _check_count("n_periods", self.n_periods)
         if self.kind != IDEAL:
             if self.x_field is None:
@@ -222,8 +222,7 @@ def ideal_phase(g_ac, omega_s, t):
     half-period.  A non-finite ``g_ac`` or ``t`` raises ValueError."""
     _check_scalar("omega_s", omega_s)
     t = np.asarray(t, dtype=float)
-    if not (math.isfinite(g_ac) and np.isfinite(t).all()):
-        raise ValueError("g_ac and t must be finite")
+    _check_finite("g_ac and t", g_ac, t)
     half = np.pi / omega_s
     m = np.floor(t / half)
     r = t - m * half
@@ -437,8 +436,7 @@ def simulate_ramsey(
     passes on the calling thread: the noise pass (``_noise_totals``) gives
     delta_d at the start of every segment, with the bits of one ``ou_step``
     per segment in schedule order from one ``standard_normal`` call (ideal
-    pulses take no time, so only their gaps are segments; a gap that rounds
-    to zero length raises ValueError unless ``noise.c`` is 0); the pairs of
+    pulses take no time, so only their gaps are segments); the pairs of
     every pulse are computed; each block's nine free rotations and eight
     pulses are composed into one pair, for all blocks at once; and the spin
     walks the blocks, read out at each terminal.  With ``signal`` matched
@@ -454,11 +452,12 @@ def simulate_ramsey(
     signal, or a span whose chop does not finish below the direct pass's
     cost, propagates every pulse for every realization (``_direct_pairs``).
     A non-finite ``kappa`` raises ValueError, as it would make every pair
-    NaN.
+    NaN; so does a ``tau_pulse`` so small beside ``t_pulse`` that a gap,
+    the difference of two rounded pulse edges, has zero length, with noise
+    on or off.
     """
     _check_count("n_steps_per_pulse", n_steps_per_pulse)
-    if not math.isfinite(kappa):
-        raise ValueError(f"kappa must be finite, not {kappa!r}")
+    _check_finite("kappa", kappa)
     n_blocks = min(seq.n_periods, periods_within(t_max, seq.period))
     if n_blocks < 2:
         raise ValueError("t_max must span at least 2 XY-8 periods")
@@ -482,6 +481,8 @@ def simulate_ramsey(
     bounds[:, 2:-1:2] = centres + 0.5 * t_pulse
     bounds[:, -1] = edges[1:]
     lengths = np.diff(bounds)
+    if not (lengths[:, ::2] > 0).all():
+        raise ValueError("tau_pulse must leave every gap a positive length beside t_pulse")
     lengths[:, 1::2] = t_pulse
 
     # Noise pass: delta + delta_d at the start of every segment; ideal
@@ -584,10 +585,8 @@ def estimate_t2(
     p0 = np.asarray(p0, dtype=float)
     if times.size < MIN_T2_POINTS:
         raise ValueError(f"trace must contain at least {MIN_T2_POINTS} points")
-    if not (np.isfinite(times).all() and np.isfinite(p0).all()):
-        raise ValueError("times and p0 must be finite")
-    if not (math.isfinite(envelope_window) and math.isfinite(min_envelope)):
-        raise ValueError("envelope_window and min_envelope must be finite")
+    _check_finite("times and p0", times, p0)
+    _check_finite("envelope_window and min_envelope", envelope_window, min_envelope)
     env = np.abs(2.0 * p0 - 1.0)
     if envelope_window > 0:
         sel = _window_maxima(times, env, envelope_window)

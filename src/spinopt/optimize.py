@@ -69,6 +69,7 @@ from .dynamics import (
     SIGMA_X,
     NoiseGrid,
     _check_count,
+    _check_finite,
     _check_scalar,
     _is_integer,
     _tensor_objective,
@@ -166,8 +167,7 @@ class OptConfig:
             lo, hi = getattr(self, name)
             if not -math.inf < lo < hi < math.inf:
                 raise ValueError(f"{name} must be a finite, increasing (low, high) pair")
-        if not -math.inf < self.kappa_mean < math.inf:
-            raise ValueError("kappa_mean must be finite")
+        _check_finite("kappa_mean", self.kappa_mean)
         for shape in (self.search_grid, self.verify_grid):
             self.noise_grid(shape)  # raises on an empty axis or if every weight underflows
         if self.uses_surrogate and self.n_samples not in (9, 16):

@@ -30,9 +30,13 @@ from spinopt.cli import (
 )
 from spinopt.config import (
     CHOICE,
+    FIELD,
+    FIELD_KEYS,
     FLAG,
     INTEGER,
     LEAVES,
+    LIST,
+    MAX_SETS,
     NUMBER,
     PAIR,
     UNITS,
@@ -293,11 +297,17 @@ def _past(key):
     return [pair for x in past for pair in ([x, second], [first, x])]
 
 
-def _with_leaf(key, value):
+def _with_leaves(leaves):
+    """The defaults with each dotted key of ``leaves`` set to its value."""
     cfg = default_config()
-    section, _, name = key.rpartition(".")
-    (cfg[section] if section else cfg)[name] = value
+    for key, value in leaves.items():
+        section, _, name = key.rpartition(".")
+        (cfg[section] if section else cfg)[name] = value
     return cfg
+
+
+def _with_leaf(key, value):
+    return _with_leaves({key: value})
 
 
 def _construct(cfg):
@@ -318,8 +328,24 @@ def _construct(cfg):
         raise ConfigError(str(exc)) from exc
 
 
-# Every numeric and pair leaf, the leaves the seeded sweeps vary.
+def _builds(cfg) -> bool:
+    """Whether ``_construct(cfg)`` builds; False on a ConfigError (exit 2),
+    while any other exception (exit 1) propagates."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # OptConfig's off-reference notes
+        try:
+            _construct(cfg)
+        except ConfigError:
+            return False
+    return True
+
+
+# Every numeric and pair leaf, the leaves the seeded sweeps vary, and the
+# leaves of the other kinds that one-leaf draws of numbers do not reach.
 NUMERIC_LEAVES = [key for key, leaf in LEAVES.items() if leaf.kind in (INTEGER, NUMBER, PAIR)]
+CHOICE_LEAVES = [key for key, leaf in LEAVES.items() if leaf.kind == CHOICE]
+LIST_LEAVES = [key for key, leaf in LEAVES.items() if leaf.kind == LIST]
+FIELD_LEAVES = [key for key, leaf in LEAVES.items() if leaf.kind == FIELD]
 
 
 class TestLeafTable:
@@ -368,18 +394,96 @@ class TestLeafTable:
         if leaf.kind == PAIR:
             values = [list(pair) for pair in itertools.product(values, repeat=2)]
         for value in values:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # OptConfig's off-reference notes
-                try:
-                    _construct(_with_leaf(key, value))
-                except ConfigError:
-                    pass
+            _builds(_with_leaf(key, value))
 
     @pytest.mark.parametrize("key", NUMERIC_LEAVES)
     def test_values_past_the_bounds_name_their_key(self, key):
         for value in _past(key):
             with pytest.raises(ConfigError, match=f"^config key {key} must be "):
                 _construct(_with_leaf(key, value))
+
+    @pytest.mark.parametrize("key", CHOICE_LEAVES)
+    def test_every_choice_builds_and_no_other_value_does(self, key):
+        # a seeded upper-case word is no choice; a number, a flag and a
+        # listed choice are no string
+        choices = LEAVES[key].choices
+        for choice in choices:
+            assert _builds(_with_leaf(key, choice)), choice
+        rng = np.random.default_rng(CHOICE_LEAVES.index(key))
+        word = "".join(rng.choice(list("ABCDEFGHIJKLMNOPQRSTUVWXYZ"), 6))
+        for value in (word, choices[0].upper(), int(rng.integers(100)), True, [choices[0]]):
+            with pytest.raises(ConfigError, match=f"^config key {key} must be one of "):
+                _construct(_with_leaf(key, value))
+
+    @pytest.mark.parametrize("key", LIST_LEAVES)
+    def test_lists_of_squares_inside_the_bounds_build(self, key):
+        # 1 to 4 seeded squares inside the entry's bounds build, both ends
+        # among them; one entry more than MAX_SETS names the key
+        leaf = LEAVES[key]
+        roots = (math.isqrt(int(leaf.low) - 1) + 1, math.isqrt(int(leaf.high)))
+        rng = np.random.default_rng(LIST_LEAVES.index(key))
+        lists = [[roots[0] ** 2], [roots[1] ** 2]]
+        for n in range(1, 5):
+            lists += [(rng.integers(roots[0], roots[1] + 1, n) ** 2).tolist() for _ in range(3)]
+        for value in lists:
+            assert _builds(_with_leaf(key, value)), value
+        too_many = [roots[0] ** 2] * (MAX_SETS + 1)
+        with pytest.raises(ConfigError, match=f"^config key {key} must be a list of 1 to "):
+            _construct(_with_leaf(key, too_many))
+
+    @pytest.mark.parametrize("key", FIELD_LEAVES)
+    def test_fields_build_with_vectors_of_one_length_only(self, key):
+        # seeded vectors of 1 to 4 entries inside the bounds, a lone entry
+        # also as a bare number, build when all three have one length
+        leaf = LEAVES[key]
+        rng = np.random.default_rng(FIELD_LEAVES.index(key))
+        for _ in range(8):
+            n = int(rng.integers(1, 5))
+            vectors = rng.uniform(leaf.low, leaf.high, (3, n)).tolist()
+            if n == 1:
+                vectors[0] = vectors[0][0]
+            assert _builds(_with_leaf(key, dict(zip(FIELD_KEYS, vectors)))), vectors
+            sizes = rng.integers(1, 5, 3)
+            sizes[2] = sizes[1] + 1 if sizes[0] == sizes[1] else sizes[2]
+            vectors = [rng.uniform(leaf.low, leaf.high, m).tolist() for m in sizes]
+            with pytest.raises(ConfigError, match=f"^config key {key} must be "):
+                _construct(_with_leaf(key, dict(zip(FIELD_KEYS, vectors))))
+
+    @pytest.mark.parametrize("matched", [True, False])
+    def test_pulse_and_gap_draws_build_or_fail_a_joint_rule(self, matched):
+        # seeded spacings, log-uniform in [2, 5000] ns, each split at random
+        # into a rect and a shaped pulse and gap: split from one spacing,
+        # every draw builds (the default t_max_us spans 10 periods of 5 us);
+        # from two, every draw fails the one-signal-frequency rule
+        rng = np.random.default_rng(int(matched))
+        for _ in range(40):
+            spacings = np.exp(rng.uniform(np.log(2.0), np.log(5000.0), 1 if matched else 2))
+            rect_pulse, shaped_pulse = spacings.min() * rng.uniform(0.01, 0.99, 2)
+            cfg = _with_leaves({
+                "magnetometry.rect_pulse_ns": rect_pulse,
+                "magnetometry.rect_gap_ns": spacings[0] - rect_pulse,
+                "magnetometry.shaped_pulse_ns": shaped_pulse,
+                "magnetometry.shaped_gap_ns": spacings[-1] - shaped_pulse,
+            })
+            if matched:
+                assert _builds(cfg), spacings
+            else:
+                with pytest.raises(ConfigError, match="must share one signal frequency"):
+                    _construct(cfg)
+
+    def test_kappa_mean_draws_inside_and_outside_the_range_build_or_fail(self):
+        # seeded ranges and means inside the leaves' bounds: a mean too far
+        # from every grid point underflows every weight, a ConfigError
+        # (exit 2), never another error (exit 1); some means inside their
+        # range and some outside it build
+        rng = np.random.default_rng(0)
+        built = {True: 0, False: 0}
+        for _ in range(60):
+            low, high = np.sort(rng.uniform(-100.0, 100.0, 2)).tolist()
+            mean = rng.uniform(-100.0, 100.0)
+            cfg = _with_leaves({"optimize.kappa_range": [low, high], "optimize.kappa_mean": mean})
+            built[low <= mean <= high] += _builds(cfg)
+        assert built[True] and built[False], built
 
     @pytest.mark.parametrize("key", LEAVES)
     def test_rejected_values_exit_2(self, tmp_path, capsys, key):
@@ -551,12 +655,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["optimize", "magnetometry"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
+        # the flag reaches the command only through cfg["seed"], so the leaf
+        # table gives it the message of the same seed in a config file
         out = tmp_path / "o"
         code = main([command, "--seed", "-1", "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == (
-            "config error: seed must be an integer of at least 0, not -1\n"
-        )
+        err = capsys.readouterr().err
+        assert err == "config error: config key seed must be an integer in [0, inf), not -1\n"
+        assert not any(out.iterdir())
+        path = write_config(tmp_path, {"seed": -1})
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == err
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("key", ["search_grid", "verify_grid"])

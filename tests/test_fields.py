@@ -6,9 +6,11 @@ import pytest
 from spinopt import (
     ControlField,
     InvalidFieldError,
+    NoiseGrid,
     constant_drive,
     enforce_amplitude_constraint,
     envelope,
+    fidelities,
     peak_amplitude,
     pm_field,
     quadratures,
@@ -235,6 +237,45 @@ def random_fields(seed, count):
 def assert_same_field(a, b):
     assert a.basis == b.basis
     np.testing.assert_array_equal(a.params, b.params)
+
+
+def _negated(fld, row, sets):
+    """``fld`` with parameter ``row`` negated in the chosen ``sets``."""
+    params = fld.params.copy()
+    params[row, sets] *= -1.0
+    return dataclasses.replace(fld, params=params)
+
+
+def _sign_folds(fld, rng):
+    """The two fields that a sign fold of a seeded, nonempty choice of
+    ``fld``'s sets equates, bit for bit: a PM field and the field with those
+    modulation rates negated (the phase b t sinc(nu t / pi) is even in nu);
+    an SFB field with those frequencies negated and the field with those
+    phases negated instead (cos(-nu t + phi) = cos(nu t - phi))."""
+    sets = rng.permutation(fld.n_sets)[: rng.integers(1, fld.n_sets + 1)]
+    if fld.basis == PM:
+        return fld, _negated(fld, 2, sets)
+    return _negated(fld, 1, sets), _negated(fld, 2, sets)
+
+
+def test_sign_folds_keep_the_quadratures_bit_for_bit():
+    # the identities a fold of negative rates onto positive ones relies on,
+    # on 200 seeded fields of 1 to 3 sets, PM and SFB in turn
+    rng = np.random.default_rng(30)
+    t = kernel_times(200, T / 200)
+    for fld in random_fields(30, 200):
+        left, right = _sign_folds(fld, rng)
+        assert not np.array_equal(left.params, right.params)
+        for a, b in zip(quadratures(left, t), quadratures(right, t)):
+            assert np.array_equal(a, b)
+
+
+def test_sign_folds_keep_the_fidelities_bit_for_bit():
+    rng = np.random.default_rng(31)
+    points = NoiseGrid.regular(4, 4).points()
+    for fld in random_fields(31, 40):
+        left, right = _sign_folds(fld, rng)
+        assert np.array_equal(fidelities(left, points, 100), fidelities(right, points, 100))
 
 
 def test_enforce_matches_grid_path():

@@ -668,12 +668,21 @@ class TestNoiseTotals:
         digest = hashlib.sha256(trace.p0_mean.tobytes() + trace.p0_stderr.tobytes()).hexdigest()
         assert digest == self.IDEAL_DIGESTS[n_realizations, seed]
 
-    def test_a_gap_that_rounds_away_is_rejected_when_built(self):
-        # tau_pulse = 1e-30 s would vanish in the 50 ns spacing and leave
-        # every gap of zero length, which no OU step can take
-        for kind in ("rect", "ideal"):
-            with pytest.raises(ValueError, match="^tau_pulse must not round away"):
-                build_xy8(kind, 50e-9, 1e-30, 3)
+    @pytest.mark.parametrize("ou", [True, False])
+    @pytest.mark.parametrize("ratio", [2e-23, 3e-16, 1e-15, 1e-14])
+    def test_a_gap_that_rounds_away_is_rejected_when_run(self, ratio, ou):
+        # a tau_pulse of ratio * t_pulse builds, but below 1e-14 a gap taken
+        # as the difference of two rounded pulse edges is 0: 2e-23 vanishes
+        # in the 50 ns spacing, and 3e-16 and 1e-15 failed in the noise pass
+        # with "dt must be finite and positive"
+        seq = build_xy8("rect", 50e-9, 50e-9 * ratio, 3)
+        noise = NoiseSettings(n_realizations=4) if ou else NoiseSettings.disabled(4)
+        run = (seq, AcSignal(omega_s=seq.omega_s), noise, 3 * seq.period, 10)
+        if ratio == 1e-14:
+            assert np.isfinite(simulate_ramsey(*run).p0_mean).all()
+        else:
+            with pytest.raises(ValueError, match="^tau_pulse must leave every gap a positive"):
+                simulate_ramsey(*run)
 
 
 def _pulse_inputs(kind, n_realizations, n_blocks=2, n_sub=50):

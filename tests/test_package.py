@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -143,6 +144,31 @@ def test_the_count_and_scale_checks_have_one_owner():
     }
     assert "_is_integer" not in imported
     assert {"_check_count", "_check_scalar"} <= imported
+
+
+def test_the_finite_checks_have_one_owner():
+    # dynamics._check_finite states the rule of every finite value: the
+    # modules that test finiteness beside it call no isfinite by hand
+    package = Path(spinopt.__file__).resolve().parent
+    for stem in ("magnetometry", "optimize"):
+        source = (package / f"{stem}.py").read_text()
+        assert "isfinite" not in source
+        tree = ast.parse(source)
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert "_check_finite" in imported
+
+
+def test_every_command_takes_only_its_config_and_output_directory():
+    # a command reads the seed, like every other setting, from its config
+    from spinopt.cli import COMMANDS
+
+    for name, command in COMMANDS.items():
+        assert list(inspect.signature(command).parameters) == ["cfg", "out"], name
 
 
 def test_the_likelihood_box_has_one_owner():
