@@ -1,22 +1,20 @@
 """Batch command-line front-end.
 
-Subcommands: ``optimize``, ``trials``, ``surrogate-demo``, ``magnetometry``,
-``compare``.  Every command takes ``(cfg, out)``: the resolved config (the
-defaults, which carry the reference values, an optional JSON config file
-and the ``--method``, ``--nd`` and ``--seed`` flags) and the output
-directory.  It writes CSV data files there and returns the facts of its
-``*_meta.json`` sidecar beyond the common ones; ``main`` times the command
-and writes the sidecar, with the resolved config, from which alone the
-command gives the same data files.
-Every verified number and map (``field_map.csv``, ``truth_map.csv`` and
-``surrogate-demo``'s references) comes from the trial's verification,
-``dynamics._tensor_objective``.  The exit code is 0 on
-success, 1 on a runtime failure (``RuntimeError``, ``ValueError`` or
-``OSError``), 2 on a usage or config error; any other exception is a bug
-and propagates with its traceback.  Data files depend only on the config
-and seed, so repeated runs give byte-identical data files; timestamps live
-in the sidecar, and wall times in it, ``timings*.csv`` and
-``objective_timing.csv``.
+Subcommands: ``optimize``, ``trials``, ``magnetometry``, ``compare``.
+Every command takes ``(cfg, out)``: the resolved config (the defaults,
+which carry the reference values, an optional JSON config file and the
+``--method``, ``--nd`` and ``--seed`` flags) and the output directory.  It
+writes CSV data files there and returns the facts of its ``*_meta.json``
+sidecar beyond the common ones; ``main`` times the command and writes the
+sidecar, with the resolved config, from which alone the command gives the
+same data files.  Every verified number and map (``field_map.csv``) comes
+from the trial's verification, ``dynamics._tensor_objective``.  The exit
+code is 0 on success, 1 on a runtime failure (``RuntimeError``,
+``ValueError`` or ``OSError``), 2 on a usage or config error; any other
+exception is a bug and propagates with its traceback.  Data files depend only on the config
+and seed, so repeated runs with one numpy version at one SIMD dispatch
+level give byte-identical data files; the sidecar records both, with its
+timestamp and wall time, and ``timings*.csv`` the trials' wall times.
 
 This module owns the schema of every data file.  A trial column other than
 ``trial`` holds the ``OptRun`` attribute of its name (``lambda_opt`` the
@@ -30,7 +28,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -38,6 +35,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from . import __version__
 from .config import (
@@ -48,17 +46,8 @@ from .config import (
     opt_config_from,
     read,
 )
-from .dynamics import _tensor_objective, ensemble_objective, fidelities
-from .fields import PM, pm_field
-from .kriging import fit, jittered_grid, surrogate_objective
 from .magnetometry import RECT, SHAPED, measure_t2
-from .optimize import (
-    METHODS,
-    _trial,
-    draw_initial_params,
-    feasible_field,
-    run_trials,
-)
+from .optimize import METHODS, _trial, run_trials
 
 OUT_ENV_VAR = "SPINOPT_OUT"
 
@@ -153,17 +142,13 @@ def _summary_row(oc, n_trials: int, stats) -> list:
     return [facts[name] for name in SUMMARY_COLUMNS]
 
 
-def _write_map(path: Path, points, values):
-    """``delta_mhz, kappa, fidelity`` rows of (delta, kappa) points."""
-    rows = [[float(mhz_from_rad_s(d)), k, v] for (d, k), v in zip(points, values)]
-    _write_csv(path, ["delta_mhz", "kappa", "fidelity"], rows)
-
-
 def cmd_optimize(cfg: dict, out: Path) -> dict:
     oc = opt_config_from(cfg)
     run, values = _trial(oc)
     write_trials(out, [run])
-    _write_map(out / "field_map.csv", oc.noise_grid(oc.verify_grid).points(), values.ravel())
+    points = oc.noise_grid(oc.verify_grid).points()
+    rows = [[float(mhz_from_rad_s(d)), k, v] for (d, k), v in zip(points, values.ravel())]
+    _write_csv(out / "field_map.csv", ["delta_mhz", "kappa", "fidelity"], rows)
     print(
         f"{oc.method} n_sets={oc.n_sets}: f_verified={run.f_verified:.4f} "
         f"true_calls={run.true_calls}"
@@ -209,80 +194,6 @@ def cmd_compare(cfg: dict, out: Path) -> dict:
     return _search_facts(primary)
 
 
-def cmd_surrogate_demo(cfg: dict, out: Path) -> dict:
-    oc = opt_config_from(cfg)
-    sample_counts = read(cfg, "surrogate_demo.sample_counts")
-    mn_list = read(cfg, "surrogate_demo.grid_sizes_mn")
-    reps = read(cfg, "surrogate_demo.timing_reps")
-    n_fields = read(cfg, "surrogate_demo.n_fields")
-    rng = np.random.default_rng(oc.seed)
-    demo_field = pm_field(*read(cfg, "surrogate_demo.field"), oc.duration, oc.amp_limit)
-    try:  # each mn is an isqrt(mn) x isqrt(mn) grid, whose weights may all underflow
-        grids = [oc.noise_grid((math.isqrt(mn),) * 2) for mn in mn_list]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    truth_grid = oc.noise_grid(oc.verify_grid)
-    region = truth_grid.bounds()
-
-    def truth_values(fld, pts):
-        return fidelities(fld, pts, oc.n_steps, oc.target())
-
-    truth_pts = truth_grid.points()
-    _, _, truth = _tensor_objective(demo_field, truth_grid, oc.n_steps, oc.target())
-    _write_map(out / "truth_map.csv", truth_pts, truth.ravel())
-    for n in sample_counts:
-        pts = jittered_grid(region, n, rng)
-        vals = truth_values(demo_field, pts)
-        _write_map(out / f"samples_{n}.csv", pts, vals)
-        model = fit(pts, vals, rng, bounds=region)
-        pred = np.clip(model.predict_grid(truth_grid.deltas, truth_grid.kappas), 0, 1)
-        _write_map(out / f"prediction_map_{n}.csv", truth_pts, pred.ravel())
-
-    # Timing and deviation versus the number of objective grid points, for
-    # the true objective and for a 16-sample surrogate, averaged over random
-    # fields.  The reference value is each field's verified objective on the
-    # verify grid, the trial's verification (``dynamics._tensor_objective``).
-    true_dev = np.zeros(len(mn_list))
-    surr_dev = np.zeros(len(mn_list))
-    true_time = np.zeros(len(mn_list))
-    surr_time = np.zeros(len(mn_list))
-    for _ in range(n_fields):
-        params = draw_initial_params(rng, PM, 1, oc.duration, oc.amp_limit)
-        fld = feasible_field(PM, params, oc.duration, oc.amp_limit)
-        reference, _, _ = _tensor_objective(fld, truth_grid, oc.n_steps, oc.target())
-        pts = jittered_grid(region, 16, rng)
-        model = fit(pts, truth_values(fld, pts), rng, bounds=region)
-        for i, grid in enumerate(grids):
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                value = ensemble_objective(fld, grid, oc.n_steps, oc.target())
-            true_time[i] += (time.perf_counter() - t0) / reps
-            true_dev[i] += abs(value - reference)
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                est = surrogate_objective(model, grid)
-            surr_time[i] += (time.perf_counter() - t0) / reps
-            surr_dev[i] += abs(est - reference)
-    _write_csv(
-        out / "objective_timing.csv",
-        ["mn", "true_s", "surrogate_s"],
-        [
-            [mn, true_time[i] / n_fields, surr_time[i] / n_fields]
-            for i, mn in enumerate(mn_list)
-        ],
-    )
-    _write_csv(
-        out / "objective_deviation.csv",
-        ["mn", "true_dev", "surrogate_dev"],
-        [
-            [mn, true_dev[i] / n_fields, surr_dev[i] / n_fields]
-            for i, mn in enumerate(mn_list)
-        ],
-    )
-    print(f"surrogate demo written to {out}")
-    return {}
-
-
 def cmd_magnetometry(cfg: dict, out: Path) -> dict:
     rect_cfg, shaped_cfg, signal, noise, run_cfg = magnetometry_from(cfg)
     traces = []
@@ -313,7 +224,6 @@ def cmd_magnetometry(cfg: dict, out: Path) -> dict:
 COMMANDS = {
     "optimize": cmd_optimize,
     "trials": cmd_trials,
-    "surrogate-demo": cmd_surrogate_demo,
     "magnetometry": cmd_magnetometry,
     "compare": cmd_compare,
 }
@@ -356,6 +266,12 @@ def main(argv=None) -> int:
         meta = {
             "command": args.command,
             "version": __version__,
+            # the bits of np.exp and np.log, and so of the data files, depend
+            # on numpy's version and on the SIMD targets its dispatch takes
+            "numpy": {
+                "version": np.__version__,
+                "dispatch": [name for name in __cpu_dispatch__ if __cpu_features__[name]],
+            },
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "wall_s": time.perf_counter() - start,
             "config": cfg,

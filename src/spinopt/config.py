@@ -60,17 +60,17 @@ def mhz_from_rad_s(v):
     return np.asarray(v, dtype=float) / (TWO_PI * 1e6)
 
 
-INTEGER, NUMBER, SQUARE = "integer", "number", "perfect square"
+INTEGER, NUMBER = "integer", "number"
 CHOICE, FLAG, PAIR, LIST, FIELD = "choice", "flag", "pair", "list", "field"
 
 # Upper bounds on counts and scales, in each key's unit.  With the other
 # leaves at their defaults, every value within them allocates and
 # propagates within numpy's array sizes, finite in float64, in bounded time.
-MAX_SETS = 64  # parameter sets of a pulse, and entries of a list
+MAX_SETS = 64  # parameter sets of a pulse, and entries of a field vector
 MAX_SAMPLES = 400  # Kriging samples: a 400 x 400 correlation matrix
 MAX_GRID = 1000  # points per axis of a (delta, kappa) grid
 MAX_STEPS = 10_000  # CF4 steps of one pulse; the kernel holds 128 B per point-step
-MAX_RUNS = 10_000  # trials, model attempts, demo fields and repetitions, realizations
+MAX_RUNS = 10_000  # trials, model attempts, realizations
 MAX_ITER = 1_000_000  # Nelder-Mead iterations
 MAX_MHZ = 1e4  # any frequency: 10 GHz
 MAX_KAPPA = 100.0  # amplitude drift factors and their FWHM
@@ -96,9 +96,9 @@ def _suffix(key: str) -> str:
 class Leaf:
     """The rule of one config leaf: its JSON kind and bounds.
 
-    ``low`` and ``high`` bound a number, or each entry of a pair or list
-    (of kind ``entry``; a list has 1 to ``MAX_SETS``) or of a field vector,
-    in the key's unit; ``low_open`` excludes ``low``, and a value that the
+    ``low`` and ``high`` bound a number, or each entry of a pair (of kind
+    ``entry``) or of a field vector (a ``LIST`` of 1 to ``MAX_SETS``
+    numbers), in the key's unit; ``low_open`` excludes ``low``, and a value that the
     unit conversion rounds onto it.  A ``nullable`` leaf
     also takes ``null``, read as None.
     """
@@ -121,7 +121,6 @@ class Leaf:
             CHOICE: "one of " + ", ".join(map(repr, self.choices)),
             FLAG: "true or false",
             PAIR: f"a pair of {self.entry}s in {span}",
-            LIST: f"a list of 1 to {MAX_SETS} {self.entry}s in {span}",
             FIELD: f"an object of {', '.join(FIELD_KEYS)}, each a number or a list of 1 to "
             f"{MAX_SETS} numbers in {span}, all of one length",
         }[self.kind]
@@ -174,7 +173,7 @@ class Leaf:
         else:
             x = int(value)
         in_bounds = (self.low < x if self.low_open else self.low <= x) and x <= self.high
-        if not (abs(x) < math.inf and in_bounds) or self.kind == SQUARE and math.isqrt(x) ** 2 != x:
+        if not (abs(x) < math.inf and in_bounds):
             return _INVALID
         x = UNITS[_suffix(key)](x) if _suffix(key) else x
         return _INVALID if self.low_open and x == self.low else x  # rounded onto an open low
@@ -203,11 +202,6 @@ LEAVES = {
     "compare.baseline_method": Leaf(CHOICE, choices=METHODS),
     "compare.baseline_n_sets": Leaf(INTEGER, 1, MAX_SETS),
     "compare.n_trials": Leaf(INTEGER, 1, MAX_RUNS),
-    "surrogate_demo.field": Leaf(FIELD, -MAX_RAD_NS, MAX_RAD_NS),
-    "surrogate_demo.sample_counts": Leaf(LIST, 4, MAX_SAMPLES, entry=SQUARE),
-    "surrogate_demo.grid_sizes_mn": Leaf(LIST, 1, MAX_GRID**2, entry=SQUARE),
-    "surrogate_demo.n_fields": Leaf(INTEGER, 1, MAX_RUNS),
-    "surrogate_demo.timing_reps": Leaf(INTEGER, 1, MAX_RUNS),
     "magnetometry.g_ac_mhz": Leaf(NUMBER, 0.0, MAX_MHZ),
     "magnetometry.rect_pulse_ns": Leaf(NUMBER, MIN_NS, MAX_NS),
     "magnetometry.rect_gap_ns": Leaf(NUMBER, MIN_NS, MAX_NS),

@@ -63,8 +63,8 @@ of two Gaussians specified through their FWHM.  ``ensemble_objective``
 propagates every grid point; ``_tensor_objective``, the trial's
 verification, gives the same sum to rounding from a Chebyshev tensor of
 fewer true calls, and the grid's values that the sum weights, so it is the
-one rule for every verified number and map (``f_verified``, the CLI's
-``field_map.csv`` and ``truth_map.csv``).  It shares one Chebyshev fit
+one rule for every verified number and map (``f_verified`` and the CLI's
+``field_map.csv``).  It shares one Chebyshev fit
 with the XY-8 pulse table, ``_chebyshev_fit``, the one loop that grows a
 tensor of Lobatto nodes (``_lobatto``) from n to 2n - 1 until the
 coefficients are ``_chopped``, each node evaluated once, and one basis,

@@ -3,6 +3,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import re
+import subprocess
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from spinopt import (
     __version__,
@@ -21,7 +25,9 @@ from spinopt import (
     magnetometry,
     measure_t2,
 )
+from spinopt import cli
 from spinopt.cli import (
+    COMMANDS,
     SUMMARY_COLUMNS,
     TIMING_COLUMNS,
     TRIAL_FILES,
@@ -35,7 +41,6 @@ from spinopt.config import (
     FLAG,
     INTEGER,
     LEAVES,
-    LIST,
     MAX_SETS,
     NUMBER,
     PAIR,
@@ -48,6 +53,8 @@ from spinopt.config import (
     opt_config_from,
     read,
 )
+from spinopt.dynamics import _tensor_objective
+from spinopt.optimize import METHODS, unpack_params
 
 from test_data_digests import is_data_file
 
@@ -87,16 +94,11 @@ def shaped_field(**vectors):
     return {"magnetometry": {"shaped_field": _field(**vectors)}}
 
 
-def demo_field(**vectors):
-    return {"surrogate_demo": {"field": _field(**vectors)}}
-
-
 # The command that reads each section's leaves.
 COMMAND_OF = {
     "seed": "trials",
     "optimize": "trials",
     "compare": "compare",
-    "surrogate_demo": "surrogate-demo",
     "magnetometry": "magnetometry",
 }
 # The malformed values every leaf is tried with.
@@ -149,7 +151,8 @@ class TestUnitConversions:
         assert read(cfg, "optimize.amp_limit_mhz") == pytest.approx(TWO_PI * 1e7, rel=1e-15)
         assert read(cfg, "magnetometry.ou_stationary_khz") == pytest.approx(TWO_PI * 5e4)
         assert read(cfg, "magnetometry.ou_tau_us") == pytest.approx(2e-5, rel=1e-15)
-        amplitudes = read(cfg, "surrogate_demo.field")[0]
+        cfg["magnetometry"]["shaped_field"] = _field(amplitudes_rad_ns=[0.0332])
+        amplitudes = read(cfg, "magnetometry.shaped_field")[0]
         assert amplitudes == [pytest.approx(3.32e7, rel=1e-15)]
 
 
@@ -312,20 +315,14 @@ def _with_leaf(key, value):
 
 def _construct(cfg):
     """What the commands build from a config before they run anything:
-    every leaf, the optimize, compare-baseline and magnetometry settings,
-    and surrogate-demo's grids, whose ValueError that command reads as a
-    ConfigError."""
+    every leaf, and the optimize, compare-baseline and magnetometry
+    settings."""
     for key in LEAVES:
         read(cfg, key)
-    oc = opt_config_from(cfg)
+    opt_config_from(cfg)
     baseline = {"method": "compare.baseline_method", "n_sets": "compare.baseline_n_sets"}
     opt_config_from(cfg, **{name: read(cfg, key) for name, key in baseline.items()})
     magnetometry_from(cfg)
-    try:
-        for mn in read(cfg, "surrogate_demo.grid_sizes_mn"):
-            oc.noise_grid((math.isqrt(mn),) * 2)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _builds(cfg) -> bool:
@@ -344,7 +341,6 @@ def _builds(cfg) -> bool:
 # leaves of the other kinds that one-leaf draws of numbers do not reach.
 NUMERIC_LEAVES = [key for key, leaf in LEAVES.items() if leaf.kind in (INTEGER, NUMBER, PAIR)]
 CHOICE_LEAVES = [key for key, leaf in LEAVES.items() if leaf.kind == CHOICE]
-LIST_LEAVES = [key for key, leaf in LEAVES.items() if leaf.kind == LIST]
 FIELD_LEAVES = [key for key, leaf in LEAVES.items() if leaf.kind == FIELD]
 
 
@@ -414,22 +410,6 @@ class TestLeafTable:
         for value in (word, choices[0].upper(), int(rng.integers(100)), True, [choices[0]]):
             with pytest.raises(ConfigError, match=f"^config key {key} must be one of "):
                 _construct(_with_leaf(key, value))
-
-    @pytest.mark.parametrize("key", LIST_LEAVES)
-    def test_lists_of_squares_inside_the_bounds_build(self, key):
-        # 1 to 4 seeded squares inside the entry's bounds build, both ends
-        # among them; one entry more than MAX_SETS names the key
-        leaf = LEAVES[key]
-        roots = (math.isqrt(int(leaf.low) - 1) + 1, math.isqrt(int(leaf.high)))
-        rng = np.random.default_rng(LIST_LEAVES.index(key))
-        lists = [[roots[0] ** 2], [roots[1] ** 2]]
-        for n in range(1, 5):
-            lists += [(rng.integers(roots[0], roots[1] + 1, n) ** 2).tolist() for _ in range(3)]
-        for value in lists:
-            assert _builds(_with_leaf(key, value)), value
-        too_many = [roots[0] ** 2] * (MAX_SETS + 1)
-        with pytest.raises(ConfigError, match=f"^config key {key} must be a list of 1 to "):
-            _construct(_with_leaf(key, too_many))
 
     @pytest.mark.parametrize("key", FIELD_LEAVES)
     def test_fields_build_with_vectors_of_one_length_only(self, key):
@@ -564,8 +544,6 @@ class TestExitCodes:
             ("compare", {"compare": {"baseline_n_sets": "2"}}),
             ("magnetometry", {"magnetometry": {"n_realizations": 2.5}}),
             ("magnetometry", {"magnetometry": {"n_steps_per_pulse": None}}),
-            ("surrogate-demo", {"surrogate_demo": {"sample_counts": [9, 16.5]}}),
-            ("surrogate-demo", {"surrogate_demo": {"timing_reps": 1.5}}),
             ("trials", {"optimize": {"delta_range_mhz": 5}}),
             ("trials", {"optimize": {"kappa_range": 5}}),
             ("trials", {"optimize": {"duration_ns": "abc"}}),
@@ -577,19 +555,14 @@ class TestExitCodes:
             ("magnetometry", shaped_field(amplitudes_rad_ns="x")),
             ("magnetometry", shaped_field(mod_depths_rad_ns=[[0.1]])),
             ("magnetometry", shaped_field(mod_freqs_rad_ns=[float("nan")])),
-            ("surrogate-demo", demo_field(amplitudes_rad_ns=["0.03"])),
-            ("surrogate-demo", demo_field(mod_depths_rad_ns=[True])),
-            ("surrogate-demo", demo_field(mod_freqs_rad_ns=1e300)),
+            ("magnetometry", shaped_field(amplitudes_rad_ns=["0.03"])),
+            ("magnetometry", shaped_field(mod_depths_rad_ns=[True])),
+            ("magnetometry", shaped_field(mod_freqs_rad_ns=1e300)),
+            ("magnetometry", shaped_field(**{k: [0.01] * (MAX_SETS + 1) for k in FIELD_KEYS})),
             ("trials", {"optimize": {"n_trials": 0}}),
             ("compare", {"compare": {"n_trials": 0}}),
             ("optimize", {"seed": -1}),
             ("magnetometry", {"seed": -1}),
-            ("surrogate-demo", {"surrogate_demo": {"sample_counts": 5}}),
-            ("surrogate-demo", {"surrogate_demo": {"sample_counts": [10]}}),
-            ("surrogate-demo", {"surrogate_demo": {"grid_sizes_mn": [0]}}),
-            ("surrogate-demo", {"surrogate_demo": {"timing_reps": 0}}),
-            ("surrogate-demo", {"surrogate_demo": {"n_fields": 0}}),
-            ("surrogate-demo", {"surrogate_demo": {"grid_sizes_mn": [10, 50]}}),
             ("trials", {"optimize": {"kappa_mean": NAN}}),
             ("trials", {"optimize": {"kappa_fwhm": INF}}),
             ("trials", {"optimize": {"delta_fwhm_mhz": INF}}),
@@ -610,13 +583,10 @@ class TestExitCodes:
             ("magnetometry", {"magnetometry": {"rect_pulse_ns": 0, "rect_gap_ns": 400}}),
             ("magnetometry", {"magnetometry": {"shaped_gap_ns": 0, "shaped_pulse_ns": 400}}),
             # a 1 x 1 grid holds kappa 0.5 only, where this narrow spread
-            # about 1.5 underflows; the 4 x 4 and 50 x 50 grids hold 1.5
+            # about 1.5 underflows; the 50 x 50 verify grid holds 1.5
             (
-                "surrogate-demo",
-                {
-                    "optimize": {"kappa_mean": 1.5, "kappa_fwhm": 0.01},
-                    "surrogate_demo": {"grid_sizes_mn": [16, 1]},
-                },
+                "trials",
+                {"optimize": {"kappa_mean": 1.5, "kappa_fwhm": 0.01, "search_grid": [1, 1]}},
             ),
         ],
     )
@@ -639,18 +609,12 @@ class TestExitCodes:
         assert "optimize.n_sets must be" in capsys.readouterr().err
         assert not any(out.iterdir())
 
-    @pytest.mark.parametrize(
-        "command, payload, key",
-        [
-            ("magnetometry", shaped_field(phases_typo=[0.1]), "magnetometry.shaped_field"),
-            ("surrogate-demo", demo_field(phases_typo=[0.1]), "surrogate_demo.field"),
-        ],
-    )
-    def test_unknown_field_key_exits_2(self, tmp_path, capsys, command, payload, key):
-        path = write_config(tmp_path, payload)
+    def test_unknown_field_key_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, shaped_field(phases_typo=[0.1]))
         out = tmp_path / "o"
-        assert main([command, "--config", path, "--out", str(out)]) == 2
-        assert f"unknown config key: {key}.phases_typo" in capsys.readouterr().err
+        assert main(["magnetometry", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key: magnetometry.shaped_field.phases_typo" in err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["optimize", "magnetometry"])
@@ -811,7 +775,6 @@ class TestOptimizeCommand:
 
     def test_verifies_the_winner_once(self, tmp_path, monkeypatch):
         # field_map.csv comes from the trial's own verification
-        import spinopt.cli as cli_module
         import spinopt.optimize as opt
 
         calls = []
@@ -822,7 +785,6 @@ class TestOptimizeCommand:
             return tensor(*args, **kwargs)
 
         monkeypatch.setattr(opt, "_tensor_objective", counting)
-        monkeypatch.setattr(cli_module, "_tensor_objective", counting)
         cfg, out = write_config(tmp_path, FAST_OPT), str(tmp_path / "o")
         assert main(["optimize", "--config", cfg, "--seed", "3", "--out", out]) == 0
         assert len(calls) == 1
@@ -997,66 +959,19 @@ class TestMagnetometryCommand:
         assert_reproducible(tmp_path, "magnetometry", payload, ("trace.csv", "t2_report.csv"))
 
 
-class TestSurrogateDemoCommand:
-    def test_outputs_and_deviation_trend(self, tmp_path):
-        payload = {
-            "optimize": {"n_steps": 200, "verify_grid": [20, 20]},
-            "surrogate_demo": {
-                "grid_sizes_mn": [16, 100, 400],
-                "n_fields": 3,
-                "timing_reps": 1,
-            },
-        }
-        cfg = write_config(tmp_path, payload)
-        out = tmp_path / "demo"
-        assert main(["surrogate-demo", "--config", cfg, "--seed", "2", "--out", str(out)]) == 0
-        for name in (
-            "truth_map.csv",
-            "samples_9.csv",
-            "samples_16.csv",
-            "prediction_map_9.csv",
-            "prediction_map_16.csv",
-            "objective_timing.csv",
-            "objective_deviation.csv",
-        ):
-            assert (out / name).exists()
-        rows = (out / "objective_deviation.csv").read_text().splitlines()[1:]
-        true_dev = [float(r.split(",")[1]) for r in rows]
-        # truth-based deviation shrinks as the grid refines
-        assert true_dev[0] > true_dev[-1]
-
-    def test_reproducible_bytes(self, tmp_path):
-        # objective_timing.csv holds wall times and is left out
-        payload = {
-            "optimize": {"n_steps": 200, "verify_grid": [15, 15]},
-            "surrogate_demo": {"grid_sizes_mn": [16, 100], "n_fields": 2, "timing_reps": 1},
-        }
-        names = (
-            "truth_map.csv",
-            "samples_9.csv",
-            "samples_16.csv",
-            "prediction_map_9.csv",
-            "prediction_map_16.csv",
-            "objective_deviation.csv",
-        )
-        assert_reproducible(tmp_path, "surrogate-demo", payload, names)
-
-
-# Each command at small settings, and the sidecar keys it adds to the four
+# Each command at small settings, and the sidecar keys it adds to the six
 # that every sidecar holds.
 SIDECAR_RUNS = {
     "optimize": (FAST_OPT, {"seed", "search_steps"}),
     "trials": (FAST_OPT, {"seed", "search_steps", "failures"}),
     "compare": ({**FAST_OPT, "compare": {"n_trials": 2}}, {"seed", "search_steps"}),
-    "surrogate-demo": (
-        {
-            "optimize": {"n_steps": 200, "verify_grid": [15, 15]},
-            "surrogate_demo": {"grid_sizes_mn": [16], "n_fields": 1, "timing_reps": 1},
-        },
-        set(),
-    ),
     "magnetometry": (FAST_MAG, {"propagated"}),
 }
+
+
+def _dispatch():
+    """The SIMD targets numpy's dispatch takes in this process."""
+    return [name for name in __cpu_dispatch__ if __cpu_features__[name]]
 
 
 @pytest.mark.parametrize("command", SIDECAR_RUNS)
@@ -1067,9 +982,11 @@ def test_every_command_writes_its_sidecar(tmp_path, command):
     before = datetime.now(timezone.utc)
     assert main([command, "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
     meta = json.loads((out / f"{command}_meta.json").read_text())
-    assert list(meta)[:5] == ["command", "version", "timestamp", "wall_s", "config"]
-    assert set(meta) == {"command", "version", "timestamp", "wall_s", "config"} | extra
+    common = ["command", "version", "numpy", "timestamp", "wall_s", "config"]
+    assert list(meta)[:6] == common
+    assert set(meta) == set(common) | extra
     assert (meta["command"], meta["version"]) == (command, __version__)
+    assert meta["numpy"] == {"version": np.__version__, "dispatch": _dispatch()}
     assert before <= datetime.fromisoformat(meta["timestamp"]) <= datetime.now(timezone.utc)
     assert meta["wall_s"] >= 0
 
@@ -1095,3 +1012,74 @@ def test_sidecar_config_alone_reproduces_the_data_files(tmp_path, command):
     assert names == sorted(path.name for path in again.iterdir() if is_data_file(path.name))
     for name in names:
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_sidecar_records_a_reduced_dispatch_level(tmp_path):
+    # a child with every dispatch target but the lowest switched off
+    # (NPY_DISABLE_CPU_FEATURES) records only that one: on an AVX-512 host
+    # ['X86_V3'] against ['X86_V3', 'X86_V4', 'AVX512_ICL', 'AVX512_SPR']
+    targets = _dispatch()
+    if len(targets) < 2:
+        pytest.skip(f"numpy dispatches to {targets} here; no level to switch off")
+    cfg, out = write_config(tmp_path, FAST_MAG), tmp_path / "out"
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(targets[1:]),
+    }
+    result = subprocess.run(
+        [sys.executable, "-m", "spinopt.cli", "magnetometry", "--config", cfg, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    meta = json.loads((out / "magnetometry_meta.json").read_text())
+    assert meta["numpy"] == {"version": np.__version__, "dispatch": targets[:1]}
+
+
+class TestCommandList:
+    def test_readme_and_docstring_name_every_command(self):
+        # README's "Commands:" paragraph and the module docstring's
+        # "Subcommands:" sentence name exactly the commands, in order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme.split("\nCommands: ", 1)[1].split("\n\n", 1)[0]
+        assert re.findall(r"`([a-z-]+)` \(", paragraph) == list(COMMANDS)
+        sentence = cli.__doc__.split("Subcommands: ", 1)[1].split(".", 1)[0]
+        assert re.findall(r"``([a-z-]+)``", sentence) == list(COMMANDS)
+
+    def test_the_surrogate_demo_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["surrogate-demo"])
+        assert err.value.code == 2
+        assert "invalid choice: 'surrogate-demo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_surrogate_demo_section_is_an_unknown_key(self, tmp_path, capsys, command):
+        # every command checks the config's section and leaf names first
+        payload = {"surrogate_demo": {"n_fields": 2}}
+        path, out = write_config(tmp_path, payload), tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key: surrogate_demo\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n_sets", [1, 2])
+@pytest.mark.parametrize("objective", ["state", "gate_x"])
+@pytest.mark.parametrize("method", METHODS)
+def test_recorded_winners_reverify_to_f_verified(tmp_path, method, objective, n_sets):
+    # each row of results.csv, read back with the sidecar's config, gives
+    # its f_verified bit for bit through the trial's verification; on the
+    # 30 x 30 grid that is the Chebyshev tensor, not the 900-point pass
+    payload = {"optimize": {**FAST_OPT["optimize"], "verify_grid": [30, 30]}}
+    payload["optimize"].update(method=method, objective=objective, n_sets=n_sets)
+    cfg, out = write_config(tmp_path, payload), tmp_path / "out"
+    assert main(["trials", "--config", cfg, "--seed", "11", "--out", str(out)]) == 0
+    oc = opt_config_from(json.loads((out / "trials_meta.json").read_text())["config"])
+    grid = oc.noise_grid(oc.verify_grid)
+    records = read_trial_records(out / "results.csv")
+    assert len(records) == 2
+    timings = read_trial_records(out / "timings.csv", TIMING_COLUMNS)
+    assert all(t["verify_points"] != 30 * 30 for t in timings)
+    for rec in records:
+        fld = unpack_params(oc.basis, rec["lambda_opt"], oc.duration, oc.amp_limit)
+        value = _tensor_objective(fld, grid, oc.n_steps, oc.target())[0]
+        assert value == rec["f_verified"], rec["trial"]
