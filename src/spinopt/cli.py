@@ -1,17 +1,20 @@
 """Batch command-line front-end.
 
 Subcommands: ``optimize``, ``trials``, ``magnetometry``, ``compare``.
-Every command takes ``(cfg, out)``: the resolved config (the defaults,
-which carry the reference values, an optional JSON config file and the
-``--method``, ``--nd`` and ``--seed`` flags) and the output directory.  It
-writes CSV data files there and returns the facts of its ``*_meta.json``
-sidecar beyond the common ones; ``main`` times the command and writes the
-sidecar, with the resolved config, from which alone the command gives the
-same data files.  Every verified number and map (``field_map.csv``) comes
-from the trial's verification, ``dynamics._tensor_objective``.  The exit
-code is 0 on success, 1 on a runtime failure (``RuntimeError``,
-``ValueError`` or ``OSError``), 2 on a usage or config error; any other
-exception is a bug and propagates with its traceback.  Data files depend only on the config
+``main`` resolves the config (the defaults, which carry the reference
+values, an optional JSON config file and the ``--method``, ``--nd`` and
+``--seed`` flags) and builds every command's settings from it with
+``config.build``, so each leaf and joint rule is checked whichever command
+runs, before the output directory is made.  Every command takes ``(cfg,
+out)``: those settings and the output directory.  It writes CSV data files
+there and returns the facts of its ``*_meta.json`` sidecar beyond the
+common ones; ``main`` times the command and writes the sidecar, with the
+resolved config, from which alone the command gives the same data files.
+Every verified number and map (``field_map.csv``) comes from the trial's
+verification, ``dynamics._tensor_objective``.  The exit code is 0 on
+success, 1 on a runtime failure (``RuntimeError``, ``ValueError`` or
+``OSError``), 2 on a usage or config error; any other exception is a bug
+and propagates with its traceback.  Data files depend only on the config
 and seed, so repeated runs with one numpy version at one SIMD dispatch
 level give byte-identical data files; the sidecar records both, with its
 timestamp and wall time, and ``timings*.csv`` the trials' wall times.
@@ -38,14 +41,7 @@ import numpy as np
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from . import __version__
-from .config import (
-    ConfigError,
-    load_config,
-    magnetometry_from,
-    mhz_from_rad_s,
-    opt_config_from,
-    read,
-)
+from .config import ConfigError, build, load_config, mhz_from_rad_s
 from .magnetometry import RECT, SHAPED, measure_t2
 from .optimize import METHODS, _trial, run_trials
 
@@ -143,7 +139,7 @@ def _summary_row(oc, n_trials: int, stats) -> list:
 
 
 def cmd_optimize(cfg: dict, out: Path) -> dict:
-    oc = opt_config_from(cfg)
+    oc = cfg["optimize"]
     run, values = _trial(oc)
     write_trials(out, [run])
     points = oc.noise_grid(oc.verify_grid).points()
@@ -157,8 +153,7 @@ def cmd_optimize(cfg: dict, out: Path) -> dict:
 
 
 def cmd_trials(cfg: dict, out: Path) -> dict:
-    oc = opt_config_from(cfg)
-    n_trials = read(cfg, "optimize.n_trials")
+    oc, n_trials = cfg["optimize"], cfg["n_trials"]
     stats = run_trials(oc, n_trials)
     write_trials(out, stats.runs)
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, [_summary_row(oc, n_trials, stats)])
@@ -173,10 +168,7 @@ def cmd_trials(cfg: dict, out: Path) -> dict:
 
 
 def cmd_compare(cfg: dict, out: Path) -> dict:
-    n_trials = read(cfg, "compare.n_trials")
-    primary = opt_config_from(cfg)
-    method, n_sets = read(cfg, "compare.baseline_method"), read(cfg, "compare.baseline_n_sets")
-    baseline = opt_config_from(cfg, method=method, n_sets=n_sets)
+    primary, baseline, n_trials = cfg["optimize"], cfg["baseline"], cfg["compare_trials"]
     rows, calls = [], []
     for oc in (primary, baseline):
         stats = run_trials(oc, n_trials)
@@ -195,7 +187,7 @@ def cmd_compare(cfg: dict, out: Path) -> dict:
 
 
 def cmd_magnetometry(cfg: dict, out: Path) -> dict:
-    rect_cfg, shaped_cfg, signal, noise, run_cfg = magnetometry_from(cfg)
+    rect_cfg, shaped_cfg, signal, noise, run_cfg = cfg["magnetometry"]
     traces = []
     t2 = {}
     for kind, settings in ((RECT, rect_cfg), (SHAPED, shaped_cfg)):
@@ -259,10 +251,11 @@ def main(argv=None) -> int:
             if getattr(args, flag, None) is not None:  # the table checks the leaf
                 cfg["optimize"][name] = getattr(args, flag)
         cfg["seed"] = cfg["seed"] if args.seed is None else args.seed  # read by its leaf alone
+        settings = build(cfg)
         out = Path(args.out or os.environ.get(OUT_ENV_VAR, "spinopt_out"))
         out.mkdir(parents=True, exist_ok=True)
         start = time.perf_counter()
-        facts = COMMANDS[args.command](cfg, out)
+        facts = COMMANDS[args.command](settings, out)
         meta = {
             "command": args.command,
             "version": __version__,

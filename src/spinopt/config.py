@@ -9,8 +9,9 @@ angular rates by 2 * pi) to the library's units, rad/s and seconds.  Rules
 that join several leaves stay with ``magnetometry_from`` (one signal
 frequency, by the library's rule for a matched signal, and ``t_max_us``
 against the XY-8 period, both read from the sequences ``build_xy8`` makes)
-and with the library's constructors.  Defaults ship in
-``default_config.json``.
+and with the library's constructors.  ``build`` builds every setting of
+every command from one config, so each leaf and joint rule is checked
+whichever command runs.  Defaults ship in ``default_config.json``.
 """
 from __future__ import annotations
 
@@ -327,3 +328,21 @@ def magnetometry_from(cfg: dict, seed: int | None = None):
         raise ConfigError(str(exc)) from exc
     run = {"t_max": t_max, "n_steps_per_pulse": m["n_steps_per_pulse"]}
     return rect, shaped, signal, noise, run
+
+
+def build(cfg: dict) -> dict:
+    """Every setting any command runs on, built from ``cfg``: ``optimize``
+    (``opt_config_from(cfg)``), ``n_trials``, ``baseline`` (the compare
+    baseline's ``OptConfig``), ``compare_trials`` and ``magnetometry``
+    (``magnetometry_from(cfg)``).  Together they read every ``LEAVES`` key
+    and apply every joint rule, so every leaf and every joint rule is
+    checked whichever command runs, and one config gives one ConfigError,
+    or none, under every command."""
+    method, n_sets = read(cfg, "compare.baseline_method"), read(cfg, "compare.baseline_n_sets")
+    return {
+        "optimize": opt_config_from(cfg),
+        "n_trials": read(cfg, "optimize.n_trials"),
+        "baseline": opt_config_from(cfg, method=method, n_sets=n_sets),
+        "compare_trials": read(cfg, "compare.n_trials"),
+        "magnetometry": magnetometry_from(cfg),
+    }

@@ -193,14 +193,9 @@ class NoiseGrid:
 
     def points(self) -> np.ndarray:
         """All (delta, kappa) pairs, row-major over (deltas, kappas), shape
-        (M*N, 2); built on the first call and returned read-only."""
-        pts = self.__dict__.get("_points")
-        if pts is None:
-            dd, kk = np.meshgrid(self.deltas, self.kappas, indexing="ij")
-            pts = np.column_stack([dd.ravel(), kk.ravel()])
-            pts.flags.writeable = False
-            object.__setattr__(self, "_points", pts)
-        return pts
+        (M*N, 2)."""
+        dd, kk = np.meshgrid(self.deltas, self.kappas, indexing="ij")
+        return np.column_stack([dd.ravel(), kk.ravel()])
 
     def bounds(self) -> np.ndarray:
         """Axis ranges as a (2, 2) array of (low, high) rows."""
@@ -640,6 +635,10 @@ def fidelities(field: ControlField, points, n_steps: int = 1000, target=None):
     """
     points = _check_points(points)
     reduce = _reduction(target)
+    # ``fidelity_call(points, n_steps, target)(field)`` gives the same bits
+    # without the (P, 2, 2) propagators, but ``bench/tracing.py`` times the
+    # true call by wrapping ``propagate_many``: ``dynamics.rate_p2500``, which
+    # test_traced_items_account_for_their_time_and_unwrap reads, comes from it
     u = propagate_many(field, points[:, 0], points[:, 1], n_steps)
     return reduce(u[:, 0, 0], u[:, 1, 0])
 

@@ -46,6 +46,7 @@ from spinopt.config import (
     PAIR,
     UNITS,
     ConfigError,
+    build,
     default_config,
     load_config,
     magnetometry_from,
@@ -94,13 +95,6 @@ def shaped_field(**vectors):
     return {"magnetometry": {"shaped_field": _field(**vectors)}}
 
 
-# The command that reads each section's leaves.
-COMMAND_OF = {
-    "seed": "trials",
-    "optimize": "trials",
-    "compare": "compare",
-    "magnetometry": "magnetometry",
-}
 # The malformed values every leaf is tried with.
 SWEEP_VALUES = [NAN, INF, -1, 0, "x", True, None, [1, 2, 3], {}, 1e300]
 
@@ -228,14 +222,16 @@ class TestSignalFrequency:
             unequal += signal.omega_s != seq.omega_s
         assert unequal > 0
 
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("shaped_gap_ns", [300.0001, 301.0])
-    def test_a_mismatch_beyond_rounding_exits_2(self, tmp_path, capsys, shaped_gap_ns):
-        # 300.0001 ns is 2.5e-7 of the spacing off, more than rounding
+    def test_a_mismatch_beyond_rounding_exits_2(self, tmp_path, capsys, shaped_gap_ns, command):
+        # 300.0001 ns is 2.5e-7 of the spacing off, more than rounding; the
+        # rule holds whichever command runs
         path = write_config(tmp_path, {"magnetometry": {"shaped_gap_ns": shaped_gap_ns}})
         out = tmp_path / "o"
-        assert main(["magnetometry", "--config", path, "--out", str(out)]) == 2
+        assert main([command, "--config", path, "--out", str(out)]) == 2
         assert "must share one signal frequency" in capsys.readouterr().err
-        assert not (out / "trace.csv").exists()
+        assert not out.exists()
 
     def test_a_rounded_match_takes_the_table(self, tmp_path, monkeypatch):
         # rect 10 + 390 ns and shaped 100 + 300 ns give frequencies that
@@ -313,25 +309,13 @@ def _with_leaf(key, value):
     return _with_leaves({key: value})
 
 
-def _construct(cfg):
-    """What the commands build from a config before they run anything:
-    every leaf, and the optimize, compare-baseline and magnetometry
-    settings."""
-    for key in LEAVES:
-        read(cfg, key)
-    opt_config_from(cfg)
-    baseline = {"method": "compare.baseline_method", "n_sets": "compare.baseline_n_sets"}
-    opt_config_from(cfg, **{name: read(cfg, key) for name, key in baseline.items()})
-    magnetometry_from(cfg)
-
-
 def _builds(cfg) -> bool:
-    """Whether ``_construct(cfg)`` builds; False on a ConfigError (exit 2),
-    while any other exception (exit 1) propagates."""
+    """Whether ``build(cfg)`` builds; False on a ConfigError (exit 2), while
+    any other exception (exit 1) propagates."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # OptConfig's off-reference notes
         try:
-            _construct(cfg)
+            build(cfg)
         except ConfigError:
             return False
     return True
@@ -396,7 +380,7 @@ class TestLeafTable:
     def test_values_past_the_bounds_name_their_key(self, key):
         for value in _past(key):
             with pytest.raises(ConfigError, match=f"^config key {key} must be "):
-                _construct(_with_leaf(key, value))
+                build(_with_leaf(key, value))
 
     @pytest.mark.parametrize("key", CHOICE_LEAVES)
     def test_every_choice_builds_and_no_other_value_does(self, key):
@@ -409,7 +393,7 @@ class TestLeafTable:
         word = "".join(rng.choice(list("ABCDEFGHIJKLMNOPQRSTUVWXYZ"), 6))
         for value in (word, choices[0].upper(), int(rng.integers(100)), True, [choices[0]]):
             with pytest.raises(ConfigError, match=f"^config key {key} must be one of "):
-                _construct(_with_leaf(key, value))
+                build(_with_leaf(key, value))
 
     @pytest.mark.parametrize("key", FIELD_LEAVES)
     def test_fields_build_with_vectors_of_one_length_only(self, key):
@@ -427,7 +411,7 @@ class TestLeafTable:
             sizes[2] = sizes[1] + 1 if sizes[0] == sizes[1] else sizes[2]
             vectors = [rng.uniform(leaf.low, leaf.high, m).tolist() for m in sizes]
             with pytest.raises(ConfigError, match=f"^config key {key} must be "):
-                _construct(_with_leaf(key, dict(zip(FIELD_KEYS, vectors))))
+                build(_with_leaf(key, dict(zip(FIELD_KEYS, vectors))))
 
     @pytest.mark.parametrize("matched", [True, False])
     def test_pulse_and_gap_draws_build_or_fail_a_joint_rule(self, matched):
@@ -449,7 +433,7 @@ class TestLeafTable:
                 assert _builds(cfg), spacings
             else:
                 with pytest.raises(ConfigError, match="must share one signal frequency"):
-                    _construct(cfg)
+                    build(cfg)
 
     def test_kappa_mean_draws_inside_and_outside_the_range_build_or_fail(self):
         # seeded ranges and means inside the leaves' bounds: a mean too far
@@ -468,7 +452,9 @@ class TestLeafTable:
     @pytest.mark.parametrize("key", LEAVES)
     def test_rejected_values_exit_2(self, tmp_path, capsys, key):
         # every malformed value the leaf's entry rejects, after the merge
-        # with the defaults, exits 2 before any file is written
+        # with the defaults, exits 2 naming the key before the output
+        # directory is made; main builds every command's settings, so the
+        # values take the commands in turn
         section, _, name = key.partition(".")
         for i, value in enumerate(SWEEP_VALUES):
             payload = {section: {name: value}} if name else {key: value}
@@ -479,10 +465,11 @@ class TestLeafTable:
             except ConfigError:
                 pass
             out = tmp_path / f"o{i}"
-            code = main([COMMAND_OF[section], "--config", path, "--out", str(out)])
+            command = list(COMMANDS)[i % len(COMMANDS)]
+            code = main([command, "--config", path, "--out", str(out)])
             err = capsys.readouterr().err
-            assert code == 2 and "must be" in err, (value, err)
-            assert not out.exists() or not any(out.iterdir()), value
+            assert code == 2 and f"config key {key} must be" in err, (command, value, err)
+            assert not out.exists(), (command, value)
 
 
 class TestExitCodes:
@@ -516,16 +503,20 @@ class TestExitCodes:
             {"optimize": {"nm_max_iter": 0}},
             # every Gaussian weight of the default kappa range underflows
             {"optimize": {"kappa_mean": 10}},
+            # only the compare baseline, a surrogate method, reads n_samples
+            {"optimize": {"method": "sfb", "n_samples": 10}, "compare": {"baseline_method": "bpm"}},
         ],
     )
-    def test_rejected_config_exits_2(self, tmp_path, capsys, payload):
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rejected_config_exits_2(self, tmp_path, capsys, command, payload):
+        # main builds every command's settings, so each command rejects
+        # every section and every joint rule
         path = write_config(tmp_path, payload)
-        command = next((c for c in ("magnetometry", "compare") if c in payload), "trials")
         out = tmp_path / "o"
         code = main([command, "--config", path, "--out", str(out)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -594,28 +585,57 @@ class TestExitCodes:
         # no truncation to the integer below, and no TypeError escaping; the
         # same for malformed numbers, pairs, switches and field objects, for
         # counts and seeds out of range, and for the NaN and Infinity that
-        # Python's json reads, all before any file is written
+        # Python's json reads, all before the output directory is made
         path = write_config(tmp_path, payload)
         out = tmp_path / "o"
         code = main([command, "--config", path, "--out", str(out)])
         assert code == 2
         assert "must be" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["optimize", "trials", "compare"])
     def test_zero_sets_flag_exits_2(self, tmp_path, capsys, command):
         out = tmp_path / "o"
         assert main([command, "--nd", "0", "--out", str(out)]) == 2
         assert "optimize.n_sets must be" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
-    def test_unknown_field_key_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_field_key_exits_2(self, tmp_path, capsys, command):
+        # the field's names are checked with the rest of the config, not only
+        # by the command that runs the shaped pulse
         path = write_config(tmp_path, shaped_field(phases_typo=[0.1]))
         out = tmp_path / "o"
-        assert main(["magnetometry", "--config", path, "--out", str(out)]) == 2
+        assert main([command, "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "unknown config key: magnetometry.shaped_field.phases_typo" in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            (
+                "magnetometry",
+                {"optimize": {"method": "xyz"}, "compare": {"n_trials": 0}},
+                "optimize.method",
+            ),
+            (
+                "optimize",
+                {"magnetometry": {"n_realizations": -3, "shaped_field": _field(phases_typo=[0.1])}},
+                "magnetometry.n_realizations",
+            ),
+        ],
+    )
+    def test_a_section_the_command_does_not_run_is_checked(
+        self, tmp_path, capsys, command, payload, key
+    ):
+        # a command rejects a malformed leaf of another command's section:
+        # the sidecar's config must reproduce the run under every command
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert f"config error: config key {key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["optimize", "magnetometry"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
@@ -626,11 +646,11 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "config error: config key seed must be an integer in [0, inf), not -1\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
         path = write_config(tmp_path, {"seed": -1})
         assert main([command, "--config", path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["search_grid", "verify_grid"])
     @pytest.mark.parametrize("shape", [[0, 4], [4, 0]])
@@ -643,20 +663,22 @@ class TestExitCodes:
             f"config error: config key optimize.{key} must be a pair of integers in "
             f"[1, 1000], not {shape}\n"
         )
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("t_max_us", [20.0, 5.0, -1.0])
-    def test_short_magnetometry_window_exits_2(self, tmp_path, capsys, t_max_us):
+    def test_short_magnetometry_window_exits_2(self, tmp_path, capsys, t_max_us, command):
         # fewer than 10 XY-8 periods (32 us) leave too few readouts for the
-        # T2 fit: rejected with the config, before any trace runs
+        # T2 fit: rejected with the config, before any trace runs, whichever
+        # command runs
         path = write_config(
             tmp_path, {"magnetometry": {"t_max_us": t_max_us, "n_realizations": 2}}
         )
         out = tmp_path / "o"
-        code = main(["magnetometry", "--config", path, "--out", str(out)])
+        code = main([command, "--config", path, "--out", str(out)])
         assert code == 2
         assert "t_max_us" in capsys.readouterr().err
-        assert not (out / "trace.csv").exists()
+        assert not out.exists()
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # an output directory that cannot be made (a file sits at its path)
@@ -1004,8 +1026,7 @@ def test_sidecar_config_alone_reproduces_the_data_files(tmp_path, command):
     assert resolved["seed"] == 3
     if flags:
         assert (resolved["optimize"]["method"], resolved["optimize"]["n_sets"]) == ("sfb", 2)
-    for key in LEAVES:
-        read(resolved, key)
+    build(resolved)
     cfg = write_config(tmp_path, resolved, "resolved.json")
     assert main([command, "--config", cfg, "--out", str(again)]) == 0
     names = sorted(path.name for path in first.iterdir() if is_data_file(path.name))

@@ -164,11 +164,35 @@ def test_the_finite_checks_have_one_owner():
 
 
 def test_every_command_takes_only_its_config_and_output_directory():
-    # a command reads the seed, like every other setting, from its config
+    # a command takes the settings config.build makes from the resolved
+    # config, the seed among them, and nothing else
     from spinopt.cli import COMMANDS
 
     for name, command in COMMANDS.items():
         assert list(inspect.signature(command).parameters) == ["cfg", "out"], name
+
+
+def test_the_settings_have_one_builder():
+    # config.build reads every leaf and applies every joint rule: cli reads
+    # no leaf and builds no setting itself, and main builds the settings
+    # before it makes the output directory, so a config error leaves none
+    tree = ast.parse((Path(spinopt.__file__).resolve().parent / "cli.py").read_text())
+
+    def calls(node):
+        return [
+            (call.lineno, getattr(call.func, "id", getattr(call.func, "attr", None)))
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+        ]
+
+    called = {name for _, name in calls(tree)}
+    assert not called & {"read", "opt_config_from", "magnetometry_from"}
+    [main] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    lines = {
+        name: [line for line, callee in calls(main) if callee == name] for name in ("build", "mkdir")
+    }
+    assert len(lines["build"]) == 1 and len(lines["mkdir"]) == 1, lines
+    assert lines["build"][0] < lines["mkdir"][0]
 
 
 def test_the_likelihood_box_has_one_owner():
